@@ -40,6 +40,9 @@ bool Moved(const fabric::OpResult& r) { return r.status == fabric::Status::kMove
 // retry rounds), so a dozen 10 us waits spans it comfortably.
 constexpr sim::Time kMovedRetryDelay = 10 * sim::kMicrosecond;
 constexpr int kMovedRetryBudget = 12;
+// A backup update that bounced AFTER the primary commit must outwait the
+// whole move (every copy round plus the flip), not one slice of it.
+constexpr int kMoveWaitBudget = 100;
 
 }  // namespace
 
@@ -98,6 +101,28 @@ sim::Task<void> FuseeKvSession::OnNodeFailure(int node) {
   // recovery (log scan, state transfer, role change) before any progress.
   store_->StartRecovery(node);
   co_await worker_->sim()->WaitUntil(store_->recovering_until());
+}
+
+sim::Task<fabric::OpResult> FuseeKvSession::WriteBackupThroughMove(
+    const FuseeStore::KeyMeta& meta, uint64_t moves_at_start, int backup_node,
+    uint64_t backup_slot, std::span<const uint8_t> word) {
+  // If the move flips, its harvest of the fenced — hence final — primary
+  // word carries this commit to both new slots. If it ABORTS, the fence
+  // lifts and the old backup slot must still catch up, or the next failover
+  // reads it stale: so keep re-posting until one or the other happens.
+  fabric::OpResult r;
+  r.status = fabric::Status::kMovedReplica;
+  for (int i = 0; i < kMoveWaitBudget && meta.moves == moves_at_start; ++i) {
+    co_await worker_->sim()->Delay(kMovedRetryDelay);
+    if (meta.moves != moves_at_start) {
+      break;
+    }
+    r = co_await worker_->qp(backup_node).Write(backup_slot, word);
+    if (!Moved(r)) {
+      break;
+    }
+  }
+  co_return r;
 }
 
 sim::Task<bool> FuseeKvSession::AwaitUsable(const FuseeStore::KeyMeta& meta) {
@@ -301,192 +326,233 @@ sim::Task<repair::RepairOutcome> FuseeStore::RepairNode(int node, Worker* worker
   co_return out;
 }
 
-sim::Task<bool> FuseeStore::MigrateKey(uint64_t key, int from, Worker* worker,
-                                       bool disable_flip_fence) {
+// One key's move off `from`: both roles get fresh 8 B index slots at the new
+// home (np_, nb_) — the role staying on its node too, because its old slot
+// is fenced for good — and, for a present key, fresh block copies under the
+// harvested generation.
+class FuseeStore::KeyMove final : public repair::ReplicaMove {
+ public:
+  KeyMove(FuseeStore* store, KeyMeta* meta, uint64_t key, int from, Worker* worker)
+      : store_(store), meta_(meta), worker_(worker), key_(key), from_(from),
+        moves_(meta->moves), old_primary_(meta->primary), old_backup_(meta->backup),
+        old_slot_primary_(meta->index_addr_primary), old_slot_backup_(meta->index_addr_backup) {}
+
+  bool CanHost(int node) const override {
+    return node != old_primary_ && node != old_backup_ && Usable(node);
+  }
+
+  // Both index slots are fenced: every pre-flip CAS bounces.
+  bool FencesEveryReplica() const override { return true; }
+
+  void Graft(int dest) override {
+    np_ = old_primary_ == from_ ? dest : old_primary_;
+    nb_ = old_backup_ == from_ ? dest : old_backup_;
+    np_slot_ = store_->fabric_->node(np_).AllocSlot(8);
+    nb_slot_ = store_->fabric_->node(nb_).AllocSlot(8);
+  }
+
+  // Fencing BOTH old slots means no client CAS can commit any more, so the
+  // single harvest in Copy is final — contrast RepairNode, which copies from
+  // a live slot and must re-validate after every install.
+  void SetFence(bool fenced) override {
+    fabric::MemoryNode& primary = store_->fabric_->node(old_primary_);
+    fabric::MemoryNode& backup = store_->fabric_->node(old_backup_);
+    if (fenced) {
+      primary.RetireRegion(old_slot_primary_, 8);
+      backup.RetireRegion(old_slot_backup_, 8);
+    } else {
+      primary.RestoreRegion(old_slot_primary_, 8);
+      backup.RestoreRegion(old_slot_backup_, 8);
+    }
+  }
+
+  sim::Task<bool> Copy() override {
+    // Every home involved must stay out of the recovery path: a home that
+    // failed or went into repair since the plan belongs to RepairNode, and a
+    // wiped-but-restarted source would read back as "absent" through the
+    // repair channel.
+    if (!HomesUsable()) {
+      co_return false;
+    }
+    const uint32_t max_value = worker_->config().max_value;
+    if (!harvested_) {
+      std::array<uint8_t, 8> ibuf{};
+      fabric::OpResult ir = co_await worker_->qp(old_primary_).Read(old_slot_primary_, ibuf);
+      if (!ir.ok()) {
+        co_return false;
+      }
+      uint64_t word;
+      std::memcpy(&word, ibuf.data(), 8);
+      if (word != 0) {
+        sim::Bytes block(kOopHeaderBytes + max_value);
+        fabric::OpResult br = co_await worker_->qp(old_primary_).Read(
+            static_cast<uint64_t>(OopOf(word)) * kOopGranuleBytes, block);
+        if (!br.ok()) {
+          co_return false;
+        }
+        BlockParse p = ParseBlock(std::move(block), max_value, word);
+        if (!p.ok) {
+          co_return false;
+        }
+        bytes_ = std::move(p.bytes);
+      }
+      word_ = word;  // 0: the key is absent, and the fresh slots read absent.
+      harvested_ = true;
+    }
+    if (word_ != 0) {
+      if (np_oop_ == 0) {
+        np_oop_ = worker_->pool(np_).AllocIdx();
+        nb_oop_ = worker_->pool(nb_).AllocIdx();
+      }
+      sim::Bytes image(kOopHeaderBytes + bytes_.size());
+      const uint64_t hdr = PackHeader(GenOf(word_), kBlockValid);
+      const uint64_t len = bytes_.size();
+      std::memcpy(image.data(), &hdr, 8);
+      std::memcpy(image.data() + 8, &len, 8);
+      std::memcpy(image.data() + 16, bytes_.data(), bytes_.size());
+      sim::Bytes wp(8);
+      sim::Bytes wb(8);
+      const uint64_t word_p = PackIndexWord(GenOf(word_), np_oop_);
+      const uint64_t word_b = PackIndexWord(GenOf(word_), nb_oop_);
+      std::memcpy(wp.data(), &word_p, 8);
+      std::memcpy(wb.data(), &word_b, 8);
+      fabric::OpResult b1 = co_await worker_->qp(np_).Write(
+          static_cast<uint64_t>(np_oop_) * kOopGranuleBytes, image);
+      fabric::OpResult b2 = co_await worker_->qp(nb_).Write(
+          static_cast<uint64_t>(nb_oop_) * kOopGranuleBytes, image);
+      fabric::OpResult s1 = co_await worker_->qp(np_).Write(np_slot_, wp);
+      fabric::OpResult s2 = co_await worker_->qp(nb_).Write(nb_slot_, wb);
+      if (!b1.ok() || !b2.ok() || !s1.ok() || !s2.ok()) {
+        co_return false;
+      }
+    }
+    co_return HomesUsable();
+  }
+
+  // In-sim atomic (no suspension between field writes). Sessions hold
+  // KeyMeta references and re-read the fields each attempt, so the new home
+  // is picked up on their next retry; `moves` tells an op that straddled the
+  // flip to skip its superseded-block GC — and is this flip's guard: a key
+  // re-homed since the plan is not ours to flip. The old fenced slots stay
+  // retired forever — their 8 bytes are dead.
+  sim::Task<bool> Flip() override {
+    if (meta_->moves != moves_) {
+      co_return false;
+    }
+    const uint32_t old_primary_oop = word_ != 0 ? OopOf(word_) : 0;
+    const uint32_t old_backup_oop = meta_->last_backup_oop;
+    meta_->primary = np_;
+    meta_->backup = nb_;
+    meta_->index_addr_primary = np_slot_;
+    meta_->index_addr_backup = nb_slot_;
+    meta_->last_backup_oop = nb_oop_;
+    ++meta_->moves;
+    store_->ReplaceHome(key_, old_primary_, old_backup_, np_, nb_);
+    if (old_primary_oop != 0) {
+      worker_->pool(old_primary_).Free(old_primary_oop);
+    }
+    if (word_ != 0 && old_backup_oop != 0) {
+      // Absent keys leave the old backup block alone: an in-flight Remove
+      // past its CAS still owns that free.
+      worker_->pool(old_backup_).Free(old_backup_oop);
+    }
+    co_return true;
+  }
+
+  // Never published (the directory still names the old slots) and every
+  // write against the fresh blocks and slots has completed, so they recycle
+  // safely.
+  void Abandon() override {
+    if (np_oop_ != 0) {
+      worker_->pool(np_).Free(np_oop_);
+      worker_->pool(nb_).Free(nb_oop_);
+    }
+    store_->fabric_->node(np_).FreeSlot(np_slot_);
+    store_->fabric_->node(nb_).FreeSlot(nb_slot_);
+  }
+
+ private:
+  bool Usable(int node) const {
+    return !store_->NodeFailed(node) && !worker_->NodeQuorumExcluded(node);
+  }
+  bool HomesUsable() const {
+    return Usable(old_primary_) && Usable(old_backup_) && Usable(np_) && Usable(nb_);
+  }
+
+  FuseeStore* store_;
+  KeyMeta* meta_;  // Stable: directory_ is node-based and never erases.
+  Worker* worker_;
+  uint64_t key_;
+  int from_;
+  uint64_t moves_;  // meta->moves at plan time: the flip guard.
+  int old_primary_;
+  int old_backup_;
+  uint64_t old_slot_primary_;
+  uint64_t old_slot_backup_;
+  int np_ = -1;
+  int nb_ = -1;
+  uint64_t np_slot_ = 0;
+  uint64_t nb_slot_ = 0;
+  uint32_t np_oop_ = 0;
+  uint32_t nb_oop_ = 0;
+  bool harvested_ = false;
+  uint64_t word_ = 0;
+  sim::Bytes bytes_;
+};
+
+std::vector<uint64_t> FuseeStore::KeysOn(int node, uint64_t lo, uint64_t hi) const {
+  // Walk the node's inverse registry (key order), keeping the keys whose
+  // index slot on `node` lies in [lo, hi).
+  std::vector<uint64_t> keys;
+  if (static_cast<size_t>(node) >= node_keys_.size()) {
+    return keys;
+  }
+  for (uint64_t key : node_keys_[static_cast<size_t>(node)]) {
+    const KeyMeta& meta = directory_.find(key)->second;
+    if (meta.primary == node && meta.index_addr_primary >= lo && meta.index_addr_primary < hi) {
+      keys.push_back(key);
+    }
+    if (meta.backup == node && meta.index_addr_backup >= lo && meta.index_addr_backup < hi) {
+      keys.push_back(key);
+    }
+  }
+  return keys;
+}
+
+std::vector<repair::KeyPlacement> FuseeStore::Placements() const {
+  std::vector<repair::KeyPlacement> out;
+  out.reserve(directory_.size());
+  for (const auto& [key, meta] : directory_) {
+    repair::KeyPlacement p;
+    p.key = key;
+    p.nodes[0] = meta.primary;
+    p.nodes[1] = meta.backup;
+    p.num_replicas = 2;
+    out.push_back(p);
+  }
+  std::sort(out.begin(), out.end(),
+            [](const repair::KeyPlacement& a, const repair::KeyPlacement& b) { return a.key < b.key; });
+  return out;
+}
+
+sim::Task<std::unique_ptr<repair::ReplicaMove>> FuseeStore::PlanMove(uint64_t key, int from,
+                                                                     Worker* worker) {
   auto it = directory_.find(key);
   if (it == directory_.end()) {
-    co_return true;  // Never placed: nothing to move.
+    co_return nullptr;  // Never placed: nothing to move.
   }
   KeyMeta& meta = it->second;
   if (meta.primary != from && meta.backup != from) {
-    co_return true;  // Already elsewhere (or a racing move beat us).
+    co_return nullptr;  // Already elsewhere (or a racing move beat us).
   }
   // Migrate-vs-repair arbitration: a store in recovery, or a key with either
-  // home failed or mid-repair, belongs to the repair path. Skip; the caller
-  // revisits once the node is readmitted.
+  // home failed or mid-repair, belongs to the repair path. Skip; the bulk
+  // flows revisit once the node is readmitted.
   if (InRecovery() || NodeFailed(meta.primary) || NodeFailed(meta.backup) ||
       worker->NodeQuorumExcluded(meta.primary) || worker->NodeQuorumExcluded(meta.backup)) {
-    ++keys_aborted_;
-    co_return false;
+    co_return nullptr;
   }
-  const int survivor = meta.primary == from ? meta.backup : meta.primary;
-  int dest = -1;
-  {
-    int candidates[PlacementProbe::kMaxNodes];
-    size_t num_candidates = 0;
-    const int n = std::min(fabric_->num_nodes(), PlacementProbe::kMaxNodes);
-    for (int i = 0; i < n; ++i) {
-      const auto idx = static_cast<size_t>(i);
-      const bool serving = serving_ == nullptr || serving_->empty() ||
-                           (idx < serving_->size() && (*serving_)[idx]);
-      if (serving && !NodeFailed(i) && !worker->NodeQuorumExcluded(i) && i != from &&
-          i != survivor) {
-        candidates[num_candidates++] = i;
-      }
-    }
-    if (num_candidates == 0) {
-      ++keys_aborted_;
-      co_return false;
-    }
-    dest = candidates[(key * 0x9E3779B97F4A7C15ull) % num_candidates];
-  }
-  const int np = meta.primary == from ? dest : meta.primary;
-  const int nb = meta.backup == from ? dest : meta.backup;
-  const int old_primary = meta.primary;
-  const int old_backup = meta.backup;
-  const uint64_t old_slot_primary = meta.index_addr_primary;
-  const uint64_t old_slot_backup = meta.index_addr_backup;
-
-  // Fence BOTH old slots: from here no client CAS can commit, so the single
-  // harvest below is final — contrast RepairNode, which copies from a live
-  // slot and must re-validate after every install.
-  if (!disable_flip_fence) {
-    fabric_->node(old_primary).RetireRegion(old_slot_primary, 8);
-    fabric_->node(old_backup).RetireRegion(old_slot_backup, 8);
-  }
-
-  // Harvest the fenced primary word and its block through the repair channel
-  // (which passes the fence). Bounded retries cover chaos drop bursts only.
-  const uint32_t max_value = worker->config().max_value;
-  uint64_t word = 0;
-  sim::Bytes bytes;
-  bool harvested = false;
-  // NOLINTNEXTLINE(swarm-retry-stale-epoch) repair channel: fence-exempt.
-  for (int attempt = 0; attempt < 4 && !harvested; ++attempt) {
-    std::array<uint8_t, 8> ibuf{};
-    fabric::OpResult ir = co_await worker->qp(old_primary).Read(old_slot_primary, ibuf);
-    if (!ir.ok()) {
-      continue;
-    }
-    std::memcpy(&word, ibuf.data(), 8);
-    if (word == 0) {
-      harvested = true;  // Key absent; the new home starts absent too.
-      break;
-    }
-    sim::Bytes block(kOopHeaderBytes + max_value);
-    fabric::OpResult br = co_await worker->qp(old_primary).Read(
-        static_cast<uint64_t>(OopOf(word)) * kOopGranuleBytes, block);
-    if (!br.ok()) {
-      continue;
-    }
-    BlockParse p = ParseBlock(std::move(block), max_value, word);
-    if (p.ok) {
-      bytes = std::move(p.bytes);
-      harvested = true;
-    }
-  }
-
-  // Install at the new home: fresh index slots on both roles (a role staying
-  // on its node still gets a new address — its old slot is fenced for good),
-  // and fresh block copies under the harvested generation.
-  uint32_t np_oop = 0;
-  uint32_t nb_oop = 0;
-  bool installed = harvested;
-  uint64_t np_slot = 0;
-  uint64_t nb_slot = 0;
-  if (harvested) {
-    np_slot = fabric_->node(np).AllocSlot(8);
-    nb_slot = fabric_->node(nb).AllocSlot(8);
-  }
-  if (harvested && word != 0) {
-    np_oop = worker->pool(np).AllocIdx();
-    nb_oop = worker->pool(nb).AllocIdx();
-    sim::Bytes image(kOopHeaderBytes + bytes.size());
-    const uint64_t hdr = PackHeader(GenOf(word), kBlockValid);
-    const uint64_t len = bytes.size();
-    std::memcpy(image.data(), &hdr, 8);
-    std::memcpy(image.data() + 8, &len, 8);
-    std::memcpy(image.data() + 16, bytes.data(), bytes.size());
-    sim::Bytes wp(8);
-    sim::Bytes wb(8);
-    const uint64_t word_p = PackIndexWord(GenOf(word), np_oop);
-    const uint64_t word_b = PackIndexWord(GenOf(word), nb_oop);
-    std::memcpy(wp.data(), &word_p, 8);
-    std::memcpy(wb.data(), &word_b, 8);
-    fabric::OpResult b1 = co_await worker->qp(np).Write(
-        static_cast<uint64_t>(np_oop) * kOopGranuleBytes, image);
-    fabric::OpResult b2 = co_await worker->qp(nb).Write(
-        static_cast<uint64_t>(nb_oop) * kOopGranuleBytes, image);
-    fabric::OpResult s1 = co_await worker->qp(np).Write(np_slot, wp);
-    fabric::OpResult s2 = co_await worker->qp(nb).Write(nb_slot, wb);
-    installed = b1.ok() && b2.ok() && s1.ok() && s2.ok();
-  }
-  if (!installed) {
-    // Abort: restore the fences, reclaim the new blocks, directory
-    // untouched — the cluster is exactly as before the attempt (the fresh
-    // 8 B slots are abandoned).
-    if (np_oop != 0) {
-      worker->pool(np).Free(np_oop);
-    }
-    if (nb_oop != 0) {
-      worker->pool(nb).Free(nb_oop);
-    }
-    if (np_slot != 0) {
-      // Never published (the directory still names the old slots) and all
-      // writes against them have completed, so the fresh slots recycle
-      // safely.
-      fabric_->node(np).FreeSlot(np_slot);
-      fabric_->node(nb).FreeSlot(nb_slot);
-    }
-    if (!disable_flip_fence) {
-      fabric_->node(old_primary).RestoreRegion(old_slot_primary, 8);
-      fabric_->node(old_backup).RestoreRegion(old_slot_backup, 8);
-    }
-    ++keys_aborted_;
-    co_return false;
-  }
-
-  // Flip: in-sim atomic (no suspension between field writes). Sessions hold
-  // KeyMeta references and re-read the fields each attempt, so the new home
-  // is picked up on their next retry; `moves` tells an op that straddled the
-  // flip to skip its superseded-block GC. The old fenced slots stay retired
-  // forever — their 8 bytes are dead.
-  const uint32_t old_primary_oop = word != 0 ? OopOf(word) : 0;
-  const uint32_t old_backup_oop = meta.last_backup_oop;
-  meta.primary = np;
-  meta.backup = nb;
-  meta.index_addr_primary = np_slot;
-  meta.index_addr_backup = nb_slot;
-  meta.last_backup_oop = nb_oop;
-  ++meta.moves;
-  ReplaceHome(key, old_primary, old_backup, np, nb);
-  if (old_primary_oop != 0) {
-    worker->pool(old_primary).Free(old_primary_oop);
-  }
-  if (word != 0 && old_backup_oop != 0) {
-    // Absent keys leave the old backup block alone: an in-flight Remove past
-    // its CAS still owns that free.
-    worker->pool(old_backup).Free(old_backup_oop);
-  }
-  ++keys_moved_;
-  co_return true;
-}
-
-sim::Task<uint64_t> FuseeStore::MigrateNode(int node, Worker* worker, bool disable_flip_fence) {
-  // Drain from the inverse registry — O(keys-on-node). Snapshot: MigrateKey
-  // mutates the set as it flips keys away.
-  std::vector<uint64_t> keys;
-  if (static_cast<size_t>(node) < node_keys_.size()) {
-    const std::set<uint64_t>& hosted = node_keys_[static_cast<size_t>(node)];
-    keys.assign(hosted.begin(), hosted.end());
-  }
-  uint64_t remaining = 0;
-  for (uint64_t key : keys) {
-    if (!co_await MigrateKey(key, node, worker, disable_flip_fence)) {
-      ++remaining;
-    }
-  }
-  co_return remaining;
+  co_return std::make_unique<KeyMove>(this, &meta, key, from, worker);
 }
 
 sim::Task<KvResult> FuseeKvSession::Get(uint64_t key) {
@@ -893,13 +959,17 @@ sim::Task<KvResult> FuseeKvSession::WriteInternal(uint64_t key, std::span<const 
         sim::PoolVec<fabric::OpResult> rs =
             co_await fabric::PostMany(worker_->cpu(), worker_->sim(), std::move(verbs));
         ++result.rtts;
-        if (backup_alive && !rs[0].ok()) {
-          if (Moved(rs[0])) {
-            // A migration fenced the slots AFTER our phase-2 commit: the
-            // write IS durable — the harvest reads the post-fence primary
-            // slot, which holds it — but the backup-side block never became
-            // reachable and the flip owns all superseded-version GC.
-            // Reclaim our orphaned backup block and succeed.
+        fabric::OpResult backup_ack = backup_alive ? rs[0] : fabric::OpResult{};
+        if (Moved(backup_ack)) {
+          // A migration fenced the slots AFTER our phase-2 commit: wait out
+          // the move before acknowledging.
+          backup_ack = co_await WriteBackupThroughMove(meta, moves_at_start, backup_node,
+                                                       backup_slot, wbuf);
+          if (Moved(backup_ack) && meta.moves != moves_at_start) {
+            // Flipped: the write IS durable — the harvest read the
+            // post-fence primary slot, which holds it — but the backup-side
+            // block never became reachable and the flip owns all
+            // superseded-version GC. Reclaim our orphaned backup block.
             worker_->pool(backup_node).Free(oop_backup);
             cache_->Invalidate(key);
             if (result.status != KvStatus::kExists) {
@@ -907,6 +977,12 @@ sim::Task<KvResult> FuseeKvSession::WriteInternal(uint64_t key, std::span<const 
             }
             co_return result;
           }
+          if (Moved(backup_ack)) {
+            result.status = KvStatus::kUnavailable;  // Committed, not replicated.
+            co_return result;
+          }
+        }
+        if (backup_alive && !backup_ack.ok()) {
           if (worker_->EpochRefreshNeeded()) {
             co_await worker_->RefreshEpoch();
             continue;
@@ -1011,7 +1087,7 @@ sim::Task<KvResult> FuseeKvSession::Remove(uint64_t key) {
       expected = cached->generation;
     }
     uint64_t old_word = 0;
-    bool cas_settled = false;
+    bool matched = false;  // A CAS found its expected word: this remove decided.
     bool moved_bounce = false;
     for (int tries = 0; tries < 4; ++tries) {
       fabric::OpResult c = co_await qp.Cas(index_addr, expected, 0);
@@ -1029,9 +1105,9 @@ sim::Task<KvResult> FuseeKvSession::Remove(uint64_t key) {
         result.status = KvStatus::kUnavailable;
         co_return result;
       }
-      cas_settled = true;
       if (c.old_value == expected) {
         old_word = expected;
+        matched = true;
         break;
       }
       expected = c.old_value;
@@ -1046,9 +1122,12 @@ sim::Task<KvResult> FuseeKvSession::Remove(uint64_t key) {
       co_await worker_->sim()->Delay(kMovedRetryDelay);
       continue;
     }
-    if (!cas_settled) {
-      result.status = KvStatus::kUnavailable;
-      co_return result;
+    if (!matched) {
+      // Every CAS lost to a concurrent commit (or bounced off a stale epoch):
+      // nothing was deleted, and the last word seen is NOT evidence that the
+      // key is absent. Retry from a fresh attempt; running out of attempts
+      // reports the remove unavailable.
+      continue;
     }
     if (old_word == 0) {
       result.status = KvStatus::kNotFound;
@@ -1083,13 +1162,22 @@ sim::Task<KvResult> FuseeKvSession::Remove(uint64_t key) {
       // Commit-critical, exactly like WriteInternal's phase-3 backup index
       // update: swallowing a failure here strands the backup slot pointing at
       // the removed value's (still byte-valid) block, and the next failover
-      // resurrects it. A migration-fence bounce is the one benign outcome —
-      // the fence landed after our primary commit, so the harvest read the
-      // zeroed slot and the new home is already absent.
+      // resurrects it. A migration-fence bounce means the fence landed after
+      // our primary commit: once the move flips, the harvest read the zeroed
+      // slot and the new home is absent; if it aborts, the zero must still
+      // land.
       sim::Bytes zero(8, 0);
       for (int tries = 0; tries < 4; ++tries) {
         fabric::OpResult bz = co_await worker_->qp(backup_node).Write(backup_slot, zero);
         ++result.rtts;
+        if (Moved(bz)) {
+          bz = co_await WriteBackupThroughMove(meta, moves_at_start, backup_node, backup_slot,
+                                               zero);
+          if (Moved(bz) && meta.moves == moves_at_start) {
+            result.status = KvStatus::kUnavailable;  // Committed, not replicated.
+            co_return result;
+          }
+        }
         if (bz.ok() || Moved(bz)) {
           break;
         }

@@ -25,8 +25,9 @@
 
 #include "src/index/client_cache.h"
 #include "src/kv/kv_types.h"
-#include "src/swarm/placement.h"
+#include "src/repair/migration.h"
 #include "src/repair/repair.h"
+#include "src/swarm/placement.h"
 #include "src/swarm/worker.h"
 
 namespace swarm::kv {
@@ -40,8 +41,9 @@ namespace swarm::kv {
 // and block the recovered node hosted, and each is rebuilt from the
 // surviving replica. All client progress blocks while a repair runs —
 // FUSEE's synchronous-replication recovery semantics (§7.7) — and the node
-// resumes its roles only when the repair completed.
-class FuseeStore : public repair::RepairableStore {
+// resumes its roles only when the repair completed. As a MigratableStore it
+// moves through the same MigrationService lifecycle as the quorum stores.
+class FuseeStore : public repair::RepairableStore, public repair::MigratableStore {
  public:
   FuseeStore(fabric::Fabric* fabric, sim::Time recovery_duration = 40 * sim::kMillisecond)
       : fabric_(fabric), recovery_duration_(recovery_duration) {}
@@ -75,31 +77,26 @@ class FuseeStore : public repair::RepairableStore {
     serving_ = std::move(serving);
   }
 
-  // --- Live migration (src/repair/migration.h's per-key flow, FUSEE-shaped) ---
+  // --- Live migration (src/repair/migration.h: MigrationService drives) ---
   //
-  // Moves the key's replica off `from` by re-homing BOTH index slots to
-  // freshly allocated ones (the surviving role keeps its node but still gets
-  // a new slot address): fence both old 8 B slots (MemoryNode::RetireRegion)
-  // so no client CAS can commit any more, harvest the primary slot's word
-  // once through `worker` (which rides the repair channel, passing the
-  // fence) — final, because post-fence commits are impossible — install
-  // fresh block copies + words at the new home, then flip the directory
-  // entry in place. Block regions are never fenced: a block is unreachable
-  // without an index word, and generation checks make recycling safe.
-  // `disable_flip_fence` is the ownership-flip canary (the linearizability
-  // checker must catch the stale-slot commits it permits). Returns false
-  // when the key was skipped (source busy: recovery or repair in flight) or
-  // the copy failed — then the fences were restored and the directory is
-  // untouched.
-  sim::Task<bool> MigrateKey(uint64_t key, int from, Worker* worker,
-                             bool disable_flip_fence = false);
-
-  // Drains every key hosted by `node` (one MigrateKey per key, key-sorted).
-  // Returns the number of keys still on the node afterwards (0 = clean).
-  sim::Task<uint64_t> MigrateNode(int node, Worker* worker, bool disable_flip_fence = false);
-
-  uint64_t keys_moved() const { return keys_moved_; }
-  uint64_t keys_aborted() const { return keys_aborted_; }
+  // A move re-homes BOTH index slots to freshly allocated ones (the
+  // surviving role keeps its node but still gets a new slot address): the
+  // fence retires both old 8 B slots (MemoryNode::RetireRegion) so no client
+  // CAS can commit any more, the copy harvests the primary slot's word once
+  // through the coordinator (which rides the repair channel, passing the
+  // fence) — final, because post-fence commits are impossible — and installs
+  // fresh block copies + words at the new home, and the flip rewrites the
+  // directory entry in place. Block regions are never fenced: a block is
+  // unreachable without an index word, and generation checks make recycling
+  // safe. Keys are listed from the inverse registry below, so drains and
+  // extent moves stay O(keys-on-node).
+  std::vector<uint64_t> KeysOn(int node, uint64_t lo, uint64_t hi) const override;
+  std::vector<repair::KeyPlacement> Placements() const override;
+  // Null (nothing to move) when the key was never placed, is not hosted by
+  // `from`, or belongs to the recovery path: the store is recovering, or
+  // either home failed or is mid-repair.
+  sim::Task<std::unique_ptr<repair::ReplicaMove>> PlanMove(uint64_t key, int from,
+                                                           Worker* worker) override;
 
   // --- Recovery state machine (§7.7) ---
   bool InRecovery() const {
@@ -135,15 +132,9 @@ class FuseeStore : public repair::RepairableStore {
 
   uint64_t ModeledIndexBytes() const { return directory_.size() * 2 * 8; }
 
-  // Inverse placement registry: the ordered key set each node hosts (as
-  // primary or backup). Repair and drain walk THIS — O(keys-on-node), not
-  // O(directory) — and migration flips keep it current.
-  uint64_t KeysOn(int node) const {
-    const auto idx = static_cast<size_t>(node);
-    return idx < node_keys_.size() ? node_keys_[idx].size() : 0;
-  }
-
  private:
+  class KeyMove;  // One key's two-slot re-homing (fusee_kv.cc).
+
   void RegisterKey(uint64_t key, int primary, int backup);
   void ReplaceHome(uint64_t key, int old_primary, int old_backup, int new_primary, int new_backup);
   fabric::Fabric* fabric_;
@@ -152,12 +143,13 @@ class FuseeStore : public repair::RepairableStore {
   int repairing_ = 0;
   std::vector<bool> failed_nodes_ = std::vector<bool>(16, false);
   uint64_t next_gen_ = 1;
-  uint64_t keys_moved_ = 0;
-  uint64_t keys_aborted_ = 0;
   std::shared_ptr<const std::vector<bool>> serving_;
   PlacementProbe place_;  // Minimal-remap placement over the serving set.
   std::unordered_map<uint64_t, KeyMeta> directory_;
-  std::vector<std::set<uint64_t>> node_keys_;  // node -> keys hosted (ordered).
+  // Inverse placement registry: the ordered key set each node hosts (as
+  // primary or backup). Repair and migration walk THIS — O(keys-on-node),
+  // not O(directory) — and migration flips keep it current.
+  std::vector<std::set<uint64_t>> node_keys_;
 };
 
 class FuseeKvSession : public KvSession {
@@ -180,6 +172,16 @@ class FuseeKvSession : public KvSession {
 
   // Reacts to a failed fabric op: kicks off recovery.
   sim::Task<void> OnNodeFailure(int node);
+
+  // A commit-critical backup-slot write bounced off a migration fence AFTER
+  // the primary commit. Re-posts it until it lands (the move aborted and
+  // lifted the fence) or the key's home flipped (`meta.moves` moved on: the
+  // harvest carried the commit to both new slots). A result still
+  // kMovedReplica with an unchanged `meta.moves` means the wait ran out.
+  sim::Task<fabric::OpResult> WriteBackupThroughMove(const FuseeStore::KeyMeta& meta,
+                                                     uint64_t moves_at_start, int backup_node,
+                                                     uint64_t backup_slot,
+                                                     std::span<const uint8_t> word);
 
   sim::Task<KvResult> WriteInternal(uint64_t key, std::span<const uint8_t> value, bool expect_new);
 

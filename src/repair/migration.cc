@@ -6,41 +6,148 @@
 
 #include "src/repair/quorum_copy.h"
 #include "src/swarm/abd.h"
-#include "src/swarm/layout.h"
 
 namespace swarm::repair {
 
 namespace {
 
-// Fence or unfence a replica slot. A replica is ONE contiguous slab slot
-// ([meta | in-place? | tsl], see AllocateObject), so one interval covers it.
-void SetSlotFence(fabric::MemoryNode& node, const ObjectLayout* layout, const ReplicaLayout& rep,
-                  bool fenced) {
-  const uint64_t len = layout->replica_slot_bytes(rep.inplace_addr != 0);
-  if (fenced) {
-    node.RetireRegion(rep.meta_addr, len);
-  } else {
-    node.RestoreRegion(rep.meta_addr, len);
+// One replica slot of an index-mapped ObjectLayout moving to a fresh slot on
+// the destination: L' = L with the vacated slot's buffers replaced, every
+// other slot shared with L byte-for-byte.
+class LayoutMove final : public ReplicaMove {
+ public:
+  LayoutMove(index::IndexService* index, LayoutProtocol protocol, Worker* worker, uint64_t key,
+             index::IndexEntry entry, int slot)
+      : index_(index), protocol_(protocol), worker_(worker), key_(key),
+        src_(std::move(entry.layout)), generation_(entry.generation), slot_(slot),
+        vacated_(src_->replicas[static_cast<size_t>(slot)]) {}
+
+  bool CanHost(int node) const override {
+    for (int r = 0; r < src_->num_replicas; ++r) {
+      if (src_->replicas[static_cast<size_t>(r)].node == node) {
+        return false;
+      }
+    }
+    return true;
   }
-}
+
+  void Graft(int dest) override {
+    dst_ = std::make_shared<ObjectLayout>(*src_);
+    const int nodes[1] = {dest};
+    ObjectLayout fresh =
+        AllocateObject(*worker_->fabric(), nodes, 1, src_->meta_slots, src_->max_writers,
+                       src_->max_value, /*inplace_copies=*/vacated_.inplace_addr != 0 ? 1 : 0);
+    dst_->replicas[static_cast<size_t>(slot_)] = fresh.replicas[0];
+  }
+
+  // A replica is ONE contiguous slab slot ([meta | in-place? | tsl], see
+  // AllocateObject), so one interval covers it.
+  void SetFence(bool fenced) override {
+    fabric::MemoryNode& node = worker_->fabric()->node(vacated_.node);
+    const uint64_t len = src_->replica_slot_bytes(vacated_.inplace_addr != 0);
+    if (fenced) {
+      node.RetireRegion(vacated_.meta_addr, len);
+    } else {
+      node.RestoreRegion(vacated_.meta_addr, len);
+    }
+  }
+
+  sim::Task<bool> Copy() override {
+    if (protocol_ == LayoutProtocol::kAbd) {
+      AbdObject obj(worker_, src_.get(), worker_->SlotCacheFor(src_.get()));
+      co_return co_await obj.CopyReplicaTo(dst_.get(), slot_);
+    }
+    co_return co_await CopySafeGuessReplica(worker_, src_, dst_.get(), slot_,
+                                            /*skip_tombstones=*/false);
+  }
+
+  // ReplaceLayout retires L as moved: the repair walk skips it, cache GC
+  // listeners invalidate it, and the old slot's fence is PERMANENT (it
+  // survives even a crash-recover of the source node — the state behind it
+  // is dead).
+  sim::Task<bool> Flip() override {
+    co_return co_await index_->ReplaceLayout(key_, generation_, dst_, worker_->cpu()) != 0;
+  }
+
+  // The fresh destination slot was never published — no directory entry, no
+  // cached Located, and the coordinator's copy verbs have all completed — so
+  // it goes straight back to the slab (through its quarantine).
+  void Abandon() override {
+    const ReplicaLayout& fresh = dst_->replicas[static_cast<size_t>(slot_)];
+    worker_->fabric()->node(fresh.node).FreeSlot(fresh.meta_addr);
+  }
+
+ private:
+  index::IndexService* index_;
+  LayoutProtocol protocol_;
+  Worker* worker_;
+  uint64_t key_;
+  std::shared_ptr<const ObjectLayout> src_;
+  uint64_t generation_;
+  int slot_;
+  ReplicaLayout vacated_;
+  std::shared_ptr<ObjectLayout> dst_;
+};
 
 }  // namespace
 
-int MigrationService::PickDestination(uint64_t key, const ObjectLayout* layout) const {
+std::vector<uint64_t> IndexMigrationSource::KeysOn(int node, uint64_t lo, uint64_t hi) const {
+  // Walk the node's own slots in the inverse placement map — O(slots on the
+  // node), address-ordered (deterministic for seed replay) — counting only
+  // slots whose owner is the key's CURRENT mapping: retired layouts pinned by
+  // stale caches are released by the retired-layout GC, not moved.
+  std::vector<uint64_t> keys;
+  index_->placement().ForEachSlotOn(
+      node, [&](uint64_t addr, const index::PlacementMap::Slot& slot) {
+        if (addr < lo || addr >= hi || slot.moved) {
+          return;
+        }
+        const index::IndexEntry* e = index_->Peek(slot.key);
+        if (e != nullptr && e->layout.get() == slot.owner.get()) {
+          keys.push_back(slot.key);
+        }
+      });
+  return keys;
+}
+
+std::vector<KeyPlacement> IndexMigrationSource::Placements() const {
+  const auto snapshot = index_->SnapshotSorted();
+  std::vector<KeyPlacement> out;
+  out.reserve(snapshot.size());
+  for (const auto& [key, entry] : snapshot) {
+    KeyPlacement p;
+    p.key = key;
+    p.num_replicas = entry.layout->num_replicas;
+    for (int r = 0; r < p.num_replicas; ++r) {
+      p.nodes[static_cast<size_t>(r)] = entry.layout->replicas[static_cast<size_t>(r)].node;
+    }
+    out.push_back(p);
+  }
+  return out;
+}
+
+sim::Task<std::unique_ptr<ReplicaMove>> IndexMigrationSource::PlanMove(uint64_t key, int from,
+                                                                       Worker* worker) {
+  auto idx = co_await index_->Lookup(key, worker->cpu());
+  if (!idx.has_value()) {
+    co_return nullptr;
+  }
+  for (int r = 0; r < idx->layout->num_replicas; ++r) {
+    if (idx->layout->replicas[static_cast<size_t>(r)].node == from) {
+      co_return std::make_unique<LayoutMove>(index_, protocol_, worker, key, std::move(*idx), r);
+    }
+  }
+  co_return nullptr;  // Already elsewhere (or a racing move beat us).
+}
+
+int MigrationService::PickDestination(uint64_t key, const ReplicaMove& move) const {
   // Stack buffer: the pick runs per migrated key inside bulk flows and must
   // not allocate (the zero-alloc guard covers the chaos hot loops).
   int candidates[kMaxNodes];
   size_t num_candidates = 0;
   const int n = worker_->fabric()->num_nodes();
   for (int i = 0; i < n && num_candidates < kMaxNodes; ++i) {
-    if (!membership_->IsServing(i) || membership_->IsRepairing(i)) {
-      continue;
-    }
-    bool hosts = false;
-    for (int r = 0; r < layout->num_replicas; ++r) {
-      hosts = hosts || layout->replicas[static_cast<size_t>(r)].node == i;
-    }
-    if (!hosts) {
+    if (membership_->IsServing(i) && !membership_->IsRepairing(i) && move.CanHost(i)) {
       candidates[num_candidates++] = i;
     }
   }
@@ -51,79 +158,45 @@ int MigrationService::PickDestination(uint64_t key, const ObjectLayout* layout) 
   return candidates[h % num_candidates];
 }
 
-bool MigrationService::HostsReplicas(int node) const {
-  // Walk the node's own slots in the inverse placement map — O(slots on the
-  // node) — counting only slots whose owner is the key's CURRENT mapping
-  // (retired layouts pinned by stale caches don't block a drain; their slots
-  // are released by the retired-layout GC).
-  bool hosts = false;
-  index_->placement().ForEachSlotOn(
-      node, [&](uint64_t addr, const index::PlacementMap::Slot& slot) {
-        (void)addr;
-        if (hosts || slot.moved) {
-          return;
-        }
-        const index::IndexEntry* e = index_->Peek(slot.key);
-        if (e != nullptr && e->layout.get() == slot.owner.get()) {
-          hosts = true;
-        }
-      });
-  return hosts;
-}
-
 sim::Task<MigrateStatus> MigrationService::MigrateKey(uint64_t key, int from, int onto) {
   // --- plan ---------------------------------------------------------------
   // A source under repair is the repair's to arbitrate: its slots are being
   // rebuilt in place and the node is quorum-excluded, so a concurrent move
   // would harvest around it anyway only to fight the rebuild. Skip; bulk
-  // flows revisit the key after the repair readmits.
-  if (membership_->IsRepairing(from)) {
+  // flows revisit the key after the repair readmits. A key another flow of
+  // this service is already moving is skipped the same way.
+  if (membership_->IsRepairing(from) || !moving_.insert(key).second) {
     ++keys_skipped_;
     co_return MigrateStatus::kSkipped;
   }
-  auto idx = co_await index_->Lookup(key, worker_->cpu());
-  if (!idx.has_value()) {
+  MigrateStatus status = MigrateStatus::kSkipped;
+  std::unique_ptr<ReplicaMove> move = co_await store_->PlanMove(key, from, worker_);
+  if (move == nullptr) {
     ++keys_skipped_;
-    co_return MigrateStatus::kSkipped;
-  }
-  std::shared_ptr<const ObjectLayout> src = idx->layout;
-  int slot = -1;
-  for (int r = 0; r < src->num_replicas; ++r) {
-    if (src->replicas[static_cast<size_t>(r)].node == from) {
-      slot = r;
-      break;
+  } else {
+    const int dest = onto >= 0 ? onto : PickDestination(key, *move);
+    if (dest < 0 || dest == from || membership_->IsRepairing(dest) || !move->CanHost(dest)) {
+      status = MigrateStatus::kNoDestination;
+    } else {
+      status = co_await Move(*move, dest);
     }
   }
-  if (slot < 0) {
-    ++keys_skipped_;  // Already elsewhere (or a racing move beat us).
-    co_return MigrateStatus::kSkipped;
-  }
-  const int dest = onto >= 0 ? onto : PickDestination(key, src.get());
-  if (dest < 0 || dest == from || membership_->IsRepairing(dest)) {
-    co_return MigrateStatus::kNoDestination;
-  }
+  moving_.erase(key);
+  co_return status;
+}
 
+sim::Task<MigrateStatus> MigrationService::Move(ReplicaMove& move, int dest) {
   ++in_flight_;
-  const ReplicaLayout vacated = src->replicas[static_cast<size_t>(slot)];
-
-  // --- graft --------------------------------------------------------------
-  // L' = L with the vacated slot's buffers replaced by fresh allocations on
-  // the destination; every other slot is shared with L byte-for-byte.
-  auto dst = std::make_shared<ObjectLayout>(*src);
-  {
-    const int nodes[1] = {dest};
-    ObjectLayout fresh =
-        AllocateObject(*worker_->fabric(), nodes, 1, src->meta_slots, src->max_writers,
-                       src->max_value, /*inplace_copies=*/vacated.inplace_addr != 0 ? 1 : 0);
-    dst->replicas[static_cast<size_t>(slot)] = fresh.replicas[0];
-  }
-
-  // --- fence + epoch bump -------------------------------------------------
+  // --- graft + fence + epoch bump -----------------------------------------
+  move.Graft(dest);
   const bool fenced = !config_.disable_flip_fence;
+  const bool bump_epoch = !move.FencesEveryReplica();
   if (fenced) {
-    SetSlotFence(worker_->fabric()->node(from), src.get(), vacated, /*fenced=*/true);
+    move.SetFence(true);
   }
-  membership_->NoteOwnershipFlip();
+  if (bump_epoch) {
+    membership_->NoteOwnershipFlip();
+  }
 
   // --- copy ---------------------------------------------------------------
   bool copied = false;
@@ -131,42 +204,31 @@ sim::Task<MigrateStatus> MigrationService::MigrateKey(uint64_t key, int from, in
     if (round > 0) {
       co_await worker_->sim()->Delay(config_.round_retry_delay);
     }
-    if (protocol_ == LayoutProtocol::kAbd) {
-      AbdObject obj(worker_, src.get(), worker_->SlotCacheFor(src.get()));
-      copied = co_await obj.CopyReplicaTo(dst.get(), slot);
-    } else {
-      copied = co_await CopySafeGuessReplica(worker_, src, dst.get(), slot,
-                                             /*skip_tombstones=*/false);
-    }
+    copied = co_await move.Copy();
   }
 
   // --- flip ---------------------------------------------------------------
-  uint64_t new_generation = 0;
+  bool flipped = false;
   if (copied) {
-    new_generation = co_await index_->ReplaceLayout(key, idx->generation, dst, worker_->cpu());
+    flipped = co_await move.Flip();
   }
-  if (new_generation != 0) {
-    // ReplaceLayout retired L as moved: the repair walk skips it, cache GC
-    // listeners invalidate it, and the old slot's fences are PERMANENT (they
-    // survive even a crash-recover of the source node — the state behind
-    // them is dead).
+  if (flipped) {
     ++keys_moved_;
     --in_flight_;
     co_return MigrateStatus::kMoved;
   }
 
   // --- abort --------------------------------------------------------------
-  // Copy gave up (no surviving quorum within budget) or the flip guard
-  // failed (racing delete / re-insert). Restore the fences and abandon L':
-  // the cluster is exactly as before the attempt. The fresh destination slot
-  // was never published — no directory entry, no cached Located, and the
-  // coordinator's copy verbs have all completed — so it goes straight back
-  // to the slab (through its quarantine).
+  // Copy gave up (no surviving source within budget) or the flip guard
+  // failed (racing delete / re-insert). Restore the fences and abandon the
+  // destination: the cluster is exactly as before the attempt.
   if (fenced) {
-    SetSlotFence(worker_->fabric()->node(from), src.get(), vacated, /*fenced=*/false);
+    move.SetFence(false);
   }
-  worker_->fabric()->node(dest).FreeSlot(dst->replicas[static_cast<size_t>(slot)].meta_addr);
-  membership_->NoteOwnershipFlip();  // Un-fenced: stale holders re-learn again.
+  move.Abandon();
+  if (bump_epoch) {
+    membership_->NoteOwnershipFlip();  // Un-fenced: stale holders re-learn again.
+  }
   ++keys_aborted_;
   --in_flight_;
   co_return MigrateStatus::kAborted;
@@ -174,26 +236,13 @@ sim::Task<MigrateStatus> MigrationService::MigrateKey(uint64_t key, int from, in
 
 sim::Task<uint64_t> MigrationService::MigrateExtent(int from, uint64_t addr, int onto) {
   // --- plan: the extent's keys --------------------------------------------
-  // One slab extent holds same-sized replica slots back to back, and the
-  // inverse placement map walks them in address order — so an extent's live
-  // keys are one contiguous sub-range of the node's slot walk.
+  // One slab extent holds same-sized replica slots back to back, so an
+  // extent's live keys are exactly the store's keys in its address range.
   const auto* ext = worker_->fabric()->node(from).SlotExtentOf(addr);
   if (ext == nullptr) {
     co_return 0;
   }
-  const uint64_t base = ext->base;
-  const uint64_t end = ext->base + ext->bytes;
-  std::vector<uint64_t> keys;
-  index_->placement().ForEachSlotOn(
-      from, [&](uint64_t slot_addr, const index::PlacementMap::Slot& slot) {
-        if (slot_addr < base || slot_addr >= end || slot.moved) {
-          return;
-        }
-        const index::IndexEntry* e = index_->Peek(slot.key);
-        if (e != nullptr && e->layout.get() == slot.owner.get()) {
-          keys.push_back(slot.key);
-        }
-      });
+  const std::vector<uint64_t> keys = store_->KeysOn(from, ext->base, ext->base + ext->bytes);
   // --- fence + copy + flip, one slot at a time ----------------------------
   // Each flip plants its own slot fence; the retired map COALESCES adjacent
   // slots, so as the extent empties the fences merge into a single interval
@@ -223,22 +272,20 @@ sim::Task<int> MigrationService::AdmitAndRebalance(uint64_t max_keys) {
   // Fill it by pulling keys over — destination pinned, source picked per key
   // as the replica the key hashes to, spreading the unload evenly.
   uint64_t moved = 0;
-  auto snapshot = index_->SnapshotSorted();
-  for (const auto& [key, entry] : snapshot) {
+  const std::vector<KeyPlacement> placements = store_->Placements();
+  for (const KeyPlacement& p : placements) {
     if (moved >= max_keys) {
       break;
     }
     bool hosts = false;
-    for (int r = 0; r < entry.layout->num_replicas; ++r) {
-      hosts = hosts || entry.layout->replicas[static_cast<size_t>(r)].node == node;
+    for (int r = 0; r < p.num_replicas; ++r) {
+      hosts = hosts || p.nodes[static_cast<size_t>(r)] == node;
     }
     if (hosts) {
       continue;
     }
-    const int r = static_cast<int>(key % static_cast<uint64_t>(entry.layout->num_replicas));
-    const int from = entry.layout->replicas[static_cast<size_t>(r)].node;
-    const MigrateStatus st = co_await MigrateKey(key, from, node);
-    if (st == MigrateStatus::kMoved) {
+    const int from = p.nodes[p.key % static_cast<uint64_t>(p.num_replicas)];
+    if (co_await MigrateKey(p.key, from, node) == MigrateStatus::kMoved) {
       ++moved;
     }
   }
@@ -254,31 +301,19 @@ sim::Task<bool> MigrationService::Drain(int node, bool decommission) {
       co_await worker_->sim()->Delay(config_.round_retry_delay);
     }
     clean = true;
-    // Snapshot the node's live slots from the inverse placement map —
-    // O(slots on the node), address-ordered (deterministic for seed
-    // replay) — instead of scanning the whole store. A layout hosting two
-    // replicas here lists its key twice; the second MigrateKey simply moves
+    // Snapshot the node's live keys — O(slots on the node), deterministic
+    // for seed replay — instead of scanning the whole store. A key hosting
+    // two replicas here is listed twice; the second MigrateKey simply moves
     // the second replica.
-    std::vector<uint64_t> keys;
-    index_->placement().ForEachSlotOn(
-        node, [&](uint64_t addr, const index::PlacementMap::Slot& slot) {
-          (void)addr;
-          if (slot.moved) {
-            return;
-          }
-          const index::IndexEntry* e = index_->Peek(slot.key);
-          if (e != nullptr && e->layout.get() == slot.owner.get()) {
-            keys.push_back(slot.key);
-          }
-        });
+    const std::vector<uint64_t> keys = store_->KeysOn(node);
     for (uint64_t key : keys) {
       const MigrateStatus st = co_await MigrateKey(key, node, -1);
       clean = clean && (st == MigrateStatus::kMoved || st == MigrateStatus::kSkipped);
     }
-    // Mappings inserted after the snapshot placed on the serving set, which
-    // has excluded `node` since BeginDrain — but a key skipped above (its
-    // source or the whole cluster was mid-repair) still hosts one.
-    clean = clean && !HostsReplicas(node);
+    // Keys placed after the snapshot went to the serving set, which has
+    // excluded `node` since BeginDrain — but a key skipped above (its source
+    // was mid-repair, or it was already moving) may still live here.
+    clean = clean && store_->KeysOn(node).empty();
   }
   if (clean) {
     if (decommission) {

@@ -49,6 +49,7 @@ using testing::ChaosHistories;
 using testing::CheckHistories;
 using testing::DriveScenarios;
 using testing::ElasticFabric;
+using testing::GrowShrinkStep;
 using testing::KvChaosClient;
 using testing::ScenarioSpec;
 using testing::SeedMessage;
@@ -71,40 +72,6 @@ void ExpectMigrationLifecyclesComplete(const ChaosEnv& c, const ScenarioSpec& sp
   }
   EXPECT_EQ(starts, dones) << SeedMessage(spec, c.engine);
   EXPECT_EQ(c.engine.crashed_count(), 0) << SeedMessage(spec, c.engine);
-}
-
-// The choreography the engine fires (at most max_migrations = 2 per
-// scenario): first a grow — admit a fresh node and rebalance keys onto it —
-// then a shrink — drain node 0 and decommission it. Under the
-// concurrent-grow+shrink spec both lifecycles overlap in time.
-sim::Task<bool> QuorumMigrationStep(repair::MigrationService* migration, int step) {
-  if (step % 2 == 0) {
-    const int node = co_await migration->AdmitAndRebalance(/*max_keys=*/3);
-    co_return node >= 0;
-  }
-  co_return co_await migration->Drain(/*node=*/0, /*decommission=*/true);
-}
-
-// FUSEE's variant drives the store's own two-slot re-homing. Grow: admit +
-// join, then spread node 1's keys across the (now larger) serving set.
-// Shrink: drain node 0; if any key could not move (its quorum was mid-crash
-// or mid-recovery) the drain aborts gracefully and the node resumes serving.
-sim::Task<bool> FuseeMigrationStep(ChaosEnv* c, kv::FuseeStore* store, Worker* w, int step) {
-  if (step % 2 == 0) {
-    const int node = c->membership.AdmitNode();
-    if (node < 0) {
-      co_return false;
-    }
-    c->membership.CompleteJoin(node);
-    co_return (co_await store->MigrateNode(1, w)) == 0;
-  }
-  c->membership.BeginDrain(0);
-  const uint64_t remaining = co_await store->MigrateNode(0, w);
-  if (remaining != 0) {
-    c->membership.CompleteJoin(0);  // Graceful abort: back to serving.
-    co_return false;
-  }
-  co_return true;
 }
 
 // ---------- Runners: crash-recover wiring + a migration coordinator --------
@@ -135,11 +102,11 @@ void RunMigrationSwarmScenario(const ScenarioSpec& spec) {
   repair.RegisterStore(&source);
   recycler.set_repair_gate([&repair] { return repair.InFlight(); });
   c.engine.set_repair_fn([&repair](int node) { return repair.RecoverAndRepair(node); });
-  repair::MigrationService migration(&c.membership, &index, &c.env.MakeWorker(0),
-                                     repair::LayoutProtocol::kSafeGuess);
+  repair::IndexMigrationSource movable(&index, repair::LayoutProtocol::kSafeGuess);
+  repair::MigrationService migration(&c.membership, &movable, &c.env.MakeWorker(0));
   int mig_step = 0;
   c.engine.set_migration_fn(
-      [&migration, &mig_step]() { return QuorumMigrationStep(&migration, mig_step++); });
+      [&migration, &mig_step]() { return GrowShrinkStep(&migration, mig_step++); });
   c.engine.set_epoch_churn([&recycler]() -> sim::Task<void> {
     recycler.HeartbeatAll();
     return recycler.RunRound();
@@ -175,11 +142,11 @@ void RunMigrationDmAbdScenario(const ScenarioSpec& spec) {
   repair::IndexRepairSource source(&index, repair::LayoutProtocol::kAbd);
   repair.RegisterStore(&source);
   c.engine.set_repair_fn([&repair](int node) { return repair.RecoverAndRepair(node); });
-  repair::MigrationService migration(&c.membership, &index, &c.env.MakeWorker(0),
-                                     repair::LayoutProtocol::kAbd);
+  repair::IndexMigrationSource movable(&index, repair::LayoutProtocol::kAbd);
+  repair::MigrationService migration(&c.membership, &movable, &c.env.MakeWorker(0));
   int mig_step = 0;
   c.engine.set_migration_fn(
-      [&migration, &mig_step]() { return QuorumMigrationStep(&migration, mig_step++); });
+      [&migration, &mig_step]() { return GrowShrinkStep(&migration, mig_step++); });
   for (int i = 0; i < spec.clients; ++i) {
     Spawn(KvChaosClient(&c.env, sessions[static_cast<size_t>(i)].get(),
                         spec.seed * 131 + static_cast<uint64_t>(i), spec, &hist));
@@ -205,16 +172,10 @@ void RunMigrationFuseeScenario(const ScenarioSpec& spec) {
   repair::RepairService repair(&c.membership, &c.env.MakeWorker(0));
   repair.RegisterStore(&store);
   c.engine.set_repair_fn([&repair](int node) { return repair.RecoverAndRepair(node); });
-  // The migration coordinator's verbs harvest from fenced slots, so its
-  // worker rides the repair channel (MigrationService wires this itself;
-  // FUSEE's store-level mover expects the caller to).
-  Worker& mover = c.env.MakeWorker(0);
-  mover.set_repair_excluded(c.membership.repairing());
-  mover.MarkRepairChannel();
+  repair::MigrationService migration(&c.membership, &store, &c.env.MakeWorker(0));
   int mig_step = 0;
-  c.engine.set_migration_fn([&c, &store, &mover, &mig_step]() {
-    return FuseeMigrationStep(&c, &store, &mover, mig_step++);
-  });
+  c.engine.set_migration_fn(
+      [&migration, &mig_step]() { return GrowShrinkStep(&migration, mig_step++); });
   for (int i = 0; i < spec.clients; ++i) {
     Spawn(KvChaosClient(&c.env, sessions[static_cast<size_t>(i)].get(),
                         spec.seed * 131 + static_cast<uint64_t>(i), spec, &hist));

@@ -21,6 +21,7 @@
 
 #include "src/index/client_cache.h"
 #include "src/index/index_service.h"
+#include "src/kv/fusee_kv.h"
 #include "src/kv/swarm_kv.h"
 #include "src/repair/migration.h"
 #include "src/repair/repair.h"
@@ -713,17 +714,7 @@ TEST(ChaosCanary, StaleEpochInFlightWindowIsCaughtAndReplays) {
 // fence (kMovedReplica) and re-resolve through the index — exactly the
 // mechanism this canary removes.
 
-// Grow/shrink cycle driven by the chaos engine's migration hook (free
-// function: the migration_fn lambda must not itself be a coroutine).
-Task<bool> MigrationCanaryStep(repair::MigrationService* migration, int step) {
-  if (step % 2 == 0) {
-    const int node = co_await migration->AdmitAndRebalance(/*max_keys=*/3);
-    co_return node >= 0;
-  }
-  co_return co_await migration->Drain(/*node=*/0, /*decommission=*/true);
-}
-
-CanaryOutcome RunMigrationFenceCanaryScenario(uint64_t seed, bool flip_fence) {
+ScenarioSpec MigrationCanarySpec(uint64_t seed) {
   ScenarioSpec spec;
   spec.seed = seed;
   spec.clients = 4;
@@ -737,7 +728,11 @@ CanaryOutcome RunMigrationFenceCanaryScenario(uint64_t seed, bool flip_fence) {
   spec.faults.max_migrations = 2;
   spec.faults.churn_weight = 0.8;  // Recycler rounds drive the retired-layout GC.
   spec.faults.max_drop_p = 0.45;   // Drop diversity steers quorum selection.
+  return spec;
+}
 
+CanaryOutcome RunMigrationFenceCanaryScenario(uint64_t seed, bool flip_fence) {
+  const ScenarioSpec spec = MigrationCanarySpec(seed);
   ChaosEnv c(spec, testing::ElasticFabric());
   index::IndexService index(&c.env.sim, &c.env.fabric);
   Recycler recycler(&c.env.sim, &c.membership);
@@ -760,11 +755,12 @@ CanaryOutcome RunMigrationFenceCanaryScenario(uint64_t seed, bool flip_fence) {
   }
   repair::MigrationConfig mcfg;
   mcfg.disable_flip_fence = !flip_fence;
-  repair::MigrationService migration(&c.membership, &index, &c.env.MakeWorker(0),
-                                     repair::LayoutProtocol::kSafeGuess, mcfg);
+  repair::IndexMigrationSource movable(&index, repair::LayoutProtocol::kSafeGuess);
+  repair::MigrationService migration(&c.membership, &movable, &c.env.MakeWorker(0), mcfg);
   int mig_step = 0;
-  c.engine.set_migration_fn(
-      [&migration, &mig_step]() { return MigrationCanaryStep(&migration, mig_step++); });
+  c.engine.set_migration_fn([&migration, &mig_step]() {
+    return testing::GrowShrinkStep(&migration, mig_step++);
+  });
   c.engine.set_epoch_churn([&recycler]() -> Task<void> {
     recycler.HeartbeatAll();
     return recycler.RunRound();
@@ -813,6 +809,79 @@ TEST(ChaosCanary, UnfencedMigrationFlipIsCaughtAndReplays) {
       17000,
       [](uint64_t seed) { return RunMigrationFenceCanaryScenario(seed, /*flip_fence=*/false); },
       "migration-flip-fence");
+}
+
+// FUSEE's counterpart, through the same engine and the same knob. FUSEE
+// clients re-read the key's home at every attempt, so the stale window is
+// one op long: a write that read the directory before the flip and CASes the
+// OLD primary slot after the harvest commits into a dead slot — acked, and
+// invisible at the new home. The fence turns that CAS into a kMovedReplica
+// bounce, and the client retries at the new home.
+CanaryOutcome RunFuseeMigrationFenceCanaryScenario(uint64_t seed, bool flip_fence) {
+  // FUSEE's chaos pacing (tests/chaos_migration_test.cc): at the quorum
+  // stores' 24 ops and 7 us think, FUSEE itself is not linearizable even
+  // without migrations (ROADMAP). No recycler, and milder drops — FUSEE
+  // stalls on every failed verb.
+  ScenarioSpec spec = MigrationCanarySpec(seed);
+  spec.ops_per_client = 14;
+  spec.mean_think = 18000;
+  spec.faults.mean_gap = 5 * sim::kMicrosecond;
+  spec.faults.churn_weight = 0.0;
+  spec.faults.max_drop_p = 0.15;
+
+  ChaosEnv c(spec, testing::ElasticFabric());
+  kv::FuseeStore store(&c.env.fabric, /*recovery_duration=*/300 * sim::kMicrosecond);
+  store.set_serving(c.membership.serving());
+  std::vector<std::unique_ptr<index::ClientCache>> caches;
+  std::vector<std::unique_ptr<kv::FuseeKvSession>> sessions;
+  ChaosHistories hist;
+  for (int i = 0; i < spec.clients; ++i) {
+    Worker& w = c.MakeSkewedWorker(spec);
+    caches.push_back(std::make_unique<index::ClientCache>());
+    sessions.push_back(std::make_unique<kv::FuseeKvSession>(&w, &store, caches.back().get()));
+  }
+  repair::MigrationConfig mcfg;
+  mcfg.disable_flip_fence = !flip_fence;
+  repair::MigrationService migration(&c.membership, &store, &c.env.MakeWorker(0), mcfg);
+  int mig_step = 0;
+  c.engine.set_migration_fn([&migration, &mig_step]() {
+    return testing::GrowShrinkStep(&migration, mig_step++);
+  });
+  for (int i = 0; i < spec.clients; ++i) {
+    Spawn(KvChaosClient(&c.env, sessions[static_cast<size_t>(i)].get(),
+                        spec.seed * 131 + static_cast<uint64_t>(i), spec, &hist));
+  }
+  c.engine.Start();
+  c.env.sim.Run();
+
+  CanaryOutcome out;
+  out.violation = CheckHistories(hist);
+  out.violated = !out.violation.empty();
+  out.trace_hash = c.engine.TraceHash();
+  return out;
+}
+
+TEST(ChaosReplay, FuseeMigrationScenarioWithFlipFenceStaysLinearizable) {
+  uint64_t forced = 0;
+  if (testing::ForcedSeed(&forced)) {
+    CanaryOutcome out = RunFuseeMigrationFenceCanaryScenario(forced, /*flip_fence=*/true);
+    ASSERT_FALSE(out.violated) << "seed " << forced << ": " << out.violation;
+    return;
+  }
+  for (int i = 0; i < 120; ++i) {
+    const uint64_t seed = 17500 + static_cast<uint64_t>(i);
+    CanaryOutcome out = RunFuseeMigrationFenceCanaryScenario(seed, /*flip_fence=*/true);
+    ASSERT_FALSE(out.violated) << "seed " << seed << ": " << out.violation;
+  }
+}
+
+TEST(ChaosCanary, UnfencedFuseeMigrationFlipIsCaughtAndReplays) {
+  ExpectCanaryCaught(
+      17500,
+      [](uint64_t seed) {
+        return RunFuseeMigrationFenceCanaryScenario(seed, /*flip_fence=*/false);
+      },
+      "fusee-migration-flip-fence");
 }
 
 // ---------- The read-path canaries ----------

@@ -1,7 +1,9 @@
-// Live extent migration (src/repair/migration.h): unit coverage for the
-// plan/graft/fence/copy/flip lifecycle and its abort path, the
-// migrate-vs-repair arbitration, the membership lifecycle state model, the
-// serving-filtered placement, and FUSEE's two-slot re-homing variant.
+// Live migration (src/repair/migration.h): unit coverage for the membership
+// lifecycle state model, the serving-filtered placement, and the one
+// MigrationService lifecycle — plan/graft/fence/copy/flip, abort, the
+// migrate-vs-repair arbitration, admission, drain, extent moves and per-key
+// serialization — run against all three stores (SWARM-KV and DM-ABD through
+// IndexMigrationSource, FUSEE's two-slot re-homing through FuseeStore).
 //
 // The chaos-driven end of the same machinery — crash during migration,
 // migrate during repair, concurrent grow+shrink, all linearizability-checked
@@ -11,7 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/index/client_cache.h"
@@ -130,219 +136,261 @@ TEST(Placement, DegenerateMembershipFallsBackToFullCluster) {
   EXPECT_EQ(nodes[2], 2);
 }
 
-// --- MigrationService: the per-key lifecycle over the quorum stores --------
+// --- MigrationService: one lifecycle engine over all three stores ----------
+
+enum class StoreKind : uint8_t { kSwarm, kDmAbd, kFusee };
+
+std::string StoreName(StoreKind kind) {
+  switch (kind) {
+    case StoreKind::kSwarm:
+      return "SwarmKv";
+    case StoreKind::kDmAbd:
+      return "DmAbdKv";
+    case StoreKind::kFusee:
+      return "FuseeKv";
+  }
+  return "Unknown";
+}
 
 // One client session + one migration coordinator over an elastic fabric.
+// The quorum stores share the index (moved through IndexMigrationSource);
+// FUSEE keeps its own directory and is its own MigratableStore.
 struct MigrationFixture {
-  explicit MigrationFixture(repair::LayoutProtocol protocol,
-                            repair::MigrationConfig mcfg = {})
-      : env(1, ElasticFabric(/*headroom=*/2)),
+  explicit MigrationFixture(StoreKind kind, repair::MigrationConfig mcfg = {})
+      : kind(kind),
+        env(1, ElasticFabric(/*headroom=*/2)),
         membership(&env.sim, &env.fabric, /*detection_delay=*/10 * sim::kMicrosecond),
         index(&env.sim),
+        fusee(&env.fabric, /*recovery_duration=*/100 * sim::kMicrosecond),
+        source(&index, kind == StoreKind::kDmAbd ? repair::LayoutProtocol::kAbd
+                                                 : repair::LayoutProtocol::kSafeGuess),
         client(env.MakeWorker()),
         coordinator(env.MakeWorker()),
-        migration(&membership, &index, &coordinator, protocol, mcfg) {
+        store(kind == StoreKind::kFusee ? static_cast<repair::MigratableStore*>(&fusee)
+                                        : &source),
+        migration(&membership, store, &coordinator, mcfg) {
     client.set_repair_excluded(membership.repairing());
     WireWorkerEpoch(client, membership);  // Unit fixtures run epoch-fenced too.
-  }
-
-  std::unique_ptr<kv::KvSession> MakeSession(repair::LayoutProtocol protocol) {
-    if (protocol == repair::LayoutProtocol::kAbd) {
-      return std::make_unique<kv::DmAbdKvSession>(&client, &index, &cache);
+    fusee.set_serving(membership.serving());
+    switch (kind) {
+      case StoreKind::kSwarm:
+        kv = std::make_unique<kv::SwarmKvSession>(&client, &index, &cache);
+        break;
+      case StoreKind::kDmAbd:
+        kv = std::make_unique<kv::DmAbdKvSession>(&client, &index, &cache);
+        break;
+      case StoreKind::kFusee:
+        kv = std::make_unique<kv::FuseeKvSession>(&client, &fusee, &cache);
+        break;
     }
-    return std::make_unique<kv::SwarmKvSession>(&client, &index, &cache);
   }
 
+  // The key's replica nodes, in replica order.
+  std::vector<int> Homes(uint64_t key) const {
+    for (const repair::KeyPlacement& p : store->Placements()) {
+      if (p.key == key) {
+        return {p.nodes.begin(), p.nodes.begin() + p.num_replicas};
+      }
+    }
+    return {};
+  }
+
+  // The nodes outside the key's replica set.
+  std::vector<int> Outside(uint64_t key) const {
+    const std::vector<int> homes = Homes(key);
+    std::vector<int> out;
+    for (int i = 0; i < env.fabric.num_nodes(); ++i) {
+      if (std::find(homes.begin(), homes.end(), i) == homes.end()) {
+        out.push_back(i);
+      }
+    }
+    return out;
+  }
+
+  // [addr, len) of the key's replica slot on `node` (FUSEE: its 8 B index
+  // slot there); {0, 0} when the node hosts none.
+  std::pair<uint64_t, uint64_t> SlotOn(uint64_t key, int node) {
+    if (kind == StoreKind::kFusee) {
+      const kv::FuseeStore::KeyMeta& meta = fusee.MetaFor(key);
+      if (meta.primary == node) {
+        return {meta.index_addr_primary, 8};
+      }
+      if (meta.backup == node) {
+        return {meta.index_addr_backup, 8};
+      }
+      return {0, 0};
+    }
+    const index::IndexEntry* e = index.Peek(key);
+    for (int r = 0; e != nullptr && r < e->layout->num_replicas; ++r) {
+      if (e->layout->replicas[static_cast<size_t>(r)].node == node) {
+        return e->layout->replica_slot(r);
+      }
+    }
+    return {0, 0};
+  }
+
+  bool Fenced(int node, std::pair<uint64_t, uint64_t> slot) {
+    return env.fabric.node(node).RegionRetired(slot.first, slot.second);
+  }
+
+  StoreKind kind;
   TestEnv env;
   membership::MembershipService membership;
   index::IndexService index;
+  kv::FuseeStore fusee;
+  repair::IndexMigrationSource source;
   index::ClientCache cache;
   Worker& client;
   Worker& coordinator;
+  repair::MigratableStore* store;
   repair::MigrationService migration;
+  std::unique_ptr<kv::KvSession> kv;
 };
 
-// Fence check for the slot a migration vacated (mirrors the service's own
-// region bookkeeping: meta array, optional in-place region, lock array).
-bool SlotFenced(fabric::Fabric& fabric, const ObjectLayout& layout, int slot) {
-  const ReplicaLayout& rep = layout.replicas[static_cast<size_t>(slot)];
-  fabric::MemoryNode& node = fabric.node(rep.node);
-  bool fenced = node.RegionRetired(rep.meta_addr, layout.meta_region_bytes()) &&
-                node.RegionRetired(rep.tsl_addr, layout.tsl_region_bytes());
-  if (rep.inplace_addr != 0) {
-    fenced = fenced && node.RegionRetired(rep.inplace_addr, layout.inplace_region_bytes());
-  }
-  return fenced;
+bool Contains(const std::vector<uint64_t>& keys, uint64_t key) {
+  return std::find(keys.begin(), keys.end(), key) != keys.end();
 }
 
-void RunMoveFlipServes(repair::LayoutProtocol protocol) {
-  MigrationFixture f(protocol);
-  auto kv = f.MakeSession(protocol);
+// Runs `driver(&f, &done)` as the fixture's client task to completion.
+template <typename Driver>
+void RunDriver(MigrationFixture& f, Driver driver) {
   bool done = false;
-  auto driver = [](MigrationFixture* f, kv::KvSession* kv, bool* done2) -> Task<void> {
-    EXPECT_TRUE((co_await kv->Insert(7, ValN(32, 0xAB))).ok());
+  Spawn(driver(&f, &done));
+  f.env.sim.Run();
+  EXPECT_TRUE(done);
+}
 
+// Every lifecycle test runs against all three stores through the same
+// MigrationService; store-specific structure is checked where it differs.
+class MigrationLifecycle : public ::testing::TestWithParam<StoreKind> {};
+
+TEST_P(MigrationLifecycle, MoveFlipServesFromNewHome) {
+  MigrationFixture f(GetParam());
+  RunDriver(f, [](MigrationFixture* f, bool* done) -> Task<void> {
+    EXPECT_TRUE((co_await f->kv->Insert(7, ValN(32, 0xAB))).ok());
+    const int from = f->Homes(7).front();
+    const auto vacated = f->SlotOn(7, from);
+    const kv::FuseeStore::KeyMeta old_meta = f->fusee.MetaFor(7);
     const index::IndexEntry* before = f->index.Peek(7);
-    EXPECT_NE(before, nullptr);
-    if (before == nullptr) {
-      co_return;
-    }
-    const auto old_layout = before->layout;
-    const uint64_t old_generation = before->generation;
-    const int from = old_layout->replicas[0].node;
+    const auto old_layout = before != nullptr ? before->layout : nullptr;
+    const uint64_t old_generation = before != nullptr ? before->generation : 0;
 
-    const repair::MigrateStatus st = co_await f->migration.MigrateKey(7, from);
-    EXPECT_EQ(st, repair::MigrateStatus::kMoved);
+    EXPECT_EQ(co_await f->migration.MigrateKey(7, from), repair::MigrateStatus::kMoved);
     EXPECT_EQ(f->migration.keys_moved(), 1u);
 
-    // The flip: new layout under a bumped generation, slot 0 re-homed, every
-    // other slot shared byte-for-byte with the old layout.
-    const index::IndexEntry* after = f->index.Peek(7);
-    EXPECT_NE(after, nullptr);
-    if (after == nullptr) {
-      co_return;
-    }
-    EXPECT_GT(after->generation, old_generation);
-    EXPECT_NE(after->layout.get(), old_layout.get());
-    EXPECT_NE(after->layout->replicas[0].node, from);
-    for (int r = 1; r < old_layout->num_replicas; ++r) {
-      EXPECT_EQ(after->layout->replicas[static_cast<size_t>(r)].meta_addr,
-                old_layout->replicas[static_cast<size_t>(r)].meta_addr);
-    }
+    // The vacated slot is fenced for good and the source hosts the key no
+    // more.
+    EXPECT_TRUE(f->Fenced(from, vacated));
+    EXPECT_FALSE(Contains(f->store->KeysOn(from), 7));
+    const std::vector<int> homes = f->Homes(7);
+    EXPECT_EQ(std::find(homes.begin(), homes.end(), from), homes.end());
 
-    // The vacated slot is fenced for good, and the old layout retired as
-    // moved so the repair walk skips it.
-    EXPECT_TRUE(SlotFenced(f->env.fabric, *old_layout, 0));
-    EXPECT_EQ(f->index.retired().size(), 1u);
-    if (!f->index.retired().empty()) {
-      EXPECT_TRUE(f->index.retired()[0].moved);
+    if (f->kind == StoreKind::kFusee) {
+      // Both roles re-homed: the surviving role keeps its node but gets a
+      // fresh slot, and its old slot is fenced too.
+      EXPECT_EQ(f->fusee.MetaFor(7).moves, 1u);
+      const int survivor = old_meta.primary == from ? old_meta.backup : old_meta.primary;
+      const uint64_t survivor_old_slot =
+          old_meta.primary == from ? old_meta.index_addr_backup : old_meta.index_addr_primary;
+      EXPECT_TRUE(f->Fenced(survivor, {survivor_old_slot, 8}));
+      EXPECT_NE(f->SlotOn(7, survivor).first, survivor_old_slot);
+    } else {
+      // The flip: new layout under a bumped generation, one slot re-homed,
+      // every other slot shared byte-for-byte; the old layout retired as
+      // moved so the repair walk skips it.
+      const index::IndexEntry* after = f->index.Peek(7);
+      EXPECT_NE(after, nullptr);
+      if (after == nullptr || old_layout == nullptr) {
+        co_return;
+      }
+      EXPECT_GT(after->generation, old_generation);
+      EXPECT_NE(after->layout.get(), old_layout.get());
+      for (int r = 1; r < old_layout->num_replicas; ++r) {
+        EXPECT_EQ(after->layout->replicas[static_cast<size_t>(r)].meta_addr,
+                  old_layout->replicas[static_cast<size_t>(r)].meta_addr);
+      }
+      EXPECT_EQ(f->index.retired().size(), 1u);
+      if (!f->index.retired().empty()) {
+        EXPECT_TRUE(f->index.retired()[0].moved);
+      }
     }
 
     // The stale-cached client keeps operating: its first op bounces off the
-    // fence (kMovedReplica), chases the index, and lands at the new home.
-    kv::KvResult g = co_await kv->Get(7);
+    // fence (kMovedReplica), re-resolves, and lands at the new home.
+    kv::KvResult g = co_await f->kv->Get(7);
     EXPECT_EQ(g.status, kv::KvStatus::kOk);
     EXPECT_EQ(g.value, ValN(32, 0xAB));
-    EXPECT_TRUE((co_await kv->Update(7, ValN(32, 0xCD))).ok());
-    g = co_await kv->Get(7);
+    EXPECT_TRUE((co_await f->kv->Update(7, ValN(32, 0xCD))).ok());
+    g = co_await f->kv->Get(7);
     EXPECT_EQ(g.status, kv::KvStatus::kOk);
     EXPECT_EQ(g.value, ValN(32, 0xCD));
-    *done2 = true;
-  };
-  Spawn(driver(&f, kv.get(), &done));
-  f.env.sim.Run();
-  EXPECT_TRUE(done);
+    *done = true;
+  });
 }
 
-TEST(MigrationSwarm, MoveFlipServesFromNewHome) {
-  RunMoveFlipServes(repair::LayoutProtocol::kSafeGuess);
-}
-
-TEST(MigrationDmAbd, MoveFlipServesFromNewHome) {
-  RunMoveFlipServes(repair::LayoutProtocol::kAbd);
-}
-
-void RunAbortRestoresExactly(repair::LayoutProtocol protocol) {
+TEST_P(MigrationLifecycle, AbortRestoresExactly) {
   repair::MigrationConfig mcfg;
   mcfg.max_rounds = 2;  // Fail fast: the destination is dead.
   mcfg.round_retry_delay = 5 * sim::kMicrosecond;
-  MigrationFixture f(protocol, mcfg);
-  auto kv = f.MakeSession(protocol);
-  bool done = false;
-  auto driver = [](MigrationFixture* f, kv::KvSession* kv, bool* done2) -> Task<void> {
-    EXPECT_TRUE((co_await kv->Insert(7, ValN(32, 0x5A))).ok());
-
+  MigrationFixture f(GetParam(), mcfg);
+  RunDriver(f, [](MigrationFixture* f, bool* done) -> Task<void> {
+    EXPECT_TRUE((co_await f->kv->Insert(7, ValN(32, 0x5A))).ok());
+    const int from = f->Homes(7).front();
+    const auto slot = f->SlotOn(7, from);
+    const kv::FuseeStore::KeyMeta old_meta = f->fusee.MetaFor(7);
     const index::IndexEntry* before = f->index.Peek(7);
-    EXPECT_NE(before, nullptr);
-    if (before == nullptr) {
-      co_return;
-    }
-    const auto old_layout = before->layout;
-    const uint64_t old_generation = before->generation;
-    const int from = old_layout->replicas[0].node;
+    const auto old_layout = before != nullptr ? before->layout : nullptr;
+    const uint64_t old_generation = before != nullptr ? before->generation : 0;
 
-    // The only node outside a 3-replica layout on a 4-node cluster is the
-    // destination; crash it so every copy round fails.
-    int dest = -1;
-    for (int i = 0; i < 4; ++i) {
-      bool hosts = false;
-      for (int r = 0; r < old_layout->num_replicas; ++r) {
-        hosts = hosts || old_layout->replicas[static_cast<size_t>(r)].node == i;
-      }
-      if (!hosts) {
-        dest = i;
-      }
-    }
-    EXPECT_GE(dest, 0);
-    if (dest < 0) {
-      co_return;
-    }
+    // Pin the move onto a node outside the replica set and crash it, so
+    // every copy round fails.
+    const int dest = f->Outside(7).front();
     f->env.fabric.Crash(dest);
-
     const size_t fences_before = f->env.fabric.node(from).retired_region_count();
-    const repair::MigrateStatus st = co_await f->migration.MigrateKey(7, from, dest);
-    EXPECT_EQ(st, repair::MigrateStatus::kAborted);
+    EXPECT_EQ(co_await f->migration.MigrateKey(7, from, dest), repair::MigrateStatus::kAborted);
     EXPECT_EQ(f->migration.keys_aborted(), 1u);
+    EXPECT_FALSE(f->migration.InFlight());
 
-    // Abort restores EXACTLY: same mapping, same generation, same layout
-    // object, no residual fence on the source, nothing retired.
-    const index::IndexEntry* after = f->index.Peek(7);
-    EXPECT_NE(after, nullptr);
-    if (after == nullptr) {
-      co_return;
-    }
-    EXPECT_EQ(after->generation, old_generation);
-    EXPECT_EQ(after->layout.get(), old_layout.get());
-    EXPECT_FALSE(SlotFenced(f->env.fabric, *old_layout, 0));
+    // Abort restores EXACTLY: same homes and slots, no residual fence on
+    // the source.
+    EXPECT_EQ(f->SlotOn(7, from), slot);
+    EXPECT_FALSE(f->Fenced(from, slot));
     EXPECT_EQ(f->env.fabric.node(from).retired_region_count(), fences_before);
-    EXPECT_TRUE(f->index.retired().empty());
+    EXPECT_TRUE(Contains(f->store->KeysOn(from), 7));
+    if (f->kind == StoreKind::kFusee) {
+      const kv::FuseeStore::KeyMeta& meta = f->fusee.MetaFor(7);
+      EXPECT_EQ(meta.moves, 0u);
+      EXPECT_EQ(meta.primary, old_meta.primary);
+      EXPECT_EQ(meta.backup, old_meta.backup);
+      EXPECT_EQ(meta.index_addr_backup, old_meta.index_addr_backup);
+      EXPECT_FALSE(f->Fenced(old_meta.backup, {old_meta.index_addr_backup, 8}));
+    } else {
+      // Same mapping, same generation, same layout object, nothing retired.
+      const index::IndexEntry* after = f->index.Peek(7);
+      EXPECT_NE(after, nullptr);
+      if (after == nullptr) {
+        co_return;
+      }
+      EXPECT_EQ(after->generation, old_generation);
+      EXPECT_EQ(after->layout.get(), old_layout.get());
+      EXPECT_TRUE(f->index.retired().empty());
+    }
 
     // And the old slot serves again.
-    kv::KvResult g = co_await kv->Get(7);
+    kv::KvResult g = co_await f->kv->Get(7);
     EXPECT_EQ(g.status, kv::KvStatus::kOk);
     EXPECT_EQ(g.value, ValN(32, 0x5A));
-    *done2 = true;
-  };
-  Spawn(driver(&f, kv.get(), &done));
-  f.env.sim.Run();
-  EXPECT_TRUE(done);
+    *done = true;
+  });
 }
 
-TEST(MigrationSwarm, AbortRestoresExactly) {
-  RunAbortRestoresExactly(repair::LayoutProtocol::kSafeGuess);
-}
-
-TEST(MigrationDmAbd, AbortRestoresExactly) {
-  RunAbortRestoresExactly(repair::LayoutProtocol::kAbd);
-}
-
-TEST(MigrationSwarm, RepairArbitrationSkipsBusyNodes) {
-  MigrationFixture f(repair::LayoutProtocol::kSafeGuess);
-  auto kv = f.MakeSession(repair::LayoutProtocol::kSafeGuess);
-  bool done = false;
-  auto driver = [](MigrationFixture* f, kv::KvSession* kv, bool* done2) -> Task<void> {
-    EXPECT_TRUE((co_await kv->Insert(7, ValN(16, 1))).ok());
-    const index::IndexEntry* entry = f->index.Peek(7);
-    EXPECT_NE(entry, nullptr);
-    if (entry == nullptr) {
-      co_return;
-    }
-    const auto layout = entry->layout;
-    const int from = layout->replicas[0].node;
-    int outside = -1;
-    for (int i = 0; i < 4; ++i) {
-      bool hosts = false;
-      for (int r = 0; r < layout->num_replicas; ++r) {
-        hosts = hosts || layout->replicas[static_cast<size_t>(r)].node == i;
-      }
-      if (!hosts) {
-        outside = i;
-      }
-    }
-    EXPECT_GE(outside, 0);
-    if (outside < 0) {
-      co_return;
-    }
+TEST_P(MigrationLifecycle, RepairArbitrationSkipsBusyNodes) {
+  MigrationFixture f(GetParam());
+  RunDriver(f, [](MigrationFixture* f, bool* done) -> Task<void> {
+    EXPECT_TRUE((co_await f->kv->Insert(7, ValN(16, 1))).ok());
+    const int from = f->Homes(7).front();
+    const auto slot = f->SlotOn(7, from);
+    const std::vector<int> outside = f->Outside(7);
 
     // A source under repair is the repair's to arbitrate: skip.
     f->membership.BeginRepair(from);
@@ -350,37 +398,33 @@ TEST(MigrationSwarm, RepairArbitrationSkipsBusyNodes) {
     f->membership.CompleteRepair(from);
 
     // A destination under repair is no destination — pinned or picked.
-    f->membership.BeginRepair(outside);
-    EXPECT_EQ(co_await f->migration.MigrateKey(7, from, outside),
+    for (int node : outside) {
+      f->membership.BeginRepair(node);
+    }
+    EXPECT_EQ(co_await f->migration.MigrateKey(7, from, outside.front()),
               repair::MigrateStatus::kNoDestination);
-    EXPECT_EQ(co_await f->migration.MigrateKey(7, from),
-              repair::MigrateStatus::kNoDestination)
-        << "the only non-hosting node is mid-repair; the picker must refuse";
-    f->membership.CompleteRepair(outside);
+    EXPECT_EQ(co_await f->migration.MigrateKey(7, from), repair::MigrateStatus::kNoDestination)
+        << "every non-hosting node is mid-repair; the picker must refuse";
+    for (int node : outside) {
+      f->membership.CompleteRepair(node);
+    }
 
     // An unmapped key is a no-op.
     EXPECT_EQ(co_await f->migration.MigrateKey(999, 0), repair::MigrateStatus::kSkipped);
 
     // Nothing above may have changed the mapping.
-    const index::IndexEntry* after = f->index.Peek(7);
-    EXPECT_NE(after, nullptr);
-    if (after != nullptr) {
-      EXPECT_EQ(after->layout.get(), layout.get());
-    }
-    *done2 = true;
-  };
-  Spawn(driver(&f, kv.get(), &done));
-  f.env.sim.Run();
-  EXPECT_TRUE(done);
+    EXPECT_EQ(f->SlotOn(7, from), slot);
+    EXPECT_EQ(f->migration.keys_moved(), 0u);
+    EXPECT_EQ(f->migration.keys_skipped(), 2u);
+    *done = true;
+  });
 }
 
-TEST(MigrationSwarm, AdmitAndRebalanceFillsTheNewNode) {
-  MigrationFixture f(repair::LayoutProtocol::kSafeGuess);
-  auto kv = f.MakeSession(repair::LayoutProtocol::kSafeGuess);
-  bool done = false;
-  auto driver = [](MigrationFixture* f, kv::KvSession* kv, bool* done2) -> Task<void> {
+TEST_P(MigrationLifecycle, AdmitAndRebalanceFillsTheNewNode) {
+  MigrationFixture f(GetParam());
+  RunDriver(f, [](MigrationFixture* f, bool* done) -> Task<void> {
     for (uint64_t k = 0; k < 6; ++k) {
-      EXPECT_TRUE((co_await kv->Insert(k, ValN(16, static_cast<uint8_t>(k + 1)))).ok());
+      EXPECT_TRUE((co_await f->kv->Insert(k, ValN(16, static_cast<uint8_t>(k + 1)))).ok());
     }
     const int node = co_await f->migration.AdmitAndRebalance(/*max_keys=*/3);
     EXPECT_EQ(node, 4);
@@ -391,224 +435,144 @@ TEST(MigrationSwarm, AdmitAndRebalanceFillsTheNewNode) {
     EXPECT_EQ(f->migration.keys_moved(), 3u);
     EXPECT_TRUE(f->membership.IsServing(node)) << "rebalance ends with CompleteJoin";
 
-    // The new node now hosts extents, and every key still reads its value.
+    // The new node now hosts three replicas, and every key still reads its
+    // value.
     int hosted = 0;
-    for (const auto& [key, entry] : f->index.SnapshotSorted()) {
-      for (int r = 0; r < entry.layout->num_replicas; ++r) {
-        hosted += entry.layout->replicas[static_cast<size_t>(r)].node == node ? 1 : 0;
+    for (const repair::KeyPlacement& p : f->store->Placements()) {
+      for (int r = 0; r < p.num_replicas; ++r) {
+        hosted += p.nodes[static_cast<size_t>(r)] == node ? 1 : 0;
       }
     }
     EXPECT_EQ(hosted, 3);
+    EXPECT_EQ(f->store->KeysOn(node).size(), 3u);
     for (uint64_t k = 0; k < 6; ++k) {
-      kv::KvResult g = co_await kv->Get(k);
+      kv::KvResult g = co_await f->kv->Get(k);
       EXPECT_EQ(g.status, kv::KvStatus::kOk) << "key " << k;
       EXPECT_EQ(g.value, ValN(16, static_cast<uint8_t>(k + 1))) << "key " << k;
     }
-    *done2 = true;
-  };
-  Spawn(driver(&f, kv.get(), &done));
-  f.env.sim.Run();
-  EXPECT_TRUE(done);
+    *done = true;
+  });
 }
 
-TEST(MigrationSwarm, DrainDecommissionsTheNode) {
-  MigrationFixture f(repair::LayoutProtocol::kSafeGuess);
-  auto kv = f.MakeSession(repair::LayoutProtocol::kSafeGuess);
-  bool done = false;
-  auto driver = [](MigrationFixture* f, kv::KvSession* kv, bool* done2) -> Task<void> {
+TEST_P(MigrationLifecycle, DrainDecommissionsTheNode) {
+  MigrationFixture f(GetParam());
+  RunDriver(f, [](MigrationFixture* f, bool* done) -> Task<void> {
     for (uint64_t k = 0; k < 6; ++k) {
-      EXPECT_TRUE((co_await kv->Insert(k, ValN(16, static_cast<uint8_t>(k + 1)))).ok());
+      EXPECT_TRUE((co_await f->kv->Insert(k, ValN(16, static_cast<uint8_t>(k + 1)))).ok());
     }
-    const bool drained = co_await f->migration.Drain(0, /*decommission=*/true);
-    EXPECT_TRUE(drained);
+    EXPECT_FALSE(f->store->KeysOn(0).empty());
+    EXPECT_TRUE(co_await f->migration.Drain(0, /*decommission=*/true));
     EXPECT_EQ(f->migration.drains_completed(), 1u);
     EXPECT_TRUE(f->membership.IsRetired(0));
 
     // No live mapping references the retired node, and every key still
-    // serves — through layouts that moved and through untouched ones alike.
-    for (const auto& [key, entry] : f->index.SnapshotSorted()) {
-      for (int r = 0; r < entry.layout->num_replicas; ++r) {
-        EXPECT_NE(entry.layout->replicas[static_cast<size_t>(r)].node, 0) << "key " << key;
+    // serves — through moved and untouched homes alike.
+    EXPECT_TRUE(f->store->KeysOn(0).empty());
+    for (const repair::KeyPlacement& p : f->store->Placements()) {
+      for (int r = 0; r < p.num_replicas; ++r) {
+        EXPECT_NE(p.nodes[static_cast<size_t>(r)], 0) << "key " << p.key;
       }
     }
     for (uint64_t k = 0; k < 6; ++k) {
-      kv::KvResult g = co_await kv->Get(k);
+      kv::KvResult g = co_await f->kv->Get(k);
       EXPECT_EQ(g.status, kv::KvStatus::kOk) << "key " << k;
       EXPECT_EQ(g.value, ValN(16, static_cast<uint8_t>(k + 1))) << "key " << k;
     }
-    *done2 = true;
-  };
-  Spawn(driver(&f, kv.get(), &done));
-  f.env.sim.Run();
-  EXPECT_TRUE(done);
+    *done = true;
+  });
 }
 
-TEST(MigrationSwarm, MigrateExtentEmptiesTheExtent) {
-  MigrationFixture f(repair::LayoutProtocol::kSafeGuess);
-  auto kv = f.MakeSession(repair::LayoutProtocol::kSafeGuess);
-  bool done = false;
-  auto driver = [](MigrationFixture* f, kv::KvSession* kv, bool* done2) -> Task<void> {
+TEST_P(MigrationLifecycle, MigrateExtentEmptiesTheExtent) {
+  MigrationFixture f(GetParam());
+  RunDriver(f, [](MigrationFixture* f, bool* done) -> Task<void> {
     for (uint64_t key = 0; key < 24; ++key) {
-      EXPECT_TRUE((co_await kv->Insert(key, ValN(24, static_cast<uint8_t>(key)))).ok());
+      EXPECT_TRUE((co_await f->kv->Insert(key, ValN(24, static_cast<uint8_t>(key)))).ok());
     }
-    // Probe node 0's first placement-map slot; its slab extent is the target.
-    uint64_t probe = 0;
-    bool found = false;
-    f->index.placement().ForEachSlotOn(
-        0, [&](uint64_t addr, const index::PlacementMap::Slot& slot) {
-          if (!found && !slot.moved) {
-            probe = addr;
-            found = true;
-          }
-        });
-    EXPECT_TRUE(found);
-    if (!found) {
-      co_return;
+    // Probe node 0's lowest live slot; its slab extent is the target.
+    uint64_t probe = UINT64_MAX;
+    for (uint64_t key : f->store->KeysOn(0)) {
+      probe = std::min(probe, f->SlotOn(key, 0).first);
     }
     const auto* ext = f->env.fabric.node(0).SlotExtentOf(probe);
     EXPECT_NE(ext, nullptr);
+    if (ext == nullptr) {
+      co_return;
+    }
     const uint64_t ext_base = ext->base;
     const uint64_t ext_end = ext->base + ext->bytes;
 
     const uint64_t moved = co_await f->migration.MigrateExtent(0, probe);
     EXPECT_GT(moved, 0u);
     EXPECT_EQ(f->migration.extents_moved(), 1u);
-
-    // The extent holds no current-mapping slot anymore — only moved (fenced)
-    // remnants awaiting the retired-layout GC.
-    bool live_left = false;
-    f->index.placement().ForEachSlotOn(
-        0, [&](uint64_t addr, const index::PlacementMap::Slot& slot) {
-          if (addr < ext_base || addr >= ext_end || slot.moved) {
-            return;
-          }
-          const index::IndexEntry* e = f->index.Peek(slot.key);
-          if (e != nullptr && e->layout.get() == slot.owner.get()) {
-            live_left = true;
-          }
-        });
-    EXPECT_FALSE(live_left) << "a live slot survived the extent move";
+    // The extent holds no live slot anymore — only fenced remnants.
+    EXPECT_TRUE(f->store->KeysOn(0, ext_base, ext_end).empty())
+        << "a live slot survived the extent move";
 
     // Every key still serves with its data intact.
     for (uint64_t key = 0; key < 24; ++key) {
-      kv::KvResult g = co_await kv->Get(key);
+      kv::KvResult g = co_await f->kv->Get(key);
       EXPECT_EQ(g.status, kv::KvStatus::kOk) << "key " << key;
       EXPECT_EQ(g.value, ValN(24, static_cast<uint8_t>(key))) << "key " << key;
     }
-    *done2 = true;
-  };
-  Spawn(driver(&f, kv.get(), &done));
-  f.env.sim.Run();
-  EXPECT_TRUE(done);
+    *done = true;
+  });
 }
 
-// --- FUSEE: the two-slot re-homing variant ---------------------------------
-
-struct FuseeMigrationFixture {
-  FuseeMigrationFixture()
-      : env(1, ElasticFabric(/*headroom=*/2)),
-        membership(&env.sim, &env.fabric, /*detection_delay=*/10 * sim::kMicrosecond),
-        store(&env.fabric, /*recovery_duration=*/100 * sim::kMicrosecond),
-        client(env.MakeWorker()),
-        coordinator(env.MakeWorker()),
-        session(&client, &store, &cache) {
-    client.set_repair_excluded(membership.repairing());
-    WireWorkerEpoch(client, membership);
-    coordinator.set_repair_excluded(membership.repairing());
-    coordinator.MarkRepairChannel();  // The harvest must pass the slot fence.
-    store.set_serving(membership.serving());
-  }
-
-  TestEnv env;
-  membership::MembershipService membership;
-  kv::FuseeStore store;
-  index::ClientCache cache;
-  Worker& client;
-  Worker& coordinator;
-  kv::FuseeKvSession session;
-};
-
-TEST(MigrationFusee, MoveRehomesBothSlots) {
-  FuseeMigrationFixture f;
-  bool done = false;
-  auto driver = [](FuseeMigrationFixture* f, bool* done2) -> Task<void> {
-    EXPECT_TRUE((co_await f->session.Insert(7, ValN(32, 0xEE))).ok());
-    kv::FuseeStore::KeyMeta& meta = f->store.MetaFor(7);
-    const int old_primary = meta.primary;
-    const uint64_t old_slot = meta.index_addr_primary;
-
-    EXPECT_TRUE(co_await f->store.MigrateKey(7, old_primary, &f->coordinator));
-    EXPECT_EQ(f->store.keys_moved(), 1u);
-    EXPECT_EQ(meta.moves, 1u);
-    EXPECT_NE(meta.primary, old_primary);
-    // Addresses are per-node, so the fresh slot may coincide numerically with
-    // the old one; what matters is that the OLD node's slot is fenced for good.
-    EXPECT_TRUE(f->env.fabric.node(old_primary).RegionRetired(old_slot, 8));
-
-    // The stale-cached client bounces off the fence and lands at the new home.
-    kv::KvResult g = co_await f->session.Get(7);
+// Two flows of one service racing to move the same key (an admission's
+// rebalance and a drain) must not both fence it: the loser's abort would
+// RESTORE the fence the winner's flip made permanent, and stale clients
+// could commit at the vacated slot again. The second move is skipped.
+TEST_P(MigrationLifecycle, ConcurrentMovesOfOneKeySerialize) {
+  MigrationFixture f(GetParam());
+  RunDriver(f, [](MigrationFixture* f, bool* done) -> Task<void> {
+    EXPECT_TRUE((co_await f->kv->Insert(7, ValN(16, 0x77))).ok());
+    const int from = f->Homes(7).front();
+    const auto vacated = f->SlotOn(7, from);
+    repair::MigrateStatus first = repair::MigrateStatus::kSkipped;
+    bool first_done = false;
+    auto mover = [](repair::MigrationService* m, int src, repair::MigrateStatus* st,
+                    bool* finished) -> Task<void> {
+      *st = co_await m->MigrateKey(7, src);
+      *finished = true;
+    };
+    Spawn(mover(&f->migration, from, &first, &first_done));  // Suspends mid-move.
+    EXPECT_EQ(co_await f->migration.MigrateKey(7, from), repair::MigrateStatus::kSkipped);
+    while (!first_done) {
+      co_await f->env.sim.Delay(5 * sim::kMicrosecond);
+    }
+    EXPECT_EQ(first, repair::MigrateStatus::kMoved);
+    EXPECT_EQ(f->migration.keys_moved(), 1u);
+    EXPECT_EQ(f->migration.keys_aborted(), 0u);
+    EXPECT_TRUE(f->Fenced(from, vacated)) << "the flip's fence must stay permanent";
+    kv::KvResult g = co_await f->kv->Get(7);
     EXPECT_EQ(g.status, kv::KvStatus::kOk);
-    EXPECT_EQ(g.value, ValN(32, 0xEE));
-    EXPECT_TRUE((co_await f->session.Update(7, ValN(32, 0xDD))).ok());
-    g = co_await f->session.Get(7);
-    EXPECT_EQ(g.status, kv::KvStatus::kOk);
-    EXPECT_EQ(g.value, ValN(32, 0xDD));
-    *done2 = true;
-  };
-  Spawn(driver(&f, &done));
-  f.env.sim.Run();
-  EXPECT_TRUE(done);
+    EXPECT_EQ(g.value, ValN(16, 0x77));
+    *done = true;
+  });
 }
 
-TEST(MigrationFusee, RecoveryArbitrationAborts) {
-  FuseeMigrationFixture f;
-  bool done = false;
-  auto driver = [](FuseeMigrationFixture* f, bool* done2) -> Task<void> {
-    EXPECT_TRUE((co_await f->session.Insert(7, ValN(16, 1))).ok());
-    kv::FuseeStore::KeyMeta& meta = f->store.MetaFor(7);
+INSTANTIATE_TEST_SUITE_P(AllStores, MigrationLifecycle,
+                         ::testing::Values(StoreKind::kSwarm, StoreKind::kDmAbd,
+                                           StoreKind::kFusee),
+                         [](const ::testing::TestParamInfo<StoreKind>& p) {
+                           return StoreName(p.param);
+                         });
+
+// FUSEE-only arbitration: while the store recovers, every key belongs to the
+// recovery path and the migration leaves it alone.
+TEST(MigrationFusee, RecoverySkipsTheMove) {
+  MigrationFixture f(StoreKind::kFusee);
+  RunDriver(f, [](MigrationFixture* f, bool* done) -> Task<void> {
+    EXPECT_TRUE((co_await f->kv->Insert(7, ValN(16, 1))).ok());
+    const kv::FuseeStore::KeyMeta& meta = f->fusee.MetaFor(7);
     const int primary = meta.primary;
-
-    // Mid-recovery the key belongs to the repair path, not the migration.
-    f->store.StartRecovery(meta.backup);
-    EXPECT_FALSE(co_await f->store.MigrateKey(7, primary, &f->coordinator));
-    EXPECT_EQ(f->store.keys_aborted(), 1u);
+    f->fusee.StartRecovery(meta.backup);
+    EXPECT_EQ(co_await f->migration.MigrateKey(7, primary), repair::MigrateStatus::kSkipped);
+    EXPECT_EQ(f->migration.keys_skipped(), 1u);
     EXPECT_EQ(meta.moves, 0u);
-    EXPECT_EQ(meta.primary, primary) << "an aborted move changes nothing";
-
-    // A never-placed key is a clean no-op.
-    EXPECT_TRUE(co_await f->store.MigrateKey(999, 0, &f->coordinator));
-    *done2 = true;
-  };
-  Spawn(driver(&f, &done));
-  f.env.sim.Run();
-  EXPECT_TRUE(done);
-}
-
-TEST(MigrationFusee, MigrateNodeDrainsEveryKey) {
-  FuseeMigrationFixture f;
-  bool done = false;
-  auto driver = [](FuseeMigrationFixture* f, bool* done2) -> Task<void> {
-    for (uint64_t k = 0; k < 6; ++k) {
-      EXPECT_TRUE((co_await f->session.Insert(k, ValN(16, static_cast<uint8_t>(k + 1)))).ok());
-    }
-    f->membership.BeginDrain(0);
-    const uint64_t remaining = co_await f->store.MigrateNode(0, &f->coordinator);
-    EXPECT_EQ(remaining, 0u);
-    for (uint64_t k = 0; k < 6; ++k) {
-      kv::FuseeStore::KeyMeta& meta = f->store.MetaFor(k);
-      EXPECT_NE(meta.primary, 0) << "key " << k;
-      EXPECT_NE(meta.backup, 0) << "key " << k;
-      kv::KvResult g = co_await f->session.Get(k);
-      EXPECT_EQ(g.status, kv::KvStatus::kOk) << "key " << k;
-      EXPECT_EQ(g.value, ValN(16, static_cast<uint8_t>(k + 1))) << "key " << k;
-    }
-    f->membership.Decommission(0);
-    EXPECT_TRUE(f->membership.IsRetired(0));
-    *done2 = true;
-  };
-  Spawn(driver(&f, &done));
-  f.env.sim.Run();
-  EXPECT_TRUE(done);
+    EXPECT_EQ(meta.primary, primary) << "a skipped move changes nothing";
+    *done = true;
+  });
 }
 
 }  // namespace

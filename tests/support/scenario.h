@@ -29,6 +29,7 @@
 #include "src/kv/kv_types.h"
 #include "src/kv/tracked_session.h"
 #include "src/membership/membership.h"
+#include "src/repair/migration.h"
 #include "src/sim/chaos.h"
 #include "src/swarm/recycler.h"
 #include "src/ycsb/workload.h"
@@ -260,6 +261,20 @@ inline std::unique_ptr<RecyclerParticipant> MakeCoupledParticipant(
   p->CoupleDrain([session] { return session->next_seq(); },
                  [session] { return session->oldest_inflight(); });
   return p;
+}
+
+// The elastic-membership choreography the chaos engine's migration hook
+// fires (ChaosEngine::set_migration_fn; free function because the hook's
+// lambda must not itself be a coroutine). Even steps grow — admit a fresh
+// node and rebalance three keys onto it — odd steps shrink — drain node 0
+// and decommission it. Every store moves through the same MigrationService,
+// so one step serves them all.
+inline sim::Task<bool> GrowShrinkStep(repair::MigrationService* migration, int step) {
+  if (step % 2 == 0) {
+    const int node = co_await migration->AdmitAndRebalance(/*max_keys=*/3);
+    co_return node >= 0;
+  }
+  co_return co_await migration->Drain(/*node=*/0, /*decommission=*/true);
 }
 
 inline std::vector<uint8_t> EncodeValue(uint64_t v, uint32_t size) {
