@@ -1,6 +1,7 @@
 #include "src/index/index_service.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <utility>
 
 namespace swarm::index {
@@ -136,17 +137,25 @@ size_t IndexService::GcRetired() {
   const uint64_t horizon = safe_before_fn_();
   size_t dropped_total = 0;
   for (Shard& sh : shards_) {
-    if (sh.retired.empty()) {
-      continue;
-    }
+    auto& retired = sh.retired;
+    // Each list is in retirement order and retirement epochs never decrease
+    // (Recycler::current_epoch only increments), so the entries the horizon
+    // has passed are a prefix. Both passes stay inside it: everything retired
+    // since the horizon is left untouched, so a Retire while a repair holds
+    // the horizon costs O(passed prefix), not O(retired list).
+    const auto passed_end = std::partition_point(
+        retired.begin(), retired.end(),
+        [horizon](const RetiredLayout& r) { return r.epoch < horizon; });
+    const auto passed = static_cast<size_t>(passed_end - retired.begin());
     // Pass 1: tell caches to drop references to every horizon-passed layout
     // (the §4.5 message). This releases their shared_ptr copies, so pass 2's
     // use-count gate sees only genuine in-flight holders. Once notified, a
     // retired layout can never re-enter a cache (it is unmapped; re-inserts
     // build fresh layouts), so each layout is notified exactly once even
     // when an in-flight holder pins it across many GC calls.
-    for (auto& r : sh.retired) {
-      if (r.epoch < horizon && !r.caches_notified) {
+    for (size_t i = 0; i < passed; ++i) {
+      RetiredLayout& r = retired[i];
+      if (!r.caches_notified) {
         r.caches_notified = true;
         for (auto& fn : gc_listeners_) {
           fn(r.layout);
@@ -154,15 +163,16 @@ size_t IndexService::GcRetired() {
       }
     }
     size_t kept = 0;
-    for (auto& r : sh.retired) {
+    for (size_t i = 0; i < passed; ++i) {
+      RetiredLayout& r = retired[i];
       // The drop gate: beyond the references the retired entry itself and the
       // placement map's owned slots hold, nothing may reference the layout —
       // no cache entry, no in-flight Located copy. Exact in the
       // single-threaded simulation.
       const long pinned_by_us =
           1 + static_cast<long>(placement_.OwnedCount(r.layout.get()));
-      if (r.epoch >= horizon || r.layout.use_count() > pinned_by_us) {
-        sh.retired[kept++] = std::move(r);
+      if (r.layout.use_count() > pinned_by_us) {
+        retired[kept++] = std::move(r);
         continue;
       }
       // Drop: release the layout's slots back to their nodes. For a MOVED
@@ -179,8 +189,8 @@ size_t IndexService::GcRetired() {
       });
       graveyard_.push_back(std::move(r.layout));
     }
-    dropped_total += sh.retired.size() - kept;
-    sh.retired.resize(kept);
+    dropped_total += passed - kept;
+    retired.erase(retired.begin() + static_cast<std::ptrdiff_t>(kept), passed_end);
   }
   retired_dropped_ += dropped_total;
   return dropped_total;

@@ -4,60 +4,19 @@
 // roundtrips (Table 2): gets chase a pointer, updates first discover a
 // fresh timestamp (hidden behind the out-of-place data write) and then
 // install it with a CAS.
+//
+// Its key-value layer (index, location cache, §5.3's insert and tombstone
+// rules) is SWARM-KV's, from src/kv/indexed_kv.h, so the two stores differ
+// only in their register protocol.
 
 #ifndef SWARM_SRC_KV_DM_ABD_KV_H_
 #define SWARM_SRC_KV_DM_ABD_KV_H_
 
-#include <memory>
-#include <vector>
-
-#include "src/index/client_cache.h"
-#include "src/index/index_service.h"
-#include "src/kv/kv_types.h"
-#include "src/swarm/placement.h"
-#include "src/swarm/abd.h"
-#include "src/swarm/worker.h"
+#include "src/kv/indexed_kv.h"
 
 namespace swarm::kv {
 
-class DmAbdKvSession : public KvSession {
- public:
-  DmAbdKvSession(Worker* worker, index::IndexService* index, index::ClientCache* cache)
-      : worker_(worker), index_(index), cache_(cache) {}
-
-  sim::Task<KvResult> Get(uint64_t key) override;
-  sim::Task<KvResult> Update(uint64_t key, std::span<const uint8_t> value) override;
-  sim::Task<KvResult> Insert(uint64_t key, std::span<const uint8_t> value) override;
-  sim::Task<KvResult> Remove(uint64_t key) override;
-
-  // Placement filter for fresh inserts (MembershipService::serving()).
-  // Unset = place on all nodes.
-  void set_serving(std::shared_ptr<const std::vector<bool>> serving) {
-    serving_ = std::move(serving);
-  }
-
- private:
-  struct Located {
-    bool found = false;
-    bool cache_hit = false;
-    std::shared_ptr<const ObjectLayout> layout;
-    std::shared_ptr<ObjectCache> obj_cache;
-    uint64_t generation = 0;
-  };
-
-  sim::Task<Located> Locate(uint64_t key, KvResult* result);
-  sim::Task<Located> HandleDeleted(uint64_t key, uint64_t stale_generation, KvResult* result);
-  // Chases the index after a migration-fence bounce (see SwarmKvSession's
-  // HandleMoved): never unmaps — the key is alive, just in transit.
-  sim::Task<Located> HandleMoved(uint64_t key, uint64_t stale_generation, KvResult* result);
-  std::shared_ptr<const ObjectLayout> AllocateForKey(uint64_t key);
-
-  Worker* worker_;
-  index::IndexService* index_;
-  index::ClientCache* cache_;
-  std::shared_ptr<const std::vector<bool>> serving_;
-  PlacementProbe place_;  // Minimal-remap placement over the serving set.
-};
+using DmAbdKvSession = IndexedKvSession<AbdProtocol>;
 
 }  // namespace swarm::kv
 

@@ -1,21 +1,19 @@
-#include "src/kv/swarm_kv.h"
+#include "src/kv/indexed_kv.h"
 
 #include <utility>
 
 #include "src/hash/xxhash.h"
-#include "src/util/discard.h"
 #include "src/sim/sync.h"
-#include "src/swarm/placement.h"
+#include "src/util/discard.h"
 
 namespace swarm::kv {
-namespace {
 
 sim::Task<void> UnmapLater(index::IndexService* index, uint64_t key, uint64_t generation) {
-  // Best-effort tombstone unmap: the generation guard makes a lost or
-  // duplicated attempt harmless (a newer mapping wins), so the outcome
-  // carries no actionable signal for this detached cleanup task.
+  // The outcome carries no actionable signal for this detached cleanup task.
   DiscardStatus(co_await index->RemoveIfGeneration(key, generation, nullptr));
 }
+
+namespace {
 
 KvStatus MapStatus(SgStatus s) {
   switch (s) {
@@ -42,27 +40,19 @@ constexpr int kMovedLookupRetries = 6;
 
 }  // namespace
 
-sim::Task<SwarmKvSession::Located> SwarmKvSession::Locate(uint64_t key, bool seed_metadata,
-                                                          KvResult* result) {
-  Located loc;
+template <typename Protocol>
+auto IndexedKvSession<Protocol>::Locate(uint64_t key, bool seed_metadata, KvResult* result)
+    -> sim::Task<Located> {
   if (index::CacheEntry* e = cache_->Lookup(key)) {
-    loc.found = true;
-    loc.cache_hit = true;
-    loc.layout = e->layout;
-    loc.obj_cache = worker_->SlotCacheFor(e->layout.get());
-    loc.generation = e->generation;
     result->cache_hit = true;
-    co_return loc;
+    co_return At(e->layout, e->generation);
   }
   auto idx = co_await index_->Lookup(key, worker_->cpu());
   ++result->rtts;
   if (!idx.has_value()) {
-    co_return loc;
+    co_return Located{};
   }
-  loc.found = true;
-  loc.layout = idx->layout;
-  loc.obj_cache = worker_->SlotCacheFor(idx->layout.get());
-  loc.generation = idx->generation;
+  Located loc = At(idx->layout, idx->generation);
   if (seed_metadata) {
     // §7.1: on a cache miss, updates pay one more roundtrip to fetch the
     // latest metadata buffers (seeding the In-n-Out slot caches for the
@@ -74,57 +64,64 @@ sim::Task<SwarmKvSession::Located> SwarmKvSession::Locate(uint64_t key, bool see
     DiscardStatus(co_await reg.ReadQuorum(/*strong=*/false));
     ++result->rtts;
   }
+  Cache(key, loc);
+  co_return loc;
+}
+
+template <typename Protocol>
+auto IndexedKvSession<Protocol>::At(std::shared_ptr<const ObjectLayout> layout,
+                                    uint64_t generation) -> Located {
+  Located loc;
+  loc.found = true;
+  loc.obj_cache = worker_->SlotCacheFor(layout.get());
+  loc.layout = std::move(layout);
+  loc.generation = generation;
+  return loc;
+}
+
+template <typename Protocol>
+void IndexedKvSession<Protocol>::Cache(uint64_t key, const Located& loc) {
   index::CacheEntry entry;
   entry.layout = loc.layout;
   entry.generation = loc.generation;
   entry.obj_cache = loc.obj_cache;
   cache_->Put(key, std::move(entry));
-  co_return loc;
 }
 
-std::shared_ptr<const ObjectLayout> SwarmKvSession::AllocateForKey(uint64_t key) {
+template <typename Protocol>
+std::shared_ptr<const ObjectLayout> IndexedKvSession<Protocol>::AllocateForKey(uint64_t key) {
   const ProtocolConfig& cfg = worker_->config();
   const int n = worker_->fabric()->num_nodes();
   int nodes[kMaxReplicas];
-  const uint64_t h = hash::Mix64(key, 0x535741524d); // "SWARM"
+  const uint64_t h = hash::Mix64(key, Protocol::kPlacementSalt);
   place_.Pick(h, cfg.replicas, n, serving_.get(), nodes);
-  return std::make_shared<ObjectLayout>(
-      AllocateObject(*worker_->fabric(), nodes, cfg.replicas, cfg.meta_slots, cfg.max_writers,
-                     cfg.max_value, cfg.inplace_copies));
+  return std::make_shared<ObjectLayout>(Protocol::Allocate(*worker_->fabric(), nodes, cfg));
 }
 
-sim::Task<SwarmKvSession::Located> SwarmKvSession::HandleDeleted(uint64_t key,
-                                                                 uint64_t stale_generation,
-                                                                 KvResult* result) {
+template <typename Protocol>
+auto IndexedKvSession<Protocol>::HandleDeleted(uint64_t key, uint64_t stale_generation,
+                                               KvResult* result) -> sim::Task<Located> {
   // §5.3.3/§5.3.4: flush the cache, re-consult the index; remove the stale
   // mapping if the deleter failed to unmap it.
-  Located loc;
   cache_->Invalidate(key);
   auto idx = co_await index_->Lookup(key, worker_->cpu());
   ++result->rtts;
   if (!idx.has_value()) {
-    co_return loc;
+    co_return Located{};
   }
   if (idx->generation == stale_generation) {
     sim::Spawn(UnmapLater(index_, key, idx->generation));
-    co_return loc;
+    co_return Located{};
   }
   // The key was re-inserted with new replicas: use them.
-  loc.found = true;
-  loc.layout = idx->layout;
-  loc.obj_cache = worker_->SlotCacheFor(idx->layout.get());
-  loc.generation = idx->generation;
-  index::CacheEntry entry;
-  entry.layout = loc.layout;
-  entry.generation = loc.generation;
-  entry.obj_cache = loc.obj_cache;
-  cache_->Put(key, std::move(entry));
+  Located loc = At(idx->layout, idx->generation);
+  Cache(key, loc);
   co_return loc;
 }
 
-sim::Task<SwarmKvSession::Located> SwarmKvSession::HandleMoved(uint64_t key,
-                                                               uint64_t stale_generation,
-                                                               KvResult* result) {
+template <typename Protocol>
+auto IndexedKvSession<Protocol>::HandleMoved(uint64_t key, uint64_t stale_generation,
+                                             KvResult* result) -> sim::Task<Located> {
   // A kMovedReplica bounce means this layout's extents are fenced for
   // migration. The replacement layout becomes visible when the coordinator's
   // ReplaceLayout commits (generation bump); until then the index still maps
@@ -142,16 +139,9 @@ sim::Task<SwarmKvSession::Located> SwarmKvSession::HandleMoved(uint64_t key,
     if (!idx.has_value()) {
       co_return loc;
     }
-    loc.found = true;
-    loc.layout = idx->layout;
-    loc.obj_cache = worker_->SlotCacheFor(idx->layout.get());
-    loc.generation = idx->generation;
+    loc = At(idx->layout, idx->generation);
     if (idx->generation != stale_generation) {
-      index::CacheEntry entry;
-      entry.layout = loc.layout;
-      entry.generation = loc.generation;
-      entry.obj_cache = loc.obj_cache;
-      cache_->Put(key, std::move(entry));
+      Cache(key, loc);
       co_return loc;
     }
     co_await worker_->sim()->Delay(worker_->config().escalation_timeout);
@@ -163,7 +153,8 @@ sim::Task<SwarmKvSession::Located> SwarmKvSession::HandleMoved(uint64_t key,
   co_return loc;
 }
 
-sim::Task<KvResult> SwarmKvSession::Get(uint64_t key) {
+template <typename Protocol>
+sim::Task<KvResult> IndexedKvSession<Protocol>::Get(uint64_t key) {
   KvResult result;
   Located loc = co_await Locate(key, /*seed_metadata=*/false, &result);
   bool moved = false;
@@ -172,7 +163,7 @@ sim::Task<KvResult> SwarmKvSession::Get(uint64_t key) {
       result.status = KvStatus::kNotFound;
       co_return result;
     }
-    SafeGuessObject obj(worker_, loc.layout.get(), loc.obj_cache);
+    typename Protocol::Object obj(worker_, loc.layout.get(), loc.obj_cache);
     SgReadResult r = co_await obj.Read();
     result.rtts += r.rtts;
     if (r.status == SgStatus::kDeleted) {
@@ -199,13 +190,16 @@ sim::Task<KvResult> SwarmKvSession::Get(uint64_t key) {
   co_return result;
 }
 
-sim::Task<KvResult> SwarmKvSession::Update(uint64_t key, std::span<const uint8_t> value) {
+template <typename Protocol>
+sim::Task<KvResult> IndexedKvSession<Protocol>::Update(uint64_t key,
+                                                       std::span<const uint8_t> value) {
   KvResult result;
-  Located loc = co_await Locate(key, /*seed_metadata=*/true, &result);
-  // Set once a Write bounced off a tombstone: the bounced attempt INSTALLED
-  // its guessed word before observing the tombstone, and a reader that had
-  // already fetched metadata may commit it — so a kNotFound from here on is
-  // "possibly applied", not a definite observation of absence.
+  Located loc =
+      co_await Locate(key, /*seed_metadata=*/Protocol::kSeedMetadataOnUpdateMiss, &result);
+  // Set once a Write bounced off a tombstone under a protocol whose bounced
+  // write may already have taken effect (Protocol::kTombstoneBounceMayApply):
+  // a kNotFound from here on is "possibly applied", not a definite
+  // observation of absence.
   bool bounced = false;
   bool moved = false;
   for (int attempt = 0; attempt < 3; ++attempt) {
@@ -214,11 +208,11 @@ sim::Task<KvResult> SwarmKvSession::Update(uint64_t key, std::span<const uint8_t
       result.ambiguous = bounced;
       co_return result;
     }
-    SafeGuessObject obj(worker_, loc.layout.get(), loc.obj_cache);
+    typename Protocol::Object obj(worker_, loc.layout.get(), loc.obj_cache);
     SgWriteResult r = co_await obj.Write(value);
     result.rtts += r.rtts;
     if (r.status == SgStatus::kDeleted) {
-      bounced = true;
+      bounced = Protocol::kTombstoneBounceMayApply;
       loc = co_await HandleDeleted(key, loc.generation, &result);
       continue;
     }
@@ -238,7 +232,9 @@ sim::Task<KvResult> SwarmKvSession::Update(uint64_t key, std::span<const uint8_t
   co_return result;
 }
 
-sim::Task<KvResult> SwarmKvSession::Insert(uint64_t key, std::span<const uint8_t> value) {
+template <typename Protocol>
+sim::Task<KvResult> IndexedKvSession<Protocol>::Insert(uint64_t key,
+                                                       std::span<const uint8_t> value) {
   KvResult result;
   for (int attempt = 0; attempt < 3; ++attempt) {
     // §5.3.1: pick replicas, allocate cleared buffers (clients pre-allocate,
@@ -246,7 +242,7 @@ sim::Task<KvResult> SwarmKvSession::Insert(uint64_t key, std::span<const uint8_t
     // insert the location into the index — one roundtrip total.
     std::shared_ptr<const ObjectLayout> layout = AllocateForKey(key);
     auto obj_cache = worker_->SlotCacheFor(layout.get());
-    SafeGuessObject obj(worker_, layout.get(), obj_cache);
+    typename Protocol::Object obj(worker_, layout.get(), obj_cache);
     // One doorbell covers the replica writes AND the index insert RPC.
     auto [wr, ins] = co_await fabric::PostBoth(
         worker_->cpu(), worker_->sim(), obj.Write(value),
@@ -254,13 +250,12 @@ sim::Task<KvResult> SwarmKvSession::Insert(uint64_t key, std::span<const uint8_t
     result.rtts += wr.rtts > 1 ? wr.rtts : 1;
 
     if (ins.first) {
-      // Fresh mapping: the parallel SWARM write targeted exactly these
-      // replicas, so we are done.
-      index::CacheEntry entry;
-      entry.layout = layout;
-      entry.generation = ins.second.generation;
-      entry.obj_cache = obj_cache;
-      cache_->Put(key, std::move(entry));
+      // Fresh mapping: the parallel write targeted exactly these replicas,
+      // so we are done.
+      Cache(key, {.found = true,
+                  .layout = layout,
+                  .obj_cache = obj_cache,
+                  .generation = ins.second.generation});
       result.status = MapStatus(wr.status);
       result.fast_path = wr.fast_path;
       co_return result;
@@ -269,18 +264,10 @@ sim::Task<KvResult> SwarmKvSession::Insert(uint64_t key, std::span<const uint8_t
     // A mapping already exists: recycle our buffers and turn the insert
     // into an update on the existing replicas (§5.3.1).
     index_->Retire(std::move(layout));
-    Located loc;
-    loc.found = true;
-    loc.layout = ins.second.layout;
-    loc.obj_cache = worker_->SlotCacheFor(ins.second.layout.get());
-    loc.generation = ins.second.generation;
-    index::CacheEntry entry;
-    entry.layout = loc.layout;
-    entry.generation = loc.generation;
-    entry.obj_cache = loc.obj_cache;
-    cache_->Put(key, std::move(entry));
+    Located loc = At(ins.second.layout, ins.second.generation);
+    Cache(key, loc);
 
-    SafeGuessObject existing(worker_, loc.layout.get(), loc.obj_cache);
+    typename Protocol::Object existing(worker_, loc.layout.get(), loc.obj_cache);
     SgWriteResult wr2 = co_await existing.Write(value);
     result.rtts += wr2.rtts;
     if (wr2.status == SgStatus::kMoved) {
@@ -309,7 +296,8 @@ sim::Task<KvResult> SwarmKvSession::Insert(uint64_t key, std::span<const uint8_t
   co_return result;
 }
 
-sim::Task<KvResult> SwarmKvSession::Remove(uint64_t key) {
+template <typename Protocol>
+sim::Task<KvResult> IndexedKvSession<Protocol>::Remove(uint64_t key) {
   KvResult result;
   Located loc = co_await Locate(key, /*seed_metadata=*/false, &result);
   bool moved = false;
@@ -318,7 +306,7 @@ sim::Task<KvResult> SwarmKvSession::Remove(uint64_t key) {
       result.status = KvStatus::kNotFound;
       co_return result;
     }
-    SafeGuessObject obj(worker_, loc.layout.get(), loc.obj_cache);
+    typename Protocol::Object obj(worker_, loc.layout.get(), loc.obj_cache);
     SgWriteResult del = co_await obj.Delete();
     result.rtts += del.rtts;
     if (del.status == SgStatus::kMoved) {
@@ -339,10 +327,7 @@ sim::Task<KvResult> SwarmKvSession::Remove(uint64_t key) {
       auto idx = co_await index_->Lookup(key, worker_->cpu());
       ++result.rtts;
       if (idx.has_value() && idx->generation != loc.generation) {
-        loc.found = true;
-        loc.layout = idx->layout;
-        loc.obj_cache = worker_->SlotCacheFor(idx->layout.get());
-        loc.generation = idx->generation;
+        loc = At(idx->layout, idx->generation);
         continue;
       }
       if (idx.has_value()) {
@@ -355,7 +340,9 @@ sim::Task<KvResult> SwarmKvSession::Remove(uint64_t key) {
     cache_->Invalidate(key);
     if (del.status == SgStatus::kOk) {
       // §5.3.2: the delete is over once the tombstone is replicated;
-      // unmapping the index entry happens in the background.
+      // unmapping the index entry happens in the background. Never unmap
+      // after a failed delete: that would hide the still-live object from
+      // cache-miss clients while cached clients keep operating on it.
       sim::Spawn(UnmapLater(index_, key, loc.generation));
       result.status = KvStatus::kOk;
     } else {
@@ -370,5 +357,8 @@ sim::Task<KvResult> SwarmKvSession::Remove(uint64_t key) {
   result.status = moved ? KvStatus::kUnavailable : KvStatus::kNotFound;
   co_return result;
 }
+
+template class IndexedKvSession<SafeGuessProtocol>;
+template class IndexedKvSession<AbdProtocol>;
 
 }  // namespace swarm::kv

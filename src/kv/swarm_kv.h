@@ -5,76 +5,17 @@
 // Clients access replicated values directly on the memory nodes through
 // Safe-Guess (over In-n-Out max registers); an index service maps keys to
 // replica locations, and a client-side cache (optionally bounded, LFU) makes
-// steady-state operations index-free.
+// steady-state operations index-free. The key-value layer is the engine in
+// src/kv/indexed_kv.h, shared with DM-ABD.
 
 #ifndef SWARM_SRC_KV_SWARM_KV_H_
 #define SWARM_SRC_KV_SWARM_KV_H_
 
-#include <memory>
-#include <vector>
-
-#include "src/index/client_cache.h"
-#include "src/index/index_service.h"
-#include "src/kv/kv_types.h"
-#include "src/swarm/placement.h"
-#include "src/swarm/safe_guess.h"
-#include "src/swarm/worker.h"
+#include "src/kv/indexed_kv.h"
 
 namespace swarm::kv {
 
-class SwarmKvSession : public KvSession {
- public:
-  // `cache` is shared among all sessions of one client process.
-  SwarmKvSession(Worker* worker, index::IndexService* index, index::ClientCache* cache)
-      : worker_(worker), index_(index), cache_(cache) {}
-
-  sim::Task<KvResult> Get(uint64_t key) override;
-  sim::Task<KvResult> Update(uint64_t key, std::span<const uint8_t> value) override;
-  sim::Task<KvResult> Insert(uint64_t key, std::span<const uint8_t> value) override;
-  sim::Task<KvResult> Remove(uint64_t key) override;
-
-  // Placement filter for fresh inserts: only nodes marked serving receive new
-  // extents (MembershipService::serving()). Unset = place on all nodes.
-  void set_serving(std::shared_ptr<const std::vector<bool>> serving) {
-    serving_ = std::move(serving);
-  }
-
- private:
-  // A self-contained copy of a key's location (safe across co_awaits even if
-  // the shared cache evicts the entry meanwhile).
-  struct Located {
-    bool found = false;
-    bool cache_hit = false;
-    std::shared_ptr<const ObjectLayout> layout;
-    std::shared_ptr<ObjectCache> obj_cache;
-    uint64_t generation = 0;
-  };
-
-  // Resolves a key's location, falling back to the index (+1 RT).
-  // `seed_metadata`: additionally performs the weak metadata read that
-  // updates In-n-Out slot caches — §7.1: updates on a SWARM-KV cache miss
-  // pay 2 extra roundtrips (index + latest metadata buffer).
-  sim::Task<Located> Locate(uint64_t key, bool seed_metadata, KvResult* result);
-
-  // Picks replica nodes for a fresh insert by key hash.
-  std::shared_ptr<const ObjectLayout> AllocateForKey(uint64_t key);
-
-  // Handles a read/write that discovered a tombstone: flush the cache, ask
-  // the index, and schedule the stale mapping's unmap (§5.3.3/§5.3.4).
-  sim::Task<Located> HandleDeleted(uint64_t key, uint64_t stale_generation, KvResult* result);
-
-  // Handles an op that bounced off a migration fence (SgStatus::kMoved):
-  // flush the cache and chase the index until the ownership flip commits
-  // under a new generation (or the fence lifts after an abort). Unlike
-  // HandleDeleted this never unmaps the entry — the key is alive, in transit.
-  sim::Task<Located> HandleMoved(uint64_t key, uint64_t stale_generation, KvResult* result);
-
-  Worker* worker_;
-  index::IndexService* index_;
-  index::ClientCache* cache_;
-  std::shared_ptr<const std::vector<bool>> serving_;
-  PlacementProbe place_;  // Minimal-remap placement over the serving set.
-};
+using SwarmKvSession = IndexedKvSession<SafeGuessProtocol>;
 
 }  // namespace swarm::kv
 

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "src/repair/quorum_copy.h"
-#include "src/swarm/abd.h"
 
 namespace swarm::repair {
 
@@ -53,12 +52,8 @@ class LayoutMove final : public ReplicaMove {
   }
 
   sim::Task<bool> Copy() override {
-    if (protocol_ == LayoutProtocol::kAbd) {
-      AbdObject obj(worker_, src_.get(), worker_->SlotCacheFor(src_.get()));
-      co_return co_await obj.CopyReplicaTo(dst_.get(), slot_);
-    }
-    co_return co_await CopySafeGuessReplica(worker_, src_, dst_.get(), slot_,
-                                            /*skip_tombstones=*/false);
+    co_return co_await CopyReplica(protocol_, worker_, src_, dst_.get(), slot_,
+                                   /*skip_tombstones=*/false);
   }
 
   // ReplaceLayout retires L as moved: the repair walk skips it, cache GC

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 #include <vector>
 
+#include "src/swarm/abd.h"
 #include "src/swarm/inout.h"
 #include "src/swarm/quorum_max.h"
 #include "src/swarm/timestamp.h"
@@ -106,6 +108,16 @@ sim::Task<bool> CopySafeGuessReplica(Worker* worker, std::shared_ptr<const Objec
   // move too, or a lock majority that included the vacated slot silently
   // dissolves and both modes can acquire.
   co_return co_await CopyLocks(worker, layout, dst, target);
+}
+
+sim::Task<bool> CopyReplica(LayoutProtocol protocol, Worker* worker,
+                            std::shared_ptr<const ObjectLayout> src, const ObjectLayout* dst,
+                            int target, bool skip_tombstones) {
+  if (protocol == LayoutProtocol::kAbd) {
+    AbdObject obj(worker, src.get(), worker->SlotCacheFor(src.get()));
+    co_return co_await obj.CopyReplicaTo(dst, target, skip_tombstones);
+  }
+  co_return co_await CopySafeGuessReplica(worker, std::move(src), dst, target, skip_tombstones);
 }
 
 }  // namespace swarm::repair

@@ -33,6 +33,14 @@
 
 namespace swarm::repair {
 
+// The register protocol an index-mapped layout is replicated with. The two
+// share ObjectLayout but differ in their out-of-place image format and lock
+// usage, so the copy routine must fit the protocol.
+enum class LayoutProtocol : uint8_t {
+  kSafeGuess,  // In-n-Out images + timestamp-lock state (SWARM-KV).
+  kAbd,        // Self-validating ABD images, no locks (DM-ABD).
+};
+
 // Merge rule for restoring a timestamp-lock word from several copies: lock
 // words only ever grow, so the higher counter wins; on a counter tie between
 // modes, prefer READ — it blocks the writer's re-execution, i.e. the guessed
@@ -56,6 +64,13 @@ sim::Task<bool> CopyLocks(Worker* worker, const ObjectLayout* src, const ObjectL
 // repair canary knob (RepairConfig::skip_tombstone_repair).
 sim::Task<bool> CopySafeGuessReplica(Worker* worker, std::shared_ptr<const ObjectLayout> src,
                                      const ObjectLayout* dst, int target, bool skip_tombstones);
+
+// The one protocol switch of crash repair and live migration: copies `src`'s
+// authoritative state into `dst`'s replica `target` with the routine that
+// fits `protocol` — CopySafeGuessReplica, or AbdObject::CopyReplicaTo.
+sim::Task<bool> CopyReplica(LayoutProtocol protocol, Worker* worker,
+                            std::shared_ptr<const ObjectLayout> src, const ObjectLayout* dst,
+                            int target, bool skip_tombstones);
 
 }  // namespace swarm::repair
 

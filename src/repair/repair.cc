@@ -3,7 +3,6 @@
 #include <memory>
 
 #include "src/repair/quorum_copy.h"
-#include "src/swarm/abd.h"
 
 namespace swarm::repair {
 
@@ -38,17 +37,10 @@ sim::Task<RepairOutcome> IndexRepairSource::RepairNode(int node, Worker* worker,
         slots.emplace_back(slot.owner, slot.replica);
       });
   for (const auto& [layout_sp, r] : slots) {
-    const ObjectLayout* layout = layout_sp.get();
-    bool ok;
-    if (protocol_ == LayoutProtocol::kAbd) {
-      AbdObject obj(worker, layout, worker->SlotCacheFor(layout));
-      ok = co_await obj.RepairReplica(r, config.skip_tombstone_repair);
-    } else {
-      // Same-layout copy: harvest from the survivors, install into the
-      // rejoining replica (src/repair/quorum_copy.h).
-      ok = co_await CopySafeGuessReplica(worker, layout_sp, layout_sp.get(), r,
+    // Same-layout copy: harvest from the survivors, install into the
+    // rejoining replica (src/repair/quorum_copy.h).
+    const bool ok = co_await CopyReplica(protocol_, worker, layout_sp, layout_sp.get(), r,
                                          config.skip_tombstone_repair);
-    }
     if (ok) {
       ++out.slots_repaired;
     } else {

@@ -39,6 +39,7 @@
 
 #include "src/index/index_service.h"
 #include "src/membership/membership.h"
+#include "src/repair/quorum_copy.h"
 #include "src/sim/task.h"
 #include "src/sim/time.h"
 #include "src/swarm/worker.h"
@@ -93,14 +94,7 @@ class RepairableStore {
 };
 
 // Repairs objects reachable through an IndexService (the SWARM-KV and DM-ABD
-// layouts). The two protocols share ObjectLayout but differ in their
-// out-of-place image format and lock usage, so the source is told which
-// repair routine fits.
-enum class LayoutProtocol : uint8_t {
-  kSafeGuess,  // In-n-Out images + timestamp-lock state (swarm_kv).
-  kAbd,        // Self-validating ABD images, no locks (dm_abd_kv).
-};
-
+// layouts), told which register protocol the layouts carry.
 class IndexRepairSource : public RepairableStore {
  public:
   IndexRepairSource(index::IndexService* index, LayoutProtocol protocol)

@@ -418,16 +418,8 @@ sim::Task<SgWriteResult> AbdObject::Delete() {
   co_return result;
 }
 
-sim::Task<bool> AbdObject::RepairReplica(int target, bool skip_tombstones) {
-  co_return co_await CopyReplicaInternal(layout_, target, skip_tombstones);
-}
-
-sim::Task<bool> AbdObject::CopyReplicaTo(const ObjectLayout* dst, int target) {
-  co_return co_await CopyReplicaInternal(dst, target, /*skip_tombstones=*/false);
-}
-
-sim::Task<bool> AbdObject::CopyReplicaInternal(const ObjectLayout* dst, int target,
-                                               bool skip_tombstones) {
+sim::Task<bool> AbdObject::CopyReplicaTo(const ObjectLayout* dst, int target,
+                                         bool skip_tombstones) {
   // Phase 1: the surviving SOURCE quorum's metadata words. For crash repair
   // the caller's worker has the target's node repair-excluded, so `order`
   // never includes it; for migration the vacated source slot is

@@ -41,29 +41,22 @@ class AbdObject {
   sim::Task<SgWriteResult> Delete();
   sim::Task<SgReadResult> Read();
 
-  // Crash-recover rejoin repair (src/repair/): reads the register state back
-  // from a surviving quorum (the target's node must be repair-excluded on
-  // the calling worker) and CAS-maxes it into replica `target` — the exact
-  // observed word for tombstones, a freshly written out-of-place image for
-  // values. Returns false when no surviving quorum answered or the value
-  // bytes could not be resolved (caller retries). `skip_tombstones` is the
-  // canary-gallery bug knob (repair::RepairConfig::skip_tombstone_repair).
-  sim::Task<bool> RepairReplica(int target, bool skip_tombstones = false);
-
-  // Live migration (src/repair/migration.h): harvests this (source) layout's
-  // authoritative state from its surviving quorum and installs it into
-  // `dst`'s replica `target` — the cross-layout analogue of RepairReplica.
-  // The image hash is re-salted with the destination's metadata address, so
-  // the installed buffer self-validates under the new layout. The caller's
-  // worker must ride the repair channel (the vacated source slot is
-  // region-fenced during the harvest).
-  sim::Task<bool> CopyReplicaTo(const ObjectLayout* dst, int target);
+  // Quorum-sourced replica copy (src/repair/quorum_copy.h): harvests this
+  // (source) layout's authoritative state from its surviving quorum and
+  // CAS-maxes it into `dst`'s replica `target` — the exact observed word for
+  // tombstones, a freshly written out-of-place image for values. Crash repair
+  // passes dst == this layout (the target's node must be repair-excluded on
+  // the calling worker); live migration passes the replacement layout, and
+  // the caller's worker must ride the repair channel (the vacated source
+  // slot is region-fenced during the harvest). The image hash is salted with
+  // the destination's metadata address, so the installed buffer
+  // self-validates under `dst`. Returns false when no surviving quorum
+  // answered or the value bytes could not be resolved (caller retries).
+  // `skip_tombstones` is the canary-gallery bug knob
+  // (repair::RepairConfig::skip_tombstone_repair).
+  sim::Task<bool> CopyReplicaTo(const ObjectLayout* dst, int target, bool skip_tombstones);
 
  private:
-  // Shared harvest+install core of RepairReplica (dst == layout_) and
-  // CopyReplicaTo (dst is the migration's replacement layout).
-  sim::Task<bool> CopyReplicaInternal(const ObjectLayout* dst, int target, bool skip_tombstones);
-
   sim::Task<SgWriteResult> WriteWord(Meta base, std::span<const uint8_t> value);
 
   // One update attempt; Write() wraps it in the membership-refresh-then-

@@ -6,12 +6,15 @@
 
 #include <functional>
 #include <memory>
+#include <string>
 
 #include "src/kv/dm_abd_kv.h"
 #include "src/kv/fusee_kv.h"
 #include "src/kv/raw_kv.h"
 #include "src/kv/swarm_kv.h"
 #include "src/sim/sync.h"
+#include "src/swarm/abd.h"
+#include "src/swarm/safe_guess.h"
 #include "tests/support/test_env.h"
 
 namespace swarm::kv {
@@ -26,18 +29,21 @@ using testing::ValN;
 struct KvFixture {
   explicit KvFixture(uint64_t seed = 1) : env(seed), indexsvc(&env.sim), fusee(&env.fabric) {}
 
-  std::unique_ptr<KvSession> Make(const std::string& kind) {
+  std::unique_ptr<KvSession> Make(const std::string& kind) { return Make(kind, &cache); }
+
+  // A further client process with its own location cache.
+  std::unique_ptr<KvSession> Make(const std::string& kind, index::ClientCache* own_cache) {
     Worker& w = env.MakeWorker();
     if (kind == "swarm") {
-      return std::make_unique<SwarmKvSession>(&w, &indexsvc, &cache);
+      return std::make_unique<SwarmKvSession>(&w, &indexsvc, own_cache);
     }
     if (kind == "raw") {
-      return std::make_unique<RawKvSession>(&w, &indexsvc, &cache);
+      return std::make_unique<RawKvSession>(&w, &indexsvc, own_cache);
     }
     if (kind == "dmabd") {
-      return std::make_unique<DmAbdKvSession>(&w, &indexsvc, &cache);
+      return std::make_unique<DmAbdKvSession>(&w, &indexsvc, own_cache);
     }
-    return std::make_unique<FuseeKvSession>(&w, &fusee, &cache);
+    return std::make_unique<FuseeKvSession>(&w, &fusee, own_cache);
   }
 
   TestEnv env;
@@ -267,14 +273,17 @@ TEST(FuseeKv, StaleCacheCostsSecondRoundtrip) {
   fx.env.sim.Run();
 }
 
-TEST(SwarmKv, DeletedKeyDetectedThroughStaleCache) {
-  KvFixture fx;
-  auto a = fx.Make("swarm");
-  index::ClientCache cache_b;
-  Worker& wb = fx.env.MakeWorker();
-  SwarmKvSession b(&wb, &fx.indexsvc, &cache_b);
+// SWARM-KV and DM-ABD run one session engine (src/kv/indexed_kv.h) over
+// different register protocols; these cases drive it over both.
+class IndexedKv : public ::testing::TestWithParam<const char*> {};
 
-  auto driver = [](KvSession* a, SwarmKvSession* b, index::ClientCache* cb) -> Task<void> {
+TEST_P(IndexedKv, DeletedKeyDetectedThroughStaleCache) {
+  KvFixture fx;
+  auto a = fx.Make(GetParam());
+  index::ClientCache cache_b;
+  auto b = fx.Make(GetParam(), &cache_b);
+
+  auto driver = [](KvSession* a, KvSession* b, index::ClientCache* cb) -> Task<void> {
     (void)co_await a->Insert(6, ValN(16, 1));
     (void)co_await b->Get(6);  // b caches the replicas.
     (void)co_await a->Remove(6);
@@ -284,13 +293,13 @@ TEST(SwarmKv, DeletedKeyDetectedThroughStaleCache) {
     EXPECT_EQ(g.status, KvStatus::kNotFound);
     EXPECT_EQ(cb->stats().invalidations, 1u);
   };
-  Spawn(driver(a.get(), &b, &cache_b));
+  Spawn(driver(a.get(), b.get(), &cache_b));
   fx.env.sim.Run();
 }
 
-TEST(SwarmKv, ReinsertAfterDeleteWorks) {
+TEST_P(IndexedKv, ReinsertAfterDeleteWorks) {
   KvFixture fx;
-  auto kv = fx.Make("swarm");
+  auto kv = fx.Make(GetParam());
   auto driver = [](KvSession* kv) -> Task<void> {
     (void)co_await kv->Insert(8, ValN(16, 1));
     (void)co_await kv->Remove(8);
@@ -304,12 +313,11 @@ TEST(SwarmKv, ReinsertAfterDeleteWorks) {
   fx.env.sim.Run();
 }
 
-TEST(SwarmKv, InsertRaceTurnsIntoUpdate) {
+TEST_P(IndexedKv, InsertRaceTurnsIntoUpdate) {
   KvFixture fx;
-  auto a = fx.Make("swarm");
+  auto a = fx.Make(GetParam());
   index::ClientCache cache_b;
-  Worker& wb = fx.env.MakeWorker();
-  SwarmKvSession b(&wb, &fx.indexsvc, &cache_b);
+  auto b = fx.Make(GetParam(), &cache_b);
 
   int oks = 0;
   int exists = 0;
@@ -322,7 +330,7 @@ TEST(SwarmKv, InsertRaceTurnsIntoUpdate) {
     }
   };
   Spawn(racer(a.get(), 1, &oks, &exists));
-  Spawn(racer(&b, 2, &oks, &exists));
+  Spawn(racer(b.get(), 2, &oks, &exists));
   fx.env.sim.Run();
   EXPECT_EQ(oks, 1);
   EXPECT_EQ(exists, 1);
@@ -339,6 +347,66 @@ TEST(SwarmKv, InsertRaceTurnsIntoUpdate) {
   fx.env.sim.Run();
   EXPECT_TRUE(checked);
 }
+
+// Tombstones `layout` with the register protocol the store runs over, the
+// way a deleter does (§5.3.2) — without its background index unmap.
+Task<SgWriteResult> TombstoneObject(bool abd, Worker* w, const ObjectLayout* layout) {
+  if (abd) {
+    AbdObject obj(w, layout, w->SlotCacheFor(layout));
+    co_return co_await obj.Delete();
+  }
+  SafeGuessObject obj(w, layout, w->SlotCacheFor(layout));
+  co_return co_await obj.Delete();
+}
+
+// Regression: a deleter that crashed between replicating its tombstone and
+// unmapping the key leaves a mapped, tombstoned object. An insert must
+// overwrite it (§5.3.1: unmap the dead mapping and retry with fresh
+// replicas). DM-ABD's private insert path used to report kNotFound — not an
+// insert outcome — and write nothing.
+TEST_P(IndexedKv, InsertOverMappedTombstoneSucceeds) {
+  KvFixture fx;
+  auto a = fx.Make(GetParam());
+  index::ClientCache cache_b;
+  auto b = fx.Make(GetParam(), &cache_b);
+  Worker& deleter = fx.env.MakeWorker();
+  const bool abd = std::string(GetParam()) == "dmabd";
+
+  bool done = false;
+  auto driver = [](KvFixture* fx, KvSession* a, KvSession* b, Worker* deleter, bool abd2,
+                   bool* done2) -> Task<void> {
+    EXPECT_EQ((co_await a->Insert(14, ValN(16, 1))).status, KvStatus::kOk);
+    const index::IndexEntry* mapped = fx->indexsvc.Peek(14);
+    if (mapped == nullptr) {
+      ADD_FAILURE() << "the insert left no mapping";
+      co_return;
+    }
+    const std::shared_ptr<const ObjectLayout> layout = mapped->layout;
+    SgWriteResult del = co_await TombstoneObject(abd2, deleter, layout.get());
+    EXPECT_EQ(del.status, SgStatus::kOk);
+    EXPECT_NE(fx->indexsvc.Peek(14), nullptr) << "the tombstoned object must stay mapped";
+
+    KvResult ins = co_await b->Insert(14, ValN(16, 2));
+    EXPECT_EQ(ins.status, KvStatus::kOk);
+    KvResult g = co_await b->Get(14);
+    EXPECT_EQ(g.status, KvStatus::kOk);
+    EXPECT_EQ(g.value, ValN(16, 2));
+    // A's cached location is the tombstoned object: it must follow the
+    // index to the new mapping.
+    KvResult ga = co_await a->Get(14);
+    EXPECT_EQ(ga.status, KvStatus::kOk);
+    EXPECT_EQ(ga.value, ValN(16, 2));
+    *done2 = true;
+  };
+  Spawn(driver(&fx, a.get(), b.get(), &deleter, abd, &done));
+  fx.env.sim.Run();
+  EXPECT_TRUE(done);
+}
+
+INSTANTIATE_TEST_SUITE_P(Stores, IndexedKv, ::testing::Values("swarm", "dmabd"),
+                         [](const ::testing::TestParamInfo<const char*>& param_info) {
+                           return std::string(param_info.param);
+                         });
 
 TEST(SwarmKv, SurvivesNodeCrashNoDowntime) {
   KvFixture fx;

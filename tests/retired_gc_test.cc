@@ -75,6 +75,76 @@ TEST(RetiredGc, WithoutRecyclerCouplingNothingIsDropped) {
   EXPECT_EQ(index.retired().size(), 5u);
 }
 
+TEST(RetiredGc, PinnedEntryStaysWhileLaterOnesDropInRetirementOrder) {
+  // The in-flight use-count gate: an op that located a key before its
+  // retirement keeps the layout alive past the horizon. A pinned entry at
+  // the head of the list must neither block the unpinned entries behind it
+  // nor be dropped before its holder lets go; entries retired after the
+  // horizon stay untouched.
+  TestEnv env(3);
+  membership::MembershipService membership(&env.sim, &env.fabric);
+  Recycler recycler(&env.sim, &membership);
+  RecyclerParticipant client(&env.sim, 1, /*ack_delay=*/2000);
+  recycler.Register(&client);
+
+  index::IndexService index(&env.sim);
+  index.set_retirement_horizon([&recycler] { return recycler.current_epoch(); },
+                               [&recycler] { return recycler.SafeReclaimBefore(); });
+  std::vector<const ObjectLayout*> notified;
+  index.add_gc_listener([&notified](const std::shared_ptr<const ObjectLayout>& layout) {
+    notified.push_back(layout.get());
+  });
+  auto drained_round = [&] {
+    recycler.HeartbeatAll();
+    sim::Spawn(recycler.RunRound());
+    env.sim.Run();
+  };
+  auto retired_layouts = [&index] {
+    std::vector<const ObjectLayout*> out;
+    for (const auto& r : index.retired()) {
+      out.push_back(r.layout.get());
+    }
+    return out;
+  };
+
+  // Epoch 0: a pinned head, then three unpinned entries.
+  std::shared_ptr<const ObjectLayout> pin;
+  std::vector<const ObjectLayout*> early;
+  for (int i = 0; i < 4; ++i) {
+    auto layout = std::make_shared<const ObjectLayout>(env.MakeObject());
+    early.push_back(layout.get());
+    if (i == 0) {
+      pin = layout;  // An in-flight op's Located copy.
+    }
+    index.Retire(std::move(layout));
+  }
+  EXPECT_EQ(index.retired().size(), 4u) << "nothing may drop before the horizon passes";
+  EXPECT_TRUE(notified.empty());
+
+  drained_round();  // The horizon passes epoch 0.
+  auto late = std::make_shared<const ObjectLayout>(env.MakeObject());
+  const ObjectLayout* late_ptr = late.get();
+  index.Retire(std::move(late));  // Epoch 1; its Retire runs the GC.
+
+  EXPECT_EQ(notified, early) << "every passed layout is notified once, in retirement order";
+  EXPECT_EQ(index.retired_dropped(), 3u);
+  EXPECT_EQ(retired_layouts(), (std::vector<const ObjectLayout*>{early[0], late_ptr}))
+      << "the pinned head stays, ahead of the entry retired after the horizon";
+
+  EXPECT_EQ(index.GcRetired(), 0u) << "still pinned";
+  EXPECT_EQ(notified.size(), 4u) << "a pinned layout is not notified twice";
+
+  pin.reset();  // The op completes.
+  EXPECT_EQ(index.GcRetired(), 1u);
+  EXPECT_EQ(retired_layouts(), (std::vector<const ObjectLayout*>{late_ptr}));
+
+  drained_round();  // The horizon passes epoch 1.
+  EXPECT_EQ(index.GcRetired(), 1u);
+  EXPECT_TRUE(index.retired().empty());
+  EXPECT_EQ(notified.back(), late_ptr);
+  EXPECT_EQ(index.retired_dropped(), 5u);
+}
+
 TEST(RetiredGc, InsertCollisionChurnShrinksThroughTheKvPath) {
   // The real producer: two clients inserting the same keys concurrently —
   // the loser of each InsertIfAbsent race retires its freshly allocated
