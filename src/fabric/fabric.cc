@@ -79,47 +79,19 @@ void ClientCpu::EndBatch() {
   }
 }
 
-sim::Task<void> PostAll(ClientCpu* cpu, sim::Simulator* sim,
-                        sim::PoolVec<sim::Task<void>> verbs) {
-  sim::Counter done(sim);
-  const int n = static_cast<int>(verbs.size());
-  {
-    CpuBatch batch(cpu);
-    for (auto& v : verbs) {
-      sim::Spawn(sim::SignalWhenDone(std::move(v), done));
-    }
-  }
-  co_await done.WaitFor(n);
-}
-
 namespace {
 
-// Shared completion block for PostMany/PostQuorum. Every spawned verb holds
-// a reference, so the block outlives the caller's (possibly first-quorum)
-// resume; the pooled slot recycles only after the LAST straggler finished.
+// Shared completion block for PostMany. Every spawned verb holds a
+// reference, so the block outlives a caller whose frame dies first; the
+// pooled slot recycles only after the LAST verb finished.
 struct ManyResults {
   sim::PoolVec<OpResult> results;
-  sim::PoolVec<uint8_t> completed;
 };
 
 sim::Task<void> StoreResultAt(sim::Task<OpResult> verb, std::shared_ptr<ManyResults> out,
                               size_t idx, sim::Counter done) {
   out->results[idx] = co_await std::move(verb);
-  out->completed[idx] = 1;
   done.Add(1);
-}
-
-std::shared_ptr<ManyResults> SpawnUnderOneDoorbell(ClientCpu* cpu,
-                                                   sim::PoolVec<sim::Task<OpResult>>& verbs,
-                                                   sim::Counter& done) {
-  auto out = std::allocate_shared<ManyResults>(sim::PoolAlloc<ManyResults>{});
-  out->results.resize(verbs.size());
-  out->completed.assign(verbs.size(), 0);
-  CpuBatch batch(cpu);
-  for (size_t i = 0; i < verbs.size(); ++i) {
-    sim::Spawn(StoreResultAt(std::move(verbs[i]), out, i, done));
-  }
-  return out;
 }
 
 }  // namespace
@@ -128,24 +100,16 @@ sim::Task<sim::PoolVec<OpResult>> PostMany(ClientCpu* cpu, sim::Simulator* sim,
                                            sim::PoolVec<sim::Task<OpResult>> verbs) {
   sim::Counter done(sim);
   const int n = static_cast<int>(verbs.size());
-  auto out = SpawnUnderOneDoorbell(cpu, verbs, done);
+  auto out = std::allocate_shared<ManyResults>(sim::PoolAlloc<ManyResults>{});
+  out->results.resize(verbs.size());
+  {
+    CpuBatch batch(cpu);
+    for (size_t i = 0; i < verbs.size(); ++i) {
+      sim::Spawn(StoreResultAt(std::move(verbs[i]), out, i, done));
+    }
+  }
   co_await done.WaitFor(n);
   co_return std::move(out->results);
-}
-
-sim::Task<QuorumOutcome> PostQuorum(ClientCpu* cpu, sim::Simulator* sim,
-                                    sim::PoolVec<sim::Task<OpResult>> verbs, int quorum,
-                                    sim::Time timeout) {
-  sim::Counter done(sim);
-  auto out = SpawnUnderOneDoorbell(cpu, verbs, done);
-  QuorumOutcome o;
-  o.reached = co_await done.WaitFor(quorum, timeout);
-  o.completed_count = done.count();
-  // Snapshot: stragglers keep mutating *out after this resume, so the caller
-  // gets a copy taken at the quorum instant (pooled buffers, no heap).
-  o.results = out->results;
-  o.completed = out->completed;
-  co_return o;
 }
 
 Fabric::Fabric(sim::Simulator* sim, FabricConfig config)

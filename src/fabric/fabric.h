@@ -396,7 +396,7 @@ class Fabric {
 
 // --- Doorbell-batched posting helpers. -------------------------------------
 //
-// All three open a CpuBatch, start every verb task (each runs until its
+// Both open a CpuBatch, start every verb task (each runs until its
 // Submit suspension, joining the shared doorbell), close the batch, and then
 // await completions. Lazy tasks are required: the verbs must not have been
 // started by the caller.
@@ -419,38 +419,11 @@ sim::Task<std::pair<A, B>> PostBoth(ClientCpu* cpu, sim::Simulator* sim, sim::Ta
   co_return std::pair<A, B>{std::move(*ra), std::move(*rb)};
 }
 
-// Posts all verb tasks under one doorbell and resumes when every one has
-// completed.
-sim::Task<void> PostAll(ClientCpu* cpu, sim::Simulator* sim,
-                        sim::PoolVec<sim::Task<void>> verbs);
-
 // Posts N result-bearing verbs (possibly to different nodes) under one
 // doorbell; resumes when all have completed, returning their results in
 // order. The generic many-verb entry point for application code.
 sim::Task<sim::PoolVec<OpResult>> PostMany(ClientCpu* cpu, sim::Simulator* sim,
                                            sim::PoolVec<sim::Task<OpResult>> verbs);
-
-// Outcome of a first-quorum post, snapshotted at the instant the caller
-// resumed. `results[i]` is meaningful only where `completed[i]` is set;
-// stragglers that finish later update the (refcounted, pooled) shared block,
-// never this snapshot.
-struct [[nodiscard]] QuorumOutcome {
-  bool reached = false;  // Quorum hit (false = timeout expired first).
-  int completed_count = 0;
-  sim::PoolVec<OpResult> results;
-  sim::PoolVec<uint8_t> completed;  // 1 = results[i] valid.
-};
-
-// First-quorum variant of PostMany: posts every verb under one doorbell and
-// resumes as soon as `quorum` of them completed (or `timeout` virtual ns
-// elapsed, if >= 0). The remaining verbs keep running detached against a
-// shared result block that they themselves keep alive — the caller's early
-// resume can never turn a straggler's completion into a use-after-free (see
-// the OpState pooling audit in fabric.cc). This is the fabric-level API the
-// quorum protocols' resume-at-quorum behavior is built on.
-sim::Task<QuorumOutcome> PostQuorum(ClientCpu* cpu, sim::Simulator* sim,
-                                    sim::PoolVec<sim::Task<OpResult>> verbs, int quorum,
-                                    sim::Time timeout = sim::kNoTimeout);
 
 }  // namespace swarm::fabric
 

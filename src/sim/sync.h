@@ -111,8 +111,8 @@ class Counter {
 };
 
 // Building blocks for fan-out/join combinators (WhenBoth/WhenAll here, the
-// doorbell-batched PostBoth/PostAll/PostMany in the fabric layer): run a
-// task, deposit its result, signal a completion counter.
+// doorbell-batched PostBoth in the fabric layer): run a task, deposit its
+// result, signal a completion counter.
 
 template <typename T>
 Task<void> StoreInto(Task<T> t, std::shared_ptr<T> out, Counter done) {

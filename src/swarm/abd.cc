@@ -4,7 +4,7 @@
 #include <cstring>
 
 #include "src/hash/xxhash.h"
-#include "src/sim/sync.h"
+#include "src/swarm/quorum.h"
 
 namespace swarm {
 namespace {
@@ -27,15 +27,11 @@ sim::Bytes AbdOopImage(uint64_t meta_addr, std::span<const uint8_t> value) {
   return image;
 }
 
-struct Phase1State {
-  sim::Counter ok;
-  std::array<Meta, kMaxReplicas> words{};
-  std::array<bool, kMaxReplicas> oks{};
+struct Phase1State : WordPhase {
+  using WordPhase::WordPhase;
+
   std::array<uint32_t, kMaxReplicas> oop_idx{};
   sim::Bytes value;  // Images are built per replica (per-node hash).
-  bool moved = false;          // Some replica NACKed kMovedReplica.
-
-  explicit Phase1State(sim::Simulator* s) : ok(s) {}
 };
 
 // Phase 1 of an update at one replica: write the value out-of-place while
@@ -67,13 +63,36 @@ sim::Task<void> Phase1One(Worker* worker, const ObjectLayout* layout, int r,
   }
   uint64_t word;
   std::memcpy(&word, word_buf.data(), 8);
-  ph->words[idx] = Meta(word);
-  ph->oks[idx] = true;
+  ph->Record(r, Meta(word));
   ph->ok.Add(1);
 }
 
-struct CasState {
-  sim::Counter ok;
+// Reads replica r's metadata word. The repair coordinator passes
+// `note_failures` = false: its known-failed set must not steer its own
+// contact order.
+sim::Task<void> ReadWordOne(Worker* worker, const ObjectLayout* layout, int r,
+                            std::shared_ptr<Phase1State> ph, bool note_failures) {
+  const ReplicaLayout& rep = layout->replicas[static_cast<size_t>(r)];
+  std::array<uint8_t, 8> buf{};
+  fabric::OpResult res = co_await worker->qp(rep.node).Read(rep.meta_addr, buf);
+  if (!res.ok()) {
+    if (note_failures && res.status == fabric::Status::kNodeFailed) {
+      worker->MarkNodeFailed(rep.node);
+    }
+    if (res.status == fabric::Status::kMovedReplica) {
+      ph->moved = true;
+    }
+    co_return;
+  }
+  uint64_t word;
+  std::memcpy(&word, buf.data(), 8);
+  ph->Record(r, Meta(word));
+  ph->ok.Add(1);
+}
+
+struct CasState : QuorumPhase {
+  using QuorumPhase::QuorumPhase;
+
   int max_retries = 0;
   // ts-max over the register words the CAS loops found already installed
   // (never our own `desired`): lets Delete detect a preceding tombstone.
@@ -87,9 +106,6 @@ struct CasState {
   // since-overwritten value under a fresh timestamp.
   int completions = 0;
   bool maybe_applied = false;
-  bool moved = false;  // Some CAS bounced off a migration fence.
-
-  explicit CasState(sim::Simulator* s) : ok(s) {}
 };
 
 // Installs `desired` at one replica with Algorithm 7's CAS-max loop,
@@ -141,13 +157,13 @@ sim::Task<void> CasMaxOne(Worker* worker, const ObjectLayout* layout, int r, Met
 
 // Write-back at one replica: out-of-place image + CAS, pipelined.
 sim::Task<void> RepairOne(Worker* worker, const ObjectLayout* layout, int r, Meta base,
-                          std::shared_ptr<Phase1State> img, std::shared_ptr<CasState> ph) {
+                          std::shared_ptr<const sim::Bytes> value, std::shared_ptr<CasState> ph) {
   const ReplicaLayout& rep = layout->replicas[static_cast<size_t>(r)];
   fabric::Qp& qp = worker->qp(rep.node);
   OopPool& pool = worker->pool(rep.node);
   const uint32_t oop = pool.AllocIdx();
   const Meta desired = base.WithOop(oop);
-  sim::Bytes image = AbdOopImage(rep.meta_addr, img->value);
+  sim::Bytes image = AbdOopImage(rep.meta_addr, *value);
   Meta prev;
   bool installed = false;
   fabric::OpResult res = co_await qp.WriteThenCas(static_cast<uint64_t>(oop) * kOopGranuleBytes,
@@ -189,58 +205,64 @@ sim::Task<void> RepairOne(Worker* worker, const ObjectLayout* layout, int r, Met
 // acts on the deletion. Without this, quorums that miss the tombstone keep
 // resurrecting the overwritten (or a concurrently written) value. Returns
 // false when no majority acked; `rtts` is bumped iff a repair wave ran.
-sim::Task<bool> FenceTombstone(Worker* worker, const ObjectLayout* layout,
-                               const std::array<int, kMaxReplicas>& order, int usable,
+sim::Task<bool> FenceTombstone(Worker* worker, const ObjectLayout* layout, const QuorumEngine& q,
                                std::shared_ptr<Phase1State> ph, Meta m, int* rtts,
                                bool* moved = nullptr) {
-  const int maj = layout->majority();
-  int holders = 0;
-  for (int r = 0; r < layout->num_replicas; ++r) {
-    const auto idx = static_cast<size_t>(r);
-    if (ph->oks[idx] && ph->words[idx].ts_order_key() == m.ts_order_key()) {
-      ++holders;
-    }
-  }
-  if (holders >= maj) {
+  if (ph->Holders(m) >= q.majority()) {
     co_return true;
   }
   const Meta repair = Meta::Pack(m.counter(), m.tid(), m.verified(), 0);
   auto cs = sim::MakePooled<CasState>(worker->sim());
   ++*rtts;
-  const bool fenced = co_await worker->BatchedQuorum(
-      cs->ok, maj, worker->config().quorum_timeout, 0, usable, [&](int i) {
-        const int r = order[static_cast<size_t>(i)];
-        return CasMaxOne(worker, layout, r, ph->words[static_cast<size_t>(r)], repair, cs);
-      });
+  const bool fenced = co_await q.Broadcast(cs.get(), [&](int r) {
+    return CasMaxOne(worker, layout, r, ph->words[static_cast<size_t>(r)], repair, cs);
+  });
   if (moved != nullptr) {
     *moved = cs->moved;
   }
   co_return fenced;
 }
 
-// Live replicas first, known-failed last; repair-excluded replicas dropped
-// entirely (only order[0..usable) may be contacted). Returns the live count.
-int LivePreferred(Worker* worker, const ObjectLayout* layout, std::array<int, kMaxReplicas>& order,
-                  int* usable) {
-  int live = 0;
-  std::array<int, kMaxReplicas> dead{};
-  int num_dead = 0;
-  for (int r = 0; r < layout->num_replicas; ++r) {
-    const int node = layout->replicas[static_cast<size_t>(r)].node;
-    if (worker->NodeQuorumExcluded(node)) {
+// Outcome of resolving a value word's bytes.
+struct Chase {
+  bool ok = false;
+  bool moved = false;  // Some READ bounced off a migration fence.
+  int reads = 0;       // READs issued, one roundtrip each.
+  sim::Bytes value;
+};
+
+// Resolves the bytes of value word `m`: READs the out-of-place buffer of
+// each replica whose answer carries m, in index order, until one validates
+// against its AbdHash (a torn or recycled buffer does not).
+sim::Task<Chase> ChaseValue(Worker* worker, const ObjectLayout* layout, const Phase1State* ph,
+                            Meta m) {
+  Chase out;
+  for (int r = 0; r < layout->num_replicas && !out.ok; ++r) {
+    if (!ph->Carries(r, m)) {
       continue;
     }
-    if (worker->NodeKnownFailed(node)) {
-      dead[static_cast<size_t>(num_dead++)] = r;
-    } else {
-      order[static_cast<size_t>(live++)] = r;
+    const ReplicaLayout& rep = layout->replicas[static_cast<size_t>(r)];
+    sim::Bytes buf(kOopHeaderBytes + layout->max_value);
+    fabric::OpResult res =
+        co_await worker->qp(rep.node).Read(ph->words[static_cast<size_t>(r)].oop_addr(), buf);
+    ++out.reads;
+    if (!res.ok()) {
+      out.moved = out.moved || res.status == fabric::Status::kMovedReplica;
+      continue;
+    }
+    uint64_t h;
+    uint64_t len;
+    std::memcpy(&h, buf.data(), 8);
+    std::memcpy(&len, buf.data() + 8, 8);
+    if (len <= layout->max_value) {
+      std::span<const uint8_t> data(buf.data() + kOopHeaderBytes, static_cast<size_t>(len));
+      if (AbdHash(rep.meta_addr, len, data) == h) {
+        out.ok = true;
+        out.value.assign(data.begin(), data.end());
+      }
     }
   }
-  for (int i = 0; i < num_dead; ++i) {
-    order[static_cast<size_t>(live + i)] = dead[static_cast<size_t>(i)];
-  }
-  *usable = live + num_dead;
-  return live;
+  co_return out;
 }
 
 }  // namespace
@@ -276,27 +298,14 @@ sim::Task<SgWriteResult> AbdObject::WriteAttempt(std::span<const uint8_t> value,
   auto ph = sim::MakePooled<Phase1State>(worker_->sim());
   ph->value.assign(value.begin(), value.end());
 
-  std::array<int, kMaxReplicas> order{};
-  int usable = 0;
-  LivePreferred(worker_, layout_, order, &usable);
-  const int maj = layout_->majority();
-  const int first_wave = std::min(maj, usable);
-
   // Phase 1: out-of-place writes in parallel with the timestamp discovery
   // read (DM-ABD "hides latency by writing out-of-place data in parallel to
   // finding a fresh timestamp") — one doorbell per wave.
-  auto phase1 = [&](int i) {
-    return Phase1One(worker_, layout_, order[static_cast<size_t>(i)], ph);
-  };
-  bool got = co_await worker_->BatchedQuorum(ph->ok, maj, worker_->config().escalation_timeout, 0,
-                                             first_wave, phase1);
-  result.rtts = 1;
-  if (!got && !worker_->EpochRefreshNeeded() && !ph->moved) {
-    ++result.rtts;
-    got = co_await worker_->BatchedQuorum(ph->ok, maj, worker_->config().quorum_timeout,
-                                          first_wave, usable - first_wave, phase1);
-  }
-  if (!got) {
+  const QuorumEngine q(worker_, layout_);
+  const QuorumVerdict v =
+      co_await q.Escalate(ph.get(), [&](int r) { return Phase1One(worker_, layout_, r, ph); });
+  result.rtts = v.waves;
+  if (!v.reached) {
     // Phase 1 has no reachable effect (no metadata word points at the
     // out-of-place buffers yet): re-running the attempt is always safe —
     // including against a replacement layout after a migration fence.
@@ -307,18 +316,13 @@ sim::Task<SgWriteResult> AbdObject::WriteAttempt(std::span<const uint8_t> value,
     co_return result;
   }
 
-  Meta m;
-  for (int r = 0; r < layout_->num_replicas; ++r) {
-    if (ph->oks[static_cast<size_t>(r)]) {
-      m = TsMax(m, ph->words[static_cast<size_t>(r)]);
-    }
-  }
+  const Meta m = ph->Max();
   if (m.deleted()) {
     // Same repair as the read path: the tombstone must reach a majority
     // before the caller unmaps/fails, or disjoint quorums resurrect values.
     bool fence_moved = false;
-    const bool fenced = co_await FenceTombstone(worker_, layout_, order, usable, ph, m,
-                                                &result.rtts, &fence_moved);
+    const bool fenced =
+        co_await FenceTombstone(worker_, layout_, q, ph, m, &result.rtts, &fence_moved);
     // Re-installing the identical tombstone word is idempotent.
     *retry_safe = !fenced;
     if (fenced) {
@@ -333,28 +337,21 @@ sim::Task<SgWriteResult> AbdObject::WriteAttempt(std::span<const uint8_t> value,
     co_return result;
   }
 
-  // Phase 2: install (m.counter + 1, tid) at a majority.
+  // Phase 2: install (m.counter + 1, tid) at a majority — one doorbell, at
+  // the replicas whose out-of-place buffer phase 1 populated.
   const Meta fresh = Meta::Pack(m.counter() + 1, worker_->tid(), /*verified=*/true, 0);
   auto cs = sim::MakePooled<CasState>(worker_->sim());
-  int launched = 0;
-  {
-    fabric::CpuBatch batch(worker_->cpu());  // One doorbell for all installs.
-    for (int r = 0; r < layout_->num_replicas; ++r) {
-      const auto idx = static_cast<size_t>(r);
-      if (!ph->oks[idx]) {
-        continue;  // Only replicas whose out-of-place buffer we populated.
-      }
-      sim::Spawn(
-          CasMaxOne(worker_, layout_, r, ph->words[idx], fresh.WithOop(ph->oop_idx[idx]), cs));
-      ++launched;
-    }
-  }
+  const Contacts installs = ph->Answered();
   ++result.rtts;
-  got = co_await cs->ok.WaitFor(std::min(maj, launched), worker_->config().quorum_timeout);
+  const bool got = co_await q.Wave(
+      cs.get(), std::min(q.majority(), installs.size), installs, [&](int r) {
+        const auto idx = static_cast<size_t>(r);
+        return CasMaxOne(worker_, layout_, r, ph->words[idx], fresh.WithOop(ph->oop_idx[idx]), cs);
+      });
   result.rtts += cs->max_retries;
   // Phase-2 failure is re-executable only when every CAS task finished and
   // none could have installed the fresh-timestamp word (see CasState).
-  *retry_safe = !got && cs->completions == launched && !cs->maybe_applied;
+  *retry_safe = !got && cs->completions == installs.size && !cs->maybe_applied;
   if (got) {
     result.status = SgStatus::kOk;
   } else if (*retry_safe && cs->moved) {
@@ -373,10 +370,7 @@ sim::Task<SgWriteResult> AbdObject::Delete() {
   constexpr int kMaxAttempts = 3;
   for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
     auto cs = sim::MakePooled<CasState>(worker_->sim());
-    std::array<int, kMaxReplicas> order{};
-    int usable = 0;
-    LivePreferred(worker_, layout_, order, &usable);
-    const int maj = layout_->majority();
+    const QuorumEngine q(worker_, layout_);
     ++result.rtts;
     // Delete needs every replica's actual pre-delete word (fed to seen_max
     // from CAS results only) to tell "we deleted the live object" from "this
@@ -384,12 +378,11 @@ sim::Task<SgWriteResult> AbdObject::Delete() {
     // tombstone compares above it, so the loop always issues at least one CAS
     // and observes the node's word. A CACHED TOMBSTONE would short-circuit
     // the loop with no observation, so fall back to the empty seed there.
-    const bool got = co_await worker_->BatchedQuorum(
-        cs->ok, maj, worker_->config().quorum_timeout, 0, usable, [&](int i) {
-          const auto idx = static_cast<size_t>(order[static_cast<size_t>(i)]);
-          const Meta seed = cache_->slot[idx].deleted() ? Meta() : cache_->slot[idx];
-          return CasMaxOne(worker_, layout_, order[static_cast<size_t>(i)], seed, tombstone, cs);
-        });
+    const bool got = co_await q.Broadcast(cs.get(), [&](int r) {
+      const auto idx = static_cast<size_t>(r);
+      const Meta seed = cache_->slot[idx].deleted() ? Meta() : cache_->slot[idx];
+      return CasMaxOne(worker_, layout_, r, seed, tombstone, cs);
+    });
     result.rtts += cs->max_retries;
     if (!got && worker_->EpochRefreshNeeded() && attempt + 1 < kMaxAttempts) {
       // Fenced CASes never applied and observed nothing: refresh and retry.
@@ -406,7 +399,7 @@ sim::Task<SgWriteResult> AbdObject::Delete() {
       result.status = SgStatus::kDeleted;
     } else if (got) {
       result.status = SgStatus::kOk;
-    } else if (cs->moved && cs->completions == usable && !cs->maybe_applied) {
+    } else if (cs->moved && cs->completions == q.contacts().size && !cs->maybe_applied) {
       // All tombstone CASes bounced off a migration fence unapplied: safe to
       // re-execute the delete against the replacement layout.
       result.status = SgStatus::kMoved;
@@ -421,41 +414,18 @@ sim::Task<SgWriteResult> AbdObject::Delete() {
 sim::Task<bool> AbdObject::CopyReplicaTo(const ObjectLayout* dst, int target,
                                          bool skip_tombstones) {
   // Phase 1: the surviving SOURCE quorum's metadata words. For crash repair
-  // the caller's worker has the target's node repair-excluded, so `order`
-  // never includes it; for migration the vacated source slot is
+  // the caller's worker has the target's node repair-excluded, so the engine
+  // never contacts it; for migration the vacated source slot is
   // region-fenced and the worker rides the fence-exempt repair channel.
   auto ph = sim::MakePooled<Phase1State>(worker_->sim());
-  auto rd_one = [](Worker* worker, const ObjectLayout* layout, int r,
-                   std::shared_ptr<Phase1State> st) -> sim::Task<void> {
-    const ReplicaLayout& rep = layout->replicas[static_cast<size_t>(r)];
-    std::array<uint8_t, 8> buf{};
-    fabric::OpResult res = co_await worker->qp(rep.node).Read(rep.meta_addr, buf);
-    if (!res.ok()) {
-      co_return;
-    }
-    uint64_t word;
-    std::memcpy(&word, buf.data(), 8);
-    st->words[static_cast<size_t>(r)] = Meta(word);
-    st->oks[static_cast<size_t>(r)] = true;
-    st->ok.Add(1);
-  };
-  std::array<int, kMaxReplicas> order{};
-  int usable = 0;
-  LivePreferred(worker_, layout_, order, &usable);
-  const int maj = layout_->majority();
-  const bool got = co_await worker_->BatchedQuorum(
-      ph->ok, maj, worker_->config().quorum_timeout, 0, usable,
-      [&](int i) { return rd_one(worker_, layout_, order[static_cast<size_t>(i)], ph); });
+  const QuorumEngine q(worker_, layout_);
+  const bool got = co_await q.Broadcast(ph.get(), [&](int r) {
+    return ReadWordOne(worker_, layout_, r, ph, /*note_failures=*/false);
+  });
   if (!got) {
     co_return false;  // No surviving quorum right now.
   }
-  Meta m;
-  for (int r = 0; r < layout_->num_replicas; ++r) {
-    const auto idx = static_cast<size_t>(r);
-    if (ph->oks[idx]) {
-      m = TsMax(m, ph->words[idx]);
-    }
-  }
+  const Meta m = ph->Max();
   if (m.empty()) {
     co_return true;  // Nothing ever committed: the wiped replica is correct.
   }
@@ -472,39 +442,15 @@ sim::Task<bool> AbdObject::CopyReplicaTo(const ObjectLayout* dst, int target,
   }
 
   // Phase 2: resolve m's bytes from a surviving holder.
-  auto img = sim::MakePooled<Phase1State>(worker_->sim());
-  bool value_ok = false;
-  for (int r = 0; r < layout_->num_replicas && !value_ok; ++r) {
-    const auto idx = static_cast<size_t>(r);
-    if (!ph->oks[idx] || ph->words[idx].same_write_key() != m.same_write_key() ||
-        ph->words[idx].oop() == 0) {
-      continue;
-    }
-    const ReplicaLayout& rep = layout_->replicas[idx];
-    sim::Bytes buf(kOopHeaderBytes + layout_->max_value);
-    fabric::OpResult res = co_await worker_->qp(rep.node).Read(ph->words[idx].oop_addr(), buf);
-    if (!res.ok()) {
-      continue;
-    }
-    uint64_t h;
-    uint64_t len;
-    std::memcpy(&h, buf.data(), 8);
-    std::memcpy(&len, buf.data() + 8, 8);
-    if (len <= layout_->max_value) {
-      std::span<const uint8_t> data(buf.data() + kOopHeaderBytes, static_cast<size_t>(len));
-      if (AbdHash(rep.meta_addr, len, data) == h) {
-        value_ok = true;
-        img->value.assign(data.begin(), data.end());
-      }
-    }
-  }
-  if (!value_ok) {
+  Chase chase = co_await ChaseValue(worker_, layout_, ph.get(), m);
+  if (!chase.ok) {
     co_return false;  // Buffer torn or recycled under us: caller retries.
   }
 
   // Phase 3: install (word, fresh image) at the destination replica.
   const Meta base = Meta::Pack(m.counter(), m.tid(), m.verified(), 0);
-  co_await RepairOne(worker_, dst, target, base, img, cs);
+  auto value = sim::MakePooled<sim::Bytes>(std::move(chase.value));
+  co_await RepairOne(worker_, dst, target, base, value, cs);
   co_return cs->ok.count() > 0;
 }
 
@@ -521,45 +467,12 @@ sim::Task<SgReadResult> AbdObject::Read() {
     }
     // Phase 1: read the metadata word at a majority.
     auto ph = sim::MakePooled<Phase1State>(worker_->sim());
-    auto rd_one = [](Worker* worker, const ObjectLayout* layout, int r,
-                     std::shared_ptr<Phase1State> st) -> sim::Task<void> {
-      const ReplicaLayout& rep = layout->replicas[static_cast<size_t>(r)];
-      std::array<uint8_t, 8> buf{};
-      fabric::OpResult res = co_await worker->qp(rep.node).Read(rep.meta_addr, buf);
-      if (!res.ok()) {
-        if (res.status == fabric::Status::kNodeFailed) {
-          worker->MarkNodeFailed(rep.node);
-        }
-        if (res.status == fabric::Status::kMovedReplica) {
-          st->moved = true;
-        }
-        co_return;
-      }
-      uint64_t word;
-      std::memcpy(&word, buf.data(), 8);
-      st->words[static_cast<size_t>(r)] = Meta(word);
-      st->oks[static_cast<size_t>(r)] = true;
-      st->ok.Add(1);
-    };
-
-    std::array<int, kMaxReplicas> order{};
-    int usable = 0;
-    LivePreferred(worker_, layout_, order, &usable);
-    const int maj = layout_->majority();
-    const int first_wave = std::min(maj, usable);
-    auto read_wave = [&](int i) {
-      return rd_one(worker_, layout_, order[static_cast<size_t>(i)], ph);
-    };
-    bool got = co_await worker_->BatchedQuorum(ph->ok, maj,
-                                               worker_->config().escalation_timeout, 0,
-                                               first_wave, read_wave);
-    ++result.rtts;
-    if (!got && !worker_->EpochRefreshNeeded() && !ph->moved) {
-      ++result.rtts;
-      got = co_await worker_->BatchedQuorum(ph->ok, maj, worker_->config().quorum_timeout,
-                                            first_wave, usable - first_wave, read_wave);
-    }
-    if (!got) {
+    const QuorumEngine q(worker_, layout_);
+    const QuorumVerdict v = co_await q.Escalate(ph.get(), [&](int r) {
+      return ReadWordOne(worker_, layout_, r, ph, /*note_failures=*/true);
+    });
+    result.rtts += v.waves;
+    if (!v.reached) {
       if (ph->moved) {
         // Migration fence: re-locate via the index (reads are always safe
         // to re-execute).
@@ -572,20 +485,8 @@ sim::Task<SgReadResult> AbdObject::Read() {
       co_return result;  // No live majority.
     }
 
-    Meta m;
-    int holders = 0;
-    for (int r = 0; r < layout_->num_replicas; ++r) {
-      const auto idx = static_cast<size_t>(r);
-      if (ph->oks[idx]) {
-        m = TsMax(m, ph->words[idx]);
-      }
-    }
-    for (int r = 0; r < layout_->num_replicas; ++r) {
-      const auto idx = static_cast<size_t>(r);
-      if (ph->oks[idx] && ph->words[idx].ts_order_key() == m.ts_order_key()) {
-        ++holders;
-      }
-    }
+    const Meta m = ph->Max();
+    const int holders = ph->Holders(m);
     if (m.empty()) {
       result.status = SgStatus::kNotFound;
       co_return result;
@@ -594,8 +495,7 @@ sim::Task<SgReadResult> AbdObject::Read() {
       // ABD read-repair applies to tombstones too (see FenceTombstone):
       // report "deleted" only once a majority carries it.
       bool fence_moved = false;
-      if (!co_await FenceTombstone(worker_, layout_, order, usable, ph, m, &result.rtts,
-                                   &fence_moved)) {
+      if (!co_await FenceTombstone(worker_, layout_, q, ph, m, &result.rtts, &fence_moved)) {
         if (fence_moved) {
           result.status = SgStatus::kMoved;  // Re-locate and re-read.
         }
@@ -606,38 +506,10 @@ sim::Task<SgReadResult> AbdObject::Read() {
     }
 
     // Phase 2: chase the out-of-place pointer at a replica holding m.
-    bool value_ok = false;
-    bool chase_moved = false;
-    sim::Bytes value;
-    for (int r = 0; r < layout_->num_replicas && !value_ok; ++r) {
-      const auto idx = static_cast<size_t>(r);
-      if (!ph->oks[idx] || ph->words[idx].same_write_key() != m.same_write_key() ||
-          ph->words[idx].oop() == 0) {
-        continue;
-      }
-      const ReplicaLayout& rep = layout_->replicas[idx];
-      sim::Bytes buf(kOopHeaderBytes + layout_->max_value);
-      fabric::OpResult res =
-          co_await worker_->qp(rep.node).Read(ph->words[idx].oop_addr(), buf);
-      ++result.rtts;
-      if (!res.ok()) {
-        chase_moved = chase_moved || res.status == fabric::Status::kMovedReplica;
-        continue;
-      }
-      uint64_t h;
-      uint64_t len;
-      std::memcpy(&h, buf.data(), 8);
-      std::memcpy(&len, buf.data() + 8, 8);
-      if (len <= layout_->max_value) {
-        std::span<const uint8_t> data(buf.data() + kOopHeaderBytes, static_cast<size_t>(len));
-        if (AbdHash(rep.meta_addr, len, data) == h) {
-          value_ok = true;
-          value.assign(data.begin(), data.end());
-        }
-      }
-    }
-    if (!value_ok) {
-      if (chase_moved) {
+    Chase chase = co_await ChaseValue(worker_, layout_, ph.get(), m);
+    result.rtts += chase.reads;
+    if (!chase.ok) {
+      if (chase.moved) {
         result.status = SgStatus::kMoved;  // Fenced mid-read: re-locate.
         co_return result;
       }
@@ -645,25 +517,16 @@ sim::Task<SgReadResult> AbdObject::Read() {
     }
 
     // Phase 3 (rare): write-back so a majority holds m before returning.
-    if (holders < maj) {
-      auto img = sim::MakePooled<Phase1State>(worker_->sim());
-      img->value = value;
+    if (holders < q.majority()) {
+      auto value = sim::MakePooled<sim::Bytes>(chase.value);
       auto cs = sim::MakePooled<CasState>(worker_->sim());
       const Meta base = Meta::Pack(m.counter(), m.tid(), true, 0);
-      {
-        fabric::CpuBatch batch(worker_->cpu());
-        for (int i = 0; i < usable; ++i) {
-          const int r = order[static_cast<size_t>(i)];
-          const auto idx = static_cast<size_t>(r);
-          if (ph->oks[idx] && ph->words[idx].ts_order_key() == m.ts_order_key()) {
-            continue;
-          }
-          sim::Spawn(RepairOne(worker_, layout_, r, base, img, cs));
-        }
-      }
       ++result.rtts;
-      got = co_await cs->ok.WaitFor(maj - holders, worker_->config().quorum_timeout);
-      if (!got) {
+      const bool fixed = co_await q.Wave(
+          cs.get(), q.majority() - holders,
+          q.contacts().Where([&](int r) { return !ph->Holds(r, m); }),
+          [&](int r) { return RepairOne(worker_, layout_, r, base, value, cs); });
+      if (!fixed) {
         if (cs->moved) {
           result.status = SgStatus::kMoved;  // Fenced mid-write-back: re-locate.
         }
@@ -672,7 +535,7 @@ sim::Task<SgReadResult> AbdObject::Read() {
     }
 
     result.status = SgStatus::kOk;
-    result.value = std::move(value);
+    result.value = std::move(chase.value);
     result.fast_path = false;  // ABD gets always pay the pointer chase.
     co_return result;
   }

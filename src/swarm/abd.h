@@ -13,7 +13,8 @@
 // header) because, unlike In-n-Out, the buffer is written before its
 // metadata word exists. All writers share one metadata slot per replica, so
 // CAS retries pile up under contention (§7.8) — DM-ABD lacks §4.4's
-// per-writer buffer array.
+// per-writer buffer array. Replica order, doorbells and escalation are the
+// quorum engine's (src/swarm/quorum.h), shared with SWARM's register.
 
 #ifndef SWARM_SRC_SWARM_ABD_H_
 #define SWARM_SRC_SWARM_ABD_H_
@@ -57,8 +58,6 @@ class AbdObject {
   sim::Task<bool> CopyReplicaTo(const ObjectLayout* dst, int target, bool skip_tombstones);
 
  private:
-  sim::Task<SgWriteResult> WriteWord(Meta base, std::span<const uint8_t> value);
-
   // One update attempt; Write() wraps it in the membership-refresh-then-
   // retry loop for attempts failed on kStaleEpoch completions.
   sim::Task<SgWriteResult> WriteAttempt(std::span<const uint8_t> value, bool* retry_safe);

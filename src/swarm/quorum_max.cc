@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <memory>
 
-#include "src/sim/sync.h"
+#include "src/swarm/quorum.h"
 
 namespace swarm {
 namespace {
@@ -13,23 +13,20 @@ bool IsMoved(fabric::Status s) { return s == fabric::Status::kMovedReplica; }
 
 // --- WriteAndRead phase ---
 
-struct WrPhase {
-  sim::Counter ok;
+struct WrPhase : QuorumPhase {
+  using QuorumPhase::QuorumPhase;
+
   Meta w;
   sim::Bytes value;  // Stragglers keep using this after the caller returns.
   Meta m;                      // ts-max excluding `w` itself.
   std::array<Meta, kMaxReplicas> installed{};
   int max_retries = 0;
-  bool moved = false;          // Some replica NACKed kMovedReplica.
   // Effect accounting for the retry-on-replacement-layout gate: the write
   // provably had no effect only when every launched attempt completed with a
   // no-effect NACK (kStaleEpoch/kMovedReplica) — an install, a kNodeFailed
   // completion, or a still-in-flight straggler all mean "maybe applied".
   bool maybe_applied = false;
-  int launched = 0;
   int completions = 0;
-
-  explicit WrPhase(sim::Simulator* s) : ok(s) {}
 };
 
 sim::Task<void> WriteAndReadOne(Worker* worker, const ObjectLayout* layout,
@@ -69,17 +66,13 @@ sim::Task<void> WriteAndReadOne(Worker* worker, const ObjectLayout* layout,
 
 // --- ReadQuorum phase ---
 
-struct RdPhase {
-  sim::Counter ok;
-  std::array<Meta, kMaxReplicas> words{};
-  std::array<bool, kMaxReplicas> oks{};
+struct RdPhase : WordPhase {
+  using WordPhase::WordPhase;
+
   std::array<sim::PoolVec<Meta>, kMaxReplicas> slots;
   bool have_inplace = false;
-  bool moved = false;  // Some replica NACKed kMovedReplica.
   Meta inplace_word;
   sim::Bytes inplace_value;
-
-  explicit RdPhase(sim::Simulator* s) : ok(s) {}
 };
 
 sim::Task<void> ReadOne(Worker* worker, const ObjectLayout* layout,
@@ -96,8 +89,7 @@ sim::Task<void> ReadOne(Worker* worker, const ObjectLayout* layout,
     co_return;
   }
   const auto idx = static_cast<size_t>(r);
-  ph->words[idx] = view.max;
-  ph->oks[idx] = true;
+  ph->Record(r, view.max);
   ph->slots[idx] = std::move(view.slots);
   cache->slot[idx] = ph->slots[idx][static_cast<size_t>(SlotOf(worker->tid(), layout->meta_slots))];
   if (view.inplace_valid && !ph->have_inplace) {
@@ -110,13 +102,11 @@ sim::Task<void> ReadOne(Worker* worker, const ObjectLayout* layout,
 
 // --- Repair (write-back) phase ---
 
-struct RepairPhase {
-  sim::Counter fixed;
+struct RepairPhase : QuorumPhase {
+  using QuorumPhase::QuorumPhase;
+
   Meta base;  // (counter, tid, flag) of the max, oop stripped.
   sim::Bytes value;
-  bool moved = false;
-
-  explicit RepairPhase(sim::Simulator* s) : fixed(s) {}
 };
 
 sim::Task<void> RepairOne(Worker* worker, const ObjectLayout* layout, int r, Meta seed,
@@ -124,7 +114,7 @@ sim::Task<void> RepairOne(Worker* worker, const ObjectLayout* layout, int r, Met
   InOutReplica rep(worker, layout, r);
   NodeMaxResult res = co_await rep.WriteMaxFor(ph->base, ph->value, seed);
   if (res.ok()) {
-    ph->fixed.Add(1);
+    ph->ok.Add(1);
   } else if (IsMoved(res.status)) {
     ph->moved = true;
   }
@@ -132,14 +122,12 @@ sim::Task<void> RepairOne(Worker* worker, const ObjectLayout* layout, int r, Met
 
 // --- Verified write phase ---
 
-struct VwPhase {
-  sim::Counter ok;
+struct VwPhase : QuorumPhase {
+  using QuorumPhase::QuorumPhase;
+
   Meta w;
   sim::Bytes value;
   int max_retries = 0;
-  bool moved = false;
-
-  explicit VwPhase(sim::Simulator* s) : ok(s) {}
 };
 
 sim::Task<void> WriteVerifiedOne(Worker* worker, const ObjectLayout* layout,
@@ -175,29 +163,6 @@ sim::Task<void> PromoteOne(Worker* worker, const ObjectLayout* layout, int r, Me
 
 }  // namespace
 
-void QuorumMax::PreferredOrder(std::array<int, kMaxReplicas>& order, int* num_live,
-                               int* num_usable) const {
-  int live = 0;
-  std::array<int, kMaxReplicas> dead{};
-  int num_dead = 0;
-  for (int r = 0; r < layout_->num_replicas; ++r) {
-    const int node = layout_->replicas[static_cast<size_t>(r)].node;
-    if (worker_->NodeQuorumExcluded(node)) {
-      continue;  // Mid-repair: not contacted, never counted.
-    }
-    if (worker_->NodeKnownFailed(node)) {
-      dead[static_cast<size_t>(num_dead++)] = r;
-    } else {
-      order[static_cast<size_t>(live++)] = r;
-    }
-  }
-  for (int i = 0; i < num_dead; ++i) {
-    order[static_cast<size_t>(live + i)] = dead[static_cast<size_t>(i)];
-  }
-  *num_live = live;
-  *num_usable = live + num_dead;
-}
-
 sim::Task<WriteReadOutcome> QuorumMax::WriteAndRead(Meta w, std::span<const uint8_t> value) {
   WriteReadOutcome out = co_await WriteAndReadOnce(w, value);
   // Membership-refresh-then-retry: a quorum that failed because verbs
@@ -219,42 +184,19 @@ sim::Task<WriteReadOutcome> QuorumMax::WriteAndReadOnce(Meta w, std::span<const 
   ph->w = w;
   ph->value.assign(value.begin(), value.end());
 
-  std::array<int, kMaxReplicas> order{};
-  int live = 0;
-  int usable = 0;
-  PreferredOrder(order, &live, &usable);
-  const int maj = layout_->majority();
-  const int first_wave = std::min(maj, usable);
-
   // Each wave is one doorbell: all replicas' pipelined [WRITE→CAS] + READ
   // pairs ride a single amortized submit_cost (§7.2).
-  auto one = [&](int i) {
-    return WriteAndReadOne(worker_, layout_, cache_, order[static_cast<size_t>(i)], ph);
-  };
-  ph->launched += first_wave;
-  bool got = co_await worker_->BatchedQuorum(ph->ok, maj, worker_->config().escalation_timeout, 0,
-                                             first_wave, one);
-  int rtts = 1;
-  if (!got && !worker_->EpochRefreshNeeded() && !ph->moved) {
-    // Broaden to the remaining usable replicas (a pure grace wait when the
-    // first wave already covered them all). Skipped once an epoch fence
-    // revoked a QP — the wrapper's refresh-retry is the productive path, not
-    // a grace wait on fail-fast completions — and likewise on a moved NACK:
-    // a migration flip fences ALL the layout's replicas at one instant, so
-    // no straggler can complete a majority.
-    ++rtts;
-    ph->launched += usable - first_wave;
-    got = co_await worker_->BatchedQuorum(ph->ok, maj, worker_->config().quorum_timeout,
-                                          first_wave, usable - first_wave, one);
-  }
+  const QuorumEngine q(worker_, layout_);
+  const QuorumVerdict v = co_await q.Escalate(
+      ph.get(), [&](int r) { return WriteAndReadOne(worker_, layout_, cache_, r, ph); });
 
   WriteReadOutcome out;
-  out.ok = got;
+  out.ok = v.reached;
   out.m = ph->m;
   out.installed = ph->installed;
   out.moved = ph->moved;
-  out.effect_possible = ph->maybe_applied || ph->completions < ph->launched;
-  out.rtts = rtts + ph->max_retries;
+  out.effect_possible = ph->maybe_applied || ph->completions < v.launched;
+  out.rtts = v.waves + ph->max_retries;
   co_return out;
 }
 
@@ -271,40 +213,19 @@ sim::Task<ReadOutcome> QuorumMax::ReadQuorum(bool strong) {
 
 sim::Task<ReadOutcome> QuorumMax::ReadQuorumOnce(bool strong) {
   auto ph = sim::MakePooled<RdPhase>(worker_->sim());
-
-  std::array<int, kMaxReplicas> order{};
-  int live = 0;
-  int usable = 0;
-  PreferredOrder(order, &live, &usable);
-  const int maj = layout_->majority();
-  const int first_wave = std::min(maj, usable);
-
-  auto one = [&](int i) {
-    return ReadOne(worker_, layout_, cache_, order[static_cast<size_t>(i)], ph);
-  };
-  bool got = co_await worker_->BatchedQuorum(ph->ok, maj, worker_->config().escalation_timeout, 0,
-                                             first_wave, one);
+  const QuorumEngine q(worker_, layout_);
+  const QuorumVerdict v = co_await q.Escalate(
+      ph.get(), [&](int r) { return ReadOne(worker_, layout_, cache_, r, ph); });
   ReadOutcome out;
-  out.rtts = 1;
-  if (!got && !worker_->EpochRefreshNeeded() && !ph->moved) {
-    ++out.rtts;
-    got = co_await worker_->BatchedQuorum(ph->ok, maj, worker_->config().quorum_timeout,
-                                          first_wave, usable - first_wave, one);
-  }
+  out.rtts = v.waves;
   out.moved = ph->moved;
-  if (!got) {
+  if (!v.reached) {
     co_return out;  // No live majority.
   }
   out.ok = true;
-
-  for (int r = 0; r < layout_->num_replicas; ++r) {
-    const auto idx = static_cast<size_t>(r);
-    out.node_ok[idx] = ph->oks[idx];
-    out.node_words[idx] = ph->words[idx];
-    if (ph->oks[idx]) {
-      out.m = TsMax(out.m, ph->words[idx]);
-    }
-  }
+  out.node_ok = ph->oks;
+  out.node_words = ph->words;
+  out.m = ph->Max();
 
   // Resolve the bytes of `m` (Algorithm 6): in-place if the designated
   // replica's hash validated against the global max, else chase a pointer.
@@ -316,13 +237,11 @@ sim::Task<ReadOutcome> QuorumMax::ReadQuorumOnce(bool strong) {
     out.value = std::move(ph->inplace_value);
   } else if (strong) {
     for (int r = 0; r < layout_->num_replicas && !out.value_ok; ++r) {
-      const auto idx = static_cast<size_t>(r);
-      if (!ph->oks[idx] || ph->words[idx].same_write_key() != out.m.same_write_key() ||
-          ph->words[idx].oop() == 0) {
+      if (!ph->Carries(r, out.m)) {
         continue;
       }
       InOutReplica rep(worker_, layout_, r);
-      auto bytes = co_await rep.ReadOop(ph->words[idx]);
+      auto bytes = co_await rep.ReadOop(ph->words[static_cast<size_t>(r)]);
       ++out.rtts;
       if (bytes.has_value()) {
         out.value_ok = true;
@@ -335,14 +254,8 @@ sim::Task<ReadOutcome> QuorumMax::ReadQuorumOnce(bool strong) {
     // inner_write (Algorithm 8): make sure a majority carries the max before
     // returning it. Skipped when the quorum already agrees (Appendix A.2's
     // 0-RTT case, the common path).
-    int holders = 0;
-    for (int r = 0; r < layout_->num_replicas; ++r) {
-      const auto idx = static_cast<size_t>(r);
-      if (ph->oks[idx] && ph->words[idx].ts_order_key() == out.m.ts_order_key()) {
-        ++holders;
-      }
-    }
-    if (holders < maj) {
+    const int holders = ph->Holders(out.m);
+    if (holders < q.majority()) {
       if (!out.value_ok) {
         out.ok = false;  // Cannot repair without bytes; caller retries.
         co_return out;
@@ -350,26 +263,18 @@ sim::Task<ReadOutcome> QuorumMax::ReadQuorumOnce(bool strong) {
       auto rp = sim::MakePooled<RepairPhase>(worker_->sim());
       rp->base = Meta::Pack(out.m.counter(), out.m.tid(), out.m.verified(), 0);
       rp->value = out.value;
-      int launched = 0;
-      {
-        fabric::CpuBatch batch(worker_->cpu());  // All repairs, one doorbell.
-        for (int i = 0; i < usable; ++i) {
-          const int r = order[static_cast<size_t>(i)];
-          const auto idx = static_cast<size_t>(r);
-          if (ph->oks[idx] && ph->words[idx].ts_order_key() == out.m.ts_order_key()) {
-            continue;  // Already a holder.
-          }
-          Meta seed;
-          if (ph->oks[idx] && !ph->slots[idx].empty()) {
-            seed = ph->slots[idx][static_cast<size_t>(SlotOf(out.m.tid(), layout_->meta_slots))];
-          }
-          sim::Spawn(RepairOne(worker_, layout_, r, seed, rp));
-          ++launched;
-        }
-      }
+      const Meta m = out.m;
       ++out.rtts;
-      const bool fixed =
-          co_await rp->fixed.WaitFor(maj - holders, worker_->config().quorum_timeout);
+      const bool fixed = co_await q.Wave(
+          rp.get(), q.majority() - holders,
+          q.contacts().Where([&](int r) { return !ph->Holds(r, m); }), [&](int r) {
+            const auto idx = static_cast<size_t>(r);
+            Meta seed;
+            if (ph->oks[idx] && !ph->slots[idx].empty()) {
+              seed = ph->slots[idx][static_cast<size_t>(SlotOf(m.tid(), layout_->meta_slots))];
+            }
+            return RepairOne(worker_, layout_, r, seed, rp);
+          });
       if (!fixed) {
         out.ok = false;
         out.moved = out.moved || rp->moved;
@@ -400,28 +305,13 @@ sim::Task<bool> QuorumMax::WriteVerifiedOnce(Meta w, std::span<const uint8_t> va
   ph->w = w.WithVerified();
   ph->value.assign(value.begin(), value.end());
 
-  std::array<int, kMaxReplicas> order{};
-  int live = 0;
-  int usable = 0;
-  PreferredOrder(order, &live, &usable);
-  const int maj = layout_->majority();
-  const int first_wave = std::min(maj, usable);
-
-  auto one = [&](int i) {
-    return WriteVerifiedOne(worker_, layout_, cache_, order[static_cast<size_t>(i)], ph);
-  };
-  bool got = co_await worker_->BatchedQuorum(ph->ok, maj, worker_->config().escalation_timeout, 0,
-                                             first_wave, one);
-  int phases = 1;
-  if (!got && !worker_->EpochRefreshNeeded() && !ph->moved) {
-    ++phases;
-    got = co_await worker_->BatchedQuorum(ph->ok, maj, worker_->config().quorum_timeout,
-                                          first_wave, usable - first_wave, one);
-  }
+  const QuorumEngine q(worker_, layout_);
+  const QuorumVerdict v = co_await q.Escalate(
+      ph.get(), [&](int r) { return WriteVerifiedOne(worker_, layout_, cache_, r, ph); });
   if (rtts != nullptr) {
-    *rtts = phases + ph->max_retries;
+    *rtts = v.waves + ph->max_retries;
   }
-  co_return got;
+  co_return v.reached;
 }
 
 sim::Task<void> QuorumMax::Promote(Worker* worker, const ObjectLayout* layout,
@@ -437,33 +327,6 @@ sim::Task<void> QuorumMax::Promote(Worker* worker, const ObjectLayout* layout,
     }
   }
   co_return;
-}
-
-sim::Task<bool> QuorumMax::WriteBack(Meta m, std::span<const uint8_t> value,
-                                     const ReadOutcome& from) {
-  auto rp = sim::MakePooled<RepairPhase>(worker_->sim());
-  rp->base = Meta::Pack(m.counter(), m.tid(), m.verified(), 0);
-  rp->value.assign(value.begin(), value.end());
-  const int maj = layout_->majority();
-  int holders = 0;
-  {
-    fabric::CpuBatch batch(worker_->cpu());
-    for (int r = 0; r < layout_->num_replicas; ++r) {
-      const auto idx = static_cast<size_t>(r);
-      if (worker_->NodeQuorumExcluded(layout_->replicas[idx].node)) {
-        continue;  // Mid-repair: the repair coordinator owns its state.
-      }
-      if (from.node_ok[idx] && from.node_words[idx].ts_order_key() == m.ts_order_key()) {
-        ++holders;
-      } else {
-        sim::Spawn(RepairOne(worker_, layout_, r, Meta(), rp));
-      }
-    }
-  }
-  if (holders >= maj) {
-    co_return true;
-  }
-  co_return co_await rp->fixed.WaitFor(maj - holders, worker_->config().quorum_timeout);
 }
 
 }  // namespace swarm

@@ -2,11 +2,10 @@
 // Appendix A, plus the §6 engineering optimizations).
 //
 // The register's value is the ts-maximal metadata word across a majority of
-// replicas, together with the bytes that word denotes. Operations contact an
-// optimistic majority first (the first `majority` live replicas of the
-// object) and broaden to all replicas if some preferred replica does not
-// answer within the escalation timeout — this is what gives SWARM its
-// no-downtime failover (§7.7).
+// replicas, together with the bytes that word denotes. Every phase runs on
+// the quorum engine (src/swarm/quorum.h), which owns the replica order and
+// the escalation from an optimistic majority to every usable replica — what
+// gives SWARM its no-downtime failover (§7.7).
 //
 // Roundtrip behaviour (Appendix A.2):
 //  * Write: 1 RT when the slot caches are fresh.
@@ -94,18 +93,7 @@ class QuorumMax {
                                  sim::Bytes value,
                                  std::shared_ptr<ObjectCache> cache = nullptr);
 
-  // Repairs replicas holding stale words so that at least a majority carry
-  // `m` (Algorithm 8's inner_write). Exposed for the read path and tests.
-  sim::Task<bool> WriteBack(Meta m, std::span<const uint8_t> value, const ReadOutcome& from);
-
  private:
-  // Preferred replica order: live replicas first, in index order (replica 0
-  // is the designated in-place holder and must lead), known-failed last.
-  // Repair-excluded replicas (Worker::NodeQuorumExcluded) are dropped from
-  // the order entirely; only the first `num_usable` entries may be contacted.
-  void PreferredOrder(std::array<int, kMaxReplicas>& order, int* num_live,
-                      int* num_usable) const;
-
   // Single attempts behind the public ops. The public wrappers re-run an
   // attempt after a membership-epoch refresh when it failed on kStaleEpoch
   // completions (Worker::EpochRefreshNeeded) — a stale-epoch rejection says

@@ -1,23 +1,20 @@
 #include "src/swarm/timestamp_lock.h"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <memory>
 
-#include "src/sim/sync.h"
+#include "src/swarm/quorum.h"
 
 namespace swarm {
 namespace {
 
-struct LockPhase {
-  sim::Counter ok;
-  sim::Counter any;
+struct LockPhase : QuorumPhase {
+  using QuorumPhase::QuorumPhase;
+
   bool higher_seen = false;    // some CAS word held a timestamp > ts
   bool opposite_seen = false;  // some CAS word held (ts, ¬mode)
   int max_rtts = 0;
-
-  explicit LockPhase(sim::Simulator* sim) : ok(sim), any(sim) {}
 };
 
 // One CAS word's loop (Algorithm 9, lines 5–9): CAS until the word holds a
@@ -64,7 +61,6 @@ sim::Task<void> LockOneReplica(Worker* worker, const ObjectLayout* layout, int r
     phase->max_rtts = std::max(phase->max_rtts, rtts);
     phase->ok.Add(1);
   }
-  phase->any.Add(1);
 }
 
 }  // namespace
@@ -74,23 +70,14 @@ sim::Task<TryLockResult> TimestampLock::TryLock(uint32_t counter, LockMode mode)
   constexpr int kMaxAttempts = 3;
   for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
     auto phase = sim::MakePooled<LockPhase>(worker_->sim());
-    // Algorithm 9 contacts every replica; only a majority must answer. A
-    // repairing replica is skipped outright: its CAS words are mid-restore
-    // and counting it could manufacture a majority the opposite mode already
-    // holds among the survivors.
-    std::array<int, kMaxReplicas> usable{};
-    int n = 0;
-    for (int r = 0; r < layout_->num_replicas; ++r) {
-      if (!worker_->NodeQuorumExcluded(layout_->replicas[static_cast<size_t>(r)].node)) {
-        usable[static_cast<size_t>(n++)] = r;
-      }
-    }
-    // One doorbell rings the lock CAS at every usable replica.
-    const bool reached = co_await worker_->BatchedQuorum(
-        phase->ok, layout_->majority(), worker_->config().quorum_timeout, 0, n, [&](int i) {
-          return LockOneReplica(worker_, layout_, usable[static_cast<size_t>(i)], owner_tid_,
-                                counter, mode, phase);
-        });
+    // Algorithm 9 contacts every replica in one doorbell; only a majority
+    // must answer. A repairing replica is skipped outright: its CAS words are
+    // mid-restore and counting it could manufacture a majority the opposite
+    // mode already holds among the survivors.
+    const QuorumEngine q(worker_, layout_, QuorumEngine::Order::kIndex);
+    const bool reached = co_await q.Broadcast(phase.get(), [&](int r) {
+      return LockOneReplica(worker_, layout_, r, owner_tid_, counter, mode, phase);
+    });
     if (!reached) {
       // A kStaleEpoch completion is a membership-staleness signal, never
       // evidence about lock state: re-validate the epoch, re-arm the QPs and

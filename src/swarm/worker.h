@@ -43,7 +43,7 @@ struct ProtocolConfig {
   bool enforce_writer_bounds = true;
 
   // How long an optimistic-majority phase waits for its preferred replicas
-  // before broadening to all replicas (§6).
+  // before broadening to all replicas (§6; src/swarm/quorum.h).
   sim::Time escalation_timeout = 3000;
   // Upper bound on waiting for a lock/write quorum; fires only when a
   // majority of replicas is unreachable (safety is preserved either way).
@@ -105,25 +105,6 @@ class Worker {
     return slot_caches_.size() * 8;
   }
 
-  // Quorum multicast (the doorbell-batched quorum pattern): spawns
-  // `make(i)` for i in [first, first+count) under ONE doorbell batch — every
-  // verb those per-replica tasks post before their first completion shares a
-  // single amortized submit_cost — then awaits `done` reaching `quorum`
-  // within `timeout`. The per-replica tasks signal `done` themselves, so the
-  // caller can keep waiting on the same counter for stragglers or a second
-  // escalation wave.
-  template <typename OpFactory>
-  sim::Task<bool> BatchedQuorum(sim::Counter done, int quorum, sim::Time timeout, int first,
-                                int count, OpFactory make) {
-    {
-      fabric::CpuBatch batch(cpu_);
-      for (int i = first; i < first + count; ++i) {
-        sim::Spawn(make(i));
-      }
-    }
-    co_return co_await done.WaitFor(quorum, timeout);
-  }
-
   // The shared vectors below may predate a hot-added node; out-of-range reads
   // mean "nothing known about it yet" and writes grow the vector in place.
   bool NodeKnownFailed(int node) const {
@@ -146,9 +127,10 @@ class Worker {
 
   // Repair exclusion (MembershipService::repairing()): a node flagged here is
   // dropped from quorum selection entirely — unlike known-failed nodes, which
-  // merely sort last in the preferred order, a repairing node must not be
-  // contacted and must not count toward any majority, because its replica
-  // slots are mid-rebuild and reads from it would miss committed writes.
+  // merely sort last in the quorum engine's order (src/swarm/quorum.h), a
+  // repairing node must not be contacted and must not count toward any
+  // majority, because its replica slots are mid-rebuild and reads from it
+  // would miss committed writes.
   void set_repair_excluded(std::shared_ptr<const std::vector<bool>> excluded) {
     repair_excluded_ = std::move(excluded);
   }

@@ -1,7 +1,7 @@
 // The ONE sanctioned way to drop a [[nodiscard]] status on the floor.
 //
-// Every status-bearing type in this tree (fabric::Status / OpResult /
-// QuorumOutcome, kv::KvStatus / KvResult, swarm's per-protocol results,
+// Every status-bearing type in this tree (fabric::Status / OpResult,
+// kv::KvStatus / KvResult, swarm's per-protocol results and QuorumVerdict,
 // repair::RepairOutcome / MigrateStatus) is [[nodiscard]]: the chaos engine's
 // headline catches — FUSEE's fire-and-forget backup index-slot clear (PR 6,
 // seed 12115), the swallowed commit-critical phase-3 statuses (PR 2) — were

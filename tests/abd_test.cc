@@ -9,7 +9,7 @@
 #include <cstring>
 
 #include "src/sim/sync.h"
-#include "tests/support/lincheck.h"
+#include "src/verify/lincheck.h"
 #include "tests/support/test_env.h"
 
 namespace swarm {
@@ -17,8 +17,8 @@ namespace {
 
 using sim::Spawn;
 using sim::Task;
-using testing::HistoryOp;
-using testing::LinearizabilityChecker;
+using verify::HistoryOp;
+using verify::LinearizabilityChecker;
 using testing::TestEnv;
 using testing::ValN;
 

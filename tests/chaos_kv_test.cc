@@ -71,7 +71,7 @@ void ExpectLinearizable(const ChaosHistories& hist, const ScenarioSpec& spec,
                         const chaos::ChaosEngine& engine, double check_budget_s = 0.0,
                         uint64_t max_window_ops = 0, double min_ops_fraction = 0.75) {
   const auto start = std::chrono::steady_clock::now();
-  testing::CheckStats stats;
+  verify::CheckStats stats;
   const std::string violation = CheckHistories(hist, &stats);
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
@@ -79,7 +79,7 @@ void ExpectLinearizable(const ChaosHistories& hist, const ScenarioSpec& spec,
     // Replay diagnostics: the complete recorded history, per key.
     for (const auto& [key, ops] : hist.per_key) {
       std::fprintf(stderr, "key %llu:\n", static_cast<unsigned long long>(key));
-      for (const testing::HistoryOp& op : ops) {
+      for (const verify::HistoryOp& op : ops) {
         std::fprintf(stderr, "  %c(%llu) @%lld..%lld%s\n", op.is_write ? 'W' : 'R',
                      static_cast<unsigned long long>(op.value),
                      static_cast<long long>(op.invoked), static_cast<long long>(op.responded),

@@ -27,7 +27,7 @@ using testing::CheckHistories;
 using testing::DecodeValue;
 using testing::EncodeValue;
 using testing::DriveScenarios;
-using testing::HistoryOp;
+using verify::HistoryOp;
 using testing::ScenarioSpec;
 using testing::SeedMessage;
 using testing::ValN;

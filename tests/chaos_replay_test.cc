@@ -41,7 +41,7 @@ using testing::ChaosHistories;
 using testing::CheckHistories;
 using testing::DecodeValue;
 using testing::EncodeValue;
-using testing::HistoryOp;
+using verify::HistoryOp;
 using testing::KvChaosClient;
 using testing::ScenarioSpec;
 

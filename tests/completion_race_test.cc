@@ -1,14 +1,16 @@
 // Completion-after-cancellation regression coverage for pooled verb state.
 //
-// Pooling OpState / Counter / ManyResults (allocate_shared over the frame
-// pool) makes recycled slots LIVE memory, so a latent use-after-free in the
-// completion chain would no longer crash — it would silently corrupt a
+// Pooling OpState / Counter / quorum phase blocks (allocate_shared over the
+// frame pool) makes recycled slots LIVE memory, so a latent use-after-free in
+// the completion chain would no longer crash — it would silently corrupt a
 // recycled slot. These tests force the exact interleavings the fabric.cc
 // pooling audit reasons about, via the response-drop chaos hook: a caller
 // resumes (first quorum, or timeout) while straggler completion callbacks
-// are still queued, then the queue drains. Run under the ASan CI job the
-// pool delegates to the real allocator (SWARM_POOL_BYPASS), so any write to
-// freed verb state is a reported use-after-free rather than silent reuse.
+// are still queued, then the queue drains. The quorum cases run on the
+// quorum engine (src/swarm/quorum.h), the path every protocol takes. Run
+// under the ASan CI job the pool delegates to the real allocator
+// (SWARM_POOL_BYPASS), so any write to freed verb state is a reported
+// use-after-free rather than silent reuse.
 //
 // The invariant under test (see the OpState audit in fabric.cc): every
 // queued completion callback holds its own reference to the shared state it
@@ -17,18 +19,19 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <memory>
 
 #include "src/fabric/fabric.h"
 #include "src/sim/sync.h"
+#include "src/swarm/quorum.h"
 #include "tests/support/test_env.h"
 
 namespace swarm {
 namespace {
 
 using fabric::OpResult;
-using fabric::PostQuorum;
-using fabric::QuorumOutcome;
 using sim::Spawn;
 using sim::Task;
 using testing::TestEnv;
@@ -40,55 +43,80 @@ void DropResponsesFrom(TestEnv* env, int node) {
       [node](int n, bool response, int) { return response && n == node; });
 }
 
-// First-quorum resume with a straggler in flight. The caller resumes at
-// quorum 2-of-3 while the dropped replica's completion (a failure-detection
-// timeout writing kNodeFailed into the shared block) is still queued; its
-// local QuorumOutcome snapshot must stay immutable and the straggler's late
-// write must land in still-owned memory.
+// A quorum phase block whose per-replica reads count every completion,
+// answered or not: a straggler's late completion writes into it.
+struct ReadPhase : WordPhase {
+  using WordPhase::WordPhase;
+  int completions = 0;
+};
+
+Task<void> ReadWordAt(Worker* w, const ObjectLayout* layout, int r,
+                      std::shared_ptr<ReadPhase> ph) {
+  const ReplicaLayout& rep = layout->replicas[static_cast<size_t>(r)];
+  std::array<uint8_t, 8> buf{};
+  OpResult res = co_await w->qp(rep.node).Read(rep.meta_addr, buf);
+  ++ph->completions;
+  if (res.ok()) {
+    ph->Record(r, Meta());
+    ph->ok.Add(1);
+  }
+}
+
+// What the caller saw when the engine resumed it.
+struct Resume {
+  bool reached = false;
+  int answered = 0;
+  int completions = 0;
+  sim::Time at = 0;
+};
+
+// Runs one broadcast read of `layout` and records the resume; the driver
+// frame (and its reference to the phase) dies right after.
+Task<void> BroadcastRead(Worker* w, const ObjectLayout* layout, Resume* out,
+                         std::weak_ptr<ReadPhase>* phase) {
+  auto ph = sim::MakePooled<ReadPhase>(w->sim());
+  *phase = ph;
+  const QuorumEngine q(w, layout);
+  out->reached = co_await q.Broadcast(
+      ph.get(), [&](int r) { return ReadWordAt(w, layout, r, ph); });
+  out->answered = ph->Answered().size;
+  out->completions = ph->completions;
+  out->at = w->sim()->Now();
+}
+
+// First-quorum resume with a straggler in flight. The caller resumes at a
+// 2-of-3 majority while the dropped replica's completion (a failure-detection
+// timeout) is still queued; the straggler then writes into the phase block,
+// which it co-owns, after the caller's frame is gone.
 TEST(CompletionRace, StragglerCompletesAfterFirstQuorumResume) {
   TestEnv env(23);
   Worker& w = env.MakeWorker();
   ObjectLayout layout = env.MakeObject();
-  const int slow = layout.replicas[2].node;
-  DropResponsesFrom(&env, slow);
+  DropResponsesFrom(&env, layout.replicas[2].node);
 
-  QuorumOutcome snap;
-  sim::Time resumed_at = 0;
-  auto driver = [](Worker* w, const ObjectLayout* layout, QuorumOutcome* out,
-                   sim::Time* at) -> Task<void> {
-    sim::PoolVec<sim::Bytes> bufs;
-    sim::PoolVec<Task<OpResult>> verbs;
-    for (int r = 0; r < layout->num_replicas; ++r) {
-      const ReplicaLayout& rep = layout->replicas[static_cast<size_t>(r)];
-      bufs.emplace_back(8);
-      verbs.push_back(w->qp(rep.node).Read(rep.meta_addr, bufs.back()));
-    }
-    *out = co_await PostQuorum(w->cpu(), w->sim(), std::move(verbs), /*quorum=*/2);
-    *at = w->sim()->Now();
-    // Returning here destroys the driver frame (and the read buffers) while
-    // the dropped replica's completion is still queued — the interleaving
-    // the shared-block refcounting must survive.
-  };
-  Spawn(driver(&w, &layout, &snap, &resumed_at));
+  Resume resume;
+  std::weak_ptr<ReadPhase> phase;
+  Spawn(BroadcastRead(&w, &layout, &resume, &phase));
   env.sim.Run();
 
-  EXPECT_TRUE(snap.reached);
-  EXPECT_EQ(snap.completed_count, 2);
-  EXPECT_EQ(snap.completed[0], 1);
-  EXPECT_EQ(snap.completed[1], 1);
-  // The straggler had not completed at resume time, and the snapshot must
-  // not have been back-filled after the fact.
-  EXPECT_EQ(snap.completed[2], 0);
-  // The caller resumed at quorum speed; the straggler was still pending
-  // (its completion fires at failure_detect_delay).
-  EXPECT_LT(resumed_at, env.fabric.config().failure_detect_delay);
+  EXPECT_TRUE(resume.reached);
+  EXPECT_EQ(resume.answered, 2);
+  // The straggler had not completed at resume time...
+  EXPECT_EQ(resume.completions, 2);
+  EXPECT_LT(resume.at, env.fabric.config().failure_detect_delay);
+  // ...and released the block only once it finished.
+  EXPECT_TRUE(phase.expired());
 }
 
-// Timeout expiry before quorum: TWO dropped replicas make quorum 3-of-3
-// unreachable before the deadline. The caller resumes with reached=false and
-// dies; both stragglers then complete against the shared block.
+// Timeout expiry before quorum: TWO dropped replicas make a majority
+// unreachable before quorum_timeout. The caller resumes with reached=false
+// and dies; both stragglers then complete against the phase block.
 TEST(CompletionRace, TimeoutResumeThenTwoLateCompletions) {
-  TestEnv env(29);
+  ProtocolConfig pcfg = TestEnv::DefaultProtocol();
+  // Between the healthy replica's completion (~2 us) and the stragglers'
+  // failure-detection completions (4 us).
+  pcfg.quorum_timeout = 3'000;
+  TestEnv env(29, TestEnv::DefaultFabric(), pcfg);
   Worker& w = env.MakeWorker();
   ObjectLayout layout = env.MakeObject();
   const int slow_a = layout.replicas[1].node;
@@ -97,29 +125,16 @@ TEST(CompletionRace, TimeoutResumeThenTwoLateCompletions) {
     return response && (n == slow_a || n == slow_b);
   });
 
-  QuorumOutcome snap;
-  auto driver = [](Worker* w, const ObjectLayout* layout, QuorumOutcome* out) -> Task<void> {
-    sim::PoolVec<sim::Bytes> bufs;
-    sim::PoolVec<Task<OpResult>> verbs;
-    for (int r = 0; r < layout->num_replicas; ++r) {
-      const ReplicaLayout& rep = layout->replicas[static_cast<size_t>(r)];
-      bufs.emplace_back(8);
-      verbs.push_back(w->qp(rep.node).Read(rep.meta_addr, bufs.back()));
-    }
-    // Timeout between the healthy replica's completion (~2 us) and the
-    // stragglers' failure-detection completions (4 us).
-    *out = co_await PostQuorum(w->cpu(), w->sim(), std::move(verbs), /*quorum=*/3,
-                               /*timeout=*/3'000);
-    EXPECT_LT(w->sim()->Now(), sim::Time{4'000});
-  };
-  Spawn(driver(&w, &layout, &snap));
+  Resume resume;
+  std::weak_ptr<ReadPhase> phase;
+  Spawn(BroadcastRead(&w, &layout, &resume, &phase));
   env.sim.Run();
 
-  EXPECT_FALSE(snap.reached);
-  EXPECT_EQ(snap.completed_count, 1);  // Only the healthy replica answered.
-  EXPECT_EQ(snap.completed[0], 1);
-  EXPECT_EQ(snap.completed[1], 0);
-  EXPECT_EQ(snap.completed[2], 0);
+  EXPECT_FALSE(resume.reached);
+  EXPECT_EQ(resume.answered, 1);  // Only the healthy replica answered.
+  EXPECT_EQ(resume.completions, 1);
+  EXPECT_LT(resume.at, sim::Time{4'000});
+  EXPECT_TRUE(phase.expired());  // Both late completions ran and released it.
 }
 
 // The same race at the Counter level, without the fabric: a timed-out waiter

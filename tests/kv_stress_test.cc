@@ -16,7 +16,7 @@
 #include "src/index/client_cache.h"
 #include "src/index/index_service.h"
 #include "src/kv/swarm_kv.h"
-#include "tests/support/lincheck.h"
+#include "src/verify/lincheck.h"
 #include "tests/support/test_env.h"
 
 namespace swarm::kv {
@@ -24,8 +24,8 @@ namespace {
 
 using sim::Spawn;
 using sim::Task;
-using testing::HistoryOp;
-using testing::LinearizabilityChecker;
+using verify::HistoryOp;
+using verify::LinearizabilityChecker;
 using testing::TestEnv;
 
 constexpr uint64_t kKeys = 4;

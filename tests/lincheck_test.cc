@@ -9,7 +9,7 @@
 // engines to identical verdicts across duplicate values, zeros, pending ops
 // and concurrency shapes the handwritten cases miss.
 
-#include "tests/support/lincheck.h"
+#include "src/verify/lincheck.h"
 
 #include <gtest/gtest.h>
 
@@ -19,7 +19,7 @@
 
 #include "src/sim/random.h"
 
-namespace swarm::testing {
+namespace swarm::verify {
 namespace {
 
 HistoryOp W(uint64_t v, sim::Time inv, sim::Time resp) { return {true, v, inv, resp, false}; }
@@ -625,4 +625,4 @@ TEST(LincheckSoak, MinimizerProbesStaySubLinearAtScale) {
 }
 
 }  // namespace
-}  // namespace swarm::testing
+}  // namespace swarm::verify

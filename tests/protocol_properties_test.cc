@@ -11,7 +11,7 @@
 
 #include "src/sim/sync.h"
 #include "src/swarm/safe_guess.h"
-#include "tests/support/lincheck.h"
+#include "src/verify/lincheck.h"
 #include "tests/support/test_env.h"
 #include "src/util/discard.h"
 
@@ -20,8 +20,8 @@ namespace {
 
 using sim::Spawn;
 using sim::Task;
-using testing::HistoryOp;
-using testing::LinearizabilityChecker;
+using verify::HistoryOp;
+using verify::LinearizabilityChecker;
 using testing::TestEnv;
 using testing::ValN;
 

@@ -32,8 +32,8 @@
 #include "src/repair/migration.h"
 #include "src/sim/chaos.h"
 #include "src/swarm/recycler.h"
+#include "src/verify/lincheck.h"
 #include "src/ycsb/workload.h"
-#include "tests/support/lincheck.h"
 #include "tests/support/test_env.h"
 
 namespace swarm::testing {
@@ -294,7 +294,7 @@ inline uint64_t DecodeValue(const std::vector<uint8_t>& b) {
 // Per-key recorded histories. Value 0 models "absent" (never inserted or
 // deleted); writes use globally unique nonzero values.
 struct ChaosHistories {
-  std::map<uint64_t, std::vector<HistoryOp>> per_key;
+  std::map<uint64_t, std::vector<verify::HistoryOp>> per_key;
   uint64_t next_value = 1;
   int pending_ops = 0;   // Ops recorded as possibly-applied.
   int failed_reads = 0;  // Unavailable reads (no constraint, not recorded).
@@ -334,7 +334,7 @@ inline sim::Task<void> KvChaosClient(TestEnv* env, kv::KvSession* kv, uint64_t r
                              ? (zipf.Next(rng) + tenant_offset) % spec.keys
                              : rng.Below(spec.keys);
     const double dice = rng.Double();
-    HistoryOp op;
+    verify::HistoryOp op;
     op.invoked = env->sim.Now();
     if (dice < mix.get) {
       // Get. A failed read constrains nothing and is dropped entirely.
@@ -400,14 +400,14 @@ inline sim::Task<void> KvChaosClient(TestEnv* env, kv::KvSession* kv, uint64_t r
 // splitter kept cutting).
 inline std::string CheckHistories(const ChaosHistories& hist,
                                   verify::CheckStats* stats = nullptr) {
-  std::vector<HistoryOp> flat;
+  std::vector<verify::HistoryOp> flat;
   for (const auto& [key, ops] : hist.per_key) {
-    for (HistoryOp op : ops) {
+    for (verify::HistoryOp op : ops) {
       op.key = key;
       flat.push_back(op);
     }
   }
-  CheckResult report = LinearizabilityChecker::CheckReport(flat);
+  verify::CheckResult report = verify::LinearizabilityChecker::CheckReport(flat);
   if (stats != nullptr) {
     *stats = report.stats;
   }

@@ -59,11 +59,13 @@ CHECKS = (
 )
 
 # Callee names whose results are commit-critical: the one-sided verbs, the
-# doorbell-batch posting helpers, and the quorum wrappers protocols commit
-# through. A co_await of any of these must not drop its result.
+# doorbell-batch posting helpers, the quorum engine's verdicts
+# (src/swarm/quorum.h) every protocol commits through, and the quorum
+# wrappers. A co_await of any of these must not drop its result.
 COMMIT_CRITICAL_CALLEES = {
     "Read", "Write", "Cas", "WriteThenCas",
-    "PostMany", "PostBoth", "PostQuorum",
+    "PostMany", "PostBoth",
+    "Escalate", "Broadcast", "Wave",
     "WriteAndRead", "WriteVerified", "ReadQuorum",
     "ReplaceLayout", "RemoveIfGeneration", "InsertIfAbsent",
 }

@@ -43,6 +43,19 @@ struct Worker {
   sim::Task<void> RefreshEpoch();
 };
 
+// The quorum engine's awaitable entry points (src/swarm/quorum.h).
+struct QuorumPhase {};
+struct QuorumVerdict {
+  bool reached = false;
+};
+struct QuorumEngine {
+  template <typename Make>
+  sim::Task<QuorumVerdict> Escalate(QuorumPhase* ph, Make make) const;
+  template <typename Make>
+  sim::Task<bool> Broadcast(QuorumPhase* ph, Make make) const;
+};
+sim::Task<void> InstallAt(int replica);
+
 template <typename T>
 void DiscardStatus(T&&) {}
 

@@ -38,4 +38,13 @@ sim::Task<KvResult> DelegatedResult(Qp& qp, uint64_t addr, uint64_t expect) {
   co_return Classify(co_await qp.Cas(addr, expect, 0));
 }
 
+sim::Task<KvResult> ExaminedVerdict(const QuorumEngine& q, QuorumPhase* ph) {
+  // The quorum verdict decides what the op reports.
+  const QuorumVerdict v = co_await q.Escalate(ph, InstallAt);
+  if (!v.reached) {
+    co_return KvResult{KvStatus::kUnavailable};
+  }
+  co_return KvResult{KvStatus::kOk};
+}
+
 }  // namespace swarm::fixture

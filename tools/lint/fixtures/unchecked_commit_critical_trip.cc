@@ -41,4 +41,11 @@ sim::Task<void> AssignedNeverExamined(Qp& qp, uint64_t addr, uint64_t expect) {
   co_return;
 }
 
+sim::Task<KvResult> DroppedVerdict(const QuorumEngine& q, QuorumPhase* ph) {
+  // The quorum verdict IS the commit decision: dropping it acks the write
+  // whether or not a majority installed it.
+  co_await q.Broadcast(ph, InstallAt);  // trip: quorum verdict dropped
+  co_return KvResult{KvStatus::kOk};
+}
+
 }  // namespace swarm::fixture
