@@ -10,6 +10,10 @@
 # virtual-time metrics are deterministic at any op count, and 20k measured
 # ops keep the full suite to a few minutes. Scale-up runs (SWARM_BENCH_OPS)
 # are for humans; they cannot be diffed against these baselines.
+#
+# Every bench runs even when an earlier one fails, so one crashing bench
+# cannot hide the reports of the rest; the script names the failed benches
+# and exits non-zero at the end.
 
 set -euo pipefail
 
@@ -37,23 +41,35 @@ BENCHES=(
   bench_ablations
 )
 
+failed=()
+run_bench() {
+  local bench=$1
+  shift
+  echo "== $bench $EXTRA_FLAG"
+  if ! "$BUILD_DIR/$bench" "$@" > /dev/null; then
+    echo "!! $bench $EXTRA_FLAG failed" >&2
+    failed+=("$bench")
+  fi
+}
+
 for b in "${BENCHES[@]}"; do
-  echo "== $b $EXTRA_FLAG"
   # shellcheck disable=SC2086
-  "$BUILD_DIR/$b" $EXTRA_FLAG > /dev/null
+  run_bench "$b" $EXTRA_FLAG
 done
 
 # The event-loop microbenchmark takes positional sizes (callback events,
 # coroutine resumes, kv ops); keep them fixed so the fingerprint matches.
-echo "== bench_event_loop $EXTRA_FLAG"
 # shellcheck disable=SC2086
-"$BUILD_DIR/bench_event_loop" $EXTRA_FLAG 500000 500000 20000 > /dev/null
+run_bench bench_event_loop $EXTRA_FLAG 500000 500000 20000
 
 # The rtt-complexity binary emits its deterministic probe JSON up front;
 # the google-benchmark wall-clock fits are host-side only, so skip them here
 # (the filter matches nothing).
-echo "== bench_rtt_complexity $EXTRA_FLAG"
 # shellcheck disable=SC2086
-"$BUILD_DIR/bench_rtt_complexity" $EXTRA_FLAG --benchmark_filter='^$' > /dev/null
+run_bench bench_rtt_complexity $EXTRA_FLAG --benchmark_filter='^$'
 
-echo "wrote $(ls "$OUT_DIR"/BENCH_*.json | wc -l) reports to $OUT_DIR"
+echo "wrote $(find "$OUT_DIR" -maxdepth 1 -name 'BENCH_*.json' | wc -l) reports to $OUT_DIR"
+if [ "${#failed[@]}" -gt 0 ]; then
+  echo "failed benches $EXTRA_FLAG: ${failed[*]}" >&2
+  exit 1
+fi

@@ -2,10 +2,12 @@
 //
 // SWARM-KV clients cache the replica locations (and the 8 B In-n-Out
 // metadata, i.e. the per-replica slot-cache words) of the keys they touch so
-// that steady-state gets and updates bypass the index entirely. The cache
-// may be unbounded ("index caches large enough to cache all key locations",
-// most of §7) or bounded with an approximate-LFU replacement policy (the
-// 5 MiB-cache experiment of Fig. 6).
+// that steady-state gets and updates bypass the index entirely. An entry
+// holds the location; the slot-cache words are per-writer state, kept by
+// each Worker (Worker::SlotCacheFor) under the layout pointer. The cache may
+// be unbounded ("index caches large enough to cache all key locations", most
+// of §7) or bounded with an approximate-LFU replacement policy (the 5 MiB-cache
+// experiment of Fig. 6).
 //
 // The cache is SEGMENTED by the same consistent-hash ShardRouter the
 // IndexService uses, so each segment mirrors exactly one index shard: a
@@ -33,12 +35,14 @@
 
 namespace swarm::index {
 
+// 32 B on the host, the paper's SWARM-KV entry budget (§7.1): the shared
+// layout pointer, the mapping's generation and the LFU counter.
 struct CacheEntry {
   std::shared_ptr<const ObjectLayout> layout;
-  uint64_t generation = 0;                  // Index generation of the mapping.
-  std::shared_ptr<ObjectCache> obj_cache;   // In-n-Out slot words (SWARM only).
-  uint32_t freq = 0;                        // Approximate-LFU frequency.
+  uint64_t generation = 0;  // Index generation of the mapping.
+  uint32_t freq = 0;        // Approximate-LFU frequency.
 };
+static_assert(sizeof(CacheEntry) == 32, "client-cache entry must stay 32 B");
 
 struct CacheStats {
   uint64_t hits = 0;
@@ -97,7 +101,9 @@ class ClientCache {
     }
     entry.freq = 1;
     seg.map.emplace(key, std::move(entry));
-    seg.keys.push_back(key);
+    if (capacity_ != 0) {
+      seg.keys.push_back(key);  // Only eviction samples it.
+    }
   }
 
   // Drops a key (flush on observing a delete, §5.3.3/§5.3.4).
@@ -138,7 +144,9 @@ class ClientCache {
  private:
   struct Segment {
     std::unordered_map<uint64_t, CacheEntry> map;
-    std::vector<uint64_t> keys;  // Sampling support; may contain stale keys.
+    // Eviction's sampling support, bounded caches only; may contain stale
+    // keys.
+    std::vector<uint64_t> keys;
   };
 
   Segment& SegmentFor(uint64_t key) {

@@ -73,7 +73,7 @@ class PlacementMap {
       if (it == nodes_[node].end() || it->second.owner.get() != layout) {
         continue;  // A newer layout claimed this address.
       }
-      fn(rep.node, rep.meta_addr, layout->replica_slot_bytes(rep.inplace_addr != 0));
+      fn(rep.node, rep.meta_addr, layout->replica_slot_bytes(rep.has_inplace()));
       nodes_[node].erase(it);
     }
   }

@@ -84,7 +84,6 @@ void IndexedKvSession<Protocol>::Cache(uint64_t key, const Located& loc) {
   index::CacheEntry entry;
   entry.layout = loc.layout;
   entry.generation = loc.generation;
-  entry.obj_cache = loc.obj_cache;
   cache_->Put(key, std::move(entry));
 }
 

@@ -101,7 +101,8 @@ sim::Task<KvResult> RawKvSession::Insert(uint64_t key, std::span<const uint8_t> 
   l.meta_slots = 1;
   l.max_writers = 1;
   l.max_value = worker_->config().max_value;
-  l.replicas[0].node = node;
+  CheckReplicaRecordFits(l, &node, /*inplace_copies=*/0);
+  l.replicas[0].node = static_cast<int16_t>(node);
   l.replicas[0].meta_addr = worker_->fabric()->node(node).Allocate(8 + l.max_value);
   std::shared_ptr<const ObjectLayout> layout = std::make_shared<ObjectLayout>(l);
 

@@ -35,7 +35,7 @@ class LayoutMove final : public ReplicaMove {
     const int nodes[1] = {dest};
     ObjectLayout fresh =
         AllocateObject(*worker_->fabric(), nodes, 1, src_->meta_slots, src_->max_writers,
-                       src_->max_value, /*inplace_copies=*/vacated_.inplace_addr != 0 ? 1 : 0);
+                       src_->max_value, /*inplace_copies=*/vacated_.has_inplace() ? 1 : 0);
     dst_->replicas[static_cast<size_t>(slot_)] = fresh.replicas[0];
   }
 
@@ -43,7 +43,7 @@ class LayoutMove final : public ReplicaMove {
   // AllocateObject), so one interval covers it.
   void SetFence(bool fenced) override {
     fabric::MemoryNode& node = worker_->fabric()->node(vacated_.node);
-    const uint64_t len = src_->replica_slot_bytes(vacated_.inplace_addr != 0);
+    const uint64_t len = src_->replica_slot_bytes(vacated_.has_inplace());
     if (fenced) {
       node.RetireRegion(vacated_.meta_addr, len);
     } else {

@@ -39,7 +39,7 @@ sim::Task<bool> CopyLocks(Worker* worker, const ObjectLayout* src, const ObjectL
       continue;  // The node under repair itself.
     }
     bufs.emplace_back(region);
-    verbs.push_back(worker->qp(rep.node).Read(rep.tsl_addr, bufs.back()));
+    verbs.push_back(worker->qp(rep.node).Read(rep.tsl_addr(), bufs.back()));
   }
   sim::PoolVec<fabric::OpResult> results =
       co_await fabric::PostMany(worker->cpu(), worker->sim(), std::move(verbs));
@@ -62,7 +62,7 @@ sim::Task<bool> CopyLocks(Worker* worker, const ObjectLayout* src, const ObjectL
   sim::Bytes out(region);
   std::memcpy(out.data(), merged.data(), region);
   const ReplicaLayout& d = dst->replicas[static_cast<size_t>(target)];
-  fabric::OpResult res = co_await worker->qp(d.node).Write(d.tsl_addr, out);
+  fabric::OpResult res = co_await worker->qp(d.node).Write(d.tsl_addr(), out);
   co_return res.ok();
 }
 

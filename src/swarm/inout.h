@@ -73,7 +73,7 @@ class InOutReplica {
         rep_(&layout->replicas[static_cast<size_t>(replica_idx)]) {}
 
   int node() const { return rep_->node; }
-  bool has_inplace() const { return rep_->inplace_addr != 0; }
+  bool has_inplace() const { return rep_->has_inplace(); }
 
   // MAX-writes `w` (whose oop bits are filled from a freshly allocated
   // out-of-place buffer holding `value`) into this writer's metadata slot.

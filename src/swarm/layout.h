@@ -2,13 +2,13 @@
 //
 // Each replica of an object occupies, on its node (Fig. 3 + §4.4 + §3.3):
 //
-//   meta_addr:    K × 8 B   In-n-Out metadata words (one per writer subset,
-//                           §4.4's contention-reduction array),
-//   tsl_addr:     W × 8 B   timestamp-lock CAS words (one lock per writer,
-//                           §3.3; Safe-Guess state, co-located for locality),
-//   inplace_addr:           [hash 8 B][len 8 B][data max_value] — only at the
-//                           object's designated replica (§6: in-place data is
-//                           stored at one replica chosen by key hash).
+//   meta_addr:      K × 8 B   In-n-Out metadata words (one per writer subset,
+//                             §4.4's contention-reduction array),
+//   tsl_addr():     W × 8 B   timestamp-lock CAS words (one lock per writer,
+//                             §3.3; Safe-Guess state, co-located for locality),
+//   inplace_addr():           [hash 8 B][len 8 B][data max_value] — only at the
+//                             object's designated replica (§6: in-place data
+//                             is stored at one replica chosen by key hash).
 //
 // Out-of-place buffers are NOT part of the per-object layout: writers carve
 // them from per-(client, node) pre-allocated pools (§4.3: "writers
@@ -19,6 +19,8 @@
 
 #include <array>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <utility>
 #include <vector>
 
@@ -35,12 +37,24 @@ inline constexpr uint64_t kInPlaceHeaderBytes = 16;
 // Out-of-place buffer header: [meta word][len].
 inline constexpr uint64_t kOopHeaderBytes = 16;
 
+// One replica's record: its node, the base of its slab slot (which is where
+// the metadata array starts) and the offsets of the in-place and TSL regions
+// inside that slot, as AllocateObject packs it. Every client keeps one
+// ObjectLayout per key it has touched, so the record is held to 16 B (an
+// ObjectLayout is 144 B); AllocateObject aborts on a geometry whose offsets
+// or node id do not fit.
 struct ReplicaLayout {
-  int32_t node = -1;
-  uint64_t meta_addr = 0;
-  uint64_t tsl_addr = 0;
-  uint64_t inplace_addr = 0;  // 0 = this replica holds no in-place data.
+  uint64_t meta_addr = 0;       // Slot base = metadata array.
+  int16_t node = -1;
+  uint16_t inplace_offset = 0;  // 0 = this replica holds no in-place data.
+  uint32_t tsl_offset = 0;
+
+  bool has_inplace() const { return inplace_offset != 0; }
+  // Meaningful only when has_inplace().
+  uint64_t inplace_addr() const { return meta_addr + inplace_offset; }
+  uint64_t tsl_addr() const { return meta_addr + tsl_offset; }
 };
+static_assert(sizeof(ReplicaLayout) == 16, "replica record must stay 16 B");
 
 struct ObjectLayout {
   std::array<ReplicaLayout, kMaxReplicas> replicas;
@@ -56,18 +70,48 @@ struct ObjectLayout {
 
   // One replica occupies ONE contiguous slab slot:
   //   [meta | in-place (designated replicas only) | tsl]
-  // so a single interval fences it and a single FreeSlot releases it.
+  // so a single interval fences it and a single FreeSlot releases it. The
+  // in-place region is padded to 8 B so the TSL words stay aligned.
+  uint64_t tsl_region_offset(bool with_inplace) const {
+    return meta_region_bytes() +
+           (with_inplace ? (inplace_region_bytes() + 7) & ~uint64_t{7} : 0);
+  }
   uint64_t replica_slot_bytes(bool with_inplace) const {
-    const uint64_t inplace =
-        with_inplace ? (inplace_region_bytes() + 7) & ~uint64_t{7} : 0;
-    return meta_region_bytes() + inplace + tsl_region_bytes();
+    return tsl_region_offset(with_inplace) + tsl_region_bytes();
   }
   // [addr, addr+len) of replica r's slot, for fencing/freeing.
   std::pair<uint64_t, uint64_t> replica_slot(int r) const {
     const ReplicaLayout& rep = replicas[static_cast<size_t>(r)];
-    return {rep.meta_addr, replica_slot_bytes(rep.inplace_addr != 0)};
+    return {rep.meta_addr, replica_slot_bytes(rep.has_inplace())};
   }
 };
+
+// The record's narrow fields hold the node id and the in-place and TSL
+// offsets of the [meta | in-place | tsl] packing. A geometry they cannot hold
+// is a deployment misconfiguration, like a writer past the TSL bound
+// (CheckWriterBound in safe_guess.cc): abort with a message rather than
+// truncate an address into another object's slot.
+inline void CheckReplicaRecordFits(const ObjectLayout& layout, const int* nodes,
+                                   int inplace_copies) {
+  const auto fail = [](const char* what, long long value, unsigned long long limit) {
+    std::fprintf(stderr, "layout: %s %lld does not fit the replica record (limit %llu)\n", what,
+                 value, limit);
+    std::abort();
+  };
+  const uint64_t meta = layout.meta_region_bytes();
+  if (layout.meta_slots < 1 || meta > UINT16_MAX) {
+    fail("meta region bytes", static_cast<long long>(meta), UINT16_MAX);
+  }
+  const uint64_t tsl_with_inplace = layout.tsl_region_offset(/*with_inplace=*/true);
+  if (inplace_copies > 0 && tsl_with_inplace > UINT32_MAX) {
+    fail("meta + in-place region bytes", static_cast<long long>(tsl_with_inplace), UINT32_MAX);
+  }
+  for (int r = 0; r < layout.num_replicas; ++r) {
+    if (nodes[r] < 0 || nodes[r] > INT16_MAX) {
+      fail("node id", nodes[r], INT16_MAX);
+    }
+  }
+}
 
 // Allocates one object's replicas on the given nodes. `inplace_copies`
 // replicas (starting from replica 0, the designated one) get an in-place
@@ -81,9 +125,10 @@ inline ObjectLayout AllocateObject(fabric::Fabric& fabric, const int* nodes, int
   layout.meta_slots = meta_slots;
   layout.max_writers = max_writers;
   layout.max_value = max_value;
+  CheckReplicaRecordFits(layout, nodes, inplace_copies);
   for (int r = 0; r < num_replicas; ++r) {
     ReplicaLayout& rep = layout.replicas[static_cast<size_t>(r)];
-    rep.node = nodes[r];
+    rep.node = static_cast<int16_t>(nodes[r]);
     fabric::MemoryNode& node = fabric.node(nodes[r]);
     // One slab slot per replica: [meta | in-place? | tsl]. The in-place
     // region sits contiguously after the metadata array so both can be
@@ -93,12 +138,9 @@ inline ObjectLayout AllocateObject(fabric::Fabric& fabric, const int* nodes, int
     const bool with_inplace = r < inplace_copies;
     rep.meta_addr = node.AllocSlot(layout.replica_slot_bytes(with_inplace));
     if (with_inplace) {
-      rep.inplace_addr = rep.meta_addr + layout.meta_region_bytes();
-      rep.tsl_addr = rep.inplace_addr + ((layout.inplace_region_bytes() + 7) & ~uint64_t{7});
-    } else {
-      rep.inplace_addr = 0;
-      rep.tsl_addr = rep.meta_addr + layout.meta_region_bytes();
+      rep.inplace_offset = static_cast<uint16_t>(layout.meta_region_bytes());
     }
+    rep.tsl_offset = static_cast<uint32_t>(layout.tsl_region_offset(with_inplace));
   }
   return layout;
 }

@@ -1,5 +1,6 @@
 #include "src/swarm/safe_guess.h"
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstdlib>
@@ -170,13 +171,16 @@ sim::Task<SgReadResult> SafeGuessObject::Read() {
   SgReadResult result;
   QuorumMax reg(worker_, layout_, cache_);
 
-  // Line 15: tuples seen so far, keyed by writer id (bounded by W).
+  // Line 15: tuples seen so far, one per writer id. An iteration records at
+  // most one tuple and there are at most 2W+1 iterations, so the list stays
+  // short: searching it by tid costs less than a table with an entry per
+  // possible tid, and it holds any tid.
   struct Seen {
-    bool present = false;
+    uint32_t tid = 0;
     uint64_t write_key = 0;
     sim::Bytes value;
   };
-  std::array<Seen, kMaxTid + 1> seen{};
+  sim::PoolVec<Seen> seen;
 
   const int max_iters = 2 * layout_->max_writers + 1;
   for (int iter = 0; iter < max_iters; ++iter) {
@@ -222,11 +226,13 @@ sim::Task<SgReadResult> SafeGuessObject::Read() {
       co_return result;
     }
 
-    Seen& s = seen[m.m.tid()];
-    if (s.present && s.write_key == m.m.same_write_key()) {
+    const uint32_t tid = m.m.tid();
+    auto it = std::find_if(seen.begin(), seen.end(), [tid](const Seen& x) { return x.tid == tid; });
+    Seen* s = it == seen.end() ? nullptr : &*it;
+    if (s != nullptr && s->write_key == m.m.same_write_key()) {
       // Line 19: same GUESSED tuple seen in two sequential reads — its
       // timestamp was fresh. Try to lock out a re-execution (line 20).
-      TimestampLock lock(worker_, layout_, m.m.tid());
+      TimestampLock lock(worker_, layout_, tid);
       TryLockResult locked = co_await lock.TryLock(m.m.counter(), LockMode::kRead);
       result.rtts += locked.rtts;
       if (locked.acquired) {
@@ -247,18 +253,21 @@ sim::Task<SgReadResult> SafeGuessObject::Read() {
       }
       // Lock failed: the writer saw a higher timestamp; the next iteration
       // is guaranteed to discover a new tuple (Appendix C.2).
-    } else if (s.present) {
+    } else if (s != nullptr) {
       // Line 23–24: a second, different tuple from the same writer — the
       // first write must have completed, so its value is safe to return.
       result.status = SgStatus::kOk;
-      result.value = std::move(s.value);
+      result.value = std::move(s->value);
       co_return result;
     }
 
     // Line 25.
-    s.present = true;
-    s.write_key = m.m.same_write_key();
-    s.value = std::move(m.value);
+    if (s == nullptr) {
+      s = &seen.emplace_back();
+      s->tid = tid;
+    }
+    s->write_key = m.m.same_write_key();
+    s->value = std::move(m.value);
   }
 
   // Unreachable for well-formed configurations (Appendix C.2 bounds the loop

@@ -30,7 +30,7 @@ sim::Task<void> LockOneReplica(Worker* worker, const ObjectLayout* layout, int r
   // misconfiguration deliberately — so the guard must follow the config.
   assert(!worker->config().enforce_writer_bounds ||
          owner_tid < static_cast<uint32_t>(layout->max_writers));
-  const uint64_t addr = rep.tsl_addr + static_cast<uint64_t>(owner_tid) * 8;
+  const uint64_t addr = rep.tsl_addr() + static_cast<uint64_t>(owner_tid) * 8;
   fabric::Qp& qp = worker->qp(rep.node);
   const TslWord want = TslWord::Pack(counter, mode);
 

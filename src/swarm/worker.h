@@ -89,20 +89,18 @@ class Worker {
   // This worker's In-n-Out slot-cache words for one object (Algorithm 7's
   // cached previous value, 8 B per replica). Slot caches are per-WRITER
   // state: each writer CASes its own metadata buffer (§4.4), so only its own
-  // history predicts the slot's content. shared_ptr so straggler background
-  // tasks can keep updating them safely.
+  // history predicts the slot's content.
+  //
+  // The words live inline in the map's node, and the returned shared_ptr
+  // aliases that node without owning it (no control block, no allocation
+  // beyond the node itself). That is safe because nothing outlives what it
+  // points into: the map never erases and its nodes never move, and the
+  // Worker outlives every coroutine that can still run — protocol tasks,
+  // straggler verbs and background promotions all post through this
+  // Worker's QPs. Protocol objects take a shared_ptr so that a caller may
+  // pass an owning ObjectCache of its own instead, as tests do.
   std::shared_ptr<ObjectCache> SlotCacheFor(const void* layout) {
-    auto& entry = slot_caches_[layout];
-    if (entry == nullptr) {
-      entry = std::make_shared<ObjectCache>();
-    }
-    return entry;
-  }
-
-  uint64_t SlotCacheBytes() const {
-    // 8 B per replica per object actually touched (the "In-n-Out metadata"
-    // of a SWARM-KV cache entry, §7.1).
-    return slot_caches_.size() * 8;
+    return std::shared_ptr<ObjectCache>(std::shared_ptr<ObjectCache>(), &slot_caches_[layout]);
   }
 
   // The shared vectors below may predate a hot-added node; out-of-range reads
@@ -246,7 +244,8 @@ class Worker {
   // Deques: growth must not invalidate references held across co_awaits.
   std::deque<fabric::Qp> qps_;
   std::deque<OopPool> pools_;
-  std::unordered_map<const void*, std::shared_ptr<ObjectCache>> slot_caches_;
+  // Node-based and never erased: SlotCacheFor hands out pointers into it.
+  std::unordered_map<const void*, ObjectCache> slot_caches_;
 };
 
 }  // namespace swarm

@@ -179,6 +179,42 @@ TEST(ZeroAlloc, FuseeSteadyStateReadWriteIsHeapFree) {
   EXPECT_EQ(MeasureSteadyState(&env, &kv, /*keys=*/4), 0u);
 }
 
+// Fresh-key inserts are not heap-free: each one allocates its layout, its
+// index and placement-map entries, and its client-cache and slot-cache
+// nodes. Their number per insert is fixed, though, so the mean over 1,000
+// inserts is pinned: a new per-key block (a second allocation per slot-cache
+// entry, say) fails here.
+TEST(ZeroAlloc, SwarmFreshInsertAllocationBudget) {
+  if (kPoolBypassed) {
+    GTEST_SKIP() << "pool bypassed under ASan; allocation counting is meaningless";
+  }
+  TestEnv env(19);
+  index::IndexService index(&env.sim);
+  index::ClientCache cache;
+  Worker& w = env.MakeWorker();
+  kv::SwarmKvSession kv(&w, &index, &cache);
+  auto inserts = [](kv::SwarmKvSession* s, uint64_t first, uint64_t count) -> Task<void> {
+    sim::Bytes value(48);
+    for (uint64_t key = first; key < first + count; ++key) {
+      std::fill(value.begin(), value.end(), static_cast<uint8_t>(key));
+      kv::KvResult r = co_await s->Insert(key, value);
+      EXPECT_TRUE(r.ok());
+    }
+  };
+  constexpr uint64_t kInserts = 1000;
+  Spawn(inserts(&kv, 0, kInserts));  // Warm-up: pools, slabs, table sizes.
+  env.sim.Run();
+  const uint64_t before = g_heap_allocs;
+  Spawn(inserts(&kv, kInserts, kInserts));
+  env.sim.Run();
+  // 7.155 per insert. Allocating each slot-cache entry in a block of its
+  // own, instead of inline in the Worker's map, makes it 8.156.
+  constexpr uint64_t kBudget = 7155;
+  EXPECT_LE(g_heap_allocs - before, kBudget)
+      << "mean heap allocations per fresh-key insert: "
+      << static_cast<double>(g_heap_allocs - before) / kInserts;
+}
+
 // Placement is on the insert/migration planning path: both the classic
 // modular pick and the serving-probe pick must stay heap-free — the probe
 // is stateless, so it gets no warmup allowance at all.
