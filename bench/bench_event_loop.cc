@@ -1,17 +1,13 @@
 // Event-core microbenchmark: host-side events/sec of the allocation-free
-// tagged-event loop vs. the seed's std::function + std::priority_queue loop
-// (replicated inline below as the baseline), plus end-to-end verbs/sec of a
-// SWARM-KV run with doorbell batching on and off.
+// tagged-event loop, plus end-to-end verbs/sec of a SWARM-KV run with
+// doorbell batching on and off.
 //
 //   ./build/bench_event_loop [callback_events] [coroutine_resumes] [kv_ops]
 
 #include <chrono>
-#include <coroutine>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
-#include <queue>
 #include <vector>
 
 #include "bench/common/harness.h"
@@ -22,72 +18,6 @@
 
 namespace swarm::bench {
 namespace {
-
-// --- The seed's event loop, verbatim in shape: one std::function per event
-// (heap-allocating whenever the capture outgrows the small-buffer
-// optimization, i.e. for every fabric completion), in a std::priority_queue.
-class LegacyLoop {
- public:
-  sim::Time Now() const { return now_; }
-
-  void At(sim::Time when, std::function<void()> fn) {
-    if (when < now_) {
-      when = now_;
-    }
-    queue_.push(Event{when, seq_++, std::move(fn)});
-  }
-
-  void ResumeAt(sim::Time when, std::coroutine_handle<> h) {
-    At(when, [h] { h.resume(); });
-  }
-
-  bool Step() {
-    if (queue_.empty()) {
-      return false;
-    }
-    Event ev = std::move(const_cast<Event&>(queue_.top()));
-    queue_.pop();
-    now_ = ev.at;
-    ++events_;
-    ev.fn();
-    return true;
-  }
-
-  void Run() {
-    while (Step()) {
-    }
-  }
-
-  uint64_t events() const { return events_; }
-
-  auto Delay(sim::Time delay) {
-    struct Awaiter {
-      LegacyLoop* loop;
-      sim::Time at;
-      bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<> h) { loop->ResumeAt(at, h); }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{this, now_ + (delay > 0 ? delay : 0)};
-  }
-
- private:
-  struct Event {
-    sim::Time at;
-    uint64_t seq;
-    std::function<void()> fn;
-  };
-  struct EventOrder {
-    bool operator()(const Event& a, const Event& b) const {
-      return a.at != b.at ? a.at > b.at : a.seq > b.seq;
-    }
-  };
-
-  sim::Time now_ = 0;
-  uint64_t seq_ = 0;
-  uint64_t events_ = 0;
-  std::priority_queue<Event, std::vector<Event>, EventOrder> queue_;
-};
 
 double SecondsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -102,11 +32,10 @@ struct Capture {
 // `chains` concurrent event chains, each rescheduling itself `per_chain`
 // times with a fabric-sized capture — the steady-state shape of a
 // replication benchmark's event queue.
-template <typename Loop>
-double CallbackChains(Loop* loop, int chains, uint64_t per_chain, uint64_t* sink) {
+double CallbackChains(sim::Simulator* loop, int chains, uint64_t per_chain, uint64_t* sink) {
   const auto t0 = std::chrono::steady_clock::now();
   struct Chain {
-    Loop* loop;
+    sim::Simulator* loop;
     uint64_t left;
     uint64_t* sink;
     void Fire(const Capture& c) {
@@ -133,8 +62,7 @@ double CallbackChains(Loop* loop, int chains, uint64_t per_chain, uint64_t* sink
   return SecondsSince(t0);
 }
 
-template <typename Loop>
-sim::Task<void> ResumeChain(Loop* loop, uint64_t iters, uint64_t* sink) {
+sim::Task<void> ResumeChain(sim::Simulator* loop, uint64_t iters, uint64_t* sink) {
   for (uint64_t i = 0; i < iters; ++i) {
     co_await loop->Delay(1 + static_cast<sim::Time>(i & 7));
     ++*sink;
@@ -143,8 +71,7 @@ sim::Task<void> ResumeChain(Loop* loop, uint64_t iters, uint64_t* sink) {
 
 // `chains` coroutines ping-ponging through the scheduler — the ResumeAt fast
 // path that dominates protocol execution.
-template <typename Loop>
-double CoroutineChains(Loop* loop, int chains, uint64_t per_chain, uint64_t* sink) {
+double CoroutineChains(sim::Simulator* loop, int chains, uint64_t per_chain, uint64_t* sink) {
   const auto t0 = std::chrono::steady_clock::now();
   for (int c = 0; c < chains; ++c) {
     sim::Spawn(ResumeChain(loop, per_chain, sink));
@@ -201,49 +128,20 @@ int Main(int argc, char** argv) {
   rep.Label("coroutine_resumes", std::to_string(coroutine_resumes));
   rep.Label("kv_ops", std::to_string(kv_ops));
 
-  PrintHeader("Event core: callback events (fabric-sized ~96 B captures)");
-  LegacyLoop legacy_cb;
-  const double legacy_cb_s =
-      CallbackChains(&legacy_cb, kChains, callback_events / kChains, &sink);
-  sim::Simulator tagged_cb;
-  const double tagged_cb_s =
-      CallbackChains(&tagged_cb, kChains, callback_events / kChains, &sink);
-  const double legacy_cb_rate = static_cast<double>(legacy_cb.events()) / legacy_cb_s;
-  const double tagged_cb_rate = static_cast<double>(tagged_cb.events_processed()) / tagged_cb_s;
+  PrintHeader("Event core: tagged-event slab heap");
+  sim::Simulator cb;
+  const double cb_s = CallbackChains(&cb, kChains, callback_events / kChains, &sink);
+  sim::Simulator co;
+  const double co_s = CoroutineChains(&co, kChains, coroutine_resumes / kChains, &sink);
   PrintTable({
-      {"loop", "events", "wall_s", "events/sec"},
-      {"std::function+priority_queue", FmtU(legacy_cb.events()), Fmt("%.3f", legacy_cb_s),
-       Fmt("%.0f", legacy_cb_rate)},
-      {"tagged-event slab heap", FmtU(tagged_cb.events_processed()), Fmt("%.3f", tagged_cb_s),
-       Fmt("%.0f", tagged_cb_rate)},
-      {"speedup", "", "", Fmt("%.2fx", tagged_cb_rate / legacy_cb_rate)},
+      {"events", "count", "wall_s", "events/sec"},
+      {"callbacks (fabric-sized ~96 B captures)", FmtU(cb.events_processed()), Fmt("%.3f", cb_s),
+       Fmt("%.0f", static_cast<double>(cb.events_processed()) / cb_s)},
+      {"coroutine resumes (ResumeAt fast path)", FmtU(co.events_processed()), Fmt("%.3f", co_s),
+       Fmt("%.0f", static_cast<double>(co.events_processed()) / co_s)},
   });
-  rep.AddEventLoop("cb.legacy", legacy_cb.events(), 0, legacy_cb_s);
-  rep.AddEventLoop("cb.tagged", tagged_cb.events_processed(), tagged_cb.coroutine_events(),
-                   tagged_cb_s);
-  rep.Metric("host_cb.speedup", tagged_cb_rate / legacy_cb_rate);
-
-  PrintHeader("Event core: coroutine resumes (ResumeAt fast path)");
-  LegacyLoop legacy_co;
-  const double legacy_co_s =
-      CoroutineChains(&legacy_co, kChains, coroutine_resumes / kChains, &sink);
-  sim::Simulator tagged_co;
-  const double tagged_co_s =
-      CoroutineChains(&tagged_co, kChains, coroutine_resumes / kChains, &sink);
-  const double legacy_co_rate = static_cast<double>(legacy_co.events()) / legacy_co_s;
-  const double tagged_co_rate = static_cast<double>(tagged_co.events_processed()) / tagged_co_s;
-  PrintTable({
-      {"loop", "events", "wall_s", "events/sec"},
-      {"std::function+priority_queue", FmtU(legacy_co.events()), Fmt("%.3f", legacy_co_s),
-       Fmt("%.0f", legacy_co_rate)},
-      {"tagged-event slab heap", FmtU(tagged_co.events_processed()), Fmt("%.3f", tagged_co_s),
-       Fmt("%.0f", tagged_co_rate)},
-      {"speedup", "", "", Fmt("%.2fx", tagged_co_rate / legacy_co_rate)},
-  });
-  rep.AddEventLoop("co.legacy", legacy_co.events(), 0, legacy_co_s);
-  rep.AddEventLoop("co.tagged", tagged_co.events_processed(), tagged_co.coroutine_events(),
-                   tagged_co_s);
-  rep.Metric("host_co.speedup", tagged_co_rate / legacy_co_rate);
+  rep.AddEventLoop("cb.tagged", cb.events_processed(), cb.coroutine_events(), cb_s);
+  rep.AddEventLoop("co.tagged", co.events_processed(), co.coroutine_events(), co_s);
 
   PrintHeader("SWARM-KV (YCSB-B) with doorbell batching off vs. on");
   std::vector<std::vector<std::string>> rows;

@@ -8,65 +8,11 @@ namespace swarm::bench {
 
 KvHarness::KvHarness(HarnessConfig cfg) : cfg_(std::move(cfg)) {
   cfg_.proto.max_value = std::max(cfg_.proto.max_value, cfg_.workload.value_size);
-  const int total_workers = cfg_.num_clients * cfg_.workers_per_client;
-  if (cfg_.proto.max_writers <= 0) {
-    cfg_.proto.max_writers = std::min(total_workers, static_cast<int>(kMaxTid) + 1);
-  }
-  if (cfg_.proto.meta_slots <= 0) {
-    cfg_.proto.meta_slots = std::min(total_workers, 64);
-  }
-  sim_ = std::make_unique<sim::Simulator>(cfg_.seed);
-  fabric_ = std::make_unique<fabric::Fabric>(sim_.get(), cfg_.fabric);
-  index_ = std::make_unique<index::IndexService>(sim_.get(), fabric_.get(),
-                                                 cfg_.fabric.one_way_delay,
-                                                 cfg_.fabric.delay_jitter, cfg_.fabric.submit_cost,
-                                                 cfg_.index_shards);
-  index_->set_shard_service_time(cfg_.index_shard_service_time);
-  membership_ = std::make_unique<membership::MembershipService>(sim_.get(), fabric_.get());
-  fusee_ = std::make_unique<kv::FuseeStore>(fabric_.get());
-  BuildClients();
-}
-
-void KvHarness::BuildClients() {
-  uint32_t tid = 0;
-  for (int c = 0; c < cfg_.num_clients; ++c) {
-    cpus_.push_back(std::make_unique<fabric::ClientCpu>(sim_.get()));
-    caches_.push_back(std::make_unique<index::ClientCache>(
-        cfg_.cache_capacity, cfg_.store == "swarm" ? 32 : 24, cfg_.seed + static_cast<uint64_t>(c),
-        cfg_.index_shards));
-    const int64_t max_skew = cfg_.max_clock_skew_ns;
-    const int64_t skew = max_skew > 0 ? sim_->rng().Range(-max_skew, max_skew) : 0;
-    auto known_failed = std::make_shared<std::vector<bool>>(
-        static_cast<size_t>(cfg_.fabric.num_nodes), false);
-    membership_->Subscribe(known_failed);
-    // One membership-epoch stamp per client process, shared by its workers:
-    // bench verbs ride the same epoch-fenced path as production clients
-    // instead of stamping kNoFenceEpoch (which no fence ever rejects).
-    auto epoch = std::make_shared<fabric::ClientEpoch>();
-    epoch->value = membership_->epoch();
-    membership_->SubscribeEpoch(epoch);
-    for (int w = 0; w < cfg_.workers_per_client; ++w) {
-      clocks_.push_back(std::make_unique<GuessClock>(sim_.get(), skew));
-      workers_.push_back(std::make_unique<Worker>(fabric_.get(), tid, cpus_.back().get(),
-                                                  clocks_.back().get(), cfg_.proto, known_failed));
-      Worker* worker = workers_.back().get();
-      worker->set_epoch(epoch);
-      worker->set_epoch_source(
-          [ms = membership_.get()] { return ms->ValidateEpoch(); });
-      index::ClientCache* cache = caches_.back().get();
-      if (cfg_.store == "swarm") {
-        sessions_.push_back(std::make_unique<kv::SwarmKvSession>(worker, index_.get(), cache));
-      } else if (cfg_.store == "raw") {
-        sessions_.push_back(std::make_unique<kv::RawKvSession>(worker, index_.get(), cache));
-      } else if (cfg_.store == "dmabd") {
-        sessions_.push_back(std::make_unique<kv::DmAbdKvSession>(worker, index_.get(), cache));
-      } else {
-        sessions_.push_back(std::make_unique<kv::FuseeKvSession>(worker, fusee_.get(), cache));
-      }
-      workloads_.push_back(std::make_unique<ycsb::Workload>(
-          cfg_.workload, cfg_.seed * 7919 + static_cast<uint64_t>(tid)));
-      ++tid;
-    }
+  deployment_ = std::make_unique<deploy::Deployment>(cfg_);
+  cfg_.proto = deployment_->config().proto;
+  for (int s = 0; s < num_sessions(); ++s) {
+    workloads_.push_back(std::make_unique<ycsb::Workload>(
+        cfg_.workload, cfg_.seed * 7919 + static_cast<uint64_t>(s)));
   }
 }
 
@@ -89,38 +35,8 @@ void KvHarness::Load() {
       sim::Spawn(LoadRange(s, first, last));
     }
   }
-  sim_->Run();
-  if (cfg_.prewarm_caches && cfg_.cache_capacity == 0) {
-    PrewarmCaches();
-  }
-}
-
-void KvHarness::PrewarmCaches() {
-  for (uint64_t key = 0; key < cfg_.workload.num_keys; ++key) {
-    if (cfg_.store == "fusee") {
-      kv::FuseeStore::KeyMeta& meta = fusee_->MetaFor(key);
-      const uint64_t word = fabric_->node(meta.primary).LoadWord(meta.index_addr_primary);
-      if (word == 0) {
-        continue;
-      }
-      for (auto& cache : caches_) {
-        index::CacheEntry entry;
-        entry.generation = word;
-        cache->Put(key, entry);
-      }
-      continue;
-    }
-    const index::IndexEntry* e = index_->Peek(key);
-    if (e == nullptr) {
-      continue;
-    }
-    for (auto& cache : caches_) {
-      index::CacheEntry entry;
-      entry.layout = e->layout;
-      entry.generation = e->generation;
-      cache->Put(key, entry);
-    }
-  }
+  sim().Run();
+  deployment_->PrewarmCaches(keys);
 }
 
 sim::Task<void> KvHarness::WorkerLoop(int session_idx, uint64_t warmup, uint64_t measured) {
@@ -128,14 +44,14 @@ sim::Task<void> KvHarness::WorkerLoop(int session_idx, uint64_t warmup, uint64_t
   kv::KvSession& kv = session(session_idx);
   for (uint64_t i = 0; i < warmup + measured; ++i) {
     const ycsb::Workload::Op op = wl.Next();
-    const sim::Time start = sim_->Now();
+    const sim::Time start = sim().Now();
     kv::KvResult result;
     if (op.type == ycsb::OpType::kGet) {
       result = co_await kv.Get(op.key);
     } else {
       result = co_await kv.Update(op.key, wl.ValueFor(op.key, version_counter_++));
     }
-    const sim::Time latency = sim_->Now() - start;
+    const sim::Time latency = sim().Now() - start;
     if (i < warmup || !measuring_) {
       continue;
     }
@@ -155,7 +71,7 @@ sim::Task<void> KvHarness::WorkerLoop(int session_idx, uint64_t warmup, uint64_t
       results_.unavailable++;
     }
     if (op_hook_) {
-      op_hook_(sim_->Now(), op.type, latency, result);
+      op_hook_(sim().Now(), op.type, latency, result);
     }
   }
 }
@@ -172,20 +88,20 @@ RunResults KvHarness::Run() {
     for (int s = 0; s < n; ++s) {
       sim::Spawn(WorkerLoop(s, warmup_each, 0));
     }
-    sim_->Run();
+    sim().Run();
   }
 
   // Measurement phase.
   measuring_ = true;
-  const uint64_t fabric_bytes_before = fabric_->stats().total_io();
+  const uint64_t fabric_bytes_before = fabric().stats().total_io();
   ResetCpu();
-  const sim::Time start = sim_->Now();
+  const sim::Time start = sim().Now();
   for (int s = 0; s < n; ++s) {
     sim::Spawn(WorkerLoop(s, 0, measured_each));
   }
-  sim_->Run();
-  results_.measure_duration = sim_->Now() - start;
-  results_.fabric_bytes = fabric_->stats().total_io() - fabric_bytes_before;
+  sim().Run();
+  results_.measure_duration = sim().Now() - start;
+  results_.fabric_bytes = fabric().stats().total_io() - fabric_bytes_before;
   results_.cpu_busy = TotalCpuBusy();
   results_.cpu_wall = results_.measure_duration * cfg_.num_clients;
   return results_;
@@ -193,31 +109,33 @@ RunResults KvHarness::Run() {
 
 uint64_t KvHarness::TotalClockResyncs() const {
   uint64_t total = 0;
-  for (const auto& c : clocks_) {
-    total += c->resyncs();
+  for (int c = 0; c < deployment_->num_clients(); ++c) {
+    for (const deploy::ClientWorker& w : deployment_->client(c).workers) {
+      total += w.clock->resyncs();
+    }
   }
   return total;
 }
 
 uint64_t KvHarness::TotalCacheBytes() const {
   uint64_t total = 0;
-  for (const auto& c : caches_) {
-    total += c->ModeledBytes();
+  for (int c = 0; c < deployment_->num_clients(); ++c) {
+    total += deployment_->client(c).cache->ModeledBytes();
   }
   return total;
 }
 
 sim::Time KvHarness::TotalCpuBusy() const {
   sim::Time total = 0;
-  for (const auto& c : cpus_) {
-    total += c->busy_ns();
+  for (int c = 0; c < deployment_->num_clients(); ++c) {
+    total += deployment_->client(c).cpu->busy_ns();
   }
   return total;
 }
 
 void KvHarness::ResetCpu() {
-  for (auto& c : cpus_) {
-    c->ResetBusy();
+  for (int c = 0; c < deployment_->num_clients(); ++c) {
+    deployment_->client(c).cpu->ResetBusy();
   }
 }
 

@@ -1,6 +1,6 @@
-// Shared benchmark harness: wires a simulated fabric, index, membership,
-// clients and workers to one of the four KV stores, loads keys, runs YCSB
-// phases, and collects per-operation statistics.
+// Shared benchmark harness: builds a deployment of one of the four KV stores
+// (src/deploy), loads keys, runs YCSB phases, and collects per-operation
+// statistics.
 //
 // Defaults mirror the paper's setup (§7): 4 memory nodes, 3 replicas, 100 K
 // keys of 64 B values, 4 clients with one outstanding operation each,
@@ -16,47 +16,20 @@
 #include <vector>
 
 #include "bench/common/options.h"
-#include "src/fabric/fabric.h"
-#include "src/index/client_cache.h"
-#include "src/index/index_service.h"
-#include "src/kv/dm_abd_kv.h"
-#include "src/kv/fusee_kv.h"
-#include "src/kv/raw_kv.h"
-#include "src/kv/swarm_kv.h"
-#include "src/membership/membership.h"
-#include "src/sim/simulator.h"
+#include "src/deploy/deployment.h"
 #include "src/stats/histogram.h"
-#include "src/swarm/clock.h"
-#include "src/swarm/worker.h"
 #include "src/ycsb/workload.h"
 
 namespace swarm::bench {
 
-struct HarnessConfig {
-  uint64_t seed = 1;
-  std::string store = "swarm";  // swarm | raw | dmabd | fusee
-  fabric::FabricConfig fabric;
-  ProtocolConfig proto;
+// The deployment (store, fabric, protocol, clients, caches, index shards,
+// clock skew) plus the YCSB run around it.
+struct HarnessConfig : deploy::DeploymentConfig {
   ycsb::WorkloadConfig workload;
-  int num_clients = 4;
-  int workers_per_client = 1;  // Concurrent operations per client (§7.2).
-  // Index sharding (consistent hash of key): shards > 1 splits the service
-  // into independent shards and segments every client cache to match. The
-  // per-shard service occupancy models a real index server's serialization
-  // (0 keeps index ops latency-only, the pre-sharding behavior).
-  int index_shards = 1;
-  sim::Time index_shard_service_time = 0;
   uint64_t warmup_ops = 100000;
   uint64_t measure_ops = 100000;
-  size_t cache_capacity = 0;  // Entries; 0 = unbounded.
-  int64_t max_clock_skew_ns = 400;  // Clients draw skew uniformly in ±this.
-  // Fill every client's cache with all key locations after loading,
-  // emulating the paper's "index caches large enough to cache all key
-  // locations" after a long warm-up. Ignored for bounded caches.
-  bool prewarm_caches = true;
 
   HarnessConfig() {
-    fabric.num_nodes = 4;
     fabric.node_capacity_bytes = 2ull << 30;
     // Regime is global (see options.h): under --paper-calibration every verb
     // pays its own submit_cost, so no bench silently mixes batched and
@@ -64,12 +37,7 @@ struct HarnessConfig {
     if (PaperCalibration()) {
       fabric.doorbell_batching = false;
     }
-    proto.replicas = 3;
     proto.max_value = workload.value_size;
-    // 0 = auto: one In-n-Out metadata buffer per writer (§7.9's recommended
-    // configuration) and one timestamp lock per writer.
-    proto.meta_slots = 0;
-    proto.max_writers = 0;
   }
 };
 
@@ -100,7 +68,8 @@ class KvHarness {
  public:
   explicit KvHarness(HarnessConfig cfg);
 
-  // Inserts all keys (version 0 values) and drains the simulator.
+  // Inserts all keys (version 0 values), drains the simulator and, with
+  // unbounded caches, prewarms every client cache.
   void Load();
 
   // Runs warm-up + measurement; returns per-op statistics.
@@ -111,16 +80,15 @@ class KvHarness {
   using OpHook = std::function<void(sim::Time, ycsb::OpType, sim::Time, const kv::KvResult&)>;
   void set_op_hook(OpHook hook) { op_hook_ = std::move(hook); }
 
-  sim::Simulator& sim() { return *sim_; }
-  fabric::Fabric& fabric() { return *fabric_; }
-  index::IndexService& index() { return *index_; }
-  membership::MembershipService& membership() { return *membership_; }
-  kv::FuseeStore& fusee_store() { return *fusee_; }
+  sim::Simulator& sim() { return deployment_->sim(); }
+  fabric::Fabric& fabric() { return deployment_->fabric(); }
+  index::IndexService& index() { return deployment_->index(); }
+  membership::MembershipService& membership() { return deployment_->membership(); }
   const HarnessConfig& config() const { return cfg_; }
 
-  int num_sessions() const { return static_cast<int>(sessions_.size()); }
-  kv::KvSession& session(int i) { return *sessions_[static_cast<size_t>(i)]; }
-  index::ClientCache& client_cache(int c) { return *caches_[static_cast<size_t>(c)]; }
+  int num_sessions() const { return deployment_->num_sessions(); }
+  kv::KvSession& session(int i) { return deployment_->session(i); }
+  index::ClientCache& client_cache(int c) { return *deployment_->client(c).cache; }
 
   // Aggregate modeled client-cache bytes (Table 3).
   uint64_t TotalCacheBytes() const;
@@ -131,23 +99,11 @@ class KvHarness {
   void ResetCpu();
 
  private:
-  void BuildClients();
-  void PrewarmCaches();
   sim::Task<void> WorkerLoop(int session_idx, uint64_t warmup, uint64_t measured);
   sim::Task<void> LoadRange(int session_idx, uint64_t first, uint64_t last);
 
   HarnessConfig cfg_;
-  std::unique_ptr<sim::Simulator> sim_;
-  std::unique_ptr<fabric::Fabric> fabric_;
-  std::unique_ptr<index::IndexService> index_;
-  std::unique_ptr<membership::MembershipService> membership_;
-  std::unique_ptr<kv::FuseeStore> fusee_;
-
-  std::vector<std::unique_ptr<fabric::ClientCpu>> cpus_;
-  std::vector<std::unique_ptr<index::ClientCache>> caches_;
-  std::vector<std::unique_ptr<GuessClock>> clocks_;
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<std::unique_ptr<kv::KvSession>> sessions_;
+  std::unique_ptr<deploy::Deployment> deployment_;
   std::vector<std::unique_ptr<ycsb::Workload>> workloads_;
 
   RunResults results_;

@@ -19,18 +19,10 @@
 
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <vector>
 
-#include "src/fabric/fabric.h"
-#include "src/index/client_cache.h"
-#include "src/index/index_service.h"
-#include "src/kv/swarm_kv.h"
-#include "src/membership/membership.h"
-#include "src/sim/simulator.h"
+#include "src/deploy/deployment.h"
 #include "src/stats/histogram.h"
-#include "src/swarm/clock.h"
-#include "src/swarm/worker.h"
 #include "src/verify/lincheck.h"
 
 namespace {
@@ -61,7 +53,7 @@ uint64_t DecodeValue(const std::vector<uint8_t>& bytes) {
   return v;
 }
 
-sim::Task<void> Phase(sim::Simulator* sim, kv::SwarmKvSession* kv, const char* label, int rounds,
+sim::Task<void> Phase(sim::Simulator* sim, kv::KvSession* kv, const char* label, int rounds,
                       bool updates_too, RecordedHistory* hist) {
   stats::LatencyHistogram gets;
   stats::LatencyHistogram upds;
@@ -100,7 +92,7 @@ sim::Task<void> Phase(sim::Simulator* sim, kv::SwarmKvSession* kv, const char* l
   std::printf("   failed ops: %llu\n", static_cast<unsigned long long>(failures));
 }
 
-sim::Task<void> Run(sim::Simulator* sim, kv::SwarmKvSession* kv,
+sim::Task<void> Run(sim::Simulator* sim, kv::KvSession* kv,
                     membership::MembershipService* membership, RecordedHistory* hist) {
   for (uint64_t key = 0; key < kKeys; ++key) {
     const uint64_t v = hist->next_value++;
@@ -130,28 +122,16 @@ sim::Task<void> Run(sim::Simulator* sim, kv::SwarmKvSession* kv,
 }  // namespace
 
 int main() {
-  sim::Simulator sim(11);
-  fabric::FabricConfig fcfg;
-  fcfg.num_nodes = 4;
-  fcfg.node_capacity_bytes = 128ull << 20;
-  fabric::Fabric fabric(&sim, fcfg);
-  index::IndexService index(&sim);
-  membership::MembershipService membership(&sim, &fabric);
-
-  ProtocolConfig proto;
-  proto.inplace_copies = 2;  // Provision a standby in-place replica.
-
-  fabric::ClientCpu cpu(&sim);
-  GuessClock clock(&sim, 0);
-  index::ClientCache cache;
-  auto known_failed = std::make_shared<std::vector<bool>>(4, false);
-  membership.Subscribe(known_failed);
-  Worker worker(&fabric, 0, &cpu, &clock, proto, known_failed);
-  kv::SwarmKvSession kv(&worker, &index, &cache);
+  deploy::DeploymentConfig cfg;
+  cfg.seed = 11;
+  cfg.fabric.node_capacity_bytes = 128ull << 20;
+  cfg.proto.inplace_copies = 2;  // Provision a standby in-place replica.
+  cfg.num_clients = 1;
+  deploy::Deployment d(cfg);
 
   RecordedHistory hist;
-  sim::Spawn(Run(&sim, &kv, &membership, &hist));
-  sim.Run();
+  sim::Spawn(Run(&d.sim(), &d.session(0), &d.membership(), &hist));
+  d.sim().Run();
 
   // The consistency half of the failover story: the whole run — thousands of
   // ops spanning the crash, detection and repair — is one keyed history the

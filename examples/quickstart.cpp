@@ -10,17 +10,10 @@
 // modeled RDMA fabric (~0.7 us one-way), not host wall-clock noise.
 
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "src/fabric/fabric.h"
-#include "src/index/client_cache.h"
-#include "src/index/index_service.h"
-#include "src/kv/swarm_kv.h"
-#include "src/sim/simulator.h"
-#include "src/swarm/clock.h"
-#include "src/swarm/worker.h"
+#include "src/deploy/deployment.h"
 
 namespace {
 
@@ -30,7 +23,7 @@ std::vector<uint8_t> Bytes(const std::string& s) { return {s.begin(), s.end()}; 
 
 std::string Text(const std::vector<uint8_t>& v) { return {v.begin(), v.end()}; }
 
-sim::Task<void> Demo(sim::Simulator* sim, kv::SwarmKvSession* kv) {
+sim::Task<void> Demo(sim::Simulator* sim, kv::KvSession* kv) {
   // Insert: replicates the value over 3 memory nodes AND registers the key
   // in the index, in parallel — one roundtrip total.
   sim::Time t0 = sim->Now();
@@ -69,31 +62,23 @@ sim::Task<void> Demo(sim::Simulator* sim, kv::SwarmKvSession* kv) {
 }  // namespace
 
 int main() {
-  // 1. A simulator and a fabric of 4 memory nodes (the paper's testbed).
-  sim::Simulator sim(/*seed=*/1);
-  fabric::FabricConfig fabric_cfg;
-  fabric_cfg.num_nodes = 4;
-  fabric_cfg.node_capacity_bytes = 64ull << 20;
-  fabric::Fabric fabric(&sim, fabric_cfg);
+  // 1. One SWARM-KV deployment (src/deploy): a simulator, a fabric of 4
+  //    memory nodes (the paper's testbed), the reliable index service
+  //    (location lookups in one roundtrip) and membership, plus one client:
+  //    CPU model, location cache, loosely synchronized clock, and a worker
+  //    (queue pairs + out-of-place buffer pools on each node) with 3
+  //    replicas and per-writer metadata buffers.
+  deploy::DeploymentConfig cfg;
+  cfg.fabric.node_capacity_bytes = 64ull << 20;
+  cfg.num_clients = 1;
+  deploy::Deployment d(cfg);
 
-  // 2. The reliable index service (location lookups in one roundtrip).
-  index::IndexService index(&sim);
-
-  // 3. One client: CPU model, location cache, loosely synchronized clock,
-  //    and a worker (queue pairs + out-of-place buffer pools on each node).
-  fabric::ClientCpu cpu(&sim);
-  index::ClientCache cache;
-  GuessClock clock(&sim, /*skew_ns=*/150);
-  ProtocolConfig proto;  // 3 replicas, per-writer metadata buffers.
-  auto known_failed = std::make_shared<std::vector<bool>>(4, false);
-  Worker worker(&fabric, /*tid=*/0, &cpu, &clock, proto, known_failed);
-  kv::SwarmKvSession kv(&worker, &index, &cache);
-
-  // 4. Run the demo to completion in virtual time.
-  sim::Spawn(Demo(&sim, &kv));
-  sim.Run();
+  // 2. Run the demo to completion in virtual time.
+  sim::Spawn(Demo(&d.sim(), &d.session(0)));
+  d.sim().Run();
 
   std::printf("\nsimulated %llu events covering %.1f virtual microseconds\n",
-              static_cast<unsigned long long>(sim.events_processed()), sim::ToMicros(sim.Now()));
+              static_cast<unsigned long long>(d.sim().events_processed()),
+              sim::ToMicros(d.sim().Now()));
   return 0;
 }

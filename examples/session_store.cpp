@@ -19,17 +19,10 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <vector>
 
-#include "src/fabric/fabric.h"
-#include "src/index/client_cache.h"
-#include "src/index/index_service.h"
-#include "src/kv/swarm_kv.h"
-#include "src/sim/simulator.h"
+#include "src/deploy/deployment.h"
 #include "src/stats/histogram.h"
-#include "src/swarm/clock.h"
-#include "src/swarm/worker.h"
 
 namespace {
 
@@ -72,7 +65,7 @@ struct Stats {
 // id), reads any user's session. `watermark` tracks the highest
 // request_count this gateway has OBSERVED per user; linearizability plus
 // this gateway's sequential program order guarantee it never regresses.
-sim::Task<void> Gateway(sim::Simulator* sim, kv::SwarmKvSession* kv, int id, uint64_t seed,
+sim::Task<void> Gateway(sim::Simulator* sim, kv::KvSession* kv, int id, uint64_t seed,
                         Stats* stats) {
   sim::Rng rng(seed);
   std::vector<uint64_t> watermark(kUsers, 0);
@@ -141,38 +134,19 @@ sim::Task<void> Gateway(sim::Simulator* sim, kv::SwarmKvSession* kv, int id, uin
 }  // namespace
 
 int main() {
-  sim::Simulator sim(7);
-  fabric::FabricConfig fcfg;
-  fcfg.num_nodes = 4;
-  fcfg.node_capacity_bytes = 256ull << 20;
-  fabric::Fabric fabric(&sim, fcfg);
-  index::IndexService index(&sim);
-
-  ProtocolConfig proto;
-  proto.max_writers = kGateways;
-  proto.meta_slots = kGateways;
+  // One client process per gateway; the deployment gives each its own
+  // metadata buffer and timestamp lock per object.
+  deploy::DeploymentConfig cfg;
+  cfg.seed = 7;
+  cfg.fabric.node_capacity_bytes = 256ull << 20;
+  cfg.num_clients = kGateways;
+  deploy::Deployment d(cfg);
 
   Stats stats;
-  std::vector<std::unique_ptr<fabric::ClientCpu>> cpus;
-  std::vector<std::unique_ptr<GuessClock>> clocks;
-  std::vector<std::unique_ptr<index::ClientCache>> caches;
-  std::vector<std::unique_ptr<Worker>> workers;
-  std::vector<std::unique_ptr<kv::SwarmKvSession>> gateways;
-  for (uint32_t g = 0; g < kGateways; ++g) {
-    cpus.push_back(std::make_unique<fabric::ClientCpu>(&sim));
-    clocks.push_back(std::make_unique<GuessClock>(&sim, 200 - 100 * static_cast<int64_t>(g)));
-    caches.push_back(std::make_unique<index::ClientCache>());
-    auto known_failed = std::make_shared<std::vector<bool>>(4, false);
-    workers.push_back(std::make_unique<Worker>(&fabric, g, cpus.back().get(), clocks.back().get(),
-                                               proto, known_failed));
-    gateways.push_back(
-        std::make_unique<kv::SwarmKvSession>(workers.back().get(), &index, caches.back().get()));
+  for (int g = 0; g < kGateways; ++g) {
+    sim::Spawn(Gateway(&d.sim(), &d.session(g), g, 1000 + static_cast<uint64_t>(g), &stats));
   }
-
-  for (uint32_t g = 0; g < kGateways; ++g) {
-    sim::Spawn(Gateway(&sim, gateways[g].get(), static_cast<int>(g), 1000 + g, &stats));
-  }
-  sim.Run();
+  d.sim().Run();
 
   std::printf("gateways: %d, users: %d\n", kGateways, kUsers);
   std::printf("logins=%" PRIu64 "  requests=%" PRIu64 "  logouts=%" PRIu64 "\n", stats.logins,

@@ -24,14 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "src/fabric/fabric.h"
-#include "src/index/client_cache.h"
-#include "src/index/index_service.h"
-#include "src/kv/swarm_kv.h"
-#include "src/membership/membership.h"
-#include "src/sim/simulator.h"
-#include "src/swarm/clock.h"
-#include "src/swarm/worker.h"
+#include "src/deploy/deployment.h"
 
 namespace {
 
@@ -52,33 +45,18 @@ const char* StatusName(kv::KvStatus s) {
 }
 
 struct Shell {
-  sim::Simulator sim{1};
-  fabric::Fabric fabric;
-  index::IndexService index;
-  membership::MembershipService membership;
-  fabric::ClientCpu cpu;
-  GuessClock clock;
-  index::ClientCache cache;
-  std::shared_ptr<std::vector<bool>> known_failed;
-  std::unique_ptr<Worker> worker;
-  std::unique_ptr<kv::SwarmKvSession> kv;
+  deploy::Deployment d{Config()};
+  sim::Simulator& sim = d.sim();
+  membership::MembershipService& membership = d.membership();
+  kv::KvSession* kv = &d.session(0);
 
-  Shell()
-      : fabric(&sim, MakeFabricConfig()), index(&sim), membership(&sim, &fabric), cpu(&sim),
-        clock(&sim, 120),
-        known_failed(std::make_shared<std::vector<bool>>(4, false)) {
-    membership.Subscribe(known_failed);
-    ProtocolConfig proto;
-    proto.max_value = 256;
-    proto.inplace_copies = 2;
-    worker = std::make_unique<Worker>(&fabric, 0, &cpu, &clock, proto, known_failed);
-    kv = std::make_unique<kv::SwarmKvSession>(worker.get(), &index, &cache);
-  }
-
-  static fabric::FabricConfig MakeFabricConfig() {
-    fabric::FabricConfig cfg;
-    cfg.num_nodes = 4;
-    cfg.node_capacity_bytes = 64ull << 20;
+  // One SWARM-KV client on 4 memory nodes.
+  static deploy::DeploymentConfig Config() {
+    deploy::DeploymentConfig cfg;
+    cfg.fabric.node_capacity_bytes = 64ull << 20;
+    cfg.proto.max_value = 256;
+    cfg.proto.inplace_copies = 2;
+    cfg.num_clients = 1;
     return cfg;
   }
 
@@ -148,7 +126,7 @@ struct Shell {
       sim.RunUntil(sim.Now() + us * sim::kMicrosecond);
       std::printf("t=%.1fus\n", sim::ToMicros(sim.Now()));
     } else if (cmd == "stats") {
-      const fabric::FabricStats& st = fabric.stats();
+      const fabric::FabricStats& st = d.fabric().stats();
       std::printf("t=%.1fus  verbs=%llu (r=%llu w=%llu cas=%llu)  io=%llu B  "
                   "disagg=%llu B  cached=%zu keys\n",
                   sim::ToMicros(sim.Now()), static_cast<unsigned long long>(st.ops_issued),
@@ -156,7 +134,8 @@ struct Shell {
                   static_cast<unsigned long long>(st.writes),
                   static_cast<unsigned long long>(st.casses),
                   static_cast<unsigned long long>(st.total_io()),
-                  static_cast<unsigned long long>(fabric.TotalAllocated()), cache.size());
+                  static_cast<unsigned long long>(d.fabric().TotalAllocated()),
+                  d.client(0).cache->size());
     } else {
       std::printf("unknown command: %s\n", cmd.c_str());
     }

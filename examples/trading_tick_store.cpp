@@ -15,18 +15,10 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <vector>
 
-#include "src/fabric/fabric.h"
-#include "src/index/client_cache.h"
-#include "src/index/index_service.h"
-#include "src/kv/swarm_kv.h"
-#include "src/membership/membership.h"
-#include "src/sim/simulator.h"
+#include "src/deploy/deployment.h"
 #include "src/stats/histogram.h"
-#include "src/swarm/clock.h"
-#include "src/swarm/worker.h"
 
 namespace {
 
@@ -62,7 +54,7 @@ struct Stats {
   uint64_t reads = 0;
 };
 
-sim::Task<void> Publisher(sim::Simulator* sim, kv::SwarmKvSession* kv, Stats* stats) {
+sim::Task<void> Publisher(sim::Simulator* sim, kv::KvSession* kv, Stats* stats) {
   // Seed all instruments.
   for (int i = 0; i < kInstruments; ++i) {
     (void)co_await kv->Insert(static_cast<uint64_t>(i), Pack(Tick{0, 100'000'000 + i}));
@@ -81,7 +73,7 @@ sim::Task<void> Publisher(sim::Simulator* sim, kv::SwarmKvSession* kv, Stats* st
   }
 }
 
-sim::Task<void> Strategy(sim::Simulator* sim, kv::SwarmKvSession* kv, int first_instrument,
+sim::Task<void> Strategy(sim::Simulator* sim, kv::KvSession* kv, int first_instrument,
                          Stats* stats) {
   std::vector<uint64_t> last_seen(kInstruments, 0);
   for (int round = 0; round < kTicksPerInstrument * 2; ++round) {
@@ -108,49 +100,27 @@ sim::Task<void> Strategy(sim::Simulator* sim, kv::SwarmKvSession* kv, int first_
 }  // namespace
 
 int main() {
-  sim::Simulator sim(2024);
-  fabric::FabricConfig fcfg;
-  fcfg.num_nodes = 4;
-  fcfg.node_capacity_bytes = 256ull << 20;
-  fabric::Fabric fabric(&sim, fcfg);
-  index::IndexService index(&sim);
-  membership::MembershipService membership(&sim, &fabric);
-
-  ProtocolConfig proto;
-  proto.max_writers = 8;
-  proto.meta_slots = 8;
-  proto.inplace_copies = 2;  // Failover spare for in-place data.
+  // Four client processes: the publisher and three strategies.
+  deploy::DeploymentConfig cfg;
+  cfg.seed = 2024;
+  cfg.fabric.node_capacity_bytes = 256ull << 20;
+  cfg.proto.inplace_copies = 2;  // Failover spare for in-place data.
+  cfg.num_clients = 4;
+  deploy::Deployment d(cfg);
 
   Stats stats;
-  std::vector<std::unique_ptr<fabric::ClientCpu>> cpus;
-  std::vector<std::unique_ptr<GuessClock>> clocks;
-  std::vector<std::unique_ptr<index::ClientCache>> caches;
-  std::vector<std::unique_ptr<Worker>> workers;
-  std::vector<std::unique_ptr<kv::SwarmKvSession>> sessions;
-  for (uint32_t i = 0; i < 4; ++i) {
-    cpus.push_back(std::make_unique<fabric::ClientCpu>(&sim));
-    clocks.push_back(std::make_unique<GuessClock>(&sim, 100 * static_cast<int64_t>(i)));
-    caches.push_back(std::make_unique<index::ClientCache>());
-    auto known_failed = std::make_shared<std::vector<bool>>(4, false);
-    membership.Subscribe(known_failed);
-    workers.push_back(std::make_unique<Worker>(&fabric, i, cpus.back().get(), clocks.back().get(),
-                                               proto, known_failed));
-    sessions.push_back(
-        std::make_unique<kv::SwarmKvSession>(workers.back().get(), &index, caches.back().get()));
-  }
-
-  sim::Spawn(Publisher(&sim, sessions[0].get(), &stats));
-  sim::Spawn(Strategy(&sim, sessions[1].get(), 0, &stats));
-  sim::Spawn(Strategy(&sim, sessions[2].get(), 5, &stats));
-  sim::Spawn(Strategy(&sim, sessions[3].get(), 11, &stats));
+  sim::Spawn(Publisher(&d.sim(), &d.session(0), &stats));
+  sim::Spawn(Strategy(&d.sim(), &d.session(1), 0, &stats));
+  sim::Spawn(Strategy(&d.sim(), &d.session(2), 5, &stats));
+  sim::Spawn(Strategy(&d.sim(), &d.session(3), 11, &stats));
 
   // Crash a memory node mid-stream: the feed must not pause.
-  sim.At(5 * sim::kMillisecond, [&] {
+  d.sim().At(5 * sim::kMillisecond, [&d] {
     std::printf("t=5ms: memory node 2 crashes\n");
-    membership.CrashNode(2);
+    d.membership().CrashNode(2);
   });
 
-  sim.Run();
+  d.sim().Run();
 
   std::printf("\npublished %" PRIu64 " ticks: publish p50=%.2fus p99=%.2fus max=%.2fus\n",
               stats.publish.count(), stats.publish.PercentileUs(50),

@@ -66,9 +66,14 @@ class IndexService {
   // the operation — but the fault windows it opens between the data path and
   // the index are real). Null keeps the service fault-free. `shards` > 1
   // splits the keyspace across independent shards (consistent hash).
+  // The default RPC timings equal FabricConfig's verb defaults.
+  static constexpr sim::Time kOneWayDelay = 680;
+  static constexpr sim::Time kJitter = 90;
+  static constexpr sim::Time kSubmitCost = 200;
+
   IndexService(sim::Simulator* sim, fabric::Fabric* fabric = nullptr,
-               sim::Time one_way_delay = 680, sim::Time jitter = 90,
-               sim::Time submit_cost = 200, int shards = 1)
+               sim::Time one_way_delay = kOneWayDelay, sim::Time jitter = kJitter,
+               sim::Time submit_cost = kSubmitCost, int shards = 1)
       : sim_(sim), fabric_(fabric), one_way_(one_way_delay), jitter_(jitter),
         submit_cost_(submit_cost), router_(shards),
         shards_(static_cast<size_t>(router_.shards())) {}

@@ -76,7 +76,7 @@ class FramePool {
 #endif
   }
 
-  static void Free(void* p, size_t n) {
+  static void Free(void* p, [[maybe_unused]] size_t n) {
 #ifdef SWARM_POOL_BYPASS
     ::operator delete(p);
 #else

@@ -60,6 +60,10 @@ struct [[nodiscard]] NodeMaxResult {
   fabric::Status status = fabric::Status::kOk;
   Meta installed;  // the word now in our slot if we won; default if we lost.
   Meta observed;   // ts-max word observed at the slot during the op.
+  // The word our install overwrote. Writers whose tids share a metadata slot
+  // (meta_slots < max_writers) overwrite each other's words, so it may be a
+  // foreign write that `observed`, already past it, no longer shows.
+  Meta replaced;
   int cas_retries = 0;
 
   bool ok() const { return status == fabric::Status::kOk; }

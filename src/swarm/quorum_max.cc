@@ -54,9 +54,14 @@ sim::Task<void> WriteAndReadOne(Worker* worker, const ObjectLayout* layout,
     }
     co_return;
   }
+  // The read ran after our install, so a foreign word the install replaced
+  // in a shared slot counts too: a deleter that overwrote an earlier
+  // deleter's tombstone must still see the object was already dead.
   Meta excl = view.MaxExcluding(ph->w);
-  if (mr.observed.same_write_key() != ph->w.same_write_key()) {
-    excl = TsMax(excl, mr.observed);
+  for (Meta seen : {mr.observed, mr.replaced}) {
+    if (seen.same_write_key() != ph->w.same_write_key()) {
+      excl = TsMax(excl, seen);
+    }
   }
   ph->m = TsMax(ph->m, excl);
   ph->installed[static_cast<size_t>(r)] = mr.installed;

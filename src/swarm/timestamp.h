@@ -9,13 +9,15 @@
 //
 // Bit layout of a metadata word, most significant first:
 //
-//   [ counter : 32 ][ tid : 7 ][ verified : 1 ][ oop : 24 ]
+//   [ counter : 31 ][ tid : 8 ][ verified : 1 ][ oop : 24 ]
 //
 //  * counter — clock-derived logical timestamp (256 ns units of the writer's
-//    loosely synchronized clock). Counter 0 means "empty / never written";
-//    counter 2^32-1 is the delete tombstone (§5.3.2: a delete writes the max
-//    timestamp so it can never be overwritten).
+//    loosely synchronized clock; 31 bits span ~9 minutes of virtual time).
+//    Counter 0 means "empty / never written"; counter 2^31-1 is the delete
+//    tombstone (§5.3.2: a delete writes the max timestamp so it can never be
+//    overwritten).
 //  * tid     — writer thread id, breaking ties between concurrent writers.
+//    256 tids cover Fig. 8's largest deployment (64 clients x 4 workers).
 //  * verified— Safe-Guess flag: 1 = VERIFIED, 0 = GUESSED.
 //  * oop     — out-of-place buffer pointer in units of kOopGranuleBytes,
 //    node-local (the same logical write installs different oop values on
@@ -28,14 +30,17 @@
 #ifndef SWARM_SRC_SWARM_TIMESTAMP_H_
 #define SWARM_SRC_SWARM_TIMESTAMP_H_
 
+#include <cassert>
 #include <cstdint>
 
 namespace swarm {
 
 inline constexpr int kOopBits = 24;
 inline constexpr int kVerifiedBits = 1;
-inline constexpr int kTidBits = 7;
-inline constexpr int kCounterBits = 32;
+inline constexpr int kTidBits = 8;
+inline constexpr int kCounterBits = 31;
+
+static_assert(kCounterBits + kTidBits + kVerifiedBits + kOopBits == 64);
 
 inline constexpr uint64_t kOopMask = (1ull << kOopBits) - 1;
 inline constexpr uint64_t kVerifiedBit = 1ull << kOopBits;
@@ -43,7 +48,7 @@ inline constexpr int kTidShift = kOopBits + kVerifiedBits;
 inline constexpr int kCounterShift = kTidShift + kTidBits;
 
 inline constexpr uint32_t kMaxTid = (1u << kTidBits) - 1;
-inline constexpr uint32_t kDeleteCounter = 0xFFFFFFFFu;
+inline constexpr uint32_t kDeleteCounter = (1u << kCounterBits) - 1;
 
 // Out-of-place pointers address node memory in 64-byte granules, so 24 bits
 // reach 1 GiB per node.
@@ -54,9 +59,12 @@ class Meta {
   constexpr Meta() : raw_(0) {}
   constexpr explicit Meta(uint64_t raw) : raw_(raw) {}
 
+  // A tid past kMaxTid would alias a lower writer's tid, so it is a
+  // deployment error (deploy::SizeProtocol rejects such deployments).
   static constexpr Meta Pack(uint32_t counter, uint32_t tid, bool verified, uint32_t oop) {
+    assert(tid <= kMaxTid);
     return Meta((static_cast<uint64_t>(counter) << kCounterShift) |
-                (static_cast<uint64_t>(tid & kMaxTid) << kTidShift) |
+                (static_cast<uint64_t>(tid) << kTidShift) |
                 (verified ? kVerifiedBit : 0) | (oop & kOopMask));
   }
 

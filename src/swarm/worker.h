@@ -123,6 +123,12 @@ class Worker {
     }
   }
 
+  // Replaces the known-failed view. A view no membership subscription feeds
+  // models a client process that never hears about node failures.
+  void set_known_failed(std::shared_ptr<std::vector<bool>> known_failed) {
+    known_failed_ = std::move(known_failed);
+  }
+
   // Repair exclusion (MembershipService::repairing()): a node flagged here is
   // dropped from quorum selection entirely — unlike known-failed nodes, which
   // merely sort last in the quorum engine's order (src/swarm/quorum.h), a

@@ -12,28 +12,21 @@
 #include <memory>
 #include <vector>
 
-#include "src/index/client_cache.h"
-#include "src/index/index_service.h"
-#include "src/kv/dm_abd_kv.h"
-#include "src/kv/fusee_kv.h"
-#include "src/kv/swarm_kv.h"
+#include "src/deploy/deployment.h"
 #include "src/repair/repair.h"
-#include "src/swarm/recycler.h"
 #include "tests/support/scenario.h"
 
 namespace swarm {
 namespace {
 
-using sim::Spawn;
-using testing::ChaosEnv;
+using testing::ChaosDeployment;
 using testing::ChaosHistories;
 using testing::CheckerScaleSoakSpec;
 using testing::CheckHistories;
 using testing::DriveScaleScenarios;
 using testing::DriveScenarios;
 using testing::DriveSoakScenarios;
-using testing::ForcedSeed;
-using testing::KvChaosClient;
+using testing::KvChaos;
 using testing::LongHorizonSoakSpec;
 using testing::ScenarioSpec;
 using testing::SeedMessage;
@@ -136,98 +129,24 @@ ScenarioSpec KvSpec(uint64_t seed) {
   return spec;
 }
 
-void RunSwarmKvScenario(const ScenarioSpec& spec, double check_budget_s = 0.0,
-                        testing::KvOpMix mix = {}, uint64_t max_window_ops = 0) {
-  ChaosEnv c(spec);
-  index::IndexService index(&c.env.sim, &c.env.fabric);
-  // Recycler epoch churn rides along: synthetic participants heartbeat and
-  // acknowledge while chaos expires leases and fires rounds mid-workload.
-  Recycler recycler(&c.env.sim, &c.membership);
-  // Retired-layout GC: retirements are epoch-tagged and dropped once the
-  // recycler's safe horizon passes them.
-  index.set_retirement_horizon([&recycler] { return recycler.current_epoch(); },
-                               [&recycler] { return recycler.SafeReclaimBefore(); });
-  std::vector<std::unique_ptr<RecyclerParticipant>> participants;
-  std::vector<std::unique_ptr<index::ClientCache>> caches;
-  std::vector<std::unique_ptr<kv::SwarmKvSession>> sessions;
-  std::vector<std::unique_ptr<kv::TrackedKvSession>> tracked;
-  ChaosHistories hist;
-  for (int i = 0; i < spec.clients; ++i) {
-    Worker& w = c.MakeSkewedWorker(spec);
-    caches.push_back(std::make_unique<index::ClientCache>());
-    sessions.push_back(std::make_unique<kv::SwarmKvSession>(&w, &index, caches.back().get()));
-    tracked.push_back(std::make_unique<kv::TrackedKvSession>(sessions.back().get()));
-    // Coupled participant: this client's epoch acks drain its in-flight op.
-    participants.push_back(
-        testing::MakeCoupledParticipant(&c.env.sim, i, tracked.back().get()));
-    recycler.Register(participants.back().get());
-  }
-  c.engine.set_epoch_churn([&recycler]() -> sim::Task<void> {
-    recycler.HeartbeatAll();
-    return recycler.RunRound();
-  });
-  // §4.5: before the GC forgets a retired layout, every client cache drops
-  // its references — the premise the recycler acks claim.
-  index.add_gc_listener([&caches](const std::shared_ptr<const ObjectLayout>& lo) {
-    for (auto& cache : caches) {
-      cache->InvalidateLayout(lo.get());
-    }
-  });
-  for (int i = 0; i < spec.clients; ++i) {
-    Spawn(KvChaosClient(&c.env, tracked[static_cast<size_t>(i)].get(),
-                        spec.seed * 131 + static_cast<uint64_t>(i), spec, &hist, mix, i));
-  }
-  c.engine.Start();
-  c.env.sim.Run();
-
-  ExpectLinearizable(hist, spec, c.engine, check_budget_s, max_window_ops);
-  // Liveness: Simulator::Run returning proves every churn round completed
-  // (fencing worked) even when chaos expired leases mid-round; the safety
-  // side of the fencing protocol is recycler_test's job.
-}
-
-void RunDmAbdScenario(const ScenarioSpec& spec, double check_budget_s = 0.0) {
-  ChaosEnv c(spec);
-  index::IndexService index(&c.env.sim, &c.env.fabric);
-  std::vector<std::unique_ptr<index::ClientCache>> caches;
-  std::vector<std::unique_ptr<kv::DmAbdKvSession>> sessions;
-  ChaosHistories hist;
-  for (int i = 0; i < spec.clients; ++i) {
-    Worker& w = c.MakeSkewedWorker(spec);
-    caches.push_back(std::make_unique<index::ClientCache>());
-    sessions.push_back(std::make_unique<kv::DmAbdKvSession>(&w, &index, caches.back().get()));
-  }
-  for (int i = 0; i < spec.clients; ++i) {
-    Spawn(KvChaosClient(&c.env, sessions[static_cast<size_t>(i)].get(),
-                        spec.seed * 131 + static_cast<uint64_t>(i), spec, &hist, {}, i));
-  }
-  c.engine.Start();
-  c.env.sim.Run();
-  ExpectLinearizable(hist, spec, c.engine, check_budget_s);
-}
-
-void RunFuseeScenario(const ScenarioSpec& spec, double check_budget_s = 0.0,
-                      double min_ops_fraction = 0.75) {
-  ChaosEnv c(spec);
+// One store under the spec's faults. The deployment's recycler rides along:
+// with churn_weight > 0 chaos fires recycler rounds and expires leases
+// mid-workload, and the retired-layout GC runs under its horizon.
+// Simulator::Run returning proves every churn round completed (fencing
+// worked) even when chaos expired leases mid-round; the safety side of the
+// fencing protocol is recycler_test's job.
+void RunKvScenario(const char* store, const ScenarioSpec& spec, double check_budget_s = 0.0,
+                   testing::KvOpMix mix = {}, uint64_t max_window_ops = 0,
+                   double min_ops_fraction = 0.75) {
+  deploy::DeploymentConfig cfg = ChaosDeployment(spec, store);
   // Short recovery so the multi-phase failover completes inside the
   // scenario; FUSEE blocks all progress while it runs (§7.7).
-  kv::FuseeStore store(&c.env.fabric, /*recovery_duration=*/500 * sim::kMicrosecond);
-  std::vector<std::unique_ptr<index::ClientCache>> caches;
-  std::vector<std::unique_ptr<kv::FuseeKvSession>> sessions;
+  cfg.fusee_recovery = 500 * sim::kMicrosecond;
+  KvChaos c(spec, cfg);
   ChaosHistories hist;
-  for (int i = 0; i < spec.clients; ++i) {
-    Worker& w = c.MakeSkewedWorker(spec);
-    caches.push_back(std::make_unique<index::ClientCache>());
-    sessions.push_back(std::make_unique<kv::FuseeKvSession>(&w, &store, caches.back().get()));
-  }
-  for (int i = 0; i < spec.clients; ++i) {
-    Spawn(KvChaosClient(&c.env, sessions[static_cast<size_t>(i)].get(),
-                        spec.seed * 131 + static_cast<uint64_t>(i), spec, &hist, {}, i));
-  }
-  c.engine.Start();
-  c.env.sim.Run();
-  ExpectLinearizable(hist, spec, c.engine, check_budget_s, /*max_window_ops=*/0,
-                     min_ops_fraction);
+  c.SpawnClients(spec, &hist, mix);
+  c.Run();
+  ExpectLinearizable(hist, spec, c.engine, check_budget_s, max_window_ops, min_ops_fraction);
 }
 
 // ---------- Crash-recover scenarios (restart → repair → readmit) ----------
@@ -245,14 +164,13 @@ void RunFuseeScenario(const ScenarioSpec& spec, double check_budget_s = 0.0,
 // the concurrent-repair contract: two repairs that mutually wait for each
 // other's node (an object hosting both) must still terminate via the round
 // budget rather than hang the simulation.
-void ExpectRepairLifecyclesComplete(const ChaosEnv& c, const repair::RepairService& repair,
-                                    const ScenarioSpec& spec) {
+void ExpectRepairLifecyclesComplete(KvChaos& c, const ScenarioSpec& spec) {
   EXPECT_EQ(c.engine.crashed_count(), 0) << SeedMessage(spec, c.engine);
   size_t done_events = 0;
   for (const chaos::FaultEvent& e : c.engine.trace()) {
     done_events += e.kind == chaos::FaultKind::kRepairDone ? 1 : 0;
   }
-  EXPECT_EQ(repair.repairs_completed() + repair.repairs_aborted(), done_events)
+  EXPECT_EQ(c.d.repair()->repairs_completed() + c.d.repair()->repairs_aborted(), done_events)
       << SeedMessage(spec, c.engine);
 }
 
@@ -276,110 +194,32 @@ ScenarioSpec CrashRecoverSpec(uint64_t seed) {
   return spec;
 }
 
+// The crash-recover runner: the deployment adds a repair coordinator over
+// the store (SWARM-KV's recycler horizon waits for in-flight repairs).
 // `stale_client`: client 0 becomes the suites' DEAF client — it receives no
 // membership pushes (neither failure notifications nor epoch advances), so
 // it keeps issuing verbs stamped with its boot-time epoch across whole
 // crash-repair cycles. The epoch fence must bounce them (kStaleEpoch →
 // re-validation pull → retry); with the pre-fix canary knob they land on
 // repaired state and are trusted.
-void RunCrashRecoverSwarmScenario(const ScenarioSpec& spec, bool stale_client = false) {
-  ChaosEnv c(spec);
-  index::IndexService index(&c.env.sim, &c.env.fabric);
-  Recycler recycler(&c.env.sim, &c.membership);
-  index.set_retirement_horizon([&recycler] { return recycler.current_epoch(); },
-                               [&recycler] { return recycler.SafeReclaimBefore(); });
-  std::vector<std::unique_ptr<RecyclerParticipant>> participants;
-  std::vector<std::unique_ptr<index::ClientCache>> caches;
-  std::vector<std::unique_ptr<kv::SwarmKvSession>> sessions;
-  std::vector<std::unique_ptr<kv::TrackedKvSession>> tracked;
+void RunCrashRecoverScenario(const char* store, const ScenarioSpec& spec,
+                             bool stale_client = false) {
+  deploy::DeploymentConfig cfg = ChaosDeployment(spec, store);
+  cfg.fusee_recovery = 300 * sim::kMicrosecond;
+  cfg.repair = repair::RepairConfig{};
+  KvChaos c(spec, cfg);
+  if (stale_client) {
+    testing::MakeDeaf(*c.d.client(0).workers[0].worker, c.d.membership());
+  }
   ChaosHistories hist;
-  for (int i = 0; i < spec.clients; ++i) {
-    Worker& w = stale_client && i == 0 ? c.MakeDeafWorker(spec) : c.MakeSkewedWorker(spec);
-    caches.push_back(std::make_unique<index::ClientCache>());
-    sessions.push_back(std::make_unique<kv::SwarmKvSession>(&w, &index, caches.back().get()));
-    tracked.push_back(std::make_unique<kv::TrackedKvSession>(sessions.back().get()));
-    participants.push_back(
-        testing::MakeCoupledParticipant(&c.env.sim, i, tracked.back().get()));
-    recycler.Register(participants.back().get());
-  }
-  repair::RepairService repair(&c.membership, &c.env.MakeWorker(0));
-  repair::IndexRepairSource source(&index, repair::LayoutProtocol::kSafeGuess);
-  repair.RegisterStore(&source);
-  recycler.set_repair_gate([&repair] { return repair.InFlight(); });
-  c.engine.set_repair_fn(
-      [&repair](int node) { return repair.RecoverAndRepair(node); });
-  c.engine.set_epoch_churn([&recycler]() -> sim::Task<void> {
-    recycler.HeartbeatAll();
-    return recycler.RunRound();
-  });
-  index.add_gc_listener([&caches](const std::shared_ptr<const ObjectLayout>& lo) {
-    for (auto& cache : caches) {
-      cache->InvalidateLayout(lo.get());
-    }
-  });
-  for (int i = 0; i < spec.clients; ++i) {
-    Spawn(KvChaosClient(&c.env, tracked[static_cast<size_t>(i)].get(),
-                        spec.seed * 131 + static_cast<uint64_t>(i), spec, &hist));
-  }
-  c.engine.Start();
-  c.env.sim.Run();
+  c.SpawnClients(spec, &hist);
+  c.Run();
   ExpectLinearizable(hist, spec, c.engine);
-  ExpectRepairLifecyclesComplete(c, repair, spec);
-}
-
-void RunCrashRecoverDmAbdScenario(const ScenarioSpec& spec, bool stale_client = false) {
-  ChaosEnv c(spec);
-  index::IndexService index(&c.env.sim, &c.env.fabric);
-  std::vector<std::unique_ptr<index::ClientCache>> caches;
-  std::vector<std::unique_ptr<kv::DmAbdKvSession>> sessions;
-  ChaosHistories hist;
-  for (int i = 0; i < spec.clients; ++i) {
-    Worker& w = stale_client && i == 0 ? c.MakeDeafWorker(spec) : c.MakeSkewedWorker(spec);
-    caches.push_back(std::make_unique<index::ClientCache>());
-    sessions.push_back(std::make_unique<kv::DmAbdKvSession>(&w, &index, caches.back().get()));
-  }
-  repair::RepairService repair(&c.membership, &c.env.MakeWorker(0));
-  repair::IndexRepairSource source(&index, repair::LayoutProtocol::kAbd);
-  repair.RegisterStore(&source);
-  c.engine.set_repair_fn(
-      [&repair](int node) { return repair.RecoverAndRepair(node); });
-  for (int i = 0; i < spec.clients; ++i) {
-    Spawn(KvChaosClient(&c.env, sessions[static_cast<size_t>(i)].get(),
-                        spec.seed * 131 + static_cast<uint64_t>(i), spec, &hist));
-  }
-  c.engine.Start();
-  c.env.sim.Run();
-  ExpectLinearizable(hist, spec, c.engine);
-  ExpectRepairLifecyclesComplete(c, repair, spec);
-}
-
-void RunCrashRecoverFuseeScenario(const ScenarioSpec& spec, bool stale_client = false) {
-  ChaosEnv c(spec);
-  kv::FuseeStore store(&c.env.fabric, /*recovery_duration=*/300 * sim::kMicrosecond);
-  std::vector<std::unique_ptr<index::ClientCache>> caches;
-  std::vector<std::unique_ptr<kv::FuseeKvSession>> sessions;
-  ChaosHistories hist;
-  for (int i = 0; i < spec.clients; ++i) {
-    Worker& w = stale_client && i == 0 ? c.MakeDeafWorker(spec) : c.MakeSkewedWorker(spec);
-    caches.push_back(std::make_unique<index::ClientCache>());
-    sessions.push_back(std::make_unique<kv::FuseeKvSession>(&w, &store, caches.back().get()));
-  }
-  repair::RepairService repair(&c.membership, &c.env.MakeWorker(0));
-  repair.RegisterStore(&store);  // FUSEE: index-guided log-scan repair.
-  c.engine.set_repair_fn(
-      [&repair](int node) { return repair.RecoverAndRepair(node); });
-  for (int i = 0; i < spec.clients; ++i) {
-    Spawn(KvChaosClient(&c.env, sessions[static_cast<size_t>(i)].get(),
-                        spec.seed * 131 + static_cast<uint64_t>(i), spec, &hist));
-  }
-  c.engine.Start();
-  c.env.sim.Run();
-  ExpectLinearizable(hist, spec, c.engine);
-  ExpectRepairLifecyclesComplete(c, repair, spec);
+  ExpectRepairLifecyclesComplete(c, spec);
 }
 
 TEST(ChaosSwarmKv, RandomFaultScenariosStayLinearizable) {
-  DriveScenarios(1000, [](const ScenarioSpec& s) { RunSwarmKvScenario(s); }, [](uint64_t seed) {
+  DriveScenarios(1000, [](const ScenarioSpec& s) { RunKvScenario("swarm", s); }, [](uint64_t seed) {
     ScenarioSpec spec = KvSpec(seed);
     // SWARM-KV also rides recycler epoch churn and scripted lease expiries
     // (the participants are registered in RunSwarmKvScenario), and faults on
@@ -392,7 +232,7 @@ TEST(ChaosSwarmKv, RandomFaultScenariosStayLinearizable) {
 }
 
 TEST(ChaosDmAbdKv, RandomFaultScenariosStayLinearizable) {
-  DriveScenarios(2000, [](const ScenarioSpec& s) { RunDmAbdScenario(s); }, [](uint64_t seed) {
+  DriveScenarios(2000, [](const ScenarioSpec& s) { RunKvScenario("dmabd", s); }, [](uint64_t seed) {
     ScenarioSpec spec = KvSpec(seed);
     spec.faults.fault_index_link = true;
     return spec;
@@ -400,7 +240,7 @@ TEST(ChaosDmAbdKv, RandomFaultScenariosStayLinearizable) {
 }
 
 TEST(ChaosFuseeKv, RandomFaultScenariosStayLinearizable) {
-  DriveScenarios(3000, [](const ScenarioSpec& s) { RunFuseeScenario(s); }, [](uint64_t seed) {
+  DriveScenarios(3000, [](const ScenarioSpec& s) { RunKvScenario("fusee", s); }, [](uint64_t seed) {
     ScenarioSpec spec = KvSpec(seed);
     // FUSEE's synchronous replication treats every failed verb as a node
     // failure and pays a full recovery, so keep drop bursts milder and give
@@ -412,7 +252,7 @@ TEST(ChaosFuseeKv, RandomFaultScenariosStayLinearizable) {
 }
 
 TEST(ChaosSwarmKv, CrashRecoverRepairStaysLinearizable) {
-  DriveScenarios(4000, [](const ScenarioSpec& s) { RunCrashRecoverSwarmScenario(s); },
+  DriveScenarios(4000, [](const ScenarioSpec& s) { RunCrashRecoverScenario("swarm", s); },
                  [](uint64_t seed) {
     ScenarioSpec spec = CrashRecoverSpec(seed);
     spec.faults.lease_weight = 0.4;
@@ -423,7 +263,7 @@ TEST(ChaosSwarmKv, CrashRecoverRepairStaysLinearizable) {
 }
 
 TEST(ChaosDmAbdKv, CrashRecoverRepairStaysLinearizable) {
-  DriveScenarios(5000, [](const ScenarioSpec& s) { RunCrashRecoverDmAbdScenario(s); },
+  DriveScenarios(5000, [](const ScenarioSpec& s) { RunCrashRecoverScenario("dmabd", s); },
                  [](uint64_t seed) {
     ScenarioSpec spec = CrashRecoverSpec(seed);
     spec.faults.fault_index_link = true;
@@ -432,7 +272,7 @@ TEST(ChaosDmAbdKv, CrashRecoverRepairStaysLinearizable) {
 }
 
 TEST(ChaosFuseeKv, CrashRecoverRepairStaysLinearizable) {
-  DriveScenarios(6000, [](const ScenarioSpec& s) { RunCrashRecoverFuseeScenario(s); },
+  DriveScenarios(6000, [](const ScenarioSpec& s) { RunCrashRecoverScenario("fusee", s); },
                  [](uint64_t seed) {
     ScenarioSpec spec = CrashRecoverSpec(seed);
     // Milder drops (every failed verb costs FUSEE a full recovery stall) and
@@ -482,7 +322,7 @@ ScenarioSpec ConcurrentRepairSpec(uint64_t seed) {
 }
 
 TEST(ChaosSwarmKv, ConcurrentRepairsStayLinearizable) {
-  DriveScenarios(7000, [](const ScenarioSpec& s) { RunCrashRecoverSwarmScenario(s); },
+  DriveScenarios(7000, [](const ScenarioSpec& s) { RunCrashRecoverScenario("swarm", s); },
                  [](uint64_t seed) {
     ScenarioSpec spec = ConcurrentRepairSpec(seed);
     spec.faults.churn_weight = 0.3;  // Recycler's horizon gates on BOTH repairs.
@@ -492,7 +332,7 @@ TEST(ChaosSwarmKv, ConcurrentRepairsStayLinearizable) {
 }
 
 TEST(ChaosDmAbdKv, ConcurrentRepairsStayLinearizable) {
-  DriveScenarios(7500, [](const ScenarioSpec& s) { RunCrashRecoverDmAbdScenario(s); },
+  DriveScenarios(7500, [](const ScenarioSpec& s) { RunCrashRecoverScenario("dmabd", s); },
                  [](uint64_t seed) {
     ScenarioSpec spec = ConcurrentRepairSpec(seed);
     spec.faults.fault_index_link = true;
@@ -501,7 +341,7 @@ TEST(ChaosDmAbdKv, ConcurrentRepairsStayLinearizable) {
 }
 
 TEST(ChaosFuseeKv, ConcurrentRepairsStayLinearizable) {
-  DriveScenarios(8000, [](const ScenarioSpec& s) { RunCrashRecoverFuseeScenario(s); },
+  DriveScenarios(8000, [](const ScenarioSpec& s) { RunCrashRecoverScenario("fusee", s); },
                  [](uint64_t seed) {
     ScenarioSpec spec = ConcurrentRepairSpec(seed);
     // FUSEE is 2-replica: with two nodes down, keys hosted on both are dark
@@ -556,7 +396,7 @@ ScenarioSpec ExtremeSpikeStaleClientSpec(uint64_t seed) {
 TEST(ChaosSwarmKv, CrashRecoverStaleClientStaysLinearizable) {
   DriveScenarios(9000,
                  [](const ScenarioSpec& s) {
-                   RunCrashRecoverSwarmScenario(s, /*stale_client=*/true);
+                   RunCrashRecoverScenario("swarm", s, /*stale_client=*/true);
                  },
                  [](uint64_t seed) {
                    ScenarioSpec spec = CrashRecoverStaleClientSpec(seed);
@@ -570,7 +410,7 @@ TEST(ChaosSwarmKv, CrashRecoverStaleClientStaysLinearizable) {
 TEST(ChaosDmAbdKv, CrashRecoverStaleClientStaysLinearizable) {
   DriveScenarios(9500,
                  [](const ScenarioSpec& s) {
-                   RunCrashRecoverDmAbdScenario(s, /*stale_client=*/true);
+                   RunCrashRecoverScenario("dmabd", s, /*stale_client=*/true);
                  },
                  [](uint64_t seed) {
                    ScenarioSpec spec = CrashRecoverStaleClientSpec(seed);
@@ -582,7 +422,7 @@ TEST(ChaosDmAbdKv, CrashRecoverStaleClientStaysLinearizable) {
 TEST(ChaosFuseeKv, CrashRecoverStaleClientStaysLinearizable) {
   DriveScenarios(9800,
                  [](const ScenarioSpec& s) {
-                   RunCrashRecoverFuseeScenario(s, /*stale_client=*/true);
+                   RunCrashRecoverScenario("fusee", s, /*stale_client=*/true);
                  },
                  [](uint64_t seed) {
                    ScenarioSpec spec = CrashRecoverStaleClientSpec(seed);
@@ -602,13 +442,13 @@ TEST(ChaosSwarmKv, ExtremeSpikeRecordedSeed9068StaysLinearizable) {
   spec.faults.lease_weight = 0.3;
   spec.faults.churn_weight = 0.3;
   spec.faults.fault_index_link = true;
-  RunCrashRecoverSwarmScenario(spec, /*stale_client=*/true);
+  RunCrashRecoverScenario("swarm", spec, /*stale_client=*/true);
 }
 
 TEST(ChaosDmAbdKv, ExtremeSpikeRecordedSeed9697StaysLinearizable) {
   ScenarioSpec spec = ExtremeSpikeStaleClientSpec(9697);
   spec.faults.fault_index_link = true;
-  RunCrashRecoverDmAbdScenario(spec, /*stale_client=*/true);
+  RunCrashRecoverScenario("dmabd", spec, /*stale_client=*/true);
 }
 
 // And the sweeps: fresh seed bases so the regime keeps digging for new
@@ -617,7 +457,7 @@ TEST(ChaosDmAbdKv, ExtremeSpikeRecordedSeed9697StaysLinearizable) {
 TEST(ChaosSwarmKv, ExtremeSpikeStaleClientStaysLinearizable) {
   DriveScenarios(14000,
                  [](const ScenarioSpec& s) {
-                   RunCrashRecoverSwarmScenario(s, /*stale_client=*/true);
+                   RunCrashRecoverScenario("swarm", s, /*stale_client=*/true);
                  },
                  [](uint64_t seed) {
                    ScenarioSpec spec = ExtremeSpikeStaleClientSpec(seed);
@@ -631,7 +471,7 @@ TEST(ChaosSwarmKv, ExtremeSpikeStaleClientStaysLinearizable) {
 TEST(ChaosDmAbdKv, ExtremeSpikeStaleClientStaysLinearizable) {
   DriveScenarios(14300,
                  [](const ScenarioSpec& s) {
-                   RunCrashRecoverDmAbdScenario(s, /*stale_client=*/true);
+                   RunCrashRecoverScenario("dmabd", s, /*stale_client=*/true);
                  },
                  [](uint64_t seed) {
                    ScenarioSpec spec = ExtremeSpikeStaleClientSpec(seed);
@@ -643,7 +483,7 @@ TEST(ChaosDmAbdKv, ExtremeSpikeStaleClientStaysLinearizable) {
 TEST(ChaosFuseeKv, ExtremeSpikeStaleClientStaysLinearizable) {
   DriveScenarios(14600,
                  [](const ScenarioSpec& s) {
-                   RunCrashRecoverFuseeScenario(s, /*stale_client=*/true);
+                   RunCrashRecoverScenario("fusee", s, /*stale_client=*/true);
                  },
                  [](uint64_t seed) {
                    ScenarioSpec spec = ExtremeSpikeStaleClientSpec(seed);
@@ -684,7 +524,8 @@ ScenarioSpec DirectionalPartitionSpec(uint64_t seed) {
 }
 
 TEST(ChaosSwarmKv, DirectionalPartitionsStayLinearizable) {
-  DriveScenarios(13000, [](const ScenarioSpec& s) { RunSwarmKvScenario(s); }, [](uint64_t seed) {
+  DriveScenarios(13000, [](const ScenarioSpec& s) { RunKvScenario("swarm", s); },
+                 [](uint64_t seed) {
     ScenarioSpec spec = DirectionalPartitionSpec(seed);
     spec.faults.lease_weight = 0.4;
     spec.faults.churn_weight = 0.4;
@@ -694,7 +535,8 @@ TEST(ChaosSwarmKv, DirectionalPartitionsStayLinearizable) {
 }
 
 TEST(ChaosDmAbdKv, DirectionalPartitionsStayLinearizable) {
-  DriveScenarios(13300, [](const ScenarioSpec& s) { RunDmAbdScenario(s); }, [](uint64_t seed) {
+  DriveScenarios(13300, [](const ScenarioSpec& s) { RunKvScenario("dmabd", s); },
+                 [](uint64_t seed) {
     ScenarioSpec spec = DirectionalPartitionSpec(seed);
     spec.faults.fault_index_link = true;
     return spec;
@@ -702,7 +544,8 @@ TEST(ChaosDmAbdKv, DirectionalPartitionsStayLinearizable) {
 }
 
 TEST(ChaosFuseeKv, DirectionalPartitionsStayLinearizable) {
-  DriveScenarios(13600, [](const ScenarioSpec& s) { RunFuseeScenario(s); }, [](uint64_t seed) {
+  DriveScenarios(13600, [](const ScenarioSpec& s) { RunKvScenario("fusee", s); },
+                 [](uint64_t seed) {
     ScenarioSpec spec = DirectionalPartitionSpec(seed);
     // A partitioned leg reads as a failed node to FUSEE's synchronous
     // replication, and every such verb costs a full recovery stall: milder
@@ -725,7 +568,7 @@ constexpr double kSoakCheckBudgetSeconds = 5.0;
 TEST(ChaosSwarmKvSoak, LongHorizonFullMixStaysLinearizable) {
   DriveSoakScenarios(40000,
                      [](const ScenarioSpec& spec) {
-                       RunSwarmKvScenario(spec, kSoakCheckBudgetSeconds);
+                       RunKvScenario("swarm", spec, kSoakCheckBudgetSeconds);
                      },
                      [](uint64_t seed) {
                        ScenarioSpec spec = LongHorizonSoakSpec(seed);
@@ -742,7 +585,7 @@ TEST(ChaosSwarmKvSoak, LongHorizonFullMixStaysLinearizable) {
 TEST(ChaosDmAbdKvSoak, LongHorizonFullMixStaysLinearizable) {
   DriveSoakScenarios(41000,
                      [](const ScenarioSpec& spec) {
-                       RunDmAbdScenario(spec, kSoakCheckBudgetSeconds);
+                       RunKvScenario("dmabd", spec, kSoakCheckBudgetSeconds);
                      },
                      [](uint64_t seed) {
                        ScenarioSpec spec = LongHorizonSoakSpec(seed);
@@ -754,7 +597,7 @@ TEST(ChaosDmAbdKvSoak, LongHorizonFullMixStaysLinearizable) {
 TEST(ChaosFuseeKvSoak, LongHorizonFullMixStaysLinearizable) {
   DriveSoakScenarios(42000,
                      [](const ScenarioSpec& spec) {
-                       RunFuseeScenario(spec, kSoakCheckBudgetSeconds);
+                       RunKvScenario("fusee", spec, kSoakCheckBudgetSeconds);
                      },
                      [](uint64_t seed) {
                        ScenarioSpec spec = LongHorizonSoakSpec(seed);
@@ -784,7 +627,7 @@ TEST(ChaosSwarmKvSoak, RemoveHeavySingleKeySoakChecksWithinBudget) {
                        // ~300 ops per window here, while the pre-fix splitter
                        // degenerates to 900+-op windows (nearly the whole
                        // cell) on the same seeds.
-                       RunSwarmKvScenario(spec, kSoakCheckBudgetSeconds,
+                       RunKvScenario("swarm", spec, kSoakCheckBudgetSeconds,
                                           testing::KvOpMix{0.30, 0.40, 0.55},
                                           /*max_window_ops=*/512);
                      },
@@ -824,7 +667,8 @@ ScenarioSpec ClientSplitSpec(uint64_t seed) {
 }
 
 TEST(ChaosSwarmKv, ClientSplitBrainStaysLinearizable) {
-  DriveScenarios(15000, [](const ScenarioSpec& s) { RunSwarmKvScenario(s); }, [](uint64_t seed) {
+  DriveScenarios(15000, [](const ScenarioSpec& s) { RunKvScenario("swarm", s); },
+                 [](uint64_t seed) {
     ScenarioSpec spec = ClientSplitSpec(seed);
     spec.faults.lease_weight = 0.4;
     spec.faults.churn_weight = 0.4;
@@ -833,12 +677,13 @@ TEST(ChaosSwarmKv, ClientSplitBrainStaysLinearizable) {
 }
 
 TEST(ChaosDmAbdKv, ClientSplitBrainStaysLinearizable) {
-  DriveScenarios(15300, [](const ScenarioSpec& s) { RunDmAbdScenario(s); },
+  DriveScenarios(15300, [](const ScenarioSpec& s) { RunKvScenario("dmabd", s); },
                  [](uint64_t seed) { return ClientSplitSpec(seed); });
 }
 
 TEST(ChaosFuseeKv, ClientSplitBrainStaysLinearizable) {
-  DriveScenarios(15600, [](const ScenarioSpec& s) { RunFuseeScenario(s); }, [](uint64_t seed) {
+  DriveScenarios(15600, [](const ScenarioSpec& s) { RunKvScenario("fusee", s); },
+                 [](uint64_t seed) {
     ScenarioSpec spec = ClientSplitSpec(seed);
     // Cross-side drops read as failed nodes to FUSEE's synchronous
     // replication and each costs a recovery stall; shorter splits and milder
@@ -852,7 +697,7 @@ TEST(ChaosFuseeKv, ClientSplitBrainStaysLinearizable) {
 TEST(ChaosSwarmKvSoak, ClientSplitBrainSoakStaysLinearizable) {
   DriveSoakScenarios(44000,
                      [](const ScenarioSpec& spec) {
-                       RunSwarmKvScenario(spec, kSoakCheckBudgetSeconds);
+                       RunKvScenario("swarm", spec, kSoakCheckBudgetSeconds);
                      },
                      [](uint64_t seed) {
                        ScenarioSpec spec = SplitBrainSoakSpec(seed);
@@ -865,7 +710,7 @@ TEST(ChaosSwarmKvSoak, ClientSplitBrainSoakStaysLinearizable) {
 TEST(ChaosDmAbdKvSoak, ClientSplitBrainSoakStaysLinearizable) {
   DriveSoakScenarios(45000,
                      [](const ScenarioSpec& spec) {
-                       RunDmAbdScenario(spec, kSoakCheckBudgetSeconds);
+                       RunKvScenario("dmabd", spec, kSoakCheckBudgetSeconds);
                      },
                      [](uint64_t seed) { return SplitBrainSoakSpec(seed); });
 }
@@ -876,8 +721,8 @@ TEST(ChaosFuseeKvSoak, ClientSplitBrainSoakStaysLinearizable) {
                        // min_ops_fraction 0.5: splits blind FUSEE (see
                        // ExpectLinearizable) — recovery stalls chain across
                        // the horizon and ~40% of ops die unavailable.
-                       RunFuseeScenario(spec, kSoakCheckBudgetSeconds,
-                                        /*min_ops_fraction=*/0.5);
+                       RunKvScenario("fusee", spec, kSoakCheckBudgetSeconds, {},
+                                     /*max_window_ops=*/0, /*min_ops_fraction=*/0.5);
                      },
                      [](uint64_t seed) {
                        ScenarioSpec spec = SplitBrainSoakSpec(seed);
@@ -905,7 +750,7 @@ constexpr double kScaleCheckBudgetSeconds = 60.0;
 TEST(ChaosSwarmKvScaleSoak, HundredThousandOpStormStaysLinearizable) {
   DriveScaleScenarios(47000,
                       [](const ScenarioSpec& spec) {
-                        RunSwarmKvScenario(spec, kScaleCheckBudgetSeconds);
+                        RunKvScenario("swarm", spec, kScaleCheckBudgetSeconds);
                       },
                       [](uint64_t seed) {
                         ScenarioSpec spec = CheckerScaleSoakSpec(seed);
@@ -918,7 +763,7 @@ TEST(ChaosSwarmKvScaleSoak, HundredThousandOpStormStaysLinearizable) {
 TEST(ChaosDmAbdKvScaleSoak, HundredThousandOpStormStaysLinearizable) {
   DriveScaleScenarios(48000,
                       [](const ScenarioSpec& spec) {
-                        RunDmAbdScenario(spec, kScaleCheckBudgetSeconds);
+                        RunKvScenario("dmabd", spec, kScaleCheckBudgetSeconds);
                       },
                       [](uint64_t seed) { return CheckerScaleSoakSpec(seed); });
 }
@@ -926,8 +771,8 @@ TEST(ChaosDmAbdKvScaleSoak, HundredThousandOpStormStaysLinearizable) {
 TEST(ChaosFuseeKvScaleSoak, HundredThousandOpStormStaysLinearizable) {
   DriveScaleScenarios(49000,
                       [](const ScenarioSpec& spec) {
-                        RunFuseeScenario(spec, kScaleCheckBudgetSeconds,
-                                         /*min_ops_fraction=*/0.5);
+                        RunKvScenario("fusee", spec, kScaleCheckBudgetSeconds, {},
+                                      /*max_window_ops=*/0, /*min_ops_fraction=*/0.5);
                       },
                       [](uint64_t seed) {
                         ScenarioSpec spec = CheckerScaleSoakSpec(seed);

@@ -30,27 +30,20 @@
 #include <memory>
 #include <vector>
 
-#include "src/index/client_cache.h"
-#include "src/index/index_service.h"
-#include "src/kv/dm_abd_kv.h"
-#include "src/kv/fusee_kv.h"
-#include "src/kv/swarm_kv.h"
+#include "src/deploy/deployment.h"
 #include "src/repair/migration.h"
 #include "src/repair/repair.h"
-#include "src/swarm/recycler.h"
 #include "tests/support/scenario.h"
 
 namespace swarm {
 namespace {
 
-using sim::Spawn;
-using testing::ChaosEnv;
+using testing::ChaosDeployment;
 using testing::ChaosHistories;
 using testing::CheckHistories;
 using testing::DriveScenarios;
 using testing::ElasticFabric;
-using testing::GrowShrinkStep;
-using testing::KvChaosClient;
+using testing::KvChaos;
 using testing::ScenarioSpec;
 using testing::SeedMessage;
 
@@ -63,127 +56,34 @@ void ExpectLinearizable(const ChaosHistories& hist, const ScenarioSpec& spec,
 // Every injected lifecycle ran to completion by simulation end: one
 // kMigrateDone per kMigrateStart (success or graceful abort), and no node
 // left crashed mid-repair.
-void ExpectMigrationLifecyclesComplete(const ChaosEnv& c, const ScenarioSpec& spec) {
+void ExpectMigrationLifecyclesComplete(const chaos::ChaosEngine& engine,
+                                       const ScenarioSpec& spec) {
   size_t starts = 0;
   size_t dones = 0;
-  for (const chaos::FaultEvent& e : c.engine.trace()) {
+  for (const chaos::FaultEvent& e : engine.trace()) {
     starts += e.kind == chaos::FaultKind::kMigrateStart ? 1 : 0;
     dones += e.kind == chaos::FaultKind::kMigrateDone ? 1 : 0;
   }
-  EXPECT_EQ(starts, dones) << SeedMessage(spec, c.engine);
-  EXPECT_EQ(c.engine.crashed_count(), 0) << SeedMessage(spec, c.engine);
+  EXPECT_EQ(starts, dones) << SeedMessage(spec, engine);
+  EXPECT_EQ(engine.crashed_count(), 0) << SeedMessage(spec, engine);
 }
 
-// ---------- Runners: crash-recover wiring + a migration coordinator --------
+// ---------- Runner: crash-recover wiring + a migration coordinator --------
 
-void RunMigrationSwarmScenario(const ScenarioSpec& spec) {
-  ChaosEnv c(spec, ElasticFabric());
-  index::IndexService index(&c.env.sim, &c.env.fabric);
-  Recycler recycler(&c.env.sim, &c.membership);
-  index.set_retirement_horizon([&recycler] { return recycler.current_epoch(); },
-                               [&recycler] { return recycler.SafeReclaimBefore(); });
-  std::vector<std::unique_ptr<RecyclerParticipant>> participants;
-  std::vector<std::unique_ptr<index::ClientCache>> caches;
-  std::vector<std::unique_ptr<kv::SwarmKvSession>> sessions;
-  std::vector<std::unique_ptr<kv::TrackedKvSession>> tracked;
+// An elastic fabric (headroom for admitted nodes), a repair coordinator and
+// a migration coordinator on top of the deployment; SWARM-KV and DM-ABD
+// sessions and the FUSEE store place fresh keys on serving nodes only.
+void RunMigrationScenario(const char* store, const ScenarioSpec& spec) {
+  deploy::DeploymentConfig cfg = ChaosDeployment(spec, store, ElasticFabric());
+  cfg.fusee_recovery = 300 * sim::kMicrosecond;
+  cfg.repair = repair::RepairConfig{};
+  cfg.migration = repair::MigrationConfig{};
+  KvChaos c(spec, cfg);
   ChaosHistories hist;
-  for (int i = 0; i < spec.clients; ++i) {
-    Worker& w = c.MakeSkewedWorker(spec);
-    caches.push_back(std::make_unique<index::ClientCache>());
-    sessions.push_back(std::make_unique<kv::SwarmKvSession>(&w, &index, caches.back().get()));
-    sessions.back()->set_serving(c.membership.serving());  // Placement filter.
-    tracked.push_back(std::make_unique<kv::TrackedKvSession>(sessions.back().get()));
-    participants.push_back(
-        testing::MakeCoupledParticipant(&c.env.sim, i, tracked.back().get()));
-    recycler.Register(participants.back().get());
-  }
-  repair::RepairService repair(&c.membership, &c.env.MakeWorker(0));
-  repair::IndexRepairSource source(&index, repair::LayoutProtocol::kSafeGuess);
-  repair.RegisterStore(&source);
-  recycler.set_repair_gate([&repair] { return repair.InFlight(); });
-  c.engine.set_repair_fn([&repair](int node) { return repair.RecoverAndRepair(node); });
-  repair::IndexMigrationSource movable(&index, repair::LayoutProtocol::kSafeGuess);
-  repair::MigrationService migration(&c.membership, &movable, &c.env.MakeWorker(0));
-  int mig_step = 0;
-  c.engine.set_migration_fn(
-      [&migration, &mig_step]() { return GrowShrinkStep(&migration, mig_step++); });
-  c.engine.set_epoch_churn([&recycler]() -> sim::Task<void> {
-    recycler.HeartbeatAll();
-    return recycler.RunRound();
-  });
-  index.add_gc_listener([&caches](const std::shared_ptr<const ObjectLayout>& lo) {
-    for (auto& cache : caches) {
-      cache->InvalidateLayout(lo.get());
-    }
-  });
-  for (int i = 0; i < spec.clients; ++i) {
-    Spawn(KvChaosClient(&c.env, tracked[static_cast<size_t>(i)].get(),
-                        spec.seed * 131 + static_cast<uint64_t>(i), spec, &hist));
-  }
-  c.engine.Start();
-  c.env.sim.Run();
+  c.SpawnClients(spec, &hist);
+  c.Run();
   ExpectLinearizable(hist, spec, c.engine);
-  ExpectMigrationLifecyclesComplete(c, spec);
-}
-
-void RunMigrationDmAbdScenario(const ScenarioSpec& spec) {
-  ChaosEnv c(spec, ElasticFabric());
-  index::IndexService index(&c.env.sim, &c.env.fabric);
-  std::vector<std::unique_ptr<index::ClientCache>> caches;
-  std::vector<std::unique_ptr<kv::DmAbdKvSession>> sessions;
-  ChaosHistories hist;
-  for (int i = 0; i < spec.clients; ++i) {
-    Worker& w = c.MakeSkewedWorker(spec);
-    caches.push_back(std::make_unique<index::ClientCache>());
-    sessions.push_back(std::make_unique<kv::DmAbdKvSession>(&w, &index, caches.back().get()));
-    sessions.back()->set_serving(c.membership.serving());
-  }
-  repair::RepairService repair(&c.membership, &c.env.MakeWorker(0));
-  repair::IndexRepairSource source(&index, repair::LayoutProtocol::kAbd);
-  repair.RegisterStore(&source);
-  c.engine.set_repair_fn([&repair](int node) { return repair.RecoverAndRepair(node); });
-  repair::IndexMigrationSource movable(&index, repair::LayoutProtocol::kAbd);
-  repair::MigrationService migration(&c.membership, &movable, &c.env.MakeWorker(0));
-  int mig_step = 0;
-  c.engine.set_migration_fn(
-      [&migration, &mig_step]() { return GrowShrinkStep(&migration, mig_step++); });
-  for (int i = 0; i < spec.clients; ++i) {
-    Spawn(KvChaosClient(&c.env, sessions[static_cast<size_t>(i)].get(),
-                        spec.seed * 131 + static_cast<uint64_t>(i), spec, &hist));
-  }
-  c.engine.Start();
-  c.env.sim.Run();
-  ExpectLinearizable(hist, spec, c.engine);
-  ExpectMigrationLifecyclesComplete(c, spec);
-}
-
-void RunMigrationFuseeScenario(const ScenarioSpec& spec) {
-  ChaosEnv c(spec, ElasticFabric());
-  kv::FuseeStore store(&c.env.fabric, /*recovery_duration=*/300 * sim::kMicrosecond);
-  store.set_serving(c.membership.serving());
-  std::vector<std::unique_ptr<index::ClientCache>> caches;
-  std::vector<std::unique_ptr<kv::FuseeKvSession>> sessions;
-  ChaosHistories hist;
-  for (int i = 0; i < spec.clients; ++i) {
-    Worker& w = c.MakeSkewedWorker(spec);
-    caches.push_back(std::make_unique<index::ClientCache>());
-    sessions.push_back(std::make_unique<kv::FuseeKvSession>(&w, &store, caches.back().get()));
-  }
-  repair::RepairService repair(&c.membership, &c.env.MakeWorker(0));
-  repair.RegisterStore(&store);
-  c.engine.set_repair_fn([&repair](int node) { return repair.RecoverAndRepair(node); });
-  repair::MigrationService migration(&c.membership, &store, &c.env.MakeWorker(0));
-  int mig_step = 0;
-  c.engine.set_migration_fn(
-      [&migration, &mig_step]() { return GrowShrinkStep(&migration, mig_step++); });
-  for (int i = 0; i < spec.clients; ++i) {
-    Spawn(KvChaosClient(&c.env, sessions[static_cast<size_t>(i)].get(),
-                        spec.seed * 131 + static_cast<uint64_t>(i), spec, &hist));
-  }
-  c.engine.Start();
-  c.env.sim.Run();
-  ExpectLinearizable(hist, spec, c.engine);
-  ExpectMigrationLifecyclesComplete(c, spec);
+  ExpectMigrationLifecyclesComplete(c.engine, spec);
 }
 
 // ---------- The three regimes ----------
@@ -238,7 +138,7 @@ ScenarioSpec ConcurrentGrowShrinkSpec(uint64_t seed) {
 }
 
 TEST(ChaosMigrationSwarmKv, CrashDuringMigrationStaysLinearizable) {
-  DriveScenarios(10000, [](const ScenarioSpec& s) { RunMigrationSwarmScenario(s); },
+  DriveScenarios(10000, [](const ScenarioSpec& s) { RunMigrationScenario("swarm", s); },
                  [](uint64_t seed) {
     ScenarioSpec spec = CrashDuringMigrationSpec(seed);
     spec.faults.churn_weight = 0.4;  // Retired-as-moved layouts ride the GC horizon.
@@ -248,7 +148,7 @@ TEST(ChaosMigrationSwarmKv, CrashDuringMigrationStaysLinearizable) {
 }
 
 TEST(ChaosMigrationSwarmKv, MigrateDuringRepairStaysLinearizable) {
-  DriveScenarios(10300, [](const ScenarioSpec& s) { RunMigrationSwarmScenario(s); },
+  DriveScenarios(10300, [](const ScenarioSpec& s) { RunMigrationScenario("swarm", s); },
                  [](uint64_t seed) {
     ScenarioSpec spec = MigrateDuringRepairSpec(seed);
     spec.faults.churn_weight = 0.3;
@@ -258,7 +158,7 @@ TEST(ChaosMigrationSwarmKv, MigrateDuringRepairStaysLinearizable) {
 }
 
 TEST(ChaosMigrationSwarmKv, ConcurrentGrowShrinkStaysLinearizable) {
-  DriveScenarios(10600, [](const ScenarioSpec& s) { RunMigrationSwarmScenario(s); },
+  DriveScenarios(10600, [](const ScenarioSpec& s) { RunMigrationScenario("swarm", s); },
                  [](uint64_t seed) {
     ScenarioSpec spec = ConcurrentGrowShrinkSpec(seed);
     spec.faults.churn_weight = 0.4;
@@ -268,7 +168,7 @@ TEST(ChaosMigrationSwarmKv, ConcurrentGrowShrinkStaysLinearizable) {
 }
 
 TEST(ChaosMigrationDmAbdKv, CrashDuringMigrationStaysLinearizable) {
-  DriveScenarios(11000, [](const ScenarioSpec& s) { RunMigrationDmAbdScenario(s); },
+  DriveScenarios(11000, [](const ScenarioSpec& s) { RunMigrationScenario("dmabd", s); },
                  [](uint64_t seed) {
     ScenarioSpec spec = CrashDuringMigrationSpec(seed);
     spec.faults.fault_index_link = true;
@@ -277,7 +177,7 @@ TEST(ChaosMigrationDmAbdKv, CrashDuringMigrationStaysLinearizable) {
 }
 
 TEST(ChaosMigrationDmAbdKv, MigrateDuringRepairStaysLinearizable) {
-  DriveScenarios(11300, [](const ScenarioSpec& s) { RunMigrationDmAbdScenario(s); },
+  DriveScenarios(11300, [](const ScenarioSpec& s) { RunMigrationScenario("dmabd", s); },
                  [](uint64_t seed) {
     ScenarioSpec spec = MigrateDuringRepairSpec(seed);
     spec.faults.fault_index_link = true;
@@ -286,7 +186,7 @@ TEST(ChaosMigrationDmAbdKv, MigrateDuringRepairStaysLinearizable) {
 }
 
 TEST(ChaosMigrationDmAbdKv, ConcurrentGrowShrinkStaysLinearizable) {
-  DriveScenarios(11600, [](const ScenarioSpec& s) { RunMigrationDmAbdScenario(s); },
+  DriveScenarios(11600, [](const ScenarioSpec& s) { RunMigrationScenario("dmabd", s); },
                  [](uint64_t seed) {
     ScenarioSpec spec = ConcurrentGrowShrinkSpec(seed);
     spec.faults.fault_index_link = true;
@@ -295,7 +195,7 @@ TEST(ChaosMigrationDmAbdKv, ConcurrentGrowShrinkStaysLinearizable) {
 }
 
 TEST(ChaosMigrationFuseeKv, CrashDuringMigrationStaysLinearizable) {
-  DriveScenarios(12000, [](const ScenarioSpec& s) { RunMigrationFuseeScenario(s); },
+  DriveScenarios(12000, [](const ScenarioSpec& s) { RunMigrationScenario("fusee", s); },
                  [](uint64_t seed) {
     ScenarioSpec spec = CrashDuringMigrationSpec(seed);
     // FUSEE stalls on every failed verb (a full recovery), so milder drops.
@@ -305,7 +205,7 @@ TEST(ChaosMigrationFuseeKv, CrashDuringMigrationStaysLinearizable) {
 }
 
 TEST(ChaosMigrationFuseeKv, MigrateDuringRepairStaysLinearizable) {
-  DriveScenarios(12300, [](const ScenarioSpec& s) { RunMigrationFuseeScenario(s); },
+  DriveScenarios(12300, [](const ScenarioSpec& s) { RunMigrationScenario("fusee", s); },
                  [](uint64_t seed) {
     ScenarioSpec spec = MigrateDuringRepairSpec(seed);
     spec.faults.max_drop_p = 0.15;
@@ -315,7 +215,7 @@ TEST(ChaosMigrationFuseeKv, MigrateDuringRepairStaysLinearizable) {
 }
 
 TEST(ChaosMigrationFuseeKv, ConcurrentGrowShrinkStaysLinearizable) {
-  DriveScenarios(12600, [](const ScenarioSpec& s) { RunMigrationFuseeScenario(s); },
+  DriveScenarios(12600, [](const ScenarioSpec& s) { RunMigrationScenario("fusee", s); },
                  [](uint64_t seed) {
     ScenarioSpec spec = ConcurrentGrowShrinkSpec(seed);
     spec.faults.max_drop_p = 0.15;

@@ -17,17 +17,17 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/deploy/deployment.h"
 #include "src/index/client_cache.h"
 #include "src/index/index_service.h"
-#include "src/kv/fusee_kv.h"
-#include "src/kv/swarm_kv.h"
 #include "src/repair/migration.h"
 #include "src/repair/repair.h"
 #include "src/swarm/inout.h"
 #include "src/swarm/quorum_max.h"
-#include "src/swarm/recycler.h"
+#include "src/swarm/safe_guess.h"
 #include "tests/support/scenario.h"
 #include "src/util/discard.h"
 
@@ -42,7 +42,7 @@ using testing::CheckHistories;
 using testing::DecodeValue;
 using testing::EncodeValue;
 using verify::HistoryOp;
-using testing::KvChaosClient;
+using testing::KvChaos;
 using testing::ScenarioSpec;
 
 // ---------- Replay identity ----------
@@ -83,38 +83,15 @@ RunDigest RunFullMixScenario(uint64_t seed) {
   spec.faults.lease_weight = 0.7;
   spec.faults.churn_weight = 0.7;
 
-  ChaosEnv c(spec);
-  index::IndexService index(&c.env.sim);
-  Recycler recycler(&c.env.sim, &c.membership);
-  std::vector<std::unique_ptr<RecyclerParticipant>> participants;
-  std::vector<std::unique_ptr<index::ClientCache>> caches;
-  std::vector<std::unique_ptr<kv::SwarmKvSession>> sessions;
-  std::vector<std::unique_ptr<kv::TrackedKvSession>> tracked;
+  KvChaos c(spec, testing::ChaosDeployment(spec, "swarm"));
   ChaosHistories hist;
-  for (int i = 0; i < spec.clients; ++i) {
-    Worker& w = c.MakeSkewedWorker(spec);
-    caches.push_back(std::make_unique<index::ClientCache>());
-    sessions.push_back(std::make_unique<kv::SwarmKvSession>(&w, &index, caches.back().get()));
-    tracked.push_back(std::make_unique<kv::TrackedKvSession>(sessions.back().get()));
-    participants.push_back(
-        testing::MakeCoupledParticipant(&c.env.sim, i, tracked.back().get()));
-    recycler.Register(participants.back().get());
-  }
-  c.engine.set_epoch_churn([&recycler]() -> Task<void> {
-    recycler.HeartbeatAll();
-    return recycler.RunRound();
-  });
-  for (int i = 0; i < spec.clients; ++i) {
-    Spawn(KvChaosClient(&c.env, tracked[static_cast<size_t>(i)].get(),
-                        spec.seed * 131 + static_cast<uint64_t>(i), spec, &hist));
-  }
-  c.engine.Start();
-  c.env.sim.Run();
+  c.SpawnClients(spec, &hist);
+  c.Run();
 
   RunDigest d;
   d.trace_hash = c.engine.TraceHash();
-  d.events = c.env.sim.events_processed();
-  d.end_time = c.env.sim.Now();
+  d.events = c.d.sim().events_processed();
+  d.end_time = c.d.sim().Now();
   d.faults = c.engine.trace().size();
   uint64_t h = 0xcbf29ce484222325ull;
   for (const auto& [key, ops] : hist.per_key) {
@@ -279,30 +256,16 @@ CanaryOutcome RunRepairCanaryScenario(uint64_t seed, repair::RepairConfig rcfg,
   spec.faults.drop_ack_weight = 2.0;
   spec.faults.max_drop_duration = 100 * sim::kMicrosecond;
 
-  ChaosEnv c(spec);
-  index::IndexService index(&c.env.sim, &c.env.fabric);
-  std::vector<std::unique_ptr<index::ClientCache>> caches;
-  std::vector<std::unique_ptr<kv::SwarmKvSession>> sessions;
-  ChaosHistories hist;
-  for (int i = 0; i < spec.clients; ++i) {
-    Worker& w = c.MakeSkewedWorker(spec);
-    caches.push_back(std::make_unique<index::ClientCache>());
-    sessions.push_back(std::make_unique<kv::SwarmKvSession>(&w, &index, caches.back().get()));
-  }
-  repair::RepairService repair(&c.membership, &c.env.MakeWorker(0), rcfg);
-  repair::IndexRepairSource source(&index, repair::LayoutProtocol::kSafeGuess);
-  repair.RegisterStore(&source);
-  c.engine.set_repair_fn([&repair](int node) { return repair.RecoverAndRepair(node); });
+  deploy::DeploymentConfig cfg = testing::ChaosDeployment(spec, "swarm");
+  cfg.repair = rcfg;
+  KvChaos c(spec, cfg);
   // Remove-heavy variant: tombstone-shaped bugs only bite on deleted
   // objects, so a quarter of the ops are removes (update band collapsed).
   const testing::KvOpMix mix =
       remove_heavy ? testing::KvOpMix{0.35, 0.35, 0.75} : testing::KvOpMix{};
-  for (int i = 0; i < spec.clients; ++i) {
-    Spawn(KvChaosClient(&c.env, sessions[static_cast<size_t>(i)].get(),
-                        spec.seed * 131 + static_cast<uint64_t>(i), spec, &hist, mix));
-  }
-  c.engine.Start();
-  c.env.sim.Run();
+  ChaosHistories hist;
+  c.SpawnClients(spec, &hist, mix);
+  c.Run();
 
   CanaryOutcome out;
   out.violation = CheckHistories(hist);
@@ -372,42 +335,34 @@ CanaryOutcome RunTombstoneCanaryScenario(uint64_t seed, repair::RepairConfig rcf
   spec.faults.max_drop_p = 0.6;
   spec.faults.max_drop_duration = 100 * sim::kMicrosecond;
 
-  ChaosEnv c(spec);
-  index::IndexService index(&c.env.sim, &c.env.fabric);
-  index::ClientCache cache_w;
-  index::ClientCache cache_r1;
-  index::ClientCache cache_r2;
-  kv::SwarmKvSession churner(&c.MakeSkewedWorker(spec), &index, &cache_w);
-  kv::SwarmKvSession reader1(&c.MakeSkewedWorker(spec), &index, &cache_r1);
-  kv::SwarmKvSession reader2(&c.MakeSkewedWorker(spec), &index, &cache_r2);
-  repair::RepairService repair(&c.membership, &c.env.MakeWorker(0), rcfg);
-  repair::IndexRepairSource source(&index, repair::LayoutProtocol::kSafeGuess);
-  repair.RegisterStore(&source);
-  c.engine.set_repair_fn([&repair](int node) { return repair.RecoverAndRepair(node); });
+  deploy::DeploymentConfig cfg = testing::ChaosDeployment(spec, "swarm");
+  cfg.num_clients = 3;  // A churner and two readers.
+  cfg.repair = rcfg;
+  KvChaos c(spec, cfg);
 
   ChaosHistories hist;
 
-  auto churn = [](ChaosEnv* c, kv::SwarmKvSession* s, uint64_t rng_seed,
+  auto churn = [](sim::Simulator* sim, kv::KvSession* s, uint64_t rng_seed,
                   const ScenarioSpec* spec, ChaosHistories* hist) -> Task<void> {
     sim::Rng rng(rng_seed);
     for (int i = 0; i < 12; ++i) {
-      co_await c->env.sim.Delay(1 + static_cast<sim::Time>(rng.Below(14000)));
+      co_await sim->Delay(1 + static_cast<sim::Time>(rng.Below(14000)));
       const uint64_t v = hist->next_value++;
       HistoryOp op;
-      op.invoked = c->env.sim.Now();
+      op.invoked = sim->Now();
       kv::KvResult r = co_await s->Insert(kKey, EncodeValue(v, spec->value_size));
-      op.responded = c->env.sim.Now();
+      op.responded = sim->Now();
       op.is_write = true;
       op.value = v;
       op.pending = !r.ok();
       hist->pending_ops += op.pending ? 1 : 0;
       hist->per_key[kKey].push_back(op);
 
-      co_await c->env.sim.Delay(1 + static_cast<sim::Time>(rng.Below(10000)));
+      co_await sim->Delay(1 + static_cast<sim::Time>(rng.Below(10000)));
       HistoryOp del;
-      del.invoked = c->env.sim.Now();
+      del.invoked = sim->Now();
       r = co_await s->Remove(kKey);
-      del.responded = c->env.sim.Now();
+      del.responded = sim->Now();
       del.is_write = true;
       del.value = 0;
       if (r.status == kv::KvStatus::kUnavailable) {
@@ -419,14 +374,15 @@ CanaryOutcome RunTombstoneCanaryScenario(uint64_t seed, repair::RepairConfig rcf
       hist->per_key[kKey].push_back(del);
     }
   };
-  auto reader = [](ChaosEnv* c, kv::SwarmKvSession* s, uint64_t rng_seed,
+  auto reader = [](sim::Simulator* sim, kv::KvSession* s, uint64_t rng_seed,
                    ChaosHistories* hist) -> Task<void> {
     sim::Rng rng(rng_seed);
-    auto one_get = [](ChaosEnv* c2, kv::SwarmKvSession* s2, ChaosHistories* hist2) -> Task<void> {
+    auto one_get = [](sim::Simulator* sim2, kv::KvSession* s2,
+                      ChaosHistories* hist2) -> Task<void> {
       HistoryOp op;
-      op.invoked = c2->env.sim.Now();
+      op.invoked = sim2->Now();
       kv::KvResult r = co_await s2->Get(kKey);
-      op.responded = c2->env.sim.Now();
+      op.responded = sim2->Now();
       if (r.status != kv::KvStatus::kUnavailable) {
         op.value = r.status == kv::KvStatus::kOk ? DecodeValue(r.value) : 0;
         hist2->per_key[kKey].push_back(op);
@@ -437,24 +393,23 @@ CanaryOutcome RunTombstoneCanaryScenario(uint64_t seed, repair::RepairConfig rcf
     // Keep the cached mapping fresh until the sleep point...
     const sim::Time sleep_at =
         25 * sim::kMicrosecond + static_cast<sim::Time>(rng.Below(15 * sim::kMicrosecond));
-    while (c->env.sim.Now() < sleep_at) {
-      co_await one_get(c, s, hist);
-      co_await c->env.sim.Delay(1 + static_cast<sim::Time>(rng.Below(12000)));
+    while (sim->Now() < sleep_at) {
+      co_await one_get(sim, s, hist);
+      co_await sim->Delay(1 + static_cast<sim::Time>(rng.Below(12000)));
     }
     // ...then go dormant across the crash-recover cycle (the cached mapping
     // goes stale under the churner's removes) and probe afterwards.
-    co_await c->env.sim.Delay(80 * sim::kMicrosecond +
-                              static_cast<sim::Time>(rng.Below(60 * sim::kMicrosecond)));
+    co_await sim->Delay(80 * sim::kMicrosecond +
+                        static_cast<sim::Time>(rng.Below(60 * sim::kMicrosecond)));
     for (int i = 0; i < 6; ++i) {
-      co_await one_get(c, s, hist);
-      co_await c->env.sim.Delay(1 + static_cast<sim::Time>(rng.Below(12000)));
+      co_await one_get(sim, s, hist);
+      co_await sim->Delay(1 + static_cast<sim::Time>(rng.Below(12000)));
     }
   };
-  Spawn(churn(&c, &churner, spec.seed * 31 + 1, &spec, &hist));
-  Spawn(reader(&c, &reader1, spec.seed * 31 + 2, &hist));
-  Spawn(reader(&c, &reader2, spec.seed * 31 + 3, &hist));
-  c.engine.Start();
-  c.env.sim.Run();
+  Spawn(churn(&c.d.sim(), &c.d.session(0), spec.seed * 31 + 1, &spec, &hist));
+  Spawn(reader(&c.d.sim(), &c.d.session(1), spec.seed * 31 + 2, &hist));
+  Spawn(reader(&c.d.sim(), &c.d.session(2), spec.seed * 31 + 3, &hist));
+  c.Run();
 
   CanaryOutcome out;
   out.violation = CheckHistories(hist);
@@ -733,52 +688,20 @@ ScenarioSpec MigrationCanarySpec(uint64_t seed) {
 
 CanaryOutcome RunMigrationFenceCanaryScenario(uint64_t seed, bool flip_fence) {
   const ScenarioSpec spec = MigrationCanarySpec(seed);
-  ChaosEnv c(spec, testing::ElasticFabric());
-  index::IndexService index(&c.env.sim, &c.env.fabric);
-  Recycler recycler(&c.env.sim, &c.membership);
-  index.set_retirement_horizon([&recycler] { return recycler.current_epoch(); },
-                               [&recycler] { return recycler.SafeReclaimBefore(); });
-  std::vector<std::unique_ptr<RecyclerParticipant>> participants;
-  std::vector<std::unique_ptr<index::ClientCache>> caches;
-  std::vector<std::unique_ptr<kv::SwarmKvSession>> sessions;
-  std::vector<std::unique_ptr<kv::TrackedKvSession>> tracked;
-  ChaosHistories hist;
-  for (int i = 0; i < spec.clients; ++i) {
-    Worker& w = c.MakeSkewedWorker(spec);
-    caches.push_back(std::make_unique<index::ClientCache>());
-    sessions.push_back(std::make_unique<kv::SwarmKvSession>(&w, &index, caches.back().get()));
-    sessions.back()->set_serving(c.membership.serving());
-    tracked.push_back(std::make_unique<kv::TrackedKvSession>(sessions.back().get()));
-    participants.push_back(
-        testing::MakeCoupledParticipant(&c.env.sim, i, tracked.back().get()));
-    recycler.Register(participants.back().get());
-  }
-  repair::MigrationConfig mcfg;
-  mcfg.disable_flip_fence = !flip_fence;
-  repair::IndexMigrationSource movable(&index, repair::LayoutProtocol::kSafeGuess);
-  repair::MigrationService migration(&c.membership, &movable, &c.env.MakeWorker(0), mcfg);
-  int mig_step = 0;
-  c.engine.set_migration_fn([&migration, &mig_step]() {
-    return testing::GrowShrinkStep(&migration, mig_step++);
-  });
-  c.engine.set_epoch_churn([&recycler]() -> Task<void> {
-    recycler.HeartbeatAll();
-    return recycler.RunRound();
-  });
-  // Client 0's cache is the one that NEVER learns: the GC invalidation that
-  // moves everyone else onto the replacement layout skips it, so it keeps
+  deploy::DeploymentConfig cfg =
+      testing::ChaosDeployment(spec, "swarm", testing::ElasticFabric());
+  cfg.migration = repair::MigrationConfig{};
+  cfg.migration->disable_flip_fence = !flip_fence;
+  KvChaos c(spec, cfg);
+  // Client 0's cache is the one that NEVER learns: its session keeps the
+  // cache the deployment wired, while the process's cache slot, which the
+  // retired-layout GC invalidates, gets a spare nobody reads. Client 0 keeps
   // resolving keys to the pre-flip layout for the whole scenario.
-  index.add_gc_listener([&caches](const std::shared_ptr<const ObjectLayout>& lo) {
-    for (size_t i = 1; i < caches.size(); ++i) {
-      caches[i]->InvalidateLayout(lo.get());
-    }
-  });
-  for (int i = 0; i < spec.clients; ++i) {
-    Spawn(KvChaosClient(&c.env, tracked[static_cast<size_t>(i)].get(),
-                        spec.seed * 131 + static_cast<uint64_t>(i), spec, &hist));
-  }
-  c.engine.Start();
-  c.env.sim.Run();
+  const std::unique_ptr<index::ClientCache> never_invalidated =
+      std::exchange(c.d.client(0).cache, std::make_unique<index::ClientCache>());
+  ChaosHistories hist;
+  c.SpawnClients(spec, &hist);
+  c.Run();
 
   CanaryOutcome out;
   out.violation = CheckHistories(hist);
@@ -829,30 +752,15 @@ CanaryOutcome RunFuseeMigrationFenceCanaryScenario(uint64_t seed, bool flip_fenc
   spec.faults.churn_weight = 0.0;
   spec.faults.max_drop_p = 0.15;
 
-  ChaosEnv c(spec, testing::ElasticFabric());
-  kv::FuseeStore store(&c.env.fabric, /*recovery_duration=*/300 * sim::kMicrosecond);
-  store.set_serving(c.membership.serving());
-  std::vector<std::unique_ptr<index::ClientCache>> caches;
-  std::vector<std::unique_ptr<kv::FuseeKvSession>> sessions;
+  deploy::DeploymentConfig cfg =
+      testing::ChaosDeployment(spec, "fusee", testing::ElasticFabric());
+  cfg.fusee_recovery = 300 * sim::kMicrosecond;
+  cfg.migration = repair::MigrationConfig{};
+  cfg.migration->disable_flip_fence = !flip_fence;
+  KvChaos c(spec, cfg);
   ChaosHistories hist;
-  for (int i = 0; i < spec.clients; ++i) {
-    Worker& w = c.MakeSkewedWorker(spec);
-    caches.push_back(std::make_unique<index::ClientCache>());
-    sessions.push_back(std::make_unique<kv::FuseeKvSession>(&w, &store, caches.back().get()));
-  }
-  repair::MigrationConfig mcfg;
-  mcfg.disable_flip_fence = !flip_fence;
-  repair::MigrationService migration(&c.membership, &store, &c.env.MakeWorker(0), mcfg);
-  int mig_step = 0;
-  c.engine.set_migration_fn([&migration, &mig_step]() {
-    return testing::GrowShrinkStep(&migration, mig_step++);
-  });
-  for (int i = 0; i < spec.clients; ++i) {
-    Spawn(KvChaosClient(&c.env, sessions[static_cast<size_t>(i)].get(),
-                        spec.seed * 131 + static_cast<uint64_t>(i), spec, &hist));
-  }
-  c.engine.Start();
-  c.env.sim.Run();
+  c.SpawnClients(spec, &hist);
+  c.Run();
 
   CanaryOutcome out;
   out.violation = CheckHistories(hist);
@@ -1128,7 +1036,7 @@ TEST(ChaosQpDrop, BurstsTargetOnlyTheTaggedQp) {
 // lost write-locks no reader ever took, and reported kOk for writes that
 // never took effect — after which reads returned older values written
 // before those acknowledged writes, a real-time-order violation. Pre-fix
-// (enforce_writer_bounds OFF: ChaosEnv keeps W=8 verbatim and Safe-Guess's
+// (enforce_writer_bounds OFF: the deployment keeps W=8 verbatim and Safe-Guess's
 // fail-fast bound check stands down) the checker must catch the violation
 // within a bounded seed budget and replay it byte-identically; the fixed
 // configuration (auto-sized W, check armed) must stay green on the same
@@ -1155,32 +1063,18 @@ ScenarioSpec WriterBoundCanarySpec(uint64_t seed) {
 
 CanaryOutcome RunWriterBoundCanaryScenario(uint64_t seed, bool enforce_bounds) {
   const ScenarioSpec spec = WriterBoundCanarySpec(seed);
-  ProtocolConfig pcfg = testing::TestEnv::DefaultProtocol();
-  // OFF = the pre-fix build: ChaosEnv::SizeProtocolFor leaves W=8 for the 10
+  deploy::DeploymentConfig cfg = testing::ChaosDeployment(spec, "swarm");
+  // OFF = the pre-fix build: deploy::SizeProtocol leaves W=8 for the 10
   // writers and the protocol's own bound check does not abort, reproducing
   // the historical out-of-bounds lock arbitration byte-for-byte.
-  pcfg.enforce_writer_bounds = enforce_bounds;
-
-  ChaosEnv c(spec, testing::TestEnv::DefaultFabric(), pcfg);
-  index::IndexService index(&c.env.sim, &c.env.fabric);
-  std::vector<std::unique_ptr<index::ClientCache>> caches;
-  std::vector<std::unique_ptr<kv::SwarmKvSession>> sessions;
-  ChaosHistories hist;
-  for (int i = 0; i < spec.clients; ++i) {
-    Worker& w = c.MakeSkewedWorker(spec);
-    caches.push_back(std::make_unique<index::ClientCache>());
-    sessions.push_back(std::make_unique<kv::SwarmKvSession>(&w, &index, caches.back().get()));
-  }
+  cfg.proto.enforce_writer_bounds = enforce_bounds;
+  KvChaos c(spec, cfg);
   // Remove-heavy mix: the corruption bites inside the tombstone-bounce
   // arbitration, so removes (and the re-inserts/updates that bounce off
   // their tombstones) dominate the dice.
-  const testing::KvOpMix mix{0.30, 0.60, 0.75};
-  for (int i = 0; i < spec.clients; ++i) {
-    Spawn(KvChaosClient(&c.env, sessions[static_cast<size_t>(i)].get(),
-                        spec.seed * 131 + static_cast<uint64_t>(i), spec, &hist, mix, i));
-  }
-  c.engine.Start();
-  c.env.sim.Run();
+  ChaosHistories hist;
+  c.SpawnClients(spec, &hist, testing::KvOpMix{0.30, 0.60, 0.75});
+  c.Run();
 
   CanaryOutcome out;
   out.violation = CheckHistories(hist);
@@ -1190,7 +1084,7 @@ CanaryOutcome RunWriterBoundCanaryScenario(uint64_t seed, bool enforce_bounds) {
 }
 
 TEST(ChaosReplay, TenWriterStormWithSizedTslStaysLinearizable) {
-  // The canary seeds under the FIXED build — ChaosEnv widens the TSL region
+  // The canary seeds under the FIXED build — the deployment widens the TSL region
   // to the client population and the bound check is armed. Must be clean on
   // the exact seeds the pre-fix canary scans, or the canary proves nothing.
   uint64_t forced = 0;

@@ -144,6 +144,38 @@ TEST(SafeGuess, DeleteMakesObjectUnwritable) {
   env.sim.Run();
 }
 
+// Writers whose tids share a metadata slot overwrite each other's words. A
+// second deleter that replaces the first deleter's tombstone in that slot
+// (its tid orders higher) must still report the object as already deleted, so a
+// KV remove re-locates the key instead of claiming to have removed a live
+// re-insert. Found by the ten-writer chaos storm (seeds 18022 and 18024)
+// once each client process kept its own known-failed view.
+TEST(SafeGuess, DeleteOverAForeignTombstoneInASharedSlotReportsDeleted) {
+  ProtocolConfig pcfg = TestEnv::DefaultProtocol();
+  pcfg.meta_slots = 1;  // Every writer shares slot 0.
+  TestEnv env(1, TestEnv::DefaultFabric(), pcfg);
+  Worker& first = env.MakeWorker();   // tid 0
+  Worker& second = env.MakeWorker();  // tid 1
+  ObjectLayout layout = env.MakeObject();
+
+  auto scenario = [](Worker* first, Worker* second, const ObjectLayout* layout) -> Task<void> {
+    SafeGuessObject a(first, layout, std::make_shared<ObjectCache>());
+    (void)co_await a.Write(ValN(16, 1));
+    SgWriteResult del = co_await a.Delete();
+    EXPECT_EQ(del.status, SgStatus::kOk);
+
+    // The second writer's read caches the first tombstone as its slot's
+    // word, so its delete CAS replaces that tombstone on the first try.
+    SafeGuessObject b(second, layout, std::make_shared<ObjectCache>());
+    SgReadResult rd = co_await b.Read();
+    EXPECT_EQ(rd.status, SgStatus::kDeleted);
+    SgWriteResult again = co_await b.Delete();
+    EXPECT_EQ(again.status, SgStatus::kDeleted);
+  };
+  Spawn(scenario(&first, &second, &layout));
+  env.sim.Run();
+}
+
 TEST(SafeGuess, MinorityCrashKeepsObjectAvailable) {
   TestEnv env;
   Worker& w = env.MakeWorker();

@@ -26,12 +26,12 @@
 #include <string>
 #include <vector>
 
+#include "src/deploy/deployment.h"
 #include "src/kv/kv_types.h"
-#include "src/kv/tracked_session.h"
 #include "src/membership/membership.h"
 #include "src/repair/migration.h"
+#include "src/repair/repair.h"
 #include "src/sim/chaos.h"
-#include "src/swarm/recycler.h"
 #include "src/verify/lincheck.h"
 #include "src/ycsb/workload.h"
 #include "tests/support/test_env.h"
@@ -178,31 +178,18 @@ inline ScenarioSpec CheckerScaleSoakSpec(uint64_t seed) {
   return spec;
 }
 
-// Simulator + fabric + membership + chaos engine wired the way a chaos
-// scenario needs them. Workers subscribe to membership notifications and
-// share the membership service's per-node `repairing` set, so quorum
-// selection excludes nodes mid-repair (crash-recover scenarios); each worker
-// also carries a membership epoch (§5.4 QP revocation) pushed by the
-// service, so every chaos suite exercises the epoch-fenced verb path.
+// Simulator + fabric + membership + chaos engine for the register-level
+// chaos suites, which drive protocol objects directly instead of a KV
+// deployment. Workers subscribe to membership notifications and share the
+// membership service's per-node `repairing` set, so quorum selection
+// excludes nodes mid-repair; each worker also carries a membership epoch
+// (§5.4 QP revocation) pushed by the service, so every chaos suite exercises
+// the epoch-fenced verb path. Every chaos client worker is a writer, so the
+// protocol is sized by the deployment's writer rule (deploy::SizeProtocol).
 struct ChaosEnv {
-  // Every chaos client worker is a writer, so a spec with more clients than
-  // the configured W must widen each object's TSL region: a writer tid past
-  // the region would CAS the neighboring slab slot's words and mis-arbitrate
-  // its own guesses (caught by the 10-client checker-scale storms; see the
-  // UndersizedWriterBound canary in chaos_replay_test.cc). A caller that
-  // turns enforce_writer_bounds off keeps its config verbatim — that is the
-  // canary's pre-fix reproduction path.
-  static ProtocolConfig SizeProtocolFor(const ScenarioSpec& spec, ProtocolConfig pcfg) {
-    if (pcfg.enforce_writer_bounds) {
-      pcfg.max_writers = std::max(pcfg.max_writers, spec.clients);
-    }
-    return pcfg;
-  }
-
-  explicit ChaosEnv(const ScenarioSpec& spec,
-                    fabric::FabricConfig fcfg = TestEnv::DefaultFabric(),
-                    ProtocolConfig pcfg = TestEnv::DefaultProtocol())
-      : env(spec.seed, fcfg, SizeProtocolFor(spec, pcfg)),
+  explicit ChaosEnv(const ScenarioSpec& spec)
+      : env(spec.seed, TestEnv::DefaultFabric(),
+            deploy::SizeProtocol(TestEnv::DefaultProtocol(), spec.clients)),
         membership(&env.sim, &env.fabric, /*detection_delay=*/50 * sim::kMicrosecond),
         engine(&env.fabric, &membership, spec.faults) {
     membership.Subscribe(env.known_failed);
@@ -216,52 +203,15 @@ struct ChaosEnv {
     Worker& w = env.MakeWorker(env.sim.rng().Range(-spec.max_clock_skew, spec.max_clock_skew));
     w.set_repair_excluded(membership.repairing());
     w.set_chaos_tag(next_chaos_tag_++);
-    WireEpoch(w, /*subscribe=*/true);
+    WireWorkerEpoch(w, membership);
     return w;
   }
-
-  // The stale client of the CrashRecoverStaleClient suites: it NEVER
-  // receives membership pushes — neither node-failure notifications nor
-  // epoch advances — so it keeps issuing verbs stamped with its boot-time
-  // epoch across whole crash-repair cycles. Its only way forward is the
-  // fence itself: kStaleEpoch completions force the re-validation pull
-  // (Worker::RefreshEpoch). Pre-fix (epoch fencing off) such a client's
-  // in-flight verbs land on repaired state and are trusted — the §5.4
-  // window the canary demonstrates.
-  Worker& MakeDeafWorker(const ScenarioSpec& spec) {
-    auto private_kf = std::make_shared<std::vector<bool>>(
-        static_cast<size_t>(env.fabric.num_nodes()), false);
-    Worker& w = env.MakeWorker(env.sim.rng().Range(-spec.max_clock_skew, spec.max_clock_skew),
-                               std::move(private_kf));
-    w.set_repair_excluded(membership.repairing());
-    w.set_chaos_tag(next_chaos_tag_++);
-    WireEpoch(w, /*subscribe=*/false);
-    return w;
-  }
-
-  void WireEpoch(Worker& w, bool subscribe) { WireWorkerEpoch(w, membership, subscribe); }
 
   TestEnv env;
   membership::MembershipService membership;
   chaos::ChaosEngine engine;
   int next_chaos_tag_ = 0;
 };
-
-// Client `client`'s recycling participant, COUPLED to its real op stream:
-// the epoch ack drains the session's in-flight ops
-// (RecyclerParticipant::CoupleDrain) instead of completing after a purely
-// synthetic delay — the §4.5 contract the safe-reclaim horizon claims. The
-// staggered ack_delay still models the network + scheduling latency in front
-// of the drain.
-inline std::unique_ptr<RecyclerParticipant> MakeCoupledParticipant(
-    sim::Simulator* sim, int client, kv::TrackedKvSession* session) {
-  auto p = std::make_unique<RecyclerParticipant>(
-      sim, 100 + static_cast<uint32_t>(client),
-      /*ack_delay=*/1500 + 137 * static_cast<sim::Time>(client));
-  p->CoupleDrain([session] { return session->next_seq(); },
-                 [session] { return session->oldest_inflight(); });
-  return p;
-}
 
 // The elastic-membership choreography the chaos engine's migration hook
 // fires (ChaosEngine::set_migration_fn; free function because the hook's
@@ -314,7 +264,7 @@ struct KvOpMix {
 // whose outcome the client never learned (unavailable quorum, node timeouts)
 // are recorded as PENDING writes — possibly applied — which is exactly the
 // ambiguity LinearizabilityChecker::Check resolves.
-inline sim::Task<void> KvChaosClient(TestEnv* env, kv::KvSession* kv, uint64_t rng_seed,
+inline sim::Task<void> KvChaosClient(sim::Simulator* sim, kv::KvSession* kv, uint64_t rng_seed,
                                      const ScenarioSpec& spec, ChaosHistories* hist,
                                      KvOpMix mix = {}, int client = 0) {
   sim::Rng rng(rng_seed);
@@ -328,18 +278,18 @@ inline sim::Task<void> KvChaosClient(TestEnv* env, kv::KvSession* kv, uint64_t r
           ? static_cast<uint64_t>(client % spec.tenants) * (spec.keys / spec.tenants)
           : 0;
   for (int i = 0; i < spec.ops_per_client; ++i) {
-    co_await env->sim.Delay(1 + static_cast<sim::Time>(
-                                    rng.Below(static_cast<uint64_t>(2 * spec.mean_think))));
+    co_await sim->Delay(
+        1 + static_cast<sim::Time>(rng.Below(static_cast<uint64_t>(2 * spec.mean_think))));
     const uint64_t key = spec.zipf_theta > 0.0
                              ? (zipf.Next(rng) + tenant_offset) % spec.keys
                              : rng.Below(spec.keys);
     const double dice = rng.Double();
     verify::HistoryOp op;
-    op.invoked = env->sim.Now();
+    op.invoked = sim->Now();
     if (dice < mix.get) {
       // Get. A failed read constrains nothing and is dropped entirely.
       kv::KvResult r = co_await kv->Get(key);
-      op.responded = env->sim.Now();
+      op.responded = sim->Now();
       if (r.status == kv::KvStatus::kUnavailable) {
         ++hist->failed_reads;
         continue;
@@ -351,7 +301,7 @@ inline sim::Task<void> KvChaosClient(TestEnv* env, kv::KvSession* kv, uint64_t r
       // possibly-applied write (some replicas may hold it).
       const uint64_t v = hist->next_value++;
       kv::KvResult r = co_await kv->Update(key, EncodeValue(v, spec.value_size));
-      op.responded = env->sim.Now();
+      op.responded = sim->Now();
       op.is_write = true;
       op.value = v;
       if (r.status == kv::KvStatus::kUnavailable ||
@@ -368,7 +318,7 @@ inline sim::Task<void> KvChaosClient(TestEnv* env, kv::KvSession* kv, uint64_t r
       // Insert (updates when the key exists).
       const uint64_t v = hist->next_value++;
       kv::KvResult r = co_await kv->Insert(key, EncodeValue(v, spec.value_size));
-      op.responded = env->sim.Now();
+      op.responded = sim->Now();
       op.is_write = true;
       op.value = v;
       if (!r.ok()) {
@@ -378,7 +328,7 @@ inline sim::Task<void> KvChaosClient(TestEnv* env, kv::KvSession* kv, uint64_t r
     } else {
       // Remove: a write of "absent". Not-found removes read "absent".
       kv::KvResult r = co_await kv->Remove(key);
-      op.responded = env->sim.Now();
+      op.responded = sim->Now();
       op.is_write = true;
       op.value = 0;
       if (r.status == kv::KvStatus::kUnavailable) {
@@ -390,6 +340,80 @@ inline sim::Task<void> KvChaosClient(TestEnv* env, kv::KvSession* kv, uint64_t r
     }
     hist->per_key[key].push_back(op);
   }
+}
+
+// The deployment a KV chaos scenario runs on (src/deploy): the spec's seed,
+// client count and clock skew over the unit fixtures' fabric and protocol.
+// Runners add the store-specific parts (repair, migration, FUSEE recovery).
+inline deploy::DeploymentConfig ChaosDeployment(const ScenarioSpec& spec, const char* store,
+                                               fabric::FabricConfig fabric =
+                                                   TestEnv::DefaultFabric()) {
+  deploy::DeploymentConfig cfg;
+  cfg.seed = spec.seed;
+  cfg.store = store;
+  cfg.fabric = fabric;
+  cfg.proto = TestEnv::DefaultProtocol();
+  cfg.num_clients = spec.clients;
+  cfg.max_clock_skew_ns = spec.max_clock_skew;
+  return cfg;
+}
+
+// A KV chaos scenario: a full deployment plus the chaos engine on its fabric
+// and membership. Client i's worker carries chaos tag i, so per-QP drop
+// bursts (ChaosConfig::qp_drop_weight with qp_tag_count = spec.clients)
+// single out one client's queue pair. The engine's hooks drive what the
+// deployment built: recycler epoch churn (a round after renewing every
+// lease), crash-recover repair and the grow/shrink migration steps.
+struct KvChaos {
+  KvChaos(const ScenarioSpec& spec, const deploy::DeploymentConfig& cfg)
+      : d(cfg), engine(&d.fabric(), &d.membership(), spec.faults) {
+    for (int c = 0; c < d.num_clients(); ++c) {
+      for (deploy::ClientWorker& w : d.client(c).workers) {
+        w.worker->set_chaos_tag(c);
+      }
+    }
+    engine.set_epoch_churn([r = &d.recycler()]() -> sim::Task<void> {
+      r->HeartbeatAll();
+      return r->RunRound();
+    });
+    if (repair::RepairService* repair = d.repair()) {
+      engine.set_repair_fn([repair](int node) { return repair->RecoverAndRepair(node); });
+    }
+    if (repair::MigrationService* migration = d.migration()) {
+      engine.set_migration_fn(
+          [this, migration] { return GrowShrinkStep(migration, migration_step++); });
+    }
+  }
+
+  // One KvChaosClient per session, recording into `hist`.
+  void SpawnClients(const ScenarioSpec& spec, ChaosHistories* hist, KvOpMix mix = {}) {
+    for (int i = 0; i < d.num_sessions(); ++i) {
+      sim::Spawn(KvChaosClient(&d.sim(), &d.session(i),
+                               spec.seed * 131 + static_cast<uint64_t>(i), spec, hist, mix, i));
+    }
+  }
+
+  void Run() {
+    engine.Start();
+    d.sim().Run();
+  }
+
+  deploy::Deployment d;
+  chaos::ChaosEngine engine;
+  int migration_step = 0;
+};
+
+// The stale-client suites' deaf client: from now on no membership push
+// reaches `w` — neither node-failure notifications nor epoch advances — so it
+// keeps stamping verbs with its current epoch across whole crash-repair
+// cycles. Its only way forward is the fence itself: kStaleEpoch completions
+// force the re-validation pull (Worker::RefreshEpoch).
+inline void MakeDeaf(Worker& w, const membership::MembershipService& membership) {
+  w.set_known_failed(
+      std::make_shared<std::vector<bool>>(static_cast<size_t>(w.fabric()->num_nodes()), false));
+  auto epoch = std::make_shared<fabric::ClientEpoch>();
+  epoch->value = membership.epoch();
+  w.set_epoch(std::move(epoch));
 }
 
 // Checks every per-key history through the unbounded checker (src/verify/

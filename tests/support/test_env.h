@@ -44,15 +44,12 @@ struct TestEnv {
   }
 
   // Creates a worker with its own CPU and clock (skew in ns, may be negative).
-  // `kf` overrides the shared known-failed set — the chaos harness's "client
-  // that never learns" gets a private, never-notified copy.
-  Worker& MakeWorker(int64_t skew_ns = 0, std::shared_ptr<std::vector<bool>> kf = nullptr) {
+  Worker& MakeWorker(int64_t skew_ns = 0) {
     const uint32_t tid = static_cast<uint32_t>(workers.size());
     cpus.push_back(std::make_unique<fabric::ClientCpu>(&sim));
     clocks.push_back(std::make_unique<GuessClock>(&sim, skew_ns));
     workers.push_back(std::make_unique<Worker>(&fabric, tid, cpus.back().get(),
-                                               clocks.back().get(), proto,
-                                               kf != nullptr ? std::move(kf) : known_failed));
+                                               clocks.back().get(), proto, known_failed));
     return *workers.back();
   }
 
@@ -88,17 +85,13 @@ inline fabric::FabricConfig ElasticFabric(int headroom = 2) {
 // Wires a worker's membership-epoch stamp and re-validation pull (§5.4):
 // its verbs carry the client's cached epoch instead of kNoFenceEpoch, so the
 // epoch-fenced verb path runs in unit fixtures too, not just the chaos
-// harness. `subscribe` = false models the client that never receives pushes
-// (it advances only through the kStaleEpoch → ValidateEpoch pull).
-inline void WireWorkerEpoch(Worker& w, membership::MembershipService& membership,
-                            bool subscribe = true) {
+// harness.
+inline void WireWorkerEpoch(Worker& w, membership::MembershipService& membership) {
   auto epoch = std::make_shared<fabric::ClientEpoch>();
   epoch->value = membership.epoch();
   w.set_epoch(epoch);
   w.set_epoch_source([&membership] { return membership.ValidateEpoch(); });
-  if (subscribe) {
-    membership.SubscribeEpoch(std::move(epoch));
-  }
+  membership.SubscribeEpoch(std::move(epoch));
 }
 
 inline std::vector<uint8_t> Val(std::initializer_list<uint8_t> bytes) { return bytes; }

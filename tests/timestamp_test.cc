@@ -10,8 +10,8 @@ namespace swarm {
 namespace {
 
 TEST(Meta, PackUnpackRoundtrip) {
-  const Meta m = Meta::Pack(0xDEADBEEF, 93, true, 0xABCDEF);
-  EXPECT_EQ(m.counter(), 0xDEADBEEFu);
+  const Meta m = Meta::Pack(0x5EADBEEF, 93, true, 0xABCDEF);
+  EXPECT_EQ(m.counter(), 0x5EADBEEFu);
   EXPECT_EQ(m.tid(), 93u);
   EXPECT_TRUE(m.verified());
   EXPECT_EQ(m.oop(), 0xABCDEFu);
@@ -59,6 +59,37 @@ TEST(Meta, TombstoneBeatsEverything) {
   EXPECT_TRUE(t.deleted());
   const Meta big = Meta::Pack(kDeleteCounter - 1, kMaxTid, true, kOopMask);
   EXPECT_TRUE(TsLess(big, t));
+}
+
+// 256 writer tids: Fig. 8's 64 clients x 4 workers each get their own.
+TEST(Meta, HighestTidRoundTrips) {
+  const Meta m = Meta::Pack(kDeleteCounter - 1, 255, false, kOopMask);
+  EXPECT_EQ(kMaxTid, 255u);
+  EXPECT_EQ(m.tid(), 255u);
+  EXPECT_EQ(m.counter(), kDeleteCounter - 1);
+  EXPECT_FALSE(m.verified());
+  EXPECT_EQ(m.oop(), kOopMask);
+}
+
+// Tids 128 and up used to alias lower tids; now they order above them.
+TEST(Meta, WriteOrderHoldsAcrossWideTids) {
+  const Meta t127 = Meta::Pack(10, 127, true, 0);
+  const Meta t128 = Meta::Pack(10, 128, false, 0);
+  const Meta t255 = Meta::Pack(10, 255, false, 0);
+  EXPECT_TRUE(TsLess(t127, t128));
+  EXPECT_TRUE(TsLess(t128, t255));
+  EXPECT_NE(t127.same_write_key(), t128.same_write_key());
+  EXPECT_TRUE(TsLess(t255, Meta::Pack(11, 0, false, 0)));
+}
+
+TEST(Meta, TombstoneIsTheMaximumWord) {
+  const Meta t = Meta::Tombstone(kMaxTid);
+  EXPECT_EQ(t.raw() | kOopMask, ~uint64_t{0});
+  for (uint32_t tid : {0u, 127u, 128u, kMaxTid}) {
+    EXPECT_TRUE(TsLess(Meta::Pack(kDeleteCounter - 1, tid, true, kOopMask), Meta::Tombstone(0)))
+        << "tid " << tid;
+    EXPECT_TRUE(Meta::Tombstone(tid).deleted());
+  }
 }
 
 TEST(Meta, WithVerifiedPreservesIdentity) {
