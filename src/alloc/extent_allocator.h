@@ -118,7 +118,7 @@ class SlabAllocator {
   // returned by AllocSlot). The slot becomes reusable once its quarantine
   // ripens; wholly-free extents then go back to the extent allocator.
   // Returns false if `addr` is not a live slab slot.
-  bool FreeSlot(uint64_t addr);
+  [[nodiscard]] bool FreeSlot(uint64_t addr);
 
   struct Extent {
     uint64_t base = 0;

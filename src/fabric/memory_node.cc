@@ -1,13 +1,19 @@
 #include "src/fabric/memory_node.h"
 
 #include <cassert>
+#include <cstdio>
 #include <cstring>
 
 namespace swarm::fabric {
 
-MemoryNode::MemoryNode(uint64_t capacity_bytes)
-    : mem_(static_cast<uint8_t*>(std::calloc(capacity_bytes, 1))), capacity_(capacity_bytes) {
-  assert(mem_ != nullptr);
+MemoryNode::MemoryNode(uint64_t capacity_bytes, int id)
+    : mem_(static_cast<uint8_t*>(std::calloc(capacity_bytes, 1))), capacity_(capacity_bytes),
+      id_(id) {
+  if (mem_ == nullptr) {
+    std::fprintf(stderr, "memory node %d: cannot back %llu B of node memory\n", id_,
+                 static_cast<unsigned long long>(capacity_));
+    std::abort();
+  }
   extent_.Reset(/*base=*/64, capacity_);  // Address 0 is reserved as null.
   slab_.Reset(&extent_);
 }
@@ -45,7 +51,9 @@ uint64_t MemoryNode::CasWord(uint64_t addr, uint64_t expected, uint64_t desired)
 uint64_t MemoryNode::Allocate(uint64_t size, uint64_t align) {
   assert((align & (align - 1)) == 0 && "alignment must be a power of two");
   const uint64_t addr = extent_.Allocate(size, align);
-  assert(addr != alloc::ExtentAllocator::kNone && "memory node out of capacity");
+  if (addr == alloc::ExtentAllocator::kNone) {
+    OutOfCapacity("Allocate", size);
+  }
   // Reused ranges carry old contents; the cluster invariant is that fresh
   // buffers come back zeroed (§5.3.1), so clear on allocation.
   std::memset(mem_.get() + addr, 0, size);
@@ -56,9 +64,20 @@ void MemoryNode::Free(uint64_t addr, uint64_t size) { extent_.Free(addr, size); 
 
 uint64_t MemoryNode::AllocSlot(uint64_t slot_bytes) {
   const uint64_t addr = slab_.AllocSlot(slot_bytes);
-  assert(addr != alloc::SlabAllocator::kNone && "memory node out of capacity");
+  if (addr == alloc::SlabAllocator::kNone) {
+    OutOfCapacity("AllocSlot", slot_bytes);
+  }
   std::memset(mem_.get() + addr, 0, slot_bytes);
   return addr;
+}
+
+void MemoryNode::OutOfCapacity(const char* what, uint64_t size) const {
+  std::fprintf(stderr,
+               "memory node %d: out of capacity: %s(%llu B) failed with %llu of %llu B live\n",
+               id_, what, static_cast<unsigned long long>(size),
+               static_cast<unsigned long long>(extent_.live_bytes()),
+               static_cast<unsigned long long>(capacity_));
+  std::abort();
 }
 
 bool MemoryNode::FreeSlot(uint64_t addr) { return slab_.FreeSlot(addr); }

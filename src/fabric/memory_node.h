@@ -26,7 +26,8 @@ namespace swarm::fabric {
 
 class MemoryNode {
  public:
-  explicit MemoryNode(uint64_t capacity_bytes);
+  // `id` names the node in diagnostics (-1 = unnamed).
+  explicit MemoryNode(uint64_t capacity_bytes, int id = -1);
 
   // --- Raw access (invoked by the fabric at an op's execution event). ---
   void ReadInto(uint64_t addr, std::span<uint8_t> out) const;
@@ -39,7 +40,9 @@ class MemoryNode {
   // --- Allocation (control plane; returned regions are zero-initialized). ---
   // Returns the base address of a fresh extent of `size` bytes with the given
   // power-of-two alignment (default 8), by best-fit over the coalescing free
-  // map.
+  // map. A node too full to serve the request (Allocate or AllocSlot) is a
+  // sizing error: it aborts with a message naming the node and the size, in
+  // every build.
   uint64_t Allocate(uint64_t size, uint64_t align = 8);
   // Returns [addr, addr+size) to the allocator. Freed ranges sit in a
   // virtual-time quarantine (when a time source is wired via set_now_fn)
@@ -50,7 +53,10 @@ class MemoryNode {
   // one size class are contiguous within their extent, so repair can harvest
   // and migration can fence a whole extent at once.
   uint64_t AllocSlot(uint64_t slot_bytes);
-  bool FreeSlot(uint64_t addr);
+  // False when `addr` is not a live slab slot (never allocated by AllocSlot,
+  // already freed, or reset away by a plain Recover()): nothing was freed.
+  [[nodiscard]] bool FreeSlot(uint64_t addr);
+  uint64_t live_slots() const { return slab_.live_slots(); }
   // Extent descriptor for a slab slot address (nullptr if not a slab slot).
   const alloc::SlabAllocator::Extent* SlotExtentOf(uint64_t addr) const {
     return slab_.ExtentOf(addr);
@@ -161,11 +167,15 @@ class MemoryNode {
     void operator()(uint8_t* p) const { std::free(p); }
   };
 
+  // Aborts: the allocator could not serve `size` bytes.
+  [[noreturn]] void OutOfCapacity(const char* what, uint64_t size) const;
+
   // calloc-backed so untouched pages cost nothing (multi-GiB nodes are cheap
   // to model) and memory starts zeroed ("cleared buffers", §5.3.1). Allocate
   // re-zeroes on reuse to preserve the invariant.
   std::unique_ptr<uint8_t[], FreeDeleter> mem_;
   uint64_t capacity_;
+  int id_;
   alloc::ExtentAllocator extent_;  // Owns [64, capacity); 0 is null.
   alloc::SlabAllocator slab_;
   bool failed_ = false;

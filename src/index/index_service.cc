@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdio>
+#include <cstdlib>
 #include <utility>
+
+#include "src/util/discard.h"
 
 namespace swarm::index {
 
@@ -77,7 +81,6 @@ sim::Task<std::pair<bool, IndexEntry>> IndexService::InsertIfAbsent(
     result = {false, it->second};
   } else {
     IndexEntry entry{std::move(layout), next_generation_++};
-    placement_.Register(key, entry.layout);
     map.emplace(key, entry);
     result = {true, entry};
   }
@@ -95,8 +98,7 @@ sim::Task<bool> IndexService::RemoveIfGeneration(uint64_t key, uint64_t generati
   auto& map = shards_[static_cast<size_t>(shard)].map;
   auto it = map.find(key);
   if (it != map.end() && it->second.generation == generation) {
-    // Already placement-registered at insert; no re-register needed.
-    RetireToShard(shard, std::move(it->second.layout), /*moved=*/false);
+    RetireToShard(shard, std::move(it->second.layout), kAllReplicas, /*moved=*/false);
     map.erase(it);
     removed = true;
   }
@@ -119,12 +121,22 @@ sim::Task<uint64_t> IndexService::ReplaceLayout(uint64_t key, uint64_t expected_
     it->second.layout = std::move(layout);
     it->second.generation = next_generation_++;
     new_generation = it->second.generation;
-    // Re-register FIRST so the replacement claims the slots it shares with
-    // its predecessor; only the genuinely vacated (fenced) slots then remain
-    // owned by the old layout, and those are the ones marked moved.
-    placement_.Register(key, it->second.layout);
-    placement_.MarkMoved(old.get());
-    RetireToShard(shard, std::move(old), /*moved=*/true);
+    // The replacement owns the slots it shares with its predecessor; the old
+    // layout keeps only the genuinely vacated (fenced) ones, marked moved.
+    const ObjectLayout& next = *it->second.layout;
+    uint8_t vacated = 0;
+    for (int r = 0; r < old->num_replicas; ++r) {
+      const ReplicaLayout& rep = old->replicas[static_cast<size_t>(r)];
+      bool shared = false;
+      for (int q = 0; q < next.num_replicas; ++q) {
+        const ReplicaLayout& kept = next.replicas[static_cast<size_t>(q)];
+        shared = shared || (kept.node == rep.node && kept.meta_addr == rep.meta_addr);
+      }
+      if (!shared) {
+        vacated |= static_cast<uint8_t>(1u << r);
+      }
+    }
+    RetireToShard(shard, std::move(old), vacated, /*moved=*/true);
   }
   co_await Leg(/*response=*/true);
   co_return new_generation;
@@ -165,28 +177,30 @@ size_t IndexService::GcRetired() {
     size_t kept = 0;
     for (size_t i = 0; i < passed; ++i) {
       RetiredLayout& r = retired[i];
-      // The drop gate: beyond the references the retired entry itself and the
-      // placement map's owned slots hold, nothing may reference the layout —
-      // no cache entry, no in-flight Located copy. Exact in the
-      // single-threaded simulation.
-      const long pinned_by_us =
-          1 + static_cast<long>(placement_.OwnedCount(r.layout.get()));
-      if (r.layout.use_count() > pinned_by_us) {
+      // The drop gate: beyond the retired entry's own reference, nothing may
+      // reference the layout — no cache entry, no in-flight Located copy, no
+      // repair snapshot. Exact in the single-threaded simulation.
+      if (r.layout.use_count() > 1) {
         retired[kept++] = std::move(r);
         continue;
       }
-      // Drop: release the layout's slots back to their nodes. For a MOVED
-      // slot this is the moment its migration fence is finally lifted — the
-      // layout is unreferenceable, so no straggler can ever address the slot
-      // again — and the address recycles through the slab quarantine.
-      placement_.Release(r.layout.get(), [this](int node, uint64_t addr, uint64_t len) {
-        if (fabric_ == nullptr) {
-          return;
+      // Drop: free the slots the record owns back to their nodes. For a
+      // MOVED slot this is the moment its migration fence is finally lifted
+      // — the layout is unreferenceable, so no straggler can ever address
+      // the slot again — and the address recycles through the slab
+      // quarantine.
+      for (int rep = 0; rep < r.layout->num_replicas; ++rep) {
+        if (fabric_ == nullptr || (r.owned >> rep & 1) == 0) {
+          continue;
         }
-        auto& n = fabric_->node(node);
+        const auto [addr, len] = r.layout->replica_slot(rep);
+        auto& n = fabric_->node(r.layout->replicas[static_cast<size_t>(rep)].node);
         n.RestoreRegion(addr, len);
-        n.FreeSlot(addr);
-      });
+        // Every replica the index holds is a slab slot (AllocateObject,
+        // RawKv), so false means only that a plain restart reset the node's
+        // allocator since the slot was allocated: nothing is left to free.
+        DiscardStatus(n.FreeSlot(addr));
+      }
       graveyard_.push_back(std::move(r.layout));
     }
     dropped_total += passed - kept;
@@ -194,6 +208,44 @@ size_t IndexService::GcRetired() {
   }
   retired_dropped_ += dropped_total;
   return dropped_total;
+}
+
+std::vector<IndexService::SlotOn> IndexService::SortedSlotsOn(int node, uint64_t lo,
+                                                             uint64_t hi) const {
+  std::vector<SlotOn> slots;
+  const auto collect = [&](const std::shared_ptr<const ObjectLayout>& layout, uint8_t owned,
+                           SlotOn slot) {
+    for (int r = 0; r < layout->num_replicas; ++r) {
+      const ReplicaLayout& rep = layout->replicas[static_cast<size_t>(r)];
+      if ((owned >> r & 1) != 0 && rep.node == node && rep.meta_addr >= lo &&
+          rep.meta_addr < hi) {
+        slot.addr = rep.meta_addr;
+        slot.layout = &layout;
+        slot.replica = r;
+        slots.push_back(slot);
+      }
+    }
+  };
+  for (const Shard& sh : shards_) {
+    for (const auto& [key, entry] : sh.map) {
+      collect(entry.layout, kAllReplicas, SlotOn{.key = key, .mapped = true});
+    }
+    for (const RetiredLayout& r : sh.retired) {
+      collect(r.layout, r.owned, SlotOn{.moved = r.moved});
+    }
+  }
+  std::sort(slots.begin(), slots.end(),
+            [](const SlotOn& a, const SlotOn& b) { return a.addr < b.addr; });
+  for (size_t i = 1; i < slots.size(); ++i) {
+    if (slots[i].addr == slots[i - 1].addr) {
+      std::fprintf(stderr,
+                   "index: node %d slot 0x%llx is owned by two layouts (a plain restart "
+                   "reused an address a layout still lists)\n",
+                   node, static_cast<unsigned long long>(slots[i].addr));
+      std::abort();
+    }
+  }
+  return slots;
 }
 
 std::vector<std::pair<uint64_t, IndexEntry>> IndexService::SnapshotSorted() const {

@@ -16,12 +16,15 @@
 // scale past one server. One shard (the default) is byte-for-byte the old
 // single-service behavior.
 //
-// The service also maintains the cluster's inverse PlacementMap
-// (node -> slots): every insert/replace registers the layout's replica
-// slots, migration flips mark vacated slots moved, and the retired-layout GC
-// releases a dropped layout's slots back to the node allocators — lifting
-// the migration fences that protected them. Repair and drain walk this map,
-// making both O(slots-on-node) instead of O(store).
+// The service's own records also say which replica slots sit on a node
+// (ForEachSlotOn): a mapped layout owns every replica slot it lists, and a
+// retired layout owns the slots marked in its record — all of them after a
+// remove or a lost insert race, only the vacated one (marked moved) after a
+// migration flip, whose replacement shares the others. The retired-layout GC
+// frees a dropped layout's owned slots back to the node allocators, lifting
+// the migration fences that protected them. Repair and drain walk these
+// records: the walk filters the whole store on the host (O(store)), while
+// the repair or move work per slot stays O(slots-on-node).
 //
 // Entries carry a generation number so that a delete's background unmap
 // (§5.3.2) cannot erase a newer mapping racing in from a re-insert.
@@ -31,6 +34,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -38,7 +42,6 @@
 #include <vector>
 
 #include "src/fabric/fabric.h"
-#include "src/index/placement_map.h"
 #include "src/index/shard_router.h"
 #include "src/sim/simulator.h"
 #include "src/sim/task.h"
@@ -98,8 +101,9 @@ class IndexService {
   // concurrent delete unmapped the key, or a racing re-insert replaced it) —
   // the migration then aborts and the destination copy is abandoned. The old
   // layout enters the retired list as MOVED: still referenceable by stale
-  // caches (so GC keeps it quarantined), but its replica slots are fenced on
-  // the source nodes, so repair must NOT restore them.
+  // caches (so GC keeps it quarantined), and owning only the slots the
+  // replacement does not share — the vacated ones, fenced on their source
+  // nodes, which repair must NOT restore.
   sim::Task<uint64_t> ReplaceLayout(uint64_t key, uint64_t expected_generation,
                                     std::shared_ptr<const ObjectLayout> layout,
                                     fabric::ClientCpu* cpu);
@@ -111,19 +115,10 @@ class IndexService {
   // entry is tagged with the recycler epoch current at retirement, and once
   // the safe horizon passes it the layout is dropped for good.
   //
-  // Externally-retired layouts (insert losers that never got a mapping) are
-  // registered in the placement map here so their replica slots are released
-  // at GC time — un-mapped layouts used to leak their slots forever.
-  void Retire(std::shared_ptr<const ObjectLayout> layout) { Retire(std::move(layout), false); }
-  // `moved` marks a layout retired by a migration flip rather than a delete:
-  // its regions are fenced on the source nodes (kMovedReplica) and the
-  // authoritative state lives in the replacement layout, so the repair walk
-  // must skip it — restoring it would write stale state behind the fence.
-  void Retire(std::shared_ptr<const ObjectLayout> layout, bool moved) {
-    if (!moved) {
-      placement_.Register(/*key=*/0, layout);
-    }
-    RetireToShard(/*shard=*/0, std::move(layout), moved);
+  // This overload retires an insert loser, a layout that never got a
+  // mapping: its record owns every replica slot, so the GC frees them all.
+  void Retire(std::shared_ptr<const ObjectLayout> layout) {
+    RetireToShard(/*shard=*/0, std::move(layout), kAllReplicas, /*moved=*/false);
   }
 
   // One unmapped-but-still-referenceable layout: the recycler epoch that was
@@ -132,13 +127,19 @@ class IndexService {
     std::shared_ptr<const ObjectLayout> layout;
     uint64_t epoch = 0;
     bool caches_notified = false;  // §4.5 drop message sent (GC listeners ran).
-    bool moved = false;            // Migrated away: repair must not restore it.
+    // Migrated away: the owned slots are fenced on their nodes
+    // (kMovedReplica) and the replacement layout holds the authoritative
+    // state, so repair must not restore them.
+    bool moved = false;
+    // Bit r set: replica r's slot belongs to this record, which frees it on
+    // drop. All replicas for a remove or an insert loser; for a migration
+    // flip only the slots the replacement does not share.
+    uint8_t owned = 0;
   };
 
   // Retired layouts still inside the recycler's safe horizon, in retirement
   // order, for ONE shard (default: shard 0 — the whole service when
-  // unsharded). Repair no longer walks this (the placement map covers
-  // retired slots too); it remains for tests and diagnostics.
+  // unsharded).
   const std::vector<RetiredLayout>& retired(int shard = 0) const {
     return shards_[static_cast<size_t>(shard)].retired;
   }
@@ -174,13 +175,14 @@ class IndexService {
   // list); returns how many were dropped. Called opportunistically on Retire
   // and by the repair walk.
   //
-  // Dropping a layout releases its placement-map slots: the node-side fences
-  // over vacated (moved) slots are lifted and the slots go back to the slab
-  // allocator — through its straggler quarantine, which is what makes the
-  // recycling safe even though straggler coroutines may hold raw
-  // ObjectLayout pointers a while longer (their C++ objects are parked in a
-  // graveyard until the simulation ends, mirroring a fenced client that can
-  // still issue accesses at reclaimed addresses).
+  // Dropping a layout frees the slots its record owns, in replica order: the
+  // node-side fences over vacated (moved) slots are lifted and the slots go
+  // back to the slab allocator — through its straggler quarantine, which is
+  // what makes the recycling safe even though straggler coroutines may hold
+  // raw ObjectLayout pointers a while longer (their C++ objects are parked
+  // in a graveyard until the simulation ends, mirroring a fenced client that
+  // can still issue accesses at reclaimed addresses). Slots a migration
+  // flip's replacement shares are not freed: the replacement owns them.
   size_t GcRetired();
 
   uint64_t retired_dropped() const { return retired_dropped_; }
@@ -209,15 +211,47 @@ class IndexService {
   // the scalability the fig8 key-count axis measures.
   void set_shard_service_time(sim::Time t) { service_time_ = t; }
 
-  // The cluster's inverse placement map (node -> slots). Repair and
-  // migration walk this instead of the key-sorted store snapshot.
-  const PlacementMap& placement() const { return placement_; }
+  // One replica slot on a node that the index's records own.
+  struct SlotOn {
+    uint64_t addr = 0;
+    // The owning record's pin (the index entry's or the retired record's):
+    // copy it to keep the layout alive after the walk.
+    const std::shared_ptr<const ObjectLayout>* layout = nullptr;
+    uint64_t key = 0;      // Set for mapped slots; retired records keep no key.
+    int replica = 0;       // Index into (*layout)->replicas.
+    bool mapped = false;   // Owned by the key's current mapping.
+    bool moved = false;    // Vacated by a migration flip: never restore.
+  };
+
+  // The owned slots on `node` inside [lo, hi), in address order
+  // (deterministic for seed replay): every slot of each mapped layout, and
+  // the owned slots of each retired layout — deleted layouts pinned by stale
+  // caches, and migration-vacated slots (`moved`). fn(const SlotOn&); fn
+  // must not mutate the index.
+  //
+  // The walk filters every mapped and retired record on the host, O(store),
+  // and sorts only the slots in range. One address owned twice aborts: the
+  // records hold each slot once, unless a plain restart
+  // (MemoryNode::Recover() without preserved reservations) handed an address
+  // a layout still lists to a new one. Plain restarts are outside this
+  // model: workers' out-of-place chunks from before the reset already
+  // overlap the reset allocator's new allocations there.
+  template <typename Fn>
+  void ForEachSlotOn(int node, uint64_t lo, uint64_t hi, Fn&& fn) const {
+    for (const SlotOn& slot : SortedSlotsOn(node, lo, hi)) {
+      fn(slot);
+    }
+  }
+  template <typename Fn>
+  void ForEachSlotOn(int node, Fn&& fn) const {
+    ForEachSlotOn(node, 0, std::numeric_limits<uint64_t>::max(), std::forward<Fn>(fn));
+  }
 
   // Deterministic (key-sorted) snapshot of the live mappings across all
-  // shards — admission rebalancing scans this; repair does not (it walks the
-  // placement map). Entries inserted after the snapshot need no repair:
-  // their writes quorum-excluded the recovering node, so any future majority
-  // intersects the replicas that did ack.
+  // shards — admission rebalancing scans this; repair walks ForEachSlotOn.
+  // Entries inserted after the snapshot need no repair: their writes
+  // quorum-excluded the recovering node, so any future majority intersects
+  // the replicas that did ack.
   std::vector<std::pair<uint64_t, IndexEntry>> SnapshotSorted() const;
 
   // Approximate per-key memory footprint on the index servers (24 B location
@@ -240,11 +274,17 @@ class IndexService {
   // FIFO occupancy of one shard's server (no-op when service_time_ == 0).
   sim::Task<void> Occupy(int shard);
 
-  void RetireToShard(int shard, std::shared_ptr<const ObjectLayout> layout, bool moved) {
+  static constexpr uint8_t kAllReplicas = 0xff;
+  static_assert(kMaxReplicas <= 8, "RetiredLayout::owned holds one bit per replica");
+
+  void RetireToShard(int shard, std::shared_ptr<const ObjectLayout> layout, uint8_t owned,
+                     bool moved) {
     shards_[static_cast<size_t>(shard)].retired.push_back(
-        {std::move(layout), retire_epoch_fn_ ? retire_epoch_fn_() : 0, false, moved});
+        {std::move(layout), retire_epoch_fn_ ? retire_epoch_fn_() : 0, false, moved, owned});
     GcRetired();  // Opportunistic: churn keeps the lists bounded by itself.
   }
+
+  std::vector<SlotOn> SortedSlotsOn(int node, uint64_t lo, uint64_t hi) const;
 
   sim::Simulator* sim_;
   fabric::Fabric* fabric_;
@@ -255,7 +295,6 @@ class IndexService {
   uint64_t next_generation_ = 1;  // Global: generations order across shards.
   ShardRouter router_;
   std::vector<Shard> shards_;
-  PlacementMap placement_;
   std::vector<std::shared_ptr<const ObjectLayout>> graveyard_;  // Lifetime only.
   std::function<uint64_t()> retire_epoch_fn_;
   std::function<uint64_t()> safe_before_fn_;

@@ -467,8 +467,10 @@ class FuseeStore::KeyMove final : public repair::ReplicaMove {
       worker_->pool(np_).Free(np_oop_);
       worker_->pool(nb_).Free(nb_oop_);
     }
-    store_->fabric_->node(np_).FreeSlot(np_slot_);
-    store_->fabric_->node(nb_).FreeSlot(nb_slot_);
+    // False only when a plain restart reset the node's allocator since the
+    // move allocated the slot: there is nothing left to give back.
+    DiscardStatus(store_->fabric_->node(np_).FreeSlot(np_slot_));
+    DiscardStatus(store_->fabric_->node(nb_).FreeSlot(nb_slot_));
   }
 
  private:

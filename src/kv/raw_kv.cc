@@ -103,7 +103,9 @@ sim::Task<KvResult> RawKvSession::Insert(uint64_t key, std::span<const uint8_t> 
   l.max_value = worker_->config().max_value;
   CheckReplicaRecordFits(l, &node, /*inplace_copies=*/0);
   l.replicas[0].node = static_cast<int16_t>(node);
-  l.replicas[0].meta_addr = worker_->fabric()->node(node).Allocate(8 + l.max_value);
+  // A slab slot, like every replica the index holds: the retired-layout GC
+  // frees it with FreeSlot once the key is removed (or this insert lost).
+  l.replicas[0].meta_addr = worker_->fabric()->node(node).AllocSlot(8 + l.max_value);
   std::shared_ptr<const ObjectLayout> layout = std::make_shared<ObjectLayout>(l);
 
   auto ins = co_await index_->InsertIfAbsent(key, layout, worker_->cpu());

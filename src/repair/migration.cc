@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/repair/quorum_copy.h"
+#include "src/util/discard.h"
 
 namespace swarm::repair {
 
@@ -69,7 +70,9 @@ class LayoutMove final : public ReplicaMove {
   // it goes straight back to the slab (through its quarantine).
   void Abandon() override {
     const ReplicaLayout& fresh = dst_->replicas[static_cast<size_t>(slot_)];
-    worker_->fabric()->node(fresh.node).FreeSlot(fresh.meta_addr);
+    // False only when a plain restart of the destination reset its allocator
+    // since Graft allocated the slot: there is nothing left to give back.
+    DiscardStatus(worker_->fabric()->node(fresh.node).FreeSlot(fresh.meta_addr));
   }
 
  private:
@@ -87,21 +90,17 @@ class LayoutMove final : public ReplicaMove {
 }  // namespace
 
 std::vector<uint64_t> IndexMigrationSource::KeysOn(int node, uint64_t lo, uint64_t hi) const {
-  // Walk the node's own slots in the inverse placement map — O(slots on the
-  // node), address-ordered (deterministic for seed replay) — counting only
-  // slots whose owner is the key's CURRENT mapping: retired layouts pinned by
-  // stale caches are released by the retired-layout GC, not moved.
+  // The node's slots in [lo, hi), address-ordered (deterministic for seed
+  // replay), counting only slots of the key's CURRENT mapping: retired
+  // layouts pinned by stale caches are released by the retired-layout GC,
+  // not moved. Finding them filters the whole index on the host, O(store);
+  // the keys returned, and the moves made, are O(slots on the node).
   std::vector<uint64_t> keys;
-  index_->placement().ForEachSlotOn(
-      node, [&](uint64_t addr, const index::PlacementMap::Slot& slot) {
-        if (addr < lo || addr >= hi || slot.moved) {
-          return;
-        }
-        const index::IndexEntry* e = index_->Peek(slot.key);
-        if (e != nullptr && e->layout.get() == slot.owner.get()) {
-          keys.push_back(slot.key);
-        }
-      });
+  index_->ForEachSlotOn(node, lo, hi, [&](const index::IndexService::SlotOn& slot) {
+    if (slot.mapped) {
+      keys.push_back(slot.key);
+    }
+  });
   return keys;
 }
 
@@ -296,10 +295,10 @@ sim::Task<bool> MigrationService::Drain(int node, bool decommission) {
       co_await worker_->sim()->Delay(config_.round_retry_delay);
     }
     clean = true;
-    // Snapshot the node's live keys — O(slots on the node), deterministic
-    // for seed replay — instead of scanning the whole store. A key hosting
-    // two replicas here is listed twice; the second MigrateKey simply moves
-    // the second replica.
+    // Snapshot the node's live keys — O(slots on the node) of them,
+    // deterministic for seed replay — so the moves touch only this node's
+    // keys. A key hosting two replicas here is listed twice; the second
+    // MigrateKey simply moves the second replica.
     const std::vector<uint64_t> keys = store_->KeysOn(node);
     for (uint64_t key : keys) {
       const MigrateStatus st = co_await MigrateKey(key, node, -1);

@@ -150,7 +150,8 @@ class MigratableStore {
 
   // Keys with a live replica slot on `node` inside [lo, hi) of the node's
   // address space, in a deterministic order. A key hosting two replicas on
-  // the node is listed twice. O(slots on the node).
+  // the node is listed twice. The result is O(slots on the node); finding it
+  // may filter the whole store on the host (IndexMigrationSource does).
   virtual std::vector<uint64_t> KeysOn(
       int node, uint64_t lo = 0, uint64_t hi = std::numeric_limits<uint64_t>::max()) const = 0;
 

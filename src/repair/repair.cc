@@ -14,28 +14,27 @@ sim::Task<RepairOutcome> IndexRepairSource::RepairNode(int node, Worker* worker,
   // referenced by any client, so repair need not re-walk them every round
   // (the GC also releases their slots, shrinking this very walk).
   (void)index_->GcRetired();
-  // Walk the inverse placement map: exactly the replica slots hosted on
-  // `node`, in address order (deterministic for seed replay) — O(slots on
-  // the node), not O(store). The map covers live mappings AND retired
+  // Snapshot the replica slots the index's records own on `node`, in
+  // address order (deterministic for seed replay): live mappings AND retired
   // layouts that stale-cached clients can still reference (a rejoined
   // replica that misses its tombstone would pair with a stale survivor and
-  // resurrect the deleted value). Mappings inserted after this snapshot
-  // wrote to quorums that excluded `node`. The snapshot holds shared_ptrs so
-  // a mid-walk GC round cannot drop a layout under the repair.
+  // resurrect the deleted value). Finding them filters the whole index on
+  // the host, O(store); the repair's work — slots walked, copies made — is
+  // O(slots on the node). Mappings inserted after this snapshot wrote to
+  // quorums that excluded `node`. The snapshot holds shared_ptrs so a
+  // mid-walk GC round cannot drop a layout under the repair.
   std::vector<std::pair<std::shared_ptr<const ObjectLayout>, int>> slots;
-  index_->placement().ForEachSlotOn(
-      node, [&](uint64_t addr, const index::PlacementMap::Slot& slot) {
-        (void)addr;
-        ++out.slots_walked;
-        if (slot.moved) {
-          // Migrated away: the replacement layout (registered over the slots
-          // it kept) is the authority now, and this vacated slot is
-          // region-fenced — restoring state behind the fence would only
-          // fight the migration that retired it.
-          return;
-        }
-        slots.emplace_back(slot.owner, slot.replica);
-      });
+  index_->ForEachSlotOn(node, [&](const index::IndexService::SlotOn& slot) {
+    ++out.slots_walked;
+    if (slot.moved) {
+      // Migrated away: the replacement layout (which owns the slots it
+      // kept) is the authority now, and this vacated slot is region-fenced
+      // — restoring state behind the fence would only fight the migration
+      // that retired it.
+      return;
+    }
+    slots.emplace_back(*slot.layout, slot.replica);
+  });
   for (const auto& [layout_sp, r] : slots) {
     // Same-layout copy: harvest from the survivors, install into the
     // rejoining replica (src/repair/quorum_copy.h).

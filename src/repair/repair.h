@@ -50,9 +50,10 @@ struct [[nodiscard]] RepairOutcome {
   bool complete = false;       // Every slot restored (or nothing to restore).
   uint64_t slots_repaired = 0;
   uint64_t slots_failed = 0;   // Slots whose source quorum did not answer.
-  // Slots the walk visited on the node — the repair's work metric. With the
-  // inverse placement map this is O(slots-on-node), not O(store); the scale
-  // soak asserts the ratio stays flat as the store grows.
+  // Slots the walk visited on the node — the repair's work metric:
+  // O(slots-on-node), not O(store); the scale soak asserts the ratio stays
+  // flat as the store grows. (Finding the slots is a host-side filter over
+  // the whole index, which this counter does not measure.)
   uint64_t slots_walked = 0;
 };
 

@@ -70,6 +70,25 @@ TEST(MemoryNode, RecoverLosesContents) {
   EXPECT_EQ(node.LoadWord(addr), 0u);
 }
 
+TEST(MemoryNodeDeathTest, AFullNodeAbortsInEveryBuild) {
+  // The allocators' kNone sentinel must never reach the memset that zeroes a
+  // fresh region: exhaustion aborts with the node and the size, NDEBUG or not.
+  EXPECT_DEATH(
+      {
+        MemoryNode node(4096, /*id=*/3);
+        for (int i = 0; i < 64; ++i) {
+          node.AllocSlot(200);
+        }
+      },
+      "memory node 3: out of capacity: AllocSlot\\(200 B\\)");
+  EXPECT_DEATH(
+      {
+        MemoryNode node(4096, /*id=*/5);
+        node.Allocate(8192);
+      },
+      "memory node 5: out of capacity: Allocate\\(8192 B\\)");
+}
+
 Task<void> WriteReadRoundtrip(Fabric* f, bool* ok, Time* write_done, Time* read_done) {
   Qp qp(f, 0, nullptr);
   uint64_t addr = f->node(0).Allocate(64);

@@ -7,13 +7,15 @@
 //   small:  SCALE_KEYS/8 keys over  4 nodes
 //   big:    SCALE_KEYS   keys over 32 nodes
 //
-// Per node both host ~3K/32 replica slots, so if repair walks the inverse
-// placement map (O(slots-on-node)) the measured per-repair work — the
+// Per node both host ~3K/32 replica slots, so if repair works only on the
+// node's own slots (O(slots-on-node)) the measured per-repair work — the
 // RepairService's slots_walked counter — stays flat across the 8x growth.
-// The pre-refactor walk (key-sorted snapshot of the whole store) would show
-// an ~8x ratio instead; the assertion allows 2x for placement and shard
-// imbalance. The cost is MEASURED from counters the repair actually
-// maintains, never asserted from code structure.
+// A repair that walked every key in the store would show an ~8x ratio
+// instead; the assertion allows 2x for placement and shard imbalance. The
+// cost is MEASURED from counters the repair actually maintains, never
+// asserted from code structure. Finding the node's slots is a host-side
+// filter over the whole index (IndexService::ForEachSlotOn, O(store)); that
+// host cost shows in the wall time, not in the counter.
 //
 // SCALE_KEYS sizes the run: unset/tier-1 = 20000 (seconds), the CI
 // scale-soak job sets 200000. Every run prints its seed and counters so a
