@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <type_traits>
 
 namespace swarm::fabric {
 
@@ -16,12 +17,12 @@ SWARM_HOT_PATH sim::Task<void> ClientCpu::Consume(sim::Time cost) {
   }
 }
 
-SWARM_HOT_PATH sim::Task<void> ClientCpu::Submit(sim::Time cost, sim::Time wqe_cost, int wqes) {
+SWARM_HOT_PATH sim::Task<void> ClientCpu::Submit(sim::Time cost, int wqes) {
   if (batch_depth_ == 0) {
     if (stats_ != nullptr) {
       ++stats_->doorbells;
     }
-    co_await Consume(cost + wqe_cost);
+    co_await Consume(cost);
     co_return;
   }
   // Batched: the first verb rings the doorbell (charging the CPU once); the
@@ -30,7 +31,7 @@ SWARM_HOT_PATH sim::Task<void> ClientCpu::Submit(sim::Time cost, sim::Time wqe_c
   // A verb that would push the doorbell past its WQE budget also rings a
   // fresh one — the NIC only accepts max_wqe_ entries per doorbell write, so
   // an oversized batch splits into ceil(K/max) doorbells, each paying
-  // submit_cost (plus the unchanged per-WQE build cost).
+  // submit_cost.
   const bool wqe_split =
       batch_charged_ && max_wqe_ > 0 && batch_wqes_ + wqes > max_wqe_;
   if (!batch_charged_ || batch_ready_ < sim_->Now() || wqe_split) {
@@ -48,14 +49,6 @@ SWARM_HOT_PATH sim::Task<void> ClientCpu::Submit(sim::Time cost, sim::Time wqe_c
     }
   }
   batch_wqes_ += wqes;
-  if (wqe_cost > 0) {
-    // Per-WQE build cost: WQEs of one doorbell are built serially, so each
-    // verb departs when its own WQE is done and the CPU stays busy for the
-    // whole list (submit_cost + K*per_verb_cost for a K-verb doorbell).
-    busy_until_ = std::max(busy_until_, batch_ready_) + wqe_cost;
-    busy_ns_ += wqe_cost;
-    batch_ready_ = busy_until_;
-  }
   ++batch_verbs_;
   if (stats_ != nullptr) {
     ++stats_->batched_verbs;
@@ -161,21 +154,31 @@ uint64_t Fabric::TotalAllocated() const {
   return total;
 }
 
+// --- The verb pipeline. ----------------------------------------------------
+//
+// Every verb takes the same journey (the timing model in fabric.h). Qp::Post
+// is the issuing side for all four verbs and Land is the answer at the node.
+// A verb type holds only its wire shape (WQEs, bytes, link time) and its
+// effect: Stage schedules what reaches memory before the verb lands (a
+// staged write's halves) and returns the landing instant, and Execute runs
+// the landing.
+
 namespace {
 
 // Per-verb completion state, shared between the issuing coroutine and the
 // callback chain that models the verb's journey through the fabric.
 //
-// Pooling audit (completion-after-cancellation): in all four verb paths the
-// last write to an OpState happens strictly BEFORE the matching done.Add(1),
-// and the awaiting coroutine resumes only via a later event-queue entry — so
-// no path writes an OpState after its owner resumed. The hazard the
-// shared_ptr guards is the other direction: the awaiting coroutine can be
-// GONE before the callbacks run (a response-drop makes the client time out
-// while the completion chain is still in flight, and a destroyed Simulator
-// destroys queued callbacks without running them). Every callback therefore
-// holds a reference, and the pooled slot recycles only when the last one
-// releases it — recycling while a dropped ack's completion is in flight is
+// Pooling audit (completion-after-cancellation): on every path through the
+// pipeline the last write to an OpState happens strictly BEFORE the matching
+// done.Add(1), and the awaiting coroutine resumes only via a later
+// event-queue entry — so no path writes an OpState after its owner resumed.
+// The hazard the shared_ptr guards is the other direction: the awaiting
+// coroutine can be GONE before the callbacks run (a response-drop makes the
+// client time out while the completion chain is still in flight, and a
+// destroyed Simulator destroys queued callbacks without running them). The
+// journey, and with it the reference, travels with every callback up to the
+// completion, and the pooled slot recycles only when the last one releases
+// it — recycling while a dropped ack's completion is in flight is
 // impossible by construction. completion_race_test forces exactly this
 // interleaving via the response-drop chaos hook under ASan (where the pool
 // delegates to the real allocator, so any regression is a reported UAF).
@@ -183,81 +186,239 @@ struct OpState {
   OpResult result;
 };
 
-std::shared_ptr<OpState> MakeOpState() {
-  return std::allocate_shared<OpState>(sim::PoolAlloc<OpState>{});
+// Where a verb executes and the stamp it carries.
+struct Target {
+  Fabric* fabric;
+  uint64_t epoch;
+  int node;
+  bool repair_channel;
+
+  MemoryNode& memory() const { return fabric->node(node); }
+};
+
+// A verb past its departure: its target, where its answer goes, and whether
+// the response leg will drop.
+struct Journey : Target {
+  std::shared_ptr<OpState> st;
+  sim::Counter done;
+  sim::Time departure;
+  bool drop_response;
+
+  void CompleteAt(sim::Time at) const {
+    fabric->sim()->At(at, [done = done]() mutable { done.Add(1); });
+  }
+};
+
+// An admitted verb's answer. A NACK is a bare ack.
+struct Ack {
+  uint64_t bytes = kAckBytes;  // On the response leg.
+  sim::Time extra = 0;         // Node and link time beyond node_op_cost.
+  uint64_t old_value = 0;      // A CAS's prior word.
+};
+
+// The landing every verb ends in, at its execution instant: admission, the
+// verb's effect, then one response leg. A crashed node cannot answer and a
+// dropped response hides the answer, so both complete kNodeFailed
+// failure_detect_delay after departure (RC retry exhaustion); an admitted
+// effect applies either way. An epoch-fence or retired-region rejection
+// NACKs at response speed.
+template <typename Effect>
+void Land(const Journey& j, uint64_t addr, uint64_t len, Effect effect) {
+  Fabric& f = *j.fabric;
+  const FabricConfig& cfg = f.config();
+  sim::Simulator* sim = f.sim();
+  const Status adm = j.memory().VerbStatus(j.repair_channel, j.epoch, addr, len);
+  Ack ack;
+  if (adm == Status::kOk) {
+    ack = effect(j.memory());
+  }
+  if (adm == Status::kNodeFailed || j.drop_response) {
+    j.st->result.status = Status::kNodeFailed;
+    j.CompleteAt(std::max(sim->Now(), j.departure + cfg.failure_detect_delay));
+    return;
+  }
+  j.st->result.status = adm;
+  j.st->result.old_value = ack.old_value;
+  f.stats().bytes_from_nodes += ack.bytes;
+  const sim::Time sent = sim->Now() + cfg.node_op_cost + ack.extra + f.SampleDelay();
+  j.CompleteAt(sent + f.LinkExtraDelay(j.node, true));
 }
+
+// A WRITE's payload. One larger than a word lands in two halves, the first
+// when the NIC starts serving the verb and the rest when its last byte has
+// crossed the link, so concurrent readers can see it torn (§2.1).
+struct WriteOp {
+  uint64_t addr;
+  const uint8_t* src;
+  size_t len;
+  sim::Time xfer;  // Link time of the payload.
+
+  size_t half() const { return len > 8 && xfer > 0 ? len / 2 : 0; }
+  void Count(FabricStats& s) const {
+    ++s.writes;
+    s.bytes_to_nodes += kVerbHeaderBytes + len;
+  }
+  // Writes payload bytes [from, to).
+  void Put(MemoryNode& n, size_t from, size_t to) const {
+    n.WriteFrom(addr + from, std::span<const uint8_t>(src + from, to - from));
+  }
+};
+
+// Lands payload bytes [from, to) at `at` if the node admits them then. A
+// half that is not the verb's landing checks Admits, not VerbStatus, so each
+// stale verb counts once in stale_landings.
+void PutAt(const Target& t, const WriteOp& w, size_t from, size_t to, sim::Time at) {
+  t.fabric->sim()->At(at, [t, w, from, to] {
+    if (t.memory().Admits(t.repair_channel, t.epoch, w.addr + from, to - from) == Status::kOk) {
+      w.Put(t.memory(), from, to);
+    }
+  });
+}
+
+// Stages a write served from `start`: schedules its first half and returns
+// the instant the rest lands.
+sim::Time StageWrite(const Target& t, const WriteOp& w, sim::Time start) {
+  if (w.half() > 0) {
+    PutAt(t, w, 0, w.half(), start);
+  }
+  return start + w.xfer;
+}
+
+struct CasOp {
+  uint64_t addr;
+  uint64_t expected;
+  uint64_t desired;
+
+  void Count(FabricStats& s) const {
+    ++s.casses;
+    s.bytes_to_nodes += kVerbHeaderBytes + 16;
+  }
+};
+
+// The CAS landing of CAS and of a WRITE→CAS series. A CAS whose response
+// drops still swaps; its prior word never comes back.
+void LandCas(const Journey& j, const CasOp& c) {
+  Land(j, c.addr, 8, [&c](MemoryNode& n) {
+    return Ack{kAckBytes + 8, 0, n.CasWord(c.addr, c.expected, c.desired)};
+  });
+}
+
+struct ReadVerb {
+  static constexpr int kWqes = 1;
+  uint64_t addr;
+  uint8_t* out;
+  size_t len;
+  sim::Time xfer;  // Link time of the bytes read, on the response leg.
+
+  sim::Time upload() const { return 0; }
+  void Count(FabricStats& s) const {
+    ++s.reads;
+    s.bytes_to_nodes += kVerbHeaderBytes;
+  }
+  sim::Time Stage(const Target& /*t*/, sim::Time start) const { return start; }
+  void Execute(const Journey& j) const {
+    Land(j, addr, len, [this, &j](MemoryNode& n) {
+      n.ReadInto(addr, std::span<uint8_t>(out, len));
+      return Ack{kVerbHeaderBytes + len, j.fabric->config().read_extra + xfer, 0};
+    });
+  }
+};
+
+struct WriteVerb {
+  static constexpr int kWqes = 1;
+  WriteOp write;
+
+  sim::Time upload() const { return write.xfer; }
+  void Count(FabricStats& s) const { write.Count(s); }
+  sim::Time Stage(const Target& t, sim::Time start) const { return StageWrite(t, write, start); }
+  // The rest of the payload lands with the verb, admitted over all of it.
+  void Execute(const Journey& j) const {
+    Land(j, write.addr, write.len, [this](MemoryNode& n) {
+      write.Put(n, write.half(), write.len);
+      return Ack{};
+    });
+  }
+};
+
+struct CasVerb {
+  static constexpr int kWqes = 1;
+  CasOp cas;
+
+  sim::Time upload() const { return 0; }
+  void Count(FabricStats& s) const { cas.Count(s); }
+  sim::Time Stage(const Target& /*t*/, sim::Time start) const { return start; }
+  void Execute(const Journey& j) const { LandCas(j, cas); }
+};
+
+// WRITE→CAS pipelined on one QP: one message carrying two WQEs. FIFO
+// execution runs the CAS only after the write has fully applied, so if the
+// CAS's effect is visible, so is the write.
+struct WriteCasVerb {
+  static constexpr int kWqes = 2;
+  WriteOp write;
+  CasOp cas;
+
+  sim::Time upload() const { return write.xfer; }
+  void Count(FabricStats& s) const {
+    write.Count(s);
+    cas.Count(s);
+  }
+  sim::Time Stage(const Target& t, sim::Time start) const {
+    const sim::Time rest = StageWrite(t, write, start);
+    PutAt(t, write, write.half(), write.len, rest);
+    return rest + t.fabric->config().node_op_cost;
+  }
+  void Execute(const Journey& j) const { LandCas(j, cas); }
+};
 
 }  // namespace
 
-SWARM_HOT_PATH sim::Task<OpResult> Qp::Read(uint64_t addr, std::span<uint8_t> out) {
+template <typename Verb>
+SWARM_HOT_PATH sim::Task<OpResult> Qp::Post(Verb verb) {
+  if (revoked_) {
+    co_return OpResult{Status::kStaleEpoch};  // Dead until the client re-validates.
+  }
   Fabric& f = *fabric_;
   const FabricConfig& cfg = f.config();
-  if (revoked_) {
-    co_return RevokedResult();  // Dead until the client re-validates.
-  }
-  const uint64_t verb_epoch = stamp();
+  const uint64_t epoch = stamp();
   if (cpu_ != nullptr) {
-    co_await cpu_->Submit(cfg.submit_cost, cfg.per_verb_cost);
+    // One submission covers a pipelined series (§7.2: the fixed cost is per
+    // series of RDMA operations to a memory node), but each WQE counts
+    // against the doorbell's budget.
+    co_await cpu_->Submit(cfg.submit_cost, Verb::kWqes);
   }
-  f.stats().ops_issued++;
-  f.stats().reads++;
-  f.stats().bytes_to_nodes += kVerbHeaderBytes;
+  f.stats().ops_issued += Verb::kWqes;
+  verb.Count(f.stats());
 
   sim::Simulator* sim = f.sim();
   const sim::Time departure = sim->Now();
-  // A READ has no node-side effect, so a dropped request and a dropped
-  // response are indistinguishable to everyone: the bytes never arrive.
-  if (f.DropMessage(node_, false, chaos_tag_) || f.DropMessage(node_, true, chaos_tag_)) {
+  // One drop coin per leg; a lost request never samples its response. A
+  // lost request never reaches the node. A lost response loses only the
+  // answer — except a READ's, which has no effect to apply, so it is lost
+  // at departure like its request.
+  const bool drop_request = f.DropMessage(node_, false, chaos_tag_);
+  const bool drop_response = !drop_request && f.DropMessage(node_, true, chaos_tag_);
+  if (drop_request || (drop_response && std::is_same_v<Verb, ReadVerb>)) {
     co_await sim->WaitUntil(departure + cfg.failure_detect_delay);
-    OpResult lost;
-    lost.status = Status::kNodeFailed;
-    co_return lost;
+    co_return OpResult{Status::kNodeFailed};
   }
   sim::Time arrival =
       departure + f.SampleDelay() + f.LinkExtraDelay(node_, false) + f.node(node_).extra_delay();
   arrival = std::max(arrival, last_arrival_ + 1);  // Per-QP FIFO (RDMA ordering).
-  last_arrival_ = arrival;
+  last_arrival_ = arrival + verb.upload();  // A payload occupies the QP's channel.
 
-  auto st = MakeOpState();
+  auto st = std::allocate_shared<OpState>(sim::PoolAlloc<OpState>{});
   sim::Counter done(sim);
-  const int node_id = node_;
-  const bool repair_ch = repair_channel_;
-  uint8_t* out_ptr = out.data();
-  const size_t out_len = out.size();
-
-  // The NIC is reserved AT arrival (arrival-order service): a verb delayed
-  // in the network must not block earlier-arriving traffic.
-  sim->At(arrival, [&f, sim, st, done, node_id, repair_ch, verb_epoch, addr, out_ptr, out_len,
-                    departure]() mutable {
-    const sim::Time exec = f.ReserveNicAtArrival(node_id, f.config().node_op_cost);
-    sim->At(exec, [&f, sim, st, done, node_id, repair_ch, verb_epoch, addr, out_ptr, out_len,
-                   departure, exec]() mutable {
-      MemoryNode& node = f.node(node_id);
-      const FabricConfig& ncfg = f.config();
-      const Status adm = node.VerbStatus(repair_ch, verb_epoch, addr, out_len);
-      if (adm == Status::kNodeFailed) {
-        st->result.status = Status::kNodeFailed;
-        sim->At(std::max(sim->Now(), departure + ncfg.failure_detect_delay),
-                [done]() mutable { done.Add(1); });
-        return;
-      }
-      if (adm != Status::kOk) {
-        // Epoch-fence or retired-region rejection: the node actively NACKs,
-        // so the client learns at normal response speed rather than after
-        // the failure timeout.
-        st->result.status = adm;
-        f.stats().bytes_from_nodes += kAckBytes;
-        const sim::Time complete =
-            exec + ncfg.node_op_cost + f.SampleDelay() + f.LinkExtraDelay(node_id, true);
-        sim->At(complete, [done]() mutable { done.Add(1); });
-        return;
-      }
-      node.ReadInto(addr, std::span<uint8_t>(out_ptr, out_len));
-      f.stats().bytes_from_nodes += kVerbHeaderBytes + out_len;
-      const sim::Time complete = exec + ncfg.node_op_cost + ncfg.read_extra + f.SampleDelay() +
-                                 f.LinkExtraDelay(node_id, true) + f.TransferTime(out_len);
-      sim->At(complete, [done]() mutable { done.Add(1); });
-    });
+  // The NIC is reserved AT arrival (arrival-order service), node_op_cost per
+  // WQE: a verb delayed in the network must not block earlier-arriving
+  // traffic.
+  sim->At(arrival, [j = Journey{{fabric_, epoch, node_, repair_channel_}, st, done, departure,
+                                drop_response},
+                    verb]() mutable {
+    const sim::Time start =
+        j.fabric->ReserveNicAtArrival(j.node, Verb::kWqes * j.fabric->config().node_op_cost);
+    const sim::Time landing = verb.Stage(j, start);
+    j.fabric->sim()->At(landing, [j = std::move(j), verb] { verb.Execute(j); });
   });
 
   co_await done.WaitFor(1);
@@ -267,299 +428,24 @@ SWARM_HOT_PATH sim::Task<OpResult> Qp::Read(uint64_t addr, std::span<uint8_t> ou
   co_return st->result;
 }
 
+SWARM_HOT_PATH sim::Task<OpResult> Qp::Read(uint64_t addr, std::span<uint8_t> out) {
+  return Post(ReadVerb{addr, out.data(), out.size(), fabric_->TransferTime(out.size())});
+}
+
 SWARM_HOT_PATH sim::Task<OpResult> Qp::Write(uint64_t addr, std::span<const uint8_t> data) {
-  Fabric& f = *fabric_;
-  const FabricConfig& cfg = f.config();
-  if (revoked_) {
-    co_return RevokedResult();
-  }
-  const uint64_t verb_epoch = stamp();
-  if (cpu_ != nullptr) {
-    co_await cpu_->Submit(cfg.submit_cost, cfg.per_verb_cost);
-  }
-  f.stats().ops_issued++;
-  f.stats().writes++;
-  f.stats().bytes_to_nodes += kVerbHeaderBytes + data.size();
-
-  sim::Simulator* sim = f.sim();
-  const sim::Time departure = sim->Now();
-  if (f.DropMessage(node_, false, chaos_tag_)) {
-    // Request lost: the write never reaches the node.
-    co_await sim->WaitUntil(departure + cfg.failure_detect_delay);
-    OpResult lost;
-    lost.status = Status::kNodeFailed;
-    co_return lost;
-  }
-  // Response lost: the write APPLIES at the node, only the ack is missing —
-  // the possibly-applied case quorum protocols must survive.
-  const bool drop_resp = f.DropMessage(node_, true, chaos_tag_);
-  const sim::Time xfer = f.TransferTime(data.size());
-  sim::Time arrival =
-      departure + f.SampleDelay() + f.LinkExtraDelay(node_, false) + f.node(node_).extra_delay();
-  arrival = std::max(arrival, last_arrival_ + 1);  // Per-QP FIFO (RDMA ordering).
-  last_arrival_ = arrival + xfer;  // The transfer occupies the QP's channel.
-
-  auto st = MakeOpState();
-  sim::Counter done(sim);
-  const int node_id = node_;
-  const bool repair_ch = repair_channel_;
-  const uint8_t* src = data.data();
-  const size_t len = data.size();
-
-  // Shared rejection tail: kNodeFailed times out, kStaleEpoch/kMovedReplica
-  // NACK at response speed — unless the response leg drops, which hides the
-  // NACK and looks like a node failure to the client.
-  auto reject = [&f, sim, st, done, node_id, departure](Status adm, bool lost_resp) mutable {
-    const FabricConfig& ncfg = f.config();
-    if ((adm == Status::kStaleEpoch || adm == Status::kMovedReplica) && !lost_resp) {
-      st->result.status = adm;
-      f.stats().bytes_from_nodes += kAckBytes;
-      const sim::Time complete =
-          sim->Now() + ncfg.node_op_cost + f.SampleDelay() + f.LinkExtraDelay(node_id, true);
-      sim->At(complete, [done]() mutable { done.Add(1); });
-      return;
-    }
-    st->result.status = Status::kNodeFailed;
-    sim->At(std::max(sim->Now(), departure + ncfg.failure_detect_delay),
-            [done]() mutable { done.Add(1); });
-  };
-
-  const bool staged = cfg.staged_large_writes && len > 8 && xfer > 0;
-  sim->At(arrival, [&f, sim, st, done, node_id, repair_ch, verb_epoch, addr, src, len, xfer,
-                    staged, drop_resp, reject]() mutable {
-    const sim::Time start = f.ReserveNicAtArrival(node_id, f.config().node_op_cost);
-    const sim::Time finish = start + xfer;  // Last byte lands at `finish`.
-    auto tail = [&f, sim, st, done, node_id, repair_ch, verb_epoch, addr, src, len, staged,
-                 drop_resp, reject]() mutable {
-      MemoryNode& node = f.node(node_id);
-      const Status adm = node.VerbStatus(repair_ch, verb_epoch, addr, len);
-      if (adm != Status::kOk) {
-        reject(adm, drop_resp);
-        return;
-      }
-      const size_t half = staged ? len / 2 : 0;
-      node.WriteFrom(addr + half, std::span<const uint8_t>(src + half, len - half));
-      if (drop_resp) {
-        reject(Status::kNodeFailed, true);
-        return;
-      }
-      f.stats().bytes_from_nodes += kAckBytes;
-      const FabricConfig& ncfg = f.config();
-      const sim::Time complete =
-          sim->Now() + ncfg.node_op_cost + f.SampleDelay() + f.LinkExtraDelay(node_id, true);
-      sim->At(complete, [done]() mutable { done.Add(1); });
-    };
-    if (staged) {
-      const size_t half = len / 2;
-      sim->At(start, [&f, node_id, repair_ch, verb_epoch, addr, src, half] {
-        if (f.node(node_id).Admits(repair_ch, verb_epoch, addr, half) == Status::kOk) {
-          f.node(node_id).WriteFrom(addr, std::span<const uint8_t>(src, half));
-        }
-      });
-    }
-    sim->At(finish, std::move(tail));
-  });
-
-  co_await done.WaitFor(1);
-  if (st->result.status == Status::kStaleEpoch) {
-    revoked_ = true;
-  }
-  co_return st->result;
+  return Post(WriteVerb{{addr, data.data(), data.size(), fabric_->TransferTime(data.size())}});
 }
 
 SWARM_HOT_PATH sim::Task<OpResult> Qp::Cas(uint64_t addr, uint64_t expected, uint64_t desired) {
-  Fabric& f = *fabric_;
-  const FabricConfig& cfg = f.config();
-  if (revoked_) {
-    co_return RevokedResult();
-  }
-  const uint64_t verb_epoch = stamp();
-  if (cpu_ != nullptr) {
-    co_await cpu_->Submit(cfg.submit_cost, cfg.per_verb_cost);
-  }
-  f.stats().ops_issued++;
-  f.stats().casses++;
-  f.stats().bytes_to_nodes += kVerbHeaderBytes + 16;
-
-  sim::Simulator* sim = f.sim();
-  const sim::Time departure = sim->Now();
-  if (f.DropMessage(node_, false, chaos_tag_)) {
-    co_await sim->WaitUntil(departure + cfg.failure_detect_delay);
-    OpResult lost;
-    lost.status = Status::kNodeFailed;
-    co_return lost;
-  }
-  // Response lost: the CAS takes effect but the old value never comes back.
-  const bool drop_resp = f.DropMessage(node_, true, chaos_tag_);
-  sim::Time arrival =
-      departure + f.SampleDelay() + f.LinkExtraDelay(node_, false) + f.node(node_).extra_delay();
-  arrival = std::max(arrival, last_arrival_ + 1);  // Per-QP FIFO (RDMA ordering).
-  last_arrival_ = arrival;
-
-  auto st = MakeOpState();
-  sim::Counter done(sim);
-  const int node_id = node_;
-  const bool repair_ch = repair_channel_;
-
-  sim->At(arrival, [&f, sim, st, done, node_id, repair_ch, verb_epoch, addr, expected, desired,
-                    departure, drop_resp]() mutable {
-    const sim::Time exec = f.ReserveNicAtArrival(node_id, f.config().node_op_cost);
-    sim->At(exec, [&f, sim, st, done, node_id, repair_ch, verb_epoch, addr, expected, desired,
-                   departure, drop_resp]() mutable {
-      MemoryNode& node = f.node(node_id);
-      const FabricConfig& ncfg = f.config();
-      const Status adm = node.VerbStatus(repair_ch, verb_epoch, addr, 8);
-      if (adm == Status::kNodeFailed || (adm != Status::kOk && drop_resp)) {
-        // A NACK whose response leg drops looks like a node failure.
-        st->result.status = Status::kNodeFailed;
-        sim->At(std::max(sim->Now(), departure + ncfg.failure_detect_delay),
-                [done]() mutable { done.Add(1); });
-        return;
-      }
-      if (adm != Status::kOk) {
-        st->result.status = adm;
-        f.stats().bytes_from_nodes += kAckBytes;
-        const sim::Time complete =
-            sim->Now() + ncfg.node_op_cost + f.SampleDelay() + f.LinkExtraDelay(node_id, true);
-        sim->At(complete, [done]() mutable { done.Add(1); });
-        return;
-      }
-      const uint64_t old = node.CasWord(addr, expected, desired);
-      if (drop_resp) {
-        st->result.status = Status::kNodeFailed;
-        sim->At(std::max(sim->Now(), departure + ncfg.failure_detect_delay),
-                [done]() mutable { done.Add(1); });
-        return;
-      }
-      st->result.old_value = old;
-      f.stats().bytes_from_nodes += kAckBytes + 8;
-      const sim::Time complete =
-          sim->Now() + ncfg.node_op_cost + f.SampleDelay() + f.LinkExtraDelay(node_id, true);
-      sim->At(complete, [done]() mutable { done.Add(1); });
-    });
-  });
-
-  co_await done.WaitFor(1);
-  if (st->result.status == Status::kStaleEpoch) {
-    revoked_ = true;
-  }
-  co_return st->result;
+  return Post(CasVerb{{addr, expected, desired}});
 }
 
-SWARM_HOT_PATH sim::Task<OpResult> Qp::WriteThenCas(uint64_t waddr, std::span<const uint8_t> data, uint64_t caddr,
-                                     uint64_t expected, uint64_t desired) {
-  Fabric& f = *fabric_;
-  const FabricConfig& cfg = f.config();
-  if (revoked_) {
-    co_return RevokedResult();
-  }
-  const uint64_t verb_epoch = stamp();
-  if (cpu_ != nullptr) {
-    // One submission covers the whole pipelined series (§7.2: the fixed cost
-    // is per series of RDMA operations to a memory node), but the series
-    // carries two WQEs.
-    co_await cpu_->Submit(cfg.submit_cost, 2 * cfg.per_verb_cost, /*wqes=*/2);
-  }
-  f.stats().ops_issued += 2;
-  f.stats().writes++;
-  f.stats().casses++;
-  f.stats().bytes_to_nodes += 2 * kVerbHeaderBytes + data.size() + 16;
-
-  sim::Simulator* sim = f.sim();
-  const sim::Time departure = sim->Now();
-  if (f.DropMessage(node_, false, chaos_tag_)) {
-    // The pipelined series is one network message: neither verb applies.
-    co_await sim->WaitUntil(departure + cfg.failure_detect_delay);
-    OpResult lost;
-    lost.status = Status::kNodeFailed;
-    co_return lost;
-  }
-  // Response lost: BOTH the write and the CAS apply; the ack is missing.
-  const bool drop_resp = f.DropMessage(node_, true, chaos_tag_);
-  const sim::Time xfer = f.TransferTime(data.size());
-  sim::Time arrival =
-      departure + f.SampleDelay() + f.LinkExtraDelay(node_, false) + f.node(node_).extra_delay();
-  arrival = std::max(arrival, last_arrival_ + 1);  // Per-QP FIFO (RDMA ordering).
-  last_arrival_ = arrival + xfer;  // The transfer occupies the QP's channel.
-
-  auto st = MakeOpState();
-  sim::Counter done(sim);
-  const int node_id = node_;
-  const bool repair_ch = repair_channel_;
-  const uint8_t* src = data.data();
-  const size_t len = data.size();
-  const bool staged = cfg.staged_large_writes && len > 8 && xfer > 0;
-
-  auto cas_body = [&f, sim, st, done, node_id, repair_ch, verb_epoch, caddr, expected, desired,
-                   departure, drop_resp]() mutable {
-    MemoryNode& node = f.node(node_id);
-    const FabricConfig& ncfg = f.config();
-    const Status adm = node.VerbStatus(repair_ch, verb_epoch, caddr, 8);
-    if (adm == Status::kNodeFailed || (adm != Status::kOk && drop_resp)) {
-      // A NACK whose response leg drops looks like a node failure.
-      st->result.status = Status::kNodeFailed;
-      sim->At(std::max(sim->Now(), departure + ncfg.failure_detect_delay),
-              [done]() mutable { done.Add(1); });
-      return;
-    }
-    if (adm != Status::kOk) {
-      st->result.status = adm;
-      f.stats().bytes_from_nodes += kAckBytes;
-      const sim::Time complete =
-          sim->Now() + ncfg.node_op_cost + f.SampleDelay() + f.LinkExtraDelay(node_id, true);
-      sim->At(complete, [done]() mutable { done.Add(1); });
-      return;
-    }
-    const uint64_t old = node.CasWord(caddr, expected, desired);
-    if (drop_resp) {
-      st->result.status = Status::kNodeFailed;
-      sim->At(std::max(sim->Now(), departure + ncfg.failure_detect_delay),
-              [done]() mutable { done.Add(1); });
-      return;
-    }
-    st->result.old_value = old;
-    f.stats().bytes_from_nodes += kAckBytes + 8;
-    const sim::Time complete =
-        sim->Now() + ncfg.node_op_cost + f.SampleDelay() + f.LinkExtraDelay(node_id, true);
-    sim->At(complete, [done]() mutable { done.Add(1); });
-  };
-
-  sim->At(arrival, [&f, sim, node_id, repair_ch, verb_epoch, waddr, src, len, xfer, staged,
-                    cas_body]() mutable {
-    const sim::Time start = f.ReserveNicAtArrival(node_id, 2 * f.config().node_op_cost);
-    const sim::Time write_done = start + xfer;
-    const sim::Time cas_at = write_done + f.config().node_op_cost;
-    if (staged) {
-      const size_t half = len / 2;
-      sim->At(start, [&f, node_id, repair_ch, verb_epoch, waddr, src, half] {
-        if (f.node(node_id).Admits(repair_ch, verb_epoch, waddr, half) == Status::kOk) {
-          f.node(node_id).WriteFrom(waddr, std::span<const uint8_t>(src, half));
-        }
-      });
-      sim->At(write_done, [&f, node_id, repair_ch, verb_epoch, waddr, src, half, len] {
-        if (f.node(node_id).Admits(repair_ch, verb_epoch, waddr + half, len - half) ==
-            Status::kOk) {
-          f.node(node_id).WriteFrom(waddr + half,
-                                    std::span<const uint8_t>(src + half, len - half));
-        }
-      });
-    } else {
-      sim->At(write_done, [&f, node_id, repair_ch, verb_epoch, waddr, src, len] {
-        if (f.node(node_id).Admits(repair_ch, verb_epoch, waddr, len) == Status::kOk) {
-          f.node(node_id).WriteFrom(waddr, std::span<const uint8_t>(src, len));
-        }
-      });
-    }
-    // FIFO pipelining: the CAS executes only after the write has fully
-    // applied (if the CAS's effect is visible, so is the write).
-    sim->At(cas_at, std::move(cas_body));
-  });
-
-  co_await done.WaitFor(1);
-  if (st->result.status == Status::kStaleEpoch) {
-    revoked_ = true;
-  }
-  co_return st->result;
+SWARM_HOT_PATH sim::Task<OpResult> Qp::WriteThenCas(uint64_t waddr,
+                                                    std::span<const uint8_t> data,
+                                                    uint64_t caddr, uint64_t expected,
+                                                    uint64_t desired) {
+  return Post(WriteCasVerb{{waddr, data.data(), data.size(), fabric_->TransferTime(data.size())},
+                           {caddr, expected, desired}});
 }
 
 }  // namespace swarm::fabric

@@ -2,17 +2,32 @@
 // batching, failure injection, and IO accounting.
 //
 // This module is the hardware substitution for the paper's testbed (4 client
-// servers + 4 memory nodes, ConnectX NICs, 100 Gbps switch). Timing model for
-// one verb issued by a client:
+// servers + 4 memory nodes, ConnectX NICs, 100 Gbps switch). Every verb —
+// READ, WRITE, CAS and a pipelined WRITE→CAS series — takes the same journey
+// through one pipeline (fabric.cc); a verb only contributes its wire shape
+// (WQEs, bytes, link time) and its effect at the node:
 //
+//   post:     a QP revoked by kStaleEpoch fails fast, locally. Otherwise the
+//             verb is stamped with the client's membership epoch.
 //   submit:   the issuing worker consumes `submit_cost` on its client CPU
 //             (models the 200+ ns cost of posting a series of RDMA work
-//             requests, which causes the throughput wall of §7.2),
-//   request:  one-way delay + jitter + payload/bandwidth,
-//   execute:  the raw memory access at the node. Large writes apply in two
-//             stages spread across the transfer window, so concurrent reads
-//             can observe torn data (the non-atomicity In-n-Out handles),
-//   response: one-way delay + jitter + payload/bandwidth,
+//             requests, which causes the throughput wall of §7.2); stats
+//             count the verb at departure.
+//   drops:    one chaos coin for the request leg, then one for the response
+//             leg (see FabricConfig::drop_fn).
+//   request:  one-way delay + jitter + the link hook + the node's extra
+//             delay, never before the QP's previous message (RDMA FIFO); a
+//             payload occupies the QP's channel for its transfer time.
+//   execute:  at arrival the node's NIC is reserved for node_op_cost per
+//             WQE. A write larger than a word lands in two halves across its
+//             transfer window, so concurrent reads can observe torn data (the
+//             non-atomicity In-n-Out handles); a series' CAS runs after its
+//             write. The verb then lands: admission, effect, answer.
+//   response: after node_op_cost (plus read_extra for a READ), an ACK at
+//             one-way delay + jitter + the link hook + payload/bandwidth, or
+//             a NACK (stale epoch, retired region) as fast; or nothing — a
+//             crashed node, a dropped response — and the client times out
+//             `failure_detect_delay` after departure,
 //   complete: the awaiting coroutine resumes with the result.
 //
 // Doorbell batching (§7.2): posting a work request is dominated by the fixed
@@ -67,26 +82,19 @@ struct FabricConfig {
   sim::Time node_op_cost = 50;        // ns per verb at the node
   sim::Time read_extra = 250;         // extra ns for READs (PCIe read round at the node)
   sim::Time submit_cost = 200;        // ns of client CPU per doorbell (verb or batch)
-  // ns of client CPU per WQE on top of the doorbell's fixed cost (real NICs
-  // pay a small per-WQE increment; a pipelined series like WriteThenCas
-  // carries two WQEs). Default 0 preserves the pure-doorbell model.
-  sim::Time per_verb_cost = 0;
   // Per-doorbell WQE budget: real NICs bound how many work-queue entries one
   // doorbell write can post. A batch whose WQE count would exceed this rings
   // a fresh doorbell (charging submit_cost again, so a K-WQE burst costs
-  // ceil(K/max) * submit_cost + K * per_verb_cost). 0 = unlimited (the
-  // pre-limit model). The default is wide enough that quorum fan-outs up to
-  // 7 replicas (14 WQEs with pipelined pairs) still ride one doorbell.
+  // ceil(K/max) * submit_cost). A pipelined WriteThenCas series carries two
+  // WQEs. 0 = unlimited (the pre-limit model). The default is wide enough
+  // that quorum fan-outs up to 7 replicas (14 WQEs with pipelined pairs)
+  // still ride one doorbell.
   int max_wqe_per_doorbell = 16;
   double bandwidth_bytes_per_ns = 12.5;  // 100 Gbps each direction
 
   // Virtual time after which an op against a crashed node completes locally
   // with kNodeFailed (models RC QP retry exhaustion / uKharon notification).
   sim::Time failure_detect_delay = 4000;
-
-  // If true, writes larger than 8 B apply in two stages across the transfer
-  // window so concurrent readers can tear.
-  bool staged_large_writes = true;
 
   // If false, CpuBatch is inert and every verb pays its own submit_cost
   // (the sequential-submission model of the seed; kept for A/B benches).
@@ -96,10 +104,11 @@ struct FabricConfig {
   //
   // Both are consulted once per NETWORK MESSAGE per direction (`response` =
   // false for the request leg, true for the completion leg) — a pipelined
-  // WriteThenCas series is ONE message, and a READ whose request leg drops
+  // WriteThenCas series is ONE message, and a verb whose request leg drops
   // never samples its response leg. A dropped request never reaches the
   // node; a dropped response applies the verb's effect at the node but
-  // loses the completion — either way the client observes kNodeFailed after
+  // loses the completion (a READ, having no effect, is lost at departure)
+  // — either way the client observes kNodeFailed after
   // failure_detect_delay, exactly like an op against a crashed node (RC
   // retry exhaustion). link_delay_fn returns extra one-way delay for the
   // given leg, sampled at that leg's scheduling instant. Unset hooks cost
@@ -152,18 +161,15 @@ class ClientCpu {
   // non-verb work (RPC marshalling); never joins a doorbell batch.
   sim::Task<void> Consume(sim::Time cost);
 
-  // Verb-submission consumption. Standalone, behaves like
-  // Consume(cost + wqe_cost) and counts one doorbell. While a batch is open
-  // (see CpuBatch), the first verb charges `cost` once and every later verb
-  // rides the same doorbell for free; all of them resume when the shared
-  // submission completes. `wqe_cost` (FabricConfig::per_verb_cost times the
-  // WQE count of this call) is charged per verb even inside a batch: a
-  // K-verb doorbell consumes cost + K*per_verb_cost of CPU, with verbs
-  // departing as their WQEs finish building. `wqes` is the WQE count this
-  // call posts (2 for a pipelined WriteThenCas series); when a batch's
-  // accumulated WQEs would exceed the configured per-doorbell budget, the
-  // batch splits — this verb rings a fresh doorbell and pays submit_cost.
-  sim::Task<void> Submit(sim::Time cost, sim::Time wqe_cost = 0, int wqes = 1);
+  // Verb-submission consumption. Standalone, behaves like Consume(cost) and
+  // counts one doorbell. While a batch is open (see CpuBatch), the first
+  // verb charges `cost` once and every later verb rides the same doorbell
+  // for free; all of them resume when the shared submission completes.
+  // `wqes` is the WQE count this call posts (2 for a pipelined WriteThenCas
+  // series); when a batch's accumulated WQEs would exceed the configured
+  // per-doorbell budget, the batch splits — this verb rings a fresh doorbell
+  // and pays submit_cost.
+  sim::Task<void> Submit(sim::Time cost, int wqes = 1);
 
   void BeginBatch() { batch_depth_ += enabled_ ? 1 : 0; }
   void EndBatch();
@@ -283,11 +289,13 @@ class Qp {
   sim::Time last_arrival_ = 0;  // FIFO ordering of executions at the node.
 
   uint64_t stamp() const { return epoch_ != nullptr ? *epoch_ : kNoFenceEpoch; }
-  OpResult RevokedResult() const {
-    OpResult r;
-    r.status = Status::kStaleEpoch;
-    return r;
-  }
+
+  // The issuing side every verb shares (fabric.cc): revocation, submission
+  // and stats, the drop coins, arrival with per-QP FIFO; then it schedules
+  // the node side and awaits the answer. `Verb` is the verb's wire shape and
+  // effect.
+  template <typename Verb>
+  sim::Task<OpResult> Post(Verb verb);
 };
 
 class Fabric {

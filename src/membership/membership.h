@@ -293,7 +293,6 @@ class MembershipService {
   // MemoryNode::stale_landings), the pre-fix behavior the chaos canary must
   // catch. Production configurations leave this on.
   void set_epoch_fencing(bool on) {
-    epoch_fencing_ = on;
     // Via the fabric so nodes hot-added later inherit the setting.
     fabric_->SetFenceEnforced(on);
   }
@@ -414,7 +413,6 @@ class MembershipService {
   std::shared_ptr<std::vector<bool>> serving_;
   std::vector<NodeState> states_;
   uint64_t epoch_ = 1;
-  bool epoch_fencing_ = true;
 };
 
 }  // namespace swarm::membership

@@ -128,9 +128,8 @@ class Simulator {
 
  private:
   // Sized so every callback the fabric and protocol layers schedule stays
-  // inline. The largest is WriteThenCas's arrival lambda, which carries the
-  // whole CAS continuation (~180 bytes) so the pipelined series stays one
-  // scheduling unit.
+  // inline. The fabric's arrival and landing callbacks carry a verb's whole
+  // journey: 128 bytes for a pipelined WRITE→CAS series.
   static constexpr size_t kInlineCallbackBytes = 184;
   static constexpr size_t kSlabSlots = 256;
 

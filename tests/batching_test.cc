@@ -18,7 +18,6 @@
 #include "src/swarm/quorum_max.h"
 #include "src/swarm/timestamp_lock.h"
 #include "tests/support/test_env.h"
-#include "src/util/discard.h"
 
 namespace swarm {
 namespace {
@@ -115,48 +114,50 @@ TEST(DoorbellBatching, PostManySpansNodes) {
   EXPECT_EQ(env.fabric.stats().batches, 1u);
 }
 
-// FabricConfig::per_verb_cost models the per-WQE CPU increment on top of the
-// fixed doorbell cost: a K-verb doorbell charges submit_cost + K*per_verb_cost
-// (ROADMAP follow-up; real NICs pay a small per-WQE build cost).
-TEST(DoorbellBatching, PerVerbCostChargesPerWqe) {
-  fabric::FabricConfig fcfg = TestEnv::DefaultFabric();
-  fcfg.per_verb_cost = 25;
-  TestEnv env(1, fcfg);
+// The per-doorbell WQE budget (FabricConfig::max_wqe_per_doorbell, 16 by
+// default): a batch whose WQEs would overflow it rings a fresh doorbell and
+// pays submit_cost again. A pipelined WRITE->CAS series carries two WQEs, so
+// eight series fill one doorbell and a ninth splits it.
+TEST(DoorbellBatching, WqeBudgetSplitsOversizedDoorbells) {
+  TestEnv env;
   Worker& w = env.MakeWorker();
-  const int n = env.fabric.num_nodes();
-  std::vector<uint64_t> addrs;
-  for (int i = 0; i < n; ++i) {
-    addrs.push_back(env.fabric.node(i).Allocate(8));
-  }
-  const sim::Time submit = env.fabric.config().submit_cost;
+  ASSERT_EQ(env.fabric.config().max_wqe_per_doorbell, 16);
+  const uint64_t addr = env.fabric.node(0).Allocate(16);
 
-  auto driver = [](TestEnv* env, Worker* w, std::vector<uint64_t> addrs2, int n2,
-                   sim::Time submit2) -> Task<void> {
-    // K-verb doorbell: submit_cost + K*per_verb_cost, still ONE doorbell.
-    std::vector<std::vector<uint8_t>> bufs(static_cast<size_t>(n2), std::vector<uint8_t>(8));
-    sim::PoolVec<sim::Task<fabric::OpResult>> verbs;
-    for (int i = 0; i < n2; ++i) {
-      verbs.push_back(w->qp(i).Read(addrs2[static_cast<size_t>(i)], bufs[static_cast<size_t>(i)]));
-    }
-    const sim::Time busy0 = w->cpu()->busy_ns();
-    const uint64_t doorbells0 = env->fabric.stats().doorbells;
-    swarm::DiscardStatus(co_await fabric::PostMany(w->cpu(), &env->sim, std::move(verbs)));
-    EXPECT_EQ(w->cpu()->busy_ns() - busy0, submit2 + static_cast<sim::Time>(n2) * 25);
-    EXPECT_EQ(env->fabric.stats().doorbells - doorbells0, 1u);
-
-    // Unbatched single verb: submit_cost + one per_verb_cost.
-    std::vector<uint8_t> buf(8);
-    const sim::Time busy1 = w->cpu()->busy_ns();
-    swarm::DiscardStatus(co_await w->qp(0).Read(addrs2[0], buf));
-    EXPECT_EQ(w->cpu()->busy_ns() - busy1, submit2 + 25);
-
-    // A pipelined WRITE->CAS series is one doorbell but TWO WQEs.
-    const sim::Time busy2 = w->cpu()->busy_ns();
-    swarm::DiscardStatus(co_await w->qp(0).WriteThenCas(addrs2[0], buf, addrs2[0], 0, 1));
-    EXPECT_EQ(w->cpu()->busy_ns() - busy2, submit2 + 2 * 25);
+  struct Case {
+    bool series;  // WriteThenCas (2 WQEs) instead of Read (1 WQE).
+    int verbs;
+    uint64_t doorbells;
   };
-  Spawn(driver(&env, &w, addrs, n, submit));
-  env.sim.Run();
+  auto driver = [](TestEnv* env, Worker* w, uint64_t addr2, Case c) -> Task<void> {
+    std::vector<std::vector<uint8_t>> bufs(static_cast<size_t>(c.verbs),
+                                           std::vector<uint8_t>(8));
+    sim::PoolVec<sim::Task<fabric::OpResult>> verbs;
+    for (auto& buf : bufs) {
+      verbs.push_back(c.series ? w->qp(0).WriteThenCas(addr2, buf, addr2 + 8, 0, 0)
+                               : w->qp(0).Read(addr2, buf));
+    }
+    const fabric::FabricStats before = env->fabric.stats();
+    const sim::Time busy_before = w->cpu()->busy_ns();
+    sim::PoolVec<fabric::OpResult> results =
+        co_await fabric::PostMany(w->cpu(), &env->sim, std::move(verbs));
+    const fabric::FabricStats& after = env->fabric.stats();
+    for (const fabric::OpResult& r : results) {
+      EXPECT_TRUE(r.ok());
+    }
+    EXPECT_EQ(after.doorbells - before.doorbells, c.doorbells);
+    EXPECT_EQ(after.doorbell_splits - before.doorbell_splits, c.doorbells - 1);
+    EXPECT_EQ(after.batches - before.batches, 1u);
+    EXPECT_EQ(after.batched_verbs - before.batched_verbs, static_cast<uint64_t>(c.verbs));
+    EXPECT_EQ(w->cpu()->busy_ns() - busy_before,
+              static_cast<sim::Time>(c.doorbells) * env->fabric.config().submit_cost);
+  };
+  for (const Case& c : {Case{false, 16, 1}, Case{false, 17, 2}, Case{true, 8, 1},
+                        Case{true, 9, 2}}) {
+    SCOPED_TRACE(::testing::Message() << (c.series ? "series " : "reads ") << c.verbs);
+    Spawn(driver(&env, &w, addr, c));
+    env.sim.Run();
+  }
 }
 
 // --- Batched vs. unbatched determinism. ------------------------------------

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "src/sim/simulator.h"
@@ -354,6 +355,252 @@ TEST(Fabric, JitterStaysBounded) {
     Time d = fabric.SampleDelay();
     EXPECT_GE(d, cfg.one_way_delay - cfg.delay_jitter);
     EXPECT_LE(d, cfg.one_way_delay + cfg.delay_jitter);
+  }
+}
+
+// --- Every verb's outcome under every fate. ---------------------------------
+//
+// One cell per verb and fate, on a fresh fabric with zero jitter, an idle
+// client CPU and no other traffic. A cell pins what the client sees (status,
+// completion instant), what the node keeps (whether the 72-byte region the
+// verbs touch changed) and what the fabric counts (FabricStats). A verb that
+// completes kStaleEpoch revokes its QP, and the next verb on that QP fails
+// fast without touching the fabric.
+
+enum class VerbKind { kRead, kWrite, kCas, kWriteThenCas };
+enum class Fate {
+  kDelivered,
+  kRequestDropped,
+  kResponseDropped,
+  kNodeCrashed,
+  kStaleEpoch,
+  kMovedReplica,
+  kNackResponseDropped,  // A stale-epoch NACK whose response leg drops.
+};
+
+// Region layout: [64-byte buffer][8-byte CAS word]. READ and WRITE target the
+// buffer, CAS the word, WRITE→CAS both.
+constexpr size_t kBufLen = 64;
+constexpr uint64_t kOldWord = 7;
+constexpr uint64_t kNewWord = 9;
+
+struct VerbOutcome {
+  OpResult result;
+  Time done = -1;
+  bool revoked = false;
+  FabricStats stats;            // At completion.
+  std::vector<uint8_t> region;  // At completion.
+  // The follow-up verb on the same QP, posted right after completion.
+  OpResult next;
+  Time next_done = -1;
+  FabricStats next_stats;
+};
+
+Task<OpResult> IssueVerb(Qp* qp, VerbKind kind, uint64_t buf, std::span<uint8_t> out,
+                         std::span<const uint8_t> data) {
+  const uint64_t word = buf + kBufLen;
+  switch (kind) {
+    case VerbKind::kRead:
+      return qp->Read(buf, out);
+    case VerbKind::kWrite:
+      return qp->Write(buf, data);
+    case VerbKind::kCas:
+      return qp->Cas(word, kOldWord, kNewWord);
+    case VerbKind::kWriteThenCas:
+      break;
+  }
+  return qp->WriteThenCas(buf, data, word, kOldWord, kNewWord);
+}
+
+Task<void> RunVerbCell(Fabric* f, Qp* qp, VerbKind kind, uint64_t buf, VerbOutcome* out) {
+  std::vector<uint8_t> read_buf(kBufLen, 0);
+  const std::vector<uint8_t> data(kBufLen, 0xEE);
+  out->result = co_await IssueVerb(qp, kind, buf, read_buf, data);
+  out->done = f->sim()->Now();
+  out->revoked = qp->revoked();
+  out->stats = f->stats();
+  out->region.resize(kBufLen + 8);
+  f->node(0).ReadInto(buf, out->region);
+  out->next = co_await IssueVerb(qp, kind, buf, read_buf, data);
+  out->next_done = f->sim()->Now();
+  out->next_stats = f->stats();
+}
+
+struct VerbCell {
+  VerbKind kind;
+  Fate fate;
+  Status status;
+  Time done;           // Absolute completion instant.
+  bool memory_changed;
+  uint64_t bytes_from_nodes;
+};
+
+TEST(Fabric, EveryVerbOutcomeIsPinned) {
+  // Timing with TestConfig(): the verb departs after one submit_cost (200),
+  // arrives 700 later, and a lost answer surfaces failure_detect_delay
+  // (4000) after departure. 64 B take 5 ns at 12.5 B/ns.
+  constexpr Time kArrive = 200 + 700;
+  constexpr Time kTimeout = 200 + 4000;
+  constexpr Time kReadAck = kArrive + 50 + 250 + 700 + 5;  // + read_extra + payload back.
+  constexpr Time kReadNack = kArrive + 50 + 700;
+  constexpr Time kWriteAck = kArrive + 5 + 50 + 700;       // Lands when the last byte does.
+  constexpr Time kCasAck = kArrive + 50 + 700;
+  constexpr Time kSeriesAck = kArrive + 5 + 50 + 50 + 700;  // The CAS runs after the write.
+  constexpr uint64_t kNack = kAckBytes;
+
+  using enum VerbKind;
+  using enum Fate;
+  const VerbCell cells[] = {
+      {kRead, kDelivered, Status::kOk, kReadAck, false, kVerbHeaderBytes + kBufLen},
+      {kRead, kRequestDropped, Status::kNodeFailed, kTimeout, false, 0},
+      {kRead, kResponseDropped, Status::kNodeFailed, kTimeout, false, 0},
+      {kRead, kNodeCrashed, Status::kNodeFailed, kTimeout, false, 0},
+      {kRead, kStaleEpoch, Status::kStaleEpoch, kReadNack, false, kNack},
+      {kRead, kMovedReplica, Status::kMovedReplica, kReadNack, false, kNack},
+      {kRead, kNackResponseDropped, Status::kNodeFailed, kTimeout, false, 0},
+
+      {kWrite, kDelivered, Status::kOk, kWriteAck, true, kAckBytes},
+      {kWrite, kRequestDropped, Status::kNodeFailed, kTimeout, false, 0},
+      {kWrite, kResponseDropped, Status::kNodeFailed, kTimeout, true, 0},
+      {kWrite, kNodeCrashed, Status::kNodeFailed, kTimeout, false, 0},
+      {kWrite, kStaleEpoch, Status::kStaleEpoch, kWriteAck, false, kNack},
+      {kWrite, kMovedReplica, Status::kMovedReplica, kWriteAck, false, kNack},
+      {kWrite, kNackResponseDropped, Status::kNodeFailed, kTimeout, false, 0},
+
+      {kCas, kDelivered, Status::kOk, kCasAck, true, kAckBytes + 8},
+      {kCas, kRequestDropped, Status::kNodeFailed, kTimeout, false, 0},
+      {kCas, kResponseDropped, Status::kNodeFailed, kTimeout, true, 0},
+      {kCas, kNodeCrashed, Status::kNodeFailed, kTimeout, false, 0},
+      {kCas, kStaleEpoch, Status::kStaleEpoch, kCasAck, false, kNack},
+      {kCas, kMovedReplica, Status::kMovedReplica, kCasAck, false, kNack},
+      {kCas, kNackResponseDropped, Status::kNodeFailed, kTimeout, false, 0},
+
+      {kWriteThenCas, kDelivered, Status::kOk, kSeriesAck, true, kAckBytes + 8},
+      {kWriteThenCas, kRequestDropped, Status::kNodeFailed, kTimeout, false, 0},
+      {kWriteThenCas, kResponseDropped, Status::kNodeFailed, kTimeout, true, 0},
+      {kWriteThenCas, kNodeCrashed, Status::kNodeFailed, kTimeout, false, 0},
+      {kWriteThenCas, kStaleEpoch, Status::kStaleEpoch, kSeriesAck, false, kNack},
+      {kWriteThenCas, kMovedReplica, Status::kMovedReplica, kSeriesAck, false, kNack},
+      {kWriteThenCas, kNackResponseDropped, Status::kNodeFailed, kTimeout, false, 0},
+  };
+
+  for (const VerbCell& cell : cells) {
+    SCOPED_TRACE(::testing::Message() << "verb " << static_cast<int>(cell.kind) << " fate "
+                                      << static_cast<int>(cell.fate));
+    Simulator sim;
+    Fabric fabric(&sim, TestConfig());
+    ClientCpu cpu(&sim);
+    cpu.Configure(&fabric.stats(), /*batching_enabled=*/true);
+    Qp qp(&fabric, 0, &cpu);
+    const uint64_t epoch = 1;
+    qp.set_epoch(&epoch);
+
+    MemoryNode& node = fabric.node(0);
+    const uint64_t buf = node.Allocate(kBufLen + 8);
+    node.WriteFrom(buf, std::vector<uint8_t>(kBufLen, 0x11));
+    node.StoreWord(buf + kBufLen, kOldWord);
+    std::vector<uint8_t> before(kBufLen + 8);
+    node.ReadInto(buf, before);
+
+    switch (cell.fate) {
+      case kDelivered:
+        break;
+      case kRequestDropped:
+        fabric.set_drop_fn([](int, bool response, int) { return !response; });
+        break;
+      case kResponseDropped:
+        fabric.set_drop_fn([](int, bool response, int) { return response; });
+        break;
+      case kNodeCrashed:
+        fabric.Crash(0);
+        break;
+      case kStaleEpoch:
+        fabric.SetFenceEpoch(epoch + 1);
+        break;
+      case kMovedReplica:
+        node.RetireRegion(buf, kBufLen + 8);
+        break;
+      case kNackResponseDropped:
+        fabric.SetFenceEpoch(epoch + 1);
+        fabric.set_drop_fn([](int, bool response, int) { return response; });
+        break;
+    }
+
+    VerbOutcome out;
+    Spawn(RunVerbCell(&fabric, &qp, cell.kind, buf, &out));
+    sim.Run();
+    const FabricStats& st = out.stats;
+
+    EXPECT_EQ(out.result.status, cell.status);
+    EXPECT_EQ(out.done, cell.done);
+    EXPECT_EQ(out.region != before, cell.memory_changed);
+    if (cell.memory_changed && cell.kind != kWrite) {
+      uint64_t word = 0;
+      std::memcpy(&word, out.region.data() + kBufLen, 8);
+      EXPECT_EQ(word, kNewWord);
+    }
+    // Only an answered CAS reports the word it found.
+    const bool cas_answered = cell.status == Status::kOk && (cell.kind == kCas ||
+                                                             cell.kind == kWriteThenCas);
+    EXPECT_EQ(out.result.old_value, cas_answered ? kOldWord : 0);
+
+    const bool series = cell.kind == kWriteThenCas;
+    const bool has_write = cell.kind == kWrite || series;
+    const bool has_cas = cell.kind == kCas || series;
+    EXPECT_EQ(st.ops_issued, series ? 2u : 1u);
+    EXPECT_EQ(st.reads, cell.kind == kRead ? 1u : 0u);
+    EXPECT_EQ(st.writes, has_write ? 1u : 0u);
+    EXPECT_EQ(st.casses, has_cas ? 1u : 0u);
+    EXPECT_EQ(st.bytes_to_nodes, (series ? 2 : 1) * kVerbHeaderBytes + (has_write ? kBufLen : 0) +
+                                     (has_cas ? 16 : 0));
+    EXPECT_EQ(st.bytes_from_nodes, cell.bytes_from_nodes);
+    EXPECT_EQ(st.doorbells, 1u);
+    EXPECT_EQ(st.batches, 0u);
+    EXPECT_EQ(st.doorbell_splits, 0u);
+
+    // kStaleEpoch, and only kStaleEpoch, revokes the QP: the next verb fails
+    // fast, at its posting instant, and neither submits nor counts.
+    const bool revoke = cell.status == Status::kStaleEpoch;
+    EXPECT_EQ(out.revoked, revoke);
+    if (revoke) {
+      EXPECT_EQ(out.next.status, Status::kStaleEpoch);
+      EXPECT_EQ(out.next_done, out.done);
+      EXPECT_EQ(out.next_stats.ops_issued, st.ops_issued);
+      EXPECT_EQ(out.next_stats.doorbells, st.doorbells);
+    } else {
+      EXPECT_GT(out.next_done, out.done);
+      EXPECT_EQ(out.next_stats.doorbells, st.doorbells + 1);
+    }
+  }
+}
+
+// A READ has no effect at the node, so one whose response leg drops is lost
+// at departure: it never occupies the node's NIC, and a READ from another QP
+// arriving at the same instant is served at once.
+TEST(Fabric, LostReadNeverReservesTheNic) {
+  for (bool drop : {false, true}) {
+    SCOPED_TRACE(drop ? "response dropped" : "delivered");
+    Simulator sim;
+    Fabric fabric(&sim, TestConfig());
+    fabric.set_drop_fn(
+        [drop](int, bool response, int tag) { return drop && response && tag == 1; });
+    const uint64_t addr = fabric.node(0).Allocate(8);
+    Qp first(&fabric, 0, nullptr);
+    first.set_chaos_tag(1);
+    Qp probe(&fabric, 0, nullptr);
+    Time probe_done = -1;
+    auto read = [](Fabric* f, Qp* qp, uint64_t a, Time* done) -> Task<void> {
+      std::vector<uint8_t> out(8);
+      swarm::DiscardStatus(co_await qp->Read(a, out));
+      if (done != nullptr) {
+        *done = f->sim()->Now();
+      }
+    };
+    Spawn(read(&fabric, &first, addr, nullptr));
+    Spawn(read(&fabric, &probe, addr, &probe_done));
+    sim.Run();
+    // Both arrive at 700; a served first READ holds the NIC for node_op_cost.
+    EXPECT_EQ(probe_done, (drop ? 700 : 750) + 50 + 250 + 700);
   }
 }
 

@@ -447,9 +447,11 @@ def check_hot_path_alloc(funcs, fn, findings, by_name):
         return
     seen = set()
     # Same-file transitive closure: a hot-path function's same-file callees
-    # are hot too (the runtime zero-alloc guard has the same reach).
+    # are hot too (the runtime zero-alloc guard has the same reach). Calls
+    # resolve by name, so a call reaches every same-file function of that
+    # name (overloads, same-named members of different structs).
     stack = [(fn, None)]
-    visited = {fn.qualname}
+    visited = {id(fn)}
     while stack:
         cur, via = stack.pop()
         for line, what in _alloc_sites(cur):
@@ -467,10 +469,10 @@ def check_hot_path_alloc(funcs, fn, findings, by_name):
         for i, t in enumerate(cur.body):
             if t.kind == "id" and i + 1 < len(cur.body) \
                     and cur.body[i + 1].text == "(" and t.text in by_name:
-                callee = by_name[t.text]
-                if callee.qualname not in visited:
-                    visited.add(callee.qualname)
-                    stack.append((callee, callee.qualname))
+                for callee in by_name[t.text]:
+                    if id(callee) not in visited:
+                        visited.add(id(callee))
+                        stack.append((callee, callee.qualname))
 
 
 # --- Pass 3: swarm-bounded-slot-index ---------------------------------------
@@ -615,13 +617,9 @@ def check_retry_stale_epoch(fn, findings, by_name):
         if not handled:
             # Same-file callee may centralize the arm (e.g. a shared
             # failure-handler the loop calls on every non-kOk status).
-            for x in tset:
-                f2 = by_name.get(x)
-                if f2 is not None and any(
-                        t.text in ("kStaleEpoch", "RefreshEpoch")
-                        for t in f2.body):
-                    handled = True
-                    break
+            handled = any(t.text in ("kStaleEpoch", "RefreshEpoch")
+                          for x in tset for f2 in by_name.get(x, ())
+                          for t in f2.body)
         if not handled:
             findings.append((line, "swarm-retry-stale-epoch",
                              "retry loop over fabric verbs branches on "
@@ -644,7 +642,7 @@ def lint_file(path, enabled):
     funcs = extract_functions(toks)
     by_name = {}
     for fn in funcs:
-        by_name.setdefault(fn.name, fn)
+        by_name.setdefault(fn.name, []).append(fn)
     findings = []
     for fn in funcs:
         if "swarm-unchecked-commit-critical" in enabled:
