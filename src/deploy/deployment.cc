@@ -28,9 +28,6 @@ repair::LayoutProtocol LayoutProtocolOf(const std::string& store) {
 }  // namespace
 
 ProtocolConfig SizeProtocol(ProtocolConfig proto, int writers) {
-  if (!proto.enforce_writer_bounds) {
-    return proto;
-  }
   if (writers > static_cast<int>(kMaxTid) + 1) {
     std::fprintf(stderr,
                  "deploy: %d writers exceed the metadata word's tid space (%u tids); "
@@ -53,7 +50,9 @@ Deployment::Deployment(const DeploymentConfig& cfg) : cfg_(cfg) {
   }
   const int writers = cfg_.num_clients * cfg_.workers_per_client + (cfg_.repair ? 1 : 0) +
                       (cfg_.migration ? 1 : 0);
-  cfg_.proto = SizeProtocol(cfg_.proto, writers);
+  if (!cfg_.fabric.canaries.undersized_writer_bound) {
+    cfg_.proto = SizeProtocol(cfg_.proto, writers);
+  }
 
   sim_ = std::make_unique<sim::Simulator>(cfg_.seed);
   fabric_ = std::make_unique<fabric::Fabric>(sim_.get(), cfg_.fabric);

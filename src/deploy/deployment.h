@@ -23,7 +23,8 @@
 //
 // SizeProtocol is the only writer-sizing rule: every worker the deployment
 // builds is a writer, coordinators included, and more writers than the
-// metadata word's tid space abort the build.
+// metadata word's tid space abort the build. The undersized-writer-bound
+// canary (fabric::CanaryKnobs) skips it, keeping the protocol verbatim.
 
 #ifndef SWARM_SRC_DEPLOY_DEPLOYMENT_H_
 #define SWARM_SRC_DEPLOY_DEPLOYMENT_H_
@@ -85,8 +86,7 @@ struct DeploymentConfig {
 // region would CAS the neighboring slab slot's words. meta_slots 0 becomes
 // min(writers, 64): one In-n-Out metadata buffer per writer (§7.9's
 // recommended configuration), capped. More writers than the metadata word's
-// tid space abort. With enforce_writer_bounds off the config is returned
-// verbatim: the writer-bound canary's reproduction of the undersized bug.
+// tid space abort.
 ProtocolConfig SizeProtocol(ProtocolConfig proto, int writers);
 
 // One worker of a client process and the sessions on top of it. A

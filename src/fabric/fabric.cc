@@ -110,7 +110,8 @@ Fabric::Fabric(sim::Simulator* sim, FabricConfig config)
       max_nodes_(std::max(config.max_nodes, config.num_nodes)) {
   nodes_.reserve(static_cast<size_t>(max_nodes_));
   for (int i = 0; i < config_.num_nodes; ++i) {
-    nodes_.push_back(std::make_unique<MemoryNode>(config_.node_capacity_bytes, i));
+    nodes_.push_back(std::make_unique<MemoryNode>(config_.node_capacity_bytes, i,
+                                                  !config_.canaries.unenforced_epoch_fence));
     nodes_.back()->set_now_fn([sim] { return sim->Now(); });
   }
   // Sized to the lifetime bound so hot-added nodes slot in without moving
@@ -123,10 +124,10 @@ int Fabric::AddNode() {
   if (id >= max_nodes_) {
     return -1;  // Admission plans are bounded by config.max_nodes.
   }
-  nodes_.push_back(std::make_unique<MemoryNode>(config_.node_capacity_bytes, id));
+  nodes_.push_back(std::make_unique<MemoryNode>(config_.node_capacity_bytes, id,
+                                                !config_.canaries.unenforced_epoch_fence));
   nodes_.back()->set_now_fn([sim = sim_] { return sim->Now(); });
   nodes_.back()->set_fence_epoch(fence_epoch_);
-  nodes_.back()->set_fence_enforced(fence_enforced_);
   return id;
 }
 

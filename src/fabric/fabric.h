@@ -66,6 +66,26 @@
 
 namespace swarm::fabric {
 
+// Planted bugs for the chaos canary gallery (tests/chaos_replay_test.cc),
+// all off in production. Each brings back one fixed bug and is read only at
+// its bug site, through the one config every layer reaches
+// (worker->fabric()->config()); none can change once the fabric is built.
+struct CanaryKnobs {
+  // deploy::Deployment skips SizeProtocol and Safe-Guess's tid check stands
+  // down: writers past max_writers CAS a neighbor slot's lock words.
+  bool undersized_writer_bound = false;
+  // Nodes learn the membership epoch but do not enforce it: stale verbs land
+  // (MemoryNode::stale_landings counts them).
+  bool unenforced_epoch_fence = false;
+  // Crash repair's same-layout copy drops delete tombstones, so deleted
+  // objects resurrect. Migration copies stay exact.
+  bool skip_tombstone_repair = false;
+  // RepairService readmits a restarted node before its repair runs.
+  bool readmit_before_repair = false;
+  // MigrationService flips ownership without fencing the vacated slot.
+  bool unfenced_flip = false;
+};
+
 struct FabricConfig {
   int num_nodes = 4;
   // Upper bound on nodes over the fabric's lifetime (elastic membership:
@@ -122,6 +142,8 @@ struct FabricConfig {
   using DropFn = std::function<bool(int node, bool response, int qp_tag)>;
   LinkDelayFn link_delay_fn;
   DropFn drop_fn;
+
+  CanaryKnobs canaries;
 };
 
 struct FabricStats {
@@ -257,7 +279,6 @@ class Qp {
   // Tags this QP for per-QP fault targeting (FabricConfig::DropFn). Chaos
   // scenarios tag every worker of client i with tag i; -1 = untargetable.
   void set_chaos_tag(int tag) { chaos_tag_ = tag; }
-  int chaos_tag() const { return chaos_tag_; }
 
   // One-sided READ of [addr, addr+out.size()). The bytes are sampled at the
   // op's execution instant at the node and delivered at completion.
@@ -335,12 +356,6 @@ class Fabric {
       n->set_fence_epoch(epoch);
     }
   }
-  void SetFenceEnforced(bool on) {
-    fence_enforced_ = on;
-    for (auto& n : nodes_) {
-      n->set_fence_enforced(on);
-    }
-  }
 
   // Pseudo-link id for the index service's RPC channel: the chaos hooks
   // (link_delay_fn / drop_fn) are keyed by link, and the index server rides
@@ -395,8 +410,7 @@ class Fabric {
   sim::Simulator* sim_;
   FabricConfig config_;
   int max_nodes_;
-  uint64_t fence_epoch_ = 0;      // Applied to hot-added nodes on AddNode.
-  bool fence_enforced_ = true;    // Likewise (epoch-fencing canary knob).
+  uint64_t fence_epoch_ = 0;  // Applied to hot-added nodes on AddNode.
   std::vector<std::unique_ptr<MemoryNode>> nodes_;
   std::vector<sim::Time> nic_free_;
   FabricStats stats_;

@@ -6,9 +6,9 @@
 
 namespace swarm::fabric {
 
-MemoryNode::MemoryNode(uint64_t capacity_bytes, int id)
+MemoryNode::MemoryNode(uint64_t capacity_bytes, int id, bool enforce_epoch_fence)
     : mem_(static_cast<uint8_t*>(std::calloc(capacity_bytes, 1))), capacity_(capacity_bytes),
-      id_(id) {
+      id_(id), fence_enforced_(enforce_epoch_fence) {
   if (mem_ == nullptr) {
     std::fprintf(stderr, "memory node %d: cannot back %llu B of node memory\n", id_,
                  static_cast<unsigned long long>(capacity_));

@@ -27,7 +27,7 @@ namespace swarm::fabric {
 class MemoryNode {
  public:
   // `id` names the node in diagnostics (-1 = unnamed).
-  explicit MemoryNode(uint64_t capacity_bytes, int id = -1);
+  explicit MemoryNode(uint64_t capacity_bytes, int id = -1, bool enforce_epoch_fence = true);
 
   // --- Raw access (invoked by the fabric at an op's execution event). ---
   void ReadInto(uint64_t addr, std::span<uint8_t> out) const;
@@ -72,7 +72,6 @@ class MemoryNode {
   uint64_t bytes_allocated() const { return extent_.high_water(); }
   uint64_t live_bytes() const { return extent_.live_bytes(); }
   uint64_t capacity() const { return capacity_; }
-  const alloc::ExtentAllocator& extent_allocator() const { return extent_; }
 
   // --- Failure injection. ---
   void Crash() { failed_ = true; }
@@ -92,7 +91,6 @@ class MemoryNode {
   // and would observe wiped memory — clients must keep seeing kNodeFailed
   // until the node is repaired and readmitted.
   void set_repair_fenced(bool fenced) { repair_fenced_ = fenced; }
-  bool repair_fenced() const { return repair_fenced_; }
 
   // Membership-epoch fence (§5.4 per-client QP revocation): the membership
   // service pushes its epoch to EVERY node on each repair-relevant
@@ -104,11 +102,10 @@ class MemoryNode {
   // coordinator's channel is exempt: it drives the transitions itself.
   void set_fence_epoch(uint64_t epoch) { fence_epoch_ = epoch; }
   uint64_t fence_epoch() const { return fence_epoch_; }
-  // Canary knob (MembershipService::set_epoch_fencing(false)): the node
-  // keeps LEARNING the epoch but stops enforcing it — stale verbs land, and
+  // A node built with enforce_epoch_fence false (the epoch-fence canary)
+  // keeps LEARNING the epoch but does not enforce it — stale verbs land, and
   // stale_landings() counts how many the fence would have rejected (the
   // pre-fix exposure, also a handy diagnostic).
-  void set_fence_enforced(bool on) { fence_enforced_ = on; }
   uint64_t stale_landings() const { return stale_landings_; }
 
   // Whether a verb on a (non-)repair channel is rejected at execution.
@@ -184,7 +181,7 @@ class MemoryNode {
   // cheap even with thousands of long-lived migration fences.
   alloc::FreeMap retired_;
   uint64_t fence_epoch_ = 0;  // 0 = never fenced; every stamp passes.
-  bool fence_enforced_ = true;
+  const bool fence_enforced_;
   mutable uint64_t stale_landings_ = 0;
   sim::Time extra_delay_ = 0;
 };

@@ -179,9 +179,7 @@ void FuseeStore::ReplaceHome(uint64_t key, int old_primary, int old_backup, int 
   RegisterKey(key, new_primary, new_backup);
 }
 
-sim::Task<repair::RepairOutcome> FuseeStore::RepairNode(int node, Worker* worker,
-                                                        const repair::RepairConfig& config) {
-  (void)config;  // FUSEE keeps no tombstones: a removed key IS the zero slot.
+sim::Task<repair::RepairOutcome> FuseeStore::RepairNode(int node, Worker* worker) {
   repair::RepairOutcome out;
   out.complete = true;
   // Index-guided log scan over the node's inverse registry: O(keys-on-node),

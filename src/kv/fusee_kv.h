@@ -112,8 +112,7 @@ class FuseeStore : public repair::RepairableStore, public repair::MigratableStor
   }
 
   // --- Crash-recover repair (src/repair/repair.h) ---
-  sim::Task<repair::RepairOutcome> RepairNode(int node, Worker* worker,
-                                              const repair::RepairConfig& config) override;
+  sim::Task<repair::RepairOutcome> RepairNode(int node, Worker* worker) override;
   void OnRepairBegin(int node) override {
     (void)node;
     ++repairing_;  // Synchronous replication: all progress stops. Counted,
@@ -129,8 +128,6 @@ class FuseeStore : public repair::RepairableStore, public repair::MigratableStor
   }
 
   uint64_t NextGeneration() { return next_gen_++; }
-
-  uint64_t ModeledIndexBytes() const { return directory_.size() * 2 * 8; }
 
  private:
   class KeyMove;  // One key's two-slot re-homing (fusee_kv.cc).

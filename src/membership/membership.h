@@ -40,9 +40,10 @@
 // the crash is rejected everywhere from the crash instant on, so no
 // completion that straddles a repair can ever count toward a quorum.
 //
-// The epoch_fencing knob exists ONLY for the chaos canary gallery: disabling
-// it reproduces the pre-fix behavior so the suites can demonstrate they
-// catch the violation.
+// The chaos canary gallery reproduces the pre-fix behavior with
+// fabric::CanaryKnobs::unenforced_epoch_fence: the epoch still advances and
+// reaches the nodes, but they stop enforcing it, so the suites can
+// demonstrate they catch the violation.
 //
 // --- Elastic membership: the node lifecycle state model ------------------
 //
@@ -287,16 +288,6 @@ class MembershipService {
   // caller (Worker::RefreshEpoch) pays the network roundtrip.
   uint64_t ValidateEpoch() const { return epoch_; }
 
-  // CANARY knob: with fencing off the epoch still advances, is still pushed
-  // and still reaches the nodes, but they stop ENFORCING it — verbs stamped
-  // before a crash-repair cycle land and are trusted (each counted in
-  // MemoryNode::stale_landings), the pre-fix behavior the chaos canary must
-  // catch. Production configurations leave this on.
-  void set_epoch_fencing(bool on) {
-    // Via the fabric so nodes hot-added later inherit the setting.
-    fabric_->SetFenceEnforced(on);
-  }
-
   // --- Client leases (for the memory recycler, §4.5/§5.4) ---
 
   void RegisterClient(uint32_t client_id) {
@@ -357,7 +348,6 @@ class MembershipService {
   }
 
   sim::Time detection_delay() const { return detection_delay_; }
-  sim::Time lease_duration() const { return lease_duration_; }
 
  private:
   void AdvanceEpoch() {

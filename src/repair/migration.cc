@@ -53,8 +53,7 @@ class LayoutMove final : public ReplicaMove {
   }
 
   sim::Task<bool> Copy() override {
-    co_return co_await CopyReplica(protocol_, worker_, src_, dst_.get(), slot_,
-                                   /*skip_tombstones=*/false);
+    co_return co_await CopyReplica(protocol_, worker_, src_, dst_.get(), slot_);
   }
 
   // ReplaceLayout retires L as moved: the repair walk skips it, cache GC
@@ -180,10 +179,9 @@ sim::Task<MigrateStatus> MigrationService::MigrateKey(uint64_t key, int from, in
 }
 
 sim::Task<MigrateStatus> MigrationService::Move(ReplicaMove& move, int dest) {
-  ++in_flight_;
   // --- graft + fence + epoch bump -----------------------------------------
   move.Graft(dest);
-  const bool fenced = !config_.disable_flip_fence;
+  const bool fenced = !worker_->fabric()->config().canaries.unfenced_flip;
   const bool bump_epoch = !move.FencesEveryReplica();
   if (fenced) {
     move.SetFence(true);
@@ -208,7 +206,6 @@ sim::Task<MigrateStatus> MigrationService::Move(ReplicaMove& move, int dest) {
   }
   if (flipped) {
     ++keys_moved_;
-    --in_flight_;
     co_return MigrateStatus::kMoved;
   }
 
@@ -224,7 +221,6 @@ sim::Task<MigrateStatus> MigrationService::Move(ReplicaMove& move, int dest) {
     membership_->NoteOwnershipFlip();  // Un-fenced: stale holders re-learn again.
   }
   ++keys_aborted_;
-  --in_flight_;
   co_return MigrateStatus::kAborted;
 }
 

@@ -63,6 +63,11 @@
 // admission's rebalance racing a drain over the same key) is skipped, so two
 // coordinators never fence the same slot and one's abort can never lift a
 // fence the other's flip made permanent.
+//
+// The recycler's horizon does not wait for a move, though its harvest chases
+// out-of-place pointers like a reader: a move pins its source layout, which
+// the retired-layout GC therefore cannot free (FUSEE's directory is never
+// collected), and out-of-place buffers recycle on OopPool's own quarantine.
 
 #ifndef SWARM_SRC_REPAIR_MIGRATION_H_
 #define SWARM_SRC_REPAIR_MIGRATION_H_
@@ -88,11 +93,6 @@ struct MigrationConfig {
   // Copy attempts per key before the migration aborts (fences restored).
   int max_rounds = 10;
   sim::Time round_retry_delay = 30 * sim::kMicrosecond;
-
-  // CANARY: flip ownership WITHOUT fencing the vacated slot — stale clients
-  // keep committing at the old replica after the flip. The linearizability
-  // checker must catch this for every store (tests/chaos_replay_test.cc).
-  bool disable_flip_fence = false;
 };
 
 // Per-key outcome of one migration attempt.
@@ -222,11 +222,6 @@ class MigrationService {
   // moved stay moved — each flip was individually complete).
   sim::Task<bool> Drain(int node, bool decommission);
 
-  // True while any migration is running — recycler safe-horizon gate: the
-  // harvest chases out-of-place pointers exactly like a reader
-  // (Recycler::set_repair_gate composes this with RepairService::InFlight).
-  bool InFlight() const { return in_flight_ > 0; }
-
   uint64_t keys_moved() const { return keys_moved_; }
   uint64_t keys_skipped() const { return keys_skipped_; }
   uint64_t keys_aborted() const { return keys_aborted_; }
@@ -252,7 +247,6 @@ class MigrationService {
   MigratableStore* store_;
   Worker* worker_;
   MigrationConfig config_;
-  int in_flight_ = 0;
   std::unordered_set<uint64_t> moving_;  // Keys with a move in flight.
   uint64_t keys_moved_ = 0;
   uint64_t keys_skipped_ = 0;

@@ -67,10 +67,12 @@ sim::Task<bool> CopyLocks(Worker* worker, const ObjectLayout* src, const ObjectL
 }
 
 sim::Task<bool> CopySafeGuessReplica(Worker* worker, std::shared_ptr<const ObjectLayout> src,
-                                     const ObjectLayout* dst, int target, bool skip_tombstones) {
+                                     const ObjectLayout* dst, int target) {
   const ObjectLayout* layout = src.get();
   QuorumMax reg(worker, layout, worker->SlotCacheFor(layout));
-  if (skip_tombstones) {
+  const bool drop_tombstones =
+      dst == layout && worker->fabric()->config().canaries.skip_tombstone_repair;
+  if (drop_tombstones) {
     // CANARY: deleted objects are not copied AT ALL — the probe must be a
     // weak read, because the strong read below write-backs the max (i.e.
     // stabilizes the tombstone at the survivors) as a side effect, which
@@ -88,7 +90,7 @@ sim::Task<bool> CopySafeGuessReplica(Worker* worker, std::shared_ptr<const Objec
     InOutReplica rep(worker, dst, target);
     const Meta word = Meta::Pack(m.m.counter(), m.m.tid(), m.m.verified(), 0);
     if (m.m.deleted()) {
-      if (!skip_tombstones) {
+      if (!drop_tombstones) {
         NodeMaxResult res = co_await rep.WriteVerifiedNode(word, {}, Meta());
         if (!res.ok()) {
           co_return false;
@@ -112,12 +114,12 @@ sim::Task<bool> CopySafeGuessReplica(Worker* worker, std::shared_ptr<const Objec
 
 sim::Task<bool> CopyReplica(LayoutProtocol protocol, Worker* worker,
                             std::shared_ptr<const ObjectLayout> src, const ObjectLayout* dst,
-                            int target, bool skip_tombstones) {
+                            int target) {
   if (protocol == LayoutProtocol::kAbd) {
     AbdObject obj(worker, src.get(), worker->SlotCacheFor(src.get()));
-    co_return co_await obj.CopyReplicaTo(dst, target, skip_tombstones);
+    co_return co_await obj.CopyReplicaTo(dst, target);
   }
-  co_return co_await CopySafeGuessReplica(worker, std::move(src), dst, target, skip_tombstones);
+  co_return co_await CopySafeGuessReplica(worker, std::move(src), dst, target);
 }
 
 }  // namespace swarm::repair

@@ -60,17 +60,18 @@ sim::Task<bool> CopyLocks(Worker* worker, const ObjectLayout* src, const ObjectL
 // (ABD-style strong read: the max is write-back-stabilized at the survivors
 // before it is trusted) and installs it — exact metadata word, value bytes,
 // and merged lock state — into `dst`'s replica `target`. Pass dst == src for
-// crash repair; a distinct layout for migration. `skip_tombstones` is the
-// repair canary knob (RepairConfig::skip_tombstone_repair).
+// crash repair; a distinct layout for migration. The skipped-tombstone canary
+// (fabric::CanaryKnobs::skip_tombstone_repair) is planted on crash repair's
+// same-layout copy only, so migration copies stay exact.
 sim::Task<bool> CopySafeGuessReplica(Worker* worker, std::shared_ptr<const ObjectLayout> src,
-                                     const ObjectLayout* dst, int target, bool skip_tombstones);
+                                     const ObjectLayout* dst, int target);
 
 // The one protocol switch of crash repair and live migration: copies `src`'s
 // authoritative state into `dst`'s replica `target` with the routine that
 // fits `protocol` — CopySafeGuessReplica, or AbdObject::CopyReplicaTo.
 sim::Task<bool> CopyReplica(LayoutProtocol protocol, Worker* worker,
                             std::shared_ptr<const ObjectLayout> src, const ObjectLayout* dst,
-                            int target, bool skip_tombstones);
+                            int target);
 
 }  // namespace swarm::repair
 

@@ -6,8 +6,7 @@
 
 namespace swarm::repair {
 
-sim::Task<RepairOutcome> IndexRepairSource::RepairNode(int node, Worker* worker,
-                                                       const RepairConfig& config) {
+sim::Task<RepairOutcome> IndexRepairSource::RepairNode(int node, Worker* worker) {
   RepairOutcome out;
   out.complete = true;
   // Prune first: layouts past the recycler's safe horizon can no longer be
@@ -38,8 +37,7 @@ sim::Task<RepairOutcome> IndexRepairSource::RepairNode(int node, Worker* worker,
   for (const auto& [layout_sp, r] : slots) {
     // Same-layout copy: harvest from the survivors, install into the
     // rejoining replica (src/repair/quorum_copy.h).
-    const bool ok = co_await CopyReplica(protocol_, worker, layout_sp, layout_sp.get(), r,
-                                         config.skip_tombstone_repair);
+    const bool ok = co_await CopyReplica(protocol_, worker, layout_sp, layout_sp.get(), r);
     if (ok) {
       ++out.slots_repaired;
     } else {
@@ -63,7 +61,7 @@ sim::Task<bool> RepairService::RepairRounds(int node, uint64_t* residual_failed)
     complete = true;
     *residual_failed = 0;
     for (RepairableStore* s : stores_) {
-      RepairOutcome out = co_await s->RepairNode(node, worker_, config_);
+      RepairOutcome out = co_await s->RepairNode(node, worker_);
       slots_repaired_ += out.slots_repaired;
       slots_walked_ += out.slots_walked;
       *residual_failed += out.slots_failed;
@@ -140,7 +138,7 @@ sim::Task<bool> RepairService::RecoverAndRepair(int node) {
   for (RepairableStore* s : stores_) {
     s->OnRepairBegin(node);
   }
-  if (config_.readmit_before_repair) {
+  if (worker_->fabric()->config().canaries.readmit_before_repair) {
     // CANARY: the node rejoins quorums with empty replicas while the repair
     // below is still running — the bug the chaos suites must catch.
     for (RepairableStore* s : stores_) {
@@ -150,7 +148,7 @@ sim::Task<bool> RepairService::RecoverAndRepair(int node) {
   }
   uint64_t residual = 0;
   const bool complete = co_await RepairRounds(node, &residual);
-  if (config_.readmit_before_repair) {
+  if (worker_->fabric()->config().canaries.readmit_before_repair) {
     --in_flight_;
     ++repairs_completed_;
     co_return true;  // Already (wrongly) readmitted above.

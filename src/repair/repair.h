@@ -57,20 +57,10 @@ struct [[nodiscard]] RepairOutcome {
   uint64_t slots_walked = 0;
 };
 
-// Fault-injection knobs for the canary gallery (tests/chaos_replay_test.cc):
-// each flag plants a known repair bug the crash-recover chaos suites must
-// catch. Production configurations leave both false.
 struct RepairConfig {
   // Repair rounds per node before giving up (the node then stays excluded).
   int max_rounds = 10;
   sim::Time round_retry_delay = 30 * sim::kMicrosecond;
-
-  // CANARY: skip restoring delete tombstones — deleted objects resurrect
-  // through quorums pairing the rejoined replica with a stale survivor.
-  bool skip_tombstone_repair = false;
-  // CANARY: readmit the node before (instead of after) its repair ran —
-  // empty replicas serve reads and linearizability falls over.
-  bool readmit_before_repair = false;
 };
 
 // A store whose replica placement the repair coordinator can walk. RepairNode
@@ -82,8 +72,7 @@ class RepairableStore {
   // Rebuilds every replica slot this store placed on `node`, reading from
   // surviving quorums through `worker` — whose repair-excluded set contains
   // `node`, so its quorum reads cannot touch the node being rebuilt.
-  virtual sim::Task<RepairOutcome> RepairNode(int node, Worker* worker,
-                                              const RepairConfig& config) = 0;
+  virtual sim::Task<RepairOutcome> RepairNode(int node, Worker* worker) = 0;
 
   // Lifecycle notifications around the whole repair of `node`.
   virtual void OnRepairBegin(int node) { (void)node; }
@@ -101,8 +90,7 @@ class IndexRepairSource : public RepairableStore {
   IndexRepairSource(index::IndexService* index, LayoutProtocol protocol)
       : index_(index), protocol_(protocol) {}
 
-  sim::Task<RepairOutcome> RepairNode(int node, Worker* worker,
-                                      const RepairConfig& config) override;
+  sim::Task<RepairOutcome> RepairNode(int node, Worker* worker) override;
 
  private:
   index::IndexService* index_;

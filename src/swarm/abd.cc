@@ -411,8 +411,7 @@ sim::Task<SgWriteResult> AbdObject::Delete() {
   co_return result;
 }
 
-sim::Task<bool> AbdObject::CopyReplicaTo(const ObjectLayout* dst, int target,
-                                         bool skip_tombstones) {
+sim::Task<bool> AbdObject::CopyReplicaTo(const ObjectLayout* dst, int target) {
   // Phase 1: the surviving SOURCE quorum's metadata words. For crash repair
   // the caller's worker has the target's node repair-excluded, so the engine
   // never contacts it; for migration the vacated source slot is
@@ -431,9 +430,6 @@ sim::Task<bool> AbdObject::CopyReplicaTo(const ObjectLayout* dst, int target,
   }
   auto cs = sim::MakePooled<CasState>(worker_->sim());
   if (m.deleted()) {
-    if (skip_tombstones) {
-      co_return true;  // Canary bug: the tombstone never reaches the node.
-    }
     // Tombstone stabilization: restore the EXACT tombstone word so deleted
     // objects cannot resurrect through a quorum that pairs the rejoined
     // replica with a stale survivor.

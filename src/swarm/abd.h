@@ -53,9 +53,7 @@ class AbdObject {
   // the destination's metadata address, so the installed buffer
   // self-validates under `dst`. Returns false when no surviving quorum
   // answered or the value bytes could not be resolved (caller retries).
-  // `skip_tombstones` is the canary-gallery bug knob
-  // (repair::RepairConfig::skip_tombstone_repair).
-  sim::Task<bool> CopyReplicaTo(const ObjectLayout* dst, int target, bool skip_tombstones);
+  sim::Task<bool> CopyReplicaTo(const ObjectLayout* dst, int target);
 
  private:
   // One update attempt; Write() wraps it in the membership-refresh-then-

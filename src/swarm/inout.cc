@@ -143,7 +143,7 @@ sim::Task<NodeMaxResult> InOutReplica::WriteMax(Meta w, std::span<const uint8_t>
   co_return result;
 }
 
-sim::Task<NodeView> InOutReplica::ReadNode(bool want_inplace, uint32_t my_tid) {
+sim::Task<NodeView> InOutReplica::ReadNode(bool want_inplace) {
   NodeView view;
   fabric::Qp& qp = worker_->qp(rep_->node);
   const bool rd_inplace = want_inplace && has_inplace();
@@ -163,7 +163,6 @@ sim::Task<NodeView> InOutReplica::ReadNode(bool want_inplace, uint32_t my_tid) {
     view.slots.push_back(WordAt(buf, static_cast<size_t>(s) * 8));
     view.max = TsMax(view.max, view.slots.back());
   }
-  view.my_slot = view.slots[static_cast<size_t>(SlotOf(my_tid, layout_->meta_slots))];
 
   if (rd_inplace && !view.max.empty() && !view.max.deleted()) {
     const uint64_t stored_hash = WordAt(buf, meta_bytes).raw();

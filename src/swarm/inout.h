@@ -34,7 +34,6 @@ namespace swarm {
 struct [[nodiscard]] NodeView {
   fabric::Status status = fabric::Status::kOk;
   Meta max;                    // ts-max over the metadata slots (full word, node-local oop).
-  Meta my_slot;                // current content of this writer's slot (for CAS caching).
   sim::PoolVec<Meta> slots;    // all K metadata words (for write-back CAS seeds).
   bool inplace_valid = false;  // in-place bytes match `max`'s hash.
   sim::Bytes value;            // in-place value, only if inplace_valid.
@@ -92,7 +91,7 @@ class InOutReplica {
 
   // Reads the metadata array and, if `want_inplace` and this replica holds
   // in-place data, the in-place region — all in one READ.
-  sim::Task<NodeView> ReadNode(bool want_inplace, uint32_t my_tid);
+  sim::Task<NodeView> ReadNode(bool want_inplace);
 
   // Follows `word`'s out-of-place pointer. Returns the value, or nullopt if
   // the buffer no longer matches (recycled by its writer).

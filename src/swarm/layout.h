@@ -217,7 +217,6 @@ class OopPool {
   }
 
   uint64_t slot_bytes() const { return slot_bytes_; }
-  uint64_t total_bytes() const { return chunks_ * static_cast<uint64_t>(chunk_slots_) * slot_bytes_; }
 
  private:
   struct Quarantined {
@@ -231,7 +230,6 @@ class OopPool {
     chunk_base_ = node_->Allocate(static_cast<uint64_t>(chunk_slots_) * slot_bytes_,
                                   kOopGranuleBytes);
     next_in_chunk_ = 0;
-    ++chunks_;
   }
 
   fabric::MemoryNode* node_;
@@ -240,7 +238,6 @@ class OopPool {
   int chunk_slots_;
   uint64_t chunk_base_ = 0;
   int next_in_chunk_ = 0;
-  uint64_t chunks_ = 0;
   sim::PoolVec<Quarantined> quarantine_;
   size_t head_ = 0;
 };

@@ -38,7 +38,7 @@ sim::Task<void> WriteAndReadOne(Worker* worker, const ObjectLayout* layout,
   // line 6: "in parallel {m = M.READ(), M.WRITE(w)}") — and posted under one
   // doorbell (which joins the surrounding quorum batch when there is one).
   auto wt = rep.WriteMax(ph->w, ph->value, &cache->slot[static_cast<size_t>(r)]);
-  auto rd = rep.ReadNode(/*want_inplace=*/false, worker->tid());
+  auto rd = rep.ReadNode(/*want_inplace=*/false);
   auto [mr, view] =
       co_await fabric::PostBoth(worker->cpu(), worker->sim(), std::move(wt), std::move(rd));
   ++ph->completions;
@@ -83,7 +83,7 @@ struct RdPhase : WordPhase {
 sim::Task<void> ReadOne(Worker* worker, const ObjectLayout* layout,
                         std::shared_ptr<ObjectCache> cache, int r, std::shared_ptr<RdPhase> ph) {
   InOutReplica rep(worker, layout, r);
-  NodeView view = co_await rep.ReadNode(/*want_inplace=*/true, worker->tid());
+  NodeView view = co_await rep.ReadNode(/*want_inplace=*/true);
   if (!view.ok()) {
     if (IsNodeFailure(view.status)) {
       worker->MarkNodeFailed(rep.node());

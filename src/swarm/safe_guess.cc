@@ -11,12 +11,14 @@ namespace swarm {
 namespace {
 
 // A layout's TSL region holds exactly max_writers lock words; a writer whose
-// tid indexes past it CASes the NEIGHBORING slab slot's words (see
-// ProtocolConfig::enforce_writer_bounds). Every mutating entry point checks
-// before touching the fabric so the misconfiguration dies at the first write
-// instead of corrupting an unrelated object.
+// tid indexes past it CASes the NEIGHBORING slab slot's words, reads them as
+// garbage lock counters, loses arbitrations it should win and reports kOk for
+// writes that never took effect (10-client storms against the default W=8).
+// That is a deployment misconfiguration, so every mutating entry point aborts
+// before touching the fabric. The undersized-writer-bound canary stands the
+// check down.
 void CheckWriterBound(Worker* worker, const ObjectLayout* layout) {
-  if (!worker->config().enforce_writer_bounds ||
+  if (worker->fabric()->config().canaries.undersized_writer_bound ||
       worker->tid() < static_cast<uint32_t>(layout->max_writers)) {
     return;
   }

@@ -30,18 +30,6 @@ struct ProtocolConfig {
   int oop_pool_slots = 512;    // pre-allocated out-of-place buffers per worker per node.
   int inplace_copies = 1;      // replicas holding in-place data (§6 uses 1).
 
-  // Fail fast when a writer's tid falls outside a layout's TSL region
-  // (tid >= max_writers). Such a writer would CAS its timestamp lock PAST the
-  // end of the object's slab slot into whatever object owns the neighboring
-  // slot: its bounce/slow-path arbitration then reads foreign words as garbage
-  // lock counters, loses every arbitration it should win, and reports kOk for
-  // writes that never took effect — a linearizability violation surfaced by
-  // 10-client 10^5-op contention storms against the default W=8. This is a
-  // deployment misconfiguration (W must cover every writer tid), not a
-  // runtime condition, so the check aborts. Off only in regression canaries
-  // that deliberately reproduce the historical corruption.
-  bool enforce_writer_bounds = true;
-
   // How long an optimistic-majority phase waits for its preferred replicas
   // before broadening to all replicas (§6; src/swarm/quorum.h).
   sim::Time escalation_timeout = 3000;
@@ -115,12 +103,6 @@ class Worker {
       known_failed_->resize(idx + 1, false);
     }
     (*known_failed_)[idx] = true;
-  }
-  void MarkNodeRecovered(int node) {
-    const auto idx = static_cast<size_t>(node);
-    if (idx < known_failed_->size()) {
-      (*known_failed_)[idx] = false;
-    }
   }
 
   // Replaces the known-failed view. A view no membership subscription feeds

@@ -230,7 +230,7 @@ Task<void> InOutReader(ChaosEnv* c, Worker* w, const ObjectLayout* layout, uint6
     co_await c->env.sim.Delay(1 + static_cast<sim::Time>(
                                       rng.Below(static_cast<uint64_t>(2 * spec->mean_think))));
     const uint64_t floor_at_invoke = st->floor;
-    NodeView v = co_await rep.ReadNode(true, w->tid());
+    NodeView v = co_await rep.ReadNode(true);
     if (!v.ok()) {
       continue;
     }

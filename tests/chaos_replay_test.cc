@@ -225,7 +225,8 @@ CanaryOutcome RunCanaryScenario(uint64_t seed) {
 
 // ---------- The repair canaries ----------
 //
-// Two injected repair bugs the crash-recover suites must catch:
+// Two injected repair bugs (fabric::CanaryKnobs) the crash-recover suites
+// must catch:
 //   * skip_tombstone_repair — a rejoining node's deleted objects come back
 //     without their tombstones, so a read pairing the rejoined replica with
 //     a stale survivor resurrects the deleted value;
@@ -236,7 +237,7 @@ CanaryOutcome RunCanaryScenario(uint64_t seed) {
 
 // A full crash-recover scenario — restart, repair, readmit — over the
 // standard multi-client KV workload, with injectable repair bugs.
-CanaryOutcome RunRepairCanaryScenario(uint64_t seed, repair::RepairConfig rcfg,
+CanaryOutcome RunRepairCanaryScenario(uint64_t seed, fabric::CanaryKnobs canaries,
                                       bool remove_heavy) {
   ScenarioSpec spec;
   spec.seed = seed;
@@ -257,7 +258,8 @@ CanaryOutcome RunRepairCanaryScenario(uint64_t seed, repair::RepairConfig rcfg,
   spec.faults.max_drop_duration = 100 * sim::kMicrosecond;
 
   deploy::DeploymentConfig cfg = testing::ChaosDeployment(spec, "swarm");
-  cfg.repair = rcfg;
+  cfg.fabric.canaries = canaries;
+  cfg.repair = repair::RepairConfig{};
   KvChaos c(spec, cfg);
   // Remove-heavy variant: tombstone-shaped bugs only bite on deleted
   // objects, so a quarter of the ops are removes (update band collapsed).
@@ -306,9 +308,9 @@ TEST(ChaosReplay, CrashRecoverRepairSameSeedReproduces) {
   // violation on replay.
   for (uint64_t seed : {77ull, 78ull}) {
     const CanaryOutcome a =
-        RunRepairCanaryScenario(seed, repair::RepairConfig{}, /*remove_heavy=*/true);
+        RunRepairCanaryScenario(seed, fabric::CanaryKnobs{}, /*remove_heavy=*/true);
     const CanaryOutcome b =
-        RunRepairCanaryScenario(seed, repair::RepairConfig{}, /*remove_heavy=*/true);
+        RunRepairCanaryScenario(seed, fabric::CanaryKnobs{}, /*remove_heavy=*/true);
     EXPECT_EQ(a.trace_hash, b.trace_hash) << "seed " << seed;
     EXPECT_EQ(a.violation, b.violation) << "seed " << seed;
     EXPECT_FALSE(a.violated) << "seed " << seed << ": " << a.violation;
@@ -317,7 +319,7 @@ TEST(ChaosReplay, CrashRecoverRepairSameSeedReproduces) {
 
 constexpr uint64_t kKey = 0;  // The tombstone canary's single key.
 
-CanaryOutcome RunTombstoneCanaryScenario(uint64_t seed, repair::RepairConfig rcfg) {
+CanaryOutcome RunTombstoneCanaryScenario(uint64_t seed, fabric::CanaryKnobs canaries) {
   ScenarioSpec spec;
   spec.seed = seed;
   spec.value_size = 16;
@@ -337,7 +339,8 @@ CanaryOutcome RunTombstoneCanaryScenario(uint64_t seed, repair::RepairConfig rcf
 
   deploy::DeploymentConfig cfg = testing::ChaosDeployment(spec, "swarm");
   cfg.num_clients = 3;  // A churner and two readers.
-  cfg.repair = rcfg;
+  cfg.fabric.canaries = canaries;
+  cfg.repair = repair::RepairConfig{};
   KvChaos c(spec, cfg);
 
   ChaosHistories hist;
@@ -423,26 +426,26 @@ TEST(ChaosReplay, TombstoneScenarioWithCorrectRepairStaysLinearizable) {
   // correct repair must survive: same seeds, no injected bug, no violation.
   for (int i = 0; i < 120; ++i) {
     const uint64_t seed = 12000 + static_cast<uint64_t>(i);
-    CanaryOutcome out = RunTombstoneCanaryScenario(seed, repair::RepairConfig{});
+    CanaryOutcome out = RunTombstoneCanaryScenario(seed, fabric::CanaryKnobs{});
     ASSERT_FALSE(out.violated) << "seed " << seed << ": " << out.violation;
   }
 }
 
 TEST(ChaosCanary, SkippedTombstoneRepairIsCaughtAndReplays) {
-  repair::RepairConfig rcfg;
-  rcfg.skip_tombstone_repair = true;
+  fabric::CanaryKnobs canaries;
+  canaries.skip_tombstone_repair = true;
   ExpectCanaryCaught(
-      12000, [&rcfg](uint64_t seed) { return RunTombstoneCanaryScenario(seed, rcfg); },
+      12000, [&canaries](uint64_t seed) { return RunTombstoneCanaryScenario(seed, canaries); },
       "skipped-tombstone-repair");
 }
 
 TEST(ChaosCanary, ReadmitBeforeRepairIsCaughtAndReplays) {
-  repair::RepairConfig rcfg;
-  rcfg.readmit_before_repair = true;
+  fabric::CanaryKnobs canaries;
+  canaries.readmit_before_repair = true;
   ExpectCanaryCaught(
       13000,
-      [&rcfg](uint64_t seed) {
-        return RunRepairCanaryScenario(seed, rcfg, /*remove_heavy=*/false);
+      [&canaries](uint64_t seed) {
+        return RunRepairCanaryScenario(seed, canaries, /*remove_heavy=*/false);
       },
       "readmit-before-repair");
 }
@@ -454,10 +457,10 @@ TEST(ChaosCanary, ReadmitBeforeRepairIsCaughtAndReplays) {
 // executing after readmission, possibly at a survivor whose state the lock
 // restoration already harvested — was trusted, because the repair fence only
 // models admission control at the memory node. The membership-epoch fence
-// closes it; this canary runs the epoch-fencing knob OFF (the pre-fix
-// build), with a deaf client that never receives membership pushes and long
-// delay spikes that strand verbs in flight across the cycle, and must
-// produce a linearizability violation within a bounded seed budget that
+// closes it; this canary leaves it unenforced (unenforced_epoch_fence, the
+// pre-fix build), with a deaf client that never receives membership pushes
+// and long delay spikes that strand verbs in flight across the cycle, and
+// must produce a linearizability violation within a bounded seed budget that
 // replays byte-identically. The fencing-ON counterpart must stay green on
 // the same seeds (ChaosReplay.StaleClientScenarioWithFencingStaysLinearizable).
 
@@ -484,9 +487,10 @@ TEST(ChaosCanary, ReadmitBeforeRepairIsCaughtAndReplays) {
 //      stamped with the remover's pre-crash epoch), the remove
 //      re-validates, re-arms and retries, and every read stays consistent.
 CanaryOutcome RunStaleEpochCanaryScenario(uint64_t seed, bool epoch_fencing) {
-  testing::TestEnv env(seed);
+  fabric::FabricConfig fcfg = testing::TestEnv::DefaultFabric();
+  fcfg.canaries.unenforced_epoch_fence = !epoch_fencing;
+  testing::TestEnv env(seed, fcfg);
   membership::MembershipService ms(&env.sim, &env.fabric, /*detection_delay=*/5 * sim::kMicrosecond);
-  ms.set_epoch_fencing(epoch_fencing);
   index::IndexService index(&env.sim);
 
   Worker& writer = env.MakeWorker();
@@ -656,7 +660,7 @@ TEST(ChaosCanary, StaleEpochInFlightWindowIsCaughtAndReplays) {
 //
 // Elastic membership's counterpart of the stale-epoch window: a live
 // migration flips a key's ownership to the replacement layout WITHOUT
-// fencing the vacated slot (MigrationConfig::disable_flip_fence — the
+// fencing the vacated slot (fabric::CanaryKnobs::unfenced_flip — the
 // pre-fence build). One client's cache never hears the retired-layout GC,
 // so it keeps committing at the OLD replica set; its quorums may include
 // the vacated slot, and the new layout's quorums need not intersect them —
@@ -690,8 +694,8 @@ CanaryOutcome RunMigrationFenceCanaryScenario(uint64_t seed, bool flip_fence) {
   const ScenarioSpec spec = MigrationCanarySpec(seed);
   deploy::DeploymentConfig cfg =
       testing::ChaosDeployment(spec, "swarm", testing::ElasticFabric());
+  cfg.fabric.canaries.unfenced_flip = !flip_fence;
   cfg.migration = repair::MigrationConfig{};
-  cfg.migration->disable_flip_fence = !flip_fence;
   KvChaos c(spec, cfg);
   // Client 0's cache is the one that NEVER learns: its session keeps the
   // cache the deployment wired, while the process's cache slot, which the
@@ -755,8 +759,8 @@ CanaryOutcome RunFuseeMigrationFenceCanaryScenario(uint64_t seed, bool flip_fenc
   deploy::DeploymentConfig cfg =
       testing::ChaosDeployment(spec, "fusee", testing::ElasticFabric());
   cfg.fusee_recovery = 300 * sim::kMicrosecond;
+  cfg.fabric.canaries.unfenced_flip = !flip_fence;
   cfg.migration = repair::MigrationConfig{};
-  cfg.migration->disable_flip_fence = !flip_fence;
   KvChaos c(spec, cfg);
   ChaosHistories hist;
   c.SpawnClients(spec, &hist);
@@ -1036,10 +1040,10 @@ TEST(ChaosQpDrop, BurstsTargetOnlyTheTaggedQp) {
 // lost write-locks no reader ever took, and reported kOk for writes that
 // never took effect — after which reads returned older values written
 // before those acknowledged writes, a real-time-order violation. Pre-fix
-// (enforce_writer_bounds OFF: the deployment keeps W=8 verbatim and Safe-Guess's
-// fail-fast bound check stands down) the checker must catch the violation
-// within a bounded seed budget and replay it byte-identically; the fixed
-// configuration (auto-sized W, check armed) must stay green on the same
+// (canaries.undersized_writer_bound: the deployment keeps W=8 verbatim and
+// Safe-Guess's fail-fast bound check stands down) the checker must catch the
+// violation within a bounded seed budget and replay it byte-identically; the
+// fixed configuration (auto-sized W, check armed) must stay green on the same
 // seeds.
 
 ScenarioSpec WriterBoundCanarySpec(uint64_t seed) {
@@ -1064,10 +1068,11 @@ ScenarioSpec WriterBoundCanarySpec(uint64_t seed) {
 CanaryOutcome RunWriterBoundCanaryScenario(uint64_t seed, bool enforce_bounds) {
   const ScenarioSpec spec = WriterBoundCanarySpec(seed);
   deploy::DeploymentConfig cfg = testing::ChaosDeployment(spec, "swarm");
-  // OFF = the pre-fix build: deploy::SizeProtocol leaves W=8 for the 10
-  // writers and the protocol's own bound check does not abort, reproducing
-  // the historical out-of-bounds lock arbitration byte-for-byte.
-  cfg.proto.enforce_writer_bounds = enforce_bounds;
+  // The canary is the pre-fix build: the deployment skips
+  // deploy::SizeProtocol, leaving W=8 for the 10 writers, and the
+  // protocol's own bound check does not abort, reproducing the historical
+  // out-of-bounds lock arbitration byte-for-byte.
+  cfg.fabric.canaries.undersized_writer_bound = !enforce_bounds;
   KvChaos c(spec, cfg);
   // Remove-heavy mix: the corruption bites inside the tombstone-bounce
   // arbitration, so removes (and the re-inserts/updates that bounce off

@@ -66,15 +66,16 @@ TEST(SizeProtocol, ExplicitValuesWidenToTheWritersButNeverShrink) {
   EXPECT_EQ(SizeProtocol(cfg, 3).max_writers, 8);
 }
 
-TEST(SizeProtocol, DisabledWriterBoundsKeepTheConfigVerbatim) {
+TEST(Deployment, UndersizedWriterBoundCanaryKeepsTheConfigVerbatim) {
   // The writer-bound canary's path: W=8 stays for ten writers.
-  ProtocolConfig cfg;
-  cfg.max_writers = 8;
-  cfg.meta_slots = 4;
-  cfg.enforce_writer_bounds = false;
-  const ProtocolConfig sized = SizeProtocol(cfg, 10);
-  EXPECT_EQ(sized.max_writers, 8);
-  EXPECT_EQ(sized.meta_slots, 4);
+  DeploymentConfig cfg = SmallConfig("swarm");
+  cfg.num_clients = 10;
+  cfg.proto.max_writers = 8;
+  cfg.proto.meta_slots = 4;
+  cfg.fabric.canaries.undersized_writer_bound = true;
+  Deployment d(cfg);
+  EXPECT_EQ(d.config().proto.max_writers, 8);
+  EXPECT_EQ(d.config().proto.meta_slots, 4);
 }
 
 TEST(Deployment, CoordinatorsAreCountedAsWriters) {

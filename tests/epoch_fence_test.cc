@@ -7,7 +7,8 @@
 //  * a doorbell batch straddling an epoch bump is fenced coherently: every
 //    verb of the batch bounces, none applies;
 //  * the repair coordinator's channel passes the epoch fence;
-//  * the canary knob (set_epoch_fencing(false)) restores pre-fix behavior.
+//  * the canary knob (CanaryKnobs::unenforced_epoch_fence) restores pre-fix
+//    behavior, on hot-added nodes too.
 
 #include <gtest/gtest.h>
 
@@ -25,7 +26,9 @@ namespace {
 using testing::TestEnv;
 
 struct EpochEnv {
-  EpochEnv() : membership(&env.sim, &env.fabric, /*detection_delay=*/50 * sim::kMicrosecond) {}
+  explicit EpochEnv(fabric::FabricConfig fcfg = TestEnv::DefaultFabric())
+      : env(1, fcfg),
+        membership(&env.sim, &env.fabric, /*detection_delay=*/50 * sim::kMicrosecond) {}
 
   // An epoch-wired worker; `subscribe` = receives membership pushes.
   Worker& MakeEpochWorker(bool subscribe) {
@@ -196,8 +199,9 @@ TEST(EpochFence, CanaryKnobRestoresPreFixBehavior) {
   // With fencing disabled the epoch still advances and is still pushed, but
   // stale-stamped verbs land and are trusted — the §5.4 residual window the
   // chaos canary demonstrates.
-  EpochEnv f;
-  f.membership.set_epoch_fencing(false);
+  fabric::FabricConfig fcfg = TestEnv::DefaultFabric();
+  fcfg.canaries.unenforced_epoch_fence = true;
+  EpochEnv f(fcfg);
   Worker& w = f.MakeEpochWorker(/*subscribe=*/false);
   const uint64_t addr = f.env.fabric.node(1).Allocate(8);
 
@@ -217,6 +221,45 @@ TEST(EpochFence, CanaryKnobRestoresPreFixBehavior) {
   ASSERT_TRUE(done);
   EXPECT_EQ(status, fabric::Status::kOk) << "pre-fix: the stale in-flight verb is trusted";
   EXPECT_GT(f.membership.epoch(), 1u);
+}
+
+// A node hot-added after an epoch bump takes the fence setting the fabric
+// was built with: a deaf worker's stale-stamped READ to it bounces by
+// default and, under the canary, lands and is counted once.
+fabric::Status StaleReadOnHotAddedNode(bool canary, uint64_t* stale_landings) {
+  fabric::FabricConfig fcfg = testing::ElasticFabric();
+  fcfg.canaries.unenforced_epoch_fence = canary;
+  EpochEnv f(fcfg);
+  Worker& w = f.MakeEpochWorker(/*subscribe=*/false);
+  f.membership.CrashNode(2);  // Epoch bump; w's cached epoch is now stale.
+  const int node = f.env.fabric.AddNode();
+  EXPECT_GE(node, 0);
+  const uint64_t addr = f.env.fabric.node(node).Allocate(8);
+
+  bool done = false;
+  fabric::Status status{};
+  auto driver = [](Worker* w, int node2, uint64_t addr2, fabric::Status* status,
+                   bool* done2) -> sim::Task<void> {
+    std::array<uint8_t, 8> buf{};
+    fabric::OpResult r = co_await w->qp(node2).Read(addr2, buf);
+    *status = r.status;
+    *done2 = true;
+  };
+  sim::Spawn(driver(&w, node, addr, &status, &done));
+  f.env.sim.Run();
+  EXPECT_TRUE(done);
+  *stale_landings = f.env.fabric.node(node).stale_landings();
+  return status;
+}
+
+TEST(EpochFence, HotAddedNodeObeysTheEpochFenceCanary) {
+  uint64_t landings = 0;
+  EXPECT_EQ(StaleReadOnHotAddedNode(/*canary=*/false, &landings), fabric::Status::kStaleEpoch)
+      << "a hot-added node inherits the fence epoch and enforces it";
+  EXPECT_EQ(landings, 0u);
+  EXPECT_EQ(StaleReadOnHotAddedNode(/*canary=*/true, &landings), fabric::Status::kOk)
+      << "a hot-added canary node learns the epoch but does not enforce it";
+  EXPECT_EQ(landings, 1u);
 }
 
 }  // namespace

