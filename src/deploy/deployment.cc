@@ -83,7 +83,7 @@ Deployment::Deployment(const DeploymentConfig& cfg) : cfg_(cfg) {
     ClientProcess p = MakeProcess(cfg_.workers_per_client, skew);
     p.cache = std::make_unique<index::ClientCache>(
         cfg_.cache_capacity, /*entry_bytes=*/cfg_.store == "swarm" ? 32 : 24,
-        cfg_.seed + static_cast<uint64_t>(c), cfg_.index_shards);
+        cfg_.seed + static_cast<uint64_t>(c));
     AddSessions(p);
     clients_.push_back(std::move(p));
   }
@@ -99,7 +99,7 @@ ClientProcess Deployment::MakeProcess(int workers, int64_t skew) {
   ClientProcess p;
   p.cpu = std::make_unique<fabric::ClientCpu>(sim_.get());
   auto known_failed =
-      std::make_shared<std::vector<bool>>(static_cast<size_t>(fabric_->num_nodes()), false);
+      std::make_shared<std::vector<bool>>(static_cast<size_t>(fabric_->max_nodes()), false);
   membership_->Subscribe(known_failed);
   auto epoch = std::make_shared<fabric::ClientEpoch>();
   epoch->value = membership_->epoch();

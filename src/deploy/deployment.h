@@ -60,10 +60,9 @@ struct DeploymentConfig {
   ProtocolConfig proto;
   int num_clients = 4;
   int workers_per_client = 1;  // Concurrent operations per client (§7.2).
-  // Index sharding (consistent hash of key): shards > 1 splits the service
-  // into independent shards and segments every client cache to match. The
-  // per-shard service occupancy models a real index server's serialization
-  // (0 keeps index ops latency-only).
+  // Index sharding (consistent hash of key) models server occupancy only:
+  // each of `index_shards` servers serializes the ops on its own keys for
+  // `index_shard_service_time` each (0 keeps index ops latency-only).
   int index_shards = 1;
   sim::Time index_shard_service_time = 0;
   size_t cache_capacity = 0;        // Entries per client; 0 = unbounded.

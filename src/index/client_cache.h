@@ -9,11 +9,9 @@
 // of §7) or bounded with an approximate-LFU replacement policy (the 5 MiB-cache
 // experiment of Fig. 6).
 //
-// The cache is SEGMENTED by the same consistent-hash ShardRouter the
-// IndexService uses, so each segment mirrors exactly one index shard: a
-// shard's invalidation traffic touches one segment, and the capacity budget
-// splits evenly across segments (an approximate-LFU victim is drawn from the
-// key's own segment). One segment (the default) is the old behavior.
+// The cache is one map whatever the index's shard count: index sharding
+// models server occupancy only (IndexService::set_shard_service_time), so
+// nothing about a key's shard changes what a client caches or evicts.
 //
 // Modeled entry sizes follow the paper's accounting: 24 B of location data
 // per entry for DM-ABD/FUSEE-style caches, 32 B for SWARM-KV (location +
@@ -28,7 +26,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/index/shard_router.h"
 #include "src/sim/random.h"
 #include "src/swarm/layout.h"
 #include "src/swarm/quorum_max.h"
@@ -60,12 +57,8 @@ class ClientCache {
  public:
   // `capacity` = max entries; 0 = unbounded. `entry_bytes` is the modeled
   // per-entry footprint used when sizing from a byte budget (§7.1).
-  // `shards` must match the IndexService's shard count so segment boundaries
-  // mirror index-shard ownership.
-  explicit ClientCache(size_t capacity = 0, uint64_t entry_bytes = 32, uint64_t seed = 1,
-                       int shards = 1)
-      : capacity_(capacity), entry_bytes_(entry_bytes), rng_(seed), router_(shards),
-        segs_(static_cast<size_t>(router_.shards())) {}
+  explicit ClientCache(size_t capacity = 0, uint64_t entry_bytes = 32, uint64_t seed = 1)
+      : capacity_(capacity), entry_bytes_(entry_bytes), rng_(seed) {}
 
   static size_t EntriesForBudget(uint64_t bytes, uint64_t entry_bytes) {
     return static_cast<size_t>(bytes / entry_bytes);
@@ -73,9 +66,8 @@ class ClientCache {
 
   // Returns the entry and bumps its frequency, or nullptr on miss.
   CacheEntry* Lookup(uint64_t key) {
-    Segment& seg = SegmentFor(key);
-    auto it = seg.map.find(key);
-    if (it == seg.map.end()) {
+    auto it = map_.find(key);
+    if (it == map_.end()) {
       ++stats_.misses;
       return nullptr;
     }
@@ -86,29 +78,28 @@ class ClientCache {
     return &it->second;
   }
 
-  // Inserts or replaces; evicts a low-frequency victim from the key's own
-  // segment when that segment's share of the capacity is full.
+  // Inserts or replaces; evicts a low-frequency victim when the cache is
+  // full.
   void Put(uint64_t key, CacheEntry entry) {
-    Segment& seg = SegmentFor(key);
-    auto it = seg.map.find(key);
-    if (it != seg.map.end()) {
+    auto it = map_.find(key);
+    if (it != map_.end()) {
       entry.freq = it->second.freq;
       it->second = std::move(entry);
       return;
     }
-    if (capacity_ != 0 && seg.map.size() >= SegmentCapacity()) {
-      EvictOne(seg);
+    if (capacity_ != 0 && map_.size() >= capacity_) {
+      EvictOne();
     }
     entry.freq = 1;
-    seg.map.emplace(key, std::move(entry));
+    map_.emplace(key, std::move(entry));
     if (capacity_ != 0) {
-      seg.keys.push_back(key);  // Only eviction samples it.
+      keys_.push_back(key);  // Only eviction samples it.
     }
   }
 
   // Drops a key (flush on observing a delete, §5.3.3/§5.3.4).
   void Invalidate(uint64_t key) {
-    if (SegmentFor(key).map.erase(key) > 0) {
+    if (map_.erase(key) > 0) {
       ++stats_.invalidations;
     }
   }
@@ -118,62 +109,38 @@ class ClientCache {
   // index GC is about to forget the retired layout, so a stale mapping to it
   // must not survive in any cache (IndexService::add_gc_listener).
   void InvalidateLayout(const ObjectLayout* layout) {
-    for (Segment& seg : segs_) {
-      for (auto it = seg.map.begin(); it != seg.map.end();) {
-        if (it->second.layout.get() == layout) {
-          it = seg.map.erase(it);
-          ++stats_.invalidations;
-        } else {
-          ++it;
-        }
+    for (auto it = map_.begin(); it != map_.end();) {
+      if (it->second.layout.get() == layout) {
+        it = map_.erase(it);
+        ++stats_.invalidations;
+      } else {
+        ++it;
       }
     }
   }
 
-  size_t size() const {
-    size_t n = 0;
-    for (const Segment& seg : segs_) {
-      n += seg.map.size();
-    }
-    return n;
-  }
+  size_t size() const { return map_.size(); }
   uint64_t ModeledBytes() const { return size() * entry_bytes_; }
   const CacheStats& stats() const { return stats_; }
   void ResetStats() { stats_ = CacheStats{}; }
 
  private:
-  struct Segment {
-    std::unordered_map<uint64_t, CacheEntry> map;
-    // Eviction's sampling support, bounded caches only; may contain stale
-    // keys.
-    std::vector<uint64_t> keys;
-  };
-
-  Segment& SegmentFor(uint64_t key) {
-    return segs_[static_cast<size_t>(router_.ShardOf(key))];
-  }
-
-  size_t SegmentCapacity() const {
-    const size_t per = capacity_ / segs_.size();
-    return per == 0 ? 1 : per;
-  }
-
-  // Approximate LFU within one segment: sample a handful of entries in O(1)
-  // via a lazy key vector, evict the least frequent, and age the sampled
-  // survivors so old heat decays. Stale vector slots (already-evicted keys)
-  // are cleaned up lazily as they are drawn.
-  void EvictOne(Segment& seg) {
+  // Approximate LFU: sample a handful of entries in O(1) via a lazy key
+  // vector, evict the least frequent, and age the sampled survivors so old
+  // heat decays. Stale vector slots (already-evicted keys) are cleaned up
+  // lazily as they are drawn.
+  void EvictOne() {
     constexpr int kSamples = 8;
     uint64_t victim = 0;
     uint32_t victim_freq = UINT32_MAX;
     bool found = false;
     int draws = 0;
-    while (draws < kSamples && !seg.keys.empty()) {
-      const size_t slot = static_cast<size_t>(rng_.Below(seg.keys.size()));
-      auto it = seg.map.find(seg.keys[slot]);
-      if (it == seg.map.end()) {
-        seg.keys[slot] = seg.keys.back();  // Stale: compact and redraw.
-        seg.keys.pop_back();
+    while (draws < kSamples && !keys_.empty()) {
+      const size_t slot = static_cast<size_t>(rng_.Below(keys_.size()));
+      auto it = map_.find(keys_[slot]);
+      if (it == map_.end()) {
+        keys_[slot] = keys_.back();  // Stale: compact and redraw.
+        keys_.pop_back();
         continue;
       }
       ++draws;
@@ -187,7 +154,7 @@ class ClientCache {
       }
     }
     if (found) {
-      seg.map.erase(victim);
+      map_.erase(victim);
       ++stats_.evictions;
     }
   }
@@ -195,8 +162,9 @@ class ClientCache {
   size_t capacity_;
   uint64_t entry_bytes_;
   sim::Rng rng_;
-  ShardRouter router_;
-  std::vector<Segment> segs_;
+  std::unordered_map<uint64_t, CacheEntry> map_;
+  // Eviction's sampling support, bounded caches only; may contain stale keys.
+  std::vector<uint64_t> keys_;
   CacheStats stats_;
 };
 

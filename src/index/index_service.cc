@@ -47,21 +47,18 @@ sim::Task<void> IndexService::Occupy(int shard) {
   }
   // FIFO service at the shard's server: reserve the next slot now, then wait
   // until it starts and hold it for service_time_.
-  Shard& sh = shards_[static_cast<size_t>(shard)];
-  const sim::Time start = std::max(sim_->Now(), sh.busy_until);
-  sh.busy_until = start + service_time_;
-  co_await sim_->Delay(sh.busy_until - sim_->Now());
+  sim::Time& busy_until = busy_until_[static_cast<size_t>(shard)];
+  busy_until = std::max(sim_->Now(), busy_until) + service_time_;
+  co_await sim_->Delay(busy_until - sim_->Now());
 }
 
 sim::Task<std::optional<IndexEntry>> IndexService::Lookup(uint64_t key, fabric::ClientCpu* cpu) {
-  const int shard = router_.ShardOf(key);
   co_await Roundtrip(cpu);
-  co_await Occupy(shard);
+  co_await Occupy(router_.ShardOf(key));
   ++stats_.lookups;
   std::optional<IndexEntry> result;
-  auto& map = shards_[static_cast<size_t>(shard)].map;
-  auto it = map.find(key);
-  if (it != map.end()) {
+  auto it = map_.find(key);
+  if (it != map_.end()) {
     result = it->second;
   }
   co_await Leg(/*response=*/true);
@@ -70,18 +67,16 @@ sim::Task<std::optional<IndexEntry>> IndexService::Lookup(uint64_t key, fabric::
 
 sim::Task<std::pair<bool, IndexEntry>> IndexService::InsertIfAbsent(
     uint64_t key, std::shared_ptr<const ObjectLayout> layout, fabric::ClientCpu* cpu) {
-  const int shard = router_.ShardOf(key);
   co_await Roundtrip(cpu);
-  co_await Occupy(shard);
+  co_await Occupy(router_.ShardOf(key));
   ++stats_.inserts;
   std::pair<bool, IndexEntry> result;
-  auto& map = shards_[static_cast<size_t>(shard)].map;
-  auto it = map.find(key);
-  if (it != map.end()) {
+  auto it = map_.find(key);
+  if (it != map_.end()) {
     result = {false, it->second};
   } else {
     IndexEntry entry{std::move(layout), next_generation_++};
-    map.emplace(key, entry);
+    map_.emplace(key, entry);
     result = {true, entry};
   }
   co_await Leg(/*response=*/true);
@@ -90,16 +85,14 @@ sim::Task<std::pair<bool, IndexEntry>> IndexService::InsertIfAbsent(
 
 sim::Task<bool> IndexService::RemoveIfGeneration(uint64_t key, uint64_t generation,
                                                  fabric::ClientCpu* cpu) {
-  const int shard = router_.ShardOf(key);
   co_await Roundtrip(cpu);
-  co_await Occupy(shard);
+  co_await Occupy(router_.ShardOf(key));
   ++stats_.removes;
   bool removed = false;
-  auto& map = shards_[static_cast<size_t>(shard)].map;
-  auto it = map.find(key);
-  if (it != map.end() && it->second.generation == generation) {
-    RetireToShard(shard, std::move(it->second.layout), kAllReplicas, /*moved=*/false);
-    map.erase(it);
+  auto it = map_.find(key);
+  if (it != map_.end() && it->second.generation == generation) {
+    RetireOwned(std::move(it->second.layout), kAllReplicas, /*moved=*/false);
+    map_.erase(it);
     removed = true;
   }
   co_await Leg(/*response=*/true);
@@ -109,14 +102,12 @@ sim::Task<bool> IndexService::RemoveIfGeneration(uint64_t key, uint64_t generati
 sim::Task<uint64_t> IndexService::ReplaceLayout(uint64_t key, uint64_t expected_generation,
                                                 std::shared_ptr<const ObjectLayout> layout,
                                                 fabric::ClientCpu* cpu) {
-  const int shard = router_.ShardOf(key);
   co_await Roundtrip(cpu);
-  co_await Occupy(shard);
+  co_await Occupy(router_.ShardOf(key));
   ++stats_.inserts;
   uint64_t new_generation = 0;
-  auto& map = shards_[static_cast<size_t>(shard)].map;
-  auto it = map.find(key);
-  if (it != map.end() && it->second.generation == expected_generation) {
+  auto it = map_.find(key);
+  if (it != map_.end() && it->second.generation == expected_generation) {
     std::shared_ptr<const ObjectLayout> old = std::move(it->second.layout);
     it->second.layout = std::move(layout);
     it->second.generation = next_generation_++;
@@ -136,7 +127,7 @@ sim::Task<uint64_t> IndexService::ReplaceLayout(uint64_t key, uint64_t expected_
         vacated |= static_cast<uint8_t>(1u << r);
       }
     }
-    RetireToShard(shard, std::move(old), vacated, /*moved=*/true);
+    RetireOwned(std::move(old), vacated, /*moved=*/true);
   }
   co_await Leg(/*response=*/true);
   co_return new_generation;
@@ -147,67 +138,63 @@ size_t IndexService::GcRetired() {
     return 0;
   }
   const uint64_t horizon = safe_before_fn_();
-  size_t dropped_total = 0;
-  for (Shard& sh : shards_) {
-    auto& retired = sh.retired;
-    // Each list is in retirement order and retirement epochs never decrease
-    // (Recycler::current_epoch only increments), so the entries the horizon
-    // has passed are a prefix. Both passes stay inside it: everything retired
-    // since the horizon is left untouched, so a Retire while a repair holds
-    // the horizon costs O(passed prefix), not O(retired list).
-    const auto passed_end = std::partition_point(
-        retired.begin(), retired.end(),
-        [horizon](const RetiredLayout& r) { return r.epoch < horizon; });
-    const auto passed = static_cast<size_t>(passed_end - retired.begin());
-    // Pass 1: tell caches to drop references to every horizon-passed layout
-    // (the §4.5 message). This releases their shared_ptr copies, so pass 2's
-    // use-count gate sees only genuine in-flight holders. Once notified, a
-    // retired layout can never re-enter a cache (it is unmapped; re-inserts
-    // build fresh layouts), so each layout is notified exactly once even
-    // when an in-flight holder pins it across many GC calls.
-    for (size_t i = 0; i < passed; ++i) {
-      RetiredLayout& r = retired[i];
-      if (!r.caches_notified) {
-        r.caches_notified = true;
-        for (auto& fn : gc_listeners_) {
-          fn(r.layout);
-        }
+  // The list is in retirement order and retirement epochs never decrease
+  // (Recycler::current_epoch only increments), so the entries the horizon
+  // has passed are a prefix. Both passes stay inside it: everything retired
+  // since the horizon is left untouched, so a Retire while a repair holds
+  // the horizon costs O(passed prefix), not O(retired list).
+  const auto passed_end = std::partition_point(
+      retired_.begin(), retired_.end(),
+      [horizon](const RetiredLayout& r) { return r.epoch < horizon; });
+  const auto passed = static_cast<size_t>(passed_end - retired_.begin());
+  // Pass 1: tell caches to drop references to every horizon-passed layout
+  // (the §4.5 message). This releases their shared_ptr copies, so pass 2's
+  // use-count gate sees only genuine in-flight holders. Once notified, a
+  // retired layout can never re-enter a cache (it is unmapped; re-inserts
+  // build fresh layouts), so each layout is notified exactly once even
+  // when an in-flight holder pins it across many GC calls.
+  for (size_t i = 0; i < passed; ++i) {
+    RetiredLayout& r = retired_[i];
+    if (!r.caches_notified) {
+      r.caches_notified = true;
+      for (auto& fn : gc_listeners_) {
+        fn(r.layout);
       }
     }
-    size_t kept = 0;
-    for (size_t i = 0; i < passed; ++i) {
-      RetiredLayout& r = retired[i];
-      // The drop gate: beyond the retired entry's own reference, nothing may
-      // reference the layout — no cache entry, no in-flight Located copy, no
-      // repair snapshot. Exact in the single-threaded simulation.
-      if (r.layout.use_count() > 1) {
-        retired[kept++] = std::move(r);
+  }
+  size_t kept = 0;
+  for (size_t i = 0; i < passed; ++i) {
+    RetiredLayout& r = retired_[i];
+    // The drop gate: beyond the retired entry's own reference, nothing may
+    // reference the layout — no cache entry, no in-flight Located copy, no
+    // repair snapshot. Exact in the single-threaded simulation.
+    if (r.layout.use_count() > 1) {
+      retired_[kept++] = std::move(r);
+      continue;
+    }
+    // Drop: free the slots the record owns back to their nodes. For a
+    // MOVED slot this is the moment its migration fence is finally lifted
+    // — the layout is unreferenceable, so no straggler can ever address
+    // the slot again — and the address recycles through the slab
+    // quarantine.
+    for (int rep = 0; rep < r.layout->num_replicas; ++rep) {
+      if (fabric_ == nullptr || (r.owned >> rep & 1) == 0) {
         continue;
       }
-      // Drop: free the slots the record owns back to their nodes. For a
-      // MOVED slot this is the moment its migration fence is finally lifted
-      // — the layout is unreferenceable, so no straggler can ever address
-      // the slot again — and the address recycles through the slab
-      // quarantine.
-      for (int rep = 0; rep < r.layout->num_replicas; ++rep) {
-        if (fabric_ == nullptr || (r.owned >> rep & 1) == 0) {
-          continue;
-        }
-        const auto [addr, len] = r.layout->replica_slot(rep);
-        auto& n = fabric_->node(r.layout->replicas[static_cast<size_t>(rep)].node);
-        n.RestoreRegion(addr, len);
-        // Every replica the index holds is a slab slot (AllocateObject,
-        // RawKv), so false means only that a plain restart reset the node's
-        // allocator since the slot was allocated: nothing is left to free.
-        DiscardStatus(n.FreeSlot(addr));
-      }
-      graveyard_.push_back(std::move(r.layout));
+      const auto [addr, len] = r.layout->replica_slot(rep);
+      auto& n = fabric_->node(r.layout->replicas[static_cast<size_t>(rep)].node);
+      n.RestoreRegion(addr, len);
+      // Every replica the index holds is a slab slot (AllocateObject,
+      // RawKv), so false means only that a plain restart reset the node's
+      // allocator since the slot was allocated: nothing is left to free.
+      DiscardStatus(n.FreeSlot(addr));
     }
-    dropped_total += passed - kept;
-    retired.erase(retired.begin() + static_cast<std::ptrdiff_t>(kept), passed_end);
+    graveyard_.push_back(std::move(r.layout));
   }
-  retired_dropped_ += dropped_total;
-  return dropped_total;
+  const size_t dropped = passed - kept;
+  retired_.erase(retired_.begin() + static_cast<std::ptrdiff_t>(kept), passed_end);
+  retired_dropped_ += dropped;
+  return dropped;
 }
 
 std::vector<IndexService::SlotOn> IndexService::SortedSlotsOn(int node, uint64_t lo,
@@ -226,13 +213,11 @@ std::vector<IndexService::SlotOn> IndexService::SortedSlotsOn(int node, uint64_t
       }
     }
   };
-  for (const Shard& sh : shards_) {
-    for (const auto& [key, entry] : sh.map) {
-      collect(entry.layout, kAllReplicas, SlotOn{.key = key, .mapped = true});
-    }
-    for (const RetiredLayout& r : sh.retired) {
-      collect(r.layout, r.owned, SlotOn{.moved = r.moved});
-    }
+  for (const auto& [key, entry] : map_) {
+    collect(entry.layout, kAllReplicas, SlotOn{.key = key, .mapped = true});
+  }
+  for (const RetiredLayout& r : retired_) {
+    collect(r.layout, r.owned, SlotOn{.moved = r.moved});
   }
   std::sort(slots.begin(), slots.end(),
             [](const SlotOn& a, const SlotOn& b) { return a.addr < b.addr; });
@@ -249,11 +234,7 @@ std::vector<IndexService::SlotOn> IndexService::SortedSlotsOn(int node, uint64_t
 }
 
 std::vector<std::pair<uint64_t, IndexEntry>> IndexService::SnapshotSorted() const {
-  std::vector<std::pair<uint64_t, IndexEntry>> entries;
-  entries.reserve(size());
-  for (const Shard& sh : shards_) {
-    entries.insert(entries.end(), sh.map.begin(), sh.map.end());
-  }
+  std::vector<std::pair<uint64_t, IndexEntry>> entries(map_.begin(), map_.end());
   std::sort(entries.begin(), entries.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   return entries;

@@ -8,13 +8,13 @@
 // fabric-like access latency: every operation costs one client submission
 // plus a network roundtrip.
 //
-// The service is SHARDED by consistent hash of the key (ShardRouter): each
-// shard owns an independent map, retired list, and GC bookkeeping, and an
-// optional per-shard service occupancy (set_shard_service_time) models the
-// serialization a single index server would impose — N shards give N-way
-// service parallelism, which is what lets lookup/insert/retire throughput
-// scale past one server. One shard (the default) is byte-for-byte the old
-// single-service behavior.
+// Sharding models server occupancy and nothing else. The keyspace splits
+// across shards by consistent hash of the key (ShardRouter), and an optional
+// per-shard service time (set_shard_service_time) makes each shard's server
+// serialize the ops on its own keys, FIFO — N shards give N-way service
+// parallelism, which is what lets lookup/insert/retire throughput scale past
+// one server. The records themselves live in one map and one retired list:
+// which shard owns a key changes when its op is served, nothing else.
 //
 // The service's own records also say which replica slots sit on a node
 // (ForEachSlotOn): a mapped layout owns every replica slot it lists, and a
@@ -68,7 +68,7 @@ class IndexService {
   // reliable, so a drop costs a retransmission timeout rather than losing
   // the operation — but the fault windows it opens between the data path and
   // the index are real). Null keeps the service fault-free. `shards` > 1
-  // splits the keyspace across independent shards (consistent hash).
+  // splits the keyspace across shard servers (consistent hash).
   // The default RPC timings equal FabricConfig's verb defaults.
   static constexpr sim::Time kOneWayDelay = 680;
   static constexpr sim::Time kJitter = 90;
@@ -79,7 +79,7 @@ class IndexService {
                sim::Time submit_cost = kSubmitCost, int shards = 1)
       : sim_(sim), fabric_(fabric), one_way_(one_way_delay), jitter_(jitter),
         submit_cost_(submit_cost), router_(shards),
-        shards_(static_cast<size_t>(router_.shards())) {}
+        busy_until_(static_cast<size_t>(router_.shards()), 0) {}
 
   // One-roundtrip lookup. nullopt = key not mapped.
   sim::Task<std::optional<IndexEntry>> Lookup(uint64_t key, fabric::ClientCpu* cpu);
@@ -118,7 +118,7 @@ class IndexService {
   // This overload retires an insert loser, a layout that never got a
   // mapping: its record owns every replica slot, so the GC frees them all.
   void Retire(std::shared_ptr<const ObjectLayout> layout) {
-    RetireToShard(/*shard=*/0, std::move(layout), kAllReplicas, /*moved=*/false);
+    RetireOwned(std::move(layout), kAllReplicas, /*moved=*/false);
   }
 
   // One unmapped-but-still-referenceable layout: the recycler epoch that was
@@ -138,11 +138,8 @@ class IndexService {
   };
 
   // Retired layouts still inside the recycler's safe horizon, in retirement
-  // order, for ONE shard (default: shard 0 — the whole service when
-  // unsharded).
-  const std::vector<RetiredLayout>& retired(int shard = 0) const {
-    return shards_[static_cast<size_t>(shard)].retired;
-  }
+  // order.
+  const std::vector<RetiredLayout>& retired() const { return retired_; }
 
   // Couples retirement to the recycler (§4.5): `current_epoch` tags new
   // retirements, `safe_before` is Recycler::SafeReclaimBefore. SAFETY of the
@@ -171,9 +168,8 @@ class IndexService {
     gc_listeners_.push_back(std::move(fn));
   }
 
-  // Drops retired layouts the safe horizon has passed (each shard GCs its own
-  // list); returns how many were dropped. Called opportunistically on Retire
-  // and by the repair walk.
+  // Drops retired layouts the safe horizon has passed; returns how many were
+  // dropped. Called opportunistically on Retire and by the repair walk.
   //
   // Dropping a layout frees the slots its record owns, in replica order: the
   // node-side fences over vacated (moved) slots are lifted and the slots go
@@ -190,20 +186,12 @@ class IndexService {
   // Direct (zero-roundtrip) inspection, used by the benchmark harness to
   // pre-warm client caches as an infinitely long warm-up phase would.
   const IndexEntry* Peek(uint64_t key) const {
-    const Shard& sh = shards_[static_cast<size_t>(router_.ShardOf(key))];
-    auto it = sh.map.find(key);
-    return it == sh.map.end() ? nullptr : &it->second;
+    auto it = map_.find(key);
+    return it == map_.end() ? nullptr : &it->second;
   }
 
   const IndexStats& stats() const { return stats_; }
-  size_t size() const {
-    size_t n = 0;
-    for (const Shard& sh : shards_) {
-      n += sh.map.size();
-    }
-    return n;
-  }
-  int shard_count() const { return router_.shards(); }
+  size_t size() const { return map_.size(); }
 
   // Models the per-shard server occupancy: every op holds its shard for
   // `t` ns of service time (FIFO). 0 (default) = infinitely fast servers,
@@ -247,8 +235,8 @@ class IndexService {
     ForEachSlotOn(node, 0, std::numeric_limits<uint64_t>::max(), std::forward<Fn>(fn));
   }
 
-  // Deterministic (key-sorted) snapshot of the live mappings across all
-  // shards — admission rebalancing scans this; repair walks ForEachSlotOn.
+  // Deterministic (key-sorted) snapshot of the live mappings — admission
+  // rebalancing scans this; repair walks ForEachSlotOn.
   // Entries inserted after the snapshot need no repair: their writes
   // quorum-excluded the recovering node, so any future majority intersects
   // the replicas that did ack.
@@ -259,12 +247,6 @@ class IndexService {
   uint64_t ModeledBytes() const { return size() * 24; }
 
  private:
-  struct Shard {
-    std::unordered_map<uint64_t, IndexEntry> map;
-    std::vector<RetiredLayout> retired;
-    sim::Time busy_until = 0;
-  };
-
   // One network roundtrip to the index server, including client submission.
   // The request leg completes before the caller's map access; the response
   // leg after it — so chaos faults can delay a mutation's acknowledgement
@@ -277,11 +259,10 @@ class IndexService {
   static constexpr uint8_t kAllReplicas = 0xff;
   static_assert(kMaxReplicas <= 8, "RetiredLayout::owned holds one bit per replica");
 
-  void RetireToShard(int shard, std::shared_ptr<const ObjectLayout> layout, uint8_t owned,
-                     bool moved) {
-    shards_[static_cast<size_t>(shard)].retired.push_back(
+  void RetireOwned(std::shared_ptr<const ObjectLayout> layout, uint8_t owned, bool moved) {
+    retired_.push_back(
         {std::move(layout), retire_epoch_fn_ ? retire_epoch_fn_() : 0, false, moved, owned});
-    GcRetired();  // Opportunistic: churn keeps the lists bounded by itself.
+    GcRetired();  // Opportunistic: churn keeps the list bounded by itself.
   }
 
   std::vector<SlotOn> SortedSlotsOn(int node, uint64_t lo, uint64_t hi) const;
@@ -292,9 +273,11 @@ class IndexService {
   sim::Time jitter_;
   sim::Time submit_cost_;
   sim::Time service_time_ = 0;
-  uint64_t next_generation_ = 1;  // Global: generations order across shards.
+  uint64_t next_generation_ = 1;
   ShardRouter router_;
-  std::vector<Shard> shards_;
+  std::vector<sim::Time> busy_until_;  // Per shard: when its server frees up.
+  std::unordered_map<uint64_t, IndexEntry> map_;
+  std::vector<RetiredLayout> retired_;
   std::vector<std::shared_ptr<const ObjectLayout>> graveyard_;  // Lifetime only.
   std::function<uint64_t()> retire_epoch_fn_;
   std::function<uint64_t()> safe_before_fn_;

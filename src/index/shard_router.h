@@ -1,9 +1,9 @@
-// Key -> shard routing shared by IndexService and ClientCache.
+// Key -> shard routing for the IndexService's per-shard server occupancy.
 //
-// A consistent-hash ring over the shard ids (32 virtual points per shard):
-// both sides must agree on the mapping so a client's per-shard cache segment
-// mirrors the index shard that owns the key, and so a future re-shard moves
-// only ~1/N of the keyspace. With one shard the router is free (always 0).
+// A consistent-hash ring over the shard ids (32 virtual points per shard),
+// so a future re-shard moves only ~1/N of the keyspace. Shards are uniform
+// servers, so arc imbalance is harmless here. With one shard the router is
+// free (always 0).
 
 #ifndef SWARM_SRC_INDEX_SHARD_ROUTER_H_
 #define SWARM_SRC_INDEX_SHARD_ROUTER_H_

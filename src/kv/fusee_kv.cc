@@ -55,7 +55,7 @@ FuseeStore::KeyMeta& FuseeStore::MetaFor(uint64_t key) {
   const int n = fabric_->num_nodes();
   const uint64_t h = hash::Mix64(key, 0x465553454545);  // "FUSEE"
   int nodes[2];
-  place_.Pick(h, 2, n, serving_.get(), nodes);
+  PlaceReplicas(h, 2, n, serving_.get(), nodes);
   meta.primary = nodes[0];
   meta.backup = nodes[1];
   // 8 B index slots come from the slab (size class 8) so a node's slots
@@ -67,11 +67,7 @@ FuseeStore::KeyMeta& FuseeStore::MetaFor(uint64_t key) {
 }
 
 void FuseeStore::StartRecovery(int failed_node) {
-  const auto idx = static_cast<size_t>(failed_node);
-  if (idx >= failed_nodes_.size()) {
-    failed_nodes_.resize(idx + 1, false);  // Hot-added node ids grow the map.
-  }
-  failed_nodes_[idx] = true;
+  failed_nodes_[static_cast<size_t>(failed_node)] = true;
   const sim::Time until = fabric_->sim()->Now() + recovery_duration_;
   if (until > recovering_until_) {
     recovering_until_ = until;
@@ -79,12 +75,6 @@ void FuseeStore::StartRecovery(int failed_node) {
 }
 
 uint32_t FuseeKvSession::LogSlot(int node) {
-  // Re-check the size on every call, not just the first: a node hot-added
-  // since this session's first write (elastic membership) must get a slot.
-  const auto needed = static_cast<size_t>(worker_->fabric()->num_nodes());
-  if (log_slots_.size() < needed) {
-    log_slots_.resize(needed, 0);
-  }
   uint32_t& slot = log_slots_[static_cast<size_t>(node)];
   if (slot == 0) {
     slot = worker_->pool(node).AllocIdx();
@@ -164,10 +154,6 @@ BlockParse ParseBlock(sim::Bytes block, uint32_t max_value, uint64_t word) {
 }  // namespace
 
 void FuseeStore::RegisterKey(uint64_t key, int primary, int backup) {
-  const auto need = static_cast<size_t>(std::max(primary, backup)) + 1;
-  if (node_keys_.size() < need) {
-    node_keys_.resize(need);
-  }
   node_keys_[static_cast<size_t>(primary)].insert(key);
   node_keys_[static_cast<size_t>(backup)].insert(key);
 }
@@ -185,11 +171,8 @@ sim::Task<repair::RepairOutcome> FuseeStore::RepairNode(int node, Worker* worker
   // Index-guided log scan over the node's inverse registry: O(keys-on-node),
   // not O(directory). The set is ordered, so the walk replays
   // deterministically; snapshot it first (concurrent inserts may grow it).
-  std::vector<uint64_t> keys;
-  if (static_cast<size_t>(node) < node_keys_.size()) {
-    const std::set<uint64_t>& hosted = node_keys_[static_cast<size_t>(node)];
-    keys.assign(hosted.begin(), hosted.end());
-  }
+  const std::set<uint64_t>& hosted = node_keys_[static_cast<size_t>(node)];
+  std::vector<uint64_t> keys(hosted.begin(), hosted.end());
   out.slots_walked = keys.size();
   const uint32_t max_value = worker->config().max_value;
   // The repair coordinator's verbs ride the repair channel, which passes the
@@ -504,9 +487,6 @@ std::vector<uint64_t> FuseeStore::KeysOn(int node, uint64_t lo, uint64_t hi) con
   // Walk the node's inverse registry (key order), keeping the keys whose
   // index slot on `node` lies in [lo, hi).
   std::vector<uint64_t> keys;
-  if (static_cast<size_t>(node) >= node_keys_.size()) {
-    return keys;
-  }
   for (uint64_t key : node_keys_[static_cast<size_t>(node)]) {
     const KeyMeta& meta = directory_.find(key)->second;
     if (meta.primary == node && meta.index_addr_primary >= lo && meta.index_addr_primary < hi) {

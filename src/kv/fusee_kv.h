@@ -27,7 +27,6 @@
 #include "src/kv/kv_types.h"
 #include "src/repair/migration.h"
 #include "src/repair/repair.h"
-#include "src/swarm/placement.h"
 #include "src/swarm/worker.h"
 
 namespace swarm::kv {
@@ -43,10 +42,16 @@ namespace swarm::kv {
 // FUSEE's synchronous-replication recovery semantics (§7.7) — and the node
 // resumes its roles only when the repair completed. As a MigratableStore it
 // moves through the same MigrationService lifecycle as the quorum stores.
+//
+// The per-node tables (failed roles, the inverse key registry, each
+// session's log slots) span the fabric's node-id space, Fabric::max_nodes(),
+// from construction: a node admitted later is indexed like any other.
 class FuseeStore : public repair::RepairableStore, public repair::MigratableStore {
  public:
   FuseeStore(fabric::Fabric* fabric, sim::Time recovery_duration = 40 * sim::kMillisecond)
-      : fabric_(fabric), recovery_duration_(recovery_duration) {}
+      : fabric_(fabric), recovery_duration_(recovery_duration),
+        failed_nodes_(static_cast<size_t>(fabric->max_nodes()), false),
+        node_keys_(static_cast<size_t>(fabric->max_nodes())) {}
 
   struct KeyMeta {
     int primary = -1;
@@ -104,12 +109,7 @@ class FuseeStore : public repair::RepairableStore, public repair::MigratableStor
   }
   sim::Time recovering_until() const { return recovering_until_; }
   void StartRecovery(int failed_node);
-  bool NodeFailed(int node) const {
-    // Hot-added nodes (Fabric::AddNode) can outgrow the vector; absent means
-    // never failed.
-    const auto idx = static_cast<size_t>(node);
-    return idx < failed_nodes_.size() && failed_nodes_[idx];
-  }
+  bool NodeFailed(int node) const { return failed_nodes_[static_cast<size_t>(node)]; }
 
   // --- Crash-recover repair (src/repair/repair.h) ---
   sim::Task<repair::RepairOutcome> RepairNode(int node, Worker* worker) override;
@@ -121,9 +121,8 @@ class FuseeStore : public repair::RepairableStore, public repair::MigratableStor
   }
   void OnRepairComplete(int node, bool readmitted) override {
     --repairing_;
-    const auto idx = static_cast<size_t>(node);
-    if (readmitted && idx < failed_nodes_.size()) {
-      failed_nodes_[idx] = false;  // Roles restored.
+    if (readmitted) {
+      failed_nodes_[static_cast<size_t>(node)] = false;  // Roles restored.
     }
   }
 
@@ -138,10 +137,9 @@ class FuseeStore : public repair::RepairableStore, public repair::MigratableStor
   sim::Time recovery_duration_;
   sim::Time recovering_until_ = 0;
   int repairing_ = 0;
-  std::vector<bool> failed_nodes_ = std::vector<bool>(16, false);
+  std::vector<bool> failed_nodes_;
   uint64_t next_gen_ = 1;
   std::shared_ptr<const std::vector<bool>> serving_;
-  PlacementProbe place_;  // Minimal-remap placement over the serving set.
   std::unordered_map<uint64_t, KeyMeta> directory_;
   // Inverse placement registry: the ordered key set each node hosts (as
   // primary or backup). Repair and migration walk THIS — O(keys-on-node),
@@ -152,7 +150,8 @@ class FuseeStore : public repair::RepairableStore, public repair::MigratableStor
 class FuseeKvSession : public KvSession {
  public:
   FuseeKvSession(Worker* worker, FuseeStore* store, index::ClientCache* cache)
-      : worker_(worker), store_(store), cache_(cache) {}
+      : worker_(worker), store_(store), cache_(cache),
+        log_slots_(static_cast<size_t>(worker->fabric()->max_nodes()), 0) {}
 
   sim::Task<KvResult> Get(uint64_t key) override;
   sim::Task<KvResult> Update(uint64_t key, std::span<const uint8_t> value) override;
@@ -183,7 +182,7 @@ class FuseeKvSession : public KvSession {
   sim::Task<KvResult> WriteInternal(uint64_t key, std::span<const uint8_t> value, bool expect_new);
 
   // The per-node commit-log slot this session reuses (FUSEE's log is
-  // circular; one slot models its tail).
+  // circular; one slot models its tail), allocated on first use.
   uint32_t LogSlot(int node);
 
   Worker* worker_;

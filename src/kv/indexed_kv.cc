@@ -4,6 +4,7 @@
 
 #include "src/hash/xxhash.h"
 #include "src/sim/sync.h"
+#include "src/swarm/placement.h"
 #include "src/util/discard.h"
 
 namespace swarm::kv {
@@ -93,7 +94,7 @@ std::shared_ptr<const ObjectLayout> IndexedKvSession<Protocol>::AllocateForKey(u
   const int n = worker_->fabric()->num_nodes();
   int nodes[kMaxReplicas];
   const uint64_t h = hash::Mix64(key, Protocol::kPlacementSalt);
-  place_.Pick(h, cfg.replicas, n, serving_.get(), nodes);
+  PlaceReplicas(h, cfg.replicas, n, serving_.get(), nodes);
   return std::make_shared<ObjectLayout>(Protocol::Allocate(*worker_->fabric(), nodes, cfg));
 }
 

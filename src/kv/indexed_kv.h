@@ -28,7 +28,6 @@
 #include "src/index/index_service.h"
 #include "src/kv/kv_types.h"
 #include "src/swarm/abd.h"
-#include "src/swarm/placement.h"
 #include "src/swarm/safe_guess.h"
 #include "src/swarm/worker.h"
 
@@ -124,7 +123,6 @@ class IndexedKvSession : public KvSession {
   index::IndexService* index_;
   index::ClientCache* cache_;
   std::shared_ptr<const std::vector<bool>> serving_;
-  PlacementProbe place_;  // Minimal-remap placement over the serving set.
 };
 
 extern template class IndexedKvSession<SafeGuessProtocol>;

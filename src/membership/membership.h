@@ -108,21 +108,29 @@ enum class NodeState : uint8_t {
 
 class MembershipService {
  public:
+  // Every per-node table spans the fabric's node-id space (max_nodes()):
+  // the nodes present now start serving, the ids AdmitNode will hand out
+  // start joining and not serving.
   MembershipService(sim::Simulator* sim, fabric::Fabric* fabric,
                     sim::Time detection_delay = 50 * sim::kMicrosecond,
                     sim::Time lease_duration = 1 * sim::kMillisecond)
       : sim_(sim), fabric_(fabric), detection_delay_(detection_delay),
         lease_duration_(lease_duration),
         repairing_(std::make_shared<std::vector<bool>>(
-            static_cast<size_t>(fabric->num_nodes()), false)),
+            static_cast<size_t>(fabric->max_nodes()), false)),
         serving_(std::make_shared<std::vector<bool>>(
-            static_cast<size_t>(fabric->num_nodes()), true)),
-        states_(static_cast<size_t>(fabric->num_nodes()), NodeState::kServing) {}
+            static_cast<size_t>(fabric->max_nodes()), false)),
+        states_(static_cast<size_t>(fabric->max_nodes()), NodeState::kJoining) {
+    std::fill_n(serving_->begin(), fabric->num_nodes(), true);
+    std::fill_n(states_.begin(), fabric->num_nodes(), NodeState::kServing);
+  }
 
   // --- Memory-node monitoring ---
 
-  // Registers a client's known-failed vector for push notification.
+  // Registers a client's known-failed vector for push notification, widened
+  // to the node-id space if the caller built it at the current node count.
   void Subscribe(std::shared_ptr<std::vector<bool>> known_failed) {
+    known_failed->resize(static_cast<size_t>(fabric_->max_nodes()), false);
     subscribers_.push_back(std::move(known_failed));
   }
 
@@ -197,35 +205,17 @@ class MembershipService {
   // leaves the node excluded — safe, merely unavailable — until a later
   // readmission triggers a re-repair (repair::RepairService dark-slot
   // bookkeeping).
-  bool IsRepairing(int node) const {
-    const auto idx = static_cast<size_t>(node);
-    return idx < repairing_->size() && (*repairing_)[idx];
-  }
+  bool IsRepairing(int node) const { return (*repairing_)[static_cast<size_t>(node)]; }
   const std::shared_ptr<std::vector<bool>>& repairing() const { return repairing_; }
 
   // --- Elastic membership (node lifecycle; see the header comment) ---
 
   // Admits a brand-new memory node: hot-adds it on the fabric (bounded by
   // FabricConfig::max_nodes) in state kJoining — reachable, empty, excluded
-  // from placement until CompleteJoin. Grows every per-node shared vector in
-  // place so pre-existing clients see a consistent view. Returns the new
-  // node id, or -1 if the fabric is at its lifetime bound.
-  int AdmitNode() {
-    const int id = fabric_->AddNode();
-    if (id < 0) {
-      return -1;
-    }
-    const auto n = static_cast<size_t>(id) + 1;
-    repairing_->resize(n, false);
-    serving_->resize(n, false);
-    states_.resize(n, NodeState::kJoining);
-    for (auto& s : subscribers_) {
-      if (s->size() < n) {
-        s->resize(n, false);
-      }
-    }
-    return id;
-  }
+  // from placement until CompleteJoin. Every per-node table already spans
+  // the id, so nothing grows. Returns the new node id, or -1 if the fabric
+  // is at its lifetime bound.
+  int AdmitNode() { return fabric_->AddNode(); }
 
   // Joining → serving: the MigrationService finished installing the node's
   // share of extents; placement may now choose it for new objects.
@@ -252,10 +242,7 @@ class MembershipService {
     NotifyFailed(node, true, detection_delay_);
   }
 
-  NodeState State(int node) const {
-    const auto idx = static_cast<size_t>(node);
-    return idx < states_.size() ? states_[idx] : NodeState::kServing;
-  }
+  NodeState State(int node) const { return states_[static_cast<size_t>(node)]; }
   bool IsRetired(int node) const { return State(node) == NodeState::kRetired; }
   // Chaos crash/restart targeting: a retired node is switched off — crashing
   // it is meaningless and restarting it would resurrect a ghost.
@@ -266,10 +253,7 @@ class MembershipService {
   // membership change keep their nodes regardless — only the MigrationService
   // moves existing extents.
   const std::shared_ptr<std::vector<bool>>& serving() const { return serving_; }
-  bool IsServing(int node) const {
-    const auto idx = static_cast<size_t>(node);
-    return idx < serving_->size() && (*serving_)[idx];
-  }
+  bool IsServing(int node) const { return (*serving_)[static_cast<size_t>(node)]; }
 
   // An extent ownership flip is a repair-relevant transition (§5.4): verbs
   // stamped before the flip must not be trusted as evidence about the moved
@@ -356,25 +340,16 @@ class MembershipService {
   }
 
   void SetState(int node, NodeState state, bool serving) {
-    const auto idx = static_cast<size_t>(node);
-    if (idx >= states_.size()) {
-      states_.resize(idx + 1, NodeState::kServing);
-      serving_->resize(idx + 1, true);
-    }
-    states_[idx] = state;
-    (*serving_)[idx] = serving;
+    states_[static_cast<size_t>(node)] = state;
+    (*serving_)[static_cast<size_t>(node)] = serving;
   }
 
   // Pushes `node`'s failed/recovered bit to subscribed clients after the
-  // detection delay, growing vectors that predate a hot-added node.
+  // detection delay.
   void NotifyFailed(int node, bool failed, sim::Time detection_delay) {
     sim_->After(detection_delay, [this, node, failed] {
-      const auto idx = static_cast<size_t>(node);
       for (auto& s : subscribers_) {
-        if (s->size() <= idx) {
-          s->resize(idx + 1, false);
-        }
-        (*s)[idx] = failed;
+        (*s)[static_cast<size_t>(node)] = failed;
       }
     });
   }

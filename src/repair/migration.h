@@ -233,7 +233,7 @@ class MigrationService {
   const MigrationConfig& config() const { return config_; }
 
  private:
-  // Destination-pick stack buffer bound (mirrors PlacementProbe::kMaxNodes).
+  // Destination-pick stack buffer bound.
   static constexpr size_t kMaxNodes = 256;
 
   // Deterministic destination pick: serving, not repairing, and accepted by

@@ -88,7 +88,6 @@ void RepairService::TriggerDarkRetries() {
 }
 
 sim::Task<void> RepairService::ResumeRepair(int node) {
-  EnsureTracked(node);
   // The dark node is still fenced and quorum-excluded with its partially
   // repaired slots intact, so the restart step is skipped: just run the
   // round loop again (RepairNode is idempotent) now that a readmission
@@ -130,7 +129,6 @@ sim::Task<void> RepairService::ResumeRepair(int node) {
 }
 
 sim::Task<bool> RepairService::RecoverAndRepair(int node) {
-  EnsureTracked(node);
   ++in_flight_;
   ++lifecycle_gen_[static_cast<size_t>(node)];  // Invalidates in-flight resumes.
   dark_.erase(node);  // A fresh lifecycle supersedes any pending re-repair.

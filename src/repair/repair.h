@@ -106,8 +106,8 @@ class RepairService {
   RepairService(membership::MembershipService* membership, Worker* worker,
                 RepairConfig config = {})
       : membership_(membership), worker_(worker), config_(config),
-        resuming_(static_cast<size_t>(worker->fabric()->num_nodes()), false),
-        lifecycle_gen_(static_cast<size_t>(worker->fabric()->num_nodes()), 0) {
+        resuming_(static_cast<size_t>(worker->fabric()->max_nodes()), false),
+        lifecycle_gen_(static_cast<size_t>(worker->fabric()->max_nodes()), 0) {
     worker_->set_repair_excluded(membership_->repairing());
     worker_->MarkRepairChannel();  // Repair verbs pass the rejoin fence.
   }
@@ -155,17 +155,6 @@ class RepairService {
   const RepairConfig& config() const { return config_; }
 
  private:
-  // Grows the per-node lifecycle vectors for a node hot-added after this
-  // service was constructed (elastic membership: an admitted node can crash
-  // and repair like any other).
-  void EnsureTracked(int node) {
-    const auto n = static_cast<size_t>(node) + 1;
-    if (resuming_.size() < n) {
-      resuming_.resize(n, false);
-      lifecycle_gen_.resize(n, 0);
-    }
-  }
-
   // Re-runs the round loop for a node whose earlier repair gave up; called
   // on every successful readmission. Readmits on success (which in turn
   // re-triggers any remaining dark nodes).
@@ -182,7 +171,9 @@ class RepairService {
   std::vector<RepairableStore*> stores_;
   int in_flight_ = 0;
   std::map<int, uint64_t> dark_;           // Given-up nodes, deterministic order.
-  std::vector<bool> resuming_;             // Per-node re-repair in progress.
+  // Per-node, over the node-id space: a node admitted after this service was
+  // built crashes and repairs like any other.
+  std::vector<bool> resuming_;             // Re-repair in progress.
   std::vector<uint64_t> lifecycle_gen_;    // Bumped by each RecoverAndRepair.
   uint64_t repairs_completed_ = 0;
   uint64_t repairs_aborted_ = 0;

@@ -57,7 +57,7 @@ sim::Task<void> Phase1One(Worker* worker, const ObjectLayout* layout, int r,
     }
     if (w_res.status == fabric::Status::kMovedReplica ||
         r_res.status == fabric::Status::kMovedReplica) {
-      ph->moved = true;
+      ++ph->moved;
     }
     co_return;
   }
@@ -80,7 +80,7 @@ sim::Task<void> ReadWordOne(Worker* worker, const ObjectLayout* layout, int r,
       worker->MarkNodeFailed(rep.node);
     }
     if (res.status == fabric::Status::kMovedReplica) {
-      ph->moved = true;
+      ++ph->moved;
     }
     co_return;
   }
@@ -126,7 +126,7 @@ sim::Task<void> CasMaxOne(Worker* worker, const ObjectLayout* layout, int r, Met
         ph->maybe_applied = true;  // A dropped ack may hide an applied CAS.
       }
       if (res.status == fabric::Status::kMovedReplica) {
-        ph->moved = true;  // Migration fence: the CAS provably did not apply.
+        ++ph->moved;  // Migration fence: the CAS provably did not apply.
       }
       ++ph->completions;
       co_return;
@@ -170,7 +170,7 @@ sim::Task<void> RepairOne(Worker* worker, const ObjectLayout* layout, int r, Met
                                                   image, rep.meta_addr, 0, desired.raw());
   if (!res.ok()) {
     if (res.status == fabric::Status::kMovedReplica) {
-      ph->moved = true;
+      ++ph->moved;
     }
     co_return;
   }
@@ -180,7 +180,7 @@ sim::Task<void> RepairOne(Worker* worker, const ObjectLayout* layout, int r, Met
     res = co_await qp.Cas(rep.meta_addr, prev.raw(), desired.raw());
     if (!res.ok()) {
       if (res.status == fabric::Status::kMovedReplica) {
-        ph->moved = true;
+        ++ph->moved;
       }
       co_return;
     }
@@ -218,7 +218,7 @@ sim::Task<bool> FenceTombstone(Worker* worker, const ObjectLayout* layout, const
     return CasMaxOne(worker, layout, r, ph->words[static_cast<size_t>(r)], repair, cs);
   });
   if (moved != nullptr) {
-    *moved = cs->moved;
+    *moved = cs->moved > 0;
   }
   co_return fenced;
 }
@@ -310,7 +310,7 @@ sim::Task<SgWriteResult> AbdObject::WriteAttempt(std::span<const uint8_t> value,
     // out-of-place buffers yet): re-running the attempt is always safe —
     // including against a replacement layout after a migration fence.
     *retry_safe = true;
-    if (ph->moved) {
+    if (ph->moved > 0) {
       result.status = SgStatus::kMoved;
     }
     co_return result;
@@ -354,7 +354,7 @@ sim::Task<SgWriteResult> AbdObject::WriteAttempt(std::span<const uint8_t> value,
   *retry_safe = !got && cs->completions == installs.size && !cs->maybe_applied;
   if (got) {
     result.status = SgStatus::kOk;
-  } else if (*retry_safe && cs->moved) {
+  } else if (*retry_safe && cs->moved > 0) {
     // Every install bounced off a migration fence with zero effect: the
     // caller may re-locate and re-execute on the replacement layout.
     result.status = SgStatus::kMoved;
@@ -399,7 +399,7 @@ sim::Task<SgWriteResult> AbdObject::Delete() {
       result.status = SgStatus::kDeleted;
     } else if (got) {
       result.status = SgStatus::kOk;
-    } else if (cs->moved && cs->completions == q.contacts().size && !cs->maybe_applied) {
+    } else if (cs->moved > 0 && cs->completions == q.contacts().size && !cs->maybe_applied) {
       // All tombstone CASes bounced off a migration fence unapplied: safe to
       // re-execute the delete against the replacement layout.
       result.status = SgStatus::kMoved;
@@ -469,7 +469,7 @@ sim::Task<SgReadResult> AbdObject::Read() {
     });
     result.rtts += v.waves;
     if (!v.reached) {
-      if (ph->moved) {
+      if (ph->moved > 0) {
         // Migration fence: re-locate via the index (reads are always safe
         // to re-execute).
         result.status = SgStatus::kMoved;
@@ -523,7 +523,7 @@ sim::Task<SgReadResult> AbdObject::Read() {
           q.contacts().Where([&](int r) { return !ph->Holds(r, m); }),
           [&](int r) { return RepairOne(worker_, layout_, r, base, value, cs); });
       if (!fixed) {
-        if (cs->moved) {
+        if (cs->moved > 0) {
           result.status = SgStatus::kMoved;  // Fenced mid-write-back: re-locate.
         }
         co_return result;

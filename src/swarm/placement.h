@@ -1,19 +1,13 @@
 // Serving-filtered replica placement, shared by the KV stores.
 //
-// Two policies live here:
-//
-//   * PlaceReplicas — the classic (hash + i) over the serving set. Kept for
-//     pre-elastic layouts, unit fixtures, and as the degenerate fallback.
-//     Allocation-free: the hot insert path must not touch the heap
-//     (zero_alloc_test guards the pick).
-//
-//   * PlacementProbe — serving-aware linear probing over the node index
-//     space: a key's replicas are the first `replicas` serving nodes at
-//     (h + step) % num_nodes. At full membership this is EXACTLY the modular
-//     policy, and when a node crashes or drains only the keys whose probe
-//     window crossed it re-home (to the next serving index) — every other
-//     key keeps its placement, which is what makes million-key drain plans
-//     proportional to the delta, not the store. Stateless and heap-free.
+// One policy, serving-aware linear probing over the node index space: a
+// key's replicas are the first `replicas` serving nodes at
+// (h + step) % num_nodes. At full membership this is EXACTLY the modular
+// policy (h + i) % num_nodes, and when a node crashes or drains only the
+// keys whose probe window crossed it re-home (to the next serving index) —
+// every other key keeps its placement, which is what makes million-key
+// drain plans proportional to the delta, not the store. Heap-free: the hot
+// insert path must not touch the heap (zero_alloc_test guards the pick).
 //
 // Why a probe and not a hashed-vnode ring: an arc-length ring (tried first)
 // re-shuffles WHICH keys live where even at identical aggregate balance, and
@@ -21,11 +15,10 @@
 // sensitive to exactly that — whether a handful of hot keys share the
 // crashed or contended node moves p99s far beyond the 8% gate. The probe
 // keeps the committed trajectory byte-stable at full membership and still
-// bounds remap on failure/drain. The index layer's ShardRouter keeps a true
-// vnode ring: shards are uniform services, so arc imbalance is harmless
-// there. The trade-off: admitting a node re-aims future placements globally
-// (h % n changes) — acceptable because placement only decides where NEW
-// objects go, and admission rebalance is the MigrationService's job anyway.
+// bounds remap on failure/drain. The trade-off: admitting a node re-aims
+// future placements globally (h % n changes) — acceptable because placement
+// only decides where NEW objects go, and admission rebalance is the
+// MigrationService's job anyway.
 //
 // Placement only decides where NEW objects go. Existing layouts keep their
 // replica nodes across membership changes; moving them is the
@@ -39,81 +32,34 @@
 
 namespace swarm {
 
-// Fills nodes[0..replicas) with distinct-by-index candidates for a key whose
-// placement hash is `h`. `serving` may be null (no filter) and may be shorter
-// than num_nodes (nodes hot-added after the vector was wired default to
-// non-serving until the membership grows it). Heap-free.
+// Fills nodes[0..replicas) with the first `replicas` serving nodes probing
+// (h + step) % num_nodes upward, for a key whose placement hash is `h`.
+// `serving` (MembershipService::serving(), which spans the node-id space) may
+// be null: every node serves. When nothing serves it falls back to the full
+// cluster, (h + i) % num_nodes; when fewer nodes serve than `replicas` it
+// repeats the collected cycle (the caller's quorum math handles duplicates
+// the same way the modular policy did).
 inline void PlaceReplicas(uint64_t h, int replicas, int num_nodes,
                           const std::vector<bool>* serving, int* nodes) {
-  int count = 0;
-  if (serving != nullptr) {
-    for (int i = 0; i < num_nodes; ++i) {
-      if (static_cast<size_t>(i) < serving->size() && (*serving)[static_cast<size_t>(i)]) {
-        ++count;
-      }
+  const auto n = static_cast<uint64_t>(num_nodes);
+  int found = 0;
+  for (int step = 0; step < num_nodes && found < replicas; ++step) {
+    const auto node = static_cast<int>((h + static_cast<uint64_t>(step)) % n);
+    if (serving == nullptr || (*serving)[static_cast<size_t>(node)]) {
+      nodes[found++] = node;
     }
   }
-  const bool filtered = count > 0;
-  if (!filtered) {
-    // No filter wired, or a degenerate membership (nothing serving): fall
-    // back to the full cluster rather than failing the allocation.
-    count = num_nodes;
+  if (found == 0) {
+    for (int i = 0; i < replicas; ++i) {
+      nodes[i] = static_cast<int>((h + static_cast<uint64_t>(i)) % n);
+    }
+    return;
   }
-  const auto n = static_cast<uint64_t>(count);
-  for (int i = 0; i < replicas; ++i) {
-    const auto pick = static_cast<int>((h + static_cast<uint64_t>(i)) % n);
-    if (!filtered) {
-      nodes[i] = pick;
-      continue;
-    }
-    int seen = 0;
-    for (int j = 0; j < num_nodes; ++j) {
-      if (static_cast<size_t>(j) < serving->size() && (*serving)[static_cast<size_t>(j)] &&
-          seen++ == pick) {
-        nodes[i] = j;
-        break;
-      }
-    }
+  for (int i = found; found < replicas;) {
+    nodes[found] = nodes[found % i];
+    ++found;
   }
 }
-
-// Minimal-remap placement over the serving nodes (see the header comment for
-// the policy and the ring-vs-probe trade-off). Stateless; each session keeps
-// one for interface symmetry with the stateful policies it replaced.
-class PlacementProbe {
- public:
-  static constexpr int kMaxNodes = 256;  // Stack-buffer bound for callers.
-
-  // Picks `replicas` distinct serving nodes by probing (h + step) upward.
-  // Falls back to PlaceReplicas over the full cluster when nothing is
-  // serving, and repeats the collected cycle when fewer serving nodes exist
-  // than replicas (the caller's quorum math handles duplicates the same way
-  // the modular policy did). Heap-free.
-  void Pick(uint64_t h, int replicas, int num_nodes,
-            const std::vector<bool>* serving, int* nodes) const {
-    int found = 0;
-    for (int step = 0; step < num_nodes && found < replicas; ++step) {
-      const auto node =
-          static_cast<int>((h + static_cast<uint64_t>(step)) % static_cast<uint64_t>(num_nodes));
-      const bool s = serving == nullptr || serving->empty() ||
-                     (static_cast<size_t>(node) < serving->size() &&
-                      (*serving)[static_cast<size_t>(node)]);
-      if (s) {
-        nodes[found++] = node;
-      }
-    }
-    if (found == 0) {
-      // Degenerate membership (nothing serving): full-cluster fallback.
-      PlaceReplicas(h, replicas, num_nodes, nullptr, nodes);
-      return;
-    }
-    // Fewer serving nodes than replicas: repeat the cycle.
-    for (int i = found; i > 0 && found < replicas;) {
-      nodes[found] = nodes[found % i];
-      ++found;
-    }
-  }
-};
 
 }  // namespace swarm
 

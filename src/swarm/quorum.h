@@ -14,9 +14,12 @@
 //    `majority` replicas and broadens to every contact only when they miss
 //    `escalation_timeout` — SWARM's no-downtime failover (§7.7). It does not
 //    broaden after a QP was revoked (the caller's epoch-refresh retry is the
-//    productive path, not a grace wait on fail-fast completions) or after a
-//    kMovedReplica NACK (a migration flip fences every replica of the layout
-//    at one instant, so no straggler can complete a majority).
+//    productive path, not a grace wait on fail-fast completions), nor when
+//    kMovedReplica NACKs leave fewer than a majority of contacts: then the
+//    caller's re-locate is the productive path. A SWARM-KV or DM-ABD move
+//    fences one slot, so a stale-cached client still commits through the
+//    shared slots, which the replacement layout lists too
+//    (src/repair/migration.h).
 //
 // The per-replica tasks record what they learn into their phase and signal
 // its `ok` counter; stragglers keep doing so after the engine resumed, so a
@@ -59,12 +62,13 @@ struct Contacts {
 };
 
 // State a phase shares with its per-replica tasks: they Add(1) to `ok` for
-// every useful answer and set `moved` on a kMovedReplica NACK.
+// every useful answer and count kMovedReplica NACKs in `moved`, at most one
+// per replica.
 struct QuorumPhase {
   explicit QuorumPhase(sim::Simulator* sim) : ok(sim) {}
 
   sim::Counter ok;
-  bool moved = false;
+  int moved = 0;
 };
 
 // A phase whose replicas answer with a metadata word, plus the tallies
@@ -168,7 +172,8 @@ class QuorumEngine {
     v.launched = std::min(majority_, contacts_.size);
     v.reached = co_await Post(ph->ok, majority_, worker_->config().escalation_timeout, contacts_,
                               0, v.launched, make);
-    if (!v.reached && !worker_->EpochRefreshNeeded() && !ph->moved) {
+    const bool fenced_out = ph->moved > 0 && contacts_.size - ph->moved < majority_;
+    if (!v.reached && !worker_->EpochRefreshNeeded() && !fenced_out) {
       const int first = v.launched;
       ++v.waves;
       v.launched = contacts_.size;

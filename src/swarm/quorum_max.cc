@@ -46,7 +46,7 @@ sim::Task<void> WriteAndReadOne(Worker* worker, const ObjectLayout* layout,
     ph->maybe_applied = true;  // Installed, or applied-but-unacked.
   }
   if (IsMoved(mr.status) || IsMoved(view.status)) {
-    ph->moved = true;
+    ++ph->moved;
   }
   if (!mr.ok() || !view.ok()) {
     if (IsNodeFailure(mr.status) || IsNodeFailure(view.status)) {
@@ -89,7 +89,7 @@ sim::Task<void> ReadOne(Worker* worker, const ObjectLayout* layout,
       worker->MarkNodeFailed(rep.node());
     }
     if (IsMoved(view.status)) {
-      ph->moved = true;
+      ++ph->moved;
     }
     co_return;
   }
@@ -121,7 +121,7 @@ sim::Task<void> RepairOne(Worker* worker, const ObjectLayout* layout, int r, Met
   if (res.ok()) {
     ph->ok.Add(1);
   } else if (IsMoved(res.status)) {
-    ph->moved = true;
+    ++ph->moved;
   }
 }
 
@@ -146,7 +146,7 @@ sim::Task<void> WriteVerifiedOne(Worker* worker, const ObjectLayout* layout,
       worker->MarkNodeFailed(rep.node());
     }
     if (IsMoved(res.status)) {
-      ph->moved = true;
+      ++ph->moved;
     }
     co_return;
   }
@@ -199,7 +199,7 @@ sim::Task<WriteReadOutcome> QuorumMax::WriteAndReadOnce(Meta w, std::span<const 
   out.ok = v.reached;
   out.m = ph->m;
   out.installed = ph->installed;
-  out.moved = ph->moved;
+  out.moved = ph->moved > 0;
   out.effect_possible = ph->maybe_applied || ph->completions < v.launched;
   out.rtts = v.waves + ph->max_retries;
   co_return out;
@@ -223,7 +223,7 @@ sim::Task<ReadOutcome> QuorumMax::ReadQuorumOnce(bool strong) {
       ph.get(), [&](int r) { return ReadOne(worker_, layout_, cache_, r, ph); });
   ReadOutcome out;
   out.rtts = v.waves;
-  out.moved = ph->moved;
+  out.moved = ph->moved > 0;
   if (!v.reached) {
     co_return out;  // No live majority.
   }
@@ -282,7 +282,7 @@ sim::Task<ReadOutcome> QuorumMax::ReadQuorumOnce(bool strong) {
           });
       if (!fixed) {
         out.ok = false;
-        out.moved = out.moved || rp->moved;
+        out.moved = out.moved || rp->moved > 0;
         co_return out;
       }
     }

@@ -4,6 +4,11 @@
 // queue pair and an out-of-place buffer pool per memory node, a timestamp
 // clock, and shares a ClientCpu (submission serialization, §7.2) and a
 // known-failed node set with the other workers of the same client process.
+//
+// The per-node views it reads (known-failed, repair-excluded) span the
+// fabric's node-id space, Fabric::max_nodes(), so a node hot-added after the
+// worker was built is indexed like any other. A known-failed view built at
+// the current node count is widened once, when the worker takes it.
 
 #ifndef SWARM_SRC_SWARM_WORKER_H_
 #define SWARM_SRC_SWARM_WORKER_H_
@@ -44,6 +49,7 @@ class Worker {
          const ProtocolConfig& config, std::shared_ptr<std::vector<bool>> known_failed)
       : fabric_(fabric), tid_(tid), cpu_(cpu), clock_(clock), config_(config),
         known_failed_(std::move(known_failed)) {
+    known_failed_->resize(static_cast<size_t>(fabric->max_nodes()), false);
     if (cpu != nullptr) {
       cpu->Configure(&fabric->stats(), fabric->config().doorbell_batching,
                      fabric->config().max_wqe_per_doorbell);
@@ -60,11 +66,13 @@ class Worker {
   const ProtocolConfig& config() const { return config_; }
 
   fabric::ClientCpu* cpu() { return cpu_; }
-  // Queue pairs and buffer pools grow lazily: a worker created before a
-  // membership admission connects to the hot-added node on first use (the QP
-  // setup that in a real cluster the admission handshake performs). Deques,
-  // not vectors — protocol coroutines hold Qp&/OopPool& across suspension
-  // points, so growth must never move existing elements.
+  // Queue pairs and buffer pools, unlike the per-node views, grow lazily: a
+  // pool allocates on its node, which does not exist before its admission. A
+  // worker created before a membership admission connects to the hot-added
+  // node on first use (the QP setup that in a real cluster the admission
+  // handshake performs). Deques, not vectors — protocol coroutines hold
+  // Qp&/OopPool& across suspension points, so growth must never move
+  // existing elements.
   fabric::Qp& qp(int node) {
     EnsureNode(node);
     return qps_[static_cast<size_t>(node)];
@@ -91,24 +99,14 @@ class Worker {
     return std::shared_ptr<ObjectCache>(std::shared_ptr<ObjectCache>(), &slot_caches_[layout]);
   }
 
-  // The shared vectors below may predate a hot-added node; out-of-range reads
-  // mean "nothing known about it yet" and writes grow the vector in place.
-  bool NodeKnownFailed(int node) const {
-    const auto idx = static_cast<size_t>(node);
-    return idx < known_failed_->size() && (*known_failed_)[idx];
-  }
-  void MarkNodeFailed(int node) {
-    const auto idx = static_cast<size_t>(node);
-    if (idx >= known_failed_->size()) {
-      known_failed_->resize(idx + 1, false);
-    }
-    (*known_failed_)[idx] = true;
-  }
+  bool NodeKnownFailed(int node) const { return (*known_failed_)[static_cast<size_t>(node)]; }
+  void MarkNodeFailed(int node) { (*known_failed_)[static_cast<size_t>(node)] = true; }
 
   // Replaces the known-failed view. A view no membership subscription feeds
   // models a client process that never hears about node failures.
   void set_known_failed(std::shared_ptr<std::vector<bool>> known_failed) {
     known_failed_ = std::move(known_failed);
+    known_failed_->resize(static_cast<size_t>(fabric_->max_nodes()), false);
   }
 
   // Repair exclusion (MembershipService::repairing()): a node flagged here is
@@ -116,14 +114,12 @@ class Worker {
   // merely sort last in the quorum engine's order (src/swarm/quorum.h), a
   // repairing node must not be contacted and must not count toward any
   // majority, because its replica slots are mid-rebuild and reads from it
-  // would miss committed writes.
+  // would miss committed writes. The view spans the node-id space.
   void set_repair_excluded(std::shared_ptr<const std::vector<bool>> excluded) {
     repair_excluded_ = std::move(excluded);
   }
   bool NodeQuorumExcluded(int node) const {
-    const auto idx = static_cast<size_t>(node);
-    return repair_excluded_ != nullptr && idx < repair_excluded_->size() &&
-           (*repair_excluded_)[idx];
+    return repair_excluded_ != nullptr && (*repair_excluded_)[static_cast<size_t>(node)];
   }
 
   // Marks this worker as the repair coordinator: its verbs pass the repair

@@ -9,6 +9,7 @@
 
 #include "src/sim/task.h"
 #include "src/swarm/timestamp.h"
+#include "tests/support/test_env.h"
 
 namespace swarm {
 namespace {
@@ -163,6 +164,64 @@ TEST_P(DeploymentServingTest, SessionsPlaceFreshKeysOnServingNodesOnly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Stores, DeploymentServingTest, ::testing::Values("swarm", "dmabd"));
+
+// Drives a node admitted after the deployment was built through a crash, a
+// repair and its rejoin, under traffic before and after each step.
+sim::Task<void> HotAddedNodeCrashesAndRejoins(Deployment* d, bool* done) {
+  constexpr uint64_t kKeys = 16;
+  kv::KvSession& s = d->session(0);
+  const auto val = [](uint64_t key, uint8_t round) {
+    return testing::ValN(8, static_cast<uint8_t>(key * 4 + round));
+  };
+  for (uint64_t key = 0; key < kKeys; ++key) {
+    EXPECT_TRUE((co_await s.Insert(key, val(key, 0))).ok()) << "key " << key;
+  }
+  EXPECT_EQ(co_await d->migration()->AdmitAndRebalance(8), 4);
+  for (uint64_t key = 0; key < kKeys; ++key) {
+    // Re-locates the keys the rebalance moved.
+    EXPECT_EQ((co_await s.Get(key)).status, kv::KvStatus::kOk) << "key " << key;
+  }
+  for (uint64_t key = 0; key < kKeys; ++key) {
+    EXPECT_EQ((co_await s.Update(key, val(key, 1))).status, kv::KvStatus::kOk) << "key " << key;
+  }
+  d->membership().CrashNode(4);
+  for (uint64_t key = 0; key < kKeys; ++key) {
+    EXPECT_EQ((co_await s.Update(key, val(key, 2))).status, kv::KvStatus::kOk) << "key " << key;
+  }
+  EXPECT_TRUE(co_await d->repair()->RecoverAndRepair(4));
+  kv::KvSession& reader = d->session(1);
+  for (uint64_t key = 0; key < kKeys; ++key) {
+    const kv::KvResult g = co_await reader.Get(key);
+    EXPECT_EQ(g.status, kv::KvStatus::kOk) << "key " << key;
+    EXPECT_EQ(g.value, val(key, 2)) << "key " << key;
+  }
+  *done = true;
+}
+
+using DeploymentHotAddTest = ::testing::TestWithParam<const char*>;
+
+// Every per-node table spans the fabric's node-id space from the start:
+// membership's and the workers' views, the RepairService's lifecycle tables,
+// FUSEE's failed roles, key registry and per-session log slots.
+TEST_P(DeploymentHotAddTest, AdmittedNodeCrashesIsRepairedAndRejoins) {
+  DeploymentConfig cfg = SmallConfig(GetParam());
+  cfg.fabric = testing::ElasticFabric();
+  cfg.repair = repair::RepairConfig{};
+  cfg.migration = repair::MigrationConfig{};
+  Deployment d(cfg);
+  bool done = false;
+  sim::Spawn(HotAddedNodeCrashesAndRejoins(&d, &done));
+  d.sim().Run();
+  EXPECT_TRUE(done);
+  EXPECT_EQ(d.migration()->keys_moved(), 8u);
+  EXPECT_GT(d.repair()->slots_repaired(), 0u);
+  EXPECT_TRUE(d.membership().IsServing(4));
+  EXPECT_FALSE(d.membership().IsRepairing(4));
+  EXPECT_EQ(d.repair()->repairs_completed(), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Stores, DeploymentHotAddTest,
+                         ::testing::Values("swarm", "dmabd", "fusee"));
 
 }  // namespace
 }  // namespace swarm

@@ -1,13 +1,16 @@
 // Integration tests for the four key-value stores (SWARM-KV, RAW, DM-ABD,
 // FUSEE): basic CRUD semantics, cache behaviour, roundtrip structure
-// (Table 2), delete/re-insert races, and failure handling.
+// (Table 2), delete/re-insert races, failure handling, and the index
+// service's per-shard server occupancy.
 
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "src/index/shard_router.h"
 #include "src/kv/dm_abd_kv.h"
 #include "src/kv/fusee_kv.h"
 #include "src/kv/raw_kv.h"
@@ -443,6 +446,48 @@ TEST(FuseeKv, NodeCrashCausesRecoveryPause) {
   fx.env.sim.Run();
   // Tens of milliseconds of unavailability (vs SWARM's microseconds).
   EXPECT_GE(blocked_for, 40 * sim::kMillisecond);
+}
+
+// --- Index sharding: server occupancy ----------------------------------------
+
+// When each of `keys` finishes its Lookup, all started at t=0 over a 680 ns
+// one-way link with no jitter and no client CPU, each shard server holding
+// an op for 1,000 ns.
+std::vector<sim::Time> LookupCompletions(int shards, const std::vector<uint64_t>& keys) {
+  sim::Simulator sim(1);
+  index::IndexService index(&sim, /*fabric=*/nullptr, /*one_way_delay=*/680, /*jitter=*/0,
+                            index::IndexService::kSubmitCost, shards);
+  index.set_shard_service_time(1000);
+  std::vector<sim::Time> done(keys.size(), 0);
+  auto lookup = [](sim::Simulator* sim, index::IndexService* index, uint64_t key,
+                   sim::Time* at) -> Task<void> {
+    EXPECT_FALSE((co_await index->Lookup(key, /*cpu=*/nullptr)).has_value());
+    *at = sim->Now();
+  };
+  for (size_t i = 0; i < keys.size(); ++i) {
+    Spawn(lookup(&sim, &index, keys[i], &done[i]));
+  }
+  sim.Run();
+  return done;
+}
+
+TEST(IndexShards, AShardSerializesOnlyItsOwnKeys) {
+  // Two keys on shard 0, then one on shard 1.
+  const index::ShardRouter router(2);
+  std::vector<uint64_t> keys;
+  for (uint64_t key = 0; keys.size() < 2; ++key) {
+    if (router.ShardOf(key) == 0) {
+      keys.push_back(key);
+    }
+  }
+  for (uint64_t key = 0; keys.size() < 3; ++key) {
+    if (router.ShardOf(key) == 1) {
+      keys.push_back(key);
+    }
+  }
+  // One server queues all three; with two, the shard-1 key does not wait.
+  EXPECT_EQ(LookupCompletions(1, keys), (std::vector<sim::Time>{2360, 3360, 4360}));
+  EXPECT_EQ(LookupCompletions(2, keys), (std::vector<sim::Time>{2360, 3360, 2360}));
 }
 
 }  // namespace

@@ -119,17 +119,6 @@ TEST(Placement, ServingFilterSkipsNonServingNodes) {
   EXPECT_EQ(nodes[2], 3);
 }
 
-TEST(Placement, ShortVectorTreatsHotAddedNodesAsNonServing) {
-  // A serving vector that predates a hot-add: node 4 is beyond its size and
-  // must not be chosen.
-  const std::vector<bool> serving = {true, true, true, true};
-  int nodes[3];
-  PlaceReplicas(/*h=*/3, /*replicas=*/3, /*num_nodes=*/5, &serving, nodes);
-  for (int n : nodes) {
-    EXPECT_LT(n, 4);
-  }
-}
-
 TEST(Placement, DegenerateMembershipFallsBackToFullCluster) {
   const std::vector<bool> nothing_serving = {false, false, false, false};
   int nodes[3];
@@ -551,6 +540,40 @@ TEST_P(MigrationLifecycle, ConcurrentMovesOfOneKeySerialize) {
     EXPECT_EQ(g.status, kv::KvStatus::kOk);
     EXPECT_EQ(g.value, ValN(16, 0x77));
     *done = true;
+  });
+}
+
+// The client's first op after a flip goes through a stale cache, one that
+// still holds the key's pre-migration layout. A SWARM-KV or DM-ABD move
+// fences one slot, so the op commits through the shared slots (or bounces
+// with no effect and re-locates); it must never report kUnavailable.
+Task<void> FirstOpThroughStaleCache(MigrationFixture* f, bool remove, bool* done) {
+  EXPECT_TRUE((co_await f->kv->Insert(7, ValN(32, 0xAB))).ok());
+  EXPECT_EQ(co_await f->migration.MigrateKey(7, f->Homes(7).front()),
+            repair::MigrateStatus::kMoved);
+  if (remove) {
+    EXPECT_EQ((co_await f->kv->Remove(7)).status, kv::KvStatus::kOk);
+    EXPECT_EQ((co_await f->kv->Get(7)).status, kv::KvStatus::kNotFound);
+  } else {
+    EXPECT_EQ((co_await f->kv->Update(7, ValN(32, 0xCD))).status, kv::KvStatus::kOk);
+    const kv::KvResult g = co_await f->kv->Get(7);
+    EXPECT_EQ(g.status, kv::KvStatus::kOk);
+    EXPECT_EQ(g.value, ValN(32, 0xCD));
+  }
+  *done = true;
+}
+
+TEST_P(MigrationLifecycle, StaleCachedUpdateCommitsAfterTheFlip) {
+  MigrationFixture f(GetParam());
+  RunDriver(f, [](MigrationFixture* f, bool* done) {
+    return FirstOpThroughStaleCache(f, /*remove=*/false, done);
+  });
+}
+
+TEST_P(MigrationLifecycle, StaleCachedRemoveCommitsAfterTheFlip) {
+  MigrationFixture f(GetParam());
+  RunDriver(f, [](MigrationFixture* f, bool* done) {
+    return FirstOpThroughStaleCache(f, /*remove=*/true, done);
   });
 }
 

@@ -410,7 +410,7 @@ struct KvChaos {
 // force the re-validation pull (Worker::RefreshEpoch).
 inline void MakeDeaf(Worker& w, const membership::MembershipService& membership) {
   w.set_known_failed(
-      std::make_shared<std::vector<bool>>(static_cast<size_t>(w.fabric()->num_nodes()), false));
+      std::make_shared<std::vector<bool>>(static_cast<size_t>(w.fabric()->max_nodes()), false));
   auto epoch = std::make_shared<fabric::ClientEpoch>();
   epoch->value = membership.epoch();
   w.set_epoch(std::move(epoch));

@@ -216,21 +216,19 @@ TEST(ZeroAlloc, SwarmFreshInsertAllocationBudget) {
       << static_cast<double>(g_heap_allocs - before) / kInserts;
 }
 
-// Placement is on the insert/migration planning path: both the classic
-// modular pick and the serving-probe pick must stay heap-free — the probe
-// is stateless, so it gets no warmup allowance at all.
+// Placement is on the insert/migration planning path: the serving-probe
+// pick must stay heap-free — it keeps no state, so it gets no warmup
+// allowance at all.
 TEST(ZeroAlloc, PlacementPickIsHeapFree) {
   if (kPoolBypassed) {
     GTEST_SKIP() << "pool bypassed under ASan; allocation counting is meaningless";
   }
   std::vector<bool> serving(16, true);
   serving[3] = false;
-  PlacementProbe probe;
   int nodes[4];
   const uint64_t before = g_heap_allocs;
   for (uint64_t h = 0; h < 10000; ++h) {
     PlaceReplicas(h, 3, 16, &serving, nodes);
-    probe.Pick(h, 3, 16, &serving, nodes);
   }
   EXPECT_EQ(g_heap_allocs - before, 0u);
 }

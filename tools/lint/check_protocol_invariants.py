@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Repo-specific protocol-invariant static analysis for the swarm tree.
 
-Four passes, each encoding a bug CLASS the chaos engine caught dynamically,
-so the class is rejected at lint time instead of seed-replay time:
+Five passes, each encoding a bug CLASS the chaos engine or a sanitizer
+caught dynamically, so the class is rejected at lint time instead of
+seed-replay time:
 
   swarm-unchecked-commit-critical
       A fabric-verb / commit-critical result must reach a branch, a caller,
@@ -32,6 +33,15 @@ so the class is rejected at lint time instead of seed-replay time:
       that treats kStaleEpoch like a node failure turns a membership
       transition into evidence about object state.
 
+  swarm-node-table-size
+      A per-node table is sized to the fabric's node-id space,
+      Fabric::max_nodes(), when its owner is built: `num_nodes()` — the
+      nodes present NOW — never sizes a container. Motivated by the hot-add
+      sizing bugs: FuseeKvSession::LogSlot overflowed a log-slot table sized
+      before an admission (an ASan heap overflow), and the RepairService's
+      lifecycle tables needed a lazy EnsureTracked growth path. Scans whole
+      files: member initializer lists sit outside function bodies.
+
 Frontend note: this was designed for libclang (clang.cindex); the build
 image ships neither the libclang C API nor the Python bindings, and the
 tree's no-new-deps rule forbids installing them, so the tool carries a
@@ -56,6 +66,7 @@ CHECKS = (
     "swarm-hot-path-alloc",
     "swarm-bounded-slot-index",
     "swarm-retry-stale-epoch",
+    "swarm-node-table-size",
 )
 
 # Callee names whose results are commit-critical: the one-sided verbs, the
@@ -629,6 +640,99 @@ def check_retry_stale_epoch(fn, findings, by_name):
                              "epoch and retry, never treat it as failure"))
 
 
+# --- Pass 5: swarm-node-table-size ------------------------------------------
+
+SIZING_METHODS = {"resize", "assign", "reserve"}
+
+
+def _skip_template(toks, i):
+    """Index just past the `>` closing the template argument list opened at
+    toks[i] (`<`); `>>` closes two levels."""
+    depth = 0
+    n = len(toks)
+    while i < n:
+        t = toks[i].text
+        if t == "<":
+            depth += 1
+        elif t in (">", ">>"):
+            depth -= 1 if t == ">" else 2
+            if depth <= 0:
+                return i + 1
+        elif t in (";", "{", "}"):
+            return i  # Not a template argument list after all.
+        i += 1
+    return n
+
+
+def _arg_list(toks, i):
+    """(open, close) of the call or brace-init whose `(` / `{` is toks[i],
+    close just past the matching bracket; None when toks[i] opens neither."""
+    if i >= len(toks) or toks[i].text not in ("(", "{"):
+        return None
+    close_t = ")" if toks[i].text == "(" else "}"
+    return i, _matching(toks, i, toks[i].text, close_t)
+
+
+def _sized_arg_lists(toks):
+    """Yields (what, open, close) for every container-sizing argument list:
+    `.resize/.assign/.reserve(...)`, `vector<...>(...)`, `vector<...>
+    name(...)`, `make_shared<vector<...>>(...)`, and each member
+    initializer of a constructor's initializer list."""
+    n = len(toks)
+    for i, t in enumerate(toks):
+        if t.kind != "id":
+            continue
+        if t.text in SIZING_METHODS and i > 0 and toks[i - 1].text in (".", "->"):
+            span = _arg_list(toks, i + 1)
+            if span:
+                yield f".{t.text}()", span[0], span[1]
+        elif t.text in ("vector", "make_shared") and i + 1 < n and toks[i + 1].text == "<":
+            j = _skip_template(toks, i + 1)
+            if t.text == "make_shared" and not any(
+                    x.text == "vector" for x in toks[i + 2:j]):
+                continue
+            if j < n and toks[j].kind == "id":
+                j += 1  # A declaration: `vector<bool> name(...)`.
+            span = _arg_list(toks, j)
+            if span:
+                yield f"{t.text}<...>", span[0], span[1]
+    # Member initializers: `) : a_(...), b_{...} {`. The list must run to the
+    # constructor body's `{`, which rules out `cond ? f() : g()`.
+    for i in range(n - 1):
+        if toks[i].text != ")" or toks[i + 1].text != ":":
+            continue
+        items = []
+        j = i + 2
+        while j < n and toks[j].kind == "id":
+            span = _arg_list(toks, j + 1)
+            if not span:
+                break
+            items.append((toks[j].text, span))
+            j = span[1]
+            if j < n and toks[j].text == ",":
+                j += 1
+                continue
+            if j < n and toks[j].text == "{":
+                for name, (open_i, close_i) in items:
+                    yield f"member initializer {name}", open_i, close_i
+            break
+
+
+def check_node_table_size(toks, findings):
+    seen = set()
+    for what, open_i, close_i in _sized_arg_lists(toks):
+        for k in range(open_i + 1, close_i - 2):
+            if toks[k].text == "num_nodes" and toks[k + 1].text == "(" \
+                    and toks[k + 2].text == ")" and k not in seen:
+                seen.add(k)
+                findings.append((toks[k].line, "swarm-node-table-size",
+                                 f"num_nodes() sizes a container ({what}): a "
+                                 "node hot-added later (Fabric::AddNode) "
+                                 "indexes past it — size per-node tables to "
+                                 "max_nodes(), the node-id space, when their "
+                                 "owner is built"))
+
+
 # --- Driver -----------------------------------------------------------------
 
 def lint_file(path, enabled):
@@ -644,6 +748,8 @@ def lint_file(path, enabled):
     for fn in funcs:
         by_name.setdefault(fn.name, []).append(fn)
     findings = []
+    if "swarm-node-table-size" in enabled:
+        check_node_table_size(toks, findings)
     for fn in funcs:
         if "swarm-unchecked-commit-critical" in enabled:
             check_unchecked_commit_critical(fn, findings)

@@ -25,6 +25,7 @@ CASES = {
     "swarm-hot-path-alloc": ("hot_path_alloc", 4),
     "swarm-bounded-slot-index": ("bounded_slot_index", 2),
     "swarm-retry-stale-epoch": ("retry_stale_epoch", 1),
+    "swarm-node-table-size": ("node_table_size", 4),
 }
 
 
