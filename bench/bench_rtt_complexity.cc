@@ -73,7 +73,7 @@ Probe ProbeQuorumMaxReadFast() {
   auto body = [&](Probe* p) -> sim::Task<void> {
     QuorumMax reg(&w, &layout, cache);
     WriteReadOutcome wr = co_await reg.WriteAndRead(Meta::Pack(10, 0, false, 0), ValN(64, 1));
-    co_await QuorumMax::Promote(&w, &layout, wr.installed, ValN(64, 1));
+    co_await QuorumMax::Promote(&w, &layout, /*pin=*/nullptr, wr.installed, ValN(64, 1));
     co_await env.sim.Delay(20000);
     const sim::Time start = env.sim.Now();
     ReadOutcome rd = co_await reg.ReadQuorum(true);

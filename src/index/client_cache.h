@@ -3,8 +3,9 @@
 // SWARM-KV clients cache the replica locations (and the 8 B In-n-Out
 // metadata, i.e. the per-replica slot-cache words) of the keys they touch so
 // that steady-state gets and updates bypass the index entirely. An entry
-// holds the location; the slot-cache words are per-writer state, kept by
-// each Worker (Worker::SlotCacheFor) under the layout pointer. The cache may
+// holds the location, a share in the layout; the slot-cache words are
+// per-writer state that lives in the layout itself, one block of 8 B words
+// per writer (Worker::SlotCacheFor), and dies with it. The cache may
 // be unbounded ("index caches large enough to cache all key locations", most
 // of §7) or bounded with an approximate-LFU replacement policy (the 5 MiB-cache
 // experiment of Fig. 6).

@@ -167,7 +167,8 @@ size_t IndexService::GcRetired() {
     RetiredLayout& r = retired_[i];
     // The drop gate: beyond the retired entry's own reference, nothing may
     // reference the layout — no cache entry, no in-flight Located copy, no
-    // repair snapshot. Exact in the single-threaded simulation.
+    // repair snapshot, no straggler's pin. Exact in the single-threaded
+    // simulation.
     if (r.layout.use_count() > 1) {
       retired_[kept++] = std::move(r);
       continue;
@@ -189,7 +190,7 @@ size_t IndexService::GcRetired() {
       // allocator since the slot was allocated: nothing is left to free.
       DiscardStatus(n.FreeSlot(addr));
     }
-    graveyard_.push_back(std::move(r.layout));
+    r.layout.reset();  // The last reference: frees the layout and its words.
   }
   const size_t dropped = passed - kept;
   retired_.erase(retired_.begin() + static_cast<std::ptrdiff_t>(kept), passed_end);

@@ -152,10 +152,12 @@ class IndexService {
   //   2. the GC listeners ran (§4.5's "stop accessing the to-be-recycled
   //      buffers" message: client LOCATION CACHES drop their entries for the
   //      layout — the model must enforce the premise the ack claims), and
-  //   3. no in-flight operation still holds the layout (its shared_ptr
-  //      use-count has fallen to the retired list's own reference) — a
-  //      long-stuck op that located the key before the round keeps the
-  //      layout repairable until it completes.
+  //   3. no in-flight operation or straggler still holds the layout (its
+  //      shared_ptr use-count has fallen to the retired list's own
+  //      reference) — a long-stuck op that located the key before the round
+  //      keeps the layout repairable until it completes, and a straggler
+  //      coroutine (a per-replica task or a background promotion that
+  //      outlived its op) holds a LayoutPin until it is done.
   void set_retirement_horizon(std::function<uint64_t()> current_epoch,
                               std::function<uint64_t()> safe_before) {
     retire_epoch_fn_ = std::move(current_epoch);
@@ -173,12 +175,12 @@ class IndexService {
   //
   // Dropping a layout frees the slots its record owns, in replica order: the
   // node-side fences over vacated (moved) slots are lifted and the slots go
-  // back to the slab allocator — through its straggler quarantine, which is
-  // what makes the recycling safe even though straggler coroutines may hold
-  // raw ObjectLayout pointers a while longer (their C++ objects are parked
-  // in a graveyard until the simulation ends, mirroring a fenced client that
-  // can still issue accesses at reclaimed addresses). Slots a migration
+  // back to the slab allocator (through its quarantine). Slots a migration
   // flip's replacement shares are not freed: the replacement owns them.
+  // Then the layout itself is freed, with every writer's slot-cache words:
+  // the use-count gate saw no other holder, and every coroutine that can
+  // still dereference a layout holds a share in it (LayoutPin,
+  // src/swarm/layout.h), so nothing can reach the freed object.
   size_t GcRetired();
 
   uint64_t retired_dropped() const { return retired_dropped_; }
@@ -278,7 +280,6 @@ class IndexService {
   std::vector<sim::Time> busy_until_;  // Per shard: when its server frees up.
   std::unordered_map<uint64_t, IndexEntry> map_;
   std::vector<RetiredLayout> retired_;
-  std::vector<std::shared_ptr<const ObjectLayout>> graveyard_;  // Lifetime only.
   std::function<uint64_t()> retire_epoch_fn_;
   std::function<uint64_t()> safe_before_fn_;
   std::vector<std::function<void(const std::shared_ptr<const ObjectLayout>&)>> gc_listeners_;

@@ -74,7 +74,7 @@ auto IndexedKvSession<Protocol>::At(std::shared_ptr<const ObjectLayout> layout,
                                     uint64_t generation) -> Located {
   Located loc;
   loc.found = true;
-  loc.obj_cache = worker_->SlotCacheFor(layout.get());
+  loc.obj_cache = worker_->SlotCacheFor(layout);
   loc.layout = std::move(layout);
   loc.generation = generation;
   return loc;
@@ -241,7 +241,7 @@ sim::Task<KvResult> IndexedKvSession<Protocol>::Insert(uint64_t key,
     // so this costs no roundtrip), then IN PARALLEL replicate the value and
     // insert the location into the index — one roundtrip total.
     std::shared_ptr<const ObjectLayout> layout = AllocateForKey(key);
-    auto obj_cache = worker_->SlotCacheFor(layout.get());
+    SlotCache obj_cache = worker_->SlotCacheFor(layout);
     typename Protocol::Object obj(worker_, layout.get(), obj_cache);
     // One doorbell covers the replica writes AND the index insert RPC.
     auto [wr, ins] = co_await fabric::PostBoth(

@@ -92,7 +92,7 @@ class IndexedKvSession : public KvSession {
   struct Located {
     bool found = false;
     std::shared_ptr<const ObjectLayout> layout;
-    std::shared_ptr<ObjectCache> obj_cache;
+    SlotCache obj_cache;  // Also pins `layout` for the op's stragglers.
     uint64_t generation = 0;
   };
 

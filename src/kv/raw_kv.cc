@@ -101,8 +101,8 @@ sim::Task<KvResult> RawKvSession::Insert(uint64_t key, std::span<const uint8_t> 
   l.meta_slots = 1;
   l.max_writers = 1;
   l.max_value = worker_->config().max_value;
-  CheckReplicaRecordFits(l, &node, /*inplace_copies=*/0);
-  l.replicas[0].node = static_cast<int16_t>(node);
+  CheckReplicaRecordFits(&node, 1, worker_->fabric()->config().node_capacity_bytes);
+  l.replicas[0].node = node;
   // A slab slot, like every replica the index holds: the retired-layout GC
   // frees it with FreeSlot once the key is removed (or this insert lost).
   l.replicas[0].meta_addr = worker_->fabric()->node(node).AllocSlot(8 + l.max_value);

@@ -39,7 +39,7 @@ sim::Task<bool> CopyLocks(Worker* worker, const ObjectLayout* src, const ObjectL
       continue;  // The node under repair itself.
     }
     bufs.emplace_back(region);
-    verbs.push_back(worker->qp(rep.node).Read(rep.tsl_addr(), bufs.back()));
+    verbs.push_back(worker->qp(rep.node).Read(src->tsl_addr(rep), bufs.back()));
   }
   sim::PoolVec<fabric::OpResult> results =
       co_await fabric::PostMany(worker->cpu(), worker->sim(), std::move(verbs));
@@ -62,14 +62,14 @@ sim::Task<bool> CopyLocks(Worker* worker, const ObjectLayout* src, const ObjectL
   sim::Bytes out(region);
   std::memcpy(out.data(), merged.data(), region);
   const ReplicaLayout& d = dst->replicas[static_cast<size_t>(target)];
-  fabric::OpResult res = co_await worker->qp(d.node).Write(d.tsl_addr(), out);
+  fabric::OpResult res = co_await worker->qp(d.node).Write(dst->tsl_addr(d), out);
   co_return res.ok();
 }
 
 sim::Task<bool> CopySafeGuessReplica(Worker* worker, std::shared_ptr<const ObjectLayout> src,
                                      const ObjectLayout* dst, int target) {
   const ObjectLayout* layout = src.get();
-  QuorumMax reg(worker, layout, worker->SlotCacheFor(layout));
+  QuorumMax reg(worker, layout, worker->SlotCacheFor(src));
   const bool drop_tombstones =
       dst == layout && worker->fabric()->config().canaries.skip_tombstone_repair;
   if (drop_tombstones) {
@@ -116,7 +116,7 @@ sim::Task<bool> CopyReplica(LayoutProtocol protocol, Worker* worker,
                             std::shared_ptr<const ObjectLayout> src, const ObjectLayout* dst,
                             int target) {
   if (protocol == LayoutProtocol::kAbd) {
-    AbdObject obj(worker, src.get(), worker->SlotCacheFor(src.get()));
+    AbdObject obj(worker, src.get(), worker->SlotCacheFor(src));
     co_return co_await obj.CopyReplicaTo(dst, target);
   }
   co_return co_await CopySafeGuessReplica(worker, std::move(src), dst, target);

@@ -301,7 +301,7 @@ sim::Task<SgWriteResult> AbdObject::WriteAttempt(std::span<const uint8_t> value,
   // Phase 1: out-of-place writes in parallel with the timestamp discovery
   // read (DM-ABD "hides latency by writing out-of-place data in parallel to
   // finding a fresh timestamp") — one doorbell per wave.
-  const QuorumEngine q(worker_, layout_);
+  const QuorumEngine q(worker_, layout_, cache_.pin());
   const QuorumVerdict v =
       co_await q.Escalate(ph.get(), [&](int r) { return Phase1One(worker_, layout_, r, ph); });
   result.rtts = v.waves;
@@ -370,7 +370,7 @@ sim::Task<SgWriteResult> AbdObject::Delete() {
   constexpr int kMaxAttempts = 3;
   for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
     auto cs = sim::MakePooled<CasState>(worker_->sim());
-    const QuorumEngine q(worker_, layout_);
+    const QuorumEngine q(worker_, layout_, cache_.pin());
     ++result.rtts;
     // Delete needs every replica's actual pre-delete word (fed to seen_max
     // from CAS results only) to tell "we deleted the live object" from "this
@@ -379,8 +379,7 @@ sim::Task<SgWriteResult> AbdObject::Delete() {
     // and observes the node's word. A CACHED TOMBSTONE would short-circuit
     // the loop with no observation, so fall back to the empty seed there.
     const bool got = co_await q.Broadcast(cs.get(), [&](int r) {
-      const auto idx = static_cast<size_t>(r);
-      const Meta seed = cache_->slot[idx].deleted() ? Meta() : cache_->slot[idx];
+      const Meta seed = cache_[r].deleted() ? Meta() : cache_[r];
       return CasMaxOne(worker_, layout_, r, seed, tombstone, cs);
     });
     result.rtts += cs->max_retries;
@@ -417,7 +416,7 @@ sim::Task<bool> AbdObject::CopyReplicaTo(const ObjectLayout* dst, int target) {
   // never contacts it; for migration the vacated source slot is
   // region-fenced and the worker rides the fence-exempt repair channel.
   auto ph = sim::MakePooled<Phase1State>(worker_->sim());
-  const QuorumEngine q(worker_, layout_);
+  const QuorumEngine q(worker_, layout_, cache_.pin());
   const bool got = co_await q.Broadcast(ph.get(), [&](int r) {
     return ReadWordOne(worker_, layout_, r, ph, /*note_failures=*/false);
   });
@@ -463,7 +462,7 @@ sim::Task<SgReadResult> AbdObject::Read() {
     }
     // Phase 1: read the metadata word at a majority.
     auto ph = sim::MakePooled<Phase1State>(worker_->sim());
-    const QuorumEngine q(worker_, layout_);
+    const QuorumEngine q(worker_, layout_, cache_.pin());
     const QuorumVerdict v = co_await q.Escalate(ph.get(), [&](int r) {
       return ReadWordOne(worker_, layout_, r, ph, /*note_failures=*/true);
     });

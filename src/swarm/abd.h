@@ -35,7 +35,7 @@ namespace swarm {
 // SWARM objects, with meta_slots = 1 and no in-place region.
 class AbdObject {
  public:
-  AbdObject(Worker* worker, const ObjectLayout* layout, std::shared_ptr<ObjectCache> cache)
+  AbdObject(Worker* worker, const ObjectLayout* layout, SlotCache cache)
       : worker_(worker), layout_(layout), cache_(std::move(cache)) {}
 
   sim::Task<SgWriteResult> Write(std::span<const uint8_t> value);
@@ -62,7 +62,7 @@ class AbdObject {
 
   Worker* worker_;
   const ObjectLayout* layout_;
-  std::shared_ptr<ObjectCache> cache_;
+  SlotCache cache_;
 };
 
 }  // namespace swarm

@@ -56,7 +56,7 @@ sim::Task<NodeMaxResult> InOutReplica::WriteMaxImpl(Meta w, std::span<const uint
     std::memcpy(inplace_image.data() + 16, value.data(), value.size());
     auto cas_op = qp.WriteThenCas(w_full.oop_addr(), image, slot_addr, slot_expected.raw(),
                                   desired.raw());
-    auto inp_op = qp.Write(rep_->inplace_addr(), inplace_image);
+    auto inp_op = qp.Write(layout_->inplace_addr(*rep_), inplace_image);
     auto [cr, ir] = co_await fabric::PostBoth(worker_->cpu(), worker_->sim(), std::move(cas_op),
                                               std::move(inp_op));
     (void)ir;
@@ -217,7 +217,7 @@ sim::Task<fabric::Status> InOutReplica::PromoteVerified(Meta node_word,
     std::memcpy(image.data(), &h, 8);
     std::memcpy(image.data() + 8, &len, 8);
     std::memcpy(image.data() + 16, value.data(), value.size());
-    r = co_await qp.WriteThenCas(rep_->inplace_addr(), image, slot_addr, node_word.raw(),
+    r = co_await qp.WriteThenCas(layout_->inplace_addr(*rep_), image, slot_addr, node_word.raw(),
                                  vword.raw());
   } else {
     r = co_await qp.Cas(slot_addr, node_word.raw(), vword.raw());

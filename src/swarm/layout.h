@@ -21,6 +21,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
+#include <new>
 #include <utility>
 #include <vector>
 
@@ -37,24 +39,75 @@ inline constexpr uint64_t kInPlaceHeaderBytes = 16;
 // Out-of-place buffer header: [meta word][len].
 inline constexpr uint64_t kOopHeaderBytes = 16;
 
-// One replica's record: its node, the base of its slab slot (which is where
-// the metadata array starts) and the offsets of the in-place and TSL regions
-// inside that slot, as AllocateObject packs it. Every client keeps one
-// ObjectLayout per key it has touched, so the record is held to 16 B (an
-// ObjectLayout is 144 B); AllocateObject aborts on a geometry whose offsets
-// or node id do not fit.
+// One replica's record, 8 B: the base of its slab slot (which is where the
+// metadata array starts), its node, and whether the slot holds the in-place
+// region. The in-place and TSL regions' addresses follow from the layout's
+// geometry (ObjectLayout::inplace_addr and tsl_addr). Every client keeps one
+// ObjectLayout per key it has touched, so the record stays this small;
+// AllocateObject aborts on a node id or a node size the fields cannot hold.
 struct ReplicaLayout {
-  uint64_t meta_addr = 0;       // Slot base = metadata array.
-  int16_t node = -1;
-  uint16_t inplace_offset = 0;  // 0 = this replica holds no in-place data.
-  uint32_t tsl_offset = 0;
+  static constexpr int kAddrBits = 47;
+  static constexpr int kNodeBits = 16;
 
-  bool has_inplace() const { return inplace_offset != 0; }
-  // Meaningful only when has_inplace().
-  uint64_t inplace_addr() const { return meta_addr + inplace_offset; }
-  uint64_t tsl_addr() const { return meta_addr + tsl_offset; }
+  uint64_t meta_addr : kAddrBits = 0;  // Slot base = metadata array.
+  uint64_t inplace : 1 = 0;            // The slot holds the in-place region.
+  int64_t node : kNodeBits = -1;
+
+  bool has_inplace() const { return inplace != 0; }
 };
-static_assert(sizeof(ReplicaLayout) == 16, "replica record must stay 16 B");
+static_assert(sizeof(ReplicaLayout) == 8, "replica record must stay 8 B");
+
+// A writer's slot-cache words for one layout, one 8 B word per replica
+// (Algorithm 7's cached previous value of the writer's metadata slot).
+// Each writer that touches the object gets a block [next | writer | words],
+// created zeroed on its first SlotWordBlocks::For and freed with the layout,
+// so a dropped layout takes its words with it and a layout later built at
+// the same address starts from zeroed words. A copy starts with none: the
+// copy (a migration's replacement layout) addresses slots of its own.
+class SlotWordBlocks {
+ public:
+  SlotWordBlocks() = default;
+  SlotWordBlocks(const SlotWordBlocks&) {}
+  SlotWordBlocks& operator=(const SlotWordBlocks& other) {
+    if (this != &other) {
+      Clear();
+    }
+    return *this;
+  }
+  ~SlotWordBlocks() { Clear(); }
+
+  // `writer`'s `count` words; zeroed when this is the writer's first call.
+  Meta* For(const void* writer, int count) {
+    for (Block* b = head_; b != nullptr; b = b->next) {
+      if (b->writer == writer) {
+        return b->words();
+      }
+    }
+    void* mem = ::operator new(sizeof(Block) + static_cast<size_t>(count) * sizeof(Meta));
+    head_ = new (mem) Block{head_, writer};
+    for (int i = 0; i < count; ++i) {
+      new (head_->words() + i) Meta();
+    }
+    return head_->words();
+  }
+
+ private:
+  struct Block {
+    Block* next;
+    const void* writer;
+    Meta* words() { return std::launder(reinterpret_cast<Meta*>(this + 1)); }
+  };
+
+  void Clear() {
+    while (head_ != nullptr) {
+      Block* next = head_->next;
+      ::operator delete(head_);
+      head_ = next;
+    }
+  }
+
+  Block* head_ = nullptr;
+};
 
 struct ObjectLayout {
   std::array<ReplicaLayout, kMaxReplicas> replicas;
@@ -62,6 +115,9 @@ struct ObjectLayout {
   int32_t meta_slots = 1;   // K metadata buffers (§4.4).
   int32_t max_writers = 1;  // W timestamp locks.
   uint32_t max_value = 0;   // capacity of value buffers, bytes.
+  // Every writer's slot-cache words (Worker::SlotCacheFor): client-side
+  // state that changes while the layout itself is shared read-only.
+  mutable SlotWordBlocks slot_words;
 
   int majority() const { return num_replicas / 2 + 1; }
   uint64_t meta_region_bytes() const { return static_cast<uint64_t>(meta_slots) * 8; }
@@ -84,32 +140,36 @@ struct ObjectLayout {
     const ReplicaLayout& rep = replicas[static_cast<size_t>(r)];
     return {rep.meta_addr, replica_slot_bytes(rep.has_inplace())};
   }
+  // Where the packing puts a replica's in-place region (meaningful only
+  // when rep.has_inplace()) and its TSL region.
+  uint64_t inplace_addr(const ReplicaLayout& rep) const {
+    return rep.meta_addr + meta_region_bytes();
+  }
+  uint64_t tsl_addr(const ReplicaLayout& rep) const {
+    return rep.meta_addr + tsl_region_offset(rep.has_inplace());
+  }
 };
 
-// The record's narrow fields hold the node id and the in-place and TSL
-// offsets of the [meta | in-place | tsl] packing. A geometry they cannot hold
-// is a deployment misconfiguration, like a writer past the TSL bound
-// (CheckWriterBound in safe_guess.cc): abort with a message rather than
-// truncate an address into another object's slot.
-inline void CheckReplicaRecordFits(const ObjectLayout& layout, const int* nodes,
-                                   int inplace_copies) {
-  const auto fail = [](const char* what, long long value, unsigned long long limit) {
-    std::fprintf(stderr, "layout: %s %lld does not fit the replica record (limit %llu)\n", what,
+// The record's fields hold node ids up to 2^15 - 1 and addresses below
+// 2^47; the largest node configured anywhere is 8 GiB. A node id or a node
+// size they cannot hold is a deployment misconfiguration, like a writer past
+// the TSL bound (CheckWriterBound in safe_guess.cc): abort with a message
+// rather than truncate an address into another object's slot.
+inline void CheckReplicaRecordFits(const int* nodes, int count, uint64_t node_capacity) {
+  const auto fail = [](const char* what, unsigned long long value, unsigned long long limit) {
+    std::fprintf(stderr, "layout: %s %llu does not fit the replica record (limit %llu)\n", what,
                  value, limit);
     std::abort();
   };
-  const uint64_t meta = layout.meta_region_bytes();
-  if (layout.meta_slots < 1 || meta > UINT16_MAX) {
-    fail("meta region bytes", static_cast<long long>(meta), UINT16_MAX);
-  }
-  const uint64_t tsl_with_inplace = layout.tsl_region_offset(/*with_inplace=*/true);
-  if (inplace_copies > 0 && tsl_with_inplace > UINT32_MAX) {
-    fail("meta + in-place region bytes", static_cast<long long>(tsl_with_inplace), UINT32_MAX);
-  }
-  for (int r = 0; r < layout.num_replicas; ++r) {
-    if (nodes[r] < 0 || nodes[r] > INT16_MAX) {
-      fail("node id", nodes[r], INT16_MAX);
+  constexpr int kMaxNode = (1 << (ReplicaLayout::kNodeBits - 1)) - 1;
+  constexpr uint64_t kAddrLimit = uint64_t{1} << ReplicaLayout::kAddrBits;
+  for (int r = 0; r < count; ++r) {
+    if (nodes[r] < 0 || nodes[r] > kMaxNode) {
+      fail("node id", static_cast<unsigned long long>(nodes[r]), kMaxNode);
     }
+  }
+  if (node_capacity > kAddrLimit) {
+    fail("node capacity", node_capacity, kAddrLimit);
   }
 }
 
@@ -125,10 +185,10 @@ inline ObjectLayout AllocateObject(fabric::Fabric& fabric, const int* nodes, int
   layout.meta_slots = meta_slots;
   layout.max_writers = max_writers;
   layout.max_value = max_value;
-  CheckReplicaRecordFits(layout, nodes, inplace_copies);
+  CheckReplicaRecordFits(nodes, num_replicas, fabric.config().node_capacity_bytes);
   for (int r = 0; r < num_replicas; ++r) {
     ReplicaLayout& rep = layout.replicas[static_cast<size_t>(r)];
-    rep.node = static_cast<int16_t>(nodes[r]);
+    rep.node = nodes[r];
     fabric::MemoryNode& node = fabric.node(nodes[r]);
     // One slab slot per replica: [meta | in-place? | tsl]. The in-place
     // region sits contiguously after the metadata array so both can be
@@ -137,19 +197,45 @@ inline ObjectLayout AllocateObject(fabric::Fabric& fabric, const int* nodes, int
     // so the whole replica is one fence/free interval.
     const bool with_inplace = r < inplace_copies;
     rep.meta_addr = node.AllocSlot(layout.replica_slot_bytes(with_inplace));
-    if (with_inplace) {
-      rep.inplace_offset = static_cast<uint16_t>(layout.meta_region_bytes());
-    }
-    rep.tsl_offset = static_cast<uint32_t>(layout.tsl_region_offset(with_inplace));
+    rep.inplace = with_inplace;
   }
   return layout;
 }
 
-// Per-(writer, object) cached words: this writer's metadata slot content on
-// each replica (Algorithm 7's cached previous value; 8 B per replica, the
-// "In-n-Out metadata" part of a SWARM-KV cache entry, §7.1).
+// Slot-cache words a caller keeps for itself instead of in the layout (tests
+// and microbenchmarks that build layouts by hand): one word per replica.
 struct ObjectCache {
   std::array<Meta, kMaxReplicas> slot{};
+};
+
+// A share in the ownership of a layout. A coroutine that can outlive the op
+// that started it (a straggler: a per-replica task still in flight after its
+// quorum resumed, or a background promotion) holds one, so the retired-layout
+// GC (IndexService::GcRetired), whose use-count gate counts every share,
+// keeps the layout and its slots until the straggler is done.
+using LayoutPin = std::shared_ptr<const void>;
+
+// A protocol object's handle on one writer's slot-cache words for one
+// object (Algorithm 7's cached previous values, 8 B per replica; the
+// "In-n-Out metadata" part of a SWARM-KV cache entry, §7.1). It shares the
+// ownership of whatever holds the words: the object's layout
+// (Worker::SlotCacheFor), which makes the handle a LayoutPin too, or the
+// caller's own ObjectCache. Null for a promotion that tracks no words.
+class SlotCache {
+ public:
+  SlotCache() = default;
+  SlotCache(std::nullptr_t) {}
+  SlotCache(LayoutPin owner, Meta* words) : owner_(std::move(owner)), words_(words) {}
+  SlotCache(const std::shared_ptr<ObjectCache>& own)
+      : owner_(own), words_(own == nullptr ? nullptr : own->slot.data()) {}
+
+  Meta& operator[](int r) const { return words_[r]; }
+  explicit operator bool() const { return words_ != nullptr; }
+  const LayoutPin& pin() const { return owner_; }
+
+ private:
+  LayoutPin owner_;
+  Meta* words_ = nullptr;
 };
 
 // Which metadata slot a writer CASes (§4.4: each buffer is updated by a

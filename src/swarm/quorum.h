@@ -24,12 +24,17 @@
 // The per-replica tasks record what they learn into their phase and signal
 // its `ok` counter; stragglers keep doing so after the engine resumed, so a
 // phase lives in a pooled shared block the tasks co-own (sim::MakePooled).
+// Every wave stamps the engine's LayoutPin into its phase: a straggler reads
+// the layout's records after each resume (InOutReplica keeps a pointer into
+// them), and co-owning the pinned phase keeps the layout alive until the
+// last straggler is done.
 
 #ifndef SWARM_SRC_SWARM_QUORUM_H_
 #define SWARM_SRC_SWARM_QUORUM_H_
 
 #include <algorithm>
 #include <array>
+#include <utility>
 
 #include "src/fabric/fabric.h"
 #include "src/sim/sync.h"
@@ -69,6 +74,7 @@ struct QuorumPhase {
 
   sim::Counter ok;
   int moved = 0;
+  LayoutPin pin;  // Stamped by every wave: the per-replica tasks' layout.
 };
 
 // A phase whose replicas answer with a metadata word, plus the tallies
@@ -139,8 +145,12 @@ class QuorumEngine {
     kIndex,      // Every contactable replica in index order (Algorithm 9).
   };
 
-  QuorumEngine(Worker* worker, const ObjectLayout* layout, Order order = Order::kLiveFirst)
-      : worker_(worker), majority_(layout->majority()) {
+  // `pin` keeps `layout` alive while stragglers run: the caller's slot-cache
+  // handle (SlotCache::pin) or its own pin. Callers that own the layout
+  // outright (tests) may pass none.
+  QuorumEngine(Worker* worker, const ObjectLayout* layout, LayoutPin pin,
+               Order order = Order::kLiveFirst)
+      : worker_(worker), majority_(layout->majority()), pin_(std::move(pin)) {
     Contacts failed;
     for (int r = 0; r < layout->num_replicas; ++r) {
       const int node = layout->replicas[static_cast<size_t>(r)].node;
@@ -170,15 +180,15 @@ class QuorumEngine {
     QuorumVerdict v;
     v.waves = 1;
     v.launched = std::min(majority_, contacts_.size);
-    v.reached = co_await Post(ph->ok, majority_, worker_->config().escalation_timeout, contacts_,
-                              0, v.launched, make);
+    v.reached = co_await Post(ph, majority_, worker_->config().escalation_timeout, contacts_, 0,
+                              v.launched, make);
     const bool fenced_out = ph->moved > 0 && contacts_.size - ph->moved < majority_;
     if (!v.reached && !worker_->EpochRefreshNeeded() && !fenced_out) {
       const int first = v.launched;
       ++v.waves;
       v.launched = contacts_.size;
-      v.reached = co_await Post(ph->ok, majority_, worker_->config().quorum_timeout, contacts_,
-                                first, v.launched, make);
+      v.reached = co_await Post(ph, majority_, worker_->config().quorum_timeout, contacts_, first,
+                                v.launched, make);
     }
     co_return v;
   }
@@ -186,31 +196,32 @@ class QuorumEngine {
   // One wave to every contact; resumes at a majority or quorum_timeout.
   template <typename Make>
   sim::Task<bool> Broadcast(QuorumPhase* ph, Make make) const {
-    return Post(ph->ok, majority_, worker_->config().quorum_timeout, contacts_, 0, contacts_.size,
-                make);
+    return Post(ph, majority_, worker_->config().quorum_timeout, contacts_, 0, contacts_.size, make);
   }
 
   // One wave to `to`; resumes once `ph->ok` reaches `need` or quorum_timeout.
   template <typename Make>
   sim::Task<bool> Wave(QuorumPhase* ph, int need, const Contacts& to, Make make) const {
-    return Post(ph->ok, need, worker_->config().quorum_timeout, to, 0, to.size, make);
+    return Post(ph, need, worker_->config().quorum_timeout, to, 0, to.size, make);
   }
 
  private:
   template <typename Make>
-  sim::Task<bool> Post(sim::Counter& done, int need, sim::Time timeout, const Contacts& to,
-                       int from, int end, Make& make) const {
+  sim::Task<bool> Post(QuorumPhase* ph, int need, sim::Time timeout, const Contacts& to, int from,
+                       int end, Make& make) const {
+    ph->pin = pin_;
     {
       fabric::CpuBatch batch(worker_->cpu());
       for (int i = from; i < end; ++i) {
         sim::Spawn(make(to.replica[static_cast<size_t>(i)]));
       }
     }
-    return done.WaitFor(need, timeout);
+    return ph->ok.WaitFor(need, timeout);
   }
 
   Worker* worker_;
   int majority_;
+  LayoutPin pin_;
   Contacts contacts_;
 };
 

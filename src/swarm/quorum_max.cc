@@ -29,15 +29,14 @@ struct WrPhase : QuorumPhase {
   int completions = 0;
 };
 
-sim::Task<void> WriteAndReadOne(Worker* worker, const ObjectLayout* layout,
-                                std::shared_ptr<ObjectCache> cache, int r,
+sim::Task<void> WriteAndReadOne(Worker* worker, const ObjectLayout* layout, SlotCache cache, int r,
                                 std::shared_ptr<WrPhase> ph) {
   InOutReplica rep(worker, layout, r);
   // Pipeline the In-n-Out max-write and the metadata read on the same QP:
   // both are in flight simultaneously, one roundtrip total (Algorithm 2
   // line 6: "in parallel {m = M.READ(), M.WRITE(w)}") — and posted under one
   // doorbell (which joins the surrounding quorum batch when there is one).
-  auto wt = rep.WriteMax(ph->w, ph->value, &cache->slot[static_cast<size_t>(r)]);
+  auto wt = rep.WriteMax(ph->w, ph->value, &cache[r]);
   auto rd = rep.ReadNode(/*want_inplace=*/false);
   auto [mr, view] =
       co_await fabric::PostBoth(worker->cpu(), worker->sim(), std::move(wt), std::move(rd));
@@ -80,8 +79,8 @@ struct RdPhase : WordPhase {
   sim::Bytes inplace_value;
 };
 
-sim::Task<void> ReadOne(Worker* worker, const ObjectLayout* layout,
-                        std::shared_ptr<ObjectCache> cache, int r, std::shared_ptr<RdPhase> ph) {
+sim::Task<void> ReadOne(Worker* worker, const ObjectLayout* layout, SlotCache cache, int r,
+                        std::shared_ptr<RdPhase> ph) {
   InOutReplica rep(worker, layout, r);
   NodeView view = co_await rep.ReadNode(/*want_inplace=*/true);
   if (!view.ok()) {
@@ -96,7 +95,7 @@ sim::Task<void> ReadOne(Worker* worker, const ObjectLayout* layout,
   const auto idx = static_cast<size_t>(r);
   ph->Record(r, view.max);
   ph->slots[idx] = std::move(view.slots);
-  cache->slot[idx] = ph->slots[idx][static_cast<size_t>(SlotOf(worker->tid(), layout->meta_slots))];
+  cache[r] = ph->slots[idx][static_cast<size_t>(SlotOf(worker->tid(), layout->meta_slots))];
   if (view.inplace_valid && !ph->have_inplace) {
     ph->have_inplace = true;
     ph->inplace_word = view.max;
@@ -135,12 +134,10 @@ struct VwPhase : QuorumPhase {
   int max_retries = 0;
 };
 
-sim::Task<void> WriteVerifiedOne(Worker* worker, const ObjectLayout* layout,
-                                 std::shared_ptr<ObjectCache> cache, int r,
-                                 std::shared_ptr<VwPhase> ph) {
+sim::Task<void> WriteVerifiedOne(Worker* worker, const ObjectLayout* layout, SlotCache cache,
+                                 int r, std::shared_ptr<VwPhase> ph) {
   InOutReplica rep(worker, layout, r);
-  const auto idx = static_cast<size_t>(r);
-  NodeMaxResult res = co_await rep.WriteVerifiedNode(ph->w, ph->value, cache->slot[idx]);
+  NodeMaxResult res = co_await rep.WriteVerifiedNode(ph->w, ph->value, cache[r]);
   if (!res.ok()) {
     if (IsNodeFailure(res.status)) {
       worker->MarkNodeFailed(rep.node());
@@ -150,19 +147,19 @@ sim::Task<void> WriteVerifiedOne(Worker* worker, const ObjectLayout* layout,
     }
     co_return;
   }
-  cache->slot[idx] = TsMax(res.observed, res.installed);
+  cache[r] = TsMax(res.observed, res.installed);
   ph->max_retries = std::max(ph->max_retries, res.cas_retries);
   ph->ok.Add(1);
 }
 
-sim::Task<void> PromoteOne(Worker* worker, const ObjectLayout* layout, int r, Meta word,
-                           std::shared_ptr<sim::Bytes> value,
-                           std::shared_ptr<ObjectCache> cache) {
+// `pin` is held, never read: it keeps the layout alive across the flip.
+sim::Task<void> PromoteOne(Worker* worker, const ObjectLayout* layout,
+                           [[maybe_unused]] LayoutPin pin, int r, Meta word,
+                           std::shared_ptr<sim::Bytes> value, SlotCache cache) {
   InOutReplica rep(worker, layout, r);
   fabric::Status st = co_await rep.PromoteVerified(word, *value);
-  if (st == fabric::Status::kOk && cache != nullptr) {
-    Meta& slot = cache->slot[static_cast<size_t>(r)];
-    slot = TsMax(slot, word.WithVerified());
+  if (st == fabric::Status::kOk && cache) {
+    cache[r] = TsMax(cache[r], word.WithVerified());
   }
 }
 
@@ -191,7 +188,7 @@ sim::Task<WriteReadOutcome> QuorumMax::WriteAndReadOnce(Meta w, std::span<const 
 
   // Each wave is one doorbell: all replicas' pipelined [WRITE→CAS] + READ
   // pairs ride a single amortized submit_cost (§7.2).
-  const QuorumEngine q(worker_, layout_);
+  const QuorumEngine q(worker_, layout_, cache_.pin());
   const QuorumVerdict v = co_await q.Escalate(
       ph.get(), [&](int r) { return WriteAndReadOne(worker_, layout_, cache_, r, ph); });
 
@@ -218,7 +215,7 @@ sim::Task<ReadOutcome> QuorumMax::ReadQuorum(bool strong) {
 
 sim::Task<ReadOutcome> QuorumMax::ReadQuorumOnce(bool strong) {
   auto ph = sim::MakePooled<RdPhase>(worker_->sim());
-  const QuorumEngine q(worker_, layout_);
+  const QuorumEngine q(worker_, layout_, cache_.pin());
   const QuorumVerdict v = co_await q.Escalate(
       ph.get(), [&](int r) { return ReadOne(worker_, layout_, cache_, r, ph); });
   ReadOutcome out;
@@ -310,7 +307,7 @@ sim::Task<bool> QuorumMax::WriteVerifiedOnce(Meta w, std::span<const uint8_t> va
   ph->w = w.WithVerified();
   ph->value.assign(value.begin(), value.end());
 
-  const QuorumEngine q(worker_, layout_);
+  const QuorumEngine q(worker_, layout_, cache_.pin());
   const QuorumVerdict v = co_await q.Escalate(
       ph.get(), [&](int r) { return WriteVerifiedOne(worker_, layout_, cache_, r, ph); });
   if (rtts != nullptr) {
@@ -319,16 +316,15 @@ sim::Task<bool> QuorumMax::WriteVerifiedOnce(Meta w, std::span<const uint8_t> va
   co_return v.reached;
 }
 
-sim::Task<void> QuorumMax::Promote(Worker* worker, const ObjectLayout* layout,
-                                   std::array<Meta, kMaxReplicas> installed,
-                                   sim::Bytes value,
-                                   std::shared_ptr<ObjectCache> cache) {
+sim::Task<void> QuorumMax::Promote(Worker* worker, const ObjectLayout* layout, LayoutPin pin,
+                                   std::array<Meta, kMaxReplicas> installed, sim::Bytes value,
+                                   SlotCache cache) {
   auto shared_value = sim::MakePooled<sim::Bytes>(std::move(value));
   fabric::CpuBatch batch(worker->cpu());  // All promotions, one doorbell.
   for (int r = 0; r < layout->num_replicas; ++r) {
     const Meta word = installed[static_cast<size_t>(r)];
     if (!word.empty()) {
-      sim::Spawn(PromoteOne(worker, layout, r, word, shared_value, cache));
+      sim::Spawn(PromoteOne(worker, layout, pin, r, word, shared_value, cache));
     }
   }
   co_return;

@@ -64,8 +64,9 @@ struct [[nodiscard]] ReadOutcome {
 class QuorumMax {
  public:
   // `cache` is shared because straggler per-replica tasks may update slot
-  // caches after the caller's op (and even the cache entry's owner) is gone.
-  QuorumMax(Worker* worker, const ObjectLayout* layout, std::shared_ptr<ObjectCache> cache)
+  // caches after the caller's op is gone; its owner is the pin every phase
+  // carries (src/swarm/quorum.h).
+  QuorumMax(Worker* worker, const ObjectLayout* layout, SlotCache cache)
       : worker_(worker), layout_(layout), cache_(std::move(cache)) {}
 
   // Safe-Guess's combined fast-path phase (Algorithm 2 line 6): per replica,
@@ -85,13 +86,13 @@ class QuorumMax {
 
   // Background promotion of a completed guessed write to VERIFIED (Algorithm
   // 2 line 8): flips the installed words and refreshes in-place data at the
-  // designated replica. Fire-and-forget. When the promoter owns the words
-  // (a writer promoting its own write), pass its ObjectCache so the slot
-  // caches track the flipped words and the next write's CAS stays 1-RT.
-  static sim::Task<void> Promote(Worker* worker, const ObjectLayout* layout,
-                                 std::array<Meta, kMaxReplicas> installed,
-                                 sim::Bytes value,
-                                 std::shared_ptr<ObjectCache> cache = nullptr);
+  // designated replica. Fire-and-forget, so it outlives its op: `pin` keeps
+  // the layout alive until every flip completed. When the promoter owns the
+  // words (a writer promoting its own write), pass its slot cache so the
+  // slot caches track the flipped words and the next write's CAS stays 1-RT.
+  static sim::Task<void> Promote(Worker* worker, const ObjectLayout* layout, LayoutPin pin,
+                                 std::array<Meta, kMaxReplicas> installed, sim::Bytes value,
+                                 SlotCache cache = nullptr);
 
  private:
   // Single attempts behind the public ops. The public wrappers re-run an
@@ -105,7 +106,7 @@ class QuorumMax {
 
   Worker* worker_;
   const ObjectLayout* layout_;
-  std::shared_ptr<ObjectCache> cache_;
+  SlotCache cache_;
 };
 
 }  // namespace swarm

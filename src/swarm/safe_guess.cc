@@ -80,7 +80,7 @@ sim::Task<SgWriteResult> SafeGuessObject::Write(std::span<const uint8_t> value) 
     // guess: acquired ⇒ no reader can ever commit it, the retry is safe
     // (kDeleted); lost ⇒ the write took effect before the object died and
     // the caller must NOT re-execute (kOk, ordered just before the delete).
-    TimestampLock bounce_lock(worker_, layout_, worker_->tid());
+    TimestampLock bounce_lock(worker_, layout_, worker_->tid(), cache_.pin());
     TryLockResult bounce = co_await bounce_lock.TryLock(guess, LockMode::kWrite);
     result.rtts += bounce.rtts;
     if (!bounce.quorum_ok) {
@@ -104,7 +104,7 @@ sim::Task<SgWriteResult> SafeGuessObject::Write(std::span<const uint8_t> value) 
     // promotion CASes ride one doorbell too).
     result.status = SgStatus::kOk;
     result.fast_path = true;
-    sim::Spawn(QuorumMax::Promote(worker_, layout_, out.installed,
+    sim::Spawn(QuorumMax::Promote(worker_, layout_, cache_.pin(), out.installed,
                                   sim::Bytes(value.begin(), value.end()), cache_));
     co_return result;
   }
@@ -113,7 +113,7 @@ sim::Task<SgWriteResult> SafeGuessObject::Write(std::span<const uint8_t> value) 
   worker_->clock().ObserveStale(out.m.counter());
 
   // Line 10: try to lock readers out of the guessed timestamp.
-  TimestampLock lock(worker_, layout_, worker_->tid());
+  TimestampLock lock(worker_, layout_, worker_->tid(), cache_.pin());
   TryLockResult locked = co_await lock.TryLock(guess, LockMode::kWrite);
   result.rtts += locked.rtts;
   if (!locked.quorum_ok) {
@@ -234,7 +234,7 @@ sim::Task<SgReadResult> SafeGuessObject::Read() {
     if (s != nullptr && s->write_key == m.m.same_write_key()) {
       // Line 19: same GUESSED tuple seen in two sequential reads — its
       // timestamp was fresh. Try to lock out a re-execution (line 20).
-      TimestampLock lock(worker_, layout_, tid);
+      TimestampLock lock(worker_, layout_, tid, cache_.pin());
       TryLockResult locked = co_await lock.TryLock(m.m.counter(), LockMode::kRead);
       result.rtts += locked.rtts;
       if (locked.acquired) {
@@ -247,7 +247,7 @@ sim::Task<SgReadResult> SafeGuessObject::Read() {
             words[idx] = m.node_words[idx];
           }
         }
-        sim::Spawn(QuorumMax::Promote(worker_, layout_, words, m.value));
+        sim::Spawn(QuorumMax::Promote(worker_, layout_, cache_.pin(), words, m.value));
         // Line 22.
         result.status = SgStatus::kOk;
         result.value = std::move(m.value);

@@ -62,7 +62,7 @@ struct [[nodiscard]] SgReadResult {
 // One Safe-Guess-replicated object, bound to a worker. Cheap to construct.
 class SafeGuessObject {
  public:
-  SafeGuessObject(Worker* worker, const ObjectLayout* layout, std::shared_ptr<ObjectCache> cache)
+  SafeGuessObject(Worker* worker, const ObjectLayout* layout, SlotCache cache)
       : worker_(worker), layout_(layout), cache_(std::move(cache)) {}
 
   // Algorithm 2. Empty `value` is a valid payload.
@@ -78,7 +78,7 @@ class SafeGuessObject {
  private:
   Worker* worker_;
   const ObjectLayout* layout_;
-  std::shared_ptr<ObjectCache> cache_;
+  SlotCache cache_;
 };
 
 }  // namespace swarm

@@ -30,7 +30,7 @@ sim::Task<void> LockOneReplica(Worker* worker, const ObjectLayout* layout, int r
   // deliberately, so the guard stands down with it.
   assert(worker->fabric()->config().canaries.undersized_writer_bound ||
          owner_tid < static_cast<uint32_t>(layout->max_writers));
-  const uint64_t addr = rep.tsl_addr() + static_cast<uint64_t>(owner_tid) * 8;
+  const uint64_t addr = layout->tsl_addr(rep) + static_cast<uint64_t>(owner_tid) * 8;
   fabric::Qp& qp = worker->qp(rep.node);
   const TslWord want = TslWord::Pack(counter, mode);
 
@@ -74,7 +74,7 @@ sim::Task<TryLockResult> TimestampLock::TryLock(uint32_t counter, LockMode mode)
     // must answer. A repairing replica is skipped outright: its CAS words are
     // mid-restore and counting it could manufacture a majority the opposite
     // mode already holds among the survivors.
-    const QuorumEngine q(worker_, layout_, QuorumEngine::Order::kIndex);
+    const QuorumEngine q(worker_, layout_, pin_, QuorumEngine::Order::kIndex);
     const bool reached = co_await q.Broadcast(phase.get(), [&](int r) {
       return LockOneReplica(worker_, layout_, r, owner_tid_, counter, mode, phase);
     });

@@ -12,6 +12,7 @@
 #define SWARM_SRC_SWARM_TIMESTAMP_LOCK_H_
 
 #include <cstdint>
+#include <utility>
 
 #include "src/sim/task.h"
 #include "src/swarm/layout.h"
@@ -29,10 +30,14 @@ struct [[nodiscard]] TryLockResult {
 };
 
 // The lock of writer `owner_tid` on one object. Cheap to construct per op.
+// `pin` keeps the layout alive for the per-replica CAS loops that outlive
+// TryLock (the quorum engine stamps it into their phase); callers that own
+// the layout outright (tests) may pass none.
 class TimestampLock {
  public:
-  TimestampLock(Worker* worker, const ObjectLayout* layout, uint32_t owner_tid)
-      : worker_(worker), layout_(layout), owner_tid_(owner_tid) {}
+  TimestampLock(Worker* worker, const ObjectLayout* layout, uint32_t owner_tid,
+                LayoutPin pin = nullptr)
+      : worker_(worker), layout_(layout), owner_tid_(owner_tid), pin_(std::move(pin)) {}
 
   // TRYLOCK(ts, mode): returns acquired=true iff no conflicting lock attempt
   // (same ts with the opposite mode, or any higher ts) was observed at a
@@ -43,6 +48,7 @@ class TimestampLock {
   Worker* worker_;
   const ObjectLayout* layout_;
   uint32_t owner_tid_;
+  LayoutPin pin_;
 };
 
 }  // namespace swarm

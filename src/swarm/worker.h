@@ -18,7 +18,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/fabric/fabric.h"
@@ -87,16 +86,18 @@ class Worker {
   // state: each writer CASes its own metadata buffer (§4.4), so only its own
   // history predicts the slot's content.
   //
-  // The words live inline in the map's node, and the returned shared_ptr
-  // aliases that node without owning it (no control block, no allocation
-  // beyond the node itself). That is safe because nothing outlives what it
-  // points into: the map never erases and its nodes never move, and the
-  // Worker outlives every coroutine that can still run — protocol tasks,
-  // straggler verbs and background promotions all post through this
-  // Worker's QPs. Protocol objects take a shared_ptr so that a caller may
-  // pass an owning ObjectCache of its own instead, as tests do.
-  std::shared_ptr<ObjectCache> SlotCacheFor(const void* layout) {
-    return std::shared_ptr<ObjectCache>(std::shared_ptr<ObjectCache>(), &slot_caches_[layout]);
+  // The words live in the layout (ObjectLayout::slot_words): a block of
+  // num_replicas words per writer, zeroed on the writer's first call and
+  // freed with the layout. The handle shares the layout's ownership, so an
+  // op that holds it pins the layout (LayoutPin) for as long as any of its
+  // coroutines can still touch the words or the layout's records.
+  SlotCache SlotCacheFor(const std::shared_ptr<const ObjectLayout>& layout) {
+    return SlotCache(layout, layout->slot_words.For(this, layout->num_replicas));
+  }
+  // For a layout its caller keeps alive by itself (tests own theirs): the
+  // handle pins nothing.
+  SlotCache SlotCacheFor(const ObjectLayout* layout) {
+    return SlotCache(nullptr, layout->slot_words.For(this, layout->num_replicas));
   }
 
   bool NodeKnownFailed(int node) const { return (*known_failed_)[static_cast<size_t>(node)]; }
@@ -228,8 +229,6 @@ class Worker {
   // Deques: growth must not invalidate references held across co_awaits.
   std::deque<fabric::Qp> qps_;
   std::deque<OopPool> pools_;
-  // Node-based and never erased: SlotCacheFor hands out pointers into it.
-  std::unordered_map<const void*, ObjectCache> slot_caches_;
 };
 
 }  // namespace swarm

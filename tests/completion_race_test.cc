@@ -76,7 +76,7 @@ Task<void> BroadcastRead(Worker* w, const ObjectLayout* layout, Resume* out,
                          std::weak_ptr<ReadPhase>* phase) {
   auto ph = sim::MakePooled<ReadPhase>(w->sim());
   *phase = ph;
-  const QuorumEngine q(w, layout);
+  const QuorumEngine q(w, layout, /*pin=*/nullptr);  // The test owns the layout.
   out->reached = co_await q.Broadcast(
       ph.get(), [&](int r) { return ReadWordAt(w, layout, r, ph); });
   out->answered = ph->Answered().size;

@@ -193,7 +193,7 @@ TEST(InOut, InPlaceHashRejectsTornData) {
     // fabric's staged application would produce under concurrency).
     const ReplicaLayout& r0 = layout->replicas[0];
     std::vector<uint8_t> junk{0xEE};
-    w->fabric()->node(r0.node).WriteFrom(r0.inplace_addr() + kInPlaceHeaderBytes + 5, junk);
+    w->fabric()->node(r0.node).WriteFrom(layout->inplace_addr(r0) + kInPlaceHeaderBytes + 5, junk);
 
     NodeView v = co_await rep.ReadNode(true);
     EXPECT_TRUE(v.ok());

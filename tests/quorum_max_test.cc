@@ -125,7 +125,7 @@ TEST(QuorumMax, VerifiedReadIsOneRoundtripAfterPromotion) {
     auto value = ValN(32, 5);
     WriteReadOutcome wr = co_await reg.WriteAndRead(Meta::Pack(10, 0, false, 0), value);
     EXPECT_TRUE(wr.ok);
-    co_await QuorumMax::Promote(w, layout, wr.installed, value);
+    co_await QuorumMax::Promote(w, layout, /*pin=*/nullptr, wr.installed, value);
     co_await w->sim()->Delay(10000);  // Let the promotion land.
 
     const sim::Time start = w->sim()->Now();

@@ -405,23 +405,153 @@ TEST(SlotWalkDeathTest, OneSlotOwnedByTwoLayoutsAborts) {
   EXPECT_DEATH(Walk(index, 0), "owned by two layouts");
 }
 
+// Runs `task` and then recycler rounds until the retired list is empty, at
+// most `max_rounds` of them; each round's drained horizon lets the GC drop
+// every layout retired before it.
+void DrainRetired(deploy::Deployment& d, int max_rounds = 4) {
+  for (int round = 0; round < max_rounds && !d.index().retired().empty(); ++round) {
+    d.recycler().HeartbeatAll();
+    sim::Spawn(d.recycler().RunRound());
+    d.sim().Run();
+    (void)d.index().GcRetired();
+  }
+}
+
+sim::Task<void> InsertAll(kv::KvSession* s, uint64_t first, uint64_t count) {
+  const std::vector<uint8_t> value(8, 0x5a);
+  for (uint64_t key = first; key < first + count; ++key) {
+    EXPECT_TRUE((co_await s->Insert(key, value)).ok());
+  }
+}
+
+sim::Task<void> RemoveAll(kv::KvSession* s, uint64_t first, uint64_t count) {
+  for (uint64_t key = first; key < first + count; ++key) {
+    EXPECT_TRUE((co_await s->Remove(key)).ok());
+  }
+}
+
+std::string StoreName(const ::testing::TestParamInfo<const char*>& param) {
+  return std::string(param.param);
+}
+
+// A dropped layout is freed: the GC holds the last reference, so once
+// recycler rounds have emptied the retired list no layout of a removed key
+// survives — nor, with it, any writer's slot-cache words. Keys are inserted
+// by one client and removed by another, so the inserter's location cache
+// must let go too (the GC's §4.5 drop listeners).
+class DroppedLayoutsAreFreed : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(DroppedLayoutsAreFreed, EveryRemovedKeysLayoutExpires) {
+  deploy::DeploymentConfig cfg;
+  cfg.store = GetParam();
+  cfg.fabric.node_capacity_bytes = 64ull << 20;
+  deploy::Deployment d(cfg);
+  constexpr uint64_t kKeys = 200;
+  sim::Spawn(InsertAll(&d.session(0), 0, kKeys));
+  d.sim().Run();
+  std::vector<std::weak_ptr<const ObjectLayout>> layouts;
+  for (uint64_t key = 0; key < kKeys; ++key) {
+    const index::IndexEntry* e = d.index().Peek(key);
+    ASSERT_NE(e, nullptr) << "key " << key;
+    layouts.push_back(e->layout);
+  }
+  sim::Spawn(RemoveAll(&d.session(1), 0, kKeys));
+  d.sim().Run();
+  ASSERT_EQ(d.index().size(), 0u);
+  DrainRetired(d);
+  ASSERT_TRUE(d.index().retired().empty());
+  EXPECT_EQ(d.index().retired_dropped(), kKeys);
+  for (uint64_t key = 0; key < kKeys; ++key) {
+    EXPECT_TRUE(layouts[key].expired()) << GetParam() << ": key " << key
+                                        << "'s dropped layout is still alive";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Stores, DroppedLayoutsAreFreed, ::testing::Values("swarm", "dmabd", "raw"),
+                         StoreName);
+
+// A straggler pins its layout. One replica's responses are held back, so an
+// update's quorum resumes without it and that replica's task (the
+// straggler) is still in flight when another client removes the key and
+// recycler rounds move the horizon past the removal. The GC must keep the
+// layout, whose records the straggler reads after it resumes, until the
+// straggler completes; then it drops and frees it.
+class StragglerPinsItsLayout : public ::testing::TestWithParam<const char*> {};
+
+sim::Task<void> RunOp(sim::Task<kv::KvResult> op, bool* done) {
+  EXPECT_TRUE((co_await std::move(op)).ok());
+  *done = true;
+}
+
+TEST_P(StragglerPinsItsLayout, TheGcKeepsItUntilTheStragglerCompletes) {
+  deploy::DeploymentConfig cfg;
+  cfg.store = GetParam();
+  cfg.fabric.node_capacity_bytes = 64ull << 20;
+  deploy::Deployment d(cfg);
+  constexpr uint64_t kKey = 5;
+  constexpr sim::Time kStall = 500 * sim::kMicrosecond;
+  const std::vector<uint8_t> value(8, 0x7e);
+  // Runs events until `cond` holds; false if the simulation ran dry first.
+  auto step_until = [&d](const auto& cond) {
+    while (!cond() && d.sim().Step()) {
+    }
+    return cond();
+  };
+
+  bool inserted = false;
+  sim::Spawn(RunOp(d.session(0).Insert(kKey, value), &inserted));
+  d.sim().Run();
+  ASSERT_TRUE(inserted);
+  std::weak_ptr<const ObjectLayout> watch = d.index().Peek(kKey)->layout;
+  // Replica 1 is in the update's first wave (a majority, in index order);
+  // with its answers stalled the wave escalates to replica 2 and resumes.
+  const int slow_node = watch.lock()->replicas[1].node;
+  bool slow = true;
+  d.fabric().set_link_delay_fn([&slow, slow_node](int node, bool response) -> sim::Time {
+    return slow && response && node == slow_node ? kStall : 0;
+  });
+
+  bool updated = false;
+  sim::Spawn(RunOp(d.session(0).Update(kKey, value), &updated));
+  ASSERT_TRUE(step_until([&] { return updated; }));
+  slow = false;  // Only the straggler's answers stay held back.
+  const sim::Time stalled_until = d.sim().Now() + kStall / 2;
+
+  bool removed = false;
+  sim::Spawn(RunOp(d.session(1).Remove(kKey), &removed));
+  ASSERT_TRUE(step_until([&] { return removed && !d.index().retired().empty(); }));
+  for (int round = 0; round < 2; ++round) {
+    d.recycler().HeartbeatAll();
+    const uint64_t target = d.recycler().current_epoch() + 1;
+    sim::Spawn(d.recycler().RunRound());
+    ASSERT_TRUE(step_until([&] { return d.recycler().SafeReclaimBefore() >= target; }));
+  }
+  ASSERT_LT(d.sim().Now(), stalled_until) << "the straggler must still be in flight";
+  EXPECT_EQ(d.index().GcRetired(), 0u);
+  ASSERT_EQ(d.index().retired().size(), 1u) << "the GC dropped a layout a straggler still reads";
+  EXPECT_EQ(d.index().retired()[0].layout, watch.lock());
+  EXPECT_EQ(d.index().retired_dropped(), 0u);
+
+  d.sim().Run();  // The straggler's answers land; it completes.
+  EXPECT_EQ(d.index().GcRetired(), 1u);
+  EXPECT_TRUE(d.index().retired().empty());
+  EXPECT_TRUE(watch.expired()) << "a dropped layout must be freed";
+}
+
+INSTANTIATE_TEST_SUITE_P(Stores, StragglerPinsItsLayout, ::testing::Values("swarm", "dmabd"),
+                         StoreName);
+
 // Every store's removed keys give their replica slots back: with recycler
 // rounds between insert/remove rounds, each round's GC drops the previous
 // round's keys, so from round 1 on the live slab slots hold steady. RawKv's
 // regions used to come from Allocate, not AllocSlot, so the GC's FreeSlot
 // found no slot to free and every round leaked 72 B per key; its nodes hold
 // nothing but those regions, so their live bytes must level off too.
+// SWARM-KV's and DM-ABD's nodes also hold the workers' out-of-place pools,
+// which add a 64 KiB chunk whenever a round outruns the buffers the
+// quarantine has released: their live bytes converge instead, a few chunks
+// above round 1.
 class RemovedKeysFreeTheirSlots : public ::testing::TestWithParam<const char*> {};
-
-sim::Task<void> InsertThenRemove(kv::KvSession* s, uint64_t first, uint64_t count) {
-  const std::vector<uint8_t> value(8, 0x5a);
-  for (uint64_t key = first; key < first + count; ++key) {
-    EXPECT_TRUE((co_await s->Insert(key, value)).ok());
-  }
-  for (uint64_t key = first; key < first + count; ++key) {
-    EXPECT_TRUE((co_await s->Remove(key)).ok());
-  }
-}
 
 TEST_P(RemovedKeysFreeTheirSlots, LiveSlotsStopGrowingAfterTheFirstRound) {
   const std::string store = GetParam();
@@ -430,11 +560,13 @@ TEST_P(RemovedKeysFreeTheirSlots, LiveSlotsStopGrowingAfterTheFirstRound) {
   cfg.fabric.node_capacity_bytes = 64ull << 20;
   deploy::Deployment d(cfg);
   constexpr uint64_t kKeys = 2000;
-  constexpr uint64_t kRounds = 6;
+  constexpr uint64_t kRounds = 24;
   std::vector<uint64_t> slots;
   std::vector<uint64_t> bytes;
   for (uint64_t round = 0; round < kRounds; ++round) {
-    sim::Spawn(InsertThenRemove(&d.session(0), round * kKeys, kKeys));
+    sim::Spawn(InsertAll(&d.session(0), round * kKeys, kKeys));
+    d.sim().Run();
+    sim::Spawn(RemoveAll(&d.session(0), round * kKeys, kKeys));
     d.sim().Run();
     d.recycler().HeartbeatAll();
     sim::Spawn(d.recycler().RunRound());
@@ -452,23 +584,33 @@ TEST_P(RemovedKeysFreeTheirSlots, LiveSlotsStopGrowingAfterTheFirstRound) {
   for (uint64_t round = 2; round < kRounds; ++round) {
     EXPECT_EQ(slots[round], slots[1]) << store << " round " << round;
   }
-  if (store == "raw") {
-    // Within one slab extent of round 1: the extents' fill varies per round.
-    const uint64_t extent =
-        alloc::SlabAllocator::kSlotsPerExtent * (8 + d.config().proto.max_value);
-    for (uint64_t round = 2; round < kRounds; ++round) {
-      EXPECT_LE(bytes[round], bytes[1] + extent)
-          << "live bytes grew from " << bytes[1] << " B after round 1 to " << bytes[round]
-          << " B after round " << round;
-    }
+  // RawKv: within two slab extents of round 1, whose fill varies per round
+  // (over 24 rounds it takes three levels one extent apart). The quorum
+  // stores: within five out-of-place pool chunks of round 1 (measured: 3.1
+  // for SWARM-KV, 4.0 for DM-ABD).
+  const ProtocolConfig& proto = d.config().proto;
+  const uint64_t pool_chunk =
+      static_cast<uint64_t>(proto.oop_pool_slots) *
+      ((kOopHeaderBytes + proto.max_value + kOopGranuleBytes - 1) & ~(kOopGranuleBytes - 1));
+  ASSERT_EQ(pool_chunk, 64u << 10);
+  const uint64_t bound = store == "raw"
+                             ? 2 * alloc::SlabAllocator::kSlotsPerExtent * (8 + proto.max_value)
+                             : 5 * pool_chunk;
+  for (uint64_t round = 2; round < kRounds; ++round) {
+    EXPECT_LE(bytes[round], bytes[1] + bound)
+        << store << ": live bytes grew from " << bytes[1] << " B after round 1 to "
+        << bytes[round] << " B after round " << round;
+  }
+  // Converged: the second half of the run adds at most one pool chunk.
+  if (store != "raw") {
+    EXPECT_LE(bytes[kRounds - 1], bytes[kRounds / 2] + pool_chunk)
+        << store << ": live bytes still growing, " << bytes[kRounds / 2] << " B after round "
+        << kRounds / 2 << " and " << bytes[kRounds - 1] << " B after round " << kRounds - 1;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Stores, RemovedKeysFreeTheirSlots,
-                         ::testing::Values("swarm", "dmabd", "raw"),
-                         [](const ::testing::TestParamInfo<const char*>& param) {
-                           return std::string(param.param);
-                         });
+                         ::testing::Values("swarm", "dmabd", "raw"), StoreName);
 
 }  // namespace
 }  // namespace swarm

@@ -48,6 +48,7 @@ bool g_trace = false;  // Set by SWARM_ZERO_ALLOC_TRACE: backtrace each alloc.
 }  // namespace
 
 #include <execinfo.h>
+#include <malloc.h>
 
 void* operator new(std::size_t n) {
   ++g_heap_allocs;
@@ -179,11 +180,20 @@ TEST(ZeroAlloc, FuseeSteadyStateReadWriteIsHeapFree) {
   EXPECT_EQ(MeasureSteadyState(&env, &kv, /*keys=*/4), 0u);
 }
 
-// Fresh-key inserts are not heap-free: each one allocates its layout, its
-// index and placement-map entries, and its client-cache and slot-cache
-// nodes. Their number per insert is fixed, though, so the mean over 1,000
-// inserts is pinned: a new per-key block (a second allocation per slot-cache
-// entry, say) fails here.
+// Fresh-key inserts are not heap-free: each one allocates its layout (with
+// its control block), its index and client-cache map nodes, and the
+// writer's slot-cache word block inside the layout. Their number per insert
+// is fixed, though, so the mean over 1,000 inserts is pinned: a new per-key
+// block (a second allocation per word block, say) fails here.
+Task<void> FreshInserts(kv::SwarmKvSession* s, uint64_t first, uint64_t count) {
+  sim::Bytes value(48);
+  for (uint64_t key = first; key < first + count; ++key) {
+    std::fill(value.begin(), value.end(), static_cast<uint8_t>(key));
+    kv::KvResult r = co_await s->Insert(key, value);
+    EXPECT_TRUE(r.ok());
+  }
+}
+
 TEST(ZeroAlloc, SwarmFreshInsertAllocationBudget) {
   if (kPoolBypassed) {
     GTEST_SKIP() << "pool bypassed under ASan; allocation counting is meaningless";
@@ -193,27 +203,52 @@ TEST(ZeroAlloc, SwarmFreshInsertAllocationBudget) {
   index::ClientCache cache;
   Worker& w = env.MakeWorker();
   kv::SwarmKvSession kv(&w, &index, &cache);
-  auto inserts = [](kv::SwarmKvSession* s, uint64_t first, uint64_t count) -> Task<void> {
-    sim::Bytes value(48);
-    for (uint64_t key = first; key < first + count; ++key) {
-      std::fill(value.begin(), value.end(), static_cast<uint8_t>(key));
-      kv::KvResult r = co_await s->Insert(key, value);
-      EXPECT_TRUE(r.ok());
-    }
-  };
   constexpr uint64_t kInserts = 1000;
-  Spawn(inserts(&kv, 0, kInserts));  // Warm-up: pools, slabs, table sizes.
+  Spawn(FreshInserts(&kv, 0, kInserts));  // Warm-up: pools, slabs, table sizes.
   env.sim.Run();
   const uint64_t before = g_heap_allocs;
-  Spawn(inserts(&kv, kInserts, kInserts));
+  Spawn(FreshInserts(&kv, kInserts, kInserts));
   env.sim.Run();
-  // 4.155 per insert. An index that kept a map node per replica slot (three
-  // per insert) would make it 7.155; allocating each slot-cache entry in a
-  // block of its own, instead of inline in the Worker's map, adds one more.
-  constexpr uint64_t kBudget = 4155;
+  // 4.154 per insert: the four blocks above, one rehash each of the index
+  // and the client cache, and the memory nodes' slab bookkeeping for the
+  // extents the window opens (0.152). Slot-cache words live in the layout:
+  // one block, no map node and no rehash. An index that kept a map node per
+  // replica slot (three per insert) would make it 7.154.
+  constexpr uint64_t kBudget = 4154;
   EXPECT_LE(g_heap_allocs - before, kBudget)
       << "mean heap allocations per fresh-key insert: "
       << static_cast<double>(g_heap_allocs - before) / kInserts;
+}
+
+// The same inserts' heap footprint: bytes in use (glibc's mallinfo2, chunk
+// sizes included) per live fresh key, with one worker and 3 replicas. The
+// layout with its 8 B replica records, the writer's word block, and the index
+// and client-cache entries are what a key costs the host; swarmbench's
+// large_churn peak_rss_mb is dominated by them, and this is its tier-1 guard.
+TEST(ZeroAlloc, SwarmFreshInsertHostBytesBudget) {
+  if (kPoolBypassed) {
+    GTEST_SKIP() << "pool bypassed under ASan; heap accounting is meaningless";
+  }
+  TestEnv env(19);
+  ASSERT_EQ(env.proto.replicas, 3);
+  index::IndexService index(&env.sim);
+  index::ClientCache cache;
+  Worker& w = env.MakeWorker();
+  kv::SwarmKvSession kv(&w, &index, &cache);
+  constexpr uint64_t kInserts = 4000;
+  Spawn(FreshInserts(&kv, 0, kInserts));  // Warm-up: pools, slabs, table sizes.
+  env.sim.Run();
+  const size_t before = mallinfo2().uordblks;
+  Spawn(FreshInserts(&kv, kInserts, kInserts));
+  env.sim.Run();
+  const double per_key = static_cast<double>(mallinfo2().uordblks - before) / kInserts;
+  // 297.2 B: a 112 B layout block (88 B layout and its control block), a
+  // 48 B word block (16 B header, 3 words), 48 B index and 64 B client-cache
+  // map nodes, their buckets and slab bookkeeping. Sixteen-byte records for
+  // kMaxReplicas replicas and a per-worker map of 8-word slot caches take
+  // 419.6 B.
+  constexpr double kBudget = 300;
+  EXPECT_LE(per_key, kBudget) << "heap bytes per live fresh key";
 }
 
 // Placement is on the insert/migration planning path: the serving-probe

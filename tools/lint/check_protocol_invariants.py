@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Repo-specific protocol-invariant static analysis for the swarm tree.
 
-Five passes, each encoding a bug CLASS the chaos engine or a sanitizer
-caught dynamically, so the class is rejected at lint time instead of
-seed-replay time:
+Six passes, each encoding a bug CLASS (all but the last one caught
+dynamically by the chaos engine or a sanitizer first), so the class is
+rejected at lint time instead of seed-replay time:
 
   swarm-unchecked-commit-critical
       A fabric-verb / commit-critical result must reach a branch, a caller,
@@ -42,6 +42,20 @@ seed-replay time:
       lifecycle tables needed a lazy EnsureTracked growth path. Scans whole
       files: member initializer lists sit outside function bodies.
 
+  swarm-layout-pin
+      A straggler — a coroutine that can outlive the op that started it:
+      one handed to sim::Spawn, or a per-replica task returned from a
+      quorum wave's lambda (Escalate, Broadcast, Wave) — must not take a
+      bare ObjectLayout pointer or reference without a share in the
+      layout: a LayoutPin, an owning shared_ptr to the layout, or its
+      phase's shared_ptr (the quorum engine stamps its pin into every
+      phase). The retired-layout GC frees a dropped layout once its
+      use-count gate sees no other share, so an unpinned straggler that
+      resumes after the drop reads freed records. Spawned callees are
+      resolved by name across every file of the run. Files under tests/
+      are exempt: a test that builds layouts by hand owns them for its
+      whole run, and no GC ever sees them.
+
 Frontend note: this was designed for libclang (clang.cindex); the build
 image ships neither the libclang C API nor the Python bindings, and the
 tree's no-new-deps rule forbids installing them, so the tool carries a
@@ -67,6 +81,7 @@ CHECKS = (
     "swarm-bounded-slot-index",
     "swarm-retry-stale-epoch",
     "swarm-node-table-size",
+    "swarm-layout-pin",
 )
 
 # Callee names whose results are commit-critical: the one-sided verbs, the
@@ -146,14 +161,16 @@ def tokenize(source):
 class Function:
     """One function definition: name, signature attributes, body tokens."""
 
-    __slots__ = ("name", "line", "body", "hot_path", "qualname")
+    __slots__ = ("name", "line", "body", "hot_path", "qualname", "params", "coroutine")
 
-    def __init__(self, name, qualname, line, body, hot_path):
+    def __init__(self, name, qualname, line, body, hot_path, params, coroutine):
         self.name = name
         self.qualname = qualname
         self.line = line
         self.body = body  # list of Tok inside the outermost braces
         self.hot_path = hot_path
+        self.params = params  # list of Tok between the parameter parens
+        self.coroutine = coroutine  # Declared to return a (sim::)Task
 
 
 def _matching(toks, i, open_t, close_t):
@@ -211,6 +228,7 @@ def extract_functions(toks):
                     continue
                 body_end = _matching(toks, j, "{", "}")
                 hot = False
+                coroutine = False
                 qual = t.text
                 back = i - 1
                 hops = 0
@@ -218,6 +236,8 @@ def extract_functions(toks):
                     bt = toks[back]
                     if bt.text in (";", "}", "{"):
                         break
+                    if bt.kind == "id" and bt.text == "Task":
+                        coroutine = True
                     if bt.kind == "id" and bt.text == "SWARM_HOT_PATH":
                         hot = True
                     if bt.kind == "string" and "swarm::hot_path" in bt.text:
@@ -227,7 +247,8 @@ def extract_functions(toks):
                     back -= 1
                     hops += 1
                 funcs.append(Function(t.text, qual, t.line,
-                                      toks[j + 1:body_end - 1], hot))
+                                      toks[j + 1:body_end - 1], hot,
+                                      toks[i + 2:close - 1], coroutine))
                 i = j + 1  # Descend: member functions inside class bodies.
                 continue
             i = close
@@ -733,9 +754,124 @@ def check_node_table_size(toks, findings):
                                  "owner is built"))
 
 
+# --- Pass 6: swarm-layout-pin -----------------------------------------------
+
+# The quorum engine's wave entry points: each spawns the per-replica tasks
+# its lambda returns, and resumes before the slowest of them completes.
+WAVE_CALLEES = {"Escalate", "Broadcast", "Wave"}
+# Phase types every file may use (src/swarm/quorum.h); a same-file struct
+# deriving from one is a phase too.
+BASE_PHASES = {"QuorumPhase", "WordPhase"}
+
+
+def straggler_callees(toks):
+    """Names of the coroutines a file starts as stragglers: the callee of
+    each `Spawn(callee(...))`, and of each `return callee(...)` inside a
+    lambda passed to a quorum wave."""
+    names = set()
+    n = len(toks)
+    for i, t in enumerate(toks):
+        if t.kind != "id" or i + 1 >= n or toks[i + 1].text != "(":
+            continue
+        close = _matching(toks, i + 1, "(", ")")
+        if t.text == "Spawn":
+            for k in range(i + 2, close - 1):
+                if toks[k].kind == "id" and toks[k + 1].text == "(":
+                    names.add(toks[k].text)
+                    break
+        elif t.text in WAVE_CALLEES:
+            for k in range(i + 2, close - 2):
+                if toks[k].text == "return" and toks[k + 1].kind == "id":
+                    m = k + 1
+                    while m + 2 < close and toks[m + 1].text == "::":
+                        m += 2
+                    if toks[m + 1].text == "(":
+                        names.add(toks[m].text)
+    return names
+
+
+def _phase_types(toks):
+    """BASE_PHASES plus every struct/class in the file deriving from a phase."""
+    bases = {}
+    for i in range(len(toks) - 2):
+        if toks[i].text in ("struct", "class") and toks[i + 1].kind == "id":
+            j = i + 2
+            if j < len(toks) and toks[j].text == "final":
+                j += 1
+            if j < len(toks) and toks[j].text == ":":
+                j += 1
+                while j < len(toks) and toks[j].text in ("public", "private", "protected"):
+                    j += 1
+                if j < len(toks) and toks[j].kind == "id":
+                    bases[toks[i + 1].text] = toks[j].text
+    phases = set(BASE_PHASES)
+    grew = True
+    while grew:
+        grew = False
+        for derived, base in bases.items():
+            if base in phases and derived not in phases:
+                phases.add(derived)
+                grew = True
+    return phases
+
+
+def _split_params(params):
+    """The parameter list's top-level comma-separated pieces."""
+    out = [[]]
+    depth = 0
+    for t in params:
+        if t.text in ("(", "[", "{", "<"):
+            depth += 1
+        elif t.text in (")", "]", "}", ">"):
+            depth -= 1
+        elif t.text == ">>":
+            depth -= 2
+        elif t.text == "," and depth == 0:
+            out.append([])
+            continue
+        out[-1].append(t)
+    return [p for p in out if p]
+
+
+def _template_arg(param, name):
+    """Identifiers inside `name<...>` within one parameter, or None."""
+    for k, t in enumerate(param):
+        if t.text == name and k + 1 < len(param) and param[k + 1].text == "<":
+            end = _skip_template(param, k + 1)
+            return {x.text for x in param[k + 2:end - 1] if x.kind == "id"}
+    return None
+
+
+def check_layout_pin(fn, findings, stragglers, phases):
+    if not fn.coroutine or fn.name not in stragglers:
+        return
+    bare = None
+    pinned = False
+    for param in _split_params(fn.params):
+        texts = [t.text for t in param]
+        owned = _template_arg(param, "shared_ptr")
+        if "LayoutPin" in texts or (owned and (owned & phases or "ObjectLayout" in owned)):
+            pinned = True
+        elif owned is None and "ObjectLayout" in texts:
+            k = texts.index("ObjectLayout") + 1
+            while k < len(texts) and texts[k] == "const":
+                k += 1
+            if k < len(texts) and texts[k] in ("*", "&"):
+                bare = param[-1].text
+    if bare is not None and not pinned:
+        findings.append((fn.line, "swarm-layout-pin",
+                         f"straggler coroutine '{fn.name}' takes the layout "
+                         f"'{bare}' without a share in it: once its op returns, "
+                         "the retired-layout GC may free the layout under it — "
+                         "take a LayoutPin, or the phase shared_ptr the quorum "
+                         "engine stamps its pin into"))
+
+
 # --- Driver -----------------------------------------------------------------
 
-def lint_file(path, enabled):
+def lint_file(path, enabled, stragglers=None):
+    """`stragglers`: names of the coroutines started as stragglers anywhere
+    in the run (straggler_callees over every file); None = this file's own."""
     try:
         with open(path, "r", encoding="utf-8", errors="replace") as f:
             source = f.read()
@@ -750,6 +886,12 @@ def lint_file(path, enabled):
     findings = []
     if "swarm-node-table-size" in enabled:
         check_node_table_size(toks, findings)
+    layout_pin = "swarm-layout-pin" in enabled and "tests" not in \
+        os.path.normpath(path).split(os.sep)
+    if layout_pin:
+        if stragglers is None:
+            stragglers = straggler_callees(toks)
+        phases = _phase_types(toks)
     for fn in funcs:
         if "swarm-unchecked-commit-critical" in enabled:
             check_unchecked_commit_critical(fn, findings)
@@ -759,6 +901,8 @@ def lint_file(path, enabled):
             check_bounded_slot_index(fn, findings)
         if "swarm-retry-stale-epoch" in enabled:
             check_retry_stale_epoch(fn, findings, by_name)
+        if layout_pin:
+            check_layout_pin(fn, findings, stragglers, phases)
     out = []
     for line, check, msg in findings:
         names = suppressed.get(line, set())
@@ -818,9 +962,20 @@ def main(argv=None):
         ap.print_usage(sys.stderr)
         return 2
 
+    files = gather(args.paths)
+    # Stragglers are started in one file and often defined in another
+    # (Safe-Guess spawns QuorumMax::Promote): collect them over the run.
+    stragglers = set()
+    if "swarm-layout-pin" in enabled:
+        for path in files:
+            try:
+                with open(path, "r", encoding="utf-8", errors="replace") as f:
+                    stragglers |= straggler_callees(tokenize(f.read())[0])
+            except OSError:
+                pass  # lint_file reports it.
     all_findings = []
-    for path in gather(args.paths):
-        all_findings.extend(lint_file(path, enabled))
+    for path in files:
+        all_findings.extend(lint_file(path, enabled, stragglers))
     for path, line, check, msg in all_findings:
         print(f"{path}:{line}: [{check}] {msg}")
     if all_findings:

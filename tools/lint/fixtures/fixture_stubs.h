@@ -8,6 +8,7 @@
 #define SWARM_TOOLS_LINT_FIXTURES_FIXTURE_STUBS_H_
 
 #include <cstdint>
+#include <memory>
 
 #define SWARM_HOT_PATH [[clang::annotate("swarm::hot_path")]]
 
@@ -29,6 +30,7 @@ struct KvResult {
 namespace sim {
 template <typename T>
 struct Task {};
+void Spawn(Task<void> task);
 }  // namespace sim
 
 struct Span {};
@@ -41,7 +43,19 @@ struct Qp {
 
 struct Worker {
   sim::Task<void> RefreshEpoch();
+  Qp& qp(int node);
 };
+
+// One object's replica records (src/swarm/layout.h) and a share in one.
+struct ReplicaLayout {
+  uint64_t meta_addr = 0;
+  int node = -1;
+};
+struct ObjectLayout {
+  ReplicaLayout replicas[8];
+  int num_replicas = 0;
+};
+using LayoutPin = std::shared_ptr<const void>;
 
 // The quorum engine's awaitable entry points (src/swarm/quorum.h).
 struct QuorumPhase {};
@@ -53,6 +67,8 @@ struct QuorumEngine {
   sim::Task<QuorumVerdict> Escalate(QuorumPhase* ph, Make make) const;
   template <typename Make>
   sim::Task<bool> Broadcast(QuorumPhase* ph, Make make) const;
+  template <typename Make>
+  sim::Task<bool> Wave(QuorumPhase* ph, int need, Make make) const;
 };
 sim::Task<void> InstallAt(int replica);
 
