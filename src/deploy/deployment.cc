@@ -129,7 +129,9 @@ void Deployment::AddSessions(ClientProcess& p) {
       s->set_serving(membership_->serving());
       cw.store = std::move(s);
     } else if (cfg_.store == "raw") {
-      cw.store = std::make_unique<kv::RawKvSession>(w, index_.get(), p.cache.get());
+      auto s = std::make_unique<kv::RawKvSession>(w, index_.get(), p.cache.get());
+      s->set_serving(membership_->serving());
+      cw.store = std::move(s);
     } else {
       cw.store = std::make_unique<kv::FuseeKvSession>(w, fusee_.get(), p.cache.get());
     }

@@ -11,8 +11,8 @@
 //  * per client process a CPU, a location cache and its own known-failed
 //    view and membership epoch, both subscribed to membership pushes; per
 //    worker a guess clock, a worker stamping every verb with the process's
-//    epoch and skipping nodes under repair, the store session (SWARM-KV and
-//    DM-ABD place fresh inserts on serving nodes only), a TrackedKvSession
+//    epoch and skipping nodes under repair, the store session (every store
+//    places fresh inserts on serving nodes only), a TrackedKvSession
 //    the application calls, and a RecyclerParticipant whose epoch acks drain
 //    that session's in-flight ops;
 //  * the index's retired-layout GC runs under the recycler's horizon and

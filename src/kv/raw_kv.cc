@@ -4,6 +4,7 @@
 
 #include "src/hash/xxhash.h"
 #include "src/kv/indexed_kv.h"
+#include "src/swarm/placement.h"
 
 namespace swarm::kv {
 
@@ -92,10 +93,12 @@ sim::Task<KvResult> RawKvSession::Update(uint64_t key, std::span<const uint8_t> 
 
 sim::Task<KvResult> RawKvSession::Insert(uint64_t key, std::span<const uint8_t> value) {
   KvResult result;
-  // Allocate a single region on a hash-chosen node (client pre-allocation:
-  // no roundtrip), then in parallel write the value and insert the mapping.
-  const int node = static_cast<int>(hash::Mix64(key, 0x524157) %
-                                    static_cast<uint64_t>(worker_->fabric()->num_nodes()));
+  // Allocate a single region on a hash-chosen serving node (client
+  // pre-allocation: no roundtrip), then in parallel write the value and insert
+  // the mapping.
+  int node = 0;
+  PlaceReplicas(hash::Mix64(key, 0x524157), 1, worker_->fabric()->num_nodes(), serving_.get(),
+                &node);
   ObjectLayout l;
   l.num_replicas = 1;
   l.meta_slots = 1;

@@ -20,6 +20,8 @@
 #define SWARM_SRC_KV_RAW_KV_H_
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "src/index/client_cache.h"
 #include "src/index/index_service.h"
@@ -38,6 +40,12 @@ class RawKvSession : public KvSession {
   sim::Task<KvResult> Insert(uint64_t key, std::span<const uint8_t> value) override;
   sim::Task<KvResult> Remove(uint64_t key) override;
 
+  // Placement filter for fresh inserts: only nodes marked serving receive new
+  // regions (MembershipService::serving()). Unset = place on all nodes.
+  void set_serving(std::shared_ptr<const std::vector<bool>> serving) {
+    serving_ = std::move(serving);
+  }
+
  private:
   struct Located {
     bool found = false;
@@ -51,6 +59,7 @@ class RawKvSession : public KvSession {
   Worker* worker_;
   index::IndexService* index_;
   index::ClientCache* cache_;
+  std::shared_ptr<const std::vector<bool>> serving_;
 };
 
 }  // namespace swarm::kv

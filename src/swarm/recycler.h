@@ -69,11 +69,9 @@ class RecyclerParticipant {
   // barrier when the drain starts and completes only once every older op has
   // responded; ops that start after the barrier never delay it, so a busy
   // client still acks in bounded time.
-  void CoupleDrain(std::function<uint64_t()> barrier_fn, std::function<uint64_t()> oldest_fn,
-                   sim::Time drain_poll = 2000) {
+  void CoupleDrain(std::function<uint64_t()> barrier_fn, std::function<uint64_t()> oldest_fn) {
     barrier_fn_ = std::move(barrier_fn);
     oldest_fn_ = std::move(oldest_fn);
-    drain_poll_ = drain_poll;
   }
 
   // Called (over the network) by the coordinator: drain reads older than
@@ -86,7 +84,7 @@ class RecyclerParticipant {
     if (barrier_fn_) {
       const uint64_t barrier = barrier_fn_();
       while (oldest_fn_() < barrier) {
-        co_await sim_->Delay(drain_poll_);
+        co_await sim_->Delay(kDrainPoll);
       }
     }
     if (epoch > published_epoch_) {
@@ -96,21 +94,22 @@ class RecyclerParticipant {
   }
 
  private:
+  // How often a coupled drain re-checks for older ops still in flight.
+  static constexpr sim::Time kDrainPoll = 2000;
+
   sim::Simulator* sim_;
   uint32_t client_id_;
   sim::Time ack_delay_;
   std::function<uint64_t()> barrier_fn_;
   std::function<uint64_t()> oldest_fn_;
-  sim::Time drain_poll_ = 2000;
   uint64_t published_epoch_ = 0;
   bool crashed_ = false;
 };
 
 class Recycler {
  public:
-  Recycler(sim::Simulator* sim, membership::MembershipService* membership,
-           sim::Time rpc_delay = 2 * 680)
-      : sim_(sim), membership_(membership), rpc_delay_(rpc_delay) {}
+  Recycler(sim::Simulator* sim, membership::MembershipService* membership)
+      : sim_(sim), membership_(membership) {}
 
   void Register(RecyclerParticipant* participant) {
     membership_->RegisterClient(participant->client_id());
@@ -208,14 +207,16 @@ class Recycler {
   }
 
  private:
+  // The ack RPC's network delay.
+  static constexpr sim::Time kRpcDelay = 2 * 680;
+
   sim::Task<void> AskOne(RecyclerParticipant* p, uint64_t epoch, sim::Counter acks) {
-    co_await sim_->Delay(rpc_delay_);  // Request over the network.
+    co_await sim_->Delay(kRpcDelay);  // Request over the network.
     co_await p->AckEpoch(epoch, acks);
   }
 
   sim::Simulator* sim_;
   membership::MembershipService* membership_;
-  sim::Time rpc_delay_;
   std::function<bool()> repair_gate_;
   sim::Time lease_grace_ = 2 * sim::kMillisecond;
   // How often a round re-checks whether a non-acking straggler has finally

@@ -158,10 +158,9 @@ class Worker {
   const std::shared_ptr<fabric::ClientEpoch>& epoch() const { return epoch_; }
 
   // Wires the re-validation pull (MembershipService::ValidateEpoch) used by
-  // RefreshEpoch. `pull_delay` models the pull's network roundtrip.
-  void set_epoch_source(std::function<uint64_t()> validate, sim::Time pull_delay = 2 * 680) {
+  // RefreshEpoch.
+  void set_epoch_source(std::function<uint64_t()> validate) {
     epoch_validate_ = std::move(validate);
-    epoch_pull_delay_ = pull_delay;
   }
 
   // True when some verb of this worker bounced off an epoch fence: its QP is
@@ -184,7 +183,7 @@ class Worker {
   // fresh stamp and pass the fences again.
   sim::Task<void> RefreshEpoch() {
     if (epoch_ != nullptr && epoch_validate_) {
-      co_await sim()->Delay(epoch_pull_delay_);
+      co_await sim()->Delay(kEpochPullDelay);
       epoch_->value = std::max(epoch_->value, epoch_validate_());
     }
     for (auto& qp : qps_) {
@@ -193,6 +192,9 @@ class Worker {
   }
 
  private:
+  // The epoch pull's network roundtrip.
+  static constexpr sim::Time kEpochPullDelay = 2 * 680;
+
   // Creates the QP + buffer pool for `node` if missing, applying every
   // sticky per-worker setting so a lazily-connected node is indistinguishable
   // from one wired at construction.
@@ -223,7 +225,6 @@ class Worker {
   std::shared_ptr<const std::vector<bool>> repair_excluded_;
   std::shared_ptr<fabric::ClientEpoch> epoch_;
   std::function<uint64_t()> epoch_validate_;
-  sim::Time epoch_pull_delay_ = 2 * 680;
   bool repair_channel_ = false;
   int chaos_tag_ = -1;
   // Deques: growth must not invalidate references held across co_awaits.

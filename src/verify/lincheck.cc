@@ -161,7 +161,7 @@ std::vector<Window> SplitWindows(const std::vector<CellOp>& ops) {
   sim::Time horizon = ops[0].deadline;
   for (size_t i = 1; i < ops.size(); ++i) {
     // `>` not `>=`: an op invoked exactly at another's response is still
-    // concurrent under the enabling rule (matching the legacy DFS).
+    // concurrent under the enabling rule, so both must share a window.
     if (ops[i].invoked > horizon) {
       out.push_back({start, i - start});
       start = i;
@@ -174,136 +174,12 @@ std::vector<Window> SplitWindows(const std::vector<CellOp>& ops) {
   return out;
 }
 
-// Dynamic-bitset DFS state: linearized set + register value.
-struct DfsState {
-  std::vector<uint64_t> mask;
-  uint64_t value = 0;
-
-  bool operator==(const DfsState&) const = default;
-};
-
-struct DfsStateHash {
-  size_t operator()(const DfsState& s) const {
-    uint64_t h = 0xcbf29ce484222325ull;
-    auto mix = [&h](uint64_t v) {
-      h ^= v;
-      h *= 0x100000001b3ull;
-      h ^= h >> 29;
-    };
-    mix(s.value);
-    for (uint64_t w : s.mask) {
-      mix(w);
-    }
-    return static_cast<size_t>(h);
-  }
-};
-
-// Wing&Gong just-in-time DFS over one window, PR-4 scan-based edition:
-// the enabling rule rescans every op per DFS node and the memo copies the
-// full bitset per state. Kept verbatim as the differential oracle for
-// FrontierWindowDfs below (CheckBaseline) — the two engines explore the
-// identical state space, so their verdicts must agree on every history.
-//
-// `AddInit` explores every reachable state from one initial register value;
-// `finals()` accumulates the values the register can hold once all
-// completed ops are linearized — including states where leftover pending
-// writes did or did not apply, so chaining windows through the value set
-// stays exact. With `decide_only` it stops at the first complete state (the
-// last window needs no finals).
-//
-// The state memo persists across a window's inits: a DFS state (linearized
-// set, register value) fully determines its remaining exploration no matter
-// which init reached it, so states shared between inits are explored once.
-// (Root states never collide with memoized interior states — an empty mask
-// occurs only at a root, and the inits are distinct.)
-class ScanWindowDfs {
- public:
-  ScanWindowDfs(const CellOp* ops, size_t n, CheckStats* stats)
-      : ops_(ops), n_(n), words_((n + 63) / 64), stats_(stats) {
-    completed_total_ = 0;
-    for (size_t i = 0; i < n_; ++i) {
-      completed_total_ += ops_[i].pending ? 0 : 1;
-    }
-  }
-
-  // Returns true iff decide_only and a complete state was reached.
-  bool AddInit(uint64_t init, bool decide_only) {
-    decide_only_ = decide_only;
-    found_ = false;
-    cur_.mask.assign(words_, 0);
-    cur_.value = init;
-    Dfs(completed_total_);
-    return found_;
-  }
-
-  const std::set<uint64_t>& finals() const { return finals_; }
-
- private:
-  bool Linearized(size_t i) const { return (cur_.mask[i >> 6] >> (i & 63)) & 1; }
-
-  void Dfs(size_t completed_left) {
-    if (!visited_.insert(cur_).second) {
-      return;
-    }
-    ++stats_->states;
-    if (completed_left == 0) {
-      finals_.insert(cur_.value);
-      if (decide_only_) {
-        found_ = true;
-        return;
-      }
-    }
-    // An op is enabled iff no unlinearized op responded before it was
-    // invoked (just-in-time linearization).
-    sim::Time min_resp = kNoDeadline;
-    for (size_t i = 0; i < n_; ++i) {
-      if (!Linearized(i)) {
-        min_resp = std::min(min_resp, ops_[i].deadline);
-      }
-    }
-    const uint64_t value_here = cur_.value;
-    for (size_t i = 0; i < n_; ++i) {
-      if (Linearized(i)) {
-        continue;
-      }
-      const CellOp& op = ops_[i];
-      if (op.invoked > min_resp) {
-        continue;  // Some other op must linearize first.
-      }
-      if (!op.is_write && op.value != value_here) {
-        continue;  // A read must return the current value.
-      }
-      cur_.mask[i >> 6] |= 1ull << (i & 63);
-      cur_.value = op.is_write ? op.value : value_here;
-      Dfs(completed_left - (op.pending ? 0 : 1));
-      cur_.mask[i >> 6] &= ~(1ull << (i & 63));
-      cur_.value = value_here;
-      if (found_) {
-        return;
-      }
-    }
-  }
-
-  const CellOp* ops_;
-  size_t n_;
-  size_t words_;
-  size_t completed_total_ = 0;
-  CheckStats* stats_;
-  DfsState cur_;
-  std::unordered_set<DfsState, DfsStateHash> visited_;
-  std::set<uint64_t> finals_;
-  bool decide_only_ = false;
-  bool found_ = false;
-};
-
-// --- Frontier engine: the production WindowDfs for 10^5-op histories. ----
-
 // One 64-byte node of the persistent linearized-set bitset, sized to the
 // FramePool's smallest class: a refcount plus 7 mask words (448 ops per
 // chunk). Chunks are shared copy-on-write between the DFS cursor and every
 // memoized state: sibling states differ in one bit, so they share every
-// chunk except the one holding it — a memoized state costs O(1) new chunks
-// where the scan engine copies the whole mask.
+// chunk except the one holding it — a memoized state costs O(1) new chunks,
+// not an O(n/64)-word copy of the mask.
 struct MaskChunk {
   uint32_t refs = 0;
   uint32_t pad = 0;
@@ -392,9 +268,22 @@ struct MemoEq {
   }
 };
 
-// The production Wing&Gong DFS: same state space, inits contract, finals
-// and decide_only semantics as ScanWindowDfs, with two structural upgrades
-// that take checked histories from ~2k to 10^5 ops:
+// Wing&Gong just-in-time DFS over one window: linearize any op that no
+// unlinearized op's response precedes, apply register semantics, memoize
+// visited (linearized set, register value) states, backtrack on dead ends.
+//
+// `AddInit` explores every reachable state from one initial register value;
+// `finals()` accumulates the values the register can hold once all
+// completed ops are linearized — including states where leftover pending
+// writes did or did not apply, so chaining windows through the value set
+// stays exact. With `decide_only` it stops at the first complete state (the
+// last window needs no finals). The memo persists across a window's inits:
+// a state fully determines its remaining exploration no matter which init
+// reached it, so states shared between inits are explored once. (Root
+// states never collide with memoized interior states — an empty set occurs
+// only at a root, and the inits are distinct.)
+//
+// Two structures keep 10^5-op histories tractable:
 //
 //  * Frontier in invocation order. Preprocess hands the window's ops sorted
 //    by invocation; the unlinearized ones are kept in a doubly-linked list
@@ -410,9 +299,7 @@ struct MemoEq {
 //    is O(1) per step. See MaskChunk/MemoEntry above.
 //
 // The DFS itself is an explicit-stack loop — a 10^5-op window would
-// overflow the call stack at recursion depth n. Candidate iteration order
-// matches the scan engine exactly (both visit unlinearized ops in
-// invocation order), so the two engines explore identical trees.
+// overflow the call stack at recursion depth n.
 class FrontierWindowDfs {
  public:
   FrontierWindowDfs(const CellOp* ops, size_t n, CheckStats* stats)
@@ -572,8 +459,9 @@ class FrontierWindowDfs {
   }
 
   // Memo lookup/insert for the cursor state. Returns true iff the state is
-  // new and its candidates should be explored; handles finals/decide_only
-  // exactly like ScanWindowDfs::Dfs's prologue.
+  // new and its candidates should be explored. A new state with every
+  // completed op linearized adds its value to the finals, and under
+  // decide_only ends the search.
   bool EnterState(size_t completed_left) {
     MemoEntry probe;
     probe.hash = SplitMix64(bit_hash_ ^ (cur_value_ * 0x9E3779B97F4A7C15ull));
@@ -636,10 +524,8 @@ struct CellFailure {
 
 // Checks one cell's retained ops starting from any of `inits`, chaining the
 // windows through the reachable-value sets.
-template <typename Dfs>
-std::optional<CellFailure> RunCellT(const std::vector<CellOp>& ops,
-                                    const std::vector<uint64_t>& init_values,
-                                    CheckStats* stats) {
+std::optional<CellFailure> RunCell(const std::vector<CellOp>& ops,
+                                   const std::vector<uint64_t>& init_values, CheckStats* stats) {
   const std::vector<Window> windows = SplitWindows(ops);
   std::vector<uint64_t> inits = init_values;
   for (size_t wi = 0; wi < windows.size(); ++wi) {
@@ -647,7 +533,7 @@ std::optional<CellFailure> RunCellT(const std::vector<CellOp>& ops,
     ++stats->windows;
     stats->max_window_ops = std::max(stats->max_window_ops, static_cast<uint64_t>(w.count));
     const bool last = wi + 1 == windows.size();
-    Dfs dfs(ops.data() + w.first, w.count, stats);
+    FrontierWindowDfs dfs(ops.data() + w.first, w.count, stats);
     for (uint64_t init : inits) {
       if (dfs.AddInit(init, last)) {
         return std::nullopt;  // Accepted; no later window needs the finals.
@@ -659,17 +545,6 @@ std::optional<CellFailure> RunCellT(const std::vector<CellOp>& ops,
     inits.assign(dfs.finals().begin(), dfs.finals().end());
   }
   return std::nullopt;
-}
-
-// kFrontier is the production engine; kScan is the retained PR-4 engine
-// behind CheckBaseline, the frontier engine's differential oracle.
-enum class Engine { kFrontier, kScan };
-
-std::optional<CellFailure> RunCell(const std::vector<CellOp>& ops,
-                                   const std::vector<uint64_t>& init_values, CheckStats* stats,
-                                   Engine engine = Engine::kFrontier) {
-  return engine == Engine::kScan ? RunCellT<ScanWindowDfs>(ops, init_values, stats)
-                                 : RunCellT<FrontierWindowDfs>(ops, init_values, stats);
 }
 
 // Truncates a failing window at virtual time `cut`: ops invoked later are
@@ -726,7 +601,7 @@ void MinimizeFailure(const CellInput& window_ops, const std::vector<uint64_t>& i
     ++res->stats.minimize_probes;
     const CellInput truncated = TruncateAt(window_ops, completions[k].first);
     const std::vector<CellOp> retained = Preprocess(truncated, ambient);
-    return RunCellT<FrontierWindowDfs>(retained, inits, &scratch).has_value();
+    return RunCell(retained, inits, &scratch).has_value();
   };
 
   // The cut at the last completion keeps every completed op and only drops
@@ -765,10 +640,9 @@ void MinimizeFailure(const CellInput& window_ops, const std::vector<uint64_t>& i
   }
 }
 
-// Shared pipeline behind Check / CheckReport / CheckBaseline. Returns early
-// without a report when `res` is null.
-bool CheckImpl(const std::vector<HistoryOp>& ops, CheckResult* res,
-               Engine engine = Engine::kFrontier) {
+// Shared pipeline behind Check / CheckReport. Returns early without a
+// report when `res` is null.
+bool CheckImpl(const std::vector<HistoryOp>& ops, CheckResult* res) {
   std::map<uint64_t, CellInput> cells;  // Ordered: deterministic reports.
   for (size_t i = 0; i < ops.size(); ++i) {
     cells[ops[i].key].push_back({i, ops[i]});
@@ -782,12 +656,12 @@ bool CheckImpl(const std::vector<HistoryOp>& ops, CheckResult* res,
     // acceptance-sound (see Preprocess) — only a REJECTION needs the exact,
     // uncapped re-run before it may be believed.
     const std::vector<CellOp> capped = Preprocess(input, {}, /*optimistic=*/true);
-    if (!RunCell(capped, {0}, stats, engine).has_value()) {
+    if (!RunCell(capped, {0}, stats).has_value()) {
       continue;
     }
     ++stats->fallback_cells;
     const std::vector<CellOp> retained = Preprocess(input);
-    std::optional<CellFailure> fail = RunCell(retained, {0}, stats, engine);
+    std::optional<CellFailure> fail = RunCell(retained, {0}, stats);
     if (!fail.has_value()) {
       continue;
     }
@@ -841,82 +715,6 @@ CheckResult LinearizabilityChecker::CheckReport(const std::vector<HistoryOp>& op
   CheckResult res;
   res.linearizable = CheckImpl(ops, &res);
   return res;
-}
-
-bool LinearizabilityChecker::CheckBaseline(const std::vector<HistoryOp>& ops) {
-  return CheckImpl(ops, nullptr, Engine::kScan);
-}
-
-// --- The pre-PR-4 bitmask DFS, kept verbatim as a differential oracle. ----
-
-namespace {
-
-class LegacyChecker {
- public:
-  static bool Check(const std::vector<HistoryOp>& ops) {
-    if (ops.size() > 63) {
-      return false;  // The historical cap: callers kept histories small.
-    }
-    LegacyChecker checker(ops);
-    return checker.Dfs(0, 0);
-  }
-
- private:
-  explicit LegacyChecker(const std::vector<HistoryOp>& ops) : ops_(ops) {
-    for (size_t i = 0; i < ops_.size(); ++i) {
-      if (!ops_[i].pending) {
-        completed_ |= 1ull << i;
-      }
-    }
-  }
-
-  sim::Time ResponseOf(size_t i) const {
-    return ops_[i].pending ? std::numeric_limits<sim::Time>::max() : ops_[i].responded;
-  }
-
-  bool Dfs(uint64_t mask, uint64_t value) {
-    if ((mask & completed_) == completed_) {
-      return true;  // Every completed op explained; leftovers are pending.
-    }
-    if (!visited_.insert({mask, value}).second) {
-      return false;
-    }
-    sim::Time min_resp = std::numeric_limits<sim::Time>::max();
-    for (size_t i = 0; i < ops_.size(); ++i) {
-      if ((mask & (1ull << i)) == 0) {
-        min_resp = std::min(min_resp, ResponseOf(i));
-      }
-    }
-    for (size_t i = 0; i < ops_.size(); ++i) {
-      if ((mask & (1ull << i)) != 0) {
-        continue;
-      }
-      const HistoryOp& op = ops_[i];
-      if (op.invoked > min_resp) {
-        continue;
-      }
-      if (op.is_write) {
-        if (Dfs(mask | (1ull << i), op.value)) {
-          return true;
-        }
-      } else if (op.value == value) {
-        if (Dfs(mask | (1ull << i), value)) {
-          return true;
-        }
-      }
-    }
-    return false;
-  }
-
-  const std::vector<HistoryOp>& ops_;
-  uint64_t completed_ = 0;
-  std::set<std::pair<uint64_t, uint64_t>> visited_;
-};
-
-}  // namespace
-
-bool LinearizabilityChecker::CheckLegacy(const std::vector<HistoryOp>& ops) {
-  return LegacyChecker::Check(ops);
 }
 
 }  // namespace swarm::verify

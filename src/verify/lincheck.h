@@ -11,8 +11,8 @@
 // because the client observed a timeout, an unavailable quorum, or crashed
 // mid-call — takes effect at most once, anywhere after its invocation.
 //
-// The engine is a Wing&Gong-style just-in-time DFS (linearize any op whose
-// invocation precedes every unlinearized op's response, apply register
+// One engine decides: a Wing&Gong-style just-in-time DFS (linearize any op
+// whose invocation precedes every unlinearized op's response, apply register
 // semantics, memoize visited states, backtrack on dead ends) made tractable
 // for multi-thousand-op chaos histories by three reductions applied first:
 //
@@ -43,18 +43,12 @@
 //    list ordered by invocation time with a min-deadline segment tree over
 //    the unlinearized set. Candidates are scanned in invocation order and
 //    the scan STOPS at the first op invoked after the enabling horizon
-//    (the tree root) — the old engine's O(n) rescan per DFS node is gone.
+//    (the tree root), instead of rescanning all n ops per DFS node.
 //  * Persistent bitset memo: the (linearized-set, register value) states
 //    are stored as arrays of refcounted 64-byte chunks (FramePool slabs)
 //    shared copy-on-write between the DFS cursor and every memoized state.
 //    Sibling states share all chunks except the one they differ in, so a
 //    memoized state costs O(1) chunks instead of an O(n/64)-word copy.
-//
-// Two older engines are kept as differential oracles
-// (tests/lincheck_test.cc runs all of them over randomized histories):
-// CheckLegacy() is the pre-PR-4 single-window uint64-mask DFS (≤63 ops),
-// and CheckBaseline() is the PR-4 scan-based engine — same reduction
-// pipeline, linear enabling scan, per-state bitset copies.
 //
 // On failure, CheckReport() shrinks the failing cell to a minimal
 // non-linearizable window: the shortest truncation of the cell (later ops
@@ -64,6 +58,12 @@
 // the history an observer records at that instant), so the minimizer
 // binary-searches the completions — O(log n) truncation re-checks even for
 // a 10^5-op window (stats.minimize_probes counts them).
+//
+// How it is checked (tests/lincheck_test.cc): a definition-level oracle, a
+// memo-free search sharing only HistoryOp with this file, must match Check
+// and CheckReport on small random histories and confirm CheckReport's window
+// is minimal; medium histories whose verdict is known by construction must
+// be accepted, and rejected once one read is made provably stale.
 //
 // Values are plain uint64 (0 = the initial/empty value). Writes should use
 // distinct values for the strongest discrimination; duplicates are handled
@@ -132,18 +132,6 @@ class LinearizabilityChecker {
   // Same decision procedure, plus stats and a minimal failing window on
   // rejection.
   static CheckResult CheckReport(const std::vector<HistoryOp>& ops);
-
-  // The PR-4 scan-based engine: identical reduction pipeline (cells,
-  // pending closure, windows), but the DFS rescans all ops per node and
-  // copies the full bitset per memoized state. Decision only. Kept as the
-  // differential oracle for the frontier engine — tests/lincheck_test.cc
-  // requires verdict agreement over 10k randomized histories.
-  static bool CheckBaseline(const std::vector<HistoryOp>& ops);
-
-  // The pre-PR-4 bitmask DFS, unchanged: single register (keys ignored),
-  // rejects histories longer than 63 ops outright. Kept as the differential
-  // oracle for the new engine.
-  static bool CheckLegacy(const std::vector<HistoryOp>& ops);
 };
 
 }  // namespace swarm::verify

@@ -163,7 +163,7 @@ TEST_P(DeploymentServingTest, SessionsPlaceFreshKeysOnServingNodesOnly) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Stores, DeploymentServingTest, ::testing::Values("swarm", "dmabd"));
+INSTANTIATE_TEST_SUITE_P(Stores, DeploymentServingTest, ::testing::Values("swarm", "dmabd", "raw"));
 
 // Drives a node admitted after the deployment was built through a crash, a
 // repair and its rejoin, under traffic before and after each step.

@@ -2,18 +2,30 @@
 // histories and reject classic violations, otherwise the protocol stress
 // tests prove nothing.
 //
-// Every regression shape runs through BOTH engines — the unbounded WGL
-// checker (src/verify/lincheck.cc) and the legacy 63-op bitmask DFS kept as
-// a differential oracle — plus CheckReport, whose verdict must agree with
-// Check. A randomized differential sweep (10k small histories) pins the two
-// engines to identical verdicts across duplicate values, zeros, pending ops
-// and concurrency shapes the handwritten cases miss.
+// The checker has one engine (src/verify/lincheck.cc). Its references here
+// share nothing with it but HistoryOp:
+//
+//  * A definition-level oracle: Herlihy & Wing's definition ("Linearizability:
+//    A Correctness Condition for Concurrent Objects", TOPLAS 1990) searched
+//    directly, with no memo, pending-op closure, optimistic cap or window
+//    split. Every handwritten shape of at most 12 ops runs through it next to
+//    Check and CheckReport. A sweep of 10k random 1-12-op histories pins all
+//    three to identical verdicts across duplicate values, zeros, pending ops
+//    and concurrency shapes the handwritten cases miss, and a sweep of 20k
+//    1-8-op histories checks that CheckReport's window is minimal.
+//  * Medium histories (20-100 ops, windows of dozens of ops) whose verdict is
+//    known by construction: every op takes effect inside its interval, so the
+//    checker must accept; one read made provably stale, and it must reject.
 
 #include "src/verify/lincheck.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <limits>
+#include <numeric>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,19 +41,103 @@ HistoryOp R(uint64_t v, sim::Time inv, sim::Time resp) { return {false, v, inv, 
 HistoryOp PW(uint64_t v, sim::Time inv) { return {true, v, inv, 0, true}; }
 HistoryOp PR(sim::Time inv) { return {false, 0, inv, 0, true}; }
 
-// All engines plus the report must agree on every handwritten shape: the
-// frontier engine (Check), the retained scan engine (CheckBaseline), the
-// legacy bitmask DFS where it applies, and CheckReport's verdict.
+constexpr sim::Time kNever = std::numeric_limits<sim::Time>::max();
+
+// The definition, searched without a memo: place ops one at a time and
+// accept once every completed op is placed.
+//  * A pending read's result is unknown: it is dropped.
+//  * A pending write may be placed anywhere after its invocation, or never.
+//  * An op may be placed next iff no unplaced completed op responded before
+//    it was invoked (an op invoked at another's response is concurrent).
+//  * A read returns its key's latest placed write, or 0.
+// Exponential in the op count: meant for histories of at most 12 ops.
+class DefinitionOracle {
+ public:
+  static bool Linearizable(const std::vector<HistoryOp>& h) { return DefinitionOracle(h).Place(); }
+
+ private:
+  explicit DefinitionOracle(const std::vector<HistoryOp>& h) : h_(h), placed_(h.size()) {
+    for (size_t i = 0; i < h.size(); ++i) {
+      placed_[i] = h[i].pending && !h[i].is_write;
+    }
+  }
+
+  uint64_t Current(uint64_t key) const {
+    for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
+      if (h_[*it].is_write && h_[*it].key == key) {
+        return h_[*it].value;
+      }
+    }
+    return 0;
+  }
+
+  bool Place() {
+    sim::Time horizon = kNever;  // Earliest response of an unplaced completed op.
+    for (size_t i = 0; i < h_.size(); ++i) {
+      if (!placed_[i] && !h_[i].pending) {
+        horizon = std::min(horizon, h_[i].responded);
+      }
+    }
+    if (horizon == kNever) {
+      return true;
+    }
+    for (size_t i = 0; i < h_.size(); ++i) {
+      const HistoryOp& op = h_[i];
+      if (placed_[i] || op.invoked > horizon || (!op.is_write && op.value != Current(op.key))) {
+        continue;
+      }
+      placed_[i] = true;
+      order_.push_back(i);
+      const bool found = Place();
+      placed_[i] = false;
+      order_.pop_back();
+      if (found) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  const std::vector<HistoryOp>& h_;
+  std::vector<bool> placed_;
+  std::vector<size_t> order_;
+};
+
+// The history an observer records at `cut`: ops invoked later are dropped,
+// ops still in flight become pending.
+std::vector<HistoryOp> TruncateAt(const std::vector<HistoryOp>& h, sim::Time cut) {
+  std::vector<HistoryOp> out;
+  for (HistoryOp op : h) {
+    if (op.invoked > cut) {
+      continue;
+    }
+    op.pending = op.pending || op.responded > cut;
+    out.push_back(op);
+  }
+  return out;
+}
+
+std::string Dump(const std::vector<HistoryOp>& h) {
+  std::string dump;
+  for (const HistoryOp& op : h) {
+    dump += std::string(op.is_write ? " W(" : " R(") + std::to_string(op.value) + ")@" +
+            std::to_string(op.invoked) + (op.pending ? "p" : ".." + std::to_string(op.responded));
+    if (op.key != 0) {
+      dump += "k" + std::to_string(op.key);
+    }
+  }
+  return dump;
+}
+
+// Check and CheckReport must agree with the expected verdict on every
+// handwritten shape, and so must the oracle where it is cheap.
 void ExpectVerdict(const std::vector<HistoryOp>& ops, bool linearizable) {
   EXPECT_EQ(LinearizabilityChecker::Check(ops), linearizable);
-  EXPECT_EQ(LinearizabilityChecker::CheckBaseline(ops), linearizable)
-      << "scan baseline disagrees";
-  if (ops.size() <= 63) {
-    EXPECT_EQ(LinearizabilityChecker::CheckLegacy(ops), linearizable)
-        << "legacy oracle disagrees";
-  }
   CheckResult report = LinearizabilityChecker::CheckReport(ops);
   EXPECT_EQ(report.linearizable, linearizable) << report.Describe(ops);
+  if (ops.size() <= 12) {
+    EXPECT_EQ(DefinitionOracle::Linearizable(ops), linearizable) << "oracle disagrees";
+  }
 }
 
 TEST(Lincheck, EmptyHistoryIsLinearizable) { ExpectVerdict({}, true); }
@@ -275,11 +371,10 @@ TEST(Lincheck, ZeroValueWritesModelRemoves) {
   ExpectVerdict({W(3, 0, 10), PW(0, 20), R(0, 40, 50), R(3, 60, 70)}, false);
 }
 
-// ---------- Beyond the legacy cap ----------
+// ---------- No cap on history length ----------
 
-TEST(Lincheck, HistoriesBeyondSixtyThreeOpsAreChecked) {
-  // The legacy DFS rejects >63 ops outright; the WGL engine must both
-  // accept a valid 200-op history and reject it once corrupted.
+TEST(Lincheck, TwoHundredOpHistoryIsCheckedWithoutALengthCap) {
+  // A valid 200-op history is accepted, and rejected once corrupted.
   std::vector<HistoryOp> h;
   sim::Time t = 0;
   for (uint64_t i = 1; i <= 100; ++i) {
@@ -287,7 +382,6 @@ TEST(Lincheck, HistoriesBeyondSixtyThreeOpsAreChecked) {
     h.push_back(R(i, t + 20, t + 30));
     t += 40;
   }
-  EXPECT_FALSE(LinearizabilityChecker::CheckLegacy(h));  // The historical cap.
   EXPECT_TRUE(LinearizabilityChecker::Check(h));
   h[150].value = 4;  // A read deep in the history observes an old value.
   EXPECT_FALSE(LinearizabilityChecker::Check(h));
@@ -370,44 +464,38 @@ TEST(Lincheck, ReportOnPendingAmbiguityNamesTheCulprit) {
   EXPECT_EQ(report.culprit, 3u);
 }
 
-// ---------- Differential sweep: WGL vs. the legacy bitmask DFS ----------
+// ---------- The oracle sweeps ----------
 
 // Random small histories over few values and a short time range maximize
-// concurrency, duplicates and pending-op interactions. Both engines must
-// produce identical verdicts on every one of them.
-TEST(LincheckDifferential, TenThousandRandomHistoriesAgreeWithLegacyDfs) {
+// concurrency, duplicates and pending-op interactions.
+std::vector<HistoryOp> RandomSmallHistory(sim::Rng& rng, int max_ops) {
+  const int n = 1 + static_cast<int>(rng.Below(static_cast<uint64_t>(max_ops)));
+  const uint64_t values = 1 + rng.Below(4);  // Duplicates likely.
+  const uint64_t span = 10 + rng.Below(90);
+  std::vector<HistoryOp> h(static_cast<size_t>(n));
+  for (HistoryOp& op : h) {
+    op.is_write = rng.Chance(0.5);
+    // Reads of 0 (the initial value) and writes of 0 (removes) included.
+    op.value = rng.Below(values + 1);
+    op.invoked = static_cast<sim::Time>(rng.Below(span));
+    op.responded = op.invoked + 1 + static_cast<sim::Time>(rng.Below(span));
+    op.pending = rng.Chance(0.2);
+  }
+  return h;
+}
+
+TEST(LincheckOracle, TenThousandRandomHistoriesAgreeWithTheDefinition) {
   sim::Rng rng(20240803);
   int rejected = 0;
   for (int iter = 0; iter < 10000; ++iter) {
-    const int n = 1 + static_cast<int>(rng.Below(12));
-    const uint64_t values = 1 + rng.Below(4);  // Duplicates likely.
-    const sim::Time span = 10 + static_cast<sim::Time>(rng.Below(90));
-    std::vector<HistoryOp> h;
-    h.reserve(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      HistoryOp op;
-      op.is_write = rng.Chance(0.5);
-      // Reads of 0 (the initial value) and writes of 0 (removes) included.
-      op.value = rng.Below(values + 1);
-      op.invoked = static_cast<sim::Time>(rng.Below(static_cast<uint64_t>(span)));
-      op.responded = op.invoked + 1 + static_cast<sim::Time>(rng.Below(static_cast<uint64_t>(span)));
-      op.pending = rng.Chance(0.2);
-      h.push_back(op);
-    }
-    const bool legacy = LinearizabilityChecker::CheckLegacy(h);
-    const bool wgl = LinearizabilityChecker::Check(h);
-    const bool scan = LinearizabilityChecker::CheckBaseline(h);
-    rejected += wgl ? 0 : 1;
-    if (legacy != wgl || scan != wgl) {
-      std::string dump;
-      for (const HistoryOp& op : h) {
-        dump += std::string(op.is_write ? " W(" : " R(") + std::to_string(op.value) + ")@" +
-                std::to_string(op.invoked) +
-                (op.pending ? "p" : ".." + std::to_string(op.responded));
-      }
-      FAIL() << "verdicts disagree on iteration " << iter << " (legacy=" << legacy
-             << " wgl=" << wgl << " scan=" << scan << "):" << dump;
-    }
+    const std::vector<HistoryOp> h = RandomSmallHistory(rng, 12);
+    const bool oracle = DefinitionOracle::Linearizable(h);
+    const bool check = LinearizabilityChecker::Check(h);
+    const bool report = LinearizabilityChecker::CheckReport(h).linearizable;
+    rejected += oracle ? 0 : 1;
+    ASSERT_TRUE(check == oracle && report == oracle)
+        << "verdicts disagree on iteration " << iter << " (oracle=" << oracle
+        << " check=" << check << " report=" << report << "):" << Dump(h);
   }
   // The sweep must actually discriminate: a generator that only produces
   // trivially-accepted histories would prove nothing.
@@ -415,59 +503,165 @@ TEST(LincheckDifferential, TenThousandRandomHistoriesAgreeWithLegacyDfs) {
   EXPECT_LT(rejected, 9000);
 }
 
-// The frontier engine vs. the retained scan engine BEYOND the legacy cap:
-// medium multi-key histories with enough overlap that windows hold dozens
-// of concurrent ops, exercising the COW chunk memo and the frontier list
-// through nontrivial backtracking. Verdicts must match exactly.
-TEST(LincheckDifferential, FrontierAgreesWithScanBaselineOnMediumHistories) {
-  sim::Rng rng(20260808);
+// lincheck.h promises the shortest rejected truncation. By the definition:
+// the truncation at the window's end is rejected, and the truncation at the
+// completion just before it is accepted.
+TEST(LincheckOracle, ReportedWindowIsMinimal) {
+  sim::Rng rng(20261018);
   int rejected = 0;
-  for (int iter = 0; iter < 2000; ++iter) {
-    const int n = 20 + static_cast<int>(rng.Below(80));
-    const uint64_t values = 1 + rng.Below(6);
-    const uint64_t keys = 1 + rng.Below(3);
-    std::vector<HistoryOp> h;
-    h.reserve(static_cast<size_t>(n));
-    // A rolling clock with short overlaps keeps windows at a handful of
-    // concurrent ops — the regime both engines must traverse identically.
-    // (Fully random invocations at n≈100 would put the whole history in one
-    // window and make BOTH engines exponential; window size, not history
-    // length, bounds WGL cost.)
-    sim::Time t = 0;
-    std::vector<uint64_t> current(keys, 0);  // Tracked committed value per key.
-    for (int i = 0; i < n; ++i) {
-      HistoryOp op;
-      op.is_write = rng.Chance(0.5);
-      op.key = rng.Below(keys);
-      t += 1 + static_cast<sim::Time>(rng.Below(20));
-      op.invoked = t;
-      op.responded = t + 1 + static_cast<sim::Time>(rng.Below(40));
-      op.pending = rng.Chance(0.15);
-      if (op.is_write) {
-        op.value = rng.Below(values + 1);
-        if (!op.pending) {
-          current[op.key] = op.value;
-        }
-      } else {
-        // Mostly-plausible reads (overlap still produces honest rejections),
-        // rarely a corrupt one — so both verdicts stay well represented.
-        op.value = rng.Chance(0.03) ? rng.Below(values + 1) : current[op.key];
-      }
-      h.push_back(op);
+  for (int iter = 0; iter < 20000; ++iter) {
+    const std::vector<HistoryOp> h = RandomSmallHistory(rng, 8);
+    const CheckResult report = LinearizabilityChecker::CheckReport(h);
+    if (report.linearizable) {
+      continue;
     }
-    const bool frontier = LinearizabilityChecker::Check(h);
-    const bool scan = LinearizabilityChecker::CheckBaseline(h);
-    rejected += frontier ? 0 : 1;
-    ASSERT_EQ(frontier, scan) << "engines disagree on iteration " << iter;
+    ++rejected;
+    ASSERT_FALSE(DefinitionOracle::Linearizable(TruncateAt(h, report.window_end)))
+        << "iteration " << iter << ", cut " << report.window_end << ":" << Dump(h);
+    std::optional<sim::Time> previous;
+    for (const HistoryOp& op : h) {
+      if (!op.pending && op.responded < report.window_end) {
+        previous = std::max(previous.value_or(0), op.responded);
+      }
+    }
+    if (previous.has_value()) {
+      ASSERT_TRUE(DefinitionOracle::Linearizable(TruncateAt(h, *previous)))
+          << "iteration " << iter << ", cut " << *previous << ":" << Dump(h);
+    }
   }
-  EXPECT_GT(rejected, 200);
-  EXPECT_LT(rejected, 1900);
+  EXPECT_GT(rejected, 5000);
 }
 
-// ---------- The soak acceptance bar ----------
+// ---------- Medium histories, verdict known by construction ----------
 
-// A 2,000+-op multi-key chaos-shaped history — the scale the legacy DFS
-// hard-rejected — must be checked in well under 5 seconds.
+// A 20-100-op history over 1-3 keys that is linearizable by construction:
+// every op takes effect at a point inside [invoked, responded] (a pending
+// write there or never), the ops apply in point order, and each read returns
+// its key's current value. Points inside the intervals respect real time, so
+// the point order is a linearization. `unique` gives every write a fresh
+// nonzero value; otherwise values 0-3 repeat, removes (0) included. A
+// rolling clock with short overlaps keeps windows at up to a few dozen ops:
+// window size, not history length, bounds the engine's cost.
+std::vector<HistoryOp> LinearizableByConstruction(sim::Rng& rng, bool unique) {
+  const size_t n = 20 + rng.Below(81);
+  const uint64_t keys = 1 + rng.Below(3);
+  std::vector<HistoryOp> h(n);
+  std::vector<sim::Time> point(n);
+  uint64_t next_value = 1;
+  sim::Time t = 0;
+  for (size_t i = 0; i < n; ++i) {
+    HistoryOp& op = h[i];
+    op.is_write = rng.Chance(0.5);
+    op.key = rng.Below(keys);
+    t += 1 + static_cast<sim::Time>(rng.Below(20));
+    op.invoked = t;
+    op.responded = t + 1 + static_cast<sim::Time>(rng.Below(40));
+    op.pending = rng.Chance(0.15);
+    if (op.is_write) {
+      op.value = unique ? next_value++ : rng.Below(4);
+    }
+    point[i] = op.invoked + static_cast<sim::Time>(
+                                rng.Below(static_cast<uint64_t>(op.responded - op.invoked) + 1));
+    if (op.pending && op.is_write && rng.Chance(0.5)) {
+      point[i] = kNever;  // Never applied.
+    }
+  }
+  std::vector<size_t> order(n);
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](size_t a, size_t b) { return point[a] < point[b]; });
+  std::vector<uint64_t> current(keys, 0);
+  for (size_t i : order) {
+    if (point[i] == kNever) {
+      continue;
+    }
+    if (h[i].is_write) {
+      current[h[i].key] = h[i].value;
+    } else {
+      h[i].value = current[h[i].key];
+    }
+  }
+  return h;
+}
+
+// Makes one completed read provably stale: it now returns the value of a
+// completed write W(a) that precedes another completed write of its key,
+// which precedes the read, in real time (W(a) -> W(b) -> R(a)). Exact only
+// when no other write stores a. Returns the read's index, or nullopt when
+// the history has no such triple.
+std::optional<size_t> MakeOneReadStale(std::vector<HistoryOp>& h, sim::Rng& rng) {
+  auto completed_write_of = [](const HistoryOp& w, uint64_t key) {
+    return w.is_write && !w.pending && w.key == key;
+  };
+  std::vector<std::pair<size_t, uint64_t>> candidates;  // (read, stale value)
+  for (size_t r = 0; r < h.size(); ++r) {
+    if (h[r].is_write || h[r].pending) {
+      continue;
+    }
+    // The latest invocation of a W(b) that responded before the read.
+    std::optional<sim::Time> overwrite;
+    for (const HistoryOp& b : h) {
+      if (completed_write_of(b, h[r].key) && b.responded < h[r].invoked) {
+        overwrite = std::max(overwrite.value_or(0), b.invoked);
+      }
+    }
+    for (const HistoryOp& a : h) {
+      if (overwrite.has_value() && completed_write_of(a, h[r].key) && a.responded < *overwrite) {
+        candidates.push_back({r, a.value});
+        break;
+      }
+    }
+  }
+  if (candidates.empty()) {
+    return std::nullopt;
+  }
+  const auto [r, stale] = candidates[rng.Below(candidates.size())];
+  h[r].value = stale;
+  return r;
+}
+
+TEST(LincheckByConstruction, UniqueValueHistoriesAcceptAndStaleReadMutantsReject) {
+  sim::Rng rng(20260808);
+  int mutants = 0;
+  uint64_t max_window = 0;
+  for (int iter = 0; iter < 2000; ++iter) {
+    std::vector<HistoryOp> h = LinearizableByConstruction(rng, /*unique=*/true);
+    const CheckResult accepted = LinearizabilityChecker::CheckReport(h);
+    ASSERT_TRUE(LinearizabilityChecker::Check(h) && accepted.linearizable)
+        << "iteration " << iter << ":" << Dump(h);
+    max_window = std::max(max_window, accepted.stats.max_window_ops);
+    const std::optional<size_t> r = MakeOneReadStale(h, rng);
+    if (!r.has_value()) {
+      continue;
+    }
+    ++mutants;
+    ASSERT_FALSE(LinearizabilityChecker::Check(h)) << "mutant " << iter << ":" << Dump(h);
+    // Every truncation before the stale read's response is a truncation of
+    // the linearizable original, so the minimal window ends exactly there.
+    const CheckResult rejected = LinearizabilityChecker::CheckReport(h);
+    ASSERT_FALSE(rejected.linearizable) << "mutant " << iter << ":" << Dump(h);
+    EXPECT_EQ(rejected.key, h[*r].key) << rejected.Describe(h);
+    EXPECT_EQ(rejected.window_end, h[*r].responded) << rejected.Describe(h);
+  }
+  EXPECT_GT(mutants, 1900);
+  EXPECT_GE(max_window, 20u) << "windows too small to exercise backtracking";
+}
+
+// Duplicate values and removes take the pending-op closure's duplicate and
+// zero paths (no unique-writer cap; the optimistic cap and its exact
+// fallback), which unique values never reach.
+TEST(LincheckByConstruction, DuplicateValueHistoriesAreAccepted) {
+  sim::Rng rng(20261019);
+  for (int iter = 0; iter < 2000; ++iter) {
+    const std::vector<HistoryOp> h = LinearizableByConstruction(rng, /*unique=*/false);
+    ASSERT_TRUE(LinearizabilityChecker::Check(h)) << "iteration " << iter << ":" << Dump(h);
+    ASSERT_TRUE(LinearizabilityChecker::CheckReport(h).linearizable)
+        << "iteration " << iter << ":" << Dump(h);
+  }
+}
+
+// ---------- The optimistic pending-remove cap ----------
+
 TEST(Lincheck, PendingRemoveLateEffectSurvivesTheOptimisticCap) {
   // The optimistic pending-remove cap's false-rejection shape: the pending
   // remove's only valid placement is AFTER the completed overwrite it was
@@ -508,6 +702,10 @@ TEST(Lincheck, ObservedPendingRemoveNoLongerMergesAllWindows) {
   EXPECT_LE(report.stats.max_window_ops, 8u) << "a pending remove swallowed the tail";
 }
 
+// ---------- The soak acceptance bar ----------
+
+// A 2,000+-op multi-key chaos-shaped history must be checked in well under 5
+// seconds.
 TEST(LincheckSoak, TwoThousandOpMultiKeyHistoryChecksUnderFiveSeconds) {
   sim::Rng rng(7);
   std::vector<HistoryOp> h;
@@ -548,9 +746,9 @@ TEST(LincheckSoak, TwoThousandOpMultiKeyHistoryChecksUnderFiveSeconds) {
   EXPECT_GE(report.stats.windows, report.stats.cells);
 }
 
-// The tentpole bar: a 10^5-op / 64-key chaos-shaped history — 50x the
-// previous soak scale — checks in well under the 60 s CI budget (it runs in
-// about a second; the bound leaves room for slow shared runners and ASan).
+// A 10^5-op / 64-key chaos-shaped history checks in well under the 60 s CI
+// budget (it runs in about a second; the bound leaves room for slow shared
+// runners and ASan).
 TEST(LincheckSoak, HundredThousandOpMultiKeyHistoryChecksUnderSixtySeconds) {
   sim::Rng rng(11);
   std::vector<HistoryOp> h;
@@ -590,16 +788,15 @@ TEST(LincheckSoak, HundredThousandOpMultiKeyHistoryChecksUnderSixtySeconds) {
 // ---------- Minimizer cost and report shape at scale ----------
 
 // The failure minimizer binary-searches the completion cuts, so even a
-// many-thousand-op failing window costs O(log n) truncation re-checks —
-// and the culprit/window naming must survive the frontier rewrite.
+// many-thousand-op failing window costs O(log n) truncation re-checks, and
+// the report still names the culprit and its window.
 TEST(LincheckSoak, MinimizerProbesStaySubLinearAtScale) {
   // A 10,000-write chain where every write overlaps the next — no quiescent
   // point ever occurs, so the whole cell is ONE window — capped by a stale
   // read overlapping the chain's tail. The minimizer faces 10,001
   // completions; a linear truncation sweep would re-check the giant window
-  // per completion (the pre-rewrite behavior, quadratic and minutes-slow),
-  // while the binary search must land the same earliest failing cut in
-  // O(log n) probes.
+  // per completion (quadratic and minutes-slow), while the binary search
+  // must land the same earliest failing cut in O(log n) probes.
   std::vector<HistoryOp> h;
   const uint64_t kWrites = 10000;
   for (uint64_t i = 1; i <= kWrites; ++i) {
