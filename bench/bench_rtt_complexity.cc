@@ -51,10 +51,10 @@ Probe RunProbe(TestEnv& env, Fn body) {
 Probe ProbeQuorumMaxWrite() {
   TestEnv env(42);
   Worker& w = env.MakeWorker();
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
   auto cache = env.MakeCache();
   auto body = [&](Probe* p) -> sim::Task<void> {
-    QuorumMax reg(&w, &layout, cache);
+    QuorumMax reg(&w, layout.get(), cache);
     // Warm the slot caches with one write, then measure the steady state.
     swarm::DiscardStatus(co_await reg.WriteAndRead(Meta::Pack(10, 0, false, 0), ValN(64, 1)));
     const sim::Time start = env.sim.Now();
@@ -68,12 +68,12 @@ Probe ProbeQuorumMaxWrite() {
 Probe ProbeQuorumMaxReadFast() {
   TestEnv env(42);
   Worker& w = env.MakeWorker();
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
   auto cache = env.MakeCache();
   auto body = [&](Probe* p) -> sim::Task<void> {
-    QuorumMax reg(&w, &layout, cache);
+    QuorumMax reg(&w, layout.get(), cache);
     WriteReadOutcome wr = co_await reg.WriteAndRead(Meta::Pack(10, 0, false, 0), ValN(64, 1));
-    co_await QuorumMax::Promote(&w, &layout, /*pin=*/nullptr, wr.installed, ValN(64, 1));
+    co_await QuorumMax::Promote(&w, layout.get(), /*pin=*/nullptr, wr.installed, ValN(64, 1));
     co_await env.sim.Delay(20000);
     const sim::Time start = env.sim.Now();
     ReadOutcome rd = co_await reg.ReadQuorum(true);
@@ -87,13 +87,13 @@ Probe ProbeQuorumMaxReadRepair() {
   TestEnv env(42);
   Worker& w = env.MakeWorker();
   Worker& rdr = env.MakeWorker();
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
   auto body = [&](Probe* p) -> sim::Task<void> {
     // Value at a single replica: the read must chase + write back.
-    InOutReplica rep(&w, &layout, 1);
+    InOutReplica rep(&w, layout.get(), 1);
     Meta cache;
     swarm::DiscardStatus(co_await rep.WriteMax(Meta::Pack(50, 0, false, 0), ValN(64, 1), &cache));
-    QuorumMax reg(&rdr, &layout, std::make_shared<ObjectCache>());
+    QuorumMax reg(&rdr, layout.get(), std::make_shared<ObjectCache>());
     ReadOutcome rd = co_await reg.ReadQuorum(true);
     p->rtts = rd.rtts;
   };
@@ -103,9 +103,9 @@ Probe ProbeQuorumMaxReadRepair() {
 Probe ProbeTryLockUncontended() {
   TestEnv env(42);
   Worker& w = env.MakeWorker();
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
   auto body = [&](Probe* p) -> sim::Task<void> {
-    TimestampLock lock(&w, &layout, 0);
+    TimestampLock lock(&w, layout.get(), 0);
     TryLockResult r = co_await lock.TryLock(42, LockMode::kWrite);
     p->rtts = r.rtts;
   };
@@ -115,10 +115,10 @@ Probe ProbeTryLockUncontended() {
 Probe ProbeSafeGuessWriteFastPath() {
   TestEnv env(42);
   Worker& w = env.MakeWorker();
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
   auto cache = env.MakeCache();
   auto body = [&](Probe* p) -> sim::Task<void> {
-    SafeGuessObject obj(&w, &layout, cache);
+    SafeGuessObject obj(&w, layout.get(), cache);
     swarm::DiscardStatus(co_await obj.Write(ValN(64, 1)));
     co_await env.sim.Delay(20000);
     const sim::Time start = env.sim.Now();
@@ -132,10 +132,10 @@ Probe ProbeSafeGuessWriteFastPath() {
 Probe ProbeSafeGuessReadVerified() {
   TestEnv env(42);
   Worker& w = env.MakeWorker();
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
   auto cache = env.MakeCache();
   auto body = [&](Probe* p) -> sim::Task<void> {
-    SafeGuessObject obj(&w, &layout, cache);
+    SafeGuessObject obj(&w, layout.get(), cache);
     swarm::DiscardStatus(co_await obj.Write(ValN(64, 1)));
     co_await env.sim.Delay(20000);
     const sim::Time start = env.sim.Now();
@@ -152,19 +152,19 @@ Probe ProbeSafeGuessReadVerified() {
 std::pair<sim::Time, sim::Time> ProbeGuessVsDiscover() {
   TestEnv env(42);
   Worker& w = env.MakeWorker();
-  ObjectLayout sg_layout = env.MakeObject();
+  const LayoutPin sg_layout = env.MakeObject();
   std::vector<int> nodes{0, 1, 2};
-  ObjectLayout abd_layout = AllocateObject(env.fabric, nodes.data(), 3, 1, 1, 64, 0);
+  const LayoutPin abd_layout = AllocateObject(env.fabric, nodes.data(), 3, 1, 1, 64, 0);
   sim::Time sg_lat = 0;
   sim::Time abd_lat = 0;
   auto body = [&](Probe*) -> sim::Task<void> {
-    SafeGuessObject obj(&w, &sg_layout, std::make_shared<ObjectCache>());
+    SafeGuessObject obj(&w, sg_layout.get(), std::make_shared<ObjectCache>());
     swarm::DiscardStatus(co_await obj.Write(ValN(64, 1)));
     sim::Time start = env.sim.Now();
     swarm::DiscardStatus(co_await obj.Write(ValN(64, 2)));
     sg_lat = env.sim.Now() - start;
 
-    AbdObject abd_obj(&w, &abd_layout, std::make_shared<ObjectCache>());
+    AbdObject abd_obj(&w, abd_layout.get(), std::make_shared<ObjectCache>());
     swarm::DiscardStatus(co_await abd_obj.Write(ValN(64, 1)));
     start = env.sim.Now();
     swarm::DiscardStatus(co_await abd_obj.Write(ValN(64, 2)));

@@ -66,7 +66,7 @@ Deployment::Deployment(const DeploymentConfig& cfg) : cfg_(cfg) {
                                  [r = recycler_.get()] { return r->SafeReclaimBefore(); });
   // §4.5: before the GC forgets a retired layout, every client cache drops
   // its references — the premise the recycler acks claim.
-  index_->add_gc_listener([this](const std::shared_ptr<const ObjectLayout>& lo) {
+  index_->add_gc_listener([this](const LayoutPin& lo) {
     for (ClientProcess& p : clients_) {
       p.cache->InvalidateLayout(lo.get());
     }

@@ -3,12 +3,12 @@
 // SWARM-KV clients cache the replica locations (and the 8 B In-n-Out
 // metadata, i.e. the per-replica slot-cache words) of the keys they touch so
 // that steady-state gets and updates bypass the index entirely. An entry
-// holds the location, a share in the layout; the slot-cache words are
-// per-writer state that lives in the layout itself, one block of 8 B words
-// per writer (Worker::SlotCacheFor), and dies with it. The cache may
-// be unbounded ("index caches large enough to cache all key locations", most
-// of §7) or bounded with an approximate-LFU replacement policy (the 5 MiB-cache
-// experiment of Fig. 6).
+// holds the location, a LayoutPin on the layout's block; the slot-cache
+// words are per-writer state that lives in that block itself (the first
+// writer's inline, later writers' chained to it, Worker::SlotCacheFor), and
+// dies with it. The cache may be unbounded ("index caches large enough to
+// cache all key locations", most of §7) or bounded with an approximate-LFU
+// replacement policy (the 5 MiB-cache experiment of Fig. 6).
 //
 // The cache is one map whatever the index's shard count: index sharding
 // models server occupancy only (IndexService::set_shard_service_time), so
@@ -23,7 +23,6 @@
 #define SWARM_SRC_INDEX_CLIENT_CACHE_H_
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -33,14 +32,17 @@
 
 namespace swarm::index {
 
-// 32 B on the host, the paper's SWARM-KV entry budget (§7.1): the shared
-// layout pointer, the mapping's generation and the LFU counter.
+// 24 B on the host, a 48 B map node, inside the paper's 32 B SWARM-KV
+// entry budget (§7.1): the 8 B layout share, the mapping's generation and
+// the LFU counter. The location and the In-n-Out words the paper budgets
+// live in the shared layout block (src/swarm/layout.h), 72 B for 3
+// replicas whichever clients cache it.
 struct CacheEntry {
-  std::shared_ptr<const ObjectLayout> layout;
+  LayoutPin layout;
   uint64_t generation = 0;  // Index generation of the mapping.
   uint32_t freq = 0;        // Approximate-LFU frequency.
 };
-static_assert(sizeof(CacheEntry) == 32, "client-cache entry must stay 32 B");
+static_assert(sizeof(CacheEntry) == 24, "client-cache entry must stay 24 B");
 
 struct CacheStats {
   uint64_t hits = 0;

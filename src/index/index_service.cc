@@ -65,8 +65,9 @@ sim::Task<std::optional<IndexEntry>> IndexService::Lookup(uint64_t key, fabric::
   co_return result;
 }
 
-sim::Task<std::pair<bool, IndexEntry>> IndexService::InsertIfAbsent(
-    uint64_t key, std::shared_ptr<const ObjectLayout> layout, fabric::ClientCpu* cpu) {
+sim::Task<std::pair<bool, IndexEntry>> IndexService::InsertIfAbsent(uint64_t key,
+                                                                    LayoutPin layout,
+                                                                    fabric::ClientCpu* cpu) {
   co_await Roundtrip(cpu);
   co_await Occupy(router_.ShardOf(key));
   ++stats_.inserts;
@@ -100,15 +101,14 @@ sim::Task<bool> IndexService::RemoveIfGeneration(uint64_t key, uint64_t generati
 }
 
 sim::Task<uint64_t> IndexService::ReplaceLayout(uint64_t key, uint64_t expected_generation,
-                                                std::shared_ptr<const ObjectLayout> layout,
-                                                fabric::ClientCpu* cpu) {
+                                                LayoutPin layout, fabric::ClientCpu* cpu) {
   co_await Roundtrip(cpu);
   co_await Occupy(router_.ShardOf(key));
   ++stats_.inserts;
   uint64_t new_generation = 0;
   auto it = map_.find(key);
   if (it != map_.end() && it->second.generation == expected_generation) {
-    std::shared_ptr<const ObjectLayout> old = std::move(it->second.layout);
+    LayoutPin old = std::move(it->second.layout);
     it->second.layout = std::move(layout);
     it->second.generation = next_generation_++;
     new_generation = it->second.generation;
@@ -117,10 +117,10 @@ sim::Task<uint64_t> IndexService::ReplaceLayout(uint64_t key, uint64_t expected_
     const ObjectLayout& next = *it->second.layout;
     uint8_t vacated = 0;
     for (int r = 0; r < old->num_replicas; ++r) {
-      const ReplicaLayout& rep = old->replicas[static_cast<size_t>(r)];
+      const ReplicaLayout& rep = old->replica(r);
       bool shared = false;
       for (int q = 0; q < next.num_replicas; ++q) {
-        const ReplicaLayout& kept = next.replicas[static_cast<size_t>(q)];
+        const ReplicaLayout& kept = next.replica(q);
         shared = shared || (kept.node == rep.node && kept.meta_addr == rep.meta_addr);
       }
       if (!shared) {
@@ -148,7 +148,7 @@ size_t IndexService::GcRetired() {
       [horizon](const RetiredLayout& r) { return r.epoch < horizon; });
   const auto passed = static_cast<size_t>(passed_end - retired_.begin());
   // Pass 1: tell caches to drop references to every horizon-passed layout
-  // (the §4.5 message). This releases their shared_ptr copies, so pass 2's
+  // (the §4.5 message). This releases their LayoutPin copies, so pass 2's
   // use-count gate sees only genuine in-flight holders. Once notified, a
   // retired layout can never re-enter a cache (it is unmapped; re-inserts
   // build fresh layouts), so each layout is notified exactly once even
@@ -183,14 +183,14 @@ size_t IndexService::GcRetired() {
         continue;
       }
       const auto [addr, len] = r.layout->replica_slot(rep);
-      auto& n = fabric_->node(r.layout->replicas[static_cast<size_t>(rep)].node);
+      auto& n = fabric_->node(r.layout->replica(rep).node);
       n.RestoreRegion(addr, len);
       // Every replica the index holds is a slab slot (AllocateObject,
       // RawKv), so false means only that a plain restart reset the node's
       // allocator since the slot was allocated: nothing is left to free.
       DiscardStatus(n.FreeSlot(addr));
     }
-    r.layout.reset();  // The last reference: frees the layout and its words.
+    r.layout.reset();  // The last share: frees the layout's block and its words.
   }
   const size_t dropped = passed - kept;
   retired_.erase(retired_.begin() + static_cast<std::ptrdiff_t>(kept), passed_end);
@@ -201,10 +201,9 @@ size_t IndexService::GcRetired() {
 std::vector<IndexService::SlotOn> IndexService::SortedSlotsOn(int node, uint64_t lo,
                                                              uint64_t hi) const {
   std::vector<SlotOn> slots;
-  const auto collect = [&](const std::shared_ptr<const ObjectLayout>& layout, uint8_t owned,
-                           SlotOn slot) {
+  const auto collect = [&](const LayoutPin& layout, uint8_t owned, SlotOn slot) {
     for (int r = 0; r < layout->num_replicas; ++r) {
-      const ReplicaLayout& rep = layout->replicas[static_cast<size_t>(r)];
+      const ReplicaLayout& rep = layout->replica(r);
       if ((owned >> r & 1) != 0 && rep.node == node && rep.meta_addr >= lo &&
           rep.meta_addr < hi) {
         slot.addr = rep.meta_addr;

@@ -28,6 +28,10 @@
 //
 // Entries carry a generation number so that a delete's background unmap
 // (§5.3.2) cannot erase a newer mapping racing in from a re-insert.
+//
+// Every record holds its layout through a LayoutPin (src/swarm/layout.h),
+// the 8 B share whose count lives in the layout's block: an IndexEntry is
+// 16 B, a 48 B map node per key, and a RetiredLayout 24 B.
 
 #ifndef SWARM_SRC_INDEX_INDEX_SERVICE_H_
 #define SWARM_SRC_INDEX_INDEX_SERVICE_H_
@@ -35,7 +39,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -50,9 +53,10 @@
 namespace swarm::index {
 
 struct IndexEntry {
-  std::shared_ptr<const ObjectLayout> layout;
+  LayoutPin layout;
   uint64_t generation = 0;
 };
+static_assert(sizeof(IndexEntry) == 16, "an index entry is a layout share and a generation");
 
 struct IndexStats {
   uint64_t lookups = 0;
@@ -87,8 +91,8 @@ class IndexService {
   // Insert-if-absent (§5.3.1). Returns {true, entry-as-inserted} on success,
   // or {false, existing entry} when a mapping already exists (the caller then
   // recycles its buffers and turns the insert into an update).
-  sim::Task<std::pair<bool, IndexEntry>> InsertIfAbsent(
-      uint64_t key, std::shared_ptr<const ObjectLayout> layout, fabric::ClientCpu* cpu);
+  sim::Task<std::pair<bool, IndexEntry>> InsertIfAbsent(uint64_t key, LayoutPin layout,
+                                                        fabric::ClientCpu* cpu);
 
   // Removes the mapping only if its generation still matches (used by the
   // background unmap after a delete). Returns true if removed.
@@ -105,8 +109,7 @@ class IndexService {
   // replacement does not share — the vacated ones, fenced on their source
   // nodes, which repair must NOT restore.
   sim::Task<uint64_t> ReplaceLayout(uint64_t key, uint64_t expected_generation,
-                                    std::shared_ptr<const ObjectLayout> layout,
-                                    fabric::ClientCpu* cpu);
+                                    LayoutPin layout, fabric::ClientCpu* cpu);
 
   // Keeps a layout alive after its mapping is removed: background straggler
   // tasks (verified promotions, write-backs) and stale-cached clients may
@@ -117,14 +120,14 @@ class IndexService {
   //
   // This overload retires an insert loser, a layout that never got a
   // mapping: its record owns every replica slot, so the GC frees them all.
-  void Retire(std::shared_ptr<const ObjectLayout> layout) {
+  void Retire(LayoutPin layout) {
     RetireOwned(std::move(layout), kAllReplicas, /*moved=*/false);
   }
 
   // One unmapped-but-still-referenceable layout: the recycler epoch that was
   // current at its retirement bounds which clients can still reference it.
   struct RetiredLayout {
-    std::shared_ptr<const ObjectLayout> layout;
+    LayoutPin layout;
     uint64_t epoch = 0;
     bool caches_notified = false;  // §4.5 drop message sent (GC listeners ran).
     // Migrated away: the owned slots are fenced on their nodes
@@ -153,7 +156,7 @@ class IndexService {
   //      buffers" message: client LOCATION CACHES drop their entries for the
   //      layout — the model must enforce the premise the ack claims), and
   //   3. no in-flight operation or straggler still holds the layout (its
-  //      shared_ptr use-count has fallen to the retired list's own
+  //      LayoutPin use-count has fallen to the retired list's own
   //      reference) — a long-stuck op that located the key before the round
   //      keeps the layout repairable until it completes, and a straggler
   //      coroutine (a per-replica task or a background promotion that
@@ -166,7 +169,7 @@ class IndexService {
 
   // Registers a §4.5 drop listener, called for each layout the GC is about
   // to drop (chaos harnesses wire every client cache's InvalidateLayout).
-  void add_gc_listener(std::function<void(const std::shared_ptr<const ObjectLayout>&)> fn) {
+  void add_gc_listener(std::function<void(const LayoutPin&)> fn) {
     gc_listeners_.push_back(std::move(fn));
   }
 
@@ -177,10 +180,10 @@ class IndexService {
   // node-side fences over vacated (moved) slots are lifted and the slots go
   // back to the slab allocator (through its quarantine). Slots a migration
   // flip's replacement shares are not freed: the replacement owns them.
-  // Then the layout itself is freed, with every writer's slot-cache words:
+  // Then the layout's block is freed, with every writer's slot-cache words:
   // the use-count gate saw no other holder, and every coroutine that can
   // still dereference a layout holds a share in it (LayoutPin,
-  // src/swarm/layout.h), so nothing can reach the freed object.
+  // src/swarm/layout.h), so nothing can reach the freed block.
   size_t GcRetired();
 
   uint64_t retired_dropped() const { return retired_dropped_; }
@@ -206,9 +209,9 @@ class IndexService {
     uint64_t addr = 0;
     // The owning record's pin (the index entry's or the retired record's):
     // copy it to keep the layout alive after the walk.
-    const std::shared_ptr<const ObjectLayout>* layout = nullptr;
+    const LayoutPin* layout = nullptr;
     uint64_t key = 0;      // Set for mapped slots; retired records keep no key.
-    int replica = 0;       // Index into (*layout)->replicas.
+    int replica = 0;       // (*layout)->replica(replica) is the slot's record.
     bool mapped = false;   // Owned by the key's current mapping.
     bool moved = false;    // Vacated by a migration flip: never restore.
   };
@@ -261,7 +264,7 @@ class IndexService {
   static constexpr uint8_t kAllReplicas = 0xff;
   static_assert(kMaxReplicas <= 8, "RetiredLayout::owned holds one bit per replica");
 
-  void RetireOwned(std::shared_ptr<const ObjectLayout> layout, uint8_t owned, bool moved) {
+  void RetireOwned(LayoutPin layout, uint8_t owned, bool moved) {
     retired_.push_back(
         {std::move(layout), retire_epoch_fn_ ? retire_epoch_fn_() : 0, false, moved, owned});
     GcRetired();  // Opportunistic: churn keeps the list bounded by itself.
@@ -282,7 +285,7 @@ class IndexService {
   std::vector<RetiredLayout> retired_;
   std::function<uint64_t()> retire_epoch_fn_;
   std::function<uint64_t()> safe_before_fn_;
-  std::vector<std::function<void(const std::shared_ptr<const ObjectLayout>&)>> gc_listeners_;
+  std::vector<std::function<void(const LayoutPin&)>> gc_listeners_;
   uint64_t retired_dropped_ = 0;
   IndexStats stats_;
 };

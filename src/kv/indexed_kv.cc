@@ -70,8 +70,7 @@ auto IndexedKvSession<Protocol>::Locate(uint64_t key, bool seed_metadata, KvResu
 }
 
 template <typename Protocol>
-auto IndexedKvSession<Protocol>::At(std::shared_ptr<const ObjectLayout> layout,
-                                    uint64_t generation) -> Located {
+auto IndexedKvSession<Protocol>::At(LayoutPin layout, uint64_t generation) -> Located {
   Located loc;
   loc.found = true;
   loc.obj_cache = worker_->SlotCacheFor(layout);
@@ -89,13 +88,13 @@ void IndexedKvSession<Protocol>::Cache(uint64_t key, const Located& loc) {
 }
 
 template <typename Protocol>
-std::shared_ptr<const ObjectLayout> IndexedKvSession<Protocol>::AllocateForKey(uint64_t key) {
+LayoutPin IndexedKvSession<Protocol>::AllocateForKey(uint64_t key) {
   const ProtocolConfig& cfg = worker_->config();
   const int n = worker_->fabric()->num_nodes();
   int nodes[kMaxReplicas];
   const uint64_t h = hash::Mix64(key, Protocol::kPlacementSalt);
   PlaceReplicas(h, cfg.replicas, n, serving_.get(), nodes);
-  return std::make_shared<ObjectLayout>(Protocol::Allocate(*worker_->fabric(), nodes, cfg));
+  return Protocol::Allocate(*worker_->fabric(), nodes, cfg);
 }
 
 template <typename Protocol>
@@ -240,7 +239,7 @@ sim::Task<KvResult> IndexedKvSession<Protocol>::Insert(uint64_t key,
     // §5.3.1: pick replicas, allocate cleared buffers (clients pre-allocate,
     // so this costs no roundtrip), then IN PARALLEL replicate the value and
     // insert the location into the index — one roundtrip total.
-    std::shared_ptr<const ObjectLayout> layout = AllocateForKey(key);
+    LayoutPin layout = AllocateForKey(key);
     SlotCache obj_cache = worker_->SlotCacheFor(layout);
     typename Protocol::Object obj(worker_, layout.get(), obj_cache);
     // One doorbell covers the replica writes AND the index insert RPC.

@@ -38,8 +38,7 @@ namespace swarm::kv {
 struct SafeGuessProtocol {
   using Object = SafeGuessObject;
   static constexpr uint64_t kPlacementSalt = 0x535741524d;  // "SWARM"
-  static ObjectLayout Allocate(fabric::Fabric& fabric, const int* nodes,
-                               const ProtocolConfig& cfg) {
+  static LayoutPin Allocate(fabric::Fabric& fabric, const int* nodes, const ProtocolConfig& cfg) {
     return AllocateObject(fabric, nodes, cfg.replicas, cfg.meta_slots, cfg.max_writers,
                           cfg.max_value, cfg.inplace_copies);
   }
@@ -57,8 +56,7 @@ struct AbdProtocol {
   using Object = AbdObject;
   static constexpr uint64_t kPlacementSalt = 0x414244;  // "ABD"
   // One shared metadata word, no in-place region: pure out-of-place ABD.
-  static ObjectLayout Allocate(fabric::Fabric& fabric, const int* nodes,
-                               const ProtocolConfig& cfg) {
+  static LayoutPin Allocate(fabric::Fabric& fabric, const int* nodes, const ProtocolConfig& cfg) {
     return AllocateObject(fabric, nodes, cfg.replicas, /*meta_slots=*/1, /*max_writers=*/1,
                           cfg.max_value, /*inplace_copies=*/0);
   }
@@ -91,13 +89,13 @@ class IndexedKvSession : public KvSession {
   // the shared cache evicts the entry meanwhile).
   struct Located {
     bool found = false;
-    std::shared_ptr<const ObjectLayout> layout;
+    LayoutPin layout;
     SlotCache obj_cache;  // Also pins `layout` for the op's stragglers.
     uint64_t generation = 0;
   };
 
   // The location of `layout` at `generation`, with this worker's slot cache.
-  Located At(std::shared_ptr<const ObjectLayout> layout, uint64_t generation);
+  Located At(LayoutPin layout, uint64_t generation);
   // Publishes `loc` to the shared client cache.
   void Cache(uint64_t key, const Located& loc);
 
@@ -107,7 +105,7 @@ class IndexedKvSession : public KvSession {
   sim::Task<Located> Locate(uint64_t key, bool seed_metadata, KvResult* result);
 
   // Picks replica nodes for a fresh insert by key hash.
-  std::shared_ptr<const ObjectLayout> AllocateForKey(uint64_t key);
+  LayoutPin AllocateForKey(uint64_t key);
 
   // Handles a read/write that discovered a tombstone: flush the cache, ask
   // the index, and schedule the stale mapping's unmap (§5.3.3/§5.3.4).

@@ -41,7 +41,7 @@ sim::Task<KvResult> RawKvSession::Get(uint64_t key) {
       result.status = KvStatus::kNotFound;
       co_return result;
     }
-    const ReplicaLayout& rep = loc.layout->replicas[0];
+    const ReplicaLayout& rep = loc.layout->replica(0);
     sim::Bytes buf(8 + loc.layout->max_value);
     fabric::OpResult r = co_await worker_->qp(rep.node).Read(rep.meta_addr, buf);
     ++result.rtts;
@@ -79,7 +79,7 @@ sim::Task<KvResult> RawKvSession::Update(uint64_t key, std::span<const uint8_t> 
     result.status = KvStatus::kNotFound;
     co_return result;
   }
-  const ReplicaLayout& rep = loc.layout->replicas[0];
+  const ReplicaLayout& rep = loc.layout->replica(0);
   sim::Bytes buf(8 + value.size());
   const uint64_t len = value.size();
   std::memcpy(buf.data(), &len, 8);
@@ -99,17 +99,14 @@ sim::Task<KvResult> RawKvSession::Insert(uint64_t key, std::span<const uint8_t> 
   int node = 0;
   PlaceReplicas(hash::Mix64(key, 0x524157), 1, worker_->fabric()->num_nodes(), serving_.get(),
                 &node);
-  ObjectLayout l;
-  l.num_replicas = 1;
-  l.meta_slots = 1;
-  l.max_writers = 1;
-  l.max_value = worker_->config().max_value;
+  const uint32_t max_value = worker_->config().max_value;
   CheckReplicaRecordFits(&node, 1, worker_->fabric()->config().node_capacity_bytes);
-  l.replicas[0].node = node;
+  ReplicaLayout region;
+  region.node = node;
   // A slab slot, like every replica the index holds: the retired-layout GC
   // frees it with FreeSlot once the key is removed (or this insert lost).
-  l.replicas[0].meta_addr = worker_->fabric()->node(node).AllocSlot(8 + l.max_value);
-  std::shared_ptr<const ObjectLayout> layout = std::make_shared<ObjectLayout>(l);
+  region.meta_addr = worker_->fabric()->node(node).AllocSlot(8 + max_value);
+  LayoutPin layout = ObjectLayout::Build(LayoutGeometry::Of(1, 1, 1, max_value), &region);
 
   auto ins = co_await index_->InsertIfAbsent(key, layout, worker_->cpu());
   ++result.rtts;
@@ -125,7 +122,7 @@ sim::Task<KvResult> RawKvSession::Insert(uint64_t key, std::span<const uint8_t> 
   entry.generation = loc.generation;
   cache_->Put(key, std::move(entry));
 
-  const ReplicaLayout& rep = loc.layout->replicas[0];
+  const ReplicaLayout& rep = loc.layout->replica(0);
   sim::Bytes buf(8 + value.size());
   const uint64_t len = value.size();
   std::memcpy(buf.data(), &len, 8);
@@ -145,7 +142,7 @@ sim::Task<KvResult> RawKvSession::Remove(uint64_t key) {
       result.status = KvStatus::kNotFound;
       co_return result;
     }
-    const ReplicaLayout& rep = loc.layout->replicas[0];
+    const ReplicaLayout& rep = loc.layout->replica(0);
     sim::Bytes zero(8, 0);
     fabric::OpResult r = co_await worker_->qp(rep.node).Write(rep.meta_addr, zero);
     ++result.rtts;

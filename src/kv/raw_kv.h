@@ -50,7 +50,7 @@ class RawKvSession : public KvSession {
   struct Located {
     bool found = false;
     bool cache_hit = false;
-    std::shared_ptr<const ObjectLayout> layout;  // 1 replica, region at meta_addr.
+    LayoutPin layout;  // 1 replica, region at meta_addr.
     uint64_t generation = 0;
   };
 

@@ -20,25 +20,18 @@ class LayoutMove final : public ReplicaMove {
              index::IndexEntry entry, int slot)
       : index_(index), protocol_(protocol), worker_(worker), key_(key),
         src_(std::move(entry.layout)), generation_(entry.generation), slot_(slot),
-        vacated_(src_->replicas[static_cast<size_t>(slot)]) {}
+        vacated_(src_->replica(slot)) {}
 
   bool CanHost(int node) const override {
     for (int r = 0; r < src_->num_replicas; ++r) {
-      if (src_->replicas[static_cast<size_t>(r)].node == node) {
+      if (src_->replica(r).node == node) {
         return false;
       }
     }
     return true;
   }
 
-  void Graft(int dest) override {
-    dst_ = std::make_shared<ObjectLayout>(*src_);
-    const int nodes[1] = {dest};
-    ObjectLayout fresh =
-        AllocateObject(*worker_->fabric(), nodes, 1, src_->meta_slots, src_->max_writers,
-                       src_->max_value, /*inplace_copies=*/vacated_.has_inplace() ? 1 : 0);
-    dst_->replicas[static_cast<size_t>(slot_)] = fresh.replicas[0];
-  }
+  void Graft(int dest) override { dst_ = GraftReplica(*worker_->fabric(), *src_, slot_, dest); }
 
   // A replica is ONE contiguous slab slot ([meta | in-place? | tsl], see
   // AllocateObject), so one interval covers it.
@@ -68,7 +61,7 @@ class LayoutMove final : public ReplicaMove {
   // cached Located, and the coordinator's copy verbs have all completed — so
   // it goes straight back to the slab (through its quarantine).
   void Abandon() override {
-    const ReplicaLayout& fresh = dst_->replicas[static_cast<size_t>(slot_)];
+    const ReplicaLayout& fresh = dst_->replica(slot_);
     // False only when a plain restart of the destination reset its allocator
     // since Graft allocated the slot: there is nothing left to give back.
     DiscardStatus(worker_->fabric()->node(fresh.node).FreeSlot(fresh.meta_addr));
@@ -79,11 +72,11 @@ class LayoutMove final : public ReplicaMove {
   LayoutProtocol protocol_;
   Worker* worker_;
   uint64_t key_;
-  std::shared_ptr<const ObjectLayout> src_;
+  LayoutPin src_;
   uint64_t generation_;
   int slot_;
   ReplicaLayout vacated_;
-  std::shared_ptr<ObjectLayout> dst_;
+  LayoutPin dst_;
 };
 
 }  // namespace
@@ -112,7 +105,7 @@ std::vector<KeyPlacement> IndexMigrationSource::Placements() const {
     p.key = key;
     p.num_replicas = entry.layout->num_replicas;
     for (int r = 0; r < p.num_replicas; ++r) {
-      p.nodes[static_cast<size_t>(r)] = entry.layout->replicas[static_cast<size_t>(r)].node;
+      p.nodes[static_cast<size_t>(r)] = entry.layout->replica(r).node;
     }
     out.push_back(p);
   }
@@ -126,7 +119,7 @@ sim::Task<std::unique_ptr<ReplicaMove>> IndexMigrationSource::PlanMove(uint64_t 
     co_return nullptr;
   }
   for (int r = 0; r < idx->layout->num_replicas; ++r) {
-    if (idx->layout->replicas[static_cast<size_t>(r)].node == from) {
+    if (idx->layout->replica(r).node == from) {
       co_return std::make_unique<LayoutMove>(index_, protocol_, worker, key, std::move(*idx), r);
     }
   }

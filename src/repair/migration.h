@@ -33,9 +33,9 @@
 //           slot serving again.
 //
 // The quorum stores (SWARM-KV, DM-ABD; IndexMigrationSource) move one
-// replica slot of an ObjectLayout: L' is a copy of the live layout L with the
-// vacated slot's buffers swapped for fresh ones on the destination, every
-// other slot SHARED, and the flip is IndexService::ReplaceLayout(key, G, L'),
+// replica slot of an ObjectLayout: L' is built from the live layout L's
+// records (GraftReplica) with the vacated slot's buffers swapped for fresh
+// ones on the destination, every other slot SHARED, and the flip is IndexService::ReplaceLayout(key, G, L'),
 // which retires L as MOVED (repair skips it; caches are invalidated through
 // the retired-layout GC listeners). Why fencing one slot is enough: clients
 // on stale L can still commit via the (num_replicas - 1) shared slots, so

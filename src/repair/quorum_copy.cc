@@ -34,7 +34,7 @@ sim::Task<bool> CopyLocks(Worker* worker, const ObjectLayout* src, const ObjectL
   sim::PoolVec<sim::Bytes> bufs;
   sim::PoolVec<sim::Task<fabric::OpResult>> verbs;
   for (int r = 0; r < src->num_replicas; ++r) {
-    const ReplicaLayout& rep = src->replicas[static_cast<size_t>(r)];
+    const ReplicaLayout& rep = src->replica(r);
     if (worker->NodeQuorumExcluded(rep.node)) {
       continue;  // The node under repair itself.
     }
@@ -61,13 +61,13 @@ sim::Task<bool> CopyLocks(Worker* worker, const ObjectLayout* src, const ObjectL
   }
   sim::Bytes out(region);
   std::memcpy(out.data(), merged.data(), region);
-  const ReplicaLayout& d = dst->replicas[static_cast<size_t>(target)];
+  const ReplicaLayout& d = dst->replica(target);
   fabric::OpResult res = co_await worker->qp(d.node).Write(dst->tsl_addr(d), out);
   co_return res.ok();
 }
 
-sim::Task<bool> CopySafeGuessReplica(Worker* worker, std::shared_ptr<const ObjectLayout> src,
-                                     const ObjectLayout* dst, int target) {
+sim::Task<bool> CopySafeGuessReplica(Worker* worker, LayoutPin src, const ObjectLayout* dst,
+                                     int target) {
   const ObjectLayout* layout = src.get();
   QuorumMax reg(worker, layout, worker->SlotCacheFor(src));
   const bool drop_tombstones =
@@ -112,9 +112,8 @@ sim::Task<bool> CopySafeGuessReplica(Worker* worker, std::shared_ptr<const Objec
   co_return co_await CopyLocks(worker, layout, dst, target);
 }
 
-sim::Task<bool> CopyReplica(LayoutProtocol protocol, Worker* worker,
-                            std::shared_ptr<const ObjectLayout> src, const ObjectLayout* dst,
-                            int target) {
+sim::Task<bool> CopyReplica(LayoutProtocol protocol, Worker* worker, LayoutPin src,
+                            const ObjectLayout* dst, int target) {
   if (protocol == LayoutProtocol::kAbd) {
     AbdObject obj(worker, src.get(), worker->SlotCacheFor(src));
     co_return co_await obj.CopyReplicaTo(dst, target);

@@ -1,7 +1,5 @@
 #include "src/repair/repair.h"
 
-#include <memory>
-
 #include "src/repair/quorum_copy.h"
 
 namespace swarm::repair {
@@ -20,9 +18,9 @@ sim::Task<RepairOutcome> IndexRepairSource::RepairNode(int node, Worker* worker)
   // resurrect the deleted value). Finding them filters the whole index on
   // the host, O(store); the repair's work — slots walked, copies made — is
   // O(slots on the node). Mappings inserted after this snapshot wrote to
-  // quorums that excluded `node`. The snapshot holds shared_ptrs so a
+  // quorums that excluded `node`. The snapshot holds LayoutPins so a
   // mid-walk GC round cannot drop a layout under the repair.
-  std::vector<std::pair<std::shared_ptr<const ObjectLayout>, int>> slots;
+  std::vector<std::pair<LayoutPin, int>> slots;
   index_->ForEachSlotOn(node, [&](const index::IndexService::SlotOn& slot) {
     ++out.slots_walked;
     if (slot.moved) {
@@ -34,10 +32,10 @@ sim::Task<RepairOutcome> IndexRepairSource::RepairNode(int node, Worker* worker)
     }
     slots.emplace_back(*slot.layout, slot.replica);
   });
-  for (const auto& [layout_sp, r] : slots) {
+  for (const auto& [layout, r] : slots) {
     // Same-layout copy: harvest from the survivors, install into the
     // rejoining replica (src/repair/quorum_copy.h).
-    const bool ok = co_await CopyReplica(protocol_, worker, layout_sp, layout_sp.get(), r);
+    const bool ok = co_await CopyReplica(protocol_, worker, layout, layout.get(), r);
     if (ok) {
       ++out.slots_repaired;
     } else {

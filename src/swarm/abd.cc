@@ -38,7 +38,7 @@ struct Phase1State : WordPhase {
 // reading the metadata word, in one roundtrip.
 sim::Task<void> Phase1One(Worker* worker, const ObjectLayout* layout, int r,
                           std::shared_ptr<Phase1State> ph) {
-  const ReplicaLayout& rep = layout->replicas[static_cast<size_t>(r)];
+  const ReplicaLayout& rep = layout->replica(r);
   fabric::Qp& qp = worker->qp(rep.node);
   const auto idx = static_cast<size_t>(r);
 
@@ -72,7 +72,7 @@ sim::Task<void> Phase1One(Worker* worker, const ObjectLayout* layout, int r,
 // contact order.
 sim::Task<void> ReadWordOne(Worker* worker, const ObjectLayout* layout, int r,
                             std::shared_ptr<Phase1State> ph, bool note_failures) {
-  const ReplicaLayout& rep = layout->replicas[static_cast<size_t>(r)];
+  const ReplicaLayout& rep = layout->replica(r);
   std::array<uint8_t, 8> buf{};
   fabric::OpResult res = co_await worker->qp(rep.node).Read(rep.meta_addr, buf);
   if (!res.ok()) {
@@ -112,7 +112,7 @@ struct CasState : QuorumPhase {
 // recycling the superseded (or unused) out-of-place buffer.
 sim::Task<void> CasMaxOne(Worker* worker, const ObjectLayout* layout, int r, Meta expected,
                           Meta desired, std::shared_ptr<CasState> ph) {
-  const ReplicaLayout& rep = layout->replicas[static_cast<size_t>(r)];
+  const ReplicaLayout& rep = layout->replica(r);
   fabric::Qp& qp = worker->qp(rep.node);
   OopPool& pool = worker->pool(rep.node);
   Meta prev = expected;
@@ -158,7 +158,7 @@ sim::Task<void> CasMaxOne(Worker* worker, const ObjectLayout* layout, int r, Met
 // Write-back at one replica: out-of-place image + CAS, pipelined.
 sim::Task<void> RepairOne(Worker* worker, const ObjectLayout* layout, int r, Meta base,
                           std::shared_ptr<const sim::Bytes> value, std::shared_ptr<CasState> ph) {
-  const ReplicaLayout& rep = layout->replicas[static_cast<size_t>(r)];
+  const ReplicaLayout& rep = layout->replica(r);
   fabric::Qp& qp = worker->qp(rep.node);
   OopPool& pool = worker->pool(rep.node);
   const uint32_t oop = pool.AllocIdx();
@@ -241,7 +241,7 @@ sim::Task<Chase> ChaseValue(Worker* worker, const ObjectLayout* layout, const Ph
     if (!ph->Carries(r, m)) {
       continue;
     }
-    const ReplicaLayout& rep = layout->replicas[static_cast<size_t>(r)];
+    const ReplicaLayout& rep = layout->replica(r);
     sim::Bytes buf(kOopHeaderBytes + layout->max_value);
     fabric::OpResult res =
         co_await worker->qp(rep.node).Read(ph->words[static_cast<size_t>(r)].oop_addr(), buf);

@@ -73,7 +73,7 @@ class InOutReplica {
  public:
   InOutReplica(Worker* worker, const ObjectLayout* layout, int replica_idx)
       : worker_(worker), layout_(layout),
-        rep_(&layout->replicas[static_cast<size_t>(replica_idx)]) {}
+        rep_(&layout->replica(replica_idx)) {}
 
   int node() const { return rep_->node; }
   bool has_inplace() const { return rep_->has_inplace(); }

@@ -153,7 +153,7 @@ class QuorumEngine {
       : worker_(worker), majority_(layout->majority()), pin_(std::move(pin)) {
     Contacts failed;
     for (int r = 0; r < layout->num_replicas; ++r) {
-      const int node = layout->replicas[static_cast<size_t>(r)].node;
+      const int node = layout->replica(r).node;
       if (worker->NodeQuorumExcluded(node)) {
         continue;  // Mid-repair: not contacted, never counted.
       }

@@ -22,7 +22,7 @@ struct LockPhase : QuorumPhase {
 sim::Task<void> LockOneReplica(Worker* worker, const ObjectLayout* layout, int replica,
                                uint32_t owner_tid, uint32_t counter, LockMode mode,
                                std::shared_ptr<LockPhase> phase) {
-  const ReplicaLayout& rep = layout->replicas[static_cast<size_t>(replica)];
+  const ReplicaLayout& rep = layout->replica(replica);
   // The protocol entry points (CheckWriterBound in safe_guess.cc) already
   // rejected out-of-range tids; this assert keeps the slab-neighbor CAS
   // (PR-9 seed 47000) from sneaking back in through a new caller. The

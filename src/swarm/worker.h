@@ -86,18 +86,21 @@ class Worker {
   // state: each writer CASes its own metadata buffer (§4.4), so only its own
   // history predicts the slot's content.
   //
-  // The words live in the layout (ObjectLayout::slot_words): a block of
-  // num_replicas words per writer, zeroed on the writer's first call and
-  // freed with the layout. The handle shares the layout's ownership, so an
-  // op that holds it pins the layout (LayoutPin) for as long as any of its
-  // coroutines can still touch the words or the layout's records.
-  SlotCache SlotCacheFor(const std::shared_ptr<const ObjectLayout>& layout) {
-    return SlotCache(layout, layout->slot_words.For(this, layout->num_replicas));
+  // The words live in the layout's block (ObjectLayout::SlotWords), keyed
+  // by this worker's tid: num_replicas words, zeroed on the writer's first
+  // call and freed with the layout. The first writer to touch a layout uses
+  // the block's inline words (24 B for 3 replicas, no allocation); each
+  // later writer gets a chained block (a 48 B chunk for 3 replicas). The
+  // handle holds a LayoutPin, so an op that holds it pins the layout for as
+  // long as any of its coroutines can still touch the words or the layout's
+  // records.
+  SlotCache SlotCacheFor(const LayoutPin& layout) {
+    return SlotCache(layout, layout->SlotWords(tid_));
   }
   // For a layout its caller keeps alive by itself (tests own theirs): the
   // handle pins nothing.
   SlotCache SlotCacheFor(const ObjectLayout* layout) {
-    return SlotCache(nullptr, layout->slot_words.For(this, layout->num_replicas));
+    return SlotCache(nullptr, layout->SlotWords(tid_));
   }
 
   bool NodeKnownFailed(int node) const { return (*known_failed_)[static_cast<size_t>(node)]; }

@@ -23,7 +23,7 @@ using testing::TestEnv;
 using testing::ValN;
 
 // DM-ABD layouts share one metadata word and carry no in-place region.
-ObjectLayout MakeAbdObject(TestEnv& env) {
+LayoutPin MakeAbdObject(TestEnv& env) {
   std::vector<int> nodes{0, 1, 2};
   return AllocateObject(env.fabric, nodes.data(), 3, /*meta_slots=*/1,
                         /*max_writers=*/1, env.proto.max_value, /*inplace_copies=*/0);
@@ -32,7 +32,7 @@ ObjectLayout MakeAbdObject(TestEnv& env) {
 TEST(Abd, WriteThenReadRoundtrips) {
   TestEnv env;
   Worker& w = env.MakeWorker();
-  ObjectLayout layout = MakeAbdObject(env);
+  const LayoutPin layout = MakeAbdObject(env);
 
   auto driver = [](Worker* w, const ObjectLayout* layout) -> Task<void> {
     AbdObject obj(w, layout, std::make_shared<ObjectCache>());
@@ -53,14 +53,14 @@ TEST(Abd, WriteThenReadRoundtrips) {
     EXPECT_EQ(rd.rtts, 2);  // Metadata read + pointer chase.
     EXPECT_GT(r_lat, 2800);
   };
-  Spawn(driver(&w, &layout));
+  Spawn(driver(&w, layout.get()));
   env.sim.Run();
 }
 
 TEST(Abd, EmptyAndDeleted) {
   TestEnv env;
   Worker& w = env.MakeWorker();
-  ObjectLayout layout = MakeAbdObject(env);
+  const LayoutPin layout = MakeAbdObject(env);
 
   auto driver = [](Worker* w, const ObjectLayout* layout) -> Task<void> {
     AbdObject obj(w, layout, std::make_shared<ObjectCache>());
@@ -74,26 +74,26 @@ TEST(Abd, EmptyAndDeleted) {
     SgWriteResult wr = co_await obj.Write(ValN(8, 2));
     EXPECT_EQ(wr.status, SgStatus::kDeleted);
   };
-  Spawn(driver(&w, &layout));
+  Spawn(driver(&w, layout.get()));
   env.sim.Run();
 }
 
 TEST(Abd, SurvivesMinorityCrash) {
   TestEnv env;
   Worker& w = env.MakeWorker();
-  ObjectLayout layout = MakeAbdObject(env);
+  const LayoutPin layout = MakeAbdObject(env);
 
   auto driver = [](Worker* w, const ObjectLayout* layout) -> Task<void> {
     AbdObject obj(w, layout, std::make_shared<ObjectCache>());
     (void)co_await obj.Write(ValN(16, 4));
-    w->fabric()->Crash(layout->replicas[2].node);
+    w->fabric()->Crash(layout->replica(2).node);
     SgReadResult rd = co_await obj.Read();
     EXPECT_EQ(rd.status, SgStatus::kOk);
     EXPECT_EQ(rd.value, ValN(16, 4));
     SgWriteResult wr = co_await obj.Write(ValN(16, 5));
     EXPECT_EQ(wr.status, SgStatus::kOk);
   };
-  Spawn(driver(&w, &layout));
+  Spawn(driver(&w, layout.get()));
   env.sim.Run();
 }
 
@@ -145,16 +145,16 @@ class AbdStress : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(AbdStress, ConcurrentHistoryIsLinearizable) {
   TestEnv env(GetParam());
-  ObjectLayout layout = MakeAbdObject(env);
+  const LayoutPin layout = MakeAbdObject(env);
   StressState st;
   const int writers = 3;
   const int readers = 3;
   const int ops = 4;
   for (int i = 0; i < writers; ++i) {
-    Spawn(StressWriter(&env.MakeWorker(), &layout, ops, &st));
+    Spawn(StressWriter(&env.MakeWorker(), layout.get(), ops, &st));
   }
   for (int i = 0; i < readers; ++i) {
-    Spawn(StressReader(&env.MakeWorker(), &layout, ops, &st));
+    Spawn(StressReader(&env.MakeWorker(), layout.get(), ops, &st));
   }
   env.sim.Run();
   ASSERT_EQ(st.history.size(), static_cast<size_t>((writers + readers) * ops));

@@ -33,7 +33,7 @@ using testing::ValN;
 TEST(DoorbellBatching, QuorumWriteConsumesOneSubmitCost) {
   TestEnv env;
   Worker& w = env.MakeWorker();
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
   auto cache = env.MakeCache();
   const sim::Time submit = env.fabric.config().submit_cost;
 
@@ -49,7 +49,7 @@ TEST(DoorbellBatching, QuorumWriteConsumesOneSubmitCost) {
     // ... despite posting several verbs (a WriteThenCas counts two).
     EXPECT_GE(env->fabric.stats().ops_issued - verbs_before, 4u);
   };
-  Spawn(driver(&env, &w, &layout, cache, submit));
+  Spawn(driver(&env, &w, layout.get(), cache, submit));
   env.sim.Run();
   EXPECT_GE(env.fabric.stats().batches, 1u);
   EXPECT_GE(env.fabric.stats().batched_verbs, 3u);
@@ -59,7 +59,7 @@ TEST(DoorbellBatching, QuorumWriteConsumesOneSubmitCost) {
 TEST(DoorbellBatching, LockMulticastsToAllReplicasUnderOneDoorbell) {
   TestEnv env;
   Worker& w = env.MakeWorker();
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
 
   auto driver = [](TestEnv* env, Worker* w, const ObjectLayout* layout) -> Task<void> {
     const sim::Time busy_before = w->cpu()->busy_ns();
@@ -74,7 +74,7 @@ TEST(DoorbellBatching, LockMulticastsToAllReplicasUnderOneDoorbell) {
     EXPECT_EQ(env->fabric.stats().doorbells - doorbells_before, 1u);
     EXPECT_EQ(w->cpu()->busy_ns() - busy_before, env->fabric.config().submit_cost);
   };
-  Spawn(driver(&env, &w, &layout));
+  Spawn(driver(&env, &w, layout.get()));
   env.sim.Run();
 }
 

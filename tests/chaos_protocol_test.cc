@@ -84,13 +84,13 @@ Task<void> AbdChaosClient(ChaosEnv* c, Worker* w, const ObjectLayout* layout, ui
 void RunAbdScenario(const ScenarioSpec& spec) {
   ChaosEnv c(spec);
   std::vector<int> nodes{0, 1, 2};
-  ObjectLayout layout = AllocateObject(c.env.fabric, nodes.data(), 3, /*meta_slots=*/1,
+  const LayoutPin layout = AllocateObject(c.env.fabric, nodes.data(), 3, /*meta_slots=*/1,
                                        /*max_writers=*/1, c.env.proto.max_value,
                                        /*inplace_copies=*/0);
   ChaosHistories hist;
   for (int i = 0; i < spec.clients; ++i) {
     Worker& w = c.MakeSkewedWorker(spec);
-    Spawn(AbdChaosClient(&c, &w, &layout, spec.seed * 97 + static_cast<uint64_t>(i), &spec,
+    Spawn(AbdChaosClient(&c, &w, layout.get(), spec.seed * 97 + static_cast<uint64_t>(i), &spec,
                          &hist));
   }
   c.engine.Start();
@@ -170,14 +170,14 @@ Task<void> QmReader(ChaosEnv* c, Worker* w, const ObjectLayout* layout, uint64_t
 
 void RunQuorumMaxScenario(const ScenarioSpec& spec) {
   ChaosEnv c(spec);
-  ObjectLayout layout = c.env.MakeObject();
+  const LayoutPin layout = c.env.MakeObject();
   QmState st;
   for (int i = 0; i < spec.clients; ++i) {
     Worker& w = c.MakeSkewedWorker(spec);
     if (i % 2 == 0) {
-      Spawn(QmWriter(&c, &w, &layout, spec.seed * 97 + static_cast<uint64_t>(i), &spec, &st));
+      Spawn(QmWriter(&c, &w, layout.get(), spec.seed * 97 + static_cast<uint64_t>(i), &spec, &st));
     } else {
-      Spawn(QmReader(&c, &w, &layout, spec.seed * 97 + static_cast<uint64_t>(i), &spec, &st));
+      Spawn(QmReader(&c, &w, layout.get(), spec.seed * 97 + static_cast<uint64_t>(i), &spec, &st));
     }
   }
   c.engine.Start();
@@ -270,16 +270,16 @@ Task<void> InOutReader(ChaosEnv* c, Worker* w, const ObjectLayout* layout, uint6
 void RunInOutScenario(const ScenarioSpec& spec) {
   ChaosEnv c(spec);
   std::vector<int> nodes{0};
-  ObjectLayout layout = AllocateObject(c.env.fabric, nodes.data(), 1, /*meta_slots=*/4,
+  const LayoutPin layout = AllocateObject(c.env.fabric, nodes.data(), 1, /*meta_slots=*/4,
                                        /*max_writers=*/8, /*max_value=*/24,
                                        /*inplace_copies=*/1);
   InOutState st;
   for (int i = 0; i < spec.clients; ++i) {
     Worker& w = c.MakeSkewedWorker(spec);
     if (i % 2 == 0) {
-      Spawn(InOutWriter(&c, &w, &layout, spec.seed * 97 + static_cast<uint64_t>(i), &spec, &st));
+      Spawn(InOutWriter(&c, &w, layout.get(), spec.seed * 97 + static_cast<uint64_t>(i), &spec, &st));
     } else {
-      Spawn(InOutReader(&c, &w, &layout, spec.seed * 97 + static_cast<uint64_t>(i), &spec, &st));
+      Spawn(InOutReader(&c, &w, layout.get(), spec.seed * 97 + static_cast<uint64_t>(i), &spec, &st));
     }
   }
   c.engine.Start();
@@ -319,14 +319,14 @@ Task<void> LockClient(ChaosEnv* c, Worker* w, const ObjectLayout* layout, uint32
 
 void RunLockScenario(const ScenarioSpec& spec) {
   ChaosEnv c(spec);
-  ObjectLayout layout = c.env.MakeObject();
+  const LayoutPin layout = c.env.MakeObject();
   LockState st;
   // Client 0 is the lock's owner re-executing writes; the rest are readers
   // racing to commit the owner's guessed timestamps (Algorithm 4).
   for (int i = 0; i < spec.clients; ++i) {
     Worker& w = c.MakeSkewedWorker(spec);
     const LockMode mode = i == 0 ? LockMode::kWrite : LockMode::kRead;
-    Spawn(LockClient(&c, &w, &layout, /*owner_tid=*/0, mode,
+    Spawn(LockClient(&c, &w, layout.get(), /*owner_tid=*/0, mode,
                      spec.seed * 97 + static_cast<uint64_t>(i), &spec, &st));
   }
   c.engine.Start();

@@ -170,7 +170,7 @@ CanaryOutcome RunCanaryScenario(uint64_t seed) {
   spec.faults.max_drop_duration = 120 * sim::kMicrosecond;
 
   ChaosEnv c(spec);
-  ObjectLayout layout = c.env.MakeObject();
+  const LayoutPin layout = c.env.MakeObject();
   ChaosHistories hist;
 
   auto writer = [](ChaosEnv* c, Worker* w, const ObjectLayout* layout, uint64_t rng_seed,
@@ -210,9 +210,9 @@ CanaryOutcome RunCanaryScenario(uint64_t seed) {
     }
   };
 
-  Spawn(writer(&c, &c.MakeSkewedWorker(spec), &layout, spec.seed * 31 + 1, &spec, &hist));
-  Spawn(reader(&c, &c.MakeSkewedWorker(spec), &layout, spec.seed * 31 + 2, &spec, &hist));
-  Spawn(reader(&c, &c.MakeSkewedWorker(spec), &layout, spec.seed * 31 + 3, &spec, &hist));
+  Spawn(writer(&c, &c.MakeSkewedWorker(spec), layout.get(), spec.seed * 31 + 1, &spec, &hist));
+  Spawn(reader(&c, &c.MakeSkewedWorker(spec), layout.get(), spec.seed * 31 + 2, &spec, &hist));
+  Spawn(reader(&c, &c.MakeSkewedWorker(spec), layout.get(), spec.seed * 31 + 3, &spec, &hist));
   c.engine.Start();
   c.env.sim.Run();
 
@@ -515,7 +515,7 @@ CanaryOutcome RunStaleEpochCanaryScenario(uint64_t seed, bool epoch_fencing) {
   repair::IndexRepairSource source(&index, repair::LayoutProtocol::kSafeGuess);
   repair.RegisterStore(&source);
 
-  auto layout = std::make_shared<ObjectLayout>(env.MakeObject());
+  const LayoutPin layout = env.MakeObject();
 
   // Seed-jittered script instants.
   sim::Rng jitter(seed * 77 + 13);
@@ -589,7 +589,7 @@ CanaryOutcome RunStaleEpochCanaryScenario(uint64_t seed, bool epoch_fencing) {
   };
   auto script = [](testing::TestEnv* env, membership::MembershipService* ms,
                    index::IndexService* index, repair::RepairService* repair,
-                   std::shared_ptr<ObjectLayout> lo, sim::Time t_remove2, sim::Time t_crash2,
+                   LayoutPin lo, sim::Time t_remove2, sim::Time t_crash2,
                    sim::Time t_repair2, sim::Time spike2, sim::Time* delay1,
                    bool* second_drop) -> Task<void> {
     swarm::DiscardStatus(co_await index->InsertIfAbsent(0, lo, nullptr));
@@ -906,7 +906,7 @@ CanaryOutcome RunReadPathScenario(uint64_t seed, bool write_back, bool advance_c
   spec.faults.max_drop_duration = 120 * sim::kMicrosecond;
 
   ChaosEnv c(spec);
-  ObjectLayout layout = c.env.MakeObject();
+  const LayoutPin layout = c.env.MakeObject();
   ChaosHistories hist;
 
   auto writer = [advance_clock](ChaosEnv* c, Worker* w, const ObjectLayout* layout,
@@ -937,9 +937,9 @@ CanaryOutcome RunReadPathScenario(uint64_t seed, bool write_back, bool advance_c
     }
   };
 
-  Spawn(writer(&c, &c.MakeSkewedWorker(spec), &layout, spec.seed * 31 + 1, &spec, &hist));
-  Spawn(reader(&c, &c.MakeSkewedWorker(spec), &layout, spec.seed * 31 + 2, &spec, &hist));
-  Spawn(reader(&c, &c.MakeSkewedWorker(spec), &layout, spec.seed * 31 + 3, &spec, &hist));
+  Spawn(writer(&c, &c.MakeSkewedWorker(spec), layout.get(), spec.seed * 31 + 1, &spec, &hist));
+  Spawn(reader(&c, &c.MakeSkewedWorker(spec), layout.get(), spec.seed * 31 + 2, &spec, &hist));
+  Spawn(reader(&c, &c.MakeSkewedWorker(spec), layout.get(), spec.seed * 31 + 3, &spec, &hist));
   c.engine.Start();
   c.env.sim.Run();
 
@@ -1000,7 +1000,7 @@ TEST(ChaosQpDrop, BurstsTargetOnlyTheTaggedQp) {
   spec.faults.max_drop_duration = 150 * sim::kMicrosecond;
 
   ChaosEnv c(spec);
-  ObjectLayout layout = c.env.MakeObject();
+  const LayoutPin layout = c.env.MakeObject();
   Worker& victim = c.MakeSkewedWorker(spec);     // Tag 0: targeted.
   Worker& bystander = c.MakeSkewedWorker(spec);  // Tag 1: never picked.
 
@@ -1014,8 +1014,8 @@ TEST(ChaosQpDrop, BurstsTargetOnlyTheTaggedQp) {
   };
   int victim_failures = 0;
   int bystander_failures = 0;
-  Spawn(client(&c, &victim, layout.replicas[0].meta_addr, &victim_failures));
-  Spawn(client(&c, &bystander, layout.replicas[0].meta_addr, &bystander_failures));
+  Spawn(client(&c, &victim, layout->replica(0).meta_addr, &victim_failures));
+  Spawn(client(&c, &bystander, layout->replica(0).meta_addr, &bystander_failures));
   c.engine.Start();
   c.env.sim.Run();
 

@@ -52,7 +52,7 @@ struct ReadPhase : WordPhase {
 
 Task<void> ReadWordAt(Worker* w, const ObjectLayout* layout, int r,
                       std::shared_ptr<ReadPhase> ph) {
-  const ReplicaLayout& rep = layout->replicas[static_cast<size_t>(r)];
+  const ReplicaLayout& rep = layout->replica(r);
   std::array<uint8_t, 8> buf{};
   OpResult res = co_await w->qp(rep.node).Read(rep.meta_addr, buf);
   ++ph->completions;
@@ -76,7 +76,7 @@ Task<void> BroadcastRead(Worker* w, const ObjectLayout* layout, Resume* out,
                          std::weak_ptr<ReadPhase>* phase) {
   auto ph = sim::MakePooled<ReadPhase>(w->sim());
   *phase = ph;
-  const QuorumEngine q(w, layout, /*pin=*/nullptr);  // The test owns the layout.
+  const QuorumEngine q(w, layout, /*pin=*/nullptr);  // The test owns the layout->
   out->reached = co_await q.Broadcast(
       ph.get(), [&](int r) { return ReadWordAt(w, layout, r, ph); });
   out->answered = ph->Answered().size;
@@ -91,12 +91,12 @@ Task<void> BroadcastRead(Worker* w, const ObjectLayout* layout, Resume* out,
 TEST(CompletionRace, StragglerCompletesAfterFirstQuorumResume) {
   TestEnv env(23);
   Worker& w = env.MakeWorker();
-  ObjectLayout layout = env.MakeObject();
-  DropResponsesFrom(&env, layout.replicas[2].node);
+  const LayoutPin layout = env.MakeObject();
+  DropResponsesFrom(&env, layout->replica(2).node);
 
   Resume resume;
   std::weak_ptr<ReadPhase> phase;
-  Spawn(BroadcastRead(&w, &layout, &resume, &phase));
+  Spawn(BroadcastRead(&w, layout.get(), &resume, &phase));
   env.sim.Run();
 
   EXPECT_TRUE(resume.reached);
@@ -118,16 +118,16 @@ TEST(CompletionRace, TimeoutResumeThenTwoLateCompletions) {
   pcfg.quorum_timeout = 3'000;
   TestEnv env(29, TestEnv::DefaultFabric(), pcfg);
   Worker& w = env.MakeWorker();
-  ObjectLayout layout = env.MakeObject();
-  const int slow_a = layout.replicas[1].node;
-  const int slow_b = layout.replicas[2].node;
+  const LayoutPin layout = env.MakeObject();
+  const int slow_a = layout->replica(1).node;
+  const int slow_b = layout->replica(2).node;
   env.fabric.set_drop_fn([slow_a, slow_b](int n, bool response, int) {
     return response && (n == slow_a || n == slow_b);
   });
 
   Resume resume;
   std::weak_ptr<ReadPhase> phase;
-  Spawn(BroadcastRead(&w, &layout, &resume, &phase));
+  Spawn(BroadcastRead(&w, layout.get(), &resume, &phase));
   env.sim.Run();
 
   EXPECT_FALSE(resume.reached);
@@ -165,8 +165,8 @@ TEST(CompletionRace, CounterLateAddAfterTimedOutWait) {
 TEST(CompletionRace, DroppedWriteAckAppliesAndCompletesLate) {
   TestEnv env(37);
   Worker& w = env.MakeWorker();
-  ObjectLayout layout = env.MakeObject();
-  const ReplicaLayout& rep = layout.replicas[0];
+  const LayoutPin layout = env.MakeObject();
+  const ReplicaLayout& rep = layout->replica(0);
   DropResponsesFrom(&env, rep.node);
 
   OpResult wres;

@@ -158,7 +158,7 @@ TEST_P(DeploymentServingTest, SessionsPlaceFreshKeysOnServingNodesOnly) {
     const index::IndexEntry* e = d.index().Peek(key);
     ASSERT_NE(e, nullptr) << "key " << key;
     for (int r = 0; r < e->layout->num_replicas; ++r) {
-      EXPECT_NE(e->layout->replicas[static_cast<size_t>(r)].node, 0) << "key " << key;
+      EXPECT_NE(e->layout->replica(r).node, 0) << "key " << key;
     }
   }
 }

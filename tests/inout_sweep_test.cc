@@ -29,7 +29,7 @@ TEST_P(SlotWidthSweep, NodeMaxIsMaxOverAllWriters) {
   pcfg.meta_slots = slots;
   pcfg.max_writers = 8;
   TestEnv env(13, fcfg, pcfg);
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
 
   bool done = false;
   auto driver = [](TestEnv* env, const ObjectLayout* layout, bool* done2) -> Task<void> {
@@ -54,7 +54,7 @@ TEST_P(SlotWidthSweep, NodeMaxIsMaxOverAllWriters) {
     EXPECT_EQ(view.slots.size(), static_cast<size_t>(layout->meta_slots));
     *done2 = true;
   };
-  Spawn(driver(&env, &layout, &done));
+  Spawn(driver(&env, layout.get(), &done));
   env.sim.Run();
   EXPECT_TRUE(done);
 }
@@ -71,7 +71,7 @@ TEST_P(InPlaceSizeSweep, PromoteThenReadInPlace) {
   ProtocolConfig pcfg = TestEnv::DefaultProtocol();
   pcfg.max_value = size;
   TestEnv env(17, fcfg, pcfg);
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
 
   bool done = false;
   auto driver = [](TestEnv* env, const ObjectLayout* layout, uint32_t size2,
@@ -96,7 +96,7 @@ TEST_P(InPlaceSizeSweep, PromoteThenReadInPlace) {
     EXPECT_EQ(view2.value, shorter);
     *done2 = true;
   };
-  Spawn(driver(&env, &layout, size, &done));
+  Spawn(driver(&env, layout.get(), size, &done));
   env.sim.Run();
   EXPECT_TRUE(done);
 }
@@ -114,7 +114,7 @@ TEST(InOutContention, SharedSlotRetriesBoundedByWriters) {
   ProtocolConfig pcfg = TestEnv::DefaultProtocol();
   pcfg.meta_slots = 1;
   TestEnv env(23, fcfg, pcfg);
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
   constexpr int kWriters = 8;
 
   int max_retries = 0;
@@ -131,7 +131,7 @@ TEST(InOutContention, SharedSlotRetriesBoundedByWriters) {
   };
   for (int i = 0; i < kWriters; ++i) {
     Worker& w = env.MakeWorker();
-    Spawn(writer(&env, &w, &layout, 50 + static_cast<uint32_t>(i), &max_retries, &completions));
+    Spawn(writer(&env, &w, layout.get(), 50 + static_cast<uint32_t>(i), &max_retries, &completions));
   }
   env.sim.Run();
   EXPECT_EQ(completions, kWriters);
@@ -144,7 +144,7 @@ TEST(InOutContention, PerWriterSlotsEliminateRetries) {
   ProtocolConfig pcfg = TestEnv::DefaultProtocol();
   pcfg.meta_slots = 8;
   TestEnv env(23, fcfg, pcfg);
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
 
   int total_retries = 0;
   int completions = 0;
@@ -159,7 +159,7 @@ TEST(InOutContention, PerWriterSlotsEliminateRetries) {
   };
   for (int i = 0; i < 8; ++i) {
     Worker& w = env.MakeWorker();
-    Spawn(writer(&env, &w, &layout, 50 + static_cast<uint32_t>(i), &total_retries, &completions));
+    Spawn(writer(&env, &w, layout.get(), 50 + static_cast<uint32_t>(i), &total_retries, &completions));
   }
   env.sim.Run();
   EXPECT_EQ(completions, 8);

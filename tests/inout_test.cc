@@ -20,7 +20,7 @@ using testing::ValN;
 TEST(InOut, WriteThenReadInPlaceAfterPromotion) {
   TestEnv env;
   Worker& w = env.MakeWorker();
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
   auto value = ValN(48, 0x5A);
 
   auto driver = [](Worker* w, const ObjectLayout* layout,
@@ -57,7 +57,7 @@ TEST(InOut, WriteThenReadInPlaceAfterPromotion) {
     EXPECT_TRUE(v2.inplace_valid);
     EXPECT_EQ(v2.value, value2);
   };
-  Spawn(driver(&w, &layout, value));
+  Spawn(driver(&w, layout.get(), value));
   env.sim.Run();
 }
 
@@ -65,7 +65,7 @@ TEST(InOut, WriteIsOneRoundtrip) {
   TestEnv env;
   env.fabric.stats().Reset();
   Worker& w = env.MakeWorker();
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
 
   sim::Time latency = 0;
   auto driver = [](Worker* w, const ObjectLayout* layout, sim::Time* out) -> Task<void> {
@@ -78,7 +78,7 @@ TEST(InOut, WriteIsOneRoundtrip) {
     EXPECT_TRUE(wr.ok());
     EXPECT_EQ(wr.cas_retries, 0);
   };
-  Spawn(driver(&w, &layout, &latency));
+  Spawn(driver(&w, layout.get(), &latency));
   env.sim.Run();
   // One pipelined roundtrip: ~2 * 740 + transfer + submit + node costs.
   EXPECT_LT(latency, 2600);
@@ -88,7 +88,7 @@ TEST(InOut, MaxSemanticsKeepLargerTimestamp) {
   TestEnv env;
   Worker& w0 = env.MakeWorker();
   Worker& w1 = env.MakeWorker();
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
 
   auto driver = [](Worker* w0, Worker* w1, const ObjectLayout* layout) -> Task<void> {
     // Same slot: force tids into the same metadata buffer.
@@ -110,7 +110,7 @@ TEST(InOut, MaxSemanticsKeepLargerTimestamp) {
     NodeView v = co_await rep0.ReadNode(false);
     EXPECT_EQ(v.max.counter(), 200u);
   };
-  Spawn(driver(&w0, &w1, &layout));
+  Spawn(driver(&w0, &w1, layout.get()));
   env.sim.Run();
 }
 
@@ -122,7 +122,7 @@ TEST(InOut, StaleCacheCostsCasRetry) {
   // One shared buffer: both writers collide on slot 0 (§7.9's 1-buffer case).
   pc.meta_slots = 1;
   std::vector<int> nodes{0, 1, 2};
-  ObjectLayout layout = AllocateObject(env.fabric, nodes.data(), 3, pc.meta_slots,
+  const LayoutPin layout = AllocateObject(env.fabric, nodes.data(), 3, pc.meta_slots,
                                        pc.max_writers, pc.max_value);
 
   auto driver = [](Worker* w0, Worker* w1, const ObjectLayout* layout) -> Task<void> {
@@ -144,7 +144,7 @@ TEST(InOut, StaleCacheCostsCasRetry) {
     EXPECT_EQ(r2.cas_retries, 0);
     EXPECT_FALSE(r2.installed.empty());
   };
-  Spawn(driver(&w0, &w1, &layout));
+  Spawn(driver(&w0, &w1, layout.get()));
   env.sim.Run();
 }
 
@@ -153,7 +153,7 @@ TEST(InOut, SeparateSlotsAvoidContention) {
   Worker& w0 = env.MakeWorker();
   Worker& w1 = env.MakeWorker();
   // meta_slots = 4 (default): tids 0 and 1 use different buffers.
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
 
   auto driver = [](Worker* w0, Worker* w1, const ObjectLayout* layout) -> Task<void> {
     InOutReplica rep0(w0, layout, 0);
@@ -173,14 +173,14 @@ TEST(InOut, SeparateSlotsAvoidContention) {
     EXPECT_EQ(view.max.counter(), 60u);
     EXPECT_EQ(view.slots.size(), 4u);
   };
-  Spawn(driver(&w0, &w1, &layout));
+  Spawn(driver(&w0, &w1, layout.get()));
   env.sim.Run();
 }
 
 TEST(InOut, InPlaceHashRejectsTornData) {
   TestEnv env;
   Worker& w = env.MakeWorker();
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
 
   auto driver = [](Worker* w, const ObjectLayout* layout) -> Task<void> {
     InOutReplica rep(w, layout, 0);
@@ -191,7 +191,7 @@ TEST(InOut, InPlaceHashRejectsTornData) {
 
     // Corrupt one in-place byte directly (simulating a torn write that the
     // fabric's staged application would produce under concurrency).
-    const ReplicaLayout& r0 = layout->replicas[0];
+    const ReplicaLayout& r0 = layout->replica(0);
     std::vector<uint8_t> junk{0xEE};
     w->fabric()->node(r0.node).WriteFrom(layout->inplace_addr(r0) + kInPlaceHeaderBytes + 5, junk);
 
@@ -205,14 +205,14 @@ TEST(InOut, InPlaceHashRejectsTornData) {
       EXPECT_EQ((*oop)[5], 0x11);
     }
   };
-  Spawn(driver(&w, &layout));
+  Spawn(driver(&w, layout.get()));
   env.sim.Run();
 }
 
 TEST(InOut, RecyclingQuarantineThenReuseDetection) {
   TestEnv env;
   Worker& w = env.MakeWorker();
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
 
   auto driver = [](Worker* w, const ObjectLayout* layout) -> Task<void> {
     InOutReplica rep(w, layout, 0);
@@ -241,14 +241,14 @@ TEST(InOut, RecyclingQuarantineThenReuseDetection) {
     auto stale_bytes = co_await rep.ReadOop(stale);
     EXPECT_FALSE(stale_bytes.has_value()) << "recycled buffer must not validate";
   };
-  Spawn(driver(&w, &layout));
+  Spawn(driver(&w, layout.get()));
   env.sim.Run();
 }
 
 TEST(InOut, TombstoneWriteNeedsNoBuffer) {
   TestEnv env;
   Worker& w = env.MakeWorker();
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
 
   auto driver = [](Worker* w, const ObjectLayout* layout) -> Task<void> {
     InOutReplica rep(w, layout, 0);
@@ -263,7 +263,7 @@ TEST(InOut, TombstoneWriteNeedsNoBuffer) {
     NodeMaxResult after = co_await rep.WriteMax(Meta::Pack(10000, 0, false, 0), ValN(8, 2), &cache);
     EXPECT_TRUE(after.installed.empty());
   };
-  Spawn(driver(&w, &layout));
+  Spawn(driver(&w, layout.get()));
   env.sim.Run();
 }
 

@@ -384,7 +384,7 @@ TEST_P(IndexedKv, InsertOverMappedTombstoneSucceeds) {
       ADD_FAILURE() << "the insert left no mapping";
       co_return;
     }
-    const std::shared_ptr<const ObjectLayout> layout = mapped->layout;
+    const LayoutPin layout = mapped->layout;
     SgWriteResult del = co_await TombstoneObject(abd2, deleter, layout.get());
     EXPECT_EQ(del.status, SgStatus::kOk);
     EXPECT_NE(fx->indexsvc.Peek(14), nullptr) << "the tombstoned object must stay mapped";

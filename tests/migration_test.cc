@@ -215,7 +215,7 @@ struct MigrationFixture {
     }
     const index::IndexEntry* e = index.Peek(key);
     for (int r = 0; e != nullptr && r < e->layout->num_replicas; ++r) {
-      if (e->layout->replicas[static_cast<size_t>(r)].node == node) {
+      if (e->layout->replica(r).node == node) {
         return e->layout->replica_slot(r);
       }
     }
@@ -299,8 +299,8 @@ TEST_P(MigrationLifecycle, MoveFlipServesFromNewHome) {
       EXPECT_GT(after->generation, old_generation);
       EXPECT_NE(after->layout.get(), old_layout.get());
       for (int r = 1; r < old_layout->num_replicas; ++r) {
-        EXPECT_EQ(after->layout->replicas[static_cast<size_t>(r)].meta_addr,
-                  old_layout->replicas[static_cast<size_t>(r)].meta_addr);
+        EXPECT_EQ(after->layout->replica(r).meta_addr,
+                  old_layout->replica(r).meta_addr);
       }
       EXPECT_EQ(f->index.retired().size(), 1u);
       if (!f->index.retired().empty()) {
@@ -605,7 +605,7 @@ TEST_P(TombstoneMigration, TheDestinationReplicaHoldsTheTombstone) {
     }
     // Tombstone the object with the protocol's own delete; the index
     // mapping stays in place.
-    const std::shared_ptr<const ObjectLayout> src = before->layout;
+    const LayoutPin src = before->layout;
     Worker* w = &f->client;
     SgStatus deleted = SgStatus::kUnavailable;
     if (f->kind == StoreKind::kSwarm) {
@@ -624,7 +624,7 @@ TEST_P(TombstoneMigration, TheDestinationReplicaHoldsTheTombstone) {
     if (after == nullptr) {
       co_return;
     }
-    const ReplicaLayout& dst = after->layout->replicas[0];  // Replaces `from`.
+    const ReplicaLayout& dst = after->layout->replica(0);  // Replaces `from`.
     EXPECT_NE(dst.node, from);
     Meta word;
     for (int s = 0; s < after->layout->meta_slots; ++s) {

@@ -102,10 +102,10 @@ TEST_P(SafeGuessMatrix, LinearizableAndWaitFreeEverywhere) {
   pcfg.max_writers = 8;
   pcfg.max_value = std::max<uint32_t>(vsize, 8);
   TestEnv env(seed, fcfg, pcfg);
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
   if (crash) {
     // A minority crash must not affect safety or liveness.
-    env.fabric.Crash(layout.replicas[static_cast<size_t>(replicas / 2)].node);
+    env.fabric.Crash(layout->replica(replicas / 2).node);
   }
 
   MatrixState st;
@@ -114,11 +114,11 @@ TEST_P(SafeGuessMatrix, LinearizableAndWaitFreeEverywhere) {
   const int ops = 4;
   for (int i = 0; i < writers; ++i) {
     Worker& w = env.MakeWorker(env.sim.rng().Range(-skew, skew));
-    Spawn(MatrixWriter(&env, &w, &layout, vsize, ops, &st));
+    Spawn(MatrixWriter(&env, &w, layout.get(), vsize, ops, &st));
   }
   for (int i = 0; i < readers; ++i) {
     Worker& w = env.MakeWorker(0);
-    Spawn(MatrixReader(&env, &w, &layout, ops, &st));
+    Spawn(MatrixReader(&env, &w, layout.get(), ops, &st));
   }
   env.sim.Run();
 
@@ -157,7 +157,7 @@ TEST_P(QuorumMaxProperty, ReadsAreMutuallyMonotonic) {
   // Read-read monotonicity (Appendix A): sequential strong reads by one
   // client never observe a smaller timestamp, even under concurrent writes.
   TestEnv env(GetParam());
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
   bool violation = false;
 
   auto writer = [](TestEnv* env, Worker* w, const ObjectLayout* layout) -> Task<void> {
@@ -183,10 +183,10 @@ TEST_P(QuorumMaxProperty, ReadsAreMutuallyMonotonic) {
       last = TsMax(last, r.m);
     }
   };
-  Spawn(writer(&env, &env.MakeWorker(), &layout));
-  Spawn(writer(&env, &env.MakeWorker(), &layout));
-  Spawn(reader(&env, &env.MakeWorker(), &layout, &violation));
-  Spawn(reader(&env, &env.MakeWorker(), &layout, &violation));
+  Spawn(writer(&env, &env.MakeWorker(), layout.get()));
+  Spawn(writer(&env, &env.MakeWorker(), layout.get()));
+  Spawn(reader(&env, &env.MakeWorker(), layout.get(), &violation));
+  Spawn(reader(&env, &env.MakeWorker(), layout.get(), &violation));
   env.sim.Run();
   EXPECT_FALSE(violation) << "read-read monotonicity violated (seed " << GetParam() << ")";
 }
@@ -195,7 +195,7 @@ TEST_P(QuorumMaxProperty, WriteReadMonotonicity) {
   // Write-read monotonicity: a read that starts after a write completed
   // returns a timestamp >= the write's.
   TestEnv env(GetParam());
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
   bool done = false;
   auto driver = [](TestEnv* /*env*/, Worker* w, Worker* r, const ObjectLayout* layout,
                    bool* done2) -> Task<void> {
@@ -211,7 +211,7 @@ TEST_P(QuorumMaxProperty, WriteReadMonotonicity) {
     }
     *done2 = true;
   };
-  Spawn(driver(&env, &env.MakeWorker(), &env.MakeWorker(), &layout, &done));
+  Spawn(driver(&env, &env.MakeWorker(), &env.MakeWorker(), layout.get(), &done));
   env.sim.Run();
   EXPECT_TRUE(done);
 }
@@ -232,7 +232,7 @@ TEST_P(TearSweep, ReadsNeverReturnTornValues) {
   ProtocolConfig pcfg = TestEnv::DefaultProtocol();
   pcfg.max_value = vsize;
   TestEnv env(99, fcfg, pcfg);
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
 
   bool corrupted = false;
   auto writer = [](TestEnv* env, Worker* w, const ObjectLayout* layout,
@@ -258,10 +258,10 @@ TEST_P(TearSweep, ReadsNeverReturnTornValues) {
       }
     }
   };
-  Spawn(writer(&env, &env.MakeWorker(), &layout, vsize));
-  Spawn(writer(&env, &env.MakeWorker(), &layout, vsize));
-  Spawn(reader(&env, &env.MakeWorker(), &layout, &corrupted));
-  Spawn(reader(&env, &env.MakeWorker(), &layout, &corrupted));
+  Spawn(writer(&env, &env.MakeWorker(), layout.get(), vsize));
+  Spawn(writer(&env, &env.MakeWorker(), layout.get(), vsize));
+  Spawn(reader(&env, &env.MakeWorker(), layout.get(), &corrupted));
+  Spawn(reader(&env, &env.MakeWorker(), layout.get(), &corrupted));
   env.sim.Run();
   EXPECT_FALSE(corrupted) << "a torn value escaped validation (size " << vsize << ")";
 }

@@ -21,7 +21,7 @@ using testing::ValN;
 TEST(QuorumMax, WriteThenStrongReadReturnsValue) {
   TestEnv env;
   Worker& w = env.MakeWorker();
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
   auto cache = env.MakeCache();
 
   auto driver = [](Worker* w, const ObjectLayout* layout,
@@ -43,7 +43,7 @@ TEST(QuorumMax, WriteThenStrongReadReturnsValue) {
     EXPECT_EQ(rd.m.counter(), 10u);
     EXPECT_EQ(rd.value, value);
   };
-  Spawn(driver(&w, &layout, cache));
+  Spawn(driver(&w, layout.get(), cache));
   env.sim.Run();
 }
 
@@ -52,7 +52,7 @@ TEST(QuorumMax, ReadReportsMaxOfConcurrentWrites) {
   Worker& w0 = env.MakeWorker();
   Worker& w1 = env.MakeWorker();
   Worker& rdr = env.MakeWorker();
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
 
   auto writer = [](Worker* w, const ObjectLayout* layout, uint32_t counter,
                    uint8_t fill) -> Task<void> {
@@ -70,9 +70,9 @@ TEST(QuorumMax, ReadReportsMaxOfConcurrentWrites) {
       EXPECT_EQ(rd.value, ValN(16, 2));
     }
   };
-  Spawn(writer(&w0, &layout, 20, 1));
-  Spawn(writer(&w1, &layout, 30, 2));
-  Spawn(reader(&rdr, &layout));
+  Spawn(writer(&w0, layout.get(), 20, 1));
+  Spawn(writer(&w1, layout.get(), 30, 2));
+  Spawn(reader(&rdr, layout.get()));
   env.sim.Run();
 }
 
@@ -80,7 +80,7 @@ TEST(QuorumMax, WriteBackRepairsPartialWrite) {
   TestEnv env;
   Worker& w = env.MakeWorker();
   Worker& rdr = env.MakeWorker();
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
 
   auto driver = [](Worker* w, Worker* rdr, const ObjectLayout* layout) -> Task<void> {
     // Install a word at ONE replica only, simulating a writer that crashed
@@ -109,14 +109,14 @@ TEST(QuorumMax, WriteBackRepairsPartialWrite) {
     }
     EXPECT_GE(holders, layout->majority());
   };
-  Spawn(driver(&w, &rdr, &layout));
+  Spawn(driver(&w, &rdr, layout.get()));
   env.sim.Run();
 }
 
 TEST(QuorumMax, VerifiedReadIsOneRoundtripAfterPromotion) {
   TestEnv env;
   Worker& w = env.MakeWorker();
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
   auto cache = env.MakeCache();
 
   auto driver = [](Worker* w, const ObjectLayout* layout,
@@ -137,14 +137,14 @@ TEST(QuorumMax, VerifiedReadIsOneRoundtripAfterPromotion) {
     EXPECT_EQ(rd.rtts, 1);
     EXPECT_LT(latency, 3000);  // ~1 roundtrip.
   };
-  Spawn(driver(&w, &layout, cache));
+  Spawn(driver(&w, layout.get(), cache));
   env.sim.Run();
 }
 
 TEST(QuorumMax, GuessedReadFallsBackToOopChase) {
   TestEnv env;
   Worker& w = env.MakeWorker();
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
   auto cache = env.MakeCache();
 
   auto driver = [](Worker* w, const ObjectLayout* layout,
@@ -160,14 +160,14 @@ TEST(QuorumMax, GuessedReadFallsBackToOopChase) {
     EXPECT_EQ(rd.value, value);
     EXPECT_GE(rd.rtts, 2);
   };
-  Spawn(driver(&w, &layout, cache));
+  Spawn(driver(&w, layout.get(), cache));
   env.sim.Run();
 }
 
 TEST(QuorumMax, SurvivesMinorityCrashViaEscalation) {
   TestEnv env;
   Worker& w = env.MakeWorker();
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
   auto cache = env.MakeCache();
 
   auto driver = [](Worker* w, const ObjectLayout* layout,
@@ -178,30 +178,30 @@ TEST(QuorumMax, SurvivesMinorityCrashViaEscalation) {
     EXPECT_TRUE(wr.ok);
 
     // Crash replica 0 (the designated in-place holder, in the preferred set).
-    w->fabric()->Crash(layout->replicas[0].node);
+    w->fabric()->Crash(layout->replica(0).node);
     ReadOutcome rd = co_await reg.ReadQuorum(true);
     EXPECT_TRUE(rd.ok);  // Escalation reached the remaining majority.
     EXPECT_TRUE(rd.value_ok);
     EXPECT_EQ(rd.value, value);
     EXPECT_GE(rd.rtts, 2);
-    EXPECT_TRUE(w->NodeKnownFailed(layout->replicas[0].node));
+    EXPECT_TRUE(w->NodeKnownFailed(layout->replica(0).node));
 
     // Next reads skip the dead node: back to a single escalation-free phase.
     ReadOutcome rd2 = co_await reg.ReadQuorum(true);
     EXPECT_TRUE(rd2.ok);
     EXPECT_EQ(rd2.value, value);
   };
-  Spawn(driver(&w, &layout, cache));
+  Spawn(driver(&w, layout.get(), cache));
   env.sim.Run();
 }
 
 TEST(QuorumMax, MajorityCrashMakesOpsUnavailable) {
   TestEnv env;
   Worker& w = env.MakeWorker();
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
   auto cache = env.MakeCache();
-  env.fabric.Crash(layout.replicas[0].node);
-  env.fabric.Crash(layout.replicas[1].node);
+  env.fabric.Crash(layout->replica(0).node);
+  env.fabric.Crash(layout->replica(1).node);
 
   auto driver = [](Worker* w, const ObjectLayout* layout,
                    std::shared_ptr<ObjectCache> cache2) -> Task<void> {
@@ -211,14 +211,14 @@ TEST(QuorumMax, MajorityCrashMakesOpsUnavailable) {
     ReadOutcome rd = co_await reg.ReadQuorum(true);
     EXPECT_FALSE(rd.ok);
   };
-  Spawn(driver(&w, &layout, cache));
+  Spawn(driver(&w, layout.get(), cache));
   env.sim.Run();
 }
 
 TEST(QuorumMax, TombstoneReadNeedsNoValue) {
   TestEnv env;
   Worker& w = env.MakeWorker();
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
   auto cache = env.MakeCache();
 
   auto driver = [](Worker* w, const ObjectLayout* layout,
@@ -230,7 +230,7 @@ TEST(QuorumMax, TombstoneReadNeedsNoValue) {
     EXPECT_TRUE(rd.ok);
     EXPECT_TRUE(rd.m.deleted());
   };
-  Spawn(driver(&w, &layout, cache));
+  Spawn(driver(&w, layout.get(), cache));
   env.sim.Run();
 }
 

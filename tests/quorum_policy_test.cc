@@ -84,14 +84,14 @@ class PolicyCase {
     });
   }
 
-  int node(int r) const { return layout_.replicas[static_cast<size_t>(r)].node; }
+  int node(int r) const { return layout_->replica(r).node; }
   Worker& worker() { return worker_; }
   TestEnv& env() { return env_; }
-  const ObjectLayout& layout() const { return layout_; }
+  const ObjectLayout& layout() const { return *layout_; }
 
   OpOutcome Run(bool write) {
     OpOutcome out;
-    Spawn(RunOp(reg_, write, &worker_, &layout_, &out));
+    Spawn(RunOp(reg_, write, &worker_, layout_.get(), &out));
     env_.sim.Run();
     return out;
   }
@@ -103,7 +103,7 @@ class PolicyCase {
   Register reg_;
   TestEnv env_;
   Worker& worker_;
-  ObjectLayout layout_;
+  LayoutPin layout_;
   std::map<int, std::vector<sim::Time>> sends_;
 };
 

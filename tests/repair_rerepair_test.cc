@@ -53,7 +53,7 @@ TEST(RepairDarkSlot, GiveUpIsReRepairedAfterUnrelatedReadmission) {
   svc.RegisterStore(&source);
 
   // One object on replicas {0, 1, 2}, written VERIFIED.
-  auto layout = std::make_shared<ObjectLayout>(f.env.MakeObject());
+  const LayoutPin layout = f.env.MakeObject();
   auto cache = f.env.MakeCache();
   const std::vector<uint8_t> value = {7, 7, 7, 7, 7, 7, 7, 7};
 
@@ -66,11 +66,11 @@ TEST(RepairDarkSlot, GiveUpIsReRepairedAfterUnrelatedReadmission) {
 
   bool done = false;
   auto driver = [](DarkSlotFixture* f, repair::RepairService* svc, Worker* writer,
-                   std::shared_ptr<const ObjectLayout> layout,
-                   std::shared_ptr<ObjectCache> cache2, const std::vector<uint8_t>* value,
-                   bool* node2_unreachable2, bool* done2) -> sim::Task<void> {
-    swarm::DiscardStatus(co_await f->index.InsertIfAbsent(1, layout, nullptr));
-    QuorumMax reg(writer, layout.get(), cache2);
+                   LayoutPin layout2, std::shared_ptr<ObjectCache> cache2,
+                   const std::vector<uint8_t>* value, bool* node2_unreachable2,
+                   bool* done2) -> sim::Task<void> {
+    swarm::DiscardStatus(co_await f->index.InsertIfAbsent(1, layout2, nullptr));
+    QuorumMax reg(writer, layout2.get(), cache2);
     const Meta word = Meta::Pack(5, writer->tid(), /*verified=*/true, 0);
     EXPECT_TRUE(co_await reg.WriteVerified(word, *value));
 
@@ -134,7 +134,7 @@ TEST(RepairDarkSlot, FreshLifecycleSupersedesDarkBookkeeping) {
   repair::IndexRepairSource source(&f.index, repair::LayoutProtocol::kSafeGuess);
   svc.RegisterStore(&source);
 
-  auto layout = std::make_shared<ObjectLayout>(f.env.MakeObject());
+  const LayoutPin layout = f.env.MakeObject();
   auto cache = f.env.MakeCache();
   const std::vector<uint8_t> value = {9, 9, 9, 9, 9, 9, 9, 9};
 
@@ -144,11 +144,11 @@ TEST(RepairDarkSlot, FreshLifecycleSupersedesDarkBookkeeping) {
 
   bool done = false;
   auto driver = [](DarkSlotFixture* f, repair::RepairService* svc, Worker* writer,
-                   std::shared_ptr<const ObjectLayout> layout,
-                   std::shared_ptr<ObjectCache> cache2, const std::vector<uint8_t>* value,
-                   bool* node2_unreachable2, bool* done2) -> sim::Task<void> {
-    swarm::DiscardStatus(co_await f->index.InsertIfAbsent(1, layout, nullptr));
-    QuorumMax reg(writer, layout.get(), cache2);
+                   LayoutPin layout2, std::shared_ptr<ObjectCache> cache2,
+                   const std::vector<uint8_t>* value, bool* node2_unreachable2,
+                   bool* done2) -> sim::Task<void> {
+    swarm::DiscardStatus(co_await f->index.InsertIfAbsent(1, layout2, nullptr));
+    QuorumMax reg(writer, layout2.get(), cache2);
     EXPECT_TRUE(
         co_await reg.WriteVerified(Meta::Pack(5, writer->tid(), true, 0), *value));
 

@@ -56,20 +56,6 @@ std::vector<IndexService::SlotOn> Walk(const IndexService& index, int node, uint
   return out;
 }
 
-// A copy of `layout` whose replica `r` moved to a fresh slot on `dest`, the
-// way a migration graft builds it.
-std::shared_ptr<const ObjectLayout> Grafted(TestEnv& env, const ObjectLayout& layout, int r,
-                                            int dest) {
-  auto next = std::make_shared<ObjectLayout>(layout);
-  const int nodes[1] = {dest};
-  const bool inplace = layout.replicas[static_cast<size_t>(r)].has_inplace();
-  next->replicas[static_cast<size_t>(r)] =
-      AllocateObject(env.fabric, nodes, 1, layout.meta_slots, layout.max_writers,
-                     layout.max_value, inplace ? 1 : 0)
-          .replicas[0];
-  return next;
-}
-
 TEST(RetiredGc, ChurnStaysBoundedByTheSafeHorizon) {
   TestEnv env(3);
   membership::MembershipService membership(&env.sim, &env.fabric);
@@ -84,7 +70,7 @@ TEST(RetiredGc, ChurnStaysBoundedByTheSafeHorizon) {
   size_t max_seen = 0;
   for (int burst = 0; burst < 20; ++burst) {
     for (int i = 0; i < 8; ++i) {
-      index.Retire(std::make_shared<ObjectLayout>(env.MakeObject()));
+      index.Retire(env.MakeObject());
     }
     max_seen = std::max(max_seen, index.retired().size());
     recycler.HeartbeatAll();
@@ -114,7 +100,7 @@ TEST(RetiredGc, WithoutRecyclerCouplingNothingIsDropped) {
   TestEnv env(3);
   index::IndexService index(&env.sim);
   for (int i = 0; i < 5; ++i) {
-    index.Retire(std::make_shared<ObjectLayout>(env.MakeObject()));
+    index.Retire(env.MakeObject());
   }
   EXPECT_EQ(index.retired().size(), 5u);
   EXPECT_EQ(index.GcRetired(), 0u);
@@ -137,7 +123,7 @@ TEST(RetiredGc, PinnedEntryStaysWhileLaterOnesDropInRetirementOrder) {
   index.set_retirement_horizon([&recycler] { return recycler.current_epoch(); },
                                [&recycler] { return recycler.SafeReclaimBefore(); });
   std::vector<const ObjectLayout*> notified;
-  index.add_gc_listener([&notified](const std::shared_ptr<const ObjectLayout>& layout) {
+  index.add_gc_listener([&notified](const LayoutPin& layout) {
     notified.push_back(layout.get());
   });
   auto drained_round = [&] {
@@ -154,10 +140,10 @@ TEST(RetiredGc, PinnedEntryStaysWhileLaterOnesDropInRetirementOrder) {
   };
 
   // Epoch 0: a pinned head, then three unpinned entries.
-  std::shared_ptr<const ObjectLayout> pin;
+  LayoutPin pin;
   std::vector<const ObjectLayout*> early;
   for (int i = 0; i < 4; ++i) {
-    auto layout = std::make_shared<const ObjectLayout>(env.MakeObject());
+    auto layout = env.MakeObject();
     early.push_back(layout.get());
     if (i == 0) {
       pin = layout;  // An in-flight op's Located copy.
@@ -168,7 +154,7 @@ TEST(RetiredGc, PinnedEntryStaysWhileLaterOnesDropInRetirementOrder) {
   EXPECT_TRUE(notified.empty());
 
   drained_round();  // The horizon passes epoch 0.
-  auto late = std::make_shared<const ObjectLayout>(env.MakeObject());
+  auto late = env.MakeObject();
   const ObjectLayout* late_ptr = late.get();
   index.Retire(std::move(late));  // Epoch 1; its Retire runs the GC.
 
@@ -241,10 +227,10 @@ TEST(RetiredGc, InsertCollisionChurnShrinksThroughTheKvPath) {
 TEST(SlotWalk, MigrationFlipLeavesTheOldLayoutOnlyItsVacatedSlotMarkedMoved) {
   TestEnv env(3);
   IndexService index(&env.sim, &env.fabric);
-  auto old_layout = std::make_shared<const ObjectLayout>(env.MakeObject());  // Nodes 0, 1, 2.
+  auto old_layout = env.MakeObject();  // Nodes 0, 1, 2.
   const uint64_t gen = RunRpc(env, index.InsertIfAbsent(7, old_layout, nullptr)).second.generation;
   // Replica 1 moves from node 1 to node 3; replicas 0 and 2 are shared.
-  auto next = Grafted(env, *old_layout, 1, 3);
+  auto next = GraftReplica(env.fabric, *old_layout, 1, 3);
   ASSERT_NE(RunRpc(env, index.ReplaceLayout(7, gen, next, nullptr)), 0u);
 
   ASSERT_EQ(index.retired().size(), 1u);
@@ -255,7 +241,7 @@ TEST(SlotWalk, MigrationFlipLeavesTheOldLayoutOnlyItsVacatedSlotMarkedMoved) {
 
   const auto vacated = Walk(index, 1);
   ASSERT_EQ(vacated.size(), 1u);
-  EXPECT_EQ(vacated[0].addr, old_layout->replicas[1].meta_addr);
+  EXPECT_EQ(vacated[0].addr, old_layout->replica(1).meta_addr);
   EXPECT_EQ(*vacated[0].layout, old_layout);
   EXPECT_EQ(vacated[0].replica, 1);
   EXPECT_TRUE(vacated[0].moved);
@@ -273,10 +259,10 @@ TEST(SlotWalk, MigrationFlipLeavesTheOldLayoutOnlyItsVacatedSlotMarkedMoved) {
 TEST(SlotWalk, RemovedAndLosingLayoutsOwnEverySlotAndNoneIsMoved) {
   TestEnv env(3);
   IndexService index(&env.sim, &env.fabric);
-  auto removed = std::make_shared<const ObjectLayout>(env.MakeObject());
+  auto removed = env.MakeObject();
   const uint64_t gen = RunRpc(env, index.InsertIfAbsent(1, removed, nullptr)).second.generation;
   ASSERT_TRUE(RunRpc(env, index.RemoveIfGeneration(1, gen, nullptr)));
-  auto loser = std::make_shared<const ObjectLayout>(env.MakeObject());
+  auto loser = env.MakeObject();
   index.Retire(loser);  // Lost an insert race: never mapped.
 
   ASSERT_EQ(index.retired().size(), 2u);
@@ -305,11 +291,10 @@ TEST(SlotWalk, AddressOrderedPerNodeAndFilteredToTheRange) {
   // Keys in an order unrelated to allocation (= address) order; every fifth
   // removed, so mapped and retired records interleave on every node.
   constexpr int kKeys = 40;
-  std::vector<std::pair<uint64_t, std::shared_ptr<const ObjectLayout>>> objects;
+  std::vector<std::pair<uint64_t, LayoutPin>> objects;
   for (int i = 0; i < kKeys; ++i) {
     const int nodes[3] = {i % 4, (i + 1) % 4, (i + 2) % 4};
-    auto layout =
-        std::make_shared<const ObjectLayout>(AllocateObject(env.fabric, nodes, 3, 4, 8, 64));
+    LayoutPin layout = AllocateObject(env.fabric, nodes, 3, 4, 8, 64);
     const uint64_t key = static_cast<uint64_t>(i * 17 % kKeys);
     const uint64_t gen = RunRpc(env, index.InsertIfAbsent(key, layout, nullptr)).second.generation;
     if (i % 5 == 0) {
@@ -322,8 +307,8 @@ TEST(SlotWalk, AddressOrderedPerNodeAndFilteredToTheRange) {
     std::vector<std::pair<uint64_t, uint64_t>> expected;  // (addr, key)
     for (const auto& [key, layout] : objects) {
       for (int r = 0; r < layout->num_replicas; ++r) {
-        if (layout->replicas[static_cast<size_t>(r)].node == node) {
-          expected.emplace_back(layout->replicas[static_cast<size_t>(r)].meta_addr, key);
+        if (layout->replica(r).node == node) {
+          expected.emplace_back(layout->replica(r).meta_addr, key);
         }
       }
     }
@@ -358,13 +343,14 @@ TEST(SlotWalk, GcDropFreesExactlyTheOwnedSlots) {
   index.set_retirement_horizon([] { return uint64_t{0}; }, [&safe_before] { return safe_before; });
 
   // Key 7 flips replica 1 from node 1 to node 3, fenced like a migration.
-  auto flipped = std::make_shared<const ObjectLayout>(env.MakeObject());
+  auto flipped = env.MakeObject();
   const uint64_t gen7 = RunRpc(env, index.InsertIfAbsent(7, flipped, nullptr)).second.generation;
   const auto [vacated_addr, vacated_len] = flipped->replica_slot(1);
   env.fabric.node(1).RetireRegion(vacated_addr, vacated_len);
-  ASSERT_NE(RunRpc(env, index.ReplaceLayout(7, gen7, Grafted(env, *flipped, 1, 3), nullptr)), 0u);
+  const LayoutPin next = GraftReplica(env.fabric, *flipped, 1, 3);
+  ASSERT_NE(RunRpc(env, index.ReplaceLayout(7, gen7, next, nullptr)), 0u);
   // Key 8 is removed.
-  auto removed = std::make_shared<const ObjectLayout>(env.MakeObject());
+  auto removed = env.MakeObject();
   const uint64_t gen8 = RunRpc(env, index.InsertIfAbsent(8, removed, nullptr)).second.generation;
   ASSERT_TRUE(RunRpc(env, index.RemoveIfGeneration(8, gen8, nullptr)));
 
@@ -393,14 +379,14 @@ TEST(SlotWalk, GcDropFreesExactlyTheOwnedSlots) {
 TEST(SlotWalkDeathTest, OneSlotOwnedByTwoLayoutsAborts) {
   TestEnv env(3);
   IndexService index(&env.sim, &env.fabric);
-  auto first = std::make_shared<const ObjectLayout>(env.MakeObject());
+  auto first = env.MakeObject();
   ASSERT_TRUE(RunRpc(env, index.InsertIfAbsent(1, first, nullptr)).first);
   // A plain restart resets node 0's allocator, so the next object reuses an
   // address key 1 still lists: outside the model, and the walk says so.
   env.fabric.Recover(0);
-  auto second = std::make_shared<const ObjectLayout>(env.MakeObject());
+  auto second = env.MakeObject();
   ASSERT_TRUE(RunRpc(env, index.InsertIfAbsent(2, second, nullptr)).first);
-  ASSERT_EQ(first->replicas[0].meta_addr, second->replicas[0].meta_addr);
+  ASSERT_EQ(first->replica(0).meta_addr, second->replica(0).meta_addr);
   EXPECT_EQ(Walk(index, 1).size(), 2u) << "other nodes still walk";
   EXPECT_DEATH(Walk(index, 0), "owned by two layouts");
 }
@@ -434,11 +420,13 @@ std::string StoreName(const ::testing::TestParamInfo<const char*>& param) {
   return std::string(param.param);
 }
 
-// A dropped layout is freed: the GC holds the last reference, so once
-// recycler rounds have emptied the retired list no layout of a removed key
+// A dropped layout is freed: the GC holds the last share, so once recycler
+// rounds have emptied the retired list no layout block of a removed key
 // survives — nor, with it, any writer's slot-cache words. Keys are inserted
 // by one client and removed by another, so the inserter's location cache
-// must let go too (the GC's §4.5 drop listeners).
+// must let go too (the GC's §4.5 drop listeners), and the remover's words
+// are chained blocks, freed with each layout. ObjectLayout::live() counts
+// the blocks alive.
 class DroppedLayoutsAreFreed : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(DroppedLayoutsAreFreed, EveryRemovedKeysLayoutExpires) {
@@ -447,24 +435,23 @@ TEST_P(DroppedLayoutsAreFreed, EveryRemovedKeysLayoutExpires) {
   cfg.fabric.node_capacity_bytes = 64ull << 20;
   deploy::Deployment d(cfg);
   constexpr uint64_t kKeys = 200;
+  const ObjectLayout::Live before = ObjectLayout::live();
   sim::Spawn(InsertAll(&d.session(0), 0, kKeys));
   d.sim().Run();
-  std::vector<std::weak_ptr<const ObjectLayout>> layouts;
   for (uint64_t key = 0; key < kKeys; ++key) {
-    const index::IndexEntry* e = d.index().Peek(key);
-    ASSERT_NE(e, nullptr) << "key " << key;
-    layouts.push_back(e->layout);
+    ASSERT_NE(d.index().Peek(key), nullptr) << "key " << key;
   }
+  EXPECT_EQ(ObjectLayout::live().layouts, before.layouts + kKeys) << "one block per key";
   sim::Spawn(RemoveAll(&d.session(1), 0, kKeys));
   d.sim().Run();
   ASSERT_EQ(d.index().size(), 0u);
   DrainRetired(d);
   ASSERT_TRUE(d.index().retired().empty());
   EXPECT_EQ(d.index().retired_dropped(), kKeys);
-  for (uint64_t key = 0; key < kKeys; ++key) {
-    EXPECT_TRUE(layouts[key].expired()) << GetParam() << ": key " << key
-                                        << "'s dropped layout is still alive";
-  }
+  EXPECT_EQ(ObjectLayout::live().layouts, before.layouts)
+      << GetParam() << ": dropped layouts are still alive";
+  EXPECT_EQ(ObjectLayout::live().word_blocks, before.word_blocks)
+      << GetParam() << ": a dropped layout's chained words are still alive";
 }
 
 INSTANTIATE_TEST_SUITE_P(Stores, DroppedLayoutsAreFreed, ::testing::Values("swarm", "dmabd", "raw"),
@@ -498,14 +485,16 @@ TEST_P(StragglerPinsItsLayout, TheGcKeepsItUntilTheStragglerCompletes) {
     return cond();
   };
 
+  const uint64_t live = ObjectLayout::live().layouts;
   bool inserted = false;
   sim::Spawn(RunOp(d.session(0).Insert(kKey, value), &inserted));
   d.sim().Run();
   ASSERT_TRUE(inserted);
-  std::weak_ptr<const ObjectLayout> watch = d.index().Peek(kKey)->layout;
+  const ObjectLayout* watch = d.index().Peek(kKey)->layout.get();
+  ASSERT_EQ(ObjectLayout::live().layouts, live + 1);
   // Replica 1 is in the update's first wave (a majority, in index order);
   // with its answers stalled the wave escalates to replica 2 and resumes.
-  const int slow_node = watch.lock()->replicas[1].node;
+  const int slow_node = watch->replica(1).node;
   bool slow = true;
   d.fabric().set_link_delay_fn([&slow, slow_node](int node, bool response) -> sim::Time {
     return slow && response && node == slow_node ? kStall : 0;
@@ -529,13 +518,15 @@ TEST_P(StragglerPinsItsLayout, TheGcKeepsItUntilTheStragglerCompletes) {
   ASSERT_LT(d.sim().Now(), stalled_until) << "the straggler must still be in flight";
   EXPECT_EQ(d.index().GcRetired(), 0u);
   ASSERT_EQ(d.index().retired().size(), 1u) << "the GC dropped a layout a straggler still reads";
-  EXPECT_EQ(d.index().retired()[0].layout, watch.lock());
+  EXPECT_EQ(d.index().retired()[0].layout.get(), watch);
+  EXPECT_GT(d.index().retired()[0].layout.use_count(), 1u) << "the straggler holds a share";
+  EXPECT_EQ(ObjectLayout::live().layouts, live + 1);
   EXPECT_EQ(d.index().retired_dropped(), 0u);
 
   d.sim().Run();  // The straggler's answers land; it completes.
   EXPECT_EQ(d.index().GcRetired(), 1u);
   EXPECT_TRUE(d.index().retired().empty());
-  EXPECT_TRUE(watch.expired()) << "a dropped layout must be freed";
+  EXPECT_EQ(ObjectLayout::live().layouts, live) << "a dropped layout must be freed";
 }
 
 INSTANTIATE_TEST_SUITE_P(Stores, StragglerPinsItsLayout, ::testing::Values("swarm", "dmabd"),

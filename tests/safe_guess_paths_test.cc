@@ -40,7 +40,7 @@ TEST(SafeGuessPaths, WaitFreeEscapeAfterTwoTuplesFromSameWriter) {
   TestEnv env;
   Worker& helper = env.MakeWorker();
   Worker& reader_w = env.MakeWorker();
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
   constexpr uint32_t kWriterTid = 5;
 
   bool done = false;
@@ -80,7 +80,7 @@ TEST(SafeGuessPaths, WaitFreeEscapeAfterTwoTuplesFromSameWriter) {
     EXPECT_GE(result->iterations, 2);
     *done2 = true;
   };
-  Spawn(driver(&env, &helper, &reader_w, &layout, &done));
+  Spawn(driver(&env, &helper, &reader_w, layout.get(), &done));
   env.sim.Run();
   EXPECT_TRUE(done);
 }
@@ -89,7 +89,7 @@ TEST(SafeGuessPaths, WriterLockLostMeansReaderCommittedItsGuess) {
   TestEnv env;
   Worker& fresh = env.MakeWorker(/*skew=*/500 * sim::kMicrosecond);  // Fast clock.
   Worker& laggy = env.MakeWorker(/*skew=*/0);
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
 
   bool done = false;
   auto driver = [](TestEnv* env, Worker* fresh, Worker* laggy, const ObjectLayout* layout,
@@ -126,7 +126,7 @@ TEST(SafeGuessPaths, WriterLockLostMeansReaderCommittedItsGuess) {
     EXPECT_EQ(rd.value, ValN(8, 1));
     *done2 = true;
   };
-  Spawn(driver(&env, &fresh, &laggy, &layout, &done));
+  Spawn(driver(&env, &fresh, &laggy, layout.get(), &done));
   env.sim.Run();
   EXPECT_TRUE(done);
 }
@@ -136,7 +136,7 @@ TEST(SafeGuessPaths, ReaderPromotesGuessedTupleToVerified) {
   Worker& helper = env.MakeWorker();
   Worker& reader1 = env.MakeWorker();
   Worker& reader2 = env.MakeWorker();
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
 
   bool done = false;
   auto driver = [](TestEnv* env, Worker* helper, Worker* r1, Worker* r2,
@@ -164,7 +164,7 @@ TEST(SafeGuessPaths, ReaderPromotesGuessedTupleToVerified) {
     EXPECT_TRUE(second.fast_path);
     *done2 = true;
   };
-  Spawn(driver(&env, &helper, &reader1, &reader2, &layout, &done));
+  Spawn(driver(&env, &helper, &reader1, &reader2, layout.get(), &done));
   env.sim.Run();
   EXPECT_TRUE(done);
 }
@@ -176,7 +176,7 @@ TEST(SafeGuessPaths, ReadersNeverBlockOnWriterCrashMidWrite) {
   Worker& helper = env.MakeWorker();
   Worker& r1 = env.MakeWorker();
   Worker& r2 = env.MakeWorker();
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
 
   bool done = false;
   auto driver = [](TestEnv* env, Worker* helper, Worker* r1, Worker* r2,
@@ -203,7 +203,7 @@ TEST(SafeGuessPaths, ReadersNeverBlockOnWriterCrashMidWrite) {
     EXPECT_EQ(c.value, b.value);
     *done2 = true;
   };
-  Spawn(driver(&env, &helper, &r1, &r2, &layout, &done));
+  Spawn(driver(&env, &helper, &r1, &r2, layout.get(), &done));
   env.sim.Run();
   EXPECT_TRUE(done);
 }

@@ -25,7 +25,7 @@ using testing::ValN;
 TEST(SafeGuess, WriteIsFastPathWhenUncontended) {
   TestEnv env;
   Worker& w = env.MakeWorker();
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
   auto cache = env.MakeCache();
 
   auto driver = [](Worker* w, const ObjectLayout* layout,
@@ -39,7 +39,7 @@ TEST(SafeGuess, WriteIsFastPathWhenUncontended) {
     EXPECT_EQ(r.rtts, 1);
     EXPECT_LT(latency, 3200);  // One roundtrip (+ transfer).
   };
-  Spawn(driver(&w, &layout, cache));
+  Spawn(driver(&w, layout.get(), cache));
   env.sim.Run();
 }
 
@@ -47,7 +47,7 @@ TEST(SafeGuess, ReadFindsVerifiedValueInOneRoundtrip) {
   TestEnv env;
   Worker& w = env.MakeWorker();
   Worker& rdr = env.MakeWorker();
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
 
   auto writer = [](Worker* w, const ObjectLayout* layout) -> Task<void> {
     SafeGuessObject obj(w, layout, std::make_shared<ObjectCache>());
@@ -67,22 +67,22 @@ TEST(SafeGuess, ReadFindsVerifiedValueInOneRoundtrip) {
     EXPECT_EQ(r.iterations, 1);
     EXPECT_LT(latency, 3000);
   };
-  Spawn(writer(&w, &layout));
-  Spawn(reader(&rdr, &layout));
+  Spawn(writer(&w, layout.get()));
+  Spawn(reader(&rdr, layout.get()));
   env.sim.Run();
 }
 
 TEST(SafeGuess, ReadOfNeverWrittenObjectIsNotFound) {
   TestEnv env;
   Worker& w = env.MakeWorker();
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
 
   auto driver = [](Worker* w, const ObjectLayout* layout) -> Task<void> {
     SafeGuessObject obj(w, layout, std::make_shared<ObjectCache>());
     SgReadResult r = co_await obj.Read();
     EXPECT_EQ(r.status, SgStatus::kNotFound);
   };
-  Spawn(driver(&w, &layout));
+  Spawn(driver(&w, layout.get()));
   env.sim.Run();
 }
 
@@ -91,7 +91,7 @@ TEST(SafeGuess, StaleGuessTakesSlowPathAndStillLinearizes) {
   Worker& fresh = env.MakeWorker(0);
   // A writer whose clock lags far behind: its guesses are stale.
   Worker& laggy = env.MakeWorker(-400 * sim::kMicrosecond);
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
 
   auto driver = [](Worker* fresh, Worker* laggy, const ObjectLayout* layout) -> Task<void> {
     // Let enough virtual time pass that clock-derived counters dominate tid
@@ -119,14 +119,14 @@ TEST(SafeGuess, StaleGuessTakesSlowPathAndStillLinearizes) {
     SgWriteResult r3 = co_await b.Write(ValN(16, 3));
     EXPECT_TRUE(r3.fast_path);
   };
-  Spawn(driver(&fresh, &laggy, &layout));
+  Spawn(driver(&fresh, &laggy, layout.get()));
   env.sim.Run();
 }
 
 TEST(SafeGuess, DeleteMakesObjectUnwritable) {
   TestEnv env;
   Worker& w = env.MakeWorker();
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
 
   auto driver = [](Worker* w, const ObjectLayout* layout) -> Task<void> {
     SafeGuessObject obj(w, layout, std::make_shared<ObjectCache>());
@@ -140,7 +140,7 @@ TEST(SafeGuess, DeleteMakesObjectUnwritable) {
     SgWriteResult wr = co_await obj.Write(ValN(16, 2));
     EXPECT_EQ(wr.status, SgStatus::kDeleted);  // §5.3.2: cannot overwrite.
   };
-  Spawn(driver(&w, &layout));
+  Spawn(driver(&w, layout.get()));
   env.sim.Run();
 }
 
@@ -156,7 +156,7 @@ TEST(SafeGuess, DeleteOverAForeignTombstoneInASharedSlotReportsDeleted) {
   TestEnv env(1, TestEnv::DefaultFabric(), pcfg);
   Worker& first = env.MakeWorker();   // tid 0
   Worker& second = env.MakeWorker();  // tid 1
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
 
   auto scenario = [](Worker* first, Worker* second, const ObjectLayout* layout) -> Task<void> {
     SafeGuessObject a(first, layout, std::make_shared<ObjectCache>());
@@ -172,26 +172,26 @@ TEST(SafeGuess, DeleteOverAForeignTombstoneInASharedSlotReportsDeleted) {
     SgWriteResult again = co_await b.Delete();
     EXPECT_EQ(again.status, SgStatus::kDeleted);
   };
-  Spawn(scenario(&first, &second, &layout));
+  Spawn(scenario(&first, &second, layout.get()));
   env.sim.Run();
 }
 
 TEST(SafeGuess, MinorityCrashKeepsObjectAvailable) {
   TestEnv env;
   Worker& w = env.MakeWorker();
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
 
   auto driver = [](Worker* w, const ObjectLayout* layout) -> Task<void> {
     SafeGuessObject obj(w, layout, std::make_shared<ObjectCache>());
     (void)co_await obj.Write(ValN(16, 1));
-    w->fabric()->Crash(layout->replicas[0].node);
+    w->fabric()->Crash(layout->replica(0).node);
     SgWriteResult wr = co_await obj.Write(ValN(16, 2));
     EXPECT_EQ(wr.status, SgStatus::kOk);
     SgReadResult rd = co_await obj.Read();
     EXPECT_EQ(rd.status, SgStatus::kOk);
     EXPECT_EQ(rd.value, ValN(16, 2));
   };
-  Spawn(driver(&w, &layout));
+  Spawn(driver(&w, layout.get()));
   env.sim.Run();
 }
 
@@ -257,15 +257,15 @@ TEST_P(SafeGuessStress, ConcurrentHistoryIsLinearizable) {
   const int writers = 3;
   const int readers = 3;
   const int ops = 4;
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
   StressState st;
   for (int i = 0; i < writers; ++i) {
     Worker& w = env.MakeWorker(env.sim.rng().Range(-20000, 20000));
-    Spawn(StressWriter(&w, &layout, ops, &st));
+    Spawn(StressWriter(&w, layout.get(), ops, &st));
   }
   for (int i = 0; i < readers; ++i) {
     Worker& w = env.MakeWorker(0);
-    Spawn(StressReader(&w, &layout, ops, &st));
+    Spawn(StressReader(&w, layout.get(), ops, &st));
   }
   env.sim.Run();
   ASSERT_EQ(st.history.size(), static_cast<size_t>((writers + readers) * ops));

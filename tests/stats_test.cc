@@ -163,7 +163,7 @@ TEST(IndexService, InsertLookupRemoveRoundtrip) {
   index::IndexService index(&sim);
   bool done = false;
   auto driver = [](sim::Simulator* /*sim*/, index::IndexService* index, bool* done2) -> sim::Task<void> {
-    auto layout = std::make_shared<ObjectLayout>();
+    const LayoutPin layout = ObjectLayout::Build(LayoutGeometry{}, nullptr);
     auto [inserted, entry] = co_await index->InsertIfAbsent(7, layout, nullptr);
     EXPECT_TRUE(inserted);
 

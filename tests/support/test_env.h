@@ -54,7 +54,7 @@ struct TestEnv {
   }
 
   // Allocates one replicated object over nodes 0..R-1.
-  ObjectLayout MakeObject(int inplace_copies = 1) {
+  LayoutPin MakeObject(int inplace_copies = 1) {
     std::vector<int> nodes(static_cast<size_t>(proto.replicas));
     std::iota(nodes.begin(), nodes.end(), 0);
     return AllocateObject(fabric, nodes.data(), proto.replicas, proto.meta_slots,

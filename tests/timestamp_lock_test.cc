@@ -18,7 +18,7 @@ using testing::TestEnv;
 TEST(TimestampLock, UncontendedLockSucceeds) {
   TestEnv env;
   Worker& w = env.MakeWorker();
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
 
   auto driver = [](Worker* w, const ObjectLayout* layout) -> Task<void> {
     TimestampLock lock(w, layout, 0);
@@ -27,7 +27,7 @@ TEST(TimestampLock, UncontendedLockSucceeds) {
     EXPECT_TRUE(r.acquired);  // True safety: no conflicting attempt exists.
     EXPECT_EQ(r.rtts, 1);     // One CAS roundtrip per replica, in parallel.
   };
-  Spawn(driver(&w, &layout));
+  Spawn(driver(&w, layout.get()));
   env.sim.Run();
 }
 
@@ -35,7 +35,7 @@ TEST(TimestampLock, SameModeSameTimestampBothSucceed) {
   TestEnv env;
   Worker& r1 = env.MakeWorker();
   Worker& r2 = env.MakeWorker();
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
 
   auto driver = [](Worker* a, Worker* b, const ObjectLayout* layout) -> Task<void> {
     TimestampLock la(a, layout, 0);
@@ -46,7 +46,7 @@ TEST(TimestampLock, SameModeSameTimestampBothSucceed) {
     EXPECT_TRUE(ra.acquired);
     EXPECT_TRUE(rb.acquired);
   };
-  Spawn(driver(&r1, &r2, &layout));
+  Spawn(driver(&r1, &r2, layout.get()));
   env.sim.Run();
 }
 
@@ -54,7 +54,7 @@ TEST(TimestampLock, TrueExclusionSequential) {
   TestEnv env;
   Worker& a = env.MakeWorker();
   Worker& b = env.MakeWorker();
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
 
   auto driver = [](Worker* a, Worker* b, const ObjectLayout* layout) -> Task<void> {
     TimestampLock la(a, layout, 0);
@@ -64,7 +64,7 @@ TEST(TimestampLock, TrueExclusionSequential) {
     TryLockResult r = co_await lb.TryLock(9, LockMode::kRead);
     EXPECT_FALSE(r.acquired);  // Opposite mode already holds a majority.
   };
-  Spawn(driver(&a, &b, &layout));
+  Spawn(driver(&a, &b, layout.get()));
   env.sim.Run();
 }
 
@@ -72,7 +72,7 @@ TEST(TimestampLock, HigherTimestampSupersedes) {
   TestEnv env;
   Worker& a = env.MakeWorker();
   Worker& b = env.MakeWorker();
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
 
   auto driver = [](Worker* a, Worker* b, const ObjectLayout* layout) -> Task<void> {
     TimestampLock la(a, layout, 0);
@@ -85,7 +85,7 @@ TEST(TimestampLock, HigherTimestampSupersedes) {
     TryLockResult hi2 = co_await lb.TryLock(150, LockMode::kWrite);
     EXPECT_TRUE(hi2.acquired);  // Relocking higher succeeds.
   };
-  Spawn(driver(&a, &b, &layout));
+  Spawn(driver(&a, &b, layout.get()));
   env.sim.Run();
 }
 
@@ -114,14 +114,14 @@ class TimestampLockRace : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(TimestampLockRace, TrueExclusionUnderConcurrency) {
   TestEnv env(GetParam());
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
   RaceResult result;
   const int racers = 6;
   for (int i = 0; i < racers; ++i) {
     Worker& w = env.MakeWorker();
     const LockMode mode = (i % 2 == 0) ? LockMode::kRead : LockMode::kWrite;
     const sim::Time delay = static_cast<sim::Time>(env.sim.rng().Below(2000));
-    Spawn(Racer(&w, &layout, /*owner=*/0, /*ts=*/77, mode, delay, &result));
+    Spawn(Racer(&w, layout.get(), /*owner=*/0, /*ts=*/77, mode, delay, &result));
   }
   env.sim.Run();
   // Readers may all win or all lose; but never both modes.
@@ -135,7 +135,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TimestampLockRace, ::testing::Range<uint64_t>(1,
 TEST(TimestampLock, SurvivesMinorityCrash) {
   TestEnv env;
   Worker& w = env.MakeWorker();
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
   env.fabric.Crash(0);  // One of three replicas.
 
   bool done = false;
@@ -146,7 +146,7 @@ TEST(TimestampLock, SurvivesMinorityCrash) {
     EXPECT_TRUE(r.acquired);
     *done2 = true;
   };
-  Spawn(driver(&w, &layout, &done));
+  Spawn(driver(&w, layout.get(), &done));
   env.sim.Run();
   EXPECT_TRUE(done);
 }
@@ -154,7 +154,7 @@ TEST(TimestampLock, SurvivesMinorityCrash) {
 TEST(TimestampLock, MajorityCrashReturnsUnacquired) {
   TestEnv env;
   Worker& w = env.MakeWorker();
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
   env.fabric.Crash(0);
   env.fabric.Crash(1);
 
@@ -166,7 +166,7 @@ TEST(TimestampLock, MajorityCrashReturnsUnacquired) {
     EXPECT_FALSE(r.acquired);  // Not acquired is always safe.
     *done2 = true;
   };
-  Spawn(driver(&w, &layout, &done));
+  Spawn(driver(&w, layout.get(), &done));
   env.sim.Run();
   EXPECT_TRUE(done);
 }
@@ -175,7 +175,7 @@ TEST(TimestampLock, DistinctOwnersAreIndependent) {
   TestEnv env;
   Worker& a = env.MakeWorker();
   Worker& b = env.MakeWorker();
-  ObjectLayout layout = env.MakeObject();
+  const LayoutPin layout = env.MakeObject();
 
   auto driver = [](Worker* a, Worker* b, const ObjectLayout* layout) -> Task<void> {
     TimestampLock la(a, layout, /*owner=*/1);
@@ -185,7 +185,7 @@ TEST(TimestampLock, DistinctOwnersAreIndependent) {
     EXPECT_TRUE(ra.acquired);
     EXPECT_TRUE(rb.acquired);  // Different writers' locks never conflict.
   };
-  Spawn(driver(&a, &b, &layout));
+  Spawn(driver(&a, &b, layout.get()));
   env.sim.Run();
 }
 

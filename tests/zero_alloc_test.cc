@@ -180,11 +180,11 @@ TEST(ZeroAlloc, FuseeSteadyStateReadWriteIsHeapFree) {
   EXPECT_EQ(MeasureSteadyState(&env, &kv, /*keys=*/4), 0u);
 }
 
-// Fresh-key inserts are not heap-free: each one allocates its layout (with
-// its control block), its index and client-cache map nodes, and the
-// writer's slot-cache word block inside the layout. Their number per insert
-// is fixed, though, so the mean over 1,000 inserts is pinned: a new per-key
-// block (a second allocation per word block, say) fails here.
+// Fresh-key inserts are not heap-free: each one allocates its layout block
+// (which holds the inserting writer's slot-cache words inline) and its index
+// and client-cache map nodes. Their number per insert is fixed, though, so
+// the mean over 1,000 inserts is pinned: a new per-key block (a separate
+// word block for the first writer again, say) fails here.
 Task<void> FreshInserts(kv::SwarmKvSession* s, uint64_t first, uint64_t count) {
   sim::Bytes value(48);
   for (uint64_t key = first; key < first + count; ++key) {
@@ -209,12 +209,13 @@ TEST(ZeroAlloc, SwarmFreshInsertAllocationBudget) {
   const uint64_t before = g_heap_allocs;
   Spawn(FreshInserts(&kv, kInserts, kInserts));
   env.sim.Run();
-  // 4.154 per insert: the four blocks above, one rehash each of the index
+  // 3.154 per insert: the three blocks above, one rehash each of the index
   // and the client cache, and the memory nodes' slab bookkeeping for the
-  // extents the window opens (0.152). Slot-cache words live in the layout:
-  // one block, no map node and no rehash. An index that kept a map node per
-  // replica slot (three per insert) would make it 7.154.
-  constexpr uint64_t kBudget = 4154;
+  // extents the window opens (0.152). The first writer's slot-cache words
+  // are the layout block's own: no block, no map node and no rehash. A
+  // separate block for them would make it 4.154, and an index that kept a
+  // map node per replica slot (three per insert) 6.154.
+  constexpr uint64_t kBudget = 3154;
   EXPECT_LE(g_heap_allocs - before, kBudget)
       << "mean heap allocations per fresh-key insert: "
       << static_cast<double>(g_heap_allocs - before) / kInserts;
@@ -222,9 +223,10 @@ TEST(ZeroAlloc, SwarmFreshInsertAllocationBudget) {
 
 // The same inserts' heap footprint: bytes in use (glibc's mallinfo2, chunk
 // sizes included) per live fresh key, with one worker and 3 replicas. The
-// layout with its 8 B replica records, the writer's word block, and the index
-// and client-cache entries are what a key costs the host; swarmbench's
-// large_churn peak_rss_mb is dominated by them, and this is its tier-1 guard.
+// layout block with its 8 B replica records and the writer's inline words,
+// and the index and client-cache entries are what a key costs the host;
+// swarmbench's large_churn peak_rss_mb is dominated by them, and this is its
+// tier-1 guard.
 TEST(ZeroAlloc, SwarmFreshInsertHostBytesBudget) {
   if (kPoolBypassed) {
     GTEST_SKIP() << "pool bypassed under ASan; heap accounting is meaningless";
@@ -242,12 +244,14 @@ TEST(ZeroAlloc, SwarmFreshInsertHostBytesBudget) {
   Spawn(FreshInserts(&kv, kInserts, kInserts));
   env.sim.Run();
   const double per_key = static_cast<double>(mallinfo2().uordblks - before) / kInserts;
-  // 297.2 B: a 112 B layout block (88 B layout and its control block), a
-  // 48 B word block (16 B header, 3 words), 48 B index and 64 B client-cache
-  // map nodes, their buckets and slab bookkeeping. Sixteen-byte records for
-  // kMaxReplicas replicas and a per-worker map of 8-word slot caches take
+  // 201.2 B: an 80 B chunk for the 72 B layout block (24 B header, 3
+  // records, 3 inline words), 48 B index and 48 B client-cache map nodes
+  // (16 B entries and 24 B entries behind their key and link), their
+  // buckets and slab bookkeeping. An 88 B layout for kMaxReplicas records
+  // under a shared_ptr, a separate word block and 32 B cache entries would
+  // take 297.2 B; 16 B records and a per-worker map of 8-word slot caches
   // 419.6 B.
-  constexpr double kBudget = 300;
+  constexpr double kBudget = 205;
   EXPECT_LE(per_key, kBudget) << "heap bytes per live fresh key";
 }
 

@@ -47,11 +47,12 @@ rejected at lint time instead of seed-replay time:
       one handed to sim::Spawn, or a per-replica task returned from a
       quorum wave's lambda (Escalate, Broadcast, Wave) — must not take a
       bare ObjectLayout pointer or reference without a share in the
-      layout: a LayoutPin, an owning shared_ptr to the layout, or its
-      phase's shared_ptr (the quorum engine stamps its pin into every
-      phase). The retired-layout GC frees a dropped layout once its
-      use-count gate sees no other share, so an unpinned straggler that
-      resumes after the drop reads freed records. Spawned callees are
+      layout: a LayoutPin taken by value (the 8 B handle whose count lives
+      in the layout's block; a pointer or reference to one is no share),
+      or its phase's shared_ptr (the quorum engine stamps its pin into
+      every phase). The retired-layout GC frees a dropped layout's block
+      once its use-count gate sees no other share, so an unpinned
+      straggler that resumes after the drop reads freed records. Spawned callees are
       resolved by name across every file of the run. Files under tests/
       are exempt: a test that builds layouts by hand owns them for its
       whole run, and no GC ever sees them.
@@ -842,6 +843,14 @@ def _template_arg(param, name):
     return None
 
 
+def _indirect(texts, name):
+    """True when the parameter takes `name` through a pointer or reference."""
+    k = texts.index(name) + 1
+    while k < len(texts) and texts[k] == "const":
+        k += 1
+    return k < len(texts) and texts[k] in ("*", "&", "&&")
+
+
 def check_layout_pin(fn, findings, stragglers, phases):
     if not fn.coroutine or fn.name not in stragglers:
         return
@@ -850,21 +859,21 @@ def check_layout_pin(fn, findings, stragglers, phases):
     for param in _split_params(fn.params):
         texts = [t.text for t in param]
         owned = _template_arg(param, "shared_ptr")
-        if "LayoutPin" in texts or (owned and (owned & phases or "ObjectLayout" in owned)):
+        if "LayoutPin" in texts:
+            # A share only by value: a referenced pin can be gone by the
+            # time the straggler resumes.
+            pinned = pinned or not _indirect(texts, "LayoutPin")
+        elif owned and owned & phases:
             pinned = True
-        elif owned is None and "ObjectLayout" in texts:
-            k = texts.index("ObjectLayout") + 1
-            while k < len(texts) and texts[k] == "const":
-                k += 1
-            if k < len(texts) and texts[k] in ("*", "&"):
-                bare = param[-1].text
+        elif owned is None and "ObjectLayout" in texts and _indirect(texts, "ObjectLayout"):
+            bare = param[-1].text
     if bare is not None and not pinned:
         findings.append((fn.line, "swarm-layout-pin",
                          f"straggler coroutine '{fn.name}' takes the layout "
                          f"'{bare}' without a share in it: once its op returns, "
                          "the retired-layout GC may free the layout under it — "
-                         "take a LayoutPin, or the phase shared_ptr the quorum "
-                         "engine stamps its pin into"))
+                         "take a LayoutPin by value, or the phase shared_ptr the "
+                         "quorum engine stamps its pin into"))
 
 
 # --- Driver -----------------------------------------------------------------

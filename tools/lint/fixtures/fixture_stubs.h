@@ -46,16 +46,21 @@ struct Worker {
   Qp& qp(int node);
 };
 
-// One object's replica records (src/swarm/layout.h) and a share in one.
+// One object's replica records (src/swarm/layout.h) and a share in one:
+// the 8 B handle whose count lives in the layout's block.
 struct ReplicaLayout {
   uint64_t meta_addr = 0;
   int node = -1;
 };
 struct ObjectLayout {
-  ReplicaLayout replicas[8];
+  const ReplicaLayout& replica(int r) const;
   int num_replicas = 0;
 };
-using LayoutPin = std::shared_ptr<const void>;
+class LayoutPin {
+ public:
+  const ObjectLayout* get() const;
+  const ObjectLayout* operator->() const;
+};
 
 // The quorum engine's awaitable entry points (src/swarm/quorum.h).
 struct QuorumPhase {};

@@ -1,9 +1,9 @@
 // MUST-PASS fixture for swarm-layout-pin.
 //
 // The pinned forms of the trip fixture's stragglers: the promotion takes a
-// LayoutPin, and the per-replica lock task co-owns its phase, into which the
-// quorum engine stamps its pin. Coroutines that are only awaited, or that
-// touch no layout, need no pin.
+// LayoutPin by value, and the per-replica lock task co-owns its phase, into
+// which the quorum engine stamps its pin. Coroutines that are only awaited,
+// or that touch no layout, need no pin.
 
 #include "fixture_stubs.h"
 
@@ -16,7 +16,7 @@ struct LockPhase : QuorumPhase {
 // `pin` is held, never read: it keeps the layout alive across the CAS.
 sim::Task<void> PromoteOne(Worker* worker, const ObjectLayout* layout,
                            [[maybe_unused]] LayoutPin pin, int r, uint64_t word) {
-  const ReplicaLayout& rep = layout->replicas[r];
+  const ReplicaLayout& rep = layout->replica(r);
   auto res = co_await worker->qp(rep.node).Cas(rep.meta_addr, word, word | 1);
   DiscardStatus(res);
 }
@@ -29,13 +29,13 @@ sim::Task<void> Promote(Worker* worker, const ObjectLayout* layout, LayoutPin pi
   co_return;
 }
 
-void WriteFastPath(Worker* worker, std::shared_ptr<const ObjectLayout> layout, uint64_t word) {
+void WriteFastPath(Worker* worker, LayoutPin layout, uint64_t word) {
   sim::Spawn(Promote(worker, layout.get(), layout, word));
 }
 
 sim::Task<void> LockOneReplica(Worker* worker, const ObjectLayout* layout, int r,
                                std::shared_ptr<LockPhase> phase) {
-  const ReplicaLayout& rep = layout->replicas[r];
+  const ReplicaLayout& rep = layout->replica(r);
   auto res = co_await worker->qp(rep.node).Cas(rep.meta_addr, 0, 1);
   phase->higher_seen = !res.ok();
 }
@@ -48,7 +48,7 @@ sim::Task<bool> TryLock(Worker* worker, const ObjectLayout* layout, const Quorum
 
 // Awaited, never spawned: it cannot outlive its caller.
 sim::Task<bool> ChaseValue(Worker* worker, const ObjectLayout* layout, int r) {
-  auto res = co_await worker->qp(layout->replicas[r].node).Cas(0, 0, 0);
+  auto res = co_await worker->qp(layout->replica(r).node).Cas(0, 0, 0);
   co_return res.ok();
 }
 

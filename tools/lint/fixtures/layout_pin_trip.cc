@@ -7,7 +7,8 @@
 // ObjectLayout pointer can resume after the drop and read the freed
 // replica records (InOutReplica keeps a pointer into them across its
 // co_awaits). Here the Safe-Guess fast path spawns its promotion with the
-// bare pointer, and a lock's per-replica CAS loop carries no phase.
+// bare pointer, a write-back takes only a reference to its caller's pin,
+// and a lock's per-replica CAS loop carries no phase.
 
 #include "fixture_stubs.h"
 
@@ -15,7 +16,7 @@ namespace swarm::fixture {
 
 // trip: spawned by Promote, outlives it, holds only `layout`.
 sim::Task<void> PromoteOne(Worker* worker, const ObjectLayout* layout, int r, uint64_t word) {
-  const ReplicaLayout& rep = layout->replicas[r];
+  const ReplicaLayout& rep = layout->replica(r);
   auto res = co_await worker->qp(rep.node).Cas(rep.meta_addr, word, word | 1);
   DiscardStatus(res);
 }
@@ -32,11 +33,24 @@ void WriteFastPath(Worker* worker, const ObjectLayout* layout, uint64_t word) {
   sim::Spawn(Promote(worker, layout, word));
 }
 
+// trip: a reference to a pin is no share in the layout; the caller's pin
+// is gone once the read that spawned the write-back returns.
+sim::Task<void> WriteBack(Worker* worker, const ObjectLayout* layout, const LayoutPin& pin,
+                          uint64_t word) {
+  const ReplicaLayout& rep = layout->replica(0);
+  auto res = co_await worker->qp(rep.node).Cas(rep.meta_addr, 0, word);
+  DiscardStatus(res);
+}
+
+void ReadSlowPath(Worker* worker, LayoutPin pin, uint64_t word) {
+  sim::Spawn(WriteBack(worker, pin.get(), pin, word));
+}
+
 // trip: the wave resumes at a majority; the rest of these loops run on
 // with a bare reference and nothing of their phase.
 sim::Task<void> LockOneReplica(Worker* worker, const ObjectLayout& layout, int r,
                                bool* acquired) {
-  const ReplicaLayout& rep = layout.replicas[r];
+  const ReplicaLayout& rep = layout.replica(r);
   auto res = co_await worker->qp(rep.node).Cas(rep.meta_addr, 0, 1);
   *acquired = res.ok();
 }

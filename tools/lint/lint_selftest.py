@@ -26,7 +26,7 @@ CASES = {
     "swarm-bounded-slot-index": ("bounded_slot_index", 2),
     "swarm-retry-stale-epoch": ("retry_stale_epoch", 1),
     "swarm-node-table-size": ("node_table_size", 4),
-    "swarm-layout-pin": ("layout_pin", 3),
+    "swarm-layout-pin": ("layout_pin", 4),
 }
 
 
