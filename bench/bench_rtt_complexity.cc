@@ -52,9 +52,8 @@ Probe ProbeQuorumMaxWrite() {
   TestEnv env(42);
   Worker& w = env.MakeWorker();
   const LayoutPin layout = env.MakeObject();
-  auto cache = env.MakeCache();
   auto body = [&](Probe* p) -> sim::Task<void> {
-    QuorumMax reg(&w, layout.get(), cache);
+    QuorumMax reg(&w, w.SlotCacheFor(layout));
     // Warm the slot caches with one write, then measure the steady state.
     swarm::DiscardStatus(co_await reg.WriteAndRead(Meta::Pack(10, 0, false, 0), ValN(64, 1)));
     const sim::Time start = env.sim.Now();
@@ -69,11 +68,10 @@ Probe ProbeQuorumMaxReadFast() {
   TestEnv env(42);
   Worker& w = env.MakeWorker();
   const LayoutPin layout = env.MakeObject();
-  auto cache = env.MakeCache();
   auto body = [&](Probe* p) -> sim::Task<void> {
-    QuorumMax reg(&w, layout.get(), cache);
+    QuorumMax reg(&w, w.SlotCacheFor(layout));
     WriteReadOutcome wr = co_await reg.WriteAndRead(Meta::Pack(10, 0, false, 0), ValN(64, 1));
-    co_await QuorumMax::Promote(&w, layout.get(), /*pin=*/nullptr, wr.installed, ValN(64, 1));
+    co_await QuorumMax::Promote(&w, layout, wr.installed, ValN(64, 1), SlotCache());
     co_await env.sim.Delay(20000);
     const sim::Time start = env.sim.Now();
     ReadOutcome rd = co_await reg.ReadQuorum(true);
@@ -93,7 +91,7 @@ Probe ProbeQuorumMaxReadRepair() {
     InOutReplica rep(&w, layout.get(), 1);
     Meta cache;
     swarm::DiscardStatus(co_await rep.WriteMax(Meta::Pack(50, 0, false, 0), ValN(64, 1), &cache));
-    QuorumMax reg(&rdr, layout.get(), std::make_shared<ObjectCache>());
+    QuorumMax reg(&rdr, rdr.SlotCacheFor(layout));
     ReadOutcome rd = co_await reg.ReadQuorum(true);
     p->rtts = rd.rtts;
   };
@@ -105,7 +103,7 @@ Probe ProbeTryLockUncontended() {
   Worker& w = env.MakeWorker();
   const LayoutPin layout = env.MakeObject();
   auto body = [&](Probe* p) -> sim::Task<void> {
-    TimestampLock lock(&w, layout.get(), 0);
+    TimestampLock lock(&w, layout, 0);
     TryLockResult r = co_await lock.TryLock(42, LockMode::kWrite);
     p->rtts = r.rtts;
   };
@@ -116,9 +114,8 @@ Probe ProbeSafeGuessWriteFastPath() {
   TestEnv env(42);
   Worker& w = env.MakeWorker();
   const LayoutPin layout = env.MakeObject();
-  auto cache = env.MakeCache();
   auto body = [&](Probe* p) -> sim::Task<void> {
-    SafeGuessObject obj(&w, layout.get(), cache);
+    SafeGuessObject obj(&w, w.SlotCacheFor(layout));
     swarm::DiscardStatus(co_await obj.Write(ValN(64, 1)));
     co_await env.sim.Delay(20000);
     const sim::Time start = env.sim.Now();
@@ -133,9 +130,8 @@ Probe ProbeSafeGuessReadVerified() {
   TestEnv env(42);
   Worker& w = env.MakeWorker();
   const LayoutPin layout = env.MakeObject();
-  auto cache = env.MakeCache();
   auto body = [&](Probe* p) -> sim::Task<void> {
-    SafeGuessObject obj(&w, layout.get(), cache);
+    SafeGuessObject obj(&w, w.SlotCacheFor(layout));
     swarm::DiscardStatus(co_await obj.Write(ValN(64, 1)));
     co_await env.sim.Delay(20000);
     const sim::Time start = env.sim.Now();
@@ -158,13 +154,13 @@ std::pair<sim::Time, sim::Time> ProbeGuessVsDiscover() {
   sim::Time sg_lat = 0;
   sim::Time abd_lat = 0;
   auto body = [&](Probe*) -> sim::Task<void> {
-    SafeGuessObject obj(&w, sg_layout.get(), std::make_shared<ObjectCache>());
+    SafeGuessObject obj(&w, w.SlotCacheFor(sg_layout));
     swarm::DiscardStatus(co_await obj.Write(ValN(64, 1)));
     sim::Time start = env.sim.Now();
     swarm::DiscardStatus(co_await obj.Write(ValN(64, 2)));
     sg_lat = env.sim.Now() - start;
 
-    AbdObject abd_obj(&w, abd_layout.get(), std::make_shared<ObjectCache>());
+    AbdObject abd_obj(&w, w.SlotCacheFor(abd_layout));
     swarm::DiscardStatus(co_await abd_obj.Write(ValN(64, 1)));
     start = env.sim.Now();
     swarm::DiscardStatus(co_await abd_obj.Write(ValN(64, 2)));

@@ -58,7 +58,7 @@ auto IndexedKvSession<Protocol>::Locate(uint64_t key, bool seed_metadata, KvResu
     // §7.1: on a cache miss, updates pay one more roundtrip to fetch the
     // latest metadata buffers (seeding the In-n-Out slot caches for the
     // one-roundtrip CAS-max).
-    QuorumMax reg(worker_, loc.layout.get(), loc.obj_cache);
+    QuorumMax reg(worker_, loc.obj_cache);
     // Pure cache-seeding prefetch: the quorum's value/status is irrelevant
     // here — a failed seed just means the upcoming CAS-max pays the extra
     // roundtrip it would have paid anyway.
@@ -70,19 +70,14 @@ auto IndexedKvSession<Protocol>::Locate(uint64_t key, bool seed_metadata, KvResu
 }
 
 template <typename Protocol>
-auto IndexedKvSession<Protocol>::At(LayoutPin layout, uint64_t generation) -> Located {
-  Located loc;
-  loc.found = true;
-  loc.obj_cache = worker_->SlotCacheFor(layout);
-  loc.layout = std::move(layout);
-  loc.generation = generation;
-  return loc;
+auto IndexedKvSession<Protocol>::At(const LayoutPin& layout, uint64_t generation) -> Located {
+  return {.found = true, .obj_cache = worker_->SlotCacheFor(layout), .generation = generation};
 }
 
 template <typename Protocol>
 void IndexedKvSession<Protocol>::Cache(uint64_t key, const Located& loc) {
   index::CacheEntry entry;
-  entry.layout = loc.layout;
+  entry.layout = loc.obj_cache.pin();
   entry.generation = loc.generation;
   cache_->Put(key, std::move(entry));
 }
@@ -162,7 +157,7 @@ sim::Task<KvResult> IndexedKvSession<Protocol>::Get(uint64_t key) {
       result.status = KvStatus::kNotFound;
       co_return result;
     }
-    typename Protocol::Object obj(worker_, loc.layout.get(), loc.obj_cache);
+    typename Protocol::Object obj(worker_, loc.obj_cache);
     SgReadResult r = co_await obj.Read();
     result.rtts += r.rtts;
     if (r.status == SgStatus::kDeleted) {
@@ -207,7 +202,7 @@ sim::Task<KvResult> IndexedKvSession<Protocol>::Update(uint64_t key,
       result.ambiguous = bounced;
       co_return result;
     }
-    typename Protocol::Object obj(worker_, loc.layout.get(), loc.obj_cache);
+    typename Protocol::Object obj(worker_, loc.obj_cache);
     SgWriteResult r = co_await obj.Write(value);
     result.rtts += r.rtts;
     if (r.status == SgStatus::kDeleted) {
@@ -239,22 +234,18 @@ sim::Task<KvResult> IndexedKvSession<Protocol>::Insert(uint64_t key,
     // §5.3.1: pick replicas, allocate cleared buffers (clients pre-allocate,
     // so this costs no roundtrip), then IN PARALLEL replicate the value and
     // insert the location into the index — one roundtrip total.
-    LayoutPin layout = AllocateForKey(key);
-    SlotCache obj_cache = worker_->SlotCacheFor(layout);
-    typename Protocol::Object obj(worker_, layout.get(), obj_cache);
+    SlotCache obj_cache = worker_->SlotCacheFor(AllocateForKey(key));
+    typename Protocol::Object obj(worker_, obj_cache);
     // One doorbell covers the replica writes AND the index insert RPC.
     auto [wr, ins] = co_await fabric::PostBoth(
         worker_->cpu(), worker_->sim(), obj.Write(value),
-        index_->InsertIfAbsent(key, layout, worker_->cpu()));
+        index_->InsertIfAbsent(key, obj_cache.pin(), worker_->cpu()));
     result.rtts += wr.rtts > 1 ? wr.rtts : 1;
 
     if (ins.first) {
       // Fresh mapping: the parallel write targeted exactly these replicas,
       // so we are done.
-      Cache(key, {.found = true,
-                  .layout = layout,
-                  .obj_cache = obj_cache,
-                  .generation = ins.second.generation});
+      Cache(key, {.found = true, .obj_cache = obj_cache, .generation = ins.second.generation});
       result.status = MapStatus(wr.status);
       result.fast_path = wr.fast_path;
       co_return result;
@@ -262,11 +253,11 @@ sim::Task<KvResult> IndexedKvSession<Protocol>::Insert(uint64_t key,
 
     // A mapping already exists: recycle our buffers and turn the insert
     // into an update on the existing replicas (§5.3.1).
-    index_->Retire(std::move(layout));
+    index_->Retire(obj_cache.pin());
     Located loc = At(ins.second.layout, ins.second.generation);
     Cache(key, loc);
 
-    typename Protocol::Object existing(worker_, loc.layout.get(), loc.obj_cache);
+    typename Protocol::Object existing(worker_, loc.obj_cache);
     SgWriteResult wr2 = co_await existing.Write(value);
     result.rtts += wr2.rtts;
     if (wr2.status == SgStatus::kMoved) {
@@ -305,7 +296,7 @@ sim::Task<KvResult> IndexedKvSession<Protocol>::Remove(uint64_t key) {
       result.status = KvStatus::kNotFound;
       co_return result;
     }
-    typename Protocol::Object obj(worker_, loc.layout.get(), loc.obj_cache);
+    typename Protocol::Object obj(worker_, loc.obj_cache);
     SgWriteResult del = co_await obj.Delete();
     result.rtts += del.rtts;
     if (del.status == SgStatus::kMoved) {

@@ -86,16 +86,16 @@ class IndexedKvSession : public KvSession {
 
  private:
   // A self-contained copy of a key's location (safe across co_awaits even if
-  // the shared cache evicts the entry meanwhile).
+  // the shared cache evicts the entry meanwhile): a share in its layout, with
+  // this worker's slot-cache words.
   struct Located {
     bool found = false;
-    LayoutPin layout;
-    SlotCache obj_cache;  // Also pins `layout` for the op's stragglers.
+    SlotCache obj_cache;
     uint64_t generation = 0;
   };
 
-  // The location of `layout` at `generation`, with this worker's slot cache.
-  Located At(LayoutPin layout, uint64_t generation);
+  // The location of `layout` at `generation`.
+  Located At(const LayoutPin& layout, uint64_t generation);
   // Publishes `loc` to the shared client cache.
   void Cache(uint64_t key, const Located& loc);
 

@@ -94,8 +94,8 @@ sim::Task<KvResult> RawKvSession::Update(uint64_t key, std::span<const uint8_t> 
 sim::Task<KvResult> RawKvSession::Insert(uint64_t key, std::span<const uint8_t> value) {
   KvResult result;
   // Allocate a single region on a hash-chosen serving node (client
-  // pre-allocation: no roundtrip), then in parallel write the value and insert
-  // the mapping.
+  // pre-allocation: no roundtrip), insert the mapping, then write the value
+  // into whichever region the index holds: two roundtrips.
   int node = 0;
   PlaceReplicas(hash::Mix64(key, 0x524157), 1, worker_->fabric()->num_nodes(), serving_.get(),
                 &node);
@@ -128,6 +128,7 @@ sim::Task<KvResult> RawKvSession::Insert(uint64_t key, std::span<const uint8_t> 
   std::memcpy(buf.data(), &len, 8);
   std::memcpy(buf.data() + 8, value.data(), value.size());
   fabric::OpResult r = co_await worker_->qp(rep.node).Write(rep.meta_addr, buf);
+  ++result.rtts;
   result.status = !r.ok()              ? KvStatus::kUnavailable
                   : ins.first          ? KvStatus::kOk
                                        : KvStatus::kExists;

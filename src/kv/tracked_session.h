@@ -5,13 +5,14 @@
 // client's outstanding operations (§4.5: "before recycling, a client asks all
 // readers to stop accessing the to-be-recycled buffers; readers acknowledge")
 // instead of modeling the drain as a fixed delay. Works for SWARM-KV and all
-// baselines without touching their implementations.
+// baselines without touching their implementations. A KvSession runs one
+// operation at a time (src/kv/kv_types.h), so the window is one sequence:
+// tracking an op allocates nothing.
 
 #ifndef SWARM_SRC_KV_TRACKED_SESSION_H_
 #define SWARM_SRC_KV_TRACKED_SESSION_H_
 
 #include <cstdint>
-#include <set>
 #include <span>
 
 #include "src/kv/kv_types.h"
@@ -27,48 +28,41 @@ class TrackedKvSession : public KvSession {
   // sequence. `oldest_inflight` equals the barrier once all of those have
   // responded (ops started after never hold the drain).
   uint64_t next_seq() const { return next_seq_; }
-  uint64_t oldest_inflight() const {
-    return inflight_.empty() ? next_seq_ : *inflight_.begin();
-  }
+  uint64_t oldest_inflight() const { return inflight_; }
 
   sim::Task<KvResult> Get(uint64_t key) override {
-    const uint64_t seq = Begin();
+    Begin();
     KvResult r = co_await inner_->Get(key);
-    End(seq);
+    End();
     co_return r;
   }
   sim::Task<KvResult> Update(uint64_t key, std::span<const uint8_t> value) override {
-    const uint64_t seq = Begin();
+    Begin();
     KvResult r = co_await inner_->Update(key, value);
-    End(seq);
+    End();
     co_return r;
   }
   sim::Task<KvResult> Insert(uint64_t key, std::span<const uint8_t> value) override {
-    const uint64_t seq = Begin();
+    Begin();
     KvResult r = co_await inner_->Insert(key, value);
-    End(seq);
+    End();
     co_return r;
   }
   sim::Task<KvResult> Remove(uint64_t key) override {
-    const uint64_t seq = Begin();
+    Begin();
     KvResult r = co_await inner_->Remove(key);
-    End(seq);
+    End();
     co_return r;
   }
 
  private:
-  uint64_t Begin() {
-    const uint64_t seq = next_seq_++;
-    inflight_.insert(seq);
-    return seq;
-  }
-  void End(uint64_t seq) { inflight_.erase(seq); }
+  void Begin() { inflight_ = next_seq_++; }
+  void End() { inflight_ = next_seq_; }
 
   KvSession* inner_;
   uint64_t next_seq_ = 0;
-  // Ordered: the drain needs the OLDEST live sequence. Sessions run one op
-  // at a time, but nothing here relies on that.
-  std::set<uint64_t> inflight_;
+  // The op in flight's sequence; next_seq_ while the session is idle.
+  uint64_t inflight_ = 0;
 };
 
 }  // namespace swarm::kv

@@ -46,7 +46,7 @@ class LayoutMove final : public ReplicaMove {
   }
 
   sim::Task<bool> Copy() override {
-    co_return co_await CopyReplica(protocol_, worker_, src_, dst_.get(), slot_);
+    co_return co_await CopyReplica(protocol_, worker_, src_, dst_, slot_);
   }
 
   // ReplaceLayout retires L as moved: the repair walk skips it, cache GC

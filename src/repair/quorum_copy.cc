@@ -66,12 +66,10 @@ sim::Task<bool> CopyLocks(Worker* worker, const ObjectLayout* src, const ObjectL
   co_return res.ok();
 }
 
-sim::Task<bool> CopySafeGuessReplica(Worker* worker, LayoutPin src, const ObjectLayout* dst,
-                                     int target) {
-  const ObjectLayout* layout = src.get();
-  QuorumMax reg(worker, layout, worker->SlotCacheFor(src));
+sim::Task<bool> CopySafeGuessReplica(Worker* worker, LayoutPin src, LayoutPin dst, int target) {
+  QuorumMax reg(worker, worker->SlotCacheFor(src));
   const bool drop_tombstones =
-      dst == layout && worker->fabric()->config().canaries.skip_tombstone_repair;
+      dst == src && worker->fabric()->config().canaries.skip_tombstone_repair;
   if (drop_tombstones) {
     // CANARY: deleted objects are not copied AT ALL — the probe must be a
     // weak read, because the strong read below write-backs the max (i.e.
@@ -87,7 +85,7 @@ sim::Task<bool> CopySafeGuessReplica(Worker* worker, LayoutPin src, const Object
     co_return false;  // No surviving quorum (or unstabilizable state) yet.
   }
   if (!m.m.empty()) {
-    InOutReplica rep(worker, dst, target);
+    InOutReplica rep(worker, dst.get(), target);
     const Meta word = Meta::Pack(m.m.counter(), m.m.tid(), m.m.verified(), 0);
     if (m.m.deleted()) {
       if (!drop_tombstones) {
@@ -109,16 +107,16 @@ sim::Task<bool> CopySafeGuessReplica(Worker* worker, LayoutPin src, const Object
   // Timestamp-lock state arbitrates guessed writes and must survive the slot
   // move too, or a lock majority that included the vacated slot silently
   // dissolves and both modes can acquire.
-  co_return co_await CopyLocks(worker, layout, dst, target);
+  co_return co_await CopyLocks(worker, src.get(), dst.get(), target);
 }
 
-sim::Task<bool> CopyReplica(LayoutProtocol protocol, Worker* worker, LayoutPin src,
-                            const ObjectLayout* dst, int target) {
+sim::Task<bool> CopyReplica(LayoutProtocol protocol, Worker* worker, LayoutPin src, LayoutPin dst,
+                            int target) {
   if (protocol == LayoutProtocol::kAbd) {
-    AbdObject obj(worker, src.get(), worker->SlotCacheFor(src));
-    co_return co_await obj.CopyReplicaTo(dst, target);
+    AbdObject obj(worker, worker->SlotCacheFor(src));
+    co_return co_await obj.CopyReplicaTo(std::move(dst), target);
   }
-  co_return co_await CopySafeGuessReplica(worker, std::move(src), dst, target);
+  co_return co_await CopySafeGuessReplica(worker, std::move(src), std::move(dst), target);
 }
 
 }  // namespace swarm::repair

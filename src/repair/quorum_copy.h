@@ -63,14 +63,13 @@ sim::Task<bool> CopyLocks(Worker* worker, const ObjectLayout* src, const ObjectL
 // crash repair; a distinct layout for migration. The skipped-tombstone canary
 // (fabric::CanaryKnobs::skip_tombstone_repair) is planted on crash repair's
 // same-layout copy only, so migration copies stay exact.
-sim::Task<bool> CopySafeGuessReplica(Worker* worker, LayoutPin src, const ObjectLayout* dst,
-                                     int target);
+sim::Task<bool> CopySafeGuessReplica(Worker* worker, LayoutPin src, LayoutPin dst, int target);
 
 // The one protocol switch of crash repair and live migration: copies `src`'s
 // authoritative state into `dst`'s replica `target` with the routine that
 // fits `protocol` — CopySafeGuessReplica, or AbdObject::CopyReplicaTo.
-sim::Task<bool> CopyReplica(LayoutProtocol protocol, Worker* worker, LayoutPin src,
-                            const ObjectLayout* dst, int target);
+sim::Task<bool> CopyReplica(LayoutProtocol protocol, Worker* worker, LayoutPin src, LayoutPin dst,
+                            int target);
 
 }  // namespace swarm::repair
 

@@ -35,7 +35,7 @@ sim::Task<RepairOutcome> IndexRepairSource::RepairNode(int node, Worker* worker)
   for (const auto& [layout, r] : slots) {
     // Same-layout copy: harvest from the survivors, install into the
     // rejoining replica (src/repair/quorum_copy.h).
-    const bool ok = co_await CopyReplica(protocol_, worker, layout, layout.get(), r);
+    const bool ok = co_await CopyReplica(protocol_, worker, layout, layout, r);
     if (ok) {
       ++out.slots_repaired;
     } else {

@@ -36,7 +36,7 @@ struct Phase1State : WordPhase {
 
 // Phase 1 of an update at one replica: write the value out-of-place while
 // reading the metadata word, in one roundtrip.
-sim::Task<void> Phase1One(Worker* worker, const ObjectLayout* layout, int r,
+sim::Task<void> Phase1One(Worker* worker, LayoutPin layout, int r,
                           std::shared_ptr<Phase1State> ph) {
   const ReplicaLayout& rep = layout->replica(r);
   fabric::Qp& qp = worker->qp(rep.node);
@@ -70,7 +70,7 @@ sim::Task<void> Phase1One(Worker* worker, const ObjectLayout* layout, int r,
 // Reads replica r's metadata word. The repair coordinator passes
 // `note_failures` = false: its known-failed set must not steer its own
 // contact order.
-sim::Task<void> ReadWordOne(Worker* worker, const ObjectLayout* layout, int r,
+sim::Task<void> ReadWordOne(Worker* worker, LayoutPin layout, int r,
                             std::shared_ptr<Phase1State> ph, bool note_failures) {
   const ReplicaLayout& rep = layout->replica(r);
   std::array<uint8_t, 8> buf{};
@@ -110,8 +110,8 @@ struct CasState : QuorumPhase {
 
 // Installs `desired` at one replica with Algorithm 7's CAS-max loop,
 // recycling the superseded (or unused) out-of-place buffer.
-sim::Task<void> CasMaxOne(Worker* worker, const ObjectLayout* layout, int r, Meta expected,
-                          Meta desired, std::shared_ptr<CasState> ph) {
+sim::Task<void> CasMaxOne(Worker* worker, LayoutPin layout, int r, Meta expected, Meta desired,
+                          std::shared_ptr<CasState> ph) {
   const ReplicaLayout& rep = layout->replica(r);
   fabric::Qp& qp = worker->qp(rep.node);
   OopPool& pool = worker->pool(rep.node);
@@ -156,7 +156,7 @@ sim::Task<void> CasMaxOne(Worker* worker, const ObjectLayout* layout, int r, Met
 }
 
 // Write-back at one replica: out-of-place image + CAS, pipelined.
-sim::Task<void> RepairOne(Worker* worker, const ObjectLayout* layout, int r, Meta base,
+sim::Task<void> RepairOne(Worker* worker, LayoutPin layout, int r, Meta base,
                           std::shared_ptr<const sim::Bytes> value, std::shared_ptr<CasState> ph) {
   const ReplicaLayout& rep = layout->replica(r);
   fabric::Qp& qp = worker->qp(rep.node);
@@ -205,7 +205,7 @@ sim::Task<void> RepairOne(Worker* worker, const ObjectLayout* layout, int r, Met
 // acts on the deletion. Without this, quorums that miss the tombstone keep
 // resurrecting the overwritten (or a concurrently written) value. Returns
 // false when no majority acked; `rtts` is bumped iff a repair wave ran.
-sim::Task<bool> FenceTombstone(Worker* worker, const ObjectLayout* layout, const QuorumEngine& q,
+sim::Task<bool> FenceTombstone(Worker* worker, const LayoutPin& layout, const QuorumEngine& q,
                                std::shared_ptr<Phase1State> ph, Meta m, int* rtts,
                                bool* moved = nullptr) {
   if (ph->Holders(m) >= q.majority()) {
@@ -301,9 +301,10 @@ sim::Task<SgWriteResult> AbdObject::WriteAttempt(std::span<const uint8_t> value,
   // Phase 1: out-of-place writes in parallel with the timestamp discovery
   // read (DM-ABD "hides latency by writing out-of-place data in parallel to
   // finding a fresh timestamp") — one doorbell per wave.
-  const QuorumEngine q(worker_, layout_, cache_.pin());
+  const LayoutPin& layout = cache_.pin();
+  const QuorumEngine q(worker_, *layout);
   const QuorumVerdict v =
-      co_await q.Escalate(ph.get(), [&](int r) { return Phase1One(worker_, layout_, r, ph); });
+      co_await q.Escalate(ph.get(), [&](int r) { return Phase1One(worker_, layout, r, ph); });
   result.rtts = v.waves;
   if (!v.reached) {
     // Phase 1 has no reachable effect (no metadata word points at the
@@ -322,7 +323,7 @@ sim::Task<SgWriteResult> AbdObject::WriteAttempt(std::span<const uint8_t> value,
     // before the caller unmaps/fails, or disjoint quorums resurrect values.
     bool fence_moved = false;
     const bool fenced =
-        co_await FenceTombstone(worker_, layout_, q, ph, m, &result.rtts, &fence_moved);
+        co_await FenceTombstone(worker_, layout, q, ph, m, &result.rtts, &fence_moved);
     // Re-installing the identical tombstone word is idempotent.
     *retry_safe = !fenced;
     if (fenced) {
@@ -346,7 +347,7 @@ sim::Task<SgWriteResult> AbdObject::WriteAttempt(std::span<const uint8_t> value,
   const bool got = co_await q.Wave(
       cs.get(), std::min(q.majority(), installs.size), installs, [&](int r) {
         const auto idx = static_cast<size_t>(r);
-        return CasMaxOne(worker_, layout_, r, ph->words[idx], fresh.WithOop(ph->oop_idx[idx]), cs);
+        return CasMaxOne(worker_, layout, r, ph->words[idx], fresh.WithOop(ph->oop_idx[idx]), cs);
       });
   result.rtts += cs->max_retries;
   // Phase-2 failure is re-executable only when every CAS task finished and
@@ -370,7 +371,7 @@ sim::Task<SgWriteResult> AbdObject::Delete() {
   constexpr int kMaxAttempts = 3;
   for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
     auto cs = sim::MakePooled<CasState>(worker_->sim());
-    const QuorumEngine q(worker_, layout_, cache_.pin());
+    const QuorumEngine q(worker_, *cache_.pin());
     ++result.rtts;
     // Delete needs every replica's actual pre-delete word (fed to seen_max
     // from CAS results only) to tell "we deleted the live object" from "this
@@ -380,7 +381,7 @@ sim::Task<SgWriteResult> AbdObject::Delete() {
     // the loop with no observation, so fall back to the empty seed there.
     const bool got = co_await q.Broadcast(cs.get(), [&](int r) {
       const Meta seed = cache_[r].deleted() ? Meta() : cache_[r];
-      return CasMaxOne(worker_, layout_, r, seed, tombstone, cs);
+      return CasMaxOne(worker_, cache_.pin(), r, seed, tombstone, cs);
     });
     result.rtts += cs->max_retries;
     if (!got && worker_->EpochRefreshNeeded() && attempt + 1 < kMaxAttempts) {
@@ -410,15 +411,15 @@ sim::Task<SgWriteResult> AbdObject::Delete() {
   co_return result;
 }
 
-sim::Task<bool> AbdObject::CopyReplicaTo(const ObjectLayout* dst, int target) {
+sim::Task<bool> AbdObject::CopyReplicaTo(LayoutPin dst, int target) {
   // Phase 1: the surviving SOURCE quorum's metadata words. For crash repair
   // the caller's worker has the target's node repair-excluded, so the engine
   // never contacts it; for migration the vacated source slot is
   // region-fenced and the worker rides the fence-exempt repair channel.
   auto ph = sim::MakePooled<Phase1State>(worker_->sim());
-  const QuorumEngine q(worker_, layout_, cache_.pin());
+  const QuorumEngine q(worker_, *cache_.pin());
   const bool got = co_await q.Broadcast(ph.get(), [&](int r) {
-    return ReadWordOne(worker_, layout_, r, ph, /*note_failures=*/false);
+    return ReadWordOne(worker_, cache_.pin(), r, ph, /*note_failures=*/false);
   });
   if (!got) {
     co_return false;  // No surviving quorum right now.
@@ -437,7 +438,7 @@ sim::Task<bool> AbdObject::CopyReplicaTo(const ObjectLayout* dst, int target) {
   }
 
   // Phase 2: resolve m's bytes from a surviving holder.
-  Chase chase = co_await ChaseValue(worker_, layout_, ph.get(), m);
+  Chase chase = co_await ChaseValue(worker_, cache_.pin().get(), ph.get(), m);
   if (!chase.ok) {
     co_return false;  // Buffer torn or recycled under us: caller retries.
   }
@@ -462,9 +463,10 @@ sim::Task<SgReadResult> AbdObject::Read() {
     }
     // Phase 1: read the metadata word at a majority.
     auto ph = sim::MakePooled<Phase1State>(worker_->sim());
-    const QuorumEngine q(worker_, layout_, cache_.pin());
+    const LayoutPin& layout = cache_.pin();
+    const QuorumEngine q(worker_, *layout);
     const QuorumVerdict v = co_await q.Escalate(ph.get(), [&](int r) {
-      return ReadWordOne(worker_, layout_, r, ph, /*note_failures=*/true);
+      return ReadWordOne(worker_, layout, r, ph, /*note_failures=*/true);
     });
     result.rtts += v.waves;
     if (!v.reached) {
@@ -490,7 +492,7 @@ sim::Task<SgReadResult> AbdObject::Read() {
       // ABD read-repair applies to tombstones too (see FenceTombstone):
       // report "deleted" only once a majority carries it.
       bool fence_moved = false;
-      if (!co_await FenceTombstone(worker_, layout_, q, ph, m, &result.rtts, &fence_moved)) {
+      if (!co_await FenceTombstone(worker_, layout, q, ph, m, &result.rtts, &fence_moved)) {
         if (fence_moved) {
           result.status = SgStatus::kMoved;  // Re-locate and re-read.
         }
@@ -501,7 +503,7 @@ sim::Task<SgReadResult> AbdObject::Read() {
     }
 
     // Phase 2: chase the out-of-place pointer at a replica holding m.
-    Chase chase = co_await ChaseValue(worker_, layout_, ph.get(), m);
+    Chase chase = co_await ChaseValue(worker_, layout.get(), ph.get(), m);
     result.rtts += chase.reads;
     if (!chase.ok) {
       if (chase.moved) {
@@ -520,7 +522,7 @@ sim::Task<SgReadResult> AbdObject::Read() {
       const bool fixed = co_await q.Wave(
           cs.get(), q.majority() - holders,
           q.contacts().Where([&](int r) { return !ph->Holds(r, m); }),
-          [&](int r) { return RepairOne(worker_, layout_, r, base, value, cs); });
+          [&](int r) { return RepairOne(worker_, layout, r, base, value, cs); });
       if (!fixed) {
         if (cs->moved > 0) {
           result.status = SgStatus::kMoved;  // Fenced mid-write-back: re-locate.

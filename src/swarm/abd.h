@@ -31,12 +31,12 @@
 
 namespace swarm {
 
-// One ABD-replicated object bound to a worker. Uses the same ObjectLayout as
-// SWARM objects, with meta_slots = 1 and no in-place region.
+// One ABD-replicated object bound to a worker: `cache`'s layout, which is
+// the same ObjectLayout as SWARM objects', with meta_slots = 1 and no
+// in-place region.
 class AbdObject {
  public:
-  AbdObject(Worker* worker, const ObjectLayout* layout, SlotCache cache)
-      : worker_(worker), layout_(layout), cache_(std::move(cache)) {}
+  AbdObject(Worker* worker, SlotCache cache) : worker_(worker), cache_(std::move(cache)) {}
 
   sim::Task<SgWriteResult> Write(std::span<const uint8_t> value);
   sim::Task<SgWriteResult> Delete();
@@ -53,7 +53,7 @@ class AbdObject {
   // the destination's metadata address, so the installed buffer
   // self-validates under `dst`. Returns false when no surviving quorum
   // answered or the value bytes could not be resolved (caller retries).
-  sim::Task<bool> CopyReplicaTo(const ObjectLayout* dst, int target);
+  sim::Task<bool> CopyReplicaTo(LayoutPin dst, int target);
 
  private:
   // One update attempt; Write() wraps it in the membership-refresh-then-
@@ -61,7 +61,6 @@ class AbdObject {
   sim::Task<SgWriteResult> WriteAttempt(std::span<const uint8_t> value, bool* retry_safe);
 
   Worker* worker_;
-  const ObjectLayout* layout_;
   SlotCache cache_;
 };
 

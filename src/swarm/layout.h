@@ -23,7 +23,10 @@
 //
 // 24 + 16·R bytes: 72 B for 3 replicas, an 80 B malloc chunk. The block is
 // shared through LayoutPin, an 8 B handle whose reference count is the
-// block's own `refs`; nothing copies a layout or holds one by value.
+// block's own `refs`; nothing copies a layout or holds one by value. A pin,
+// or the SlotCache handle that carries one, held by value is the only way
+// anything reaches a layout across a suspension: the op, each of its
+// per-replica tasks and each promotion hold their own share.
 
 #ifndef SWARM_SRC_SWARM_LAYOUT_H_
 #define SWARM_SRC_SWARM_LAYOUT_H_
@@ -33,7 +36,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <new>
 #include <utility>
 #include <vector>
@@ -151,10 +153,10 @@ class ObjectLayout;
 
 // A share in the ownership of a layout, 8 B: the count lives in the layout's
 // block. Every holder of a layout holds one: index entries, client-cache
-// entries, a located op, the retired list, the repair and migration walks,
-// and the quorum phases. A coroutine that can outlive the op that started it
-// (a straggler: a per-replica task still in flight after its quorum resumed,
-// or a background promotion) holds one too, so the retired-layout GC
+// entries, a located op, the retired list and the repair and migration
+// walks. A coroutine that can outlive the op that started it (a straggler: a
+// per-replica task still in flight after its quorum resumed, or a background
+// promotion) takes its own by value, so the retired-layout GC
 // (IndexService::GcRetired), whose use-count gate counts every share, keeps
 // the layout and its slots until the straggler is done. The last share
 // frees the block with every writer's slot-cache words.
@@ -375,36 +377,28 @@ inline LayoutPin GraftReplica(fabric::Fabric& fabric, const ObjectLayout& layout
   return ObjectLayout::Build(layout, records.data());
 }
 
-// Slot-cache words a caller keeps for itself instead of in the layout (tests
-// and microbenchmarks that start each op from cold words): one word per
-// replica.
-struct ObjectCache {
-  std::array<Meta, kMaxReplicas> slot{};
-};
-
-// A protocol object's handle on one writer's slot-cache words for one
-// object (Algorithm 7's cached previous values, 8 B per replica; the
-// "In-n-Out metadata" part of a SWARM-KV cache entry, §7.1). It shares the
-// ownership of whatever holds the words: the object's layout
-// (Worker::SlotCacheFor), which makes pin() a share in it, or the caller's
-// own ObjectCache. Null for a promotion that tracks no words.
+// A protocol object's handle on one object: a share in its layout and one
+// writer's slot-cache words in the layout's block (Algorithm 7's cached
+// previous values, 8 B per replica; the "In-n-Out metadata" part of a
+// SWARM-KV cache entry, §7.1), 16 B. Only Worker::SlotCacheFor builds one;
+// a default-constructed handle is null, for a promotion that tracks no
+// words.
 class SlotCache {
  public:
   SlotCache() = default;
-  SlotCache(std::nullptr_t) {}
-  SlotCache(LayoutPin pin, Meta* words) : pin_(std::move(pin)), words_(words) {}
-  SlotCache(std::shared_ptr<ObjectCache> own)
-      : own_(std::move(own)), words_(own_ == nullptr ? nullptr : own_->slot.data()) {}
 
   Meta& operator[](int r) const { return words_[r]; }
   explicit operator bool() const { return words_ != nullptr; }
   const LayoutPin& pin() const { return pin_; }
 
  private:
+  friend class Worker;
+  SlotCache(LayoutPin pin, Meta* words) : pin_(std::move(pin)), words_(words) {}
+
   LayoutPin pin_;
-  std::shared_ptr<ObjectCache> own_;
   Meta* words_ = nullptr;
 };
+static_assert(sizeof(SlotCache) == 16, "a pin and a words pointer");
 
 // Which metadata slot a writer CASes (§4.4: each buffer is updated by a
 // subset of the writers).

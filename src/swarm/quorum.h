@@ -24,17 +24,16 @@
 // The per-replica tasks record what they learn into their phase and signal
 // its `ok` counter; stragglers keep doing so after the engine resumed, so a
 // phase lives in a pooled shared block the tasks co-own (sim::MakePooled).
-// Every wave stamps the engine's LayoutPin into its phase: a straggler reads
-// the layout's records after each resume (InOutReplica keeps a pointer into
-// them), and co-owning the pinned phase keeps the layout alive until the
-// last straggler is done.
+// A straggler also reads the layout's records after each resume
+// (InOutReplica keeps a pointer into them), so each task holds its own share
+// in the layout: it takes a LayoutPin, or the SlotCache handle that carries
+// one, by value. The engine reads the layout only in its constructor.
 
 #ifndef SWARM_SRC_SWARM_QUORUM_H_
 #define SWARM_SRC_SWARM_QUORUM_H_
 
 #include <algorithm>
 #include <array>
-#include <utility>
 
 #include "src/fabric/fabric.h"
 #include "src/sim/sync.h"
@@ -74,7 +73,6 @@ struct QuorumPhase {
 
   sim::Counter ok;
   int moved = 0;
-  LayoutPin pin;  // Stamped by every wave: the per-replica tasks' layout.
 };
 
 // A phase whose replicas answer with a metadata word, plus the tallies
@@ -145,15 +143,11 @@ class QuorumEngine {
     kIndex,      // Every contactable replica in index order (Algorithm 9).
   };
 
-  // `pin` keeps `layout` alive while stragglers run: the caller's slot-cache
-  // handle (SlotCache::pin) or its own pin. Callers that own the layout
-  // outright (tests) may pass none.
-  QuorumEngine(Worker* worker, const ObjectLayout* layout, LayoutPin pin,
-               Order order = Order::kLiveFirst)
-      : worker_(worker), majority_(layout->majority()), pin_(std::move(pin)) {
+  QuorumEngine(Worker* worker, const ObjectLayout& layout, Order order = Order::kLiveFirst)
+      : worker_(worker), majority_(layout.majority()) {
     Contacts failed;
-    for (int r = 0; r < layout->num_replicas; ++r) {
-      const int node = layout->replica(r).node;
+    for (int r = 0; r < layout.num_replicas; ++r) {
+      const int node = layout.replica(r).node;
       if (worker->NodeQuorumExcluded(node)) {
         continue;  // Mid-repair: not contacted, never counted.
       }
@@ -209,7 +203,6 @@ class QuorumEngine {
   template <typename Make>
   sim::Task<bool> Post(QuorumPhase* ph, int need, sim::Time timeout, const Contacts& to, int from,
                        int end, Make& make) const {
-    ph->pin = pin_;
     {
       fabric::CpuBatch batch(worker_->cpu());
       for (int i = from; i < end; ++i) {
@@ -221,7 +214,6 @@ class QuorumEngine {
 
   Worker* worker_;
   int majority_;
-  LayoutPin pin_;
   Contacts contacts_;
 };
 

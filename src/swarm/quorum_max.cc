@@ -29,9 +29,9 @@ struct WrPhase : QuorumPhase {
   int completions = 0;
 };
 
-sim::Task<void> WriteAndReadOne(Worker* worker, const ObjectLayout* layout, SlotCache cache, int r,
+sim::Task<void> WriteAndReadOne(Worker* worker, SlotCache cache, int r,
                                 std::shared_ptr<WrPhase> ph) {
-  InOutReplica rep(worker, layout, r);
+  InOutReplica rep(worker, cache.pin().get(), r);
   // Pipeline the In-n-Out max-write and the metadata read on the same QP:
   // both are in flight simultaneously, one roundtrip total (Algorithm 2
   // line 6: "in parallel {m = M.READ(), M.WRITE(w)}") — and posted under one
@@ -79,9 +79,8 @@ struct RdPhase : WordPhase {
   sim::Bytes inplace_value;
 };
 
-sim::Task<void> ReadOne(Worker* worker, const ObjectLayout* layout, SlotCache cache, int r,
-                        std::shared_ptr<RdPhase> ph) {
-  InOutReplica rep(worker, layout, r);
+sim::Task<void> ReadOne(Worker* worker, SlotCache cache, int r, std::shared_ptr<RdPhase> ph) {
+  InOutReplica rep(worker, cache.pin().get(), r);
   NodeView view = co_await rep.ReadNode(/*want_inplace=*/true);
   if (!view.ok()) {
     if (IsNodeFailure(view.status)) {
@@ -95,7 +94,7 @@ sim::Task<void> ReadOne(Worker* worker, const ObjectLayout* layout, SlotCache ca
   const auto idx = static_cast<size_t>(r);
   ph->Record(r, view.max);
   ph->slots[idx] = std::move(view.slots);
-  cache[r] = ph->slots[idx][static_cast<size_t>(SlotOf(worker->tid(), layout->meta_slots))];
+  cache[r] = ph->slots[idx][static_cast<size_t>(SlotOf(worker->tid(), cache.pin()->meta_slots))];
   if (view.inplace_valid && !ph->have_inplace) {
     ph->have_inplace = true;
     ph->inplace_word = view.max;
@@ -113,9 +112,9 @@ struct RepairPhase : QuorumPhase {
   sim::Bytes value;
 };
 
-sim::Task<void> RepairOne(Worker* worker, const ObjectLayout* layout, int r, Meta seed,
+sim::Task<void> RepairOne(Worker* worker, LayoutPin layout, int r, Meta seed,
                           std::shared_ptr<RepairPhase> ph) {
-  InOutReplica rep(worker, layout, r);
+  InOutReplica rep(worker, layout.get(), r);
   NodeMaxResult res = co_await rep.WriteMaxFor(ph->base, ph->value, seed);
   if (res.ok()) {
     ph->ok.Add(1);
@@ -134,9 +133,9 @@ struct VwPhase : QuorumPhase {
   int max_retries = 0;
 };
 
-sim::Task<void> WriteVerifiedOne(Worker* worker, const ObjectLayout* layout, SlotCache cache,
-                                 int r, std::shared_ptr<VwPhase> ph) {
-  InOutReplica rep(worker, layout, r);
+sim::Task<void> WriteVerifiedOne(Worker* worker, SlotCache cache, int r,
+                                 std::shared_ptr<VwPhase> ph) {
+  InOutReplica rep(worker, cache.pin().get(), r);
   NodeMaxResult res = co_await rep.WriteVerifiedNode(ph->w, ph->value, cache[r]);
   if (!res.ok()) {
     if (IsNodeFailure(res.status)) {
@@ -152,14 +151,12 @@ sim::Task<void> WriteVerifiedOne(Worker* worker, const ObjectLayout* layout, Slo
   ph->ok.Add(1);
 }
 
-// `pin` is held, never read: it keeps the layout alive across the flip.
-sim::Task<void> PromoteOne(Worker* worker, const ObjectLayout* layout,
-                           [[maybe_unused]] LayoutPin pin, int r, Meta word,
-                           std::shared_ptr<sim::Bytes> value, SlotCache cache) {
-  InOutReplica rep(worker, layout, r);
+sim::Task<void> PromoteOne(Worker* worker, LayoutPin layout, int r, Meta word,
+                           std::shared_ptr<sim::Bytes> value, SlotCache writer) {
+  InOutReplica rep(worker, layout.get(), r);
   fabric::Status st = co_await rep.PromoteVerified(word, *value);
-  if (st == fabric::Status::kOk && cache) {
-    cache[r] = TsMax(cache[r], word.WithVerified());
+  if (st == fabric::Status::kOk && writer) {
+    writer[r] = TsMax(writer[r], word.WithVerified());
   }
 }
 
@@ -188,9 +185,9 @@ sim::Task<WriteReadOutcome> QuorumMax::WriteAndReadOnce(Meta w, std::span<const 
 
   // Each wave is one doorbell: all replicas' pipelined [WRITE→CAS] + READ
   // pairs ride a single amortized submit_cost (§7.2).
-  const QuorumEngine q(worker_, layout_, cache_.pin());
-  const QuorumVerdict v = co_await q.Escalate(
-      ph.get(), [&](int r) { return WriteAndReadOne(worker_, layout_, cache_, r, ph); });
+  const QuorumEngine q(worker_, *cache_.pin());
+  const QuorumVerdict v =
+      co_await q.Escalate(ph.get(), [&](int r) { return WriteAndReadOne(worker_, cache_, r, ph); });
 
   WriteReadOutcome out;
   out.ok = v.reached;
@@ -215,9 +212,10 @@ sim::Task<ReadOutcome> QuorumMax::ReadQuorum(bool strong) {
 
 sim::Task<ReadOutcome> QuorumMax::ReadQuorumOnce(bool strong) {
   auto ph = sim::MakePooled<RdPhase>(worker_->sim());
-  const QuorumEngine q(worker_, layout_, cache_.pin());
-  const QuorumVerdict v = co_await q.Escalate(
-      ph.get(), [&](int r) { return ReadOne(worker_, layout_, cache_, r, ph); });
+  const ObjectLayout& layout = *cache_.pin();
+  const QuorumEngine q(worker_, layout);
+  const QuorumVerdict v =
+      co_await q.Escalate(ph.get(), [&](int r) { return ReadOne(worker_, cache_, r, ph); });
   ReadOutcome out;
   out.rtts = v.waves;
   out.moved = ph->moved > 0;
@@ -238,11 +236,11 @@ sim::Task<ReadOutcome> QuorumMax::ReadQuorumOnce(bool strong) {
     out.used_inplace = true;
     out.value = std::move(ph->inplace_value);
   } else if (strong) {
-    for (int r = 0; r < layout_->num_replicas && !out.value_ok; ++r) {
+    for (int r = 0; r < layout.num_replicas && !out.value_ok; ++r) {
       if (!ph->Carries(r, out.m)) {
         continue;
       }
-      InOutReplica rep(worker_, layout_, r);
+      InOutReplica rep(worker_, &layout, r);
       auto bytes = co_await rep.ReadOop(ph->words[static_cast<size_t>(r)]);
       ++out.rtts;
       if (bytes.has_value()) {
@@ -273,9 +271,9 @@ sim::Task<ReadOutcome> QuorumMax::ReadQuorumOnce(bool strong) {
             const auto idx = static_cast<size_t>(r);
             Meta seed;
             if (ph->oks[idx] && !ph->slots[idx].empty()) {
-              seed = ph->slots[idx][static_cast<size_t>(SlotOf(m.tid(), layout_->meta_slots))];
+              seed = ph->slots[idx][static_cast<size_t>(SlotOf(m.tid(), layout.meta_slots))];
             }
-            return RepairOne(worker_, layout_, r, seed, rp);
+            return RepairOne(worker_, cache_.pin(), r, seed, rp);
           });
       if (!fixed) {
         out.ok = false;
@@ -307,24 +305,24 @@ sim::Task<bool> QuorumMax::WriteVerifiedOnce(Meta w, std::span<const uint8_t> va
   ph->w = w.WithVerified();
   ph->value.assign(value.begin(), value.end());
 
-  const QuorumEngine q(worker_, layout_, cache_.pin());
-  const QuorumVerdict v = co_await q.Escalate(
-      ph.get(), [&](int r) { return WriteVerifiedOne(worker_, layout_, cache_, r, ph); });
+  const QuorumEngine q(worker_, *cache_.pin());
+  const QuorumVerdict v =
+      co_await q.Escalate(ph.get(), [&](int r) { return WriteVerifiedOne(worker_, cache_, r, ph); });
   if (rtts != nullptr) {
     *rtts = v.waves + ph->max_retries;
   }
   co_return v.reached;
 }
 
-sim::Task<void> QuorumMax::Promote(Worker* worker, const ObjectLayout* layout, LayoutPin pin,
+sim::Task<void> QuorumMax::Promote(Worker* worker, LayoutPin pin,
                                    std::array<Meta, kMaxReplicas> installed, sim::Bytes value,
-                                   SlotCache cache) {
+                                   SlotCache writer) {
   auto shared_value = sim::MakePooled<sim::Bytes>(std::move(value));
   fabric::CpuBatch batch(worker->cpu());  // All promotions, one doorbell.
-  for (int r = 0; r < layout->num_replicas; ++r) {
+  for (int r = 0; r < pin->num_replicas; ++r) {
     const Meta word = installed[static_cast<size_t>(r)];
     if (!word.empty()) {
-      sim::Spawn(PromoteOne(worker, layout, pin, r, word, shared_value, cache));
+      sim::Spawn(PromoteOne(worker, pin, r, word, shared_value, writer));
     }
   }
   co_return;

@@ -63,11 +63,10 @@ struct [[nodiscard]] ReadOutcome {
 
 class QuorumMax {
  public:
-  // `cache` is shared because straggler per-replica tasks may update slot
-  // caches after the caller's op is gone; its owner is the pin every phase
-  // carries (src/swarm/quorum.h).
-  QuorumMax(Worker* worker, const ObjectLayout* layout, SlotCache cache)
-      : worker_(worker), layout_(layout), cache_(std::move(cache)) {}
+  // The register of `cache`'s layout, with its writer's slot-cache words.
+  // Each per-replica task takes a copy of the handle: stragglers may update
+  // the words, and read the layout's records, after the caller's op is gone.
+  QuorumMax(Worker* worker, SlotCache cache) : worker_(worker), cache_(std::move(cache)) {}
 
   // Safe-Guess's combined fast-path phase (Algorithm 2 line 6): per replica,
   // pipeline the In-n-Out max-write of `w` and a read of the metadata array
@@ -86,13 +85,14 @@ class QuorumMax {
 
   // Background promotion of a completed guessed write to VERIFIED (Algorithm
   // 2 line 8): flips the installed words and refreshes in-place data at the
-  // designated replica. Fire-and-forget, so it outlives its op: `pin` keeps
-  // the layout alive until every flip completed. When the promoter owns the
-  // words (a writer promoting its own write), pass its slot cache so the
-  // slot caches track the flipped words and the next write's CAS stays 1-RT.
-  static sim::Task<void> Promote(Worker* worker, const ObjectLayout* layout, LayoutPin pin,
+  // designated replica. Fire-and-forget, so it outlives its op: each flip
+  // holds its own share of `pin`'s layout. When the promoter owns the words
+  // (a writer promoting its own write), `writer` is its handle, so the slot
+  // caches track the flipped words and the next write's CAS stays 1-RT; a
+  // reader passes a null handle.
+  static sim::Task<void> Promote(Worker* worker, LayoutPin pin,
                                  std::array<Meta, kMaxReplicas> installed, sim::Bytes value,
-                                 SlotCache cache = nullptr);
+                                 SlotCache writer);
 
  private:
   // Single attempts behind the public ops. The public wrappers re-run an
@@ -105,7 +105,6 @@ class QuorumMax {
   sim::Task<bool> WriteVerifiedOnce(Meta w, std::span<const uint8_t> value, int* rtts);
 
   Worker* worker_;
-  const ObjectLayout* layout_;
   SlotCache cache_;
 };
 

@@ -32,9 +32,9 @@ void CheckWriterBound(Worker* worker, const ObjectLayout* layout) {
 }  // namespace
 
 sim::Task<SgWriteResult> SafeGuessObject::Write(std::span<const uint8_t> value) {
-  CheckWriterBound(worker_, layout_);
+  CheckWriterBound(worker_, cache_.pin().get());
   SgWriteResult result;
-  QuorumMax reg(worker_, layout_, cache_);
+  QuorumMax reg(worker_, cache_);
 
   // Line 5: guess a fresh timestamp; the GUESSED word to install.
   const uint32_t guess = worker_->clock().Guess();
@@ -80,7 +80,7 @@ sim::Task<SgWriteResult> SafeGuessObject::Write(std::span<const uint8_t> value) 
     // guess: acquired ⇒ no reader can ever commit it, the retry is safe
     // (kDeleted); lost ⇒ the write took effect before the object died and
     // the caller must NOT re-execute (kOk, ordered just before the delete).
-    TimestampLock bounce_lock(worker_, layout_, worker_->tid(), cache_.pin());
+    TimestampLock bounce_lock(worker_, cache_.pin(), worker_->tid());
     TryLockResult bounce = co_await bounce_lock.TryLock(guess, LockMode::kWrite);
     result.rtts += bounce.rtts;
     if (!bounce.quorum_ok) {
@@ -104,7 +104,7 @@ sim::Task<SgWriteResult> SafeGuessObject::Write(std::span<const uint8_t> value) 
     // promotion CASes ride one doorbell too).
     result.status = SgStatus::kOk;
     result.fast_path = true;
-    sim::Spawn(QuorumMax::Promote(worker_, layout_, cache_.pin(), out.installed,
+    sim::Spawn(QuorumMax::Promote(worker_, cache_.pin(), out.installed,
                                   sim::Bytes(value.begin(), value.end()), cache_));
     co_return result;
   }
@@ -113,7 +113,7 @@ sim::Task<SgWriteResult> SafeGuessObject::Write(std::span<const uint8_t> value) 
   worker_->clock().ObserveStale(out.m.counter());
 
   // Line 10: try to lock readers out of the guessed timestamp.
-  TimestampLock lock(worker_, layout_, worker_->tid(), cache_.pin());
+  TimestampLock lock(worker_, cache_.pin(), worker_->tid());
   TryLockResult locked = co_await lock.TryLock(guess, LockMode::kWrite);
   result.rtts += locked.rtts;
   if (!locked.quorum_ok) {
@@ -142,9 +142,9 @@ sim::Task<SgWriteResult> SafeGuessObject::Write(std::span<const uint8_t> value) 
 }
 
 sim::Task<SgWriteResult> SafeGuessObject::Delete() {
-  CheckWriterBound(worker_, layout_);
+  CheckWriterBound(worker_, cache_.pin().get());
   SgWriteResult result;
-  QuorumMax reg(worker_, layout_, cache_);
+  QuorumMax reg(worker_, cache_);
   const Meta tombstone = Meta::Tombstone(worker_->tid());
   // The combined write+read phase installs the tombstone AND returns the
   // quorum's ts-max excluding our own write, in the same roundtrip. If that
@@ -171,7 +171,7 @@ sim::Task<SgWriteResult> SafeGuessObject::Delete() {
 
 sim::Task<SgReadResult> SafeGuessObject::Read() {
   SgReadResult result;
-  QuorumMax reg(worker_, layout_, cache_);
+  QuorumMax reg(worker_, cache_);
 
   // Line 15: tuples seen so far, one per writer id. An iteration records at
   // most one tuple and there are at most 2W+1 iterations, so the list stays
@@ -184,7 +184,7 @@ sim::Task<SgReadResult> SafeGuessObject::Read() {
   };
   sim::PoolVec<Seen> seen;
 
-  const int max_iters = 2 * layout_->max_writers + 1;
+  const int max_iters = 2 * cache_.pin()->max_writers + 1;
   for (int iter = 0; iter < max_iters; ++iter) {
     ++result.iterations;
     // Line 16: read M (reliable max-register read with write-back).
@@ -234,20 +234,20 @@ sim::Task<SgReadResult> SafeGuessObject::Read() {
     if (s != nullptr && s->write_key == m.m.same_write_key()) {
       // Line 19: same GUESSED tuple seen in two sequential reads — its
       // timestamp was fresh. Try to lock out a re-execution (line 20).
-      TimestampLock lock(worker_, layout_, tid, cache_.pin());
+      TimestampLock lock(worker_, cache_.pin(), tid);
       TryLockResult locked = co_await lock.TryLock(m.m.counter(), LockMode::kRead);
       result.rtts += locked.rtts;
       if (locked.acquired) {
         // Line 21: mark VERIFIED in the background to speed up future reads.
         std::array<Meta, kMaxReplicas> words{};
-        for (int r = 0; r < layout_->num_replicas; ++r) {
+        for (int r = 0; r < cache_.pin()->num_replicas; ++r) {
           const auto idx = static_cast<size_t>(r);
           if (m.node_ok[idx] &&
               m.node_words[idx].same_write_key() == m.m.same_write_key()) {
             words[idx] = m.node_words[idx];
           }
         }
-        sim::Spawn(QuorumMax::Promote(worker_, layout_, cache_.pin(), words, m.value));
+        sim::Spawn(QuorumMax::Promote(worker_, cache_.pin(), words, m.value, SlotCache()));
         // Line 22.
         result.status = SgStatus::kOk;
         result.value = std::move(m.value);

@@ -62,8 +62,8 @@ struct [[nodiscard]] SgReadResult {
 // One Safe-Guess-replicated object, bound to a worker. Cheap to construct.
 class SafeGuessObject {
  public:
-  SafeGuessObject(Worker* worker, const ObjectLayout* layout, SlotCache cache)
-      : worker_(worker), layout_(layout), cache_(std::move(cache)) {}
+  // The register of `cache`'s layout, written with its writer's words.
+  SafeGuessObject(Worker* worker, SlotCache cache) : worker_(worker), cache_(std::move(cache)) {}
 
   // Algorithm 2. Empty `value` is a valid payload.
   sim::Task<SgWriteResult> Write(std::span<const uint8_t> value);
@@ -77,7 +77,6 @@ class SafeGuessObject {
 
  private:
   Worker* worker_;
-  const ObjectLayout* layout_;
   SlotCache cache_;
 };
 

@@ -19,9 +19,8 @@ struct LockPhase : QuorumPhase {
 
 // One CAS word's loop (Algorithm 9, lines 5–9): CAS until the word holds a
 // timestamp >= ts, remembering what was observed.
-sim::Task<void> LockOneReplica(Worker* worker, const ObjectLayout* layout, int replica,
-                               uint32_t owner_tid, uint32_t counter, LockMode mode,
-                               std::shared_ptr<LockPhase> phase) {
+sim::Task<void> LockOneReplica(Worker* worker, LayoutPin layout, int replica, uint32_t owner_tid,
+                               uint32_t counter, LockMode mode, std::shared_ptr<LockPhase> phase) {
   const ReplicaLayout& rep = layout->replica(replica);
   // The protocol entry points (CheckWriterBound in safe_guess.cc) already
   // rejected out-of-range tids; this assert keeps the slab-neighbor CAS
@@ -74,7 +73,7 @@ sim::Task<TryLockResult> TimestampLock::TryLock(uint32_t counter, LockMode mode)
     // must answer. A repairing replica is skipped outright: its CAS words are
     // mid-restore and counting it could manufacture a majority the opposite
     // mode already holds among the survivors.
-    const QuorumEngine q(worker_, layout_, pin_, QuorumEngine::Order::kIndex);
+    const QuorumEngine q(worker_, *layout_, QuorumEngine::Order::kIndex);
     const bool reached = co_await q.Broadcast(phase.get(), [&](int r) {
       return LockOneReplica(worker_, layout_, r, owner_tid_, counter, mode, phase);
     });

@@ -29,15 +29,13 @@ struct [[nodiscard]] TryLockResult {
   int rtts = 0;
 };
 
-// The lock of writer `owner_tid` on one object. Cheap to construct per op.
-// `pin` keeps the layout alive for the per-replica CAS loops that outlive
-// TryLock (the quorum engine stamps it into their phase); callers that own
-// the layout outright (tests) may pass none.
+// The lock of writer `owner_tid` on `layout`'s object. Cheap to construct
+// per op. Each per-replica CAS loop takes its own share of the layout: the
+// loops that outlive TryLock keep reading its records.
 class TimestampLock {
  public:
-  TimestampLock(Worker* worker, const ObjectLayout* layout, uint32_t owner_tid,
-                LayoutPin pin = nullptr)
-      : worker_(worker), layout_(layout), owner_tid_(owner_tid), pin_(std::move(pin)) {}
+  TimestampLock(Worker* worker, LayoutPin layout, uint32_t owner_tid)
+      : worker_(worker), layout_(std::move(layout)), owner_tid_(owner_tid) {}
 
   // TRYLOCK(ts, mode): returns acquired=true iff no conflicting lock attempt
   // (same ts with the opposite mode, or any higher ts) was observed at a
@@ -46,9 +44,8 @@ class TimestampLock {
 
  private:
   Worker* worker_;
-  const ObjectLayout* layout_;
+  LayoutPin layout_;
   uint32_t owner_tid_;
-  LayoutPin pin_;
 };
 
 }  // namespace swarm

@@ -90,17 +90,14 @@ class Worker {
   // by this worker's tid: num_replicas words, zeroed on the writer's first
   // call and freed with the layout. The first writer to touch a layout uses
   // the block's inline words (24 B for 3 replicas, no allocation); each
-  // later writer gets a chained block (a 48 B chunk for 3 replicas). The
-  // handle holds a LayoutPin, so an op that holds it pins the layout for as
-  // long as any of its coroutines can still touch the words or the layout's
-  // records.
+  // later writer gets a chained block (a 48 B chunk for 3 replicas). This
+  // is the only way to build a handle, and every handle holds a share in the
+  // layout: a protocol object reads its layout from the handle, and each of
+  // its coroutines that can outlive the op takes a copy, so the words and
+  // the layout's records stay alive for as long as any of them can touch
+  // them.
   SlotCache SlotCacheFor(const LayoutPin& layout) {
     return SlotCache(layout, layout->SlotWords(tid_));
-  }
-  // For a layout its caller keeps alive by itself (tests own theirs): the
-  // handle pins nothing.
-  SlotCache SlotCacheFor(const ObjectLayout* layout) {
-    return SlotCache(nullptr, layout->SlotWords(tid_));
   }
 
   bool NodeKnownFailed(int node) const { return (*known_failed_)[static_cast<size_t>(node)]; }

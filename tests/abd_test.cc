@@ -34,8 +34,8 @@ TEST(Abd, WriteThenReadRoundtrips) {
   Worker& w = env.MakeWorker();
   const LayoutPin layout = MakeAbdObject(env);
 
-  auto driver = [](Worker* w, const ObjectLayout* layout) -> Task<void> {
-    AbdObject obj(w, layout, std::make_shared<ObjectCache>());
+  auto driver = [](Worker* w, LayoutPin layout2) -> Task<void> {
+    AbdObject obj(w, w->SlotCacheFor(layout2));
     auto value = ValN(48, 0x3C);
     const sim::Time w_start = w->sim()->Now();
     SgWriteResult wr = co_await obj.Write(value);
@@ -53,7 +53,7 @@ TEST(Abd, WriteThenReadRoundtrips) {
     EXPECT_EQ(rd.rtts, 2);  // Metadata read + pointer chase.
     EXPECT_GT(r_lat, 2800);
   };
-  Spawn(driver(&w, layout.get()));
+  Spawn(driver(&w, layout));
   env.sim.Run();
 }
 
@@ -62,8 +62,8 @@ TEST(Abd, EmptyAndDeleted) {
   Worker& w = env.MakeWorker();
   const LayoutPin layout = MakeAbdObject(env);
 
-  auto driver = [](Worker* w, const ObjectLayout* layout) -> Task<void> {
-    AbdObject obj(w, layout, std::make_shared<ObjectCache>());
+  auto driver = [](Worker* w, LayoutPin layout2) -> Task<void> {
+    AbdObject obj(w, w->SlotCacheFor(layout2));
     SgReadResult rd0 = co_await obj.Read();
     EXPECT_EQ(rd0.status, SgStatus::kNotFound);
     (void)co_await obj.Write(ValN(8, 1));
@@ -74,7 +74,7 @@ TEST(Abd, EmptyAndDeleted) {
     SgWriteResult wr = co_await obj.Write(ValN(8, 2));
     EXPECT_EQ(wr.status, SgStatus::kDeleted);
   };
-  Spawn(driver(&w, layout.get()));
+  Spawn(driver(&w, layout));
   env.sim.Run();
 }
 
@@ -83,17 +83,17 @@ TEST(Abd, SurvivesMinorityCrash) {
   Worker& w = env.MakeWorker();
   const LayoutPin layout = MakeAbdObject(env);
 
-  auto driver = [](Worker* w, const ObjectLayout* layout) -> Task<void> {
-    AbdObject obj(w, layout, std::make_shared<ObjectCache>());
+  auto driver = [](Worker* w, LayoutPin layout2) -> Task<void> {
+    AbdObject obj(w, w->SlotCacheFor(layout2));
     (void)co_await obj.Write(ValN(16, 4));
-    w->fabric()->Crash(layout->replica(2).node);
+    w->fabric()->Crash(layout2->replica(2).node);
     SgReadResult rd = co_await obj.Read();
     EXPECT_EQ(rd.status, SgStatus::kOk);
     EXPECT_EQ(rd.value, ValN(16, 4));
     SgWriteResult wr = co_await obj.Write(ValN(16, 5));
     EXPECT_EQ(wr.status, SgStatus::kOk);
   };
-  Spawn(driver(&w, layout.get()));
+  Spawn(driver(&w, layout));
   env.sim.Run();
 }
 
@@ -108,8 +108,8 @@ std::vector<uint8_t> EncodeValue(uint64_t v) {
   return bytes;
 }
 
-Task<void> StressWriter(Worker* w, const ObjectLayout* layout, int ops, StressState* st) {
-  AbdObject obj(w, layout, std::make_shared<ObjectCache>());
+Task<void> StressWriter(Worker* w, LayoutPin layout, int ops, StressState* st) {
+  AbdObject obj(w, w->SlotCacheFor(layout));
   for (int i = 0; i < ops; ++i) {
     co_await w->sim()->Delay(static_cast<sim::Time>(w->sim()->rng().Below(9000)));
     const uint64_t value = st->next_value++;
@@ -124,8 +124,8 @@ Task<void> StressWriter(Worker* w, const ObjectLayout* layout, int ops, StressSt
   }
 }
 
-Task<void> StressReader(Worker* w, const ObjectLayout* layout, int ops, StressState* st) {
-  AbdObject obj(w, layout, std::make_shared<ObjectCache>());
+Task<void> StressReader(Worker* w, LayoutPin layout, int ops, StressState* st) {
+  AbdObject obj(w, w->SlotCacheFor(layout));
   for (int i = 0; i < ops; ++i) {
     co_await w->sim()->Delay(static_cast<sim::Time>(w->sim()->rng().Below(9000)));
     HistoryOp op;
@@ -151,10 +151,10 @@ TEST_P(AbdStress, ConcurrentHistoryIsLinearizable) {
   const int readers = 3;
   const int ops = 4;
   for (int i = 0; i < writers; ++i) {
-    Spawn(StressWriter(&env.MakeWorker(), layout.get(), ops, &st));
+    Spawn(StressWriter(&env.MakeWorker(), layout, ops, &st));
   }
   for (int i = 0; i < readers; ++i) {
-    Spawn(StressReader(&env.MakeWorker(), layout.get(), ops, &st));
+    Spawn(StressReader(&env.MakeWorker(), layout, ops, &st));
   }
   env.sim.Run();
   ASSERT_EQ(st.history.size(), static_cast<size_t>((writers + readers) * ops));

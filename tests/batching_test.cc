@@ -34,12 +34,10 @@ TEST(DoorbellBatching, QuorumWriteConsumesOneSubmitCost) {
   TestEnv env;
   Worker& w = env.MakeWorker();
   const LayoutPin layout = env.MakeObject();
-  auto cache = env.MakeCache();
   const sim::Time submit = env.fabric.config().submit_cost;
 
-  auto driver = [](TestEnv* env, Worker* w, const ObjectLayout* layout,
-                   std::shared_ptr<ObjectCache> cache2, sim::Time submit2) -> Task<void> {
-    QuorumMax reg(w, layout, cache2);
+  auto driver = [](TestEnv* env, Worker* w, LayoutPin layout2, sim::Time submit2) -> Task<void> {
+    QuorumMax reg(w, w->SlotCacheFor(layout2));
     const sim::Time busy_before = w->cpu()->busy_ns();
     const uint64_t verbs_before = env->fabric.stats().ops_issued;
     WriteReadOutcome wr = co_await reg.WriteAndRead(Meta::Pack(5, 0, false, 0), ValN(32, 0xC3));
@@ -49,7 +47,7 @@ TEST(DoorbellBatching, QuorumWriteConsumesOneSubmitCost) {
     // ... despite posting several verbs (a WriteThenCas counts two).
     EXPECT_GE(env->fabric.stats().ops_issued - verbs_before, 4u);
   };
-  Spawn(driver(&env, &w, layout.get(), cache, submit));
+  Spawn(driver(&env, &w, layout, submit));
   env.sim.Run();
   EXPECT_GE(env.fabric.stats().batches, 1u);
   EXPECT_GE(env.fabric.stats().batched_verbs, 3u);
@@ -61,20 +59,20 @@ TEST(DoorbellBatching, LockMulticastsToAllReplicasUnderOneDoorbell) {
   Worker& w = env.MakeWorker();
   const LayoutPin layout = env.MakeObject();
 
-  auto driver = [](TestEnv* env, Worker* w, const ObjectLayout* layout) -> Task<void> {
+  auto driver = [](TestEnv* env, Worker* w, LayoutPin layout2) -> Task<void> {
     const sim::Time busy_before = w->cpu()->busy_ns();
     const uint64_t cas_before = env->fabric.stats().casses;
     const uint64_t doorbells_before = env->fabric.stats().doorbells;
-    TimestampLock lock(w, layout, w->tid());
+    TimestampLock lock(w, layout2, w->tid());
     TryLockResult r = co_await lock.TryLock(3, LockMode::kWrite);
     EXPECT_TRUE(r.quorum_ok);
     EXPECT_TRUE(r.acquired);
     EXPECT_EQ(env->fabric.stats().casses - cas_before,
-              static_cast<uint64_t>(layout->num_replicas));
+              static_cast<uint64_t>(layout2->num_replicas));
     EXPECT_EQ(env->fabric.stats().doorbells - doorbells_before, 1u);
     EXPECT_EQ(w->cpu()->busy_ns() - busy_before, env->fabric.config().submit_cost);
   };
-  Spawn(driver(&env, &w, layout.get()));
+  Spawn(driver(&env, &w, layout));
   env.sim.Run();
 }
 

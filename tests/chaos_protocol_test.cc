@@ -48,9 +48,9 @@ ScenarioSpec ProtoSpec(uint64_t seed) {
 
 // ---------- ABD register: full history linearizability ----------
 
-Task<void> AbdChaosClient(ChaosEnv* c, Worker* w, const ObjectLayout* layout, uint64_t rng_seed,
+Task<void> AbdChaosClient(ChaosEnv* c, Worker* w, LayoutPin layout, uint64_t rng_seed,
                           const ScenarioSpec* spec, ChaosHistories* hist) {
-  AbdObject obj(w, layout, std::make_shared<ObjectCache>());
+  AbdObject obj(w, w->SlotCacheFor(layout));
   sim::Rng rng(rng_seed);
   for (int i = 0; i < spec->ops_per_client; ++i) {
     co_await c->env.sim.Delay(1 + static_cast<sim::Time>(
@@ -90,7 +90,7 @@ void RunAbdScenario(const ScenarioSpec& spec) {
   ChaosHistories hist;
   for (int i = 0; i < spec.clients; ++i) {
     Worker& w = c.MakeSkewedWorker(spec);
-    Spawn(AbdChaosClient(&c, &w, layout.get(), spec.seed * 97 + static_cast<uint64_t>(i), &spec,
+    Spawn(AbdChaosClient(&c, &w, layout, spec.seed * 97 + static_cast<uint64_t>(i), &spec,
                          &hist));
   }
   c.engine.Start();
@@ -112,9 +112,9 @@ struct QmState {
   std::string violation;
 };
 
-Task<void> QmWriter(ChaosEnv* c, Worker* w, const ObjectLayout* layout, uint64_t rng_seed,
+Task<void> QmWriter(ChaosEnv* c, Worker* w, LayoutPin layout, uint64_t rng_seed,
                     const ScenarioSpec* spec, QmState* st) {
-  QuorumMax reg(w, layout, w->SlotCacheFor(layout));
+  QuorumMax reg(w, w->SlotCacheFor(layout));
   sim::Rng rng(rng_seed);
   for (uint32_t i = 1; i <= static_cast<uint32_t>(spec->ops_per_client); ++i) {
     co_await c->env.sim.Delay(1 + static_cast<sim::Time>(
@@ -129,9 +129,9 @@ Task<void> QmWriter(ChaosEnv* c, Worker* w, const ObjectLayout* layout, uint64_t
   }
 }
 
-Task<void> QmReader(ChaosEnv* c, Worker* w, const ObjectLayout* layout, uint64_t rng_seed,
+Task<void> QmReader(ChaosEnv* c, Worker* w, LayoutPin layout, uint64_t rng_seed,
                     const ScenarioSpec* spec, QmState* st) {
-  QuorumMax reg(w, layout, w->SlotCacheFor(layout));
+  QuorumMax reg(w, w->SlotCacheFor(layout));
   sim::Rng rng(rng_seed);
   Meta last;
   for (int i = 0; i < spec->ops_per_client; ++i) {
@@ -175,9 +175,9 @@ void RunQuorumMaxScenario(const ScenarioSpec& spec) {
   for (int i = 0; i < spec.clients; ++i) {
     Worker& w = c.MakeSkewedWorker(spec);
     if (i % 2 == 0) {
-      Spawn(QmWriter(&c, &w, layout.get(), spec.seed * 97 + static_cast<uint64_t>(i), &spec, &st));
+      Spawn(QmWriter(&c, &w, layout, spec.seed * 97 + static_cast<uint64_t>(i), &spec, &st));
     } else {
-      Spawn(QmReader(&c, &w, layout.get(), spec.seed * 97 + static_cast<uint64_t>(i), &spec, &st));
+      Spawn(QmReader(&c, &w, layout, spec.seed * 97 + static_cast<uint64_t>(i), &spec, &st));
     }
   }
   c.engine.Start();
@@ -198,9 +198,9 @@ struct InOutState {
   std::string violation;
 };
 
-Task<void> InOutWriter(ChaosEnv* c, Worker* w, const ObjectLayout* layout, uint64_t rng_seed,
+Task<void> InOutWriter(ChaosEnv* c, Worker* w, LayoutPin layout, uint64_t rng_seed,
                        const ScenarioSpec* spec, InOutState* st) {
-  InOutReplica rep(w, layout, 0);
+  InOutReplica rep(w, layout.get(), 0);
   Meta cache;
   sim::Rng rng(rng_seed);
   for (uint32_t i = 1; i <= static_cast<uint32_t>(spec->ops_per_client); ++i) {
@@ -221,9 +221,9 @@ Task<void> InOutWriter(ChaosEnv* c, Worker* w, const ObjectLayout* layout, uint6
   }
 }
 
-Task<void> InOutReader(ChaosEnv* c, Worker* w, const ObjectLayout* layout, uint64_t rng_seed,
+Task<void> InOutReader(ChaosEnv* c, Worker* w, LayoutPin layout, uint64_t rng_seed,
                        const ScenarioSpec* spec, InOutState* st) {
-  InOutReplica rep(w, layout, 0);
+  InOutReplica rep(w, layout.get(), 0);
   sim::Rng rng(rng_seed);
   Meta last;
   for (int i = 0; i < spec->ops_per_client; ++i) {
@@ -277,9 +277,9 @@ void RunInOutScenario(const ScenarioSpec& spec) {
   for (int i = 0; i < spec.clients; ++i) {
     Worker& w = c.MakeSkewedWorker(spec);
     if (i % 2 == 0) {
-      Spawn(InOutWriter(&c, &w, layout.get(), spec.seed * 97 + static_cast<uint64_t>(i), &spec, &st));
+      Spawn(InOutWriter(&c, &w, layout, spec.seed * 97 + static_cast<uint64_t>(i), &spec, &st));
     } else {
-      Spawn(InOutReader(&c, &w, layout.get(), spec.seed * 97 + static_cast<uint64_t>(i), &spec, &st));
+      Spawn(InOutReader(&c, &w, layout, spec.seed * 97 + static_cast<uint64_t>(i), &spec, &st));
     }
   }
   c.engine.Start();
@@ -303,7 +303,7 @@ struct LockState {
   std::map<uint32_t, bool> read_won;
 };
 
-Task<void> LockClient(ChaosEnv* c, Worker* w, const ObjectLayout* layout, uint32_t owner_tid,
+Task<void> LockClient(ChaosEnv* c, Worker* w, LayoutPin layout, uint32_t owner_tid,
                       LockMode mode, uint64_t rng_seed, const ScenarioSpec* spec, LockState* st) {
   TimestampLock lock(w, layout, owner_tid);
   sim::Rng rng(rng_seed);
@@ -326,7 +326,7 @@ void RunLockScenario(const ScenarioSpec& spec) {
   for (int i = 0; i < spec.clients; ++i) {
     Worker& w = c.MakeSkewedWorker(spec);
     const LockMode mode = i == 0 ? LockMode::kWrite : LockMode::kRead;
-    Spawn(LockClient(&c, &w, layout.get(), /*owner_tid=*/0, mode,
+    Spawn(LockClient(&c, &w, layout, /*owner_tid=*/0, mode,
                      spec.seed * 97 + static_cast<uint64_t>(i), &spec, &st));
   }
   c.engine.Start();

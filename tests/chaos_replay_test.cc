@@ -127,9 +127,9 @@ TEST(ChaosReplay, DifferentSeedsProduceDifferentSchedules) {
 
 // ---------- The weak-quorum canary ----------
 
-Task<void> WeakWriteOne(Worker* w, const ObjectLayout* layout, int r, Meta word,
+Task<void> WeakWriteOne(Worker* w, LayoutPin layout, int r, Meta word,
                         std::vector<uint8_t> value, sim::Counter done) {
-  InOutReplica rep(w, layout, r);
+  InOutReplica rep(w, layout.get(), r);
   NodeMaxResult res = co_await rep.WriteVerifiedNode(word, value, Meta());
   if (res.ok()) {
     done.Add(1);
@@ -139,7 +139,7 @@ Task<void> WeakWriteOne(Worker* w, const ObjectLayout* layout, int r, Meta word,
 // The injected bug: a "replicated" write that returns as soon as ONE replica
 // acked. Under drop bursts the other replicas may never receive it, and a
 // majority read that misses the acked replica returns stale data.
-Task<bool> WeakQuorumWrite(Worker* w, const ObjectLayout* layout, Meta word,
+Task<bool> WeakQuorumWrite(Worker* w, LayoutPin layout, Meta word,
                            std::vector<uint8_t> value) {
   sim::Counter done(w->sim());
   {
@@ -173,7 +173,7 @@ CanaryOutcome RunCanaryScenario(uint64_t seed) {
   const LayoutPin layout = c.env.MakeObject();
   ChaosHistories hist;
 
-  auto writer = [](ChaosEnv* c, Worker* w, const ObjectLayout* layout, uint64_t rng_seed,
+  auto writer = [](ChaosEnv* c, Worker* w, LayoutPin layout2, uint64_t rng_seed,
                    const ScenarioSpec* spec, ChaosHistories* hist) -> Task<void> {
     sim::Rng rng(rng_seed);
     for (uint32_t i = 1; i <= static_cast<uint32_t>(spec->ops_per_client); ++i) {
@@ -184,16 +184,16 @@ CanaryOutcome RunCanaryScenario(uint64_t seed) {
       op.is_write = true;
       op.value = v;
       op.invoked = c->env.sim.Now();
-      const bool ok = co_await WeakQuorumWrite(w, layout, Meta::Pack(i * 8, w->tid(), true, 0),
+      const bool ok = co_await WeakQuorumWrite(w, layout2, Meta::Pack(i * 8, w->tid(), true, 0),
                                                EncodeValue(v, spec->value_size));
       op.responded = c->env.sim.Now();
       op.pending = !ok;
       hist->per_key[0].push_back(op);
     }
   };
-  auto reader = [](ChaosEnv* c, Worker* w, const ObjectLayout* layout, uint64_t rng_seed,
+  auto reader = [](ChaosEnv* c, Worker* w, LayoutPin layout2, uint64_t rng_seed,
                    const ScenarioSpec* spec, ChaosHistories* hist) -> Task<void> {
-    QuorumMax reg(w, layout, w->SlotCacheFor(layout));
+    QuorumMax reg(w, w->SlotCacheFor(layout2));
     sim::Rng rng(rng_seed);
     for (int i = 0; i < spec->ops_per_client; ++i) {
       co_await c->env.sim.Delay(1 + static_cast<sim::Time>(
@@ -210,9 +210,9 @@ CanaryOutcome RunCanaryScenario(uint64_t seed) {
     }
   };
 
-  Spawn(writer(&c, &c.MakeSkewedWorker(spec), layout.get(), spec.seed * 31 + 1, &spec, &hist));
-  Spawn(reader(&c, &c.MakeSkewedWorker(spec), layout.get(), spec.seed * 31 + 2, &spec, &hist));
-  Spawn(reader(&c, &c.MakeSkewedWorker(spec), layout.get(), spec.seed * 31 + 3, &spec, &hist));
+  Spawn(writer(&c, &c.MakeSkewedWorker(spec), layout, spec.seed * 31 + 1, &spec, &hist));
+  Spawn(reader(&c, &c.MakeSkewedWorker(spec), layout, spec.seed * 31 + 2, &spec, &hist));
+  Spawn(reader(&c, &c.MakeSkewedWorker(spec), layout, spec.seed * 31 + 3, &spec, &hist));
   c.engine.Start();
   c.env.sim.Run();
 
@@ -541,9 +541,9 @@ CanaryOutcome RunStaleEpochCanaryScenario(uint64_t seed, bool epoch_fencing) {
   ChaosHistories hist;
   const uint64_t v = hist.next_value++;
 
-  auto write_task = [](testing::TestEnv* env, Worker* w, const ObjectLayout* lo,
+  auto write_task = [](testing::TestEnv* env, Worker* w, LayoutPin lo,
                        uint64_t v2, ChaosHistories* hist) -> Task<void> {
-    SafeGuessObject obj(w, lo, w->SlotCacheFor(lo));
+    SafeGuessObject obj(w, w->SlotCacheFor(lo));
     HistoryOp op;
     op.is_write = true;
     op.value = v2;
@@ -553,10 +553,10 @@ CanaryOutcome RunStaleEpochCanaryScenario(uint64_t seed, bool epoch_fencing) {
     op.pending = r.status != SgStatus::kOk;
     hist->per_key[0].push_back(op);
   };
-  auto remove_task = [](testing::TestEnv* env, Worker* w, const ObjectLayout* lo,
+  auto remove_task = [](testing::TestEnv* env, Worker* w, LayoutPin lo,
                         sim::Time at, ChaosHistories* hist) -> Task<void> {
     co_await env->sim.WaitUntil(at);
-    SafeGuessObject obj(w, lo, w->SlotCacheFor(lo));
+    SafeGuessObject obj(w, w->SlotCacheFor(lo));
     HistoryOp op;
     op.is_write = true;
     op.value = 0;
@@ -566,9 +566,9 @@ CanaryOutcome RunStaleEpochCanaryScenario(uint64_t seed, bool epoch_fencing) {
     op.pending = r.status == SgStatus::kUnavailable;
     hist->per_key[0].push_back(op);
   };
-  auto probe_task = [](testing::TestEnv* env, Worker* w, const ObjectLayout* lo,
+  auto probe_task = [](testing::TestEnv* env, Worker* w, LayoutPin lo,
                        sim::Time until, uint64_t rng_seed, ChaosHistories* hist) -> Task<void> {
-    SafeGuessObject obj(w, lo, w->SlotCacheFor(lo));
+    SafeGuessObject obj(w, w->SlotCacheFor(lo));
     sim::Rng rng(rng_seed);
     while (env->sim.Now() < until) {
       co_await env->sim.Delay(2000 + static_cast<sim::Time>(rng.Below(3000)));
@@ -607,9 +607,9 @@ CanaryOutcome RunStaleEpochCanaryScenario(uint64_t seed, bool epoch_fencing) {
     swarm::DiscardStatus(co_await repair->RecoverAndRepair(0));
   };
 
-  Spawn(write_task(&env, &writer, layout.get(), v, &hist));
-  Spawn(remove_task(&env, &remover, layout.get(), t_remove, &hist));
-  Spawn(probe_task(&env, &prober, layout.get(), probe_drop_to + 5 * sim::kMicrosecond,
+  Spawn(write_task(&env, &writer, layout, v, &hist));
+  Spawn(remove_task(&env, &remover, layout, t_remove, &hist));
+  Spawn(probe_task(&env, &prober, layout, probe_drop_to + 5 * sim::kMicrosecond,
                    seed * 31 + 7, &hist));
   Spawn(script(&env, &ms, &index, &repair, layout, t_remove, t_crash, t_repair, spike, &delay1,
                &drop2));
@@ -817,10 +817,10 @@ TEST(ChaosCanary, UnfencedFuseeMigrationFlipIsCaughtAndReplays) {
 
 // A correct single-writer quorum write: direct VERIFIED install at a
 // majority with a caller-supplied timestamp counter.
-Task<void> VerifiedWriterOp(Worker* w, const ObjectLayout* layout, uint32_t counter,
+Task<void> VerifiedWriterOp(Worker* w, LayoutPin layout, uint32_t counter,
                             std::vector<uint8_t> value, ChaosEnv* c, ChaosHistories* hist,
                             uint64_t v) {
-  QuorumMax reg(w, layout, w->SlotCacheFor(layout));
+  QuorumMax reg(w, w->SlotCacheFor(layout));
   HistoryOp op;
   op.is_write = true;
   op.value = v;
@@ -835,9 +835,9 @@ Task<void> VerifiedWriterOp(Worker* w, const ObjectLayout* layout, uint32_t coun
 // The broken read: take the ts-max over whichever majority answered, resolve
 // its bytes, and return — NO write-back. A max seen at a single replica is
 // reported without ever being made majority-durable.
-Task<void> NoWriteBackReaderOp(Worker* w, const ObjectLayout* layout, ChaosEnv* c,
+Task<void> NoWriteBackReaderOp(Worker* w, LayoutPin layout, ChaosEnv* c,
                                ChaosHistories* hist) {
-  QuorumMax reg(w, layout, w->SlotCacheFor(layout));
+  QuorumMax reg(w, w->SlotCacheFor(layout));
   HistoryOp op;
   op.invoked = c->env.sim.Now();
   ReadOutcome r = co_await reg.ReadQuorum(/*strong=*/false);
@@ -858,7 +858,7 @@ Task<void> NoWriteBackReaderOp(Worker* w, const ObjectLayout* layout, ChaosEnv* 
         r.node_words[idx].oop() == 0) {
       continue;
     }
-    InOutReplica rep(w, layout, rep_idx);
+    InOutReplica rep(w, layout.get(), rep_idx);
     auto oop = co_await rep.ReadOop(r.node_words[idx]);
     if (oop.has_value()) {
       value_ok = true;
@@ -875,9 +875,9 @@ Task<void> NoWriteBackReaderOp(Worker* w, const ObjectLayout* layout, ChaosEnv* 
 }
 
 // The correct read: strong quorum read (write-back included).
-Task<void> StrongReaderOp(Worker* w, const ObjectLayout* layout, ChaosEnv* c,
+Task<void> StrongReaderOp(Worker* w, LayoutPin layout, ChaosEnv* c,
                           ChaosHistories* hist) {
-  QuorumMax reg(w, layout, w->SlotCacheFor(layout));
+  QuorumMax reg(w, w->SlotCacheFor(layout));
   HistoryOp op;
   op.invoked = c->env.sim.Now();
   ReadOutcome r = co_await reg.ReadQuorum(/*strong=*/true);
@@ -909,7 +909,7 @@ CanaryOutcome RunReadPathScenario(uint64_t seed, bool write_back, bool advance_c
   const LayoutPin layout = c.env.MakeObject();
   ChaosHistories hist;
 
-  auto writer = [advance_clock](ChaosEnv* c, Worker* w, const ObjectLayout* layout,
+  auto writer = [advance_clock](ChaosEnv* c, Worker* w, LayoutPin layout2,
                                 uint64_t rng_seed, const ScenarioSpec* spec,
                                 ChaosHistories* hist) -> Task<void> {
     sim::Rng rng(rng_seed);
@@ -919,10 +919,10 @@ CanaryOutcome RunReadPathScenario(uint64_t seed, bool write_back, bool advance_c
       // Stuck clock: every counter is used TWICE, for two different values.
       const uint32_t counter = advance_clock ? (i + 1) * 8 : (i / 2 + 1) * 8;
       const uint64_t v = hist->next_value++;
-      co_await VerifiedWriterOp(w, layout, counter, EncodeValue(v, spec->value_size), c, hist, v);
+      co_await VerifiedWriterOp(w, layout2, counter, EncodeValue(v, spec->value_size), c, hist, v);
     }
   };
-  auto reader = [write_back](ChaosEnv* c, Worker* w, const ObjectLayout* layout,
+  auto reader = [write_back](ChaosEnv* c, Worker* w, LayoutPin layout2,
                              uint64_t rng_seed, const ScenarioSpec* spec,
                              ChaosHistories* hist) -> Task<void> {
     sim::Rng rng(rng_seed);
@@ -930,16 +930,16 @@ CanaryOutcome RunReadPathScenario(uint64_t seed, bool write_back, bool advance_c
       co_await c->env.sim.Delay(1 + static_cast<sim::Time>(
                                         rng.Below(static_cast<uint64_t>(2 * spec->mean_think))));
       if (write_back) {
-        co_await StrongReaderOp(w, layout, c, hist);
+        co_await StrongReaderOp(w, layout2, c, hist);
       } else {
-        co_await NoWriteBackReaderOp(w, layout, c, hist);
+        co_await NoWriteBackReaderOp(w, layout2, c, hist);
       }
     }
   };
 
-  Spawn(writer(&c, &c.MakeSkewedWorker(spec), layout.get(), spec.seed * 31 + 1, &spec, &hist));
-  Spawn(reader(&c, &c.MakeSkewedWorker(spec), layout.get(), spec.seed * 31 + 2, &spec, &hist));
-  Spawn(reader(&c, &c.MakeSkewedWorker(spec), layout.get(), spec.seed * 31 + 3, &spec, &hist));
+  Spawn(writer(&c, &c.MakeSkewedWorker(spec), layout, spec.seed * 31 + 1, &spec, &hist));
+  Spawn(reader(&c, &c.MakeSkewedWorker(spec), layout, spec.seed * 31 + 2, &spec, &hist));
+  Spawn(reader(&c, &c.MakeSkewedWorker(spec), layout, spec.seed * 31 + 3, &spec, &hist));
   c.engine.Start();
   c.env.sim.Run();
 

@@ -50,8 +50,7 @@ struct ReadPhase : WordPhase {
   int completions = 0;
 };
 
-Task<void> ReadWordAt(Worker* w, const ObjectLayout* layout, int r,
-                      std::shared_ptr<ReadPhase> ph) {
+Task<void> ReadWordAt(Worker* w, LayoutPin layout, int r, std::shared_ptr<ReadPhase> ph) {
   const ReplicaLayout& rep = layout->replica(r);
   std::array<uint8_t, 8> buf{};
   OpResult res = co_await w->qp(rep.node).Read(rep.meta_addr, buf);
@@ -72,11 +71,11 @@ struct Resume {
 
 // Runs one broadcast read of `layout` and records the resume; the driver
 // frame (and its reference to the phase) dies right after.
-Task<void> BroadcastRead(Worker* w, const ObjectLayout* layout, Resume* out,
+Task<void> BroadcastRead(Worker* w, LayoutPin layout, Resume* out,
                          std::weak_ptr<ReadPhase>* phase) {
   auto ph = sim::MakePooled<ReadPhase>(w->sim());
   *phase = ph;
-  const QuorumEngine q(w, layout, /*pin=*/nullptr);  // The test owns the layout->
+  const QuorumEngine q(w, *layout);
   out->reached = co_await q.Broadcast(
       ph.get(), [&](int r) { return ReadWordAt(w, layout, r, ph); });
   out->answered = ph->Answered().size;
@@ -96,7 +95,7 @@ TEST(CompletionRace, StragglerCompletesAfterFirstQuorumResume) {
 
   Resume resume;
   std::weak_ptr<ReadPhase> phase;
-  Spawn(BroadcastRead(&w, layout.get(), &resume, &phase));
+  Spawn(BroadcastRead(&w, layout, &resume, &phase));
   env.sim.Run();
 
   EXPECT_TRUE(resume.reached);
@@ -127,7 +126,7 @@ TEST(CompletionRace, TimeoutResumeThenTwoLateCompletions) {
 
   Resume resume;
   std::weak_ptr<ReadPhase> phase;
-  Spawn(BroadcastRead(&w, layout.get(), &resume, &phase));
+  Spawn(BroadcastRead(&w, layout, &resume, &phase));
   env.sim.Run();
 
   EXPECT_FALSE(resume.reached);

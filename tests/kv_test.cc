@@ -219,17 +219,27 @@ TEST(KvRoundtrips, Table2CommonCase) {
 
   auto driver = [](KvSession* swarm, KvSession* raw, KvSession* dmabd,
                    KvSession* fusee) -> Task<void> {
-    (void)co_await swarm->Insert(1, ValN(64, 1));
-    (void)co_await raw->Insert(2, ValN(64, 1));
-    (void)co_await dmabd->Insert(3, ValN(64, 1));
-    (void)co_await fusee->Insert(4, ValN(64, 1));
+    // Fresh inserts: SWARM-KV replicates the value in parallel with the
+    // index insert; RAW writes its one region after the index insert; DM-ABD
+    // inserts with an ABD update (2 RTs); FUSEE as measured.
+    KvResult r = co_await swarm->Insert(1, ValN(64, 1));
+    EXPECT_EQ(r.status, KvStatus::kOk);
+    EXPECT_EQ(r.rtts, 1);
+    r = co_await raw->Insert(2, ValN(64, 1));
+    EXPECT_EQ(r.status, KvStatus::kOk);
+    EXPECT_EQ(r.rtts, 2);
+    r = co_await dmabd->Insert(3, ValN(64, 1));
+    EXPECT_EQ(r.status, KvStatus::kOk);
+    EXPECT_EQ(r.rtts, 2);
+    r = co_await fusee->Insert(4, ValN(64, 1));
+    EXPECT_EQ(r.status, KvStatus::kOk);
+    EXPECT_EQ(r.rtts, 4);
     // Warm up caches.
     (void)co_await swarm->Get(1);
     (void)co_await raw->Get(2);
     (void)co_await dmabd->Get(3);
     (void)co_await fusee->Get(4);
 
-    KvResult r;
     r = co_await swarm->Get(1);
     EXPECT_EQ(r.rtts, 1);
     r = co_await swarm->Update(1, ValN(64, 2));
@@ -353,12 +363,12 @@ TEST_P(IndexedKv, InsertRaceTurnsIntoUpdate) {
 
 // Tombstones `layout` with the register protocol the store runs over, the
 // way a deleter does (§5.3.2) — without its background index unmap.
-Task<SgWriteResult> TombstoneObject(bool abd, Worker* w, const ObjectLayout* layout) {
+Task<SgWriteResult> TombstoneObject(bool abd, Worker* w, LayoutPin layout) {
   if (abd) {
-    AbdObject obj(w, layout, w->SlotCacheFor(layout));
+    AbdObject obj(w, w->SlotCacheFor(layout));
     co_return co_await obj.Delete();
   }
-  SafeGuessObject obj(w, layout, w->SlotCacheFor(layout));
+  SafeGuessObject obj(w, w->SlotCacheFor(layout));
   co_return co_await obj.Delete();
 }
 
@@ -385,7 +395,7 @@ TEST_P(IndexedKv, InsertOverMappedTombstoneSucceeds) {
       co_return;
     }
     const LayoutPin layout = mapped->layout;
-    SgWriteResult del = co_await TombstoneObject(abd2, deleter, layout.get());
+    SgWriteResult del = co_await TombstoneObject(abd2, deleter, layout);
     EXPECT_EQ(del.status, SgStatus::kOk);
     EXPECT_NE(fx->indexsvc.Peek(14), nullptr) << "the tombstoned object must stay mapped";
 

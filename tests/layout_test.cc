@@ -212,7 +212,7 @@ TEST(SlotWords, AHandlePinsItsLayout) {
   ASSERT_EQ(ObjectLayout::live().layouts, live + 1);
   EXPECT_EQ(words.pin().use_count(), 1u);
   words[2] = Meta::Pack(9, w.tid(), false, 0);  // Still the layout's memory.
-  words = nullptr;
+  words = SlotCache();
   EXPECT_EQ(ObjectLayout::live().layouts, live);
 }
 

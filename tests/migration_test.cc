@@ -609,10 +609,10 @@ TEST_P(TombstoneMigration, TheDestinationReplicaHoldsTheTombstone) {
     Worker* w = &f->client;
     SgStatus deleted = SgStatus::kUnavailable;
     if (f->kind == StoreKind::kSwarm) {
-      SafeGuessObject obj(w, src.get(), w->SlotCacheFor(src.get()));
+      SafeGuessObject obj(w, w->SlotCacheFor(src));
       deleted = (co_await obj.Delete()).status;
     } else {
-      AbdObject obj(w, src.get(), w->SlotCacheFor(src.get()));
+      AbdObject obj(w, w->SlotCacheFor(src));
       deleted = (co_await obj.Delete()).status;
     }
     EXPECT_EQ(deleted, SgStatus::kOk);

@@ -53,9 +53,9 @@ uint64_t Dec(const std::vector<uint8_t>& b) {
   return v;
 }
 
-Task<void> MatrixWriter(TestEnv* env, Worker* w, const ObjectLayout* layout, uint32_t vsize,
+Task<void> MatrixWriter(TestEnv* env, Worker* w, LayoutPin layout, uint32_t vsize,
                         int ops, MatrixState* st) {
-  SafeGuessObject obj(w, layout, w->SlotCacheFor(layout));
+  SafeGuessObject obj(w, w->SlotCacheFor(layout));
   for (int i = 0; i < ops; ++i) {
     co_await env->sim.Delay(static_cast<sim::Time>(env->sim.rng().Below(7000)));
     const uint64_t v = st->next_value++;
@@ -73,9 +73,9 @@ Task<void> MatrixWriter(TestEnv* env, Worker* w, const ObjectLayout* layout, uin
   }
 }
 
-Task<void> MatrixReader(TestEnv* env, Worker* w, const ObjectLayout* layout, int ops,
+Task<void> MatrixReader(TestEnv* env, Worker* w, LayoutPin layout, int ops,
                         MatrixState* st) {
-  SafeGuessObject obj(w, layout, w->SlotCacheFor(layout));
+  SafeGuessObject obj(w, w->SlotCacheFor(layout));
   for (int i = 0; i < ops; ++i) {
     co_await env->sim.Delay(static_cast<sim::Time>(env->sim.rng().Below(7000)));
     HistoryOp op;
@@ -114,11 +114,11 @@ TEST_P(SafeGuessMatrix, LinearizableAndWaitFreeEverywhere) {
   const int ops = 4;
   for (int i = 0; i < writers; ++i) {
     Worker& w = env.MakeWorker(env.sim.rng().Range(-skew, skew));
-    Spawn(MatrixWriter(&env, &w, layout.get(), vsize, ops, &st));
+    Spawn(MatrixWriter(&env, &w, layout, vsize, ops, &st));
   }
   for (int i = 0; i < readers; ++i) {
     Worker& w = env.MakeWorker(0);
-    Spawn(MatrixReader(&env, &w, layout.get(), ops, &st));
+    Spawn(MatrixReader(&env, &w, layout, ops, &st));
   }
   env.sim.Run();
 
@@ -160,16 +160,16 @@ TEST_P(QuorumMaxProperty, ReadsAreMutuallyMonotonic) {
   const LayoutPin layout = env.MakeObject();
   bool violation = false;
 
-  auto writer = [](TestEnv* env, Worker* w, const ObjectLayout* layout) -> Task<void> {
-    QuorumMax reg(w, layout, w->SlotCacheFor(layout));
+  auto writer = [](TestEnv* env, Worker* w, LayoutPin layout2) -> Task<void> {
+    QuorumMax reg(w, w->SlotCacheFor(layout2));
     for (uint32_t i = 1; i <= 12; ++i) {
       co_await env->sim.Delay(static_cast<sim::Time>(env->sim.rng().Below(5000)));
       swarm::DiscardStatus(co_await reg.WriteAndRead(Meta::Pack(i * 100 + w->tid(), w->tid(), false, 0),
                                       ValN(16, static_cast<uint8_t>(i))));
     }
   };
-  auto reader = [](TestEnv* env, Worker* w, const ObjectLayout* layout, bool* bad) -> Task<void> {
-    QuorumMax reg(w, layout, w->SlotCacheFor(layout));
+  auto reader = [](TestEnv* env, Worker* w, LayoutPin layout2, bool* bad) -> Task<void> {
+    QuorumMax reg(w, w->SlotCacheFor(layout2));
     Meta last;
     for (int i = 0; i < 20; ++i) {
       co_await env->sim.Delay(static_cast<sim::Time>(env->sim.rng().Below(4000)));
@@ -183,10 +183,10 @@ TEST_P(QuorumMaxProperty, ReadsAreMutuallyMonotonic) {
       last = TsMax(last, r.m);
     }
   };
-  Spawn(writer(&env, &env.MakeWorker(), layout.get()));
-  Spawn(writer(&env, &env.MakeWorker(), layout.get()));
-  Spawn(reader(&env, &env.MakeWorker(), layout.get(), &violation));
-  Spawn(reader(&env, &env.MakeWorker(), layout.get(), &violation));
+  Spawn(writer(&env, &env.MakeWorker(), layout));
+  Spawn(writer(&env, &env.MakeWorker(), layout));
+  Spawn(reader(&env, &env.MakeWorker(), layout, &violation));
+  Spawn(reader(&env, &env.MakeWorker(), layout, &violation));
   env.sim.Run();
   EXPECT_FALSE(violation) << "read-read monotonicity violated (seed " << GetParam() << ")";
 }
@@ -197,10 +197,10 @@ TEST_P(QuorumMaxProperty, WriteReadMonotonicity) {
   TestEnv env(GetParam());
   const LayoutPin layout = env.MakeObject();
   bool done = false;
-  auto driver = [](TestEnv* /*env*/, Worker* w, Worker* r, const ObjectLayout* layout,
+  auto driver = [](TestEnv* /*env*/, Worker* w, Worker* r, LayoutPin layout2,
                    bool* done2) -> Task<void> {
-    QuorumMax wreg(w, layout, w->SlotCacheFor(layout));
-    QuorumMax rreg(r, layout, r->SlotCacheFor(layout));
+    QuorumMax wreg(w, w->SlotCacheFor(layout2));
+    QuorumMax rreg(r, r->SlotCacheFor(layout2));
     for (uint32_t i = 1; i <= 10; ++i) {
       const Meta word = Meta::Pack(i * 50, w->tid(), false, 0);
       WriteReadOutcome wr = co_await wreg.WriteAndRead(word, ValN(16, 1));
@@ -211,7 +211,7 @@ TEST_P(QuorumMaxProperty, WriteReadMonotonicity) {
     }
     *done2 = true;
   };
-  Spawn(driver(&env, &env.MakeWorker(), &env.MakeWorker(), layout.get(), &done));
+  Spawn(driver(&env, &env.MakeWorker(), &env.MakeWorker(), layout, &done));
   env.sim.Run();
   EXPECT_TRUE(done);
 }
@@ -235,16 +235,16 @@ TEST_P(TearSweep, ReadsNeverReturnTornValues) {
   const LayoutPin layout = env.MakeObject();
 
   bool corrupted = false;
-  auto writer = [](TestEnv* env, Worker* w, const ObjectLayout* layout,
+  auto writer = [](TestEnv* env, Worker* w, LayoutPin layout2,
                    uint32_t vsize2) -> Task<void> {
-    SafeGuessObject obj(w, layout, w->SlotCacheFor(layout));
+    SafeGuessObject obj(w, w->SlotCacheFor(layout2));
     for (uint8_t i = 1; i <= 15; ++i) {
       co_await env->sim.Delay(static_cast<sim::Time>(env->sim.rng().Below(3000)));
       swarm::DiscardStatus(co_await obj.Write(ValN(vsize2, i)));  // Uniform fill: tears detectable.
     }
   };
-  auto reader = [](TestEnv* env, Worker* w, const ObjectLayout* layout, bool* bad) -> Task<void> {
-    SafeGuessObject obj(w, layout, w->SlotCacheFor(layout));
+  auto reader = [](TestEnv* env, Worker* w, LayoutPin layout2, bool* bad) -> Task<void> {
+    SafeGuessObject obj(w, w->SlotCacheFor(layout2));
     for (int i = 0; i < 25; ++i) {
       co_await env->sim.Delay(static_cast<sim::Time>(env->sim.rng().Below(2000)));
       SgReadResult r = co_await obj.Read();
@@ -258,10 +258,10 @@ TEST_P(TearSweep, ReadsNeverReturnTornValues) {
       }
     }
   };
-  Spawn(writer(&env, &env.MakeWorker(), layout.get(), vsize));
-  Spawn(writer(&env, &env.MakeWorker(), layout.get(), vsize));
-  Spawn(reader(&env, &env.MakeWorker(), layout.get(), &corrupted));
-  Spawn(reader(&env, &env.MakeWorker(), layout.get(), &corrupted));
+  Spawn(writer(&env, &env.MakeWorker(), layout, vsize));
+  Spawn(writer(&env, &env.MakeWorker(), layout, vsize));
+  Spawn(reader(&env, &env.MakeWorker(), layout, &corrupted));
+  Spawn(reader(&env, &env.MakeWorker(), layout, &corrupted));
   env.sim.Run();
   EXPECT_FALSE(corrupted) << "a torn value escaped validation (size " << vsize << ")";
 }

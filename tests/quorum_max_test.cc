@@ -22,20 +22,18 @@ TEST(QuorumMax, WriteThenStrongReadReturnsValue) {
   TestEnv env;
   Worker& w = env.MakeWorker();
   const LayoutPin layout = env.MakeObject();
-  auto cache = env.MakeCache();
 
-  auto driver = [](Worker* w, const ObjectLayout* layout,
-                   std::shared_ptr<ObjectCache> cache2) -> Task<void> {
-    QuorumMax reg(w, layout, cache2);
+  auto driver = [](Worker* w, LayoutPin layout2) -> Task<void> {
+    QuorumMax reg(w, w->SlotCacheFor(layout2));
     auto value = ValN(40, 0xAB);
     WriteReadOutcome wr = co_await reg.WriteAndRead(Meta::Pack(10, 0, false, 0), value);
     EXPECT_TRUE(wr.ok);
     EXPECT_TRUE(wr.m.empty());  // Nothing else was ever written.
     int installs = 0;
-    for (int r = 0; r < layout->num_replicas; ++r) {
+    for (int r = 0; r < layout2->num_replicas; ++r) {
       installs += !wr.installed[static_cast<size_t>(r)].empty();
     }
-    EXPECT_GE(installs, layout->majority());
+    EXPECT_GE(installs, layout2->majority());
 
     ReadOutcome rd = co_await reg.ReadQuorum(true);
     EXPECT_TRUE(rd.ok);
@@ -43,7 +41,7 @@ TEST(QuorumMax, WriteThenStrongReadReturnsValue) {
     EXPECT_EQ(rd.m.counter(), 10u);
     EXPECT_EQ(rd.value, value);
   };
-  Spawn(driver(&w, layout.get(), cache));
+  Spawn(driver(&w, layout));
   env.sim.Run();
 }
 
@@ -54,14 +52,13 @@ TEST(QuorumMax, ReadReportsMaxOfConcurrentWrites) {
   Worker& rdr = env.MakeWorker();
   const LayoutPin layout = env.MakeObject();
 
-  auto writer = [](Worker* w, const ObjectLayout* layout, uint32_t counter,
-                   uint8_t fill) -> Task<void> {
-    QuorumMax reg(w, layout, std::make_shared<ObjectCache>());
+  auto writer = [](Worker* w, LayoutPin layout2, uint32_t counter, uint8_t fill) -> Task<void> {
+    QuorumMax reg(w, w->SlotCacheFor(layout2));
     swarm::DiscardStatus(co_await reg.WriteAndRead(Meta::Pack(counter, w->tid(), false, 0), ValN(16, fill)));
   };
-  auto reader = [](Worker* w, const ObjectLayout* layout) -> Task<void> {
+  auto reader = [](Worker* w, LayoutPin layout2) -> Task<void> {
     co_await w->sim()->Delay(20000);  // After both writes settle.
-    QuorumMax reg(w, layout, std::make_shared<ObjectCache>());
+    QuorumMax reg(w, w->SlotCacheFor(layout2));
     ReadOutcome rd = co_await reg.ReadQuorum(true);
     EXPECT_TRUE(rd.ok);
     EXPECT_EQ(rd.m.counter(), 30u);  // Max register: the larger ts wins.
@@ -70,9 +67,9 @@ TEST(QuorumMax, ReadReportsMaxOfConcurrentWrites) {
       EXPECT_EQ(rd.value, ValN(16, 2));
     }
   };
-  Spawn(writer(&w0, layout.get(), 20, 1));
-  Spawn(writer(&w1, layout.get(), 30, 2));
-  Spawn(reader(&rdr, layout.get()));
+  Spawn(writer(&w0, layout, 20, 1));
+  Spawn(writer(&w1, layout, 30, 2));
+  Spawn(reader(&rdr, layout));
   env.sim.Run();
 }
 
@@ -82,17 +79,17 @@ TEST(QuorumMax, WriteBackRepairsPartialWrite) {
   Worker& rdr = env.MakeWorker();
   const LayoutPin layout = env.MakeObject();
 
-  auto driver = [](Worker* w, Worker* rdr, const ObjectLayout* layout) -> Task<void> {
+  auto driver = [](Worker* w, Worker* rdr, LayoutPin layout2) -> Task<void> {
     // Install a word at ONE replica only, simulating a writer that crashed
     // mid-write (its value reached a minority).
-    InOutReplica rep(w, layout, 1);
+    InOutReplica rep(w, layout2.get(), 1);
     Meta cache;
     auto value = ValN(24, 0x77);
     NodeMaxResult nm = co_await rep.WriteMax(Meta::Pack(50, w->tid(), false, 0), value, &cache);
     EXPECT_FALSE(nm.installed.empty());
 
     // A strong read must repair: after it, a majority holds the value.
-    QuorumMax reg(rdr, layout, std::make_shared<ObjectCache>());
+    QuorumMax reg(rdr, rdr->SlotCacheFor(layout2));
     ReadOutcome rd = co_await reg.ReadQuorum(true);
     EXPECT_TRUE(rd.ok);
     EXPECT_TRUE(rd.value_ok);
@@ -101,15 +98,15 @@ TEST(QuorumMax, WriteBackRepairsPartialWrite) {
 
     ReadOutcome rd2 = co_await reg.ReadQuorum(true);
     int holders = 0;
-    for (int r = 0; r < layout->num_replicas; ++r) {
+    for (int r = 0; r < layout2->num_replicas; ++r) {
       const auto idx = static_cast<size_t>(r);
       if (rd2.node_ok[idx] && rd2.node_words[idx].counter() == 50) {
         ++holders;
       }
     }
-    EXPECT_GE(holders, layout->majority());
+    EXPECT_GE(holders, layout2->majority());
   };
-  Spawn(driver(&w, &rdr, layout.get()));
+  Spawn(driver(&w, &rdr, layout));
   env.sim.Run();
 }
 
@@ -117,15 +114,13 @@ TEST(QuorumMax, VerifiedReadIsOneRoundtripAfterPromotion) {
   TestEnv env;
   Worker& w = env.MakeWorker();
   const LayoutPin layout = env.MakeObject();
-  auto cache = env.MakeCache();
 
-  auto driver = [](Worker* w, const ObjectLayout* layout,
-                   std::shared_ptr<ObjectCache> cache2) -> Task<void> {
-    QuorumMax reg(w, layout, cache2);
+  auto driver = [](Worker* w, LayoutPin layout2) -> Task<void> {
+    QuorumMax reg(w, w->SlotCacheFor(layout2));
     auto value = ValN(32, 5);
     WriteReadOutcome wr = co_await reg.WriteAndRead(Meta::Pack(10, 0, false, 0), value);
     EXPECT_TRUE(wr.ok);
-    co_await QuorumMax::Promote(w, layout, /*pin=*/nullptr, wr.installed, value);
+    co_await QuorumMax::Promote(w, layout2, wr.installed, value, SlotCache());
     co_await w->sim()->Delay(10000);  // Let the promotion land.
 
     const sim::Time start = w->sim()->Now();
@@ -137,7 +132,7 @@ TEST(QuorumMax, VerifiedReadIsOneRoundtripAfterPromotion) {
     EXPECT_EQ(rd.rtts, 1);
     EXPECT_LT(latency, 3000);  // ~1 roundtrip.
   };
-  Spawn(driver(&w, layout.get(), cache));
+  Spawn(driver(&w, layout));
   env.sim.Run();
 }
 
@@ -145,11 +140,9 @@ TEST(QuorumMax, GuessedReadFallsBackToOopChase) {
   TestEnv env;
   Worker& w = env.MakeWorker();
   const LayoutPin layout = env.MakeObject();
-  auto cache = env.MakeCache();
 
-  auto driver = [](Worker* w, const ObjectLayout* layout,
-                   std::shared_ptr<ObjectCache> cache2) -> Task<void> {
-    QuorumMax reg(w, layout, cache2);
+  auto driver = [](Worker* w, LayoutPin layout2) -> Task<void> {
+    QuorumMax reg(w, w->SlotCacheFor(layout2));
     auto value = ValN(32, 6);
     // No promotion: in-place data never written, read must chase the pointer.
     swarm::DiscardStatus(co_await reg.WriteAndRead(Meta::Pack(10, 0, false, 0), value));
@@ -160,7 +153,7 @@ TEST(QuorumMax, GuessedReadFallsBackToOopChase) {
     EXPECT_EQ(rd.value, value);
     EXPECT_GE(rd.rtts, 2);
   };
-  Spawn(driver(&w, layout.get(), cache));
+  Spawn(driver(&w, layout));
   env.sim.Run();
 }
 
@@ -168,30 +161,28 @@ TEST(QuorumMax, SurvivesMinorityCrashViaEscalation) {
   TestEnv env;
   Worker& w = env.MakeWorker();
   const LayoutPin layout = env.MakeObject();
-  auto cache = env.MakeCache();
 
-  auto driver = [](Worker* w, const ObjectLayout* layout,
-                   std::shared_ptr<ObjectCache> cache2) -> Task<void> {
-    QuorumMax reg(w, layout, cache2);
+  auto driver = [](Worker* w, LayoutPin layout2) -> Task<void> {
+    QuorumMax reg(w, w->SlotCacheFor(layout2));
     auto value = ValN(16, 9);
     WriteReadOutcome wr = co_await reg.WriteAndRead(Meta::Pack(10, 0, false, 0), value);
     EXPECT_TRUE(wr.ok);
 
     // Crash replica 0 (the designated in-place holder, in the preferred set).
-    w->fabric()->Crash(layout->replica(0).node);
+    w->fabric()->Crash(layout2->replica(0).node);
     ReadOutcome rd = co_await reg.ReadQuorum(true);
     EXPECT_TRUE(rd.ok);  // Escalation reached the remaining majority.
     EXPECT_TRUE(rd.value_ok);
     EXPECT_EQ(rd.value, value);
     EXPECT_GE(rd.rtts, 2);
-    EXPECT_TRUE(w->NodeKnownFailed(layout->replica(0).node));
+    EXPECT_TRUE(w->NodeKnownFailed(layout2->replica(0).node));
 
     // Next reads skip the dead node: back to a single escalation-free phase.
     ReadOutcome rd2 = co_await reg.ReadQuorum(true);
     EXPECT_TRUE(rd2.ok);
     EXPECT_EQ(rd2.value, value);
   };
-  Spawn(driver(&w, layout.get(), cache));
+  Spawn(driver(&w, layout));
   env.sim.Run();
 }
 
@@ -199,19 +190,17 @@ TEST(QuorumMax, MajorityCrashMakesOpsUnavailable) {
   TestEnv env;
   Worker& w = env.MakeWorker();
   const LayoutPin layout = env.MakeObject();
-  auto cache = env.MakeCache();
   env.fabric.Crash(layout->replica(0).node);
   env.fabric.Crash(layout->replica(1).node);
 
-  auto driver = [](Worker* w, const ObjectLayout* layout,
-                   std::shared_ptr<ObjectCache> cache2) -> Task<void> {
-    QuorumMax reg(w, layout, cache2);
+  auto driver = [](Worker* w, LayoutPin layout2) -> Task<void> {
+    QuorumMax reg(w, w->SlotCacheFor(layout2));
     WriteReadOutcome wr = co_await reg.WriteAndRead(Meta::Pack(10, 0, false, 0), ValN(8, 1));
     EXPECT_FALSE(wr.ok);
     ReadOutcome rd = co_await reg.ReadQuorum(true);
     EXPECT_FALSE(rd.ok);
   };
-  Spawn(driver(&w, layout.get(), cache));
+  Spawn(driver(&w, layout));
   env.sim.Run();
 }
 
@@ -219,18 +208,16 @@ TEST(QuorumMax, TombstoneReadNeedsNoValue) {
   TestEnv env;
   Worker& w = env.MakeWorker();
   const LayoutPin layout = env.MakeObject();
-  auto cache = env.MakeCache();
 
-  auto driver = [](Worker* w, const ObjectLayout* layout,
-                   std::shared_ptr<ObjectCache> cache2) -> Task<void> {
-    QuorumMax reg(w, layout, cache2);
+  auto driver = [](Worker* w, LayoutPin layout2) -> Task<void> {
+    QuorumMax reg(w, w->SlotCacheFor(layout2));
     swarm::DiscardStatus(co_await reg.WriteAndRead(Meta::Pack(10, 0, false, 0), ValN(8, 1)));
     EXPECT_TRUE(co_await reg.WriteVerified(Meta::Tombstone(w->tid()), {}));
     ReadOutcome rd = co_await reg.ReadQuorum(true);
     EXPECT_TRUE(rd.ok);
     EXPECT_TRUE(rd.m.deleted());
   };
-  Spawn(driver(&w, layout.get(), cache));
+  Spawn(driver(&w, layout));
   env.sim.Run();
 }
 

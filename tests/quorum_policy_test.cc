@@ -35,10 +35,9 @@ struct OpOutcome {
 };
 
 // One write or read through the register under test.
-Task<void> RunOp(Register reg, bool write, Worker* w, const ObjectLayout* layout,
-                 OpOutcome* out) {
+Task<void> RunOp(Register reg, bool write, Worker* w, LayoutPin layout, OpOutcome* out) {
   if (reg == Register::kQuorumMax) {
-    QuorumMax qm(w, layout, w->SlotCacheFor(layout));
+    QuorumMax qm(w, w->SlotCacheFor(layout));
     if (write) {
       WriteReadOutcome r =
           co_await qm.WriteAndRead(Meta::Pack(10, w->tid(), false, 0), ValN(16, 7));
@@ -51,7 +50,7 @@ Task<void> RunOp(Register reg, bool write, Worker* w, const ObjectLayout* layout
     }
     co_return;
   }
-  AbdObject abd(w, layout, std::make_shared<ObjectCache>());
+  AbdObject abd(w, w->SlotCacheFor(layout));
   if (write) {
     SgWriteResult r = co_await abd.Write(ValN(16, 7));
     out->ok = r.status == SgStatus::kOk;
@@ -91,7 +90,7 @@ class PolicyCase {
 
   OpOutcome Run(bool write) {
     OpOutcome out;
-    Spawn(RunOp(reg_, write, &worker_, layout_.get(), &out));
+    Spawn(RunOp(reg_, write, &worker_, layout_, &out));
     env_.sim.Run();
     return out;
   }

@@ -54,7 +54,6 @@ TEST(RepairDarkSlot, GiveUpIsReRepairedAfterUnrelatedReadmission) {
 
   // One object on replicas {0, 1, 2}, written VERIFIED.
   const LayoutPin layout = f.env.MakeObject();
-  auto cache = f.env.MakeCache();
   const std::vector<uint8_t> value = {7, 7, 7, 7, 7, 7, 7, 7};
 
   // Scripted blocker: while set, every message to node 2 is lost, so a
@@ -66,11 +65,10 @@ TEST(RepairDarkSlot, GiveUpIsReRepairedAfterUnrelatedReadmission) {
 
   bool done = false;
   auto driver = [](DarkSlotFixture* f, repair::RepairService* svc, Worker* writer,
-                   LayoutPin layout2, std::shared_ptr<ObjectCache> cache2,
-                   const std::vector<uint8_t>* value, bool* node2_unreachable2,
-                   bool* done2) -> sim::Task<void> {
+                   LayoutPin layout2, const std::vector<uint8_t>* value,
+                   bool* node2_unreachable2, bool* done2) -> sim::Task<void> {
     swarm::DiscardStatus(co_await f->index.InsertIfAbsent(1, layout2, nullptr));
-    QuorumMax reg(writer, layout2.get(), cache2);
+    QuorumMax reg(writer, writer->SlotCacheFor(layout2));
     const Meta word = Meta::Pack(5, writer->tid(), /*verified=*/true, 0);
     EXPECT_TRUE(co_await reg.WriteVerified(word, *value));
 
@@ -109,7 +107,7 @@ TEST(RepairDarkSlot, GiveUpIsReRepairedAfterUnrelatedReadmission) {
     EXPECT_EQ(m.value, *value);
     *done2 = true;
   };
-  sim::Spawn(driver(&f, &svc, &writer, layout, cache, &value, &node2_unreachable, &done));
+  sim::Spawn(driver(&f, &svc, &writer, layout, &value, &node2_unreachable, &done));
   f.env.sim.Run();
   EXPECT_TRUE(done);
 }
@@ -135,7 +133,6 @@ TEST(RepairDarkSlot, FreshLifecycleSupersedesDarkBookkeeping) {
   svc.RegisterStore(&source);
 
   const LayoutPin layout = f.env.MakeObject();
-  auto cache = f.env.MakeCache();
   const std::vector<uint8_t> value = {9, 9, 9, 9, 9, 9, 9, 9};
 
   bool node2_unreachable = false;
@@ -144,11 +141,10 @@ TEST(RepairDarkSlot, FreshLifecycleSupersedesDarkBookkeeping) {
 
   bool done = false;
   auto driver = [](DarkSlotFixture* f, repair::RepairService* svc, Worker* writer,
-                   LayoutPin layout2, std::shared_ptr<ObjectCache> cache2,
-                   const std::vector<uint8_t>* value, bool* node2_unreachable2,
-                   bool* done2) -> sim::Task<void> {
+                   LayoutPin layout2, const std::vector<uint8_t>* value,
+                   bool* node2_unreachable2, bool* done2) -> sim::Task<void> {
     swarm::DiscardStatus(co_await f->index.InsertIfAbsent(1, layout2, nullptr));
-    QuorumMax reg(writer, layout2.get(), cache2);
+    QuorumMax reg(writer, writer->SlotCacheFor(layout2));
     EXPECT_TRUE(
         co_await reg.WriteVerified(Meta::Pack(5, writer->tid(), true, 0), *value));
 
@@ -174,7 +170,7 @@ TEST(RepairDarkSlot, FreshLifecycleSupersedesDarkBookkeeping) {
     EXPECT_EQ(m.value, *value);
     *done2 = true;
   };
-  sim::Spawn(driver(&f, &svc, &writer, layout, cache, &value, &node2_unreachable, &done));
+  sim::Spawn(driver(&f, &svc, &writer, layout, &value, &node2_unreachable, &done));
   f.env.sim.Run();
   EXPECT_TRUE(done);
 }

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -458,12 +459,15 @@ INSTANTIATE_TEST_SUITE_P(Stores, DroppedLayoutsAreFreed, ::testing::Values("swar
                          StoreName);
 
 // A straggler pins its layout. One replica's responses are held back, so an
-// update's quorum resumes without it and that replica's task (the
-// straggler) is still in flight when another client removes the key and
-// recycler rounds move the horizon past the removal. The GC must keep the
-// layout, whose records the straggler reads after it resumes, until the
-// straggler completes; then it drops and frees it.
-class StragglerPinsItsLayout : public ::testing::TestWithParam<const char*> {};
+// op's quorum resumes without it and that replica's task (the straggler) is
+// still in flight when another client removes the key and recycler rounds
+// move the horizon past the removal. The GC must keep the layout, whose
+// records the straggler reads after it resumes, until the straggler
+// completes; then it drops and frees it. The op is an update (its
+// write task straggles) or a get (its read task: QuorumMax's ReadOne, ABD's
+// ReadWordOne); either task holds its own share in the layout.
+class StragglerPinsItsLayout
+    : public ::testing::TestWithParam<std::tuple<const char*, const char*>> {};
 
 sim::Task<void> RunOp(sim::Task<kv::KvResult> op, bool* done) {
   EXPECT_TRUE((co_await std::move(op)).ok());
@@ -471,8 +475,9 @@ sim::Task<void> RunOp(sim::Task<kv::KvResult> op, bool* done) {
 }
 
 TEST_P(StragglerPinsItsLayout, TheGcKeepsItUntilTheStragglerCompletes) {
+  const auto [store, op] = GetParam();
   deploy::DeploymentConfig cfg;
-  cfg.store = GetParam();
+  cfg.store = store;
   cfg.fabric.node_capacity_bytes = 64ull << 20;
   deploy::Deployment d(cfg);
   constexpr uint64_t kKey = 5;
@@ -492,17 +497,30 @@ TEST_P(StragglerPinsItsLayout, TheGcKeepsItUntilTheStragglerCompletes) {
   ASSERT_TRUE(inserted);
   const ObjectLayout* watch = d.index().Peek(kKey)->layout.get();
   ASSERT_EQ(ObjectLayout::live().layouts, live + 1);
-  // Replica 1 is in the update's first wave (a majority, in index order);
-  // with its answers stalled the wave escalates to replica 2 and resumes.
+  // Replica 1 is in the op's first wave (a majority, in index order); with
+  // its answers stalled the wave escalates to replica 2 and resumes.
   const int slow_node = watch->replica(1).node;
   bool slow = true;
   d.fabric().set_link_delay_fn([&slow, slow_node](int node, bool response) -> sim::Time {
     return slow && response && node == slow_node ? kStall : 0;
   });
 
-  bool updated = false;
-  sim::Spawn(RunOp(d.session(0).Update(kKey, value), &updated));
-  ASSERT_TRUE(step_until([&] { return updated; }));
+  kv::KvSession& s = d.session(0);
+  const bool get = std::string(op) == "get";
+  if (get) {
+    // The insert reached replicas 0 and 1 only, so a stalled get would find
+    // one holder and write the value back, and its write-back task would
+    // straggle beside the read task. A stalled update first escalates to
+    // replica 2; once it drains, both of the get's waves find a majority
+    // holding the value, and the read task is the only straggler.
+    bool warmed = false;
+    sim::Spawn(RunOp(s.Update(kKey, value), &warmed));
+    d.sim().Run();
+    ASSERT_TRUE(warmed);
+  }
+  bool done = false;
+  sim::Spawn(RunOp(get ? s.Get(kKey) : s.Update(kKey, value), &done));
+  ASSERT_TRUE(step_until([&] { return done; }));
   slow = false;  // Only the straggler's answers stay held back.
   const sim::Time stalled_until = d.sim().Now() + kStall / 2;
 
@@ -529,8 +547,15 @@ TEST_P(StragglerPinsItsLayout, TheGcKeepsItUntilTheStragglerCompletes) {
   EXPECT_EQ(ObjectLayout::live().layouts, live) << "a dropped layout must be freed";
 }
 
-INSTANTIATE_TEST_SUITE_P(Stores, StragglerPinsItsLayout, ::testing::Values("swarm", "dmabd"),
-                         StoreName);
+std::string StoreAndOpName(
+    const ::testing::TestParamInfo<std::tuple<const char*, const char*>>& param) {
+  return std::string(std::get<0>(param.param)) + "_" + std::get<1>(param.param);
+}
+
+INSTANTIATE_TEST_SUITE_P(StoresAndOps, StragglerPinsItsLayout,
+                         ::testing::Combine(::testing::Values("swarm", "dmabd"),
+                                            ::testing::Values("update", "get")),
+                         StoreAndOpName);
 
 // Every store's removed keys give their replica slots back: with recycler
 // rounds between insert/remove rounds, each round's GC drops the previous

@@ -26,11 +26,9 @@ TEST(SafeGuess, WriteIsFastPathWhenUncontended) {
   TestEnv env;
   Worker& w = env.MakeWorker();
   const LayoutPin layout = env.MakeObject();
-  auto cache = env.MakeCache();
 
-  auto driver = [](Worker* w, const ObjectLayout* layout,
-                   std::shared_ptr<ObjectCache> cache2) -> Task<void> {
-    SafeGuessObject obj(w, layout, cache2);
+  auto driver = [](Worker* w, LayoutPin layout2) -> Task<void> {
+    SafeGuessObject obj(w, w->SlotCacheFor(layout2));
     const sim::Time start = w->sim()->Now();
     SgWriteResult r = co_await obj.Write(ValN(32, 1));
     const sim::Time latency = w->sim()->Now() - start;
@@ -39,7 +37,7 @@ TEST(SafeGuess, WriteIsFastPathWhenUncontended) {
     EXPECT_EQ(r.rtts, 1);
     EXPECT_LT(latency, 3200);  // One roundtrip (+ transfer).
   };
-  Spawn(driver(&w, layout.get(), cache));
+  Spawn(driver(&w, layout));
   env.sim.Run();
 }
 
@@ -49,13 +47,13 @@ TEST(SafeGuess, ReadFindsVerifiedValueInOneRoundtrip) {
   Worker& rdr = env.MakeWorker();
   const LayoutPin layout = env.MakeObject();
 
-  auto writer = [](Worker* w, const ObjectLayout* layout) -> Task<void> {
-    SafeGuessObject obj(w, layout, std::make_shared<ObjectCache>());
+  auto writer = [](Worker* w, LayoutPin layout2) -> Task<void> {
+    SafeGuessObject obj(w, w->SlotCacheFor(layout2));
     (void)co_await obj.Write(ValN(32, 7));
   };
-  auto reader = [](Worker* w, const ObjectLayout* layout) -> Task<void> {
+  auto reader = [](Worker* w, LayoutPin layout2) -> Task<void> {
     co_await w->sim()->Delay(20000);  // Background promotion has landed.
-    SafeGuessObject obj(w, layout, std::make_shared<ObjectCache>());
+    SafeGuessObject obj(w, w->SlotCacheFor(layout2));
     const sim::Time start = w->sim()->Now();
     SgReadResult r = co_await obj.Read();
     const sim::Time latency = w->sim()->Now() - start;
@@ -67,8 +65,8 @@ TEST(SafeGuess, ReadFindsVerifiedValueInOneRoundtrip) {
     EXPECT_EQ(r.iterations, 1);
     EXPECT_LT(latency, 3000);
   };
-  Spawn(writer(&w, layout.get()));
-  Spawn(reader(&rdr, layout.get()));
+  Spawn(writer(&w, layout));
+  Spawn(reader(&rdr, layout));
   env.sim.Run();
 }
 
@@ -77,12 +75,12 @@ TEST(SafeGuess, ReadOfNeverWrittenObjectIsNotFound) {
   Worker& w = env.MakeWorker();
   const LayoutPin layout = env.MakeObject();
 
-  auto driver = [](Worker* w, const ObjectLayout* layout) -> Task<void> {
-    SafeGuessObject obj(w, layout, std::make_shared<ObjectCache>());
+  auto driver = [](Worker* w, LayoutPin layout2) -> Task<void> {
+    SafeGuessObject obj(w, w->SlotCacheFor(layout2));
     SgReadResult r = co_await obj.Read();
     EXPECT_EQ(r.status, SgStatus::kNotFound);
   };
-  Spawn(driver(&w, layout.get()));
+  Spawn(driver(&w, layout));
   env.sim.Run();
 }
 
@@ -93,17 +91,17 @@ TEST(SafeGuess, StaleGuessTakesSlowPathAndStillLinearizes) {
   Worker& laggy = env.MakeWorker(-400 * sim::kMicrosecond);
   const LayoutPin layout = env.MakeObject();
 
-  auto driver = [](Worker* fresh, Worker* laggy, const ObjectLayout* layout) -> Task<void> {
+  auto driver = [](Worker* fresh, Worker* laggy, LayoutPin layout2) -> Task<void> {
     // Let enough virtual time pass that clock-derived counters dominate tid
     // tie-breaks before the first write.
     co_await fresh->sim()->Delay(200 * sim::kMicrosecond);
-    SafeGuessObject a(fresh, layout, std::make_shared<ObjectCache>());
+    SafeGuessObject a(fresh, fresh->SlotCacheFor(layout2));
     SgWriteResult r1 = co_await a.Write(ValN(16, 1));
     EXPECT_TRUE(r1.fast_path);
 
     co_await fresh->sim()->Delay(100 * sim::kMicrosecond);
 
-    SafeGuessObject b(laggy, layout, std::make_shared<ObjectCache>());
+    SafeGuessObject b(laggy, laggy->SlotCacheFor(layout2));
     SgWriteResult r2 = co_await b.Write(ValN(16, 2));
     EXPECT_EQ(r2.status, SgStatus::kOk);
     EXPECT_FALSE(r2.fast_path);  // Guess was stale: slow path.
@@ -119,7 +117,7 @@ TEST(SafeGuess, StaleGuessTakesSlowPathAndStillLinearizes) {
     SgWriteResult r3 = co_await b.Write(ValN(16, 3));
     EXPECT_TRUE(r3.fast_path);
   };
-  Spawn(driver(&fresh, &laggy, layout.get()));
+  Spawn(driver(&fresh, &laggy, layout));
   env.sim.Run();
 }
 
@@ -128,8 +126,8 @@ TEST(SafeGuess, DeleteMakesObjectUnwritable) {
   Worker& w = env.MakeWorker();
   const LayoutPin layout = env.MakeObject();
 
-  auto driver = [](Worker* w, const ObjectLayout* layout) -> Task<void> {
-    SafeGuessObject obj(w, layout, std::make_shared<ObjectCache>());
+  auto driver = [](Worker* w, LayoutPin layout2) -> Task<void> {
+    SafeGuessObject obj(w, w->SlotCacheFor(layout2));
     (void)co_await obj.Write(ValN(16, 1));
     SgWriteResult del = co_await obj.Delete();
     EXPECT_EQ(del.status, SgStatus::kOk);
@@ -140,7 +138,7 @@ TEST(SafeGuess, DeleteMakesObjectUnwritable) {
     SgWriteResult wr = co_await obj.Write(ValN(16, 2));
     EXPECT_EQ(wr.status, SgStatus::kDeleted);  // §5.3.2: cannot overwrite.
   };
-  Spawn(driver(&w, layout.get()));
+  Spawn(driver(&w, layout));
   env.sim.Run();
 }
 
@@ -158,21 +156,21 @@ TEST(SafeGuess, DeleteOverAForeignTombstoneInASharedSlotReportsDeleted) {
   Worker& second = env.MakeWorker();  // tid 1
   const LayoutPin layout = env.MakeObject();
 
-  auto scenario = [](Worker* first, Worker* second, const ObjectLayout* layout) -> Task<void> {
-    SafeGuessObject a(first, layout, std::make_shared<ObjectCache>());
+  auto scenario = [](Worker* first, Worker* second, LayoutPin layout2) -> Task<void> {
+    SafeGuessObject a(first, first->SlotCacheFor(layout2));
     (void)co_await a.Write(ValN(16, 1));
     SgWriteResult del = co_await a.Delete();
     EXPECT_EQ(del.status, SgStatus::kOk);
 
     // The second writer's read caches the first tombstone as its slot's
     // word, so its delete CAS replaces that tombstone on the first try.
-    SafeGuessObject b(second, layout, std::make_shared<ObjectCache>());
+    SafeGuessObject b(second, second->SlotCacheFor(layout2));
     SgReadResult rd = co_await b.Read();
     EXPECT_EQ(rd.status, SgStatus::kDeleted);
     SgWriteResult again = co_await b.Delete();
     EXPECT_EQ(again.status, SgStatus::kDeleted);
   };
-  Spawn(scenario(&first, &second, layout.get()));
+  Spawn(scenario(&first, &second, layout));
   env.sim.Run();
 }
 
@@ -181,17 +179,17 @@ TEST(SafeGuess, MinorityCrashKeepsObjectAvailable) {
   Worker& w = env.MakeWorker();
   const LayoutPin layout = env.MakeObject();
 
-  auto driver = [](Worker* w, const ObjectLayout* layout) -> Task<void> {
-    SafeGuessObject obj(w, layout, std::make_shared<ObjectCache>());
+  auto driver = [](Worker* w, LayoutPin layout2) -> Task<void> {
+    SafeGuessObject obj(w, w->SlotCacheFor(layout2));
     (void)co_await obj.Write(ValN(16, 1));
-    w->fabric()->Crash(layout->replica(0).node);
+    w->fabric()->Crash(layout2->replica(0).node);
     SgWriteResult wr = co_await obj.Write(ValN(16, 2));
     EXPECT_EQ(wr.status, SgStatus::kOk);
     SgReadResult rd = co_await obj.Read();
     EXPECT_EQ(rd.status, SgStatus::kOk);
     EXPECT_EQ(rd.value, ValN(16, 2));
   };
-  Spawn(driver(&w, layout.get()));
+  Spawn(driver(&w, layout));
   env.sim.Run();
 }
 
@@ -218,8 +216,8 @@ std::vector<uint8_t> EncodeValue(uint64_t v) {
   return bytes;
 }
 
-Task<void> StressWriter(Worker* w, const ObjectLayout* layout, int ops, StressState* st) {
-  SafeGuessObject obj(w, layout, std::make_shared<ObjectCache>());
+Task<void> StressWriter(Worker* w, LayoutPin layout, int ops, StressState* st) {
+  SafeGuessObject obj(w, w->SlotCacheFor(layout));
   for (int i = 0; i < ops; ++i) {
     co_await w->sim()->Delay(static_cast<sim::Time>(w->sim()->rng().Below(6000)));
     const uint64_t value = st->next_value++;
@@ -234,8 +232,8 @@ Task<void> StressWriter(Worker* w, const ObjectLayout* layout, int ops, StressSt
   }
 }
 
-Task<void> StressReader(Worker* w, const ObjectLayout* layout, int ops, StressState* st) {
-  SafeGuessObject obj(w, layout, std::make_shared<ObjectCache>());
+Task<void> StressReader(Worker* w, LayoutPin layout, int ops, StressState* st) {
+  SafeGuessObject obj(w, w->SlotCacheFor(layout));
   for (int i = 0; i < ops; ++i) {
     co_await w->sim()->Delay(static_cast<sim::Time>(w->sim()->rng().Below(6000)));
     HistoryOp op;
@@ -261,11 +259,11 @@ TEST_P(SafeGuessStress, ConcurrentHistoryIsLinearizable) {
   StressState st;
   for (int i = 0; i < writers; ++i) {
     Worker& w = env.MakeWorker(env.sim.rng().Range(-20000, 20000));
-    Spawn(StressWriter(&w, layout.get(), ops, &st));
+    Spawn(StressWriter(&w, layout, ops, &st));
   }
   for (int i = 0; i < readers; ++i) {
     Worker& w = env.MakeWorker(0);
-    Spawn(StressReader(&w, layout.get(), ops, &st));
+    Spawn(StressReader(&w, layout, ops, &st));
   }
   env.sim.Run();
   ASSERT_EQ(st.history.size(), static_cast<size_t>((writers + readers) * ops));

@@ -61,8 +61,6 @@ struct TestEnv {
                           proto.max_writers, proto.max_value, inplace_copies);
   }
 
-  std::shared_ptr<ObjectCache> MakeCache() { return std::make_shared<ObjectCache>(); }
-
   sim::Simulator sim;
   fabric::Fabric fabric;
   ProtocolConfig proto;

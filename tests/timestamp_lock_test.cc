@@ -20,14 +20,14 @@ TEST(TimestampLock, UncontendedLockSucceeds) {
   Worker& w = env.MakeWorker();
   const LayoutPin layout = env.MakeObject();
 
-  auto driver = [](Worker* w, const ObjectLayout* layout) -> Task<void> {
-    TimestampLock lock(w, layout, 0);
+  auto driver = [](Worker* w, LayoutPin layout2) -> Task<void> {
+    TimestampLock lock(w, layout2, 0);
     TryLockResult r = co_await lock.TryLock(42, LockMode::kWrite);
     EXPECT_TRUE(r.quorum_ok);
     EXPECT_TRUE(r.acquired);  // True safety: no conflicting attempt exists.
     EXPECT_EQ(r.rtts, 1);     // One CAS roundtrip per replica, in parallel.
   };
-  Spawn(driver(&w, layout.get()));
+  Spawn(driver(&w, layout));
   env.sim.Run();
 }
 
@@ -37,16 +37,16 @@ TEST(TimestampLock, SameModeSameTimestampBothSucceed) {
   Worker& r2 = env.MakeWorker();
   const LayoutPin layout = env.MakeObject();
 
-  auto driver = [](Worker* a, Worker* b, const ObjectLayout* layout) -> Task<void> {
-    TimestampLock la(a, layout, 0);
-    TimestampLock lb(b, layout, 0);
+  auto driver = [](Worker* a, Worker* b, LayoutPin layout2) -> Task<void> {
+    TimestampLock la(a, layout2, 0);
+    TimestampLock lb(b, layout2, 0);
     auto [ra, rb] = co_await sim::WhenBoth(a->sim(), la.TryLock(7, LockMode::kRead),
                                            lb.TryLock(7, LockMode::kRead));
     // Two readers may both lock the same timestamp (readers-writer style).
     EXPECT_TRUE(ra.acquired);
     EXPECT_TRUE(rb.acquired);
   };
-  Spawn(driver(&r1, &r2, layout.get()));
+  Spawn(driver(&r1, &r2, layout));
   env.sim.Run();
 }
 
@@ -56,15 +56,15 @@ TEST(TimestampLock, TrueExclusionSequential) {
   Worker& b = env.MakeWorker();
   const LayoutPin layout = env.MakeObject();
 
-  auto driver = [](Worker* a, Worker* b, const ObjectLayout* layout) -> Task<void> {
-    TimestampLock la(a, layout, 0);
-    TimestampLock lb(b, layout, 0);
+  auto driver = [](Worker* a, Worker* b, LayoutPin layout2) -> Task<void> {
+    TimestampLock la(a, layout2, 0);
+    TimestampLock lb(b, layout2, 0);
     TryLockResult w = co_await la.TryLock(9, LockMode::kWrite);
     EXPECT_TRUE(w.acquired);
     TryLockResult r = co_await lb.TryLock(9, LockMode::kRead);
     EXPECT_FALSE(r.acquired);  // Opposite mode already holds a majority.
   };
-  Spawn(driver(&a, &b, layout.get()));
+  Spawn(driver(&a, &b, layout));
   env.sim.Run();
 }
 
@@ -74,9 +74,9 @@ TEST(TimestampLock, HigherTimestampSupersedes) {
   Worker& b = env.MakeWorker();
   const LayoutPin layout = env.MakeObject();
 
-  auto driver = [](Worker* a, Worker* b, const ObjectLayout* layout) -> Task<void> {
-    TimestampLock la(a, layout, 0);
-    TimestampLock lb(b, layout, 0);
+  auto driver = [](Worker* a, Worker* b, LayoutPin layout2) -> Task<void> {
+    TimestampLock la(a, layout2, 0);
+    TimestampLock lb(b, layout2, 0);
     // Locks are never unlocked, but can be relocked at higher timestamps.
     TryLockResult hi = co_await la.TryLock(100, LockMode::kRead);
     EXPECT_TRUE(hi.acquired);
@@ -85,7 +85,7 @@ TEST(TimestampLock, HigherTimestampSupersedes) {
     TryLockResult hi2 = co_await lb.TryLock(150, LockMode::kWrite);
     EXPECT_TRUE(hi2.acquired);  // Relocking higher succeeds.
   };
-  Spawn(driver(&a, &b, layout.get()));
+  Spawn(driver(&a, &b, layout));
   env.sim.Run();
 }
 
@@ -96,7 +96,7 @@ struct RaceResult {
   int write_acquired = 0;
 };
 
-Task<void> Racer(Worker* w, const ObjectLayout* layout, uint32_t owner, uint32_t ts, LockMode mode,
+Task<void> Racer(Worker* w, LayoutPin layout, uint32_t owner, uint32_t ts, LockMode mode,
                  sim::Time delay, RaceResult* out) {
   co_await w->sim()->Delay(delay);
   TimestampLock lock(w, layout, owner);
@@ -121,7 +121,7 @@ TEST_P(TimestampLockRace, TrueExclusionUnderConcurrency) {
     Worker& w = env.MakeWorker();
     const LockMode mode = (i % 2 == 0) ? LockMode::kRead : LockMode::kWrite;
     const sim::Time delay = static_cast<sim::Time>(env.sim.rng().Below(2000));
-    Spawn(Racer(&w, layout.get(), /*owner=*/0, /*ts=*/77, mode, delay, &result));
+    Spawn(Racer(&w, layout, /*owner=*/0, /*ts=*/77, mode, delay, &result));
   }
   env.sim.Run();
   // Readers may all win or all lose; but never both modes.
@@ -139,14 +139,14 @@ TEST(TimestampLock, SurvivesMinorityCrash) {
   env.fabric.Crash(0);  // One of three replicas.
 
   bool done = false;
-  auto driver = [](Worker* w, const ObjectLayout* layout, bool* done2) -> Task<void> {
-    TimestampLock lock(w, layout, 0);
+  auto driver = [](Worker* w, LayoutPin layout2, bool* done2) -> Task<void> {
+    TimestampLock lock(w, layout2, 0);
     TryLockResult r = co_await lock.TryLock(5, LockMode::kWrite);
     EXPECT_TRUE(r.quorum_ok);
     EXPECT_TRUE(r.acquired);
     *done2 = true;
   };
-  Spawn(driver(&w, layout.get(), &done));
+  Spawn(driver(&w, layout, &done));
   env.sim.Run();
   EXPECT_TRUE(done);
 }
@@ -159,14 +159,14 @@ TEST(TimestampLock, MajorityCrashReturnsUnacquired) {
   env.fabric.Crash(1);
 
   bool done = false;
-  auto driver = [](Worker* w, const ObjectLayout* layout, bool* done2) -> Task<void> {
-    TimestampLock lock(w, layout, 0);
+  auto driver = [](Worker* w, LayoutPin layout2, bool* done2) -> Task<void> {
+    TimestampLock lock(w, layout2, 0);
     TryLockResult r = co_await lock.TryLock(5, LockMode::kWrite);
     EXPECT_FALSE(r.quorum_ok);
     EXPECT_FALSE(r.acquired);  // Not acquired is always safe.
     *done2 = true;
   };
-  Spawn(driver(&w, layout.get(), &done));
+  Spawn(driver(&w, layout, &done));
   env.sim.Run();
   EXPECT_TRUE(done);
 }
@@ -177,15 +177,15 @@ TEST(TimestampLock, DistinctOwnersAreIndependent) {
   Worker& b = env.MakeWorker();
   const LayoutPin layout = env.MakeObject();
 
-  auto driver = [](Worker* a, Worker* b, const ObjectLayout* layout) -> Task<void> {
-    TimestampLock la(a, layout, /*owner=*/1);
-    TimestampLock lb(b, layout, /*owner=*/2);
+  auto driver = [](Worker* a, Worker* b, LayoutPin layout2) -> Task<void> {
+    TimestampLock la(a, layout2, /*owner=*/1);
+    TimestampLock lb(b, layout2, /*owner=*/2);
     TryLockResult ra = co_await la.TryLock(9, LockMode::kWrite);
     TryLockResult rb = co_await lb.TryLock(9, LockMode::kRead);
     EXPECT_TRUE(ra.acquired);
     EXPECT_TRUE(rb.acquired);  // Different writers' locks never conflict.
   };
-  Spawn(driver(&a, &b, layout.get()));
+  Spawn(driver(&a, &b, layout));
   env.sim.Run();
 }
 

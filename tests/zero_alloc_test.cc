@@ -31,6 +31,7 @@
 #include "src/kv/dm_abd_kv.h"
 #include "src/kv/fusee_kv.h"
 #include "src/kv/swarm_kv.h"
+#include "src/kv/tracked_session.h"
 #include "src/sim/pool.h"
 #include "src/swarm/placement.h"
 #include "tests/support/test_env.h"
@@ -152,7 +153,9 @@ TEST(ZeroAlloc, SwarmSteadyStateReadWriteIsHeapFree) {
   index::IndexService index(&env.sim);
   index::ClientCache cache;
   Worker& w = env.MakeWorker();
-  kv::SwarmKvSession kv(&w, &index, &cache);
+  kv::SwarmKvSession store(&w, &index, &cache);
+  // Through the in-flight tracker every Deployment and swarmbench op takes.
+  kv::TrackedKvSession kv(&store);
   EXPECT_EQ(MeasureSteadyState(&env, &kv, /*keys=*/4), 0u);
 }
 

@@ -45,17 +45,15 @@ rejected at lint time instead of seed-replay time:
   swarm-layout-pin
       A straggler — a coroutine that can outlive the op that started it:
       one handed to sim::Spawn, or a per-replica task returned from a
-      quorum wave's lambda (Escalate, Broadcast, Wave) — must not take a
-      bare ObjectLayout pointer or reference without a share in the
-      layout: a LayoutPin taken by value (the 8 B handle whose count lives
-      in the layout's block; a pointer or reference to one is no share),
-      or its phase's shared_ptr (the quorum engine stamps its pin into
-      every phase). The retired-layout GC frees a dropped layout's block
-      once its use-count gate sees no other share, so an unpinned
-      straggler that resumes after the drop reads freed records. Spawned callees are
-      resolved by name across every file of the run. Files under tests/
-      are exempt: a test that builds layouts by hand owns them for its
-      whole run, and no GC ever sees them.
+      quorum wave's lambda (Escalate, Broadcast, Wave) — takes its layout
+      only as a share held by value: a LayoutPin, or the SlotCache handle
+      that carries one. It takes no pointer or reference to an ObjectLayout,
+      a LayoutPin or a SlotCache. The retired-layout GC frees a dropped
+      layout's block once its use-count gate sees no other share, so a
+      straggler that reaches the layout through anything else can resume
+      after the drop and read freed records. Spawned callees are resolved
+      by name across every file of the run. Files under tests/ are exempt:
+      a test that builds layouts by hand owns them for its whole run.
 
 Frontend note: this was designed for libclang (clang.cindex); the build
 image ships neither the libclang C API nor the Python bindings, and the
@@ -760,9 +758,9 @@ def check_node_table_size(toks, findings):
 # The quorum engine's wave entry points: each spawns the per-replica tasks
 # its lambda returns, and resumes before the slowest of them completes.
 WAVE_CALLEES = {"Escalate", "Broadcast", "Wave"}
-# Phase types every file may use (src/swarm/quorum.h); a same-file struct
-# deriving from one is a phase too.
-BASE_PHASES = {"QuorumPhase", "WordPhase"}
+# A layout, and the two shares in one (src/swarm/layout.h): a straggler may
+# hold these only by value.
+LAYOUT_TYPES = ("ObjectLayout", "LayoutPin", "SlotCache")
 
 
 def straggler_callees(toks):
@@ -791,31 +789,6 @@ def straggler_callees(toks):
     return names
 
 
-def _phase_types(toks):
-    """BASE_PHASES plus every struct/class in the file deriving from a phase."""
-    bases = {}
-    for i in range(len(toks) - 2):
-        if toks[i].text in ("struct", "class") and toks[i + 1].kind == "id":
-            j = i + 2
-            if j < len(toks) and toks[j].text == "final":
-                j += 1
-            if j < len(toks) and toks[j].text == ":":
-                j += 1
-                while j < len(toks) and toks[j].text in ("public", "private", "protected"):
-                    j += 1
-                if j < len(toks) and toks[j].kind == "id":
-                    bases[toks[i + 1].text] = toks[j].text
-    phases = set(BASE_PHASES)
-    grew = True
-    while grew:
-        grew = False
-        for derived, base in bases.items():
-            if base in phases and derived not in phases:
-                phases.add(derived)
-                grew = True
-    return phases
-
-
 def _split_params(params):
     """The parameter list's top-level comma-separated pieces."""
     out = [[]]
@@ -834,15 +807,6 @@ def _split_params(params):
     return [p for p in out if p]
 
 
-def _template_arg(param, name):
-    """Identifiers inside `name<...>` within one parameter, or None."""
-    for k, t in enumerate(param):
-        if t.text == name and k + 1 < len(param) and param[k + 1].text == "<":
-            end = _skip_template(param, k + 1)
-            return {x.text for x in param[k + 2:end - 1] if x.kind == "id"}
-    return None
-
-
 def _indirect(texts, name):
     """True when the parameter takes `name` through a pointer or reference."""
     k = texts.index(name) + 1
@@ -851,29 +815,20 @@ def _indirect(texts, name):
     return k < len(texts) and texts[k] in ("*", "&", "&&")
 
 
-def check_layout_pin(fn, findings, stragglers, phases):
+def check_layout_pin(fn, findings, stragglers):
     if not fn.coroutine or fn.name not in stragglers:
         return
-    bare = None
-    pinned = False
     for param in _split_params(fn.params):
         texts = [t.text for t in param]
-        owned = _template_arg(param, "shared_ptr")
-        if "LayoutPin" in texts:
-            # A share only by value: a referenced pin can be gone by the
-            # time the straggler resumes.
-            pinned = pinned or not _indirect(texts, "LayoutPin")
-        elif owned and owned & phases:
-            pinned = True
-        elif owned is None and "ObjectLayout" in texts and _indirect(texts, "ObjectLayout"):
-            bare = param[-1].text
-    if bare is not None and not pinned:
-        findings.append((fn.line, "swarm-layout-pin",
-                         f"straggler coroutine '{fn.name}' takes the layout "
-                         f"'{bare}' without a share in it: once its op returns, "
-                         "the retired-layout GC may free the layout under it — "
-                         "take a LayoutPin by value, or the phase shared_ptr the "
-                         "quorum engine stamps its pin into"))
+        for held in LAYOUT_TYPES:
+            if held in texts and _indirect(texts, held):
+                findings.append((fn.line, "swarm-layout-pin",
+                                 f"straggler coroutine '{fn.name}' reaches its layout "
+                                 f"through '{param[-1].text}' ({held} by pointer or "
+                                 "reference): once its op returns, the retired-layout GC "
+                                 "may free the layout under it — take a LayoutPin or "
+                                 "SlotCache by value and read the layout from it"))
+                return
 
 
 # --- Driver -----------------------------------------------------------------
@@ -897,10 +852,8 @@ def lint_file(path, enabled, stragglers=None):
         check_node_table_size(toks, findings)
     layout_pin = "swarm-layout-pin" in enabled and "tests" not in \
         os.path.normpath(path).split(os.sep)
-    if layout_pin:
-        if stragglers is None:
-            stragglers = straggler_callees(toks)
-        phases = _phase_types(toks)
+    if layout_pin and stragglers is None:
+        stragglers = straggler_callees(toks)
     for fn in funcs:
         if "swarm-unchecked-commit-critical" in enabled:
             check_unchecked_commit_critical(fn, findings)
@@ -911,7 +864,7 @@ def lint_file(path, enabled, stragglers=None):
         if "swarm-retry-stale-epoch" in enabled:
             check_retry_stale_epoch(fn, findings, by_name)
         if layout_pin:
-            check_layout_pin(fn, findings, stragglers, phases)
+            check_layout_pin(fn, findings, stragglers)
     out = []
     for line, check, msg in findings:
         names = suppressed.get(line, set())

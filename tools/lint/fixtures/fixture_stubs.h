@@ -46,8 +46,9 @@ struct Worker {
   Qp& qp(int node);
 };
 
-// One object's replica records (src/swarm/layout.h) and a share in one:
-// the 8 B handle whose count lives in the layout's block.
+// One object's replica records (src/swarm/layout.h) and the shares in one:
+// the 8 B handle whose count lives in the layout's block, and the slot-cache
+// handle that carries one beside a writer's words.
 struct ReplicaLayout {
   uint64_t meta_addr = 0;
   int node = -1;
@@ -60,6 +61,11 @@ class LayoutPin {
  public:
   const ObjectLayout* get() const;
   const ObjectLayout* operator->() const;
+};
+class SlotCache {
+ public:
+  uint64_t& operator[](int r) const;
+  const LayoutPin& pin() const;
 };
 
 // The quorum engine's awaitable entry points (src/swarm/quorum.h).

@@ -1,9 +1,9 @@
 // MUST-PASS fixture for swarm-layout-pin.
 //
-// The pinned forms of the trip fixture's stragglers: the promotion takes a
-// LayoutPin by value, and the per-replica lock task co-owns its phase, into
-// which the quorum engine stamps its pin. Coroutines that are only awaited,
-// or that touch no layout, need no pin.
+// The fixed forms of the trip fixture's stragglers: each takes its own
+// share in the layout by value — a LayoutPin, or the SlotCache handle that
+// carries one — and reads the layout from it. Coroutines that are only
+// awaited, or that touch no layout, may take anything.
 
 #include "fixture_stubs.h"
 
@@ -13,37 +13,49 @@ struct LockPhase : QuorumPhase {
   bool higher_seen = false;
 };
 
-// `pin` is held, never read: it keeps the layout alive across the CAS.
-sim::Task<void> PromoteOne(Worker* worker, const ObjectLayout* layout,
-                           [[maybe_unused]] LayoutPin pin, int r, uint64_t word) {
+sim::Task<void> PromoteOne(Worker* worker, LayoutPin layout, int r, uint64_t word) {
   const ReplicaLayout& rep = layout->replica(r);
   auto res = co_await worker->qp(rep.node).Cas(rep.meta_addr, word, word | 1);
   DiscardStatus(res);
 }
 
-sim::Task<void> Promote(Worker* worker, const ObjectLayout* layout, LayoutPin pin,
-                        uint64_t word) {
+sim::Task<void> Promote(Worker* worker, LayoutPin layout, uint64_t word) {
   for (int r = 0; r < layout->num_replicas; ++r) {
-    sim::Spawn(PromoteOne(worker, layout, pin, r, word));
+    sim::Spawn(PromoteOne(worker, layout, r, word));
   }
   co_return;
 }
 
 void WriteFastPath(Worker* worker, LayoutPin layout, uint64_t word) {
-  sim::Spawn(Promote(worker, layout.get(), layout, word));
+  sim::Spawn(Promote(worker, layout, word));
 }
 
-sim::Task<void> LockOneReplica(Worker* worker, const ObjectLayout* layout, int r,
+sim::Task<void> LockOneReplica(Worker* worker, LayoutPin layout, int r,
                                std::shared_ptr<LockPhase> phase) {
   const ReplicaLayout& rep = layout->replica(r);
   auto res = co_await worker->qp(rep.node).Cas(rep.meta_addr, 0, 1);
   phase->higher_seen = !res.ok();
 }
 
-sim::Task<bool> TryLock(Worker* worker, const ObjectLayout* layout, const QuorumEngine& q,
+// Awaited, never spawned: it may take the layout by reference.
+sim::Task<bool> TryLock(Worker* worker, const LayoutPin& layout, const QuorumEngine& q,
                         std::shared_ptr<LockPhase> phase) {
   co_return co_await q.Broadcast(
       phase.get(), [&](int r) { return LockOneReplica(worker, layout, r, phase); });
+}
+
+// The writer's handle: a share in the layout beside its slot-cache words.
+sim::Task<void> ReadOne(Worker* worker, SlotCache cache, int r, std::shared_ptr<LockPhase> ph) {
+  const ReplicaLayout& rep = cache.pin()->replica(r);
+  auto res = co_await worker->qp(rep.node).Cas(rep.meta_addr, 0, 0);
+  cache[r] = res.old_value;
+  ph->higher_seen = !res.ok();
+}
+
+sim::Task<bool> ReadQuorum(Worker* worker, const SlotCache& cache, const QuorumEngine& q,
+                           std::shared_ptr<LockPhase> ph) {
+  co_return (co_await q.Escalate(
+      ph.get(), [&](int r) { return ReadOne(worker, cache, r, ph); })).reached;
 }
 
 // Awaited, never spawned: it cannot outlive its caller.
