@@ -2,9 +2,9 @@
 //
 // PR 1 pooled the simulator's callback slots; this module generalizes that
 // discipline to every remaining per-op allocation: coroutine frames (via
-// Task's promise operator new), the Counter/Waiter synchronization state and
-// per-verb OpState (via std::allocate_shared), and value byte buffers (via
-// the Bytes/PoolVec vector aliases). With all of them on the pool, a
+// Task's promise operator new), the Counter state and per-verb OpState (via
+// std::allocate_shared), and value byte buffers (via the Bytes/PoolVec
+// vector aliases). With all of them on the pool, a
 // quorum-of-3 write performs ZERO heap allocations at steady state — the
 // zero_alloc_test guard enforces this for all three KV stores.
 //

@@ -8,8 +8,8 @@
 // Lifetime rules (all single-threaded, no synchronization needed):
 //  * An awaited Task is owned by the awaiting coroutine frame; the frame of
 //    the inner coroutine is destroyed when the Task goes out of scope.
-//  * A Spawned Task is owned by a small detached driver coroutine that
-//    self-destroys when the task completes.
+//  * A Spawned task owns itself: Spawn releases the handle and marks the
+//    promise detached, and the final awaiter destroys the frame.
 
 #ifndef SWARM_SRC_SIM_TASK_H_
 #define SWARM_SRC_SIM_TASK_H_
@@ -18,6 +18,7 @@
 #include <cstddef>
 #include <exception>
 #include <optional>
+#include <type_traits>
 #include <utility>
 
 #include "src/sim/pool.h"
@@ -32,6 +33,7 @@ namespace internal {
 struct PromiseBase {
   std::coroutine_handle<> continuation;
   std::exception_ptr exception;
+  bool detached = false;  // Spawned: nothing awaits it, it frees itself.
 
   // Coroutine frames are the single largest per-op allocation class (every
   // protocol step is a coroutine). Routing them through the size-class pool
@@ -47,6 +49,9 @@ struct PromiseBase {
       if (p.continuation) {
         return p.continuation;
       }
+      if (p.detached) {
+        h.destroy();  // Suspended at its final point: the frame may go.
+      }
       return std::noop_coroutine();
     }
     void await_resume() const noexcept {}
@@ -54,7 +59,30 @@ struct PromiseBase {
 
   std::suspend_always initial_suspend() noexcept { return {}; }
   FinalAwaiter final_suspend() noexcept { return {}; }
-  void unhandled_exception() { exception = std::current_exception(); }
+  // Nothing could rethrow a detached task's exception: it terminates.
+  void unhandled_exception() {
+    if (detached) {
+      std::terminate();
+    }
+    exception = std::current_exception();
+  }
+};
+
+template <typename T>
+struct Promise : PromiseBase {
+  std::optional<T> value;
+
+  Task<T> get_return_object();
+  template <typename U>
+  void return_value(U&& v) {
+    value.emplace(std::forward<U>(v));
+  }
+};
+
+template <>
+struct Promise<void> : PromiseBase {
+  Task<void> get_return_object();
+  void return_void() {}
 };
 
 }  // namespace internal
@@ -62,17 +90,7 @@ struct PromiseBase {
 template <typename T>
 class [[nodiscard]] Task {
  public:
-  struct promise_type : internal::PromiseBase {
-    std::optional<T> value;
-
-    Task get_return_object() {
-      return Task(std::coroutine_handle<promise_type>::from_promise(*this));
-    }
-    template <typename U>
-    void return_value(U&& v) {
-      value.emplace(std::forward<U>(v));
-    }
-  };
+  using promise_type = internal::Promise<T>;
 
   Task() = default;
   explicit Task(std::coroutine_handle<promise_type> h) : h_(h) {}
@@ -87,8 +105,6 @@ class [[nodiscard]] Task {
   Task(const Task&) = delete;
   Task& operator=(const Task&) = delete;
   ~Task() { Destroy(); }
-
-  bool valid() const { return static_cast<bool>(h_); }
 
   auto operator co_await() && noexcept {
     struct Awaiter {
@@ -103,61 +119,8 @@ class [[nodiscard]] Task {
         if (p.exception) {
           std::rethrow_exception(p.exception);
         }
-        return std::move(*p.value);
-      }
-    };
-    return Awaiter{h_};
-  }
-
- private:
-  void Destroy() {
-    if (h_) {
-      h_.destroy();
-      h_ = {};
-    }
-  }
-
-  std::coroutine_handle<promise_type> h_;
-};
-
-template <>
-class [[nodiscard]] Task<void> {
- public:
-  struct promise_type : internal::PromiseBase {
-    Task get_return_object() {
-      return Task(std::coroutine_handle<promise_type>::from_promise(*this));
-    }
-    void return_void() {}
-  };
-
-  Task() = default;
-  explicit Task(std::coroutine_handle<promise_type> h) : h_(h) {}
-  Task(Task&& o) noexcept : h_(std::exchange(o.h_, {})) {}
-  Task& operator=(Task&& o) noexcept {
-    if (this != &o) {
-      Destroy();
-      h_ = std::exchange(o.h_, {});
-    }
-    return *this;
-  }
-  Task(const Task&) = delete;
-  Task& operator=(const Task&) = delete;
-  ~Task() { Destroy(); }
-
-  bool valid() const { return static_cast<bool>(h_); }
-
-  auto operator co_await() && noexcept {
-    struct Awaiter {
-      std::coroutine_handle<promise_type> h;
-      bool await_ready() const noexcept { return false; }
-      std::coroutine_handle<> await_suspend(std::coroutine_handle<> cont) noexcept {
-        h.promise().continuation = cont;
-        return h;
-      }
-      void await_resume() {
-        auto& p = h.promise();
-        if (p.exception) {
-          std::rethrow_exception(p.exception);
+        if constexpr (!std::is_void_v<T>) {
+          return std::move(*p.value);
         }
       }
     };
@@ -165,6 +128,8 @@ class [[nodiscard]] Task<void> {
   }
 
  private:
+  friend void Spawn(Task<void> t);
+
   void Destroy() {
     if (h_) {
       h_.destroy();
@@ -177,29 +142,25 @@ class [[nodiscard]] Task<void> {
 
 namespace internal {
 
-// Detached driver: eagerly runs a Task<void> to completion and self-destroys.
-// The moved-in Task lives in the driver's frame, keeping the inner coroutine
-// alive for exactly as long as it needs.
-struct Detached {
-  struct promise_type {
-    static void* operator new(size_t n) { return FramePool::Alloc(n); }
-    static void operator delete(void* p, size_t n) { FramePool::Free(p, n); }
+template <typename T>
+Task<T> Promise<T>::get_return_object() {
+  return Task<T>(std::coroutine_handle<Promise>::from_promise(*this));
+}
 
-    Detached get_return_object() { return {}; }
-    std::suspend_never initial_suspend() noexcept { return {}; }
-    std::suspend_never final_suspend() noexcept { return {}; }
-    void return_void() {}
-    void unhandled_exception() { std::terminate(); }
-  };
-};
-
-inline Detached RunDetached(Task<void> t) { co_await std::move(t); }
+inline Task<void> Promise<void>::get_return_object() {
+  return Task<void>(std::coroutine_handle<Promise>::from_promise(*this));
+}
 
 }  // namespace internal
 
-// Starts `t` immediately and lets it run to completion in the background.
-// Any exception escaping a detached task terminates the program.
-inline void Spawn(Task<void> t) { internal::RunDetached(std::move(t)); }
+// Starts `t` immediately and lets it run to completion in the background;
+// its frame frees itself at the end. Any exception escaping a detached task
+// terminates the program.
+inline void Spawn(Task<void> t) {
+  const auto h = std::exchange(t.h_, {});
+  h.promise().detached = true;
+  h.resume();
+}
 
 }  // namespace swarm::sim
 

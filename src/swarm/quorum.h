@@ -189,20 +189,20 @@ class QuorumEngine {
 
   // One wave to every contact; resumes at a majority or quorum_timeout.
   template <typename Make>
-  sim::Task<bool> Broadcast(QuorumPhase* ph, Make make) const {
+  sim::Counter::Wait Broadcast(QuorumPhase* ph, Make make) const {
     return Post(ph, majority_, worker_->config().quorum_timeout, contacts_, 0, contacts_.size, make);
   }
 
   // One wave to `to`; resumes once `ph->ok` reaches `need` or quorum_timeout.
   template <typename Make>
-  sim::Task<bool> Wave(QuorumPhase* ph, int need, const Contacts& to, Make make) const {
+  sim::Counter::Wait Wave(QuorumPhase* ph, int need, const Contacts& to, Make make) const {
     return Post(ph, need, worker_->config().quorum_timeout, to, 0, to.size, make);
   }
 
  private:
   template <typename Make>
-  sim::Task<bool> Post(QuorumPhase* ph, int need, sim::Time timeout, const Contacts& to, int from,
-                       int end, Make& make) const {
+  sim::Counter::Wait Post(QuorumPhase* ph, int need, sim::Time timeout, const Contacts& to,
+                          int from, int end, Make& make) const {
     {
       fabric::CpuBatch batch(worker_->cpu());
       for (int i = from; i < end; ++i) {

@@ -45,7 +45,9 @@ enum class [[nodiscard]] SgStatus : uint8_t {
 
 struct [[nodiscard]] SgWriteResult {
   SgStatus status = SgStatus::kUnavailable;
-  bool fast_path = false;  // Guess proven fresh in one roundtrip.
+  // Guess proven fresh: no lock, no re-execution. Not one roundtrip: a CAS
+  // retry inside the write-and-read phase adds roundtrips (see rtts).
+  bool fast_path = false;
   bool lock_lost = false;  // Slow path resolved by a reader committing our guess.
   int rtts = 0;
 };

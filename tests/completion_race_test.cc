@@ -136,9 +136,9 @@ TEST(CompletionRace, TimeoutResumeThenTwoLateCompletions) {
   EXPECT_TRUE(phase.expired());  // Both late completions ran and released it.
 }
 
-// The same race at the Counter level, without the fabric: a timed-out waiter
-// stays on the waiter list until the next Add() sweeps it. Late Adds must
-// skip (and release) the settled waiter instead of double-resuming it.
+// The same race at the Counter level, without the fabric: the timeout
+// resumes the waiter and clears it from the counter, so late Adds must find
+// no waiter instead of resuming it a second time.
 TEST(CompletionRace, CounterLateAddAfterTimedOutWait) {
   sim::Simulator sim(31);
   sim::Counter done(&sim);

@@ -253,7 +253,7 @@ Task<void> SameQpFifo(Fabric* f, bool* ordered) {
   std::vector<uint8_t> two(8, 2);
   auto w1 = qp.Write(a, one);
   auto w2 = qp.Write(a, two);
-  auto [r1, r2] = co_await sim::WhenBoth(f->sim(), std::move(w1), std::move(w2));
+  auto [r1, r2] = co_await PostBoth(nullptr, f->sim(), std::move(w1), std::move(w2));
   EXPECT_TRUE(r1.ok());
   EXPECT_TRUE(r2.ok());
   *ordered = (f->node(0).LoadWord(a) == 0x0202020202020202ull);

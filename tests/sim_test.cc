@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "src/sim/simulator.h"
@@ -234,61 +235,99 @@ TEST(Counter, LateSignalAfterTimeoutIsHarmless) {
   EXPECT_EQ(c.count(), 1);
 }
 
-TEST(Counter, MultipleWaitersDifferentThresholds) {
+// Waits follow one another on one counter: each resumes at its own
+// threshold, and a wait already satisfied resumes at once.
+TEST(Counter, WaitsInTurn) {
   Simulator sim;
   Counter c(&sim);
-  int wakes = 0;
-  auto waiter = [](Counter c2, int threshold, int* wakes) -> Task<void> {
-    co_await c2.WaitFor(threshold);
-    ++*wakes;
+  std::vector<Time> woke;
+  auto waiter = [](Simulator* sim, Counter c2, std::vector<Time>* w) -> Task<void> {
+    for (const int threshold : {1, 3, 2}) {
+      const bool reached = co_await c2.WaitFor(threshold);
+      EXPECT_TRUE(reached);
+      w->push_back(sim->Now());
+    }
   };
-  for (int t = 1; t <= 5; ++t) {
-    Spawn(waiter(c, t, &wakes));
+  Spawn(waiter(&sim, c, &woke));
+  sim.At(100, [&] { c.Add(1); });
+  sim.At(200, [&] { c.Add(1); });
+  sim.At(300, [&] { c.Add(1); });
+  sim.Run();
+  EXPECT_EQ(woke, (std::vector<Time>{100, 300, 300}));
+}
+
+// A wait satisfied before its timeout leaves its timer pending. That timer
+// must not resume (or time out) the next wait on the same counter.
+TEST(Counter, StaleTimerDoesNotResumeTheNextWait) {
+  Simulator sim;
+  Counter c(&sim);
+  bool second = false;
+  Time second_at = -1;
+  auto waiter = [](Simulator* sim, Counter c2, bool* r, Time* at) -> Task<void> {
+    const bool first = co_await c2.WaitFor(1, /*timeout=*/1000);
+    EXPECT_TRUE(first);
+    EXPECT_EQ(sim->Now(), 100);
+    *r = co_await c2.WaitFor(2);  // Pending when the first wait's timer fires.
+    *at = sim->Now();
+  };
+  Spawn(waiter(&sim, c, &second, &second_at));
+  sim.At(100, [&] { c.Add(1); });
+  sim.At(2000, [&] { c.Add(1); });
+  sim.Run();
+  EXPECT_TRUE(second);
+  EXPECT_EQ(second_at, 2000);
+}
+
+// Escalation's pattern: a wait times out, then a second timed wait on the
+// same counter resumes at its own threshold, or at its own timeout.
+TEST(Counter, TimedWaitAfterATimeout) {
+  for (const bool reach : {true, false}) {
+    Simulator sim;
+    Counter c(&sim);
+    bool first = true;
+    bool second = !reach;
+    Time second_at = -1;
+    auto waiter = [](Simulator* sim, Counter c2, bool* r1, bool* r2, Time* at) -> Task<void> {
+      *r1 = co_await c2.WaitFor(2, /*timeout=*/100);
+      *r2 = co_await c2.WaitFor(2, /*timeout=*/500);
+      *at = sim->Now();
+    };
+    Spawn(waiter(&sim, c, &first, &second, &second_at));
+    sim.At(50, [&] { c.Add(1); });
+    if (reach) {
+      sim.At(400, [&] { c.Add(1); });
+    }
+    sim.Run();
+    EXPECT_FALSE(first);
+    EXPECT_EQ(second, reach);
+    EXPECT_EQ(second_at, reach ? 400 : 600);
   }
-  c.Add(3);
-  sim.Run();
-  EXPECT_EQ(wakes, 3);
-  c.Add(2);
-  sim.Run();
-  EXPECT_EQ(wakes, 5);
 }
 
-TEST(WhenBoth, RunsConcurrently) {
-  Simulator sim;
-  int sum = 0;
-  auto slow = [](Simulator* sim, Time d, int v) -> Task<int> {
-    co_await sim->Delay(d);
-    co_return v;
-  };
-  auto driver = [](Simulator* sim, Task<int> a, Task<int> b, int* out) -> Task<void> {
-    auto [x, y] = co_await WhenBoth(sim, std::move(a), std::move(b));
-    *out = x + y;
-  };
-  Spawn(driver(&sim, slow(&sim, 300, 1), slow(&sim, 200, 2), &sum));
-  sim.Run();
-  EXPECT_EQ(sum, 3);
-  EXPECT_EQ(sim.Now(), 300);  // max, not sum: the tasks overlapped.
+TEST(CounterDeathTest, ASecondConcurrentWaiterAborts) {
+  EXPECT_DEATH(
+      {
+        Simulator sim;
+        Counter c(&sim);
+        auto waiter = [](Counter c2) -> Task<void> { (void)co_await c2.WaitFor(1); };
+        Spawn(waiter(c));
+        Spawn(waiter(c));
+      },
+      "sim::Counter: a second coroutine waits while one already does");
 }
 
-TEST(WhenAll, WaitsForEveryTask) {
-  Simulator sim;
-  int done = 0;
-  auto slow = [](Simulator* sim, Time d, int* n) -> Task<void> {
-    co_await sim->Delay(d);
-    ++*n;
+TEST(TaskDeathTest, AnExceptionEscapingASpawnedTaskTerminates) {
+  auto thrower = [](Simulator* sim) -> Task<void> {
+    co_await sim->Delay(10);
+    throw std::runtime_error("escaped a spawned task");
   };
-  auto driver = [](Simulator* sim, std::vector<Task<void>> ts, int* n) -> Task<void> {
-    co_await WhenAll(sim, std::move(ts));
-    EXPECT_EQ(*n, 3);
-  };
-  std::vector<Task<void>> tasks;
-  tasks.push_back(slow(&sim, 100, &done));
-  tasks.push_back(slow(&sim, 50, &done));
-  tasks.push_back(slow(&sim, 150, &done));
-  Spawn(driver(&sim, std::move(tasks), &done));
-  sim.Run();
-  EXPECT_EQ(done, 3);
-  EXPECT_EQ(sim.Now(), 150);
+  EXPECT_DEATH(
+      {
+        Simulator sim;
+        Spawn(thrower(&sim));
+        sim.Run();
+      },
+      "escaped a spawned task");
 }
 
 TEST(Task, BackgroundSpawnOutlivesParent) {

@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/sim/sync.h"
+#include "src/fabric/fabric.h"
 #include "tests/support/test_env.h"
 
 namespace swarm {
@@ -40,8 +40,8 @@ TEST(TimestampLock, SameModeSameTimestampBothSucceed) {
   auto driver = [](Worker* a, Worker* b, LayoutPin layout2) -> Task<void> {
     TimestampLock la(a, layout2, 0);
     TimestampLock lb(b, layout2, 0);
-    auto [ra, rb] = co_await sim::WhenBoth(a->sim(), la.TryLock(7, LockMode::kRead),
-                                           lb.TryLock(7, LockMode::kRead));
+    auto [ra, rb] = co_await fabric::PostBoth(nullptr, a->sim(), la.TryLock(7, LockMode::kRead),
+                                              lb.TryLock(7, LockMode::kRead));
     // Two readers may both lock the same timestamp (readers-writer style).
     EXPECT_TRUE(ra.acquired);
     EXPECT_TRUE(rb.acquired);

@@ -1,9 +1,9 @@
 // Zero-allocation guard for the steady-state hot path.
 //
 // The allocation purge (ROADMAP item 3) moved every per-op allocation —
-// coroutine frames, Counter/Waiter/OpState shared blocks, phase structs,
-// value byte buffers — onto the FramePool's free-list slabs. This guard
-// pins that property: after a warmup phase populates caches, pools, and
+// coroutine frames, Counter/OpState shared blocks, phase structs, value
+// byte buffers — onto the FramePool's free-list slabs. This guard pins
+// that property: after a warmup phase populates caches, pools, and
 // container capacities, a steady-state read/write workload against each KV
 // store (SWARM, DM-ABD, FUSEE) must perform ZERO heap allocations. Any
 // regression (a stray make_shared, a std::vector on a hot struct, a
@@ -181,6 +181,36 @@ TEST(ZeroAlloc, FuseeSteadyStateReadWriteIsHeapFree) {
   Worker& w = env.MakeWorker();
   kv::FuseeKvSession kv(&w, &store, &cache);
   EXPECT_EQ(MeasureSteadyState(&env, &kv, /*keys=*/4), 0u);
+}
+
+// The same SWARM-KV steady state, counted in FramePool blocks per op
+// (frames, Counter states, verb OpStates, buffers) rather than heap
+// allocations, which stay 0. Every op is a coroutine tree that posts one
+// verb per replica and waits for a majority, so a frame or block added per
+// wait or per spawned task shows here first.
+TEST(ZeroAlloc, SwarmSteadyStatePoolBlocksPerOp) {
+  if (kPoolBypassed) {
+    GTEST_SKIP() << "pool bypassed under ASan; allocation counting is meaningless";
+  }
+  TestEnv env(7);
+  index::IndexService index(&env.sim);
+  index::ClientCache cache;
+  Worker& w = env.MakeWorker();
+  kv::SwarmKvSession store(&w, &index, &cache);
+  kv::TrackedKvSession kv(&store);
+  (void)MeasureSteadyState(&env, &kv, /*keys=*/4);
+  constexpr int kRounds = 40;
+  constexpr int kKeys = 4;
+  constexpr uint64_t kOps = 2 * kRounds * kKeys;  // An update and a get per key.
+  const uint64_t before = sim::FramePool::stats().allocs;
+  Spawn(SteadyPhase(&env, &kv, kRounds, kKeys));
+  env.sim.Run();
+  const uint64_t blocks = sim::FramePool::stats().allocs - before;
+  // 47.0 per op. A Counter wait that ran as its own coroutine with a waiter
+  // block, and a driver frame per spawned task, would make it 70.5.
+  constexpr uint64_t kBudget = 15042;
+  EXPECT_LE(blocks, kBudget) << "mean pool blocks per op: "
+                             << static_cast<double>(blocks) / kOps;
 }
 
 // Fresh-key inserts are not heap-free: each one allocates its layout block
