@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <optional>
+#include <span>
 
 #include "src/hash/xxhash.h"
 #include "src/sim/sync.h"
@@ -131,24 +133,16 @@ sim::Task<bool> FuseeKvSession::AwaitUsable(const FuseeStore::KeyMeta& meta) {
 
 namespace {
 
-struct BlockParse {
-  bool ok = false;
-  uint64_t hdr = 0;
-  uint64_t aux = 0;
-  sim::Bytes bytes;
-};
-
-BlockParse ParseBlock(sim::Bytes block, uint32_t max_value, uint64_t word) {
-  BlockParse p;
-  std::memcpy(&p.hdr, block.data(), 8);
-  std::memcpy(&p.aux, block.data() + 8, 8);
-  if (HeaderHas(p.hdr, kBlockValid) && !HeaderHas(p.hdr, kBlockForwarded) &&
-      HeaderGen(p.hdr) == GenOf(word) && p.aux <= max_value) {
-    p.ok = true;
-    p.bytes.assign(block.begin() + kOopHeaderBytes,
-                   block.begin() + kOopHeaderBytes + static_cast<long>(p.aux));
+// The value `word`'s block holds, if the block is still that word's: a
+// valid, unforwarded frame of its generation.
+std::optional<std::span<const uint8_t>> BlockValue(const sim::Bytes& block, uint32_t max_value,
+                                                   uint64_t word) {
+  const std::optional<Frame> frame = DecodeFrame(block, max_value);
+  if (!frame || !HeaderHas(frame->head, kBlockValid) || HeaderHas(frame->head, kBlockForwarded) ||
+      HeaderGen(frame->head) != GenOf(word)) {
+    return std::nullopt;
   }
-  return p;
+  return frame->value;
 }
 
 }  // namespace
@@ -235,14 +229,14 @@ sim::Task<repair::RepairOutcome> FuseeStore::RepairNode(int node, Worker* worker
         done = word2 == 0;
         continue;
       }
-      sim::Bytes block(kOopHeaderBytes + max_value);
+      sim::Bytes block(kFrameHeaderBytes + max_value);
       fabric::OpResult br = co_await worker->qp(src).Read(
           static_cast<uint64_t>(OopOf(word)) * kOopGranuleBytes, block);
       if (!br.ok()) {
         break;
       }
-      BlockParse p = ParseBlock(std::move(block), max_value, word);
-      if (!p.ok) {
+      const std::optional<std::span<const uint8_t>> bytes = BlockValue(block, max_value, word);
+      if (!bytes) {
         continue;  // Concurrent in-flight update forwarded the block: redo.
       }
       // Fresh block on the recovering node + its index slot entry.
@@ -251,12 +245,7 @@ sim::Task<repair::RepairOutcome> FuseeStore::RepairNode(int node, Worker* worker
       }
       const uint32_t dst_oop = worker->pool(node).AllocIdx();
       installed_oop = dst_oop;
-      sim::Bytes image(kOopHeaderBytes + p.bytes.size());
-      const uint64_t hdr = PackHeader(GenOf(word), kBlockValid);
-      const uint64_t len = p.bytes.size();
-      std::memcpy(image.data(), &hdr, 8);
-      std::memcpy(image.data() + 8, &len, 8);
-      std::memcpy(image.data() + 16, p.bytes.data(), p.bytes.size());
+      const sim::Bytes image = EncodeFrame(PackHeader(GenOf(word), kBlockValid), *bytes);
       const uint64_t new_word = PackIndexWord(GenOf(word), dst_oop);
       sim::Bytes wbuf(8);
       std::memcpy(wbuf.data(), &new_word, 8);
@@ -365,17 +354,17 @@ class FuseeStore::KeyMove final : public repair::ReplicaMove {
       uint64_t word;
       std::memcpy(&word, ibuf.data(), 8);
       if (word != 0) {
-        sim::Bytes block(kOopHeaderBytes + max_value);
+        sim::Bytes block(kFrameHeaderBytes + max_value);
         fabric::OpResult br = co_await worker_->qp(old_primary_).Read(
             static_cast<uint64_t>(OopOf(word)) * kOopGranuleBytes, block);
         if (!br.ok()) {
           co_return false;
         }
-        BlockParse p = ParseBlock(std::move(block), max_value, word);
-        if (!p.ok) {
+        const std::optional<std::span<const uint8_t>> bytes = BlockValue(block, max_value, word);
+        if (!bytes) {
           co_return false;
         }
-        bytes_ = std::move(p.bytes);
+        bytes_.assign(bytes->begin(), bytes->end());
       }
       word_ = word;  // 0: the key is absent, and the fresh slots read absent.
       harvested_ = true;
@@ -385,12 +374,7 @@ class FuseeStore::KeyMove final : public repair::ReplicaMove {
         np_oop_ = worker_->pool(np_).AllocIdx();
         nb_oop_ = worker_->pool(nb_).AllocIdx();
       }
-      sim::Bytes image(kOopHeaderBytes + bytes_.size());
-      const uint64_t hdr = PackHeader(GenOf(word_), kBlockValid);
-      const uint64_t len = bytes_.size();
-      std::memcpy(image.data(), &hdr, 8);
-      std::memcpy(image.data() + 8, &len, 8);
-      std::memcpy(image.data() + 16, bytes_.data(), bytes_.size());
+      const sim::Bytes image = EncodeFrame(PackHeader(GenOf(word_), kBlockValid), bytes_);
       sim::Bytes wp(8);
       sim::Bytes wb(8);
       const uint64_t word_p = PackIndexWord(GenOf(word_), np_oop_);
@@ -561,7 +545,7 @@ sim::Task<KvResult> FuseeKvSession::Get(uint64_t key) {
       // bimodal gets).
       result.cache_hit = true;
       word = cached->generation;
-      sim::Bytes block(kOopHeaderBytes + max_value);
+      sim::Bytes block(kFrameHeaderBytes + max_value);
       std::array<uint8_t, 8> ibuf{};
       auto [br, ir] = co_await fabric::PostBoth(
           worker_->cpu(), worker_->sim(),
@@ -589,10 +573,9 @@ sim::Task<KvResult> FuseeKvSession::Get(uint64_t key) {
           co_return result;
         }
         if (index_word == word) {
-          BlockParse p = ParseBlock(std::move(block), max_value, word);
-          if (p.ok) {
+          if (const auto bytes = BlockValue(block, max_value, word)) {
             result.status = KvStatus::kOk;
-            result.value = std::move(p.bytes);
+            result.value.assign(bytes->begin(), bytes->end());
             result.fast_path = true;
             co_return result;
           }
@@ -631,15 +614,14 @@ sim::Task<KvResult> FuseeKvSession::Get(uint64_t key) {
     }
 
     if (!node_error) {
-      sim::Bytes block(kOopHeaderBytes + max_value);
+      sim::Bytes block(kFrameHeaderBytes + max_value);
       fabric::OpResult r =
           co_await qp.Read(static_cast<uint64_t>(OopOf(word)) * kOopGranuleBytes, block);
       ++result.rtts;
       if (r.ok()) {
-        BlockParse p = ParseBlock(std::move(block), max_value, word);
-        if (p.ok) {
+        if (const auto bytes = BlockValue(block, max_value, word)) {
           result.status = KvStatus::kOk;
-          result.value = std::move(p.bytes);
+          result.value.assign(bytes->begin(), bytes->end());
           co_return result;
         }
         // Torn or concurrently replaced block: retry from scratch.
@@ -653,7 +635,7 @@ sim::Task<KvResult> FuseeKvSession::Get(uint64_t key) {
         // kStaleEpoch revoked a QP: membership staleness, NOT a node failure.
         // Starting FUSEE's multi-phase recovery for it would stall the whole
         // store on a healthy node — re-validate the epoch and retry instead.
-        co_await worker_->RefreshEpoch();
+        result.rtts += co_await worker_->RefreshEpoch();
         continue;
       }
       co_await OnNodeFailure(node);
@@ -735,12 +717,7 @@ sim::Task<KvResult> FuseeKvSession::WriteInternal(uint64_t key, std::span<const 
     const uint64_t new_word_backup = PackIndexWord(gen, oop_backup);
 
     // Phase 1 (1 RT): write the new KV blocks to both replicas in parallel.
-    sim::Bytes block(kOopHeaderBytes + value.size());
-    const uint64_t hdr = PackHeader(gen, kBlockValid);
-    const uint64_t len = value.size();
-    std::memcpy(block.data(), &hdr, 8);
-    std::memcpy(block.data() + 8, &len, 8);
-    std::memcpy(block.data() + 16, value.data(), value.size());
+    const sim::Bytes block = EncodeFrame(PackHeader(gen, kBlockValid), value);
     fabric::OpResult w1;
     int failed_node = primary;
     if (backup_alive) {
@@ -763,7 +740,7 @@ sim::Task<KvResult> FuseeKvSession::WriteInternal(uint64_t key, std::span<const 
     ++result.rtts;
     if (!w1.ok()) {
       if (worker_->EpochRefreshNeeded()) {
-        co_await worker_->RefreshEpoch();  // Stale epoch, not a node failure.
+        result.rtts += co_await worker_->RefreshEpoch();  // Stale epoch, not a node failure.
         continue;
       }
       co_await OnNodeFailure(failed_node);
@@ -801,7 +778,7 @@ sim::Task<KvResult> FuseeKvSession::WriteInternal(uint64_t key, std::span<const 
       }
       if (!ir.ok()) {
         if (worker_->EpochRefreshNeeded()) {
-          co_await worker_->RefreshEpoch();
+          result.rtts += co_await worker_->RefreshEpoch();
           continue;
         }
         co_await OnNodeFailure(primary);
@@ -890,7 +867,7 @@ sim::Task<KvResult> FuseeKvSession::WriteInternal(uint64_t key, std::span<const 
     prior_word = new_word;
     if (!cas_done) {
       if (worker_->EpochRefreshNeeded()) {
-        co_await worker_->RefreshEpoch();
+        result.rtts += co_await worker_->RefreshEpoch();
         continue;
       }
       co_await OnNodeFailure(primary);
@@ -964,7 +941,7 @@ sim::Task<KvResult> FuseeKvSession::WriteInternal(uint64_t key, std::span<const 
         }
         if (backup_alive && !backup_ack.ok()) {
           if (worker_->EpochRefreshNeeded()) {
-            co_await worker_->RefreshEpoch();
+            result.rtts += co_await worker_->RefreshEpoch();
             continue;
           }
           co_await OnNodeFailure(backup_node);
@@ -1075,7 +1052,7 @@ sim::Task<KvResult> FuseeKvSession::Remove(uint64_t key) {
       if (!c.ok()) {
         if (c.status == fabric::Status::kStaleEpoch && worker_->EpochRefreshNeeded()) {
           // The fenced CAS never applied: re-validate and retry it verbatim.
-          co_await worker_->RefreshEpoch();
+          result.rtts += co_await worker_->RefreshEpoch();
           continue;
         }
         if (Moved(c)) {
@@ -1162,7 +1139,7 @@ sim::Task<KvResult> FuseeKvSession::Remove(uint64_t key) {
           break;
         }
         if (worker_->EpochRefreshNeeded()) {
-          co_await worker_->RefreshEpoch();
+          result.rtts += co_await worker_->RefreshEpoch();
           continue;
         }
         // Treat the unreachable backup as failed (synchronous-replication

@@ -9,22 +9,12 @@
 namespace swarm {
 namespace {
 
-// Out-of-place image for ABD: self-validating [hash][len][data]. The hash is
-// seeded with the object's per-replica metadata address so that a recycled
-// buffer serving a DIFFERENT object never validates (DM-ABD writes buffers
-// before their timestamp exists, so the timestamp cannot be in the hash).
-uint64_t AbdHash(uint64_t meta_addr, uint64_t len, std::span<const uint8_t> data) {
-  return hash::HashMetaAndValue(hash::Mix64(meta_addr, len), data);
-}
-
-sim::Bytes AbdOopImage(uint64_t meta_addr, std::span<const uint8_t> value) {
-  sim::Bytes image(kOopHeaderBytes + value.size());
-  const uint64_t len = value.size();
-  const uint64_t h = AbdHash(meta_addr, len, value);
-  std::memcpy(image.data(), &h, 8);
-  std::memcpy(image.data() + 8, &len, 8);
-  std::memcpy(image.data() + 16, value.data(), value.size());
-  return image;
+// DM-ABD's frame head: a hash of the value, seeded with the object's
+// per-replica metadata address so that a recycled buffer serving a DIFFERENT
+// object never validates (DM-ABD writes buffers before their timestamp
+// exists, so the timestamp cannot be in the hash).
+uint64_t AbdHash(uint64_t meta_addr, std::span<const uint8_t> value) {
+  return hash::HashMetaAndValue(hash::Mix64(meta_addr, value.size()), value);
 }
 
 struct Phase1State : WordPhase {
@@ -46,7 +36,7 @@ sim::Task<void> Phase1One(Worker* worker, LayoutPin layout, int r,
   ph->oop_idx[idx] = oop;
 
   std::array<uint8_t, 8> word_buf{};
-  sim::Bytes image = AbdOopImage(rep.meta_addr, ph->value);
+  const sim::Bytes image = EncodeFrame(AbdHash(rep.meta_addr, ph->value), ph->value);
   auto wr = qp.Write(static_cast<uint64_t>(oop) * kOopGranuleBytes, image);
   auto rd = qp.Read(rep.meta_addr, word_buf);
   auto [w_res, r_res] =
@@ -108,54 +98,30 @@ struct CasState : QuorumPhase {
   bool maybe_applied = false;
 };
 
-// Installs `desired` at one replica with Algorithm 7's CAS-max loop,
-// recycling the superseded (or unused) out-of-place buffer.
+// Installs `desired` at one replica with Algorithm 7's CAS-max loop.
 sim::Task<void> CasMaxOne(Worker* worker, LayoutPin layout, int r, Meta expected, Meta desired,
                           std::shared_ptr<CasState> ph) {
   const ReplicaLayout& rep = layout->replica(r);
-  fabric::Qp& qp = worker->qp(rep.node);
-  OopPool& pool = worker->pool(rep.node);
-  Meta prev = expected;
-  int retries = -1;
-  bool installed = false;
-  while (TsLess(prev, desired)) {
-    fabric::OpResult res = co_await qp.Cas(rep.meta_addr, prev.raw(), desired.raw());
-    ++retries;
-    if (!res.ok()) {
-      if (res.status == fabric::Status::kNodeFailed) {
-        ph->maybe_applied = true;  // A dropped ack may hide an applied CAS.
-      }
-      if (res.status == fabric::Status::kMovedReplica) {
-        ++ph->moved;  // Migration fence: the CAS provably did not apply.
-      }
-      ++ph->completions;
-      co_return;
-    }
-    const Meta seen(res.old_value);
-    // Only words the node itself returned count as observed — the caller's
-    // cached `expected` may be stale and must never feed detection logic.
-    ph->seen_max = TsMax(ph->seen_max, seen);
-    if (seen == prev) {
-      installed = true;
-      if (!prev.empty() && !prev.deleted()) {
-        pool.Free(prev.oop());  // Superseded buffer.
-      }
-      break;
-    }
-    prev = seen;
-  }
-  if (!installed && !desired.deleted()) {
-    pool.Free(desired.oop());  // Our buffer never became reachable.
-  }
-  if (installed) {
-    ph->maybe_applied = true;
-  }
-  ph->max_retries = std::max(ph->max_retries, std::max(retries, 0));
+  // Only words the node itself returns reach seen_max: the caller's cached
+  // `expected` may be stale and must never feed detection logic.
+  const CasMaxResult res = co_await CasMax(worker->qp(rep.node), worker->pool(rep.node),
+                                           rep.meta_addr, expected, desired, &ph->seen_max);
   ++ph->completions;
+  if (res.installed || res.status == fabric::Status::kNodeFailed) {
+    ph->maybe_applied = true;  // A dropped ack may hide an applied CAS.
+  }
+  if (!res.ok()) {
+    if (res.status == fabric::Status::kMovedReplica) {
+      ++ph->moved;  // Migration fence: the CAS provably did not apply.
+    }
+    co_return;
+  }
+  ph->max_retries = std::max(ph->max_retries, std::max(res.cas_count - 1, 0));
   ph->ok.Add(1);
 }
 
-// Write-back at one replica: out-of-place image + CAS, pipelined.
+// Write-back at one replica: out-of-place image + CAS expecting an empty
+// word, pipelined; a word already there continues Algorithm 7 from it.
 sim::Task<void> RepairOne(Worker* worker, LayoutPin layout, int r, Meta base,
                           std::shared_ptr<const sim::Bytes> value, std::shared_ptr<CasState> ph) {
   const ReplicaLayout& rep = layout->replica(r);
@@ -163,39 +129,19 @@ sim::Task<void> RepairOne(Worker* worker, LayoutPin layout, int r, Meta base,
   OopPool& pool = worker->pool(rep.node);
   const uint32_t oop = pool.AllocIdx();
   const Meta desired = base.WithOop(oop);
-  sim::Bytes image = AbdOopImage(rep.meta_addr, *value);
-  Meta prev;
-  bool installed = false;
+  const sim::Bytes image = EncodeFrame(AbdHash(rep.meta_addr, *value), *value);
   fabric::OpResult res = co_await qp.WriteThenCas(static_cast<uint64_t>(oop) * kOopGranuleBytes,
                                                   image, rep.meta_addr, 0, desired.raw());
+  if (res.ok() && res.old_value != 0) {
+    const CasMaxResult m =
+        co_await CasMax(qp, pool, rep.meta_addr, Meta(res.old_value), desired, &ph->seen_max);
+    res.status = m.status;
+  }
   if (!res.ok()) {
     if (res.status == fabric::Status::kMovedReplica) {
       ++ph->moved;
     }
     co_return;
-  }
-  prev = Meta(res.old_value);
-  installed = prev.raw() == 0;
-  while (!installed && TsLess(prev, desired)) {
-    res = co_await qp.Cas(rep.meta_addr, prev.raw(), desired.raw());
-    if (!res.ok()) {
-      if (res.status == fabric::Status::kMovedReplica) {
-        ++ph->moved;
-      }
-      co_return;
-    }
-    const Meta seen(res.old_value);
-    if (seen == prev) {
-      installed = true;
-      if (!prev.empty() && !prev.deleted()) {
-        pool.Free(prev.oop());
-      }
-      break;
-    }
-    prev = seen;
-  }
-  if (!installed) {
-    pool.Free(desired.oop());
   }
   ph->ok.Add(1);
 }
@@ -242,7 +188,7 @@ sim::Task<Chase> ChaseValue(Worker* worker, const ObjectLayout* layout, const Ph
       continue;
     }
     const ReplicaLayout& rep = layout->replica(r);
-    sim::Bytes buf(kOopHeaderBytes + layout->max_value);
+    sim::Bytes buf(kFrameHeaderBytes + layout->max_value);
     fabric::OpResult res =
         co_await worker->qp(rep.node).Read(ph->words[static_cast<size_t>(r)].oop_addr(), buf);
     ++out.reads;
@@ -250,16 +196,10 @@ sim::Task<Chase> ChaseValue(Worker* worker, const ObjectLayout* layout, const Ph
       out.moved = out.moved || res.status == fabric::Status::kMovedReplica;
       continue;
     }
-    uint64_t h;
-    uint64_t len;
-    std::memcpy(&h, buf.data(), 8);
-    std::memcpy(&len, buf.data() + 8, 8);
-    if (len <= layout->max_value) {
-      std::span<const uint8_t> data(buf.data() + kOopHeaderBytes, static_cast<size_t>(len));
-      if (AbdHash(rep.meta_addr, len, data) == h) {
-        out.ok = true;
-        out.value.assign(data.begin(), data.end());
-      }
+    const std::optional<Frame> frame = DecodeFrame(buf, layout->max_value);
+    if (frame && frame->head == AbdHash(rep.meta_addr, frame->value)) {
+      out.ok = true;
+      out.value.assign(frame->value.begin(), frame->value.end());
     }
   }
   co_return out;
@@ -268,27 +208,18 @@ sim::Task<Chase> ChaseValue(Worker* worker, const ObjectLayout* layout, const Ph
 }  // namespace
 
 sim::Task<SgWriteResult> AbdObject::Write(std::span<const uint8_t> value) {
+  // Only an attempt that failed on fenced verbs re-runs (RetryFenced), and
+  // only when `retry_safe`: an ABD update installs a FRESH timestamp per
+  // attempt, so re-running it is only sound when the failed attempt provably
+  // installed nothing anywhere (all its CASes completed unapplied — fenced or
+  // observed-superseded). Otherwise a re-install could resurrect a value a
+  // reader already observed and a later write already overwrote; such
+  // attempts stay kUnavailable, i.e. a possibly-applied pending write, which
+  // is exactly what they are.
   bool retry_safe = false;
-  SgWriteResult result = co_await WriteAttempt(value, &retry_safe);
-  // Membership-refresh-then-retry: an attempt that failed because its verbs
-  // bounced off an epoch fence (kStaleEpoch revoked a QP) proves nothing
-  // about the register — only a genuine lost majority surfaces as
-  // unavailability. The retry is gated on `retry_safe`: an ABD update
-  // installs a FRESH timestamp per attempt, so re-running it is only sound
-  // when the failed attempt provably installed nothing anywhere (all its
-  // CASes completed unapplied — fenced or observed-superseded). Otherwise a
-  // re-install could resurrect a value a reader already observed and a later
-  // write already overwrote; such attempts stay kUnavailable, i.e. a
-  // possibly-applied pending write, which is exactly what they are.
-  for (int retry = 0; retry < 2 && result.status == SgStatus::kUnavailable && retry_safe &&
-                      worker_->EpochRefreshNeeded();
-       ++retry) {
-    co_await worker_->RefreshEpoch();
-    const int prior_rtts = result.rtts;
-    result = co_await WriteAttempt(value, &retry_safe);
-    result.rtts += prior_rtts;
-  }
-  co_return result;
+  co_return co_await worker_->RetryFenced(
+      [&] { return WriteAttempt(value, &retry_safe); },
+      [&](const SgWriteResult& r) { return r.status == SgStatus::kUnavailable && retry_safe; });
 }
 
 sim::Task<SgWriteResult> AbdObject::WriteAttempt(std::span<const uint8_t> value,
@@ -366,47 +297,44 @@ sim::Task<SgWriteResult> AbdObject::WriteAttempt(std::span<const uint8_t> value,
 }
 
 sim::Task<SgWriteResult> AbdObject::Delete() {
+  // Fenced CASes never applied and observed nothing: re-run after the pull.
+  return worker_->RetryFenced([this] { return DeleteAttempt(); }, [](const SgWriteResult& r) {
+    return r.status == SgStatus::kMoved || r.status == SgStatus::kUnavailable;
+  });
+}
+
+sim::Task<SgWriteResult> AbdObject::DeleteAttempt() {
   SgWriteResult result;
   const Meta tombstone = Meta::Tombstone(worker_->tid());
-  constexpr int kMaxAttempts = 3;
-  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-    auto cs = sim::MakePooled<CasState>(worker_->sim());
-    const QuorumEngine q(worker_, *cache_.pin());
-    ++result.rtts;
-    // Delete needs every replica's actual pre-delete word (fed to seen_max
-    // from CAS results only) to tell "we deleted the live object" from "this
-    // object was already dead". A non-tombstone cache seed is safe: the
-    // tombstone compares above it, so the loop always issues at least one CAS
-    // and observes the node's word. A CACHED TOMBSTONE would short-circuit
-    // the loop with no observation, so fall back to the empty seed there.
-    const bool got = co_await q.Broadcast(cs.get(), [&](int r) {
-      const Meta seed = cache_[r].deleted() ? Meta() : cache_[r];
-      return CasMaxOne(worker_, cache_.pin(), r, seed, tombstone, cs);
-    });
-    result.rtts += cs->max_retries;
-    if (!got && worker_->EpochRefreshNeeded() && attempt + 1 < kMaxAttempts) {
-      // Fenced CASes never applied and observed nothing: refresh and retry.
-      co_await worker_->RefreshEpoch();
-      continue;
-    }
-    if (got && cs->seen_max.deleted() &&
-        cs->seen_max.same_write_key() != tombstone.same_write_key()) {
-      // Another deleter's tombstone was already installed: this object was
-      // dead before our op, so the caller's mapping may be stale (deleted and
-      // re-inserted) and must be re-validated against the index. Quorum
-      // intersection guarantees a fully deleted object shows the foreign
-      // tombstone to at least one of our acked CASes.
-      result.status = SgStatus::kDeleted;
-    } else if (got) {
-      result.status = SgStatus::kOk;
-    } else if (cs->moved > 0 && cs->completions == q.contacts().size && !cs->maybe_applied) {
-      // All tombstone CASes bounced off a migration fence unapplied: safe to
-      // re-execute the delete against the replacement layout.
-      result.status = SgStatus::kMoved;
-    } else {
-      result.status = SgStatus::kUnavailable;
-    }
-    co_return result;
+  auto cs = sim::MakePooled<CasState>(worker_->sim());
+  const QuorumEngine q(worker_, *cache_.pin());
+  // Delete needs every replica's actual pre-delete word (fed to seen_max
+  // from CAS results only) to tell "we deleted the live object" from "this
+  // object was already dead". A non-tombstone cache seed is safe: the
+  // tombstone compares above it, so the loop always issues at least one CAS
+  // and observes the node's word. A CACHED TOMBSTONE would short-circuit the
+  // loop with no observation, so fall back to the empty seed there.
+  const bool got = co_await q.Broadcast(cs.get(), [&](int r) {
+    const Meta seed = cache_[r].deleted() ? Meta() : cache_[r];
+    return CasMaxOne(worker_, cache_.pin(), r, seed, tombstone, cs);
+  });
+  result.rtts = 1 + cs->max_retries;
+  if (got && cs->seen_max.deleted() &&
+      cs->seen_max.same_write_key() != tombstone.same_write_key()) {
+    // Another deleter's tombstone was already installed: this object was
+    // dead before our op, so the caller's mapping may be stale (deleted and
+    // re-inserted) and must be re-validated against the index. Quorum
+    // intersection guarantees a fully deleted object shows the foreign
+    // tombstone to at least one of our acked CASes.
+    result.status = SgStatus::kDeleted;
+  } else if (got) {
+    result.status = SgStatus::kOk;
+  } else if (cs->moved > 0 && cs->completions == q.contacts().size && !cs->maybe_applied) {
+    // All tombstone CASes bounced off a migration fence unapplied: safe to
+    // re-execute the delete against the replacement layout.
+    result.status = SgStatus::kMoved;
+  } else {
+    result.status = SgStatus::kUnavailable;
   }
   co_return result;
 }
@@ -459,7 +387,7 @@ sim::Task<SgReadResult> AbdObject::Read() {
       // A previous phase's verbs bounced off an epoch fence: re-validate and
       // re-arm before this attempt — the bounced completions are membership
       // staleness, not evidence about the register.
-      co_await worker_->RefreshEpoch();
+      result.rtts += co_await worker_->RefreshEpoch();
     }
     // Phase 1: read the metadata word at a majority.
     auto ph = sim::MakePooled<Phase1State>(worker_->sim());

@@ -9,12 +9,16 @@
 //  * get: 2 RTs — read metadata at a majority, then chase the out-of-place
 //    pointer (+1 RT write-back when the quorum disagrees).
 //
-// Out-of-place buffers are self-validating (hash of length+payload in the
-// header) because, unlike In-n-Out, the buffer is written before its
-// metadata word exists. All writers share one metadata slot per replica, so
-// CAS retries pile up under contention (§7.8) — DM-ABD lacks §4.4's
-// per-writer buffer array. Replica order, doorbells and escalation are the
-// quorum engine's (src/swarm/quorum.h), shared with SWARM's register.
+// Out-of-place buffers are frames (src/swarm/layout.h) whose head hashes the
+// value with the replica's metadata address: self-validating, because unlike
+// In-n-Out the buffer is written before its metadata word exists. Every
+// install (an update's phase 2, a tombstone, a write-back, a repair copy) is
+// In-n-Out's CasMax (src/swarm/inout.h): Algorithm 7's loop with §4.3's
+// recycling rule. All writers share one metadata slot per replica, so CAS
+// retries pile up under contention (§7.8) — DM-ABD lacks §4.4's per-writer
+// buffer array. Replica order, doorbells and escalation are the quorum
+// engine's (src/swarm/quorum.h), and the §5.4 rerun of a fenced attempt is
+// Worker::RetryFenced, both shared with SWARM's register.
 
 #ifndef SWARM_SRC_SWARM_ABD_H_
 #define SWARM_SRC_SWARM_ABD_H_
@@ -56,9 +60,10 @@ class AbdObject {
   sim::Task<bool> CopyReplicaTo(LayoutPin dst, int target);
 
  private:
-  // One update attempt; Write() wraps it in the membership-refresh-then-
-  // retry loop for attempts failed on kStaleEpoch completions.
+  // Single attempts; Write and Delete re-run theirs through
+  // Worker::RetryFenced when fenced verbs failed them.
   sim::Task<SgWriteResult> WriteAttempt(std::span<const uint8_t> value, bool* retry_safe);
+  sim::Task<SgWriteResult> DeleteAttempt();
 
   Worker* worker_;
   SlotCache cache_;

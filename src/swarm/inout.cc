@@ -15,29 +15,46 @@ Meta WordAt(const sim::Bytes& buf, size_t off) {
 
 }  // namespace
 
-sim::Bytes InOutReplica::OopImage(Meta full_word, std::span<const uint8_t> value) const {
-  sim::Bytes image(kOopHeaderBytes + value.size());
-  const uint64_t word = full_word.raw();
-  const uint64_t len = value.size();
-  std::memcpy(image.data(), &word, 8);
-  std::memcpy(image.data() + 8, &len, 8);
-  std::memcpy(image.data() + 16, value.data(), value.size());
-  return image;
+sim::Task<CasMaxResult> CasMax(fabric::Qp& qp, OopPool& pool, uint64_t addr, Meta prev,
+                               Meta desired, Meta* seen) {
+  CasMaxResult out;
+  while (TsLess(prev, desired)) {
+    const fabric::OpResult r = co_await qp.Cas(addr, prev.raw(), desired.raw());
+    ++out.cas_count;
+    if (!r.ok()) {
+      out.status = r.status;
+      co_return out;
+    }
+    const Meta now(r.old_value);
+    *seen = TsMax(*seen, now);
+    if (now == prev) {
+      // Installed. The replaced word's buffer is unreachable through the
+      // metadata from now on; readers that raced validate the buffer's head
+      // and retry if they lose.
+      out.installed = true;
+      out.replaced = prev;
+      FreeBuffer(pool, prev);
+      co_return out;
+    }
+    prev = now;
+  }
+  FreeBuffer(pool, desired);  // The word moved past us: our buffer is unused.
+  co_return out;
 }
 
 sim::Task<NodeMaxResult> InOutReplica::WriteMaxImpl(Meta w, std::span<const uint8_t> value,
                                                     Meta slot_expected, bool refresh_inplace) {
   NodeMaxResult result;
   fabric::Qp& qp = worker_->qp(rep_->node);
+  OopPool& pool = worker_->pool(rep_->node);
   const uint64_t slot_addr = SlotAddr(SlotOf(w.tid(), layout_->meta_slots));
 
   Meta w_full = w;
   sim::Bytes image;
   const bool has_payload = !w.deleted();
   if (has_payload) {
-    const uint32_t oop_idx = worker_->pool(rep_->node).AllocIdx();
-    w_full = w.WithOop(oop_idx);
-    image = OopImage(w_full, value);
+    w_full = w.WithOop(pool.AllocIdx());
+    image = EncodeFrame(w_full.raw(), value);
   }
 
   // First attempt: expected from the cache; never CAS the slot downward.
@@ -48,12 +65,7 @@ sim::Task<NodeMaxResult> InOutReplica::WriteMaxImpl(Meta w, std::span<const uint
     // Direct verified write: refresh the in-place copy in the same pipelined
     // roundtrip. The hash binds the bytes to our full word, so readers only
     // trust them while that word is the node's max.
-    inplace_image.resize(kInPlaceHeaderBytes + value.size());
-    const uint64_t h = hash::HashMetaAndValue(w_full.raw(), value);
-    const uint64_t len = value.size();
-    std::memcpy(inplace_image.data(), &h, 8);
-    std::memcpy(inplace_image.data() + 8, &len, 8);
-    std::memcpy(inplace_image.data() + 16, value.data(), value.size());
+    inplace_image = EncodeFrame(hash::HashMetaAndValue(w_full.raw(), value), value);
     auto cas_op = qp.WriteThenCas(w_full.oop_addr(), image, slot_addr, slot_expected.raw(),
                                   desired.raw());
     auto inp_op = qp.Write(layout_->inplace_addr(*rep_), inplace_image);
@@ -73,52 +85,26 @@ sim::Task<NodeMaxResult> InOutReplica::WriteMaxImpl(Meta w, std::span<const uint
     co_return result;
   }
 
-  OopPool& pool = worker_->pool(rep_->node);
-  auto free_superseded = [&pool](Meta replaced) {
-    // The buffer of a replaced word is unreachable through the metadata from
-    // now on: recycle it. Readers that raced still validate via the buffer
-    // header and retry if they lose the race.
-    if (!replaced.empty() && !replaced.deleted()) {
-      pool.Free(replaced.oop());
-    }
-  };
-
-  Meta prev(r.old_value);
+  const Meta prev(r.old_value);
   result.observed = prev;
-  if (prev == slot_expected) {
-    // CAS applied; the slot now holds `desired`.
-    result.observed = TsMax(result.observed, desired);
-    if (desired == w_full) {
-      result.installed = w_full;
-      result.replaced = prev;
-      free_superseded(prev);
-    } else if (has_payload) {
-      pool.Free(w_full.oop());  // Lost to the cached word: buffer unused.
-    }
+  if (prev == slot_expected && desired == w_full) {
+    // The pipelined CAS installed our word.
+    result.installed = w_full;
+    result.replaced = prev;
+    result.observed = TsMax(prev, w_full);
+    FreeBuffer(pool, prev);
     co_return result;
   }
-
-  // Cache was stale: run Algorithm 7's retry loop against the actual value.
-  while (TsLess(prev, w_full)) {
-    fabric::OpResult rr = co_await qp.Cas(slot_addr, prev.raw(), w_full.raw());
-    ++result.cas_retries;
-    if (!rr.ok()) {
-      result.status = rr.status;
-      co_return result;
-    }
-    const Meta seen(rr.old_value);
-    result.observed = TsMax(result.observed, seen);
-    if (seen == prev) {
-      result.installed = w_full;
-      result.replaced = prev;
-      result.observed = TsMax(result.observed, w_full);
-      free_superseded(prev);
-      co_return result;
-    }
-    prev = seen;
-  }
-  if (has_payload) {
-    pool.Free(w_full.oop());  // The slot moved past us: buffer unused.
+  // The cache was stale, or the cached word is at or above ours (then the
+  // first CAS landed as a no-op and the write lost): Algorithm 7 goes on
+  // from the word the node returned.
+  const CasMaxResult m = co_await CasMax(qp, pool, slot_addr, prev, w_full, &result.observed);
+  result.status = m.status;
+  result.cas_retries = m.cas_count;
+  if (m.installed) {
+    result.installed = w_full;
+    result.replaced = m.replaced;
+    result.observed = TsMax(result.observed, w_full);
   }
   co_return result;
 }
@@ -165,15 +151,11 @@ sim::Task<NodeView> InOutReplica::ReadNode(bool want_inplace) {
   }
 
   if (rd_inplace && !view.max.empty() && !view.max.deleted()) {
-    const uint64_t stored_hash = WordAt(buf, meta_bytes).raw();
-    const uint64_t len = WordAt(buf, meta_bytes + 8).raw();
-    if (len <= layout_->max_value) {
-      std::span<const uint8_t> data(buf.data() + meta_bytes + kInPlaceHeaderBytes,
-                                    static_cast<size_t>(len));
-      if (hash::HashMetaAndValue(view.max.raw(), data) == stored_hash) {
-        view.inplace_valid = true;
-        view.value.assign(data.begin(), data.end());
-      }
+    const std::optional<Frame> frame =
+        DecodeFrame(std::span<const uint8_t>(buf).subspan(meta_bytes), layout_->max_value);
+    if (frame && frame->head == hash::HashMetaAndValue(view.max.raw(), frame->value)) {
+      view.inplace_valid = true;
+      view.value.assign(frame->value.begin(), frame->value.end());
     }
   }
   co_return view;
@@ -184,21 +166,19 @@ sim::Task<std::optional<sim::Bytes>> InOutReplica::ReadOop(Meta word) {
     co_return std::nullopt;
   }
   fabric::Qp& qp = worker_->qp(rep_->node);
-  sim::Bytes buf(kOopHeaderBytes + layout_->max_value);
+  sim::Bytes buf(kFrameHeaderBytes + layout_->max_value);
   fabric::OpResult r = co_await qp.Read(word.oop_addr(), buf);
   if (!r.ok()) {
     co_return std::nullopt;
   }
-  const Meta header = WordAt(buf, 0);
-  const uint64_t len = WordAt(buf, 8).raw();
+  const std::optional<Frame> frame = DecodeFrame(buf, layout_->max_value);
   // Flag-insensitive match: the buffer was written before any VERIFIED
   // promotion, so only the write identity and pointer must agree.
-  if (header.same_write_key() != word.same_write_key() || header.oop() != word.oop() ||
-      len > layout_->max_value) {
+  if (!frame || Meta(frame->head).same_write_key() != word.same_write_key() ||
+      Meta(frame->head).oop() != word.oop()) {
     co_return std::nullopt;  // Buffer was recycled under us.
   }
-  co_return sim::Bytes(buf.begin() + kOopHeaderBytes,
-                                 buf.begin() + kOopHeaderBytes + static_cast<long>(len));
+  co_return sim::Bytes(frame->value.begin(), frame->value.end());
 }
 
 sim::Task<fabric::Status> InOutReplica::PromoteVerified(Meta node_word,
@@ -211,12 +191,7 @@ sim::Task<fabric::Status> InOutReplica::PromoteVerified(Meta node_word,
     // Pipelined [in-place WRITE → metadata CAS to the VERIFIED word]. The
     // hash binds the bytes to the verified word so readers accept them only
     // while that word is still the node's max.
-    sim::Bytes image(kInPlaceHeaderBytes + value.size());
-    const uint64_t h = hash::HashMetaAndValue(vword.raw(), value);
-    const uint64_t len = value.size();
-    std::memcpy(image.data(), &h, 8);
-    std::memcpy(image.data() + 8, &len, 8);
-    std::memcpy(image.data() + 16, value.data(), value.size());
+    const sim::Bytes image = EncodeFrame(hash::HashMetaAndValue(vword.raw(), value), value);
     r = co_await qp.WriteThenCas(layout_->inplace_addr(*rep_), image, slot_addr, node_word.raw(),
                                  vword.raw());
   } else {

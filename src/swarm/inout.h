@@ -12,6 +12,10 @@
 //
 // These are *client-side* helper routines: the node only ever sees raw
 // READ/WRITE/CAS verbs.
+//
+// CasMax below is Algorithm 7's loop with §4.3's recycling rule, shared with
+// DM-ABD's installs (abd.cc). A writer's pipelined first CAS stays with the
+// writer, which continues with CasMax from the word the node returned.
 
 #ifndef SWARM_SRC_SWARM_INOUT_H_
 #define SWARM_SRC_SWARM_INOUT_H_
@@ -68,6 +72,35 @@ struct [[nodiscard]] NodeMaxResult {
   bool ok() const { return status == fabric::Status::kOk; }
 };
 
+// Returns `word`'s out-of-place buffer to `pool`; empty words and tombstones
+// have none.
+inline void FreeBuffer(OopPool& pool, Meta word) {
+  if (!word.empty() && !word.deleted()) {
+    pool.Free(word.oop());
+  }
+}
+
+// Result of one CasMax.
+struct [[nodiscard]] CasMaxResult {
+  fabric::Status status = fabric::Status::kOk;  // Of the last CAS posted.
+  bool installed = false;  // `desired` is in the word now, by our CAS.
+  Meta replaced;           // The word our install overwrote.
+  int cas_count = 0;       // CASes posted.
+
+  bool ok() const { return status == fabric::Status::kOk; }
+};
+
+// Algorithm 7: CASes the 8 B word at `addr` from `prev` to `desired` while
+// `prev` orders below `desired`, taking each word the node returns as the
+// next `prev` and folding it into `*seen` as it arrives (a quorum phase's
+// tasks may share one accumulator, read while some are still looping).
+// §4.3's recycling rule: an install frees the replaced word's buffer; when
+// the word reaches or passes `desired` first, `desired`'s buffer is freed; a
+// failed CAS returns its status and frees nothing (it may have applied with
+// its ack lost).
+sim::Task<CasMaxResult> CasMax(fabric::Qp& qp, OopPool& pool, uint64_t addr, Meta prev,
+                               Meta desired, Meta* seen);
+
 // One replica of one object, bound to a worker. Cheap to construct per op.
 class InOutReplica {
  public:
@@ -119,9 +152,6 @@ class InOutReplica {
     assert(slot >= 0 && slot < layout_->meta_slots);
     return rep_->meta_addr + static_cast<uint64_t>(slot) * 8;
   }
-
-  // Builds [word][len][value] into a pool slot image.
-  sim::Bytes OopImage(Meta full_word, std::span<const uint8_t> value) const;
 
   Worker* worker_;
   const ObjectLayout* layout_;

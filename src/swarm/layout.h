@@ -6,13 +6,21 @@
 //                             §4.4's contention-reduction array),
 //   tsl_addr():     W × 8 B   timestamp-lock CAS words (one lock per writer,
 //                             §3.3; Safe-Guess state, co-located for locality),
-//   inplace_addr():           [hash 8 B][len 8 B][data max_value] — only at the
-//                             object's designated replica (§6: in-place data
-//                             is stored at one replica chosen by key hash).
+//   inplace_addr():           one frame of up to max_value bytes — only at
+//                             the object's designated replica (§6: in-place
+//                             data is stored at one replica chosen by key
+//                             hash).
 //
 // Out-of-place buffers are NOT part of the per-object layout: writers carve
 // them from per-(client, node) pre-allocated pools (§4.3: "writers
 // pre-allocate large memory chunks").
+//
+// Every stored value is one frame, [head 8 B][len 8 B][value], written by
+// EncodeFrame and parsed by DecodeFrame. Only the head differs between
+// stores: an In-n-Out out-of-place buffer carries its metadata word, the
+// in-place region a hash binding the bytes to the winning metadata word, a
+// DM-ABD buffer a hash salted with its replica's metadata address, and a
+// FUSEE block its block header. Each reader checks its own head.
 //
 // On the host, every client keeps one layout per key it has touched, so a
 // layout is one heap block sized to its replica count R (ObjectLayout::Build
@@ -31,12 +39,17 @@
 #ifndef SWARM_SRC_SWARM_LAYOUT_H_
 #define SWARM_SRC_SWARM_LAYOUT_H_
 
+#include <algorithm>
 #include <array>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <new>
+#include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -48,10 +61,38 @@ namespace swarm {
 
 inline constexpr int kMaxReplicas = 8;
 
-// In-place region header: [hash][len].
-inline constexpr uint64_t kInPlaceHeaderBytes = 16;
-// Out-of-place buffer header: [meta word][len].
-inline constexpr uint64_t kOopHeaderBytes = 16;
+// A frame's header: [head][len].
+inline constexpr uint64_t kFrameHeaderBytes = 16;
+
+// The frame holding `value` under `head`.
+inline sim::Bytes EncodeFrame(uint64_t head, std::span<const uint8_t> value) {
+  sim::Bytes frame(kFrameHeaderBytes + value.size());
+  const uint64_t len = value.size();
+  std::memcpy(frame.data(), &head, 8);
+  std::memcpy(frame.data() + 8, &len, 8);
+  std::copy(value.begin(), value.end(), frame.begin() + kFrameHeaderBytes);
+  return frame;
+}
+
+struct Frame {
+  uint64_t head;
+  std::span<const uint8_t> value;  // Points into the decoded buffer.
+};
+
+// Parses the frame read into `buf`, which holds kFrameHeaderBytes +
+// `max_value` bytes. A length past `max_value` means the bytes are no frame
+// of this object (torn, recycled or overwritten): nullopt.
+inline std::optional<Frame> DecodeFrame(std::span<const uint8_t> buf, uint64_t max_value) {
+  assert(buf.size() >= kFrameHeaderBytes + max_value);
+  uint64_t head = 0;
+  uint64_t len = 0;
+  std::memcpy(&head, buf.data(), 8);
+  std::memcpy(&len, buf.data() + 8, 8);
+  if (len > max_value) {
+    return std::nullopt;
+  }
+  return Frame{head, buf.subspan(kFrameHeaderBytes, static_cast<size_t>(len))};
+}
 
 // A value a layout's packed fields cannot hold is a deployment
 // misconfiguration, like a writer past the TSL bound (CheckWriterBound in
@@ -132,7 +173,7 @@ struct LayoutGeometry {
   int majority() const { return num_replicas / 2 + 1; }
   uint64_t meta_region_bytes() const { return static_cast<uint64_t>(meta_slots) * 8; }
   uint64_t tsl_region_bytes() const { return static_cast<uint64_t>(max_writers) * 8; }
-  uint64_t inplace_region_bytes() const { return kInPlaceHeaderBytes + max_value; }
+  uint64_t inplace_region_bytes() const { return kFrameHeaderBytes + max_value; }
 
   // One replica occupies ONE contiguous slab slot:
   //   [meta | in-place (designated replicas only) | tsl]
@@ -425,7 +466,8 @@ class OopPool {
  public:
   OopPool(fabric::MemoryNode* node, sim::Simulator* sim, uint32_t max_value, int slots)
       : node_(node), sim_(sim),
-        slot_bytes_((kOopHeaderBytes + max_value + kOopGranuleBytes - 1) & ~(kOopGranuleBytes - 1)),
+        slot_bytes_((kFrameHeaderBytes + max_value + kOopGranuleBytes - 1) &
+                    ~(kOopGranuleBytes - 1)),
         chunk_slots_(slots > 0 ? slots : 1) {
     AddChunk();
   }

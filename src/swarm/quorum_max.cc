@@ -163,19 +163,8 @@ sim::Task<void> PromoteOne(Worker* worker, LayoutPin layout, int r, Meta word,
 }  // namespace
 
 sim::Task<WriteReadOutcome> QuorumMax::WriteAndRead(Meta w, std::span<const uint8_t> value) {
-  WriteReadOutcome out = co_await WriteAndReadOnce(w, value);
-  // Membership-refresh-then-retry: a quorum that failed because verbs
-  // bounced off an epoch fence proves nothing about the register — re-run
-  // the attempt under the re-validated epoch (the max-write is idempotent).
-  for (int retry = 0; retry < 2 && !out.ok && worker_->EpochRefreshNeeded(); ++retry) {
-    co_await worker_->RefreshEpoch();
-    const int prior_rtts = out.rtts;
-    const bool prior_effect = out.effect_possible;
-    out = co_await WriteAndReadOnce(w, value);
-    out.rtts += prior_rtts;
-    out.effect_possible |= prior_effect;  // Effects accumulate across attempts.
-  }
-  co_return out;
+  return worker_->RetryFenced([this, w, value] { return WriteAndReadOnce(w, value); },
+                              [](const WriteReadOutcome& out) { return !out.ok; });
 }
 
 sim::Task<WriteReadOutcome> QuorumMax::WriteAndReadOnce(Meta w, std::span<const uint8_t> value) {
@@ -200,14 +189,8 @@ sim::Task<WriteReadOutcome> QuorumMax::WriteAndReadOnce(Meta w, std::span<const 
 }
 
 sim::Task<ReadOutcome> QuorumMax::ReadQuorum(bool strong) {
-  ReadOutcome out = co_await ReadQuorumOnce(strong);
-  for (int retry = 0; retry < 2 && !out.ok && worker_->EpochRefreshNeeded(); ++retry) {
-    co_await worker_->RefreshEpoch();
-    const int prior_rtts = out.rtts;
-    out = co_await ReadQuorumOnce(strong);
-    out.rtts += prior_rtts;
-  }
-  co_return out;
+  return worker_->RetryFenced([this, strong] { return ReadQuorumOnce(strong); },
+                              [](const ReadOutcome& out) { return !out.ok; });
 }
 
 sim::Task<ReadOutcome> QuorumMax::ReadQuorumOnce(bool strong) {
@@ -285,22 +268,12 @@ sim::Task<ReadOutcome> QuorumMax::ReadQuorumOnce(bool strong) {
   co_return out;
 }
 
-sim::Task<bool> QuorumMax::WriteVerified(Meta w, std::span<const uint8_t> value, int* rtts) {
-  int total_rtts = 0;
-  bool got = co_await WriteVerifiedOnce(w, value, &total_rtts);
-  for (int retry = 0; retry < 2 && !got && worker_->EpochRefreshNeeded(); ++retry) {
-    co_await worker_->RefreshEpoch();
-    int attempt_rtts = 0;
-    got = co_await WriteVerifiedOnce(w, value, &attempt_rtts);
-    total_rtts += attempt_rtts;
-  }
-  if (rtts != nullptr) {
-    *rtts = total_rtts;
-  }
-  co_return got;
+sim::Task<WriteOutcome> QuorumMax::WriteVerified(Meta w, std::span<const uint8_t> value) {
+  return worker_->RetryFenced([this, w, value] { return WriteVerifiedOnce(w, value); },
+                              [](const WriteOutcome& out) { return !out.ok; });
 }
 
-sim::Task<bool> QuorumMax::WriteVerifiedOnce(Meta w, std::span<const uint8_t> value, int* rtts) {
+sim::Task<WriteOutcome> QuorumMax::WriteVerifiedOnce(Meta w, std::span<const uint8_t> value) {
   auto ph = sim::MakePooled<VwPhase>(worker_->sim());
   ph->w = w.WithVerified();
   ph->value.assign(value.begin(), value.end());
@@ -308,10 +281,7 @@ sim::Task<bool> QuorumMax::WriteVerifiedOnce(Meta w, std::span<const uint8_t> va
   const QuorumEngine q(worker_, *cache_.pin());
   const QuorumVerdict v =
       co_await q.Escalate(ph.get(), [&](int r) { return WriteVerifiedOne(worker_, cache_, r, ph); });
-  if (rtts != nullptr) {
-    *rtts = v.waves + ph->max_retries;
-  }
-  co_return v.reached;
+  co_return WriteOutcome{v.reached, v.waves + ph->max_retries};
 }
 
 sim::Task<void> QuorumMax::Promote(Worker* worker, LayoutPin pin,

@@ -49,6 +49,11 @@ struct [[nodiscard]] WriteReadOutcome {
   int rtts = 0;
 };
 
+struct [[nodiscard]] WriteOutcome {
+  bool ok = false;  // A majority acknowledged the write.
+  int rtts = 0;
+};
+
 struct [[nodiscard]] ReadOutcome {
   bool ok = false;        // A majority answered.
   Meta m;                 // Global ts-max (full word as seen at some replica).
@@ -81,7 +86,7 @@ class QuorumMax {
 
   // Direct VERIFIED quorum write (Safe-Guess slow path, §5.3.2 deletes, and
   // quorum repair): one roundtrip to a majority when caches are fresh.
-  sim::Task<bool> WriteVerified(Meta w, std::span<const uint8_t> value, int* rtts = nullptr);
+  sim::Task<WriteOutcome> WriteVerified(Meta w, std::span<const uint8_t> value);
 
   // Background promotion of a completed guessed write to VERIFIED (Algorithm
   // 2 line 8): flips the installed words and refreshes in-place data at the
@@ -95,14 +100,16 @@ class QuorumMax {
                                  SlotCache writer);
 
  private:
-  // Single attempts behind the public ops. The public wrappers re-run an
-  // attempt after a membership-epoch refresh when it failed on kStaleEpoch
-  // completions (Worker::EpochRefreshNeeded) — a stale-epoch rejection says
+  // Single attempts behind the public ops. Each public op runs its attempt
+  // through Worker::RetryFenced: an attempt that failed while a QP is
+  // revoked re-runs after an epoch pull, since a stale-epoch rejection says
   // nothing about object state and must never surface as unavailability
-  // without a re-validated retry.
+  // without a re-validated retry. An attempt only reads and max-writes (its
+  // own word, or the max it read), so a rerun is safe whatever the failed
+  // attempt did.
   sim::Task<WriteReadOutcome> WriteAndReadOnce(Meta w, std::span<const uint8_t> value);
   sim::Task<ReadOutcome> ReadQuorumOnce(bool strong);
-  sim::Task<bool> WriteVerifiedOnce(Meta w, std::span<const uint8_t> value, int* rtts);
+  sim::Task<WriteOutcome> WriteVerifiedOnce(Meta w, std::span<const uint8_t> value);
 
   Worker* worker_;
   SlotCache cache_;

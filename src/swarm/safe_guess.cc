@@ -60,11 +60,10 @@ sim::Task<SgWriteResult> SafeGuessObject::Write(std::span<const uint8_t> value) 
     // on it while our just-installed guessed word stays readable elsewhere
     // would let readers commit this very write after the key reported
     // not-found. ReadQuorum's inner_write does the same for reads.
-    int fence_rtts = 0;
     const Meta fence = Meta::Pack(out.m.counter(), out.m.tid(), true, 0);
-    const bool fenced = co_await reg.WriteVerified(fence, {}, &fence_rtts);
-    result.rtts += fence_rtts;
-    if (!fenced) {
+    const WriteOutcome fenced = co_await reg.WriteVerified(fence, {});
+    result.rtts += fenced.rtts;
+    if (!fenced.ok) {
       result.status = SgStatus::kUnavailable;
       co_return result;
     }
@@ -134,10 +133,9 @@ sim::Task<SgWriteResult> SafeGuessObject::Write(std::span<const uint8_t> value) 
   // also keeps per-writer timestamps strictly monotonic (Assumption 1).
   const uint32_t fresh = worker_->clock().Guess();
   const Meta w2 = Meta::Pack(fresh, worker_->tid(), /*verified=*/true, 0);
-  int vw_rtts = 0;
-  const bool ok = co_await reg.WriteVerified(w2, value, &vw_rtts);
-  result.rtts += vw_rtts;
-  result.status = ok ? SgStatus::kOk : SgStatus::kUnavailable;
+  const WriteOutcome verified = co_await reg.WriteVerified(w2, value);
+  result.rtts += verified.rtts;
+  result.status = verified.ok ? SgStatus::kOk : SgStatus::kUnavailable;
   co_return result;
 }
 
@@ -203,7 +201,7 @@ sim::Task<SgReadResult> SafeGuessObject::Read() {
       // ReadQuorum's own refresh-retry gave up — re-validate before the next
       // iteration rather than reading through dead QPs.
       if (worker_->EpochRefreshNeeded()) {
-        co_await worker_->RefreshEpoch();
+        result.rtts += co_await worker_->RefreshEpoch();
       }
       continue;
     }

@@ -65,39 +65,29 @@ sim::Task<void> LockOneReplica(Worker* worker, LayoutPin layout, int replica, ui
 }  // namespace
 
 sim::Task<TryLockResult> TimestampLock::TryLock(uint32_t counter, LockMode mode) {
+  // A kStaleEpoch completion is a membership-staleness signal, never
+  // evidence about lock state: the attempt re-runs after the epoch pull
+  // (re-CASing (counter, mode) is idempotent). This is exactly the retry that
+  // closes the §5.4 window — the stale attempt's votes were rejected at the
+  // nodes, so they can never complete a majority that straddles a
+  // crash-repair cycle. No live majority means not acquired (safe).
+  return worker_->RetryFenced([this, counter, mode] { return TryLockOnce(counter, mode); },
+                              [](const TryLockResult& r) { return !r.quorum_ok; });
+}
+
+sim::Task<TryLockResult> TimestampLock::TryLockOnce(uint32_t counter, LockMode mode) {
+  auto phase = sim::MakePooled<LockPhase>(worker_->sim());
+  // Algorithm 9 contacts every replica in one doorbell; only a majority must
+  // answer. A repairing replica is skipped outright: its CAS words are
+  // mid-restore and counting it could manufacture a majority the opposite
+  // mode already holds among the survivors.
+  const QuorumEngine q(worker_, *layout_, QuorumEngine::Order::kIndex);
   TryLockResult result;
-  constexpr int kMaxAttempts = 3;
-  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-    auto phase = sim::MakePooled<LockPhase>(worker_->sim());
-    // Algorithm 9 contacts every replica in one doorbell; only a majority
-    // must answer. A repairing replica is skipped outright: its CAS words are
-    // mid-restore and counting it could manufacture a majority the opposite
-    // mode already holds among the survivors.
-    const QuorumEngine q(worker_, *layout_, QuorumEngine::Order::kIndex);
-    const bool reached = co_await q.Broadcast(phase.get(), [&](int r) {
-      return LockOneReplica(worker_, layout_, r, owner_tid_, counter, mode, phase);
-    });
-    if (!reached) {
-      // A kStaleEpoch completion is a membership-staleness signal, never
-      // evidence about lock state: re-validate the epoch, re-arm the QPs and
-      // re-run the whole attempt (re-CASing (counter, mode) is idempotent).
-      // This is exactly the retry that closes the §5.4 window — the stale
-      // attempt's votes were rejected at the nodes, so they can never
-      // complete a majority that straddles a crash-repair cycle.
-      if (worker_->EpochRefreshNeeded() && attempt + 1 < kMaxAttempts) {
-        // Bill the fenced attempt's CAS rounds plus the re-validation pull.
-        result.rtts += phase->max_rtts + 1;
-        co_await worker_->RefreshEpoch();
-        continue;
-      }
-      result.rtts += phase->max_rtts;
-      co_return result;  // No live majority: not acquired (safe).
-    }
-    result.quorum_ok = true;
-    result.rtts += phase->max_rtts;
-    result.acquired = !phase->higher_seen && !phase->opposite_seen;
-    co_return result;
-  }
+  result.quorum_ok = co_await q.Broadcast(phase.get(), [&](int r) {
+    return LockOneReplica(worker_, layout_, r, owner_tid_, counter, mode, phase);
+  });
+  result.rtts = phase->max_rtts;
+  result.acquired = result.quorum_ok && !phase->higher_seen && !phase->opposite_seen;
   co_return result;
 }
 

@@ -43,6 +43,9 @@ class TimestampLock {
   sim::Task<TryLockResult> TryLock(uint32_t counter, LockMode mode);
 
  private:
+  // One attempt; TryLock re-runs it through Worker::RetryFenced.
+  sim::Task<TryLockResult> TryLockOnce(uint32_t counter, LockMode mode);
+
   Worker* worker_;
   LayoutPin layout_;
   uint32_t owner_tid_;

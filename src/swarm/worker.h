@@ -167,7 +167,7 @@ class Worker {
   // revoked and every further verb on it fails fast. Protocol retry loops
   // check this after a failed quorum phase — a kStaleEpoch completion is a
   // membership-staleness signal, NEVER evidence about object state — and
-  // call RefreshEpoch() before retrying.
+  // call RefreshEpoch() before retrying (RetryFenced does both).
   bool EpochRefreshNeeded() const {
     for (const auto& qp : qps_) {
       if (qp.revoked()) {
@@ -177,18 +177,48 @@ class Worker {
     return false;
   }
 
+  // The re-validation pulls this worker has made.
+  uint64_t epoch_pulls() const { return epoch_pulls_; }
+
   // Re-validates the cached epoch with the membership service (the pull
   // path, which works even for a client whose push notifications never
   // arrive) and re-arms every revoked QP. Verbs posted afterwards carry the
-  // fresh stamp and pass the fences again.
-  sim::Task<void> RefreshEpoch() {
+  // fresh stamp and pass the fences again. Returns the roundtrips it cost,
+  // which the caller bills to its op: 1 for the pull, 0 for a worker with no
+  // membership source.
+  sim::Task<int> RefreshEpoch() {
+    int rtts = 0;
     if (epoch_ != nullptr && epoch_validate_) {
       co_await sim()->Delay(kEpochPullDelay);
       epoch_->value = std::max(epoch_->value, epoch_validate_());
+      ++epoch_pulls_;
+      rtts = 1;
     }
     for (auto& qp : qps_) {
       qp.Rearm();
     }
+    co_return rtts;
+  }
+
+  // §5.4 for one protocol attempt: a verb that bounced off an epoch fence
+  // proves nothing, so while `failed(result)` holds and a QP is revoked,
+  // RetryFenced refreshes the epoch and runs `attempt` again, at most twice.
+  // The rerun's result carries the earlier attempts' roundtrips and the
+  // pulls', and a result that reports whether its write may have taken
+  // effect keeps an earlier attempt's "maybe" (effects accumulate).
+  template <typename Attempt, typename Failed>
+  auto RetryFenced(Attempt attempt, Failed failed) -> decltype(attempt()) {
+    auto result = co_await attempt();
+    for (int rerun = 0; rerun < 2 && failed(result) && EpochRefreshNeeded(); ++rerun) {
+      const int pull_rtts = co_await RefreshEpoch();
+      auto next = co_await attempt();
+      next.rtts += result.rtts + pull_rtts;
+      if constexpr (requires { next.effect_possible; }) {
+        next.effect_possible |= result.effect_possible;
+      }
+      result = std::move(next);
+    }
+    co_return result;
   }
 
  private:
@@ -225,6 +255,7 @@ class Worker {
   std::shared_ptr<const std::vector<bool>> repair_excluded_;
   std::shared_ptr<fabric::ClientEpoch> epoch_;
   std::function<uint64_t()> epoch_validate_;
+  uint64_t epoch_pulls_ = 0;
   bool repair_channel_ = false;
   int chaos_tag_ = -1;
   // Deques: growth must not invalidate references held across co_awaits.

@@ -78,6 +78,28 @@ TEST(Abd, EmptyAndDeleted) {
   env.sim.Run();
 }
 
+// Every DM-ABD install runs CasMax, so it recycles like In-n-Out: once the
+// second write installs at replica 0, the first write's buffer there is
+// freed and, after the quarantine, is the next buffer the pool hands out.
+TEST(Abd, AnInstallFreesTheReplacedBuffer) {
+  TestEnv env;
+  Worker& w = env.MakeWorker();
+  const LayoutPin layout = MakeAbdObject(env);
+
+  auto driver = [](TestEnv* env, Worker* w, LayoutPin layout2) -> Task<void> {
+    AbdObject obj(w, w->SlotCacheFor(layout2));
+    const ReplicaLayout& rep = layout2->replica(0);
+    EXPECT_EQ((co_await obj.Write(ValN(8, 1))).status, SgStatus::kOk);
+    const Meta first(env->fabric.node(rep.node).LoadWord(rep.meta_addr));
+    EXPECT_EQ((co_await obj.Write(ValN(8, 2))).status, SgStatus::kOk);
+    EXPECT_NE(env->fabric.node(rep.node).LoadWord(rep.meta_addr), first.raw());
+    co_await w->sim()->Delay(kOopQuarantineNs + 1000);
+    EXPECT_EQ(w->pool(rep.node).AllocIdx(), first.oop());
+  };
+  Spawn(driver(&env, &w, layout));
+  env.sim.Run();
+}
+
 TEST(Abd, SurvivesMinorityCrash) {
   TestEnv env;
   Worker& w = env.MakeWorker();

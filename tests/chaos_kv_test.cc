@@ -201,14 +201,17 @@ ScenarioSpec CrashRecoverSpec(uint64_t seed) {
 // it keeps issuing verbs stamped with its boot-time epoch across whole
 // crash-repair cycles. The epoch fence must bounce them (kStaleEpoch →
 // re-validation pull → retry); with the pre-fix canary knob they land on
-// repaired state and are trusted.
-void RunCrashRecoverScenario(const char* store, const ScenarioSpec& spec,
+// repaired state and are trusted. Returns whether the deaf client's worker
+// pulled its epoch, i.e. took that path.
+bool RunCrashRecoverScenario(const char* store, const ScenarioSpec& spec,
                              bool stale_client = false) {
   deploy::DeploymentConfig cfg = ChaosDeployment(spec, store);
   cfg.fusee_recovery = 300 * sim::kMicrosecond;
   cfg.repair = repair::RepairConfig{};
   KvChaos c(spec, cfg);
+  const Worker* deaf = nullptr;
   if (stale_client) {
+    deaf = c.d.client(0).workers[0].worker.get();
     testing::MakeDeaf(*c.d.client(0).workers[0].worker, c.d.membership());
   }
   ChaosHistories hist;
@@ -216,6 +219,31 @@ void RunCrashRecoverScenario(const char* store, const ScenarioSpec& spec,
   c.Run();
   ExpectLinearizable(hist, spec, c.engine);
   ExpectRepairLifecyclesComplete(c, spec);
+  return deaf != nullptr && deaf->epoch_pulls() > 0;
+}
+
+// Path coverage of a stale-client sweep: the scenarios in which the deaf
+// client took the fence path it exists for. A fault mix or runner that
+// stopped reaching the path would leave the sweep green and vacuous, so at
+// least 90% of the scenarios must pull. One replayed seed is no sweep.
+struct FencePathCoverage {
+  int scenarios = 0;
+  int pulled = 0;
+
+  void Add(bool deaf_pulled) {
+    ++scenarios;
+    pulled += deaf_pulled ? 1 : 0;
+  }
+};
+
+void ExpectFencePathCovered(const FencePathCoverage& cov) {
+  uint64_t seed = 0;
+  if (testing::ForcedSeed(&seed)) {
+    return;
+  }
+  EXPECT_GE(10 * cov.pulled, 9 * cov.scenarios)
+      << "the deaf client pulled its epoch in only " << cov.pulled << " of " << cov.scenarios
+      << " scenarios";
 }
 
 TEST(ChaosSwarmKv, RandomFaultScenariosStayLinearizable) {
@@ -394,9 +422,10 @@ ScenarioSpec ExtremeSpikeStaleClientSpec(uint64_t seed) {
 }
 
 TEST(ChaosSwarmKv, CrashRecoverStaleClientStaysLinearizable) {
+  FencePathCoverage cov;
   DriveScenarios(9000,
-                 [](const ScenarioSpec& s) {
-                   RunCrashRecoverScenario("swarm", s, /*stale_client=*/true);
+                 [&cov](const ScenarioSpec& s) {
+                   cov.Add(RunCrashRecoverScenario("swarm", s, /*stale_client=*/true));
                  },
                  [](uint64_t seed) {
                    ScenarioSpec spec = CrashRecoverStaleClientSpec(seed);
@@ -405,24 +434,28 @@ TEST(ChaosSwarmKv, CrashRecoverStaleClientStaysLinearizable) {
                    spec.faults.fault_index_link = true;
                    return spec;
                  });
+  ExpectFencePathCovered(cov);
 }
 
 TEST(ChaosDmAbdKv, CrashRecoverStaleClientStaysLinearizable) {
+  FencePathCoverage cov;
   DriveScenarios(9500,
-                 [](const ScenarioSpec& s) {
-                   RunCrashRecoverScenario("dmabd", s, /*stale_client=*/true);
+                 [&cov](const ScenarioSpec& s) {
+                   cov.Add(RunCrashRecoverScenario("dmabd", s, /*stale_client=*/true));
                  },
                  [](uint64_t seed) {
                    ScenarioSpec spec = CrashRecoverStaleClientSpec(seed);
                    spec.faults.fault_index_link = true;
                    return spec;
                  });
+  ExpectFencePathCovered(cov);
 }
 
 TEST(ChaosFuseeKv, CrashRecoverStaleClientStaysLinearizable) {
+  FencePathCoverage cov;
   DriveScenarios(9800,
-                 [](const ScenarioSpec& s) {
-                   RunCrashRecoverScenario("fusee", s, /*stale_client=*/true);
+                 [&cov](const ScenarioSpec& s) {
+                   cov.Add(RunCrashRecoverScenario("fusee", s, /*stale_client=*/true));
                  },
                  [](uint64_t seed) {
                    ScenarioSpec spec = CrashRecoverStaleClientSpec(seed);
@@ -431,6 +464,7 @@ TEST(ChaosFuseeKv, CrashRecoverStaleClientStaysLinearizable) {
                    spec.faults.max_drop_p = 0.15;
                    return spec;
                  });
+  ExpectFencePathCovered(cov);
 }
 
 // The two once-open windows, pinned. Both were recorded in the ROADMAP when
@@ -455,9 +489,10 @@ TEST(ChaosDmAbdKv, ExtremeSpikeRecordedSeed9697StaysLinearizable) {
 // windows instead of replaying the two it already found.
 
 TEST(ChaosSwarmKv, ExtremeSpikeStaleClientStaysLinearizable) {
+  FencePathCoverage cov;
   DriveScenarios(14000,
-                 [](const ScenarioSpec& s) {
-                   RunCrashRecoverScenario("swarm", s, /*stale_client=*/true);
+                 [&cov](const ScenarioSpec& s) {
+                   cov.Add(RunCrashRecoverScenario("swarm", s, /*stale_client=*/true));
                  },
                  [](uint64_t seed) {
                    ScenarioSpec spec = ExtremeSpikeStaleClientSpec(seed);
@@ -466,24 +501,28 @@ TEST(ChaosSwarmKv, ExtremeSpikeStaleClientStaysLinearizable) {
                    spec.faults.fault_index_link = true;
                    return spec;
                  });
+  ExpectFencePathCovered(cov);
 }
 
 TEST(ChaosDmAbdKv, ExtremeSpikeStaleClientStaysLinearizable) {
+  FencePathCoverage cov;
   DriveScenarios(14300,
-                 [](const ScenarioSpec& s) {
-                   RunCrashRecoverScenario("dmabd", s, /*stale_client=*/true);
+                 [&cov](const ScenarioSpec& s) {
+                   cov.Add(RunCrashRecoverScenario("dmabd", s, /*stale_client=*/true));
                  },
                  [](uint64_t seed) {
                    ScenarioSpec spec = ExtremeSpikeStaleClientSpec(seed);
                    spec.faults.fault_index_link = true;
                    return spec;
                  });
+  ExpectFencePathCovered(cov);
 }
 
 TEST(ChaosFuseeKv, ExtremeSpikeStaleClientStaysLinearizable) {
+  FencePathCoverage cov;
   DriveScenarios(14600,
-                 [](const ScenarioSpec& s) {
-                   RunCrashRecoverScenario("fusee", s, /*stale_client=*/true);
+                 [&cov](const ScenarioSpec& s) {
+                   cov.Add(RunCrashRecoverScenario("fusee", s, /*stale_client=*/true));
                  },
                  [](uint64_t seed) {
                    ScenarioSpec spec = ExtremeSpikeStaleClientSpec(seed);
@@ -492,6 +531,7 @@ TEST(ChaosFuseeKv, ExtremeSpikeStaleClientStaysLinearizable) {
                    spec.faults.max_drop_p = 0.15;
                    return spec;
                  });
+  ExpectFencePathCovered(cov);
 }
 
 // ---------- Asymmetric sustained partitions ----------

@@ -825,7 +825,7 @@ Task<void> VerifiedWriterOp(Worker* w, LayoutPin layout, uint32_t counter,
   op.is_write = true;
   op.value = v;
   op.invoked = c->env.sim.Now();
-  const bool ok = co_await reg.WriteVerified(Meta::Pack(counter, w->tid(), true, 0), value);
+  const bool ok = (co_await reg.WriteVerified(Meta::Pack(counter, w->tid(), true, 0), value)).ok;
   op.responded = c->env.sim.Now();
   op.pending = !ok;
   hist->pending_ops += op.pending ? 1 : 0;

@@ -8,15 +8,23 @@
 //    verb of the batch bounces, none applies;
 //  * the repair coordinator's channel passes the epoch fence;
 //  * the canary knob (CanaryKnobs::unenforced_epoch_fence) restores pre-fix
-//    behavior, on hot-added nodes too.
+//    behavior, on hot-added nodes too;
+//  * every op that re-runs a fenced attempt (Worker::RetryFenced) reports
+//    the fenced attempt's roundtrips, one for the epoch pull and the
+//    rerun's.
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <memory>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "src/membership/membership.h"
+#include "src/swarm/abd.h"
+#include "src/swarm/quorum_max.h"
+#include "src/swarm/timestamp_lock.h"
 #include "src/swarm/worker.h"
 #include "tests/support/test_env.h"
 
@@ -261,6 +269,111 @@ TEST(EpochFence, HotAddedNodeObeysTheEpochFenceCanary) {
       << "a hot-added canary node learns the epoch but does not enforce it";
   EXPECT_EQ(landings, 1u);
 }
+
+// One op that re-runs a fenced attempt. `run` performs it once through `w`
+// on a fresh object and returns the roundtrips it reported; `fenced_rtts` is
+// what its attempt bills when every verb bounces off the fence: one wave,
+// except a timestamp lock, whose bounced CASes bill nothing.
+struct FencedOp {
+  const char* name;
+  bool abd;  // A DM-ABD object (one metadata slot, no in-place region).
+  int fenced_rtts;
+  sim::Task<int> (*run)(Worker* w, LayoutPin layout);
+};
+
+void PrintTo(const FencedOp& op, std::ostream* os) { *os << op.name; }
+
+const std::vector<uint8_t> kValue(24, 0x5C);
+
+sim::Task<int> RunWriteAndRead(Worker* w, LayoutPin layout) {
+  QuorumMax reg(w, w->SlotCacheFor(layout));
+  const WriteReadOutcome out =
+      co_await reg.WriteAndRead(Meta::Pack(10, w->tid(), false, 0), kValue);
+  EXPECT_TRUE(out.ok);
+  co_return out.rtts;
+}
+
+sim::Task<int> RunReadQuorum(Worker* w, LayoutPin layout) {
+  QuorumMax reg(w, w->SlotCacheFor(layout));
+  const ReadOutcome out = co_await reg.ReadQuorum(/*strong=*/true);
+  EXPECT_TRUE(out.ok);
+  co_return out.rtts;
+}
+
+sim::Task<int> RunWriteVerified(Worker* w, LayoutPin layout) {
+  QuorumMax reg(w, w->SlotCacheFor(layout));
+  const WriteOutcome out = co_await reg.WriteVerified(Meta::Pack(10, w->tid(), true, 0), kValue);
+  EXPECT_TRUE(out.ok);
+  co_return out.rtts;
+}
+
+sim::Task<int> RunTryLock(Worker* w, LayoutPin layout) {
+  TimestampLock lock(w, layout, w->tid());
+  const TryLockResult out = co_await lock.TryLock(10, LockMode::kWrite);
+  EXPECT_TRUE(out.acquired);
+  co_return out.rtts;
+}
+
+sim::Task<int> RunAbdWrite(Worker* w, LayoutPin layout) {
+  AbdObject obj(w, w->SlotCacheFor(layout));
+  const SgWriteResult out = co_await obj.Write(kValue);
+  EXPECT_EQ(out.status, SgStatus::kOk);
+  co_return out.rtts;
+}
+
+sim::Task<int> RunAbdDelete(Worker* w, LayoutPin layout) {
+  AbdObject obj(w, w->SlotCacheFor(layout));
+  const SgWriteResult out = co_await obj.Delete();
+  EXPECT_EQ(out.status, SgStatus::kOk);
+  co_return out.rtts;
+}
+
+class FencedRerun : public ::testing::TestWithParam<FencedOp> {};
+
+// A worker that never hears of an epoch bump runs the op twice, on two fresh
+// objects: before the bump (clean) and after it, when every verb of its first
+// attempt bounces. The second run pays one epoch pull and re-runs the
+// attempt, which then costs what the clean run did.
+TEST_P(FencedRerun, BillsTheFencedAttemptThePullAndTheRerun) {
+  const FencedOp& op = GetParam();
+  EpochEnv f;
+  Worker& w = f.MakeEpochWorker(/*subscribe=*/false);
+  auto make_object = [&] {
+    if (!op.abd) {
+      return f.env.MakeObject();
+    }
+    const std::vector<int> nodes{0, 1, 2};
+    return AllocateObject(f.env.fabric, nodes.data(), 3, /*meta_slots=*/1, /*max_writers=*/1,
+                          f.env.proto.max_value, /*inplace_copies=*/0);
+  };
+  const LayoutPin clean_object = make_object();
+  const LayoutPin fenced_object = make_object();
+
+  int clean = -1;
+  int fenced = -1;
+  auto driver = [](const FencedOp* op, EpochEnv* f, Worker* w, LayoutPin a, LayoutPin b,
+                   int* clean2, int* fenced2) -> sim::Task<void> {
+    *clean2 = co_await op->run(w, a);
+    f->membership.CrashNode(3);  // Holds no replica; only the epoch moves.
+    *fenced2 = co_await op->run(w, b);
+  };
+  sim::Spawn(driver(&op, &f, &w, clean_object, fenced_object, &clean, &fenced));
+  f.env.sim.Run();
+
+  ASSERT_GE(clean, 1);
+  EXPECT_EQ(w.epoch_pulls(), 1u) << op.name;
+  EXPECT_EQ(fenced, op.fenced_rtts + 1 + clean) << op.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryRetryFencedOp, FencedRerun,
+    ::testing::Values(FencedOp{"WriteAndRead", false, 1, RunWriteAndRead},
+                      FencedOp{"ReadQuorum", false, 1, RunReadQuorum},
+                      FencedOp{"WriteVerified", false, 1, RunWriteVerified},
+                      FencedOp{"TryLock", false, 0, RunTryLock},
+                      FencedOp{"AbdWrite", true, 1, RunAbdWrite},
+                      FencedOp{"AbdDelete", true, 1, RunAbdDelete}),
+    [](const ::testing::TestParamInfo<FencedOp>& p) { return std::string(p.param.name); });
 
 }  // namespace
 }  // namespace swarm

@@ -193,7 +193,7 @@ TEST(InOut, InPlaceHashRejectsTornData) {
     // fabric's staged application would produce under concurrency).
     const ReplicaLayout& r0 = layout->replica(0);
     std::vector<uint8_t> junk{0xEE};
-    w->fabric()->node(r0.node).WriteFrom(layout->inplace_addr(r0) + kInPlaceHeaderBytes + 5, junk);
+    w->fabric()->node(r0.node).WriteFrom(layout->inplace_addr(r0) + kFrameHeaderBytes + 5, junk);
 
     NodeView v = co_await rep.ReadNode(true);
     EXPECT_TRUE(v.ok());
@@ -235,7 +235,7 @@ TEST(InOut, RecyclingQuarantineThenReuseDetection) {
     co_await w->sim()->Delay(kOopQuarantineNs + 1000);
     const uint32_t reused = w->pool(rep.node()).AllocIdx();
     EXPECT_EQ(reused, stale.oop()) << "quarantined slot should be first in line for reuse";
-    std::vector<uint8_t> clobber(kOopHeaderBytes, 0xEE);
+    std::vector<uint8_t> clobber(kFrameHeaderBytes, 0xEE);
     w->fabric()->node(rep.node()).WriteFrom(static_cast<uint64_t>(reused) * kOopGranuleBytes,
                                             clobber);
     auto stale_bytes = co_await rep.ReadOop(stale);
@@ -243,6 +243,83 @@ TEST(InOut, RecyclingQuarantineThenReuseDetection) {
   };
   Spawn(driver(&w, layout.get()));
   env.sim.Run();
+}
+
+// CasMax: Algorithm 7's loop and §4.3's recycling rule on one word. A freed
+// buffer shows through the pool: once kOopQuarantineNs has passed, it is the
+// next index AllocIdx hands out, while an unfreed one never comes back.
+struct CasMaxCase {
+  CasMaxResult res;
+  Meta seen;
+  uint32_t next_idx = 0;  // AllocIdx after the quarantine.
+};
+
+Task<void> RunCasMax(Worker* w, uint64_t addr, Meta prev, Meta desired, CasMaxCase* out) {
+  out->res = co_await CasMax(w->qp(0), w->pool(0), addr, prev, desired, &out->seen);
+  co_await w->sim()->Delay(kOopQuarantineNs + 1000);
+  out->next_idx = w->pool(0).AllocIdx();
+}
+
+TEST(InOut, CasMaxStalePrevCostsOneMoreCasThenInstalls) {
+  TestEnv env;
+  Worker& w = env.MakeWorker();
+  const uint64_t addr = env.fabric.node(0).Allocate(8);
+  const Meta old = Meta::Pack(10, 1, false, w.pool(0).AllocIdx());
+  const Meta mine = Meta::Pack(20, 0, false, w.pool(0).AllocIdx());
+  env.fabric.node(0).StoreWord(addr, old.raw());
+
+  CasMaxCase c;
+  Spawn(RunCasMax(&w, addr, /*prev=*/Meta(), mine, &c));
+  env.sim.Run();
+  EXPECT_TRUE(c.res.ok());
+  EXPECT_TRUE(c.res.installed);
+  EXPECT_EQ(c.res.cas_count, 2) << "the stale prev misses once, the retry lands";
+  EXPECT_EQ(c.res.replaced.raw(), old.raw());
+  EXPECT_EQ(c.seen.raw(), old.raw()) << "the word the node returned is folded in";
+  EXPECT_EQ(env.fabric.node(0).LoadWord(addr), mine.raw());
+  EXPECT_EQ(c.next_idx, old.oop()) << "the install frees the replaced word's buffer";
+}
+
+TEST(InOut, CasMaxWordAtOrAboveDesiredWinsAndFreesTheLosersBuffer) {
+  for (const uint32_t counter : {30u, 20u}) {  // Above `mine`, then at it.
+    TestEnv env;
+    Worker& w = env.MakeWorker();
+    const uint64_t addr = env.fabric.node(0).Allocate(8);
+    const Meta held = Meta::Pack(counter, 1, false, w.pool(0).AllocIdx());
+    const Meta mine = Meta::Pack(20, 1, false, w.pool(0).AllocIdx());
+    env.fabric.node(0).StoreWord(addr, held.raw());
+
+    CasMaxCase c;
+    Spawn(RunCasMax(&w, addr, /*prev=*/Meta(), mine, &c));
+    env.sim.Run();
+    EXPECT_TRUE(c.res.ok());
+    EXPECT_FALSE(c.res.installed);
+    EXPECT_EQ(c.res.cas_count, 1);
+    EXPECT_EQ(c.seen.raw(), held.raw());
+    EXPECT_EQ(env.fabric.node(0).LoadWord(addr), held.raw()) << "counter " << counter;
+    EXPECT_EQ(c.next_idx, mine.oop()) << "the loser's buffer is freed (counter " << counter << ")";
+  }
+}
+
+TEST(InOut, CasMaxOnACrashedNodeFailsAndFreesNothing) {
+  TestEnv env;
+  Worker& w = env.MakeWorker();
+  const uint64_t addr = env.fabric.node(0).Allocate(8);
+  const Meta old = Meta::Pack(10, 1, false, w.pool(0).AllocIdx());
+  const Meta mine = Meta::Pack(20, 0, false, w.pool(0).AllocIdx());
+  env.fabric.node(0).StoreWord(addr, old.raw());
+  env.fabric.Crash(0);
+
+  CasMaxCase c;
+  Spawn(RunCasMax(&w, addr, /*prev=*/old, mine, &c));
+  env.sim.Run();
+  EXPECT_EQ(c.res.status, fabric::Status::kNodeFailed);
+  EXPECT_FALSE(c.res.installed);
+  EXPECT_EQ(c.res.cas_count, 1);
+  EXPECT_TRUE(c.seen.empty()) << "a failed CAS returns no word";
+  // The CAS may have applied with its ack lost: neither buffer may be reused.
+  EXPECT_NE(c.next_idx, old.oop());
+  EXPECT_NE(c.next_idx, mine.oop());
 }
 
 TEST(InOut, TombstoneWriteNeedsNoBuffer) {

@@ -10,11 +10,16 @@
 // how a layout holds its writers' slot-cache words: zeroed words per
 // writer, the first inline and later ones chained and freed with the block,
 // none in a grafted replacement, and a LayoutPin that keeps the block alive.
+// The frame codec every stored value goes through round-trips, and a length
+// past the value capacity decodes to nothing.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "src/swarm/layout.h"
 #include "tests/support/test_env.h"
@@ -57,7 +62,7 @@ TEST(ReplicaLayout, OffsetsReproduceTheSlotPacking) {
           EXPECT_EQ(l.max_writers, kWriters);
           EXPECT_EQ(l.max_value, max_value);
           const uint64_t meta = static_cast<uint64_t>(meta_slots) * 8;
-          const uint64_t inplace_padded = (kInPlaceHeaderBytes + max_value + 7) & ~uint64_t{7};
+          const uint64_t inplace_padded = (kFrameHeaderBytes + max_value + 7) & ~uint64_t{7};
           const uint64_t tsl = static_cast<uint64_t>(kWriters) * 8;
           for (int r = 0; r < replicas; ++r) {
             const ReplicaLayout& rep = l.replica(r);
@@ -214,6 +219,33 @@ TEST(SlotWords, AHandlePinsItsLayout) {
   words[2] = Meta::Pack(9, w.tid(), false, 0);  // Still the layout's memory.
   words = SlotCache();
   EXPECT_EQ(ObjectLayout::live().layouts, live);
+}
+
+TEST(Frame, RoundTripsHeadAndValue) {
+  constexpr uint64_t kMaxValue = 8;
+  constexpr uint64_t kHead = 0xABCDEF0123456789;
+  for (const std::vector<uint8_t>& value :
+       {std::vector<uint8_t>{1, 2, 3, 4, 5}, std::vector<uint8_t>{},
+        std::vector<uint8_t>(kMaxValue, 0x7E)}) {
+    sim::Bytes frame = EncodeFrame(kHead, value);
+    ASSERT_EQ(frame.size(), kFrameHeaderBytes + value.size());
+    frame.resize(kFrameHeaderBytes + kMaxValue);  // A read fetches the whole capacity.
+    const std::optional<Frame> got = DecodeFrame(frame, kMaxValue);
+    ASSERT_TRUE(got.has_value()) << value.size() << " B";
+    EXPECT_EQ(got->head, kHead);
+    EXPECT_EQ(std::vector<uint8_t>(got->value.begin(), got->value.end()), value);
+  }
+}
+
+TEST(Frame, ALengthPastMaxValueDecodesToNothing) {
+  constexpr uint64_t kMaxValue = 8;
+  sim::Bytes frame = EncodeFrame(1, std::vector<uint8_t>(kMaxValue, 0x11));
+  const uint64_t overlong = kMaxValue + 1;
+  std::memcpy(frame.data() + 8, &overlong, 8);
+  frame.resize(kFrameHeaderBytes + kMaxValue + 1);
+  EXPECT_FALSE(DecodeFrame(frame, kMaxValue).has_value());
+  EXPECT_TRUE(DecodeFrame(frame, kMaxValue + 1).has_value())
+      << "the same bytes under a larger capacity";
 }
 
 }  // namespace

@@ -123,7 +123,8 @@ std::string Dump(const std::vector<HistoryOp>& h) {
     dump += std::string(op.is_write ? " W(" : " R(") + std::to_string(op.value) + ")@" +
             std::to_string(op.invoked) + (op.pending ? "p" : ".." + std::to_string(op.responded));
     if (op.key != 0) {
-      dump += "k" + std::to_string(op.key);
+      dump += 'k';  // Appended apart: GCC 12's -Wrestrict misfires on "k" + string at -O3.
+      dump += std::to_string(op.key);
     }
   }
   return dump;

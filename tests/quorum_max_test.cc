@@ -212,7 +212,7 @@ TEST(QuorumMax, TombstoneReadNeedsNoValue) {
   auto driver = [](Worker* w, LayoutPin layout2) -> Task<void> {
     QuorumMax reg(w, w->SlotCacheFor(layout2));
     swarm::DiscardStatus(co_await reg.WriteAndRead(Meta::Pack(10, 0, false, 0), ValN(8, 1)));
-    EXPECT_TRUE(co_await reg.WriteVerified(Meta::Tombstone(w->tid()), {}));
+    EXPECT_TRUE((co_await reg.WriteVerified(Meta::Tombstone(w->tid()), {})).ok);
     ReadOutcome rd = co_await reg.ReadQuorum(true);
     EXPECT_TRUE(rd.ok);
     EXPECT_TRUE(rd.m.deleted());

@@ -70,7 +70,7 @@ TEST(RepairDarkSlot, GiveUpIsReRepairedAfterUnrelatedReadmission) {
     swarm::DiscardStatus(co_await f->index.InsertIfAbsent(1, layout2, nullptr));
     QuorumMax reg(writer, writer->SlotCacheFor(layout2));
     const Meta word = Meta::Pack(5, writer->tid(), /*verified=*/true, 0);
-    EXPECT_TRUE(co_await reg.WriteVerified(word, *value));
+    EXPECT_TRUE((co_await reg.WriteVerified(word, *value)).ok);
 
     // Crash node 0 with node 2 unreachable: the repair has no surviving
     // quorum for the object and must give up after its round budget.
@@ -145,8 +145,7 @@ TEST(RepairDarkSlot, FreshLifecycleSupersedesDarkBookkeeping) {
                    bool* node2_unreachable2, bool* done2) -> sim::Task<void> {
     swarm::DiscardStatus(co_await f->index.InsertIfAbsent(1, layout2, nullptr));
     QuorumMax reg(writer, writer->SlotCacheFor(layout2));
-    EXPECT_TRUE(
-        co_await reg.WriteVerified(Meta::Pack(5, writer->tid(), true, 0), *value));
+    EXPECT_TRUE((co_await reg.WriteVerified(Meta::Pack(5, writer->tid(), true, 0), *value)).ok);
 
     *node2_unreachable2 = true;
     f->membership.CrashNode(0);

@@ -607,7 +607,7 @@ TEST_P(RemovedKeysFreeTheirSlots, LiveSlotsStopGrowingAfterTheFirstRound) {
   const ProtocolConfig& proto = d.config().proto;
   const uint64_t pool_chunk =
       static_cast<uint64_t>(proto.oop_pool_slots) *
-      ((kOopHeaderBytes + proto.max_value + kOopGranuleBytes - 1) & ~(kOopGranuleBytes - 1));
+      ((kFrameHeaderBytes + proto.max_value + kOopGranuleBytes - 1) & ~(kOopGranuleBytes - 1));
   ASSERT_EQ(pool_chunk, 64u << 10);
   const uint64_t bound = store == "raw"
                              ? 2 * alloc::SlabAllocator::kSlotsPerExtent * (8 + proto.max_value)

@@ -85,13 +85,16 @@ CHECKS = (
 
 # Callee names whose results are commit-critical: the one-sided verbs, the
 # doorbell-batch posting helpers, the quorum engine's verdicts
-# (src/swarm/quorum.h) every protocol commits through, and the quorum
-# wrappers. A co_await of any of these must not drop its result.
+# (src/swarm/quorum.h) every protocol commits through, the quorum
+# wrappers, and Algorithm 7's CAS-max loop (src/swarm/inout.h), whose status
+# and install flag decide commits and buffer frees. A co_await of any of
+# these must not drop its result.
 COMMIT_CRITICAL_CALLEES = {
     "Read", "Write", "Cas", "WriteThenCas",
     "PostMany", "PostBoth",
     "Escalate", "Broadcast", "Wave",
     "WriteAndRead", "WriteVerified", "ReadQuorum",
+    "CasMax",
     "ReplaceLayout", "RemoveIfGeneration", "InsertIfAbsent",
 }
 

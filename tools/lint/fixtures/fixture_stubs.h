@@ -42,9 +42,21 @@ struct Qp {
 };
 
 struct Worker {
-  sim::Task<void> RefreshEpoch();
+  sim::Task<int> RefreshEpoch();
   Qp& qp(int node);
 };
+
+// Algorithm 7's CAS-max loop (src/swarm/inout.h).
+struct Meta {
+  uint64_t raw = 0;
+};
+struct OopPool {};
+struct CasMaxResult {
+  Status status = Status::kOk;
+  bool installed = false;
+};
+sim::Task<CasMaxResult> CasMax(Qp& qp, OopPool& pool, uint64_t addr, Meta prev, Meta desired,
+                               Meta* seen);
 
 // One object's replica records (src/swarm/layout.h) and the shares in one:
 // the 8 B handle whose count lives in the layout's block, and the slot-cache

@@ -48,4 +48,11 @@ sim::Task<KvResult> DroppedVerdict(const QuorumEngine& q, QuorumPhase* ph) {
   co_return KvResult{KvStatus::kOk};
 }
 
+sim::Task<void> DroppedInstall(Qp& qp, OopPool& pool, uint64_t addr, Meta prev, Meta desired) {
+  // CasMax's status and install flag say whether the word now holds ours and
+  // which buffer was freed: dropping them acks an install that may not exist.
+  Meta seen;
+  co_await CasMax(qp, pool, addr, prev, desired, &seen);  // trip: CasMax result dropped
+}
+
 }  // namespace swarm::fixture

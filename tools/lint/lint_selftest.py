@@ -18,10 +18,10 @@ FIXTURE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures
 # check name -> (fixture stem, minimum findings the trip file must produce).
 # The minimums pin each check's distinct detections: e.g. the
 # unchecked-commit-critical trip file carries the fire-and-forget drop, the
-# (void)-cast evasion, the assigned-never-examined variant, and a dropped
-# quorum-engine verdict.
+# (void)-cast evasion, the assigned-never-examined variant, a dropped
+# quorum-engine verdict and a dropped CasMax result.
 CASES = {
-    "swarm-unchecked-commit-critical": ("unchecked_commit_critical", 4),
+    "swarm-unchecked-commit-critical": ("unchecked_commit_critical", 5),
     "swarm-hot-path-alloc": ("hot_path_alloc", 4),
     "swarm-bounded-slot-index": ("bounded_slot_index", 2),
     "swarm-retry-stale-epoch": ("retry_stale_epoch", 1),
